@@ -15,9 +15,7 @@ from .backends import (
     ShotCounts,
     choi_process_fidelity,
     dm_run,
-    model_subset_fidelity,
     stab_run_counts,
-    stab_run_shot,
 )
 from .cab import (
     CabConfig,
@@ -34,7 +32,6 @@ from .cab import (
     run_cb_experiment,
     sample_observables,
     subset_fidelity,
-    survival_probability,
 )
 from .calibration import (
     NelderMead,

@@ -122,24 +122,11 @@ def analytic_fidelity(
     pmap = {i: float(p[i]) for i in range(g)}
     dmap = {i: int(dims[i]) for i in range(g)}
 
-    # connected components of the coupling graph over all gates
-    remaining = set(range(g))
     value = 1.0
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            a = frontier.pop()
-            for b in list(remaining - comp):
-                if couplings.get(a, b) != 0.0:
-                    comp.add(b)
-                    frontier.append(b)
-        members = tuple(sorted(comp))
-        remaining -= comp
+    for members in couplings.components(range(g)):
         if len(members) > component_limit:
             raise ResourceLimitError(f"coupling component of {len(members)} gates is too large")
-        sub = tuple(i for i in subset if i in comp)
+        sub = tuple(i for i in subset if i in members)
         diag = _coupled_diag(couplings, members)
         value *= _component_fidelity(members, sub, pmap, dmap, diag)
     return value

@@ -216,6 +216,8 @@ class ShotCounts:
     counts: np.ndarray  # (D,) int64
 
     def __post_init__(self):
+        if self.k_s < 1:
+            raise ValueError("empty counts: k_s must be >= 1")
         if int(self.counts.sum()) != self.k_s:
             raise ValueError("counts must sum to the number of shots")
 
@@ -356,11 +358,6 @@ def stab_run_counts(
     return ShotCounts.from_outcomes(outcomes)
 
 
-def stab_run_shot(seq: CircuitSequence, device: DeviceModel, rng: np.random.Generator) -> np.ndarray:
-    """One measurement outcome (bit vector, qubit 0 first)."""
-    return stab_run_counts(seq, device, 1, rng).bits[0]
-
-
 # ---------------------------------------------------------------------------
 # process fidelity
 # ---------------------------------------------------------------------------
@@ -426,10 +423,6 @@ def compose_channels(*channels):
     return apply
 
 
-def identity_channel():
-    return lambda rho: rho
-
-
 def pauli_layer_noise_channel(device: DeviceModel):
     """The tensor-product depolarizing noise of one single-qubit layer."""
     n = device.n_qubits
@@ -463,60 +456,6 @@ def dressed_cycle_channel(device: DeviceModel, block):
     if device.pauli_layer_noise:
         return compose_channels(pauli_layer_noise_channel(device), block_noise_channel(device, block))
     return block_noise_channel(device, block)
-
-
-def model_subset_fidelity(
-    device: DeviceModel,
-    block,
-    qubits: tuple[int, ...] | None = None,
-    include_twirl_layer: bool = True,
-) -> float:
-    """Exact process fidelity of the benchmarked channel (twirled form).
-
-    Valid for blocks whose layers are gate layers only (parallel CZ).  The
-    channel is per-gate depolarizing, the Pauli twirl of every coherent
-    diagonal component, optionally composed with one twirling layer's
-    depolarizing noise; its fidelity equals the coherent model's because
-    Pauli twirling preserves process fidelity.  Restriction to ``qubits``
-    treats the complement as maximally mixed.
-    """
-    n = block.n
-    for layer in block.layers:
-        if not isinstance(layer, GateLayer):
-            raise ValueError("model fidelity supports plain gate blocks only")
-    subset = tuple(range(n)) if qubits is None else tuple(sorted(qubits))
-    n_s = len(subset)
-    if n_s > 13:
-        raise ResourceLimitError("subset too large for the 4^n Pauli sum")
-    # enumerate the subset's Paulis by (x, z) bit patterns
-    dim = 4**n_s
-    codes = np.arange(dim)
-    xbits = np.zeros((dim, n), dtype=np.int64)
-    zbits = np.zeros((dim, n), dtype=np.int64)
-    for i, q in enumerate(subset):
-        pair = (codes >> (2 * i)) & 3
-        xbits[:, q] = pair & 1
-        zbits[:, q] = pair >> 1
-    lam = np.ones(dim)
-    touched = (xbits | zbits).astype(bool)
-    for layer in block.layers:
-        for g in layer.gates:
-            spec = device.gates[g]
-            hits = touched[:, spec.pair[0]] | touched[:, spec.pair[1]]
-            lam *= np.where(hits, spec.effective_depol_p(), 1.0)
-        for ch in device.layer_twirl_channels(layer.gates):
-            k = len(ch.support)
-            xmask = np.zeros(dim, dtype=np.int64)
-            for i, q in enumerate(ch.support):
-                xmask |= xbits[:, q] << (k - 1 - i)
-            eig = np.real(fwht(ch.weights.astype(complex)))
-            lam *= eig[xmask]
-    if include_twirl_layer and device.pauli_layer_noise:
-        for q in range(n):
-            p = float(device.single_qubit_depol[q])
-            if p < 1.0:
-                lam *= np.where(touched[:, q], p, 1.0)
-    return float(lam.sum() / dim)
 
 
 def restricted_channel(channel, n: int, subset_qubits: tuple[int, ...]):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backends import ShotCounts, dm_run, stab_run_counts
+from .backends import ShotCounts, dm_run, pack_bits, stab_run_counts
 from .circuits import CircuitSequence, CliffordLayer, GateBlock, PauliLayer
 from .device import DeviceModel, ResourceLimitError
 from .paulis import sample_local_clifford, sample_random_pauli
@@ -52,8 +52,10 @@ class CabConfig:
     def __post_init__(self):
         if len(set(self.depths)) < 2 or any(m < 0 for m in self.depths):
             raise ValueError("need at least two distinct non-negative depths")
-        if self.k_r < 1 or self.k_s < 1:
-            raise ValueError("k_r and k_s must be >= 1")
+        if self.k_r < 2:
+            raise ValueError(f"k_r must be >= 2 for a jackknife standard error, got {self.k_r}")
+        if self.k_s < 1:
+            raise ValueError("k_s must be >= 1")
         if self.mode not in ("sample", "traverse"):
             raise ValueError("mode must be 'sample' or 'traverse'")
         if self.mode == "sample" and self.k_q < 1:
@@ -129,16 +131,7 @@ def sample_observables(n: int, k_q: int, rng: np.random.Generator) -> np.ndarray
     if k_q < 1:
         raise ValueError("k_q must be >= 1")
     bits = (rng.random((k_q, n)) < 0.75).astype(np.uint8)
-    from .backends import pack_bits
-
     return pack_bits(bits)
-
-
-def survival_probability(counts: ShotCounts, w_mask: int) -> float:
-    """Parity-weighted mean (-1)^(w.x) over the counted outcomes."""
-    if counts.k_s < 1:
-        raise ValueError("empty counts")
-    return counts.survival(w_mask)
 
 
 def kq_for_accuracy(epsilon: float, delta: float) -> int:
@@ -261,6 +254,15 @@ def _resolve_backend(name: str, n: int) -> str:
     return name
 
 
+def _run_counts(
+    seq: CircuitSequence, device: DeviceModel, backend: str, k_s: int, rng: np.random.Generator
+) -> ShotCounts:
+    """Execute one sequence on a resolved backend and sample k_s shots."""
+    if backend == "dm":
+        return ShotCounts.from_probabilities(dm_run(seq, device), seq.n, k_s, rng)
+    return stab_run_counts(seq, device, k_s, rng)
+
+
 def execute_cab_run(
     device: DeviceModel,
     block: GateBlock,
@@ -285,10 +287,7 @@ def execute_cab_run(
         rng_seq = np.random.default_rng([config.seed, 17, tag, d_idx, k])
         seq = build_cab_sequence(block, m, rng_seq)
         rng_shot = np.random.default_rng([config.seed, 23, tag, d_idx, k])
-        if backend == "dm":
-            probs = dm_run(seq, device)
-            return ShotCounts.from_probabilities(probs, n, config.k_s, rng_shot)
-        return stab_run_counts(seq, device, config.k_s, rng_shot)
+        return _run_counts(seq, device, backend, config.k_s, rng_shot)
 
     tasks = [(d, k) for d in range(len(depths)) for k in range(config.k_r)]
     if config.threads > 1:
@@ -334,67 +333,63 @@ def _estimate_from_surv(
     surv: np.ndarray,
     masks: np.ndarray,
     exponents: np.ndarray,
-    n: int,
-    mode: str,
+    weights: np.ndarray,
     kind: str,
-    k_r: int,
 ) -> FidelityEstimate:
-    fbar = surv.mean(axis=1)
-    ses = surv.std(axis=1, ddof=1) / np.sqrt(k_r) if k_r > 1 else None
-    lam, lam_se, flagged = _fit_lambda_arrays(exponents, fbar, ses)
-    identity = masks == 0
-    lam[identity] = 1.0
-    if lam_se is not None:
-        lam_se[identity] = 0.0
-    flagged[identity] = False
-    weights = _weights_for_masks(masks, n, mode)
-    value = _aggregate(lam, weights, flagged)
+    """Fit every mask's decay, aggregate, and jackknife over the sequences.
 
-    # jackknife over sequences: delete-one recomputation of the whole chain
+    ``surv`` has shape (depth, sequence, mask).  The identity mask is pinned
+    to lambda = 1 with zero SE and is never flagged; flagged masks drop out
+    of the ``weights``-weighted mean of lambda.  The SE is the delete-one
+    jackknife over the sequence axis, recomputing the whole chain.
+    """
+    k_r = surv.shape[1]
+    identity = masks == 0
+
+    def fit(fbar, ses):
+        lam, lam_se, flagged = _fit_lambda_arrays(exponents, fbar, ses)
+        lam[identity] = 1.0
+        lam_se[identity] = 0.0
+        flagged[identity] = False
+        return lam, lam_se, flagged
+
+    lam, lam_se, flagged = fit(surv.mean(axis=1), surv.std(axis=1, ddof=1) / np.sqrt(k_r))
+    total = surv.sum(axis=1)
     jack = np.empty(k_r)
     for k in range(k_r):
-        fk = (surv.sum(axis=1) - surv[:, k, :]) / (k_r - 1)
-        lk, _, flk = _fit_lambda_arrays(exponents, fk, None)
-        lk[identity] = 1.0
-        flk[identity] = False
+        lk, _, flk = fit((total - surv[:, k, :]) / (k_r - 1), None)
         jack[k] = _aggregate(lk, weights, flk)
     good = np.isfinite(jack)
     if good.sum() >= 2:
         jm = jack[good].mean()
-        se_jack = float(np.sqrt((good.sum() - 1) / good.sum() * np.sum((jack[good] - jm) ** 2)))
+        se = float(np.sqrt((good.sum() - 1) / good.sum() * np.sum((jack[good] - jm) ** 2)))
     else:
-        se_jack = float("nan")
-
-    se = se_jack
-    meta = {"se_jackknife": se_jack, "mode": mode}
-    if mode == "sample":
-        ok = ~flagged
-        if ok.sum() >= 2:
-            between = float(np.var(lam[ok], ddof=1) / ok.sum())
-        else:
-            between = 0.0
-        se = float(np.sqrt(se_jack**2 + between))
-        meta["se_observable_sampling"] = float(np.sqrt(between))
+        se = float("nan")
     qps = [
         QualityParameter(int(m_), float(l_), float(s_) if np.isfinite(s_) else 0.0, bool(f_))
-        for m_, l_, s_, f_ in zip(masks, lam, lam_se if lam_se is not None else np.zeros_like(lam), flagged)
+        for m_, l_, s_, f_ in zip(masks, lam, lam_se, flagged)
     ]
     return FidelityEstimate(
-        value=value,
+        value=_aggregate(lam, weights, flagged),
         se=se,
         kind=kind,
         quality_params=qps,
         n_flagged=int(flagged.sum()),
-        metadata=meta,
     )
 
 
 def estimate_fidelity(data: CabRunData, kind: str | None = None) -> FidelityEstimate:
     """Fidelity from a run: weighted (traverse) or plain (sample) mean of lambda."""
     exponents = 2.0 * np.asarray(data.depths, dtype=float)
-    est = _estimate_from_surv(
-        data.surv, data.masks, exponents, data.n, data.mode, kind or data.kind, data.k_r
-    )
+    weights = _weights_for_masks(data.masks, data.n, data.mode)
+    est = _estimate_from_surv(data.surv, data.masks, exponents, weights, kind or data.kind)
+    est.metadata = {"se_jackknife": est.se, "mode": data.mode}
+    if data.mode == "sample":
+        # the spread of lambda over the sampled observables adds to the variance
+        lam = np.array([qp.lam for qp in est.quality_params if not qp.flagged])
+        between = float(np.var(lam, ddof=1) / len(lam)) if len(lam) >= 2 else 0.0
+        est.se = float(np.sqrt(est.se**2 + between))
+        est.metadata["se_observable_sampling"] = float(np.sqrt(between))
     est.metadata["backend"] = data.backend
     est.metadata["depths"] = list(data.depths)
     return est
@@ -421,9 +416,14 @@ def subset_fidelity(data: CabRunData, gate_subset: tuple[int, ...], device: Devi
             vec = data.counts[d][k].marginal_count_vector(qubits)
             surv[d, k] = np.real(fwht(vec)) / data.k_s
     exponents = 2.0 * np.asarray(data.depths, dtype=float)
-    est = _estimate_from_surv(surv, masks, exponents, n_s, "traverse", data.kind, data.k_r)
-    est.metadata["gates"] = list(gate_subset)
-    est.metadata["qubits"] = list(qubits)
+    weights = _weights_for_masks(masks, n_s, "traverse")
+    est = _estimate_from_surv(surv, masks, exponents, weights, data.kind)
+    est.metadata = {
+        "se_jackknife": est.se,
+        "mode": "traverse",
+        "gates": list(gate_subset),
+        "qubits": list(qubits),
+    }
     return est
 
 
@@ -499,19 +499,15 @@ def run_cab_experiment(
     if measure_twirl:
         twirl_data = execute_cab_run(device, GateBlock.identity(block.n), config, "twirl", tag=1)
         twirl = estimate_fidelity(twirl_data)
-        pure = interleaved_pure_fidelity(dressed, twirl, block.n)
     else:
         twirl_data = None
         twirl = FidelityEstimate(1.0, 0.0, "twirl", metadata={"assumed_perfect": True})
-        pure = interleaved_pure_fidelity(dressed, twirl, block.n)
+    pure = interleaved_pure_fidelity(dressed, twirl, block.n)
     subsets: dict[tuple[int, ...], SubsetResult] = {}
     for subset in config.subsets:
         key = tuple(sorted(subset))
         sd = subset_fidelity(dressed_data, key, device)
-        if twirl_data is not None:
-            st = subset_fidelity(twirl_data, key, device)
-        else:
-            st = FidelityEstimate(1.0, 0.0, "twirl", metadata={"assumed_perfect": True})
+        st = twirl if twirl_data is None else subset_fidelity(twirl_data, key, device)
         qubits = tuple(sorted({q for g in key for q in device.gates[g].pair}))
         sp = interleaved_pure_fidelity(sd, st, len(qubits))
         subsets[key] = SubsetResult(key, qubits, sd, st, sp)
@@ -591,13 +587,6 @@ def build_cb_sequence(
     return CircuitSequence(n, tuple(layers))
 
 
-@dataclass
-class CbRunData:
-    characters: np.ndarray  # (n_chars,) observable masks of the sampled Paulis
-    cycles: tuple[int, ...]
-    surv: np.ndarray  # (M, n_chars, group_size)
-
-
 def run_cb_experiment(
     device: DeviceModel,
     block: GateBlock,
@@ -624,14 +613,13 @@ def run_cb_experiment(
     if config.k_r % n_chars != 0:
         raise ValueError("k_r must be divisible by the number of characters")
     group = config.k_r // n_chars
+    if group < 2:
+        raise ValueError(f"k_r // n_chars must give >= 2 sequences per character, got {group}")
     backend = _resolve_backend(config.backend, n)
 
     rng_char = np.random.default_rng([config.seed, 7, 2])
     characters = [sample_random_pauli(n, rng_char) for _ in range(n_chars)]
-    char_masks = np.array(
-        [int(sum(((int(p.x[q]) | int(p.z[q])) << (n - 1 - q)) for q in range(n))) for p in characters],
-        dtype=np.int64,
-    )
+    char_masks = pack_bits(np.array([p.x | p.z for p in characters]))
 
     surv = np.empty((len(cycles), n_chars, group))
     for d, c in enumerate(cycles):
@@ -640,54 +628,21 @@ def run_cb_experiment(
                 rng_seq = np.random.default_rng([config.seed, 29, 2, d, ci, k])
                 seq = build_cb_sequence(block, char, c, order, rng_seq)
                 rng_shot = np.random.default_rng([config.seed, 31, 2, d, ci, k])
-                if backend == "dm":
-                    probs = dm_run(seq, device)
-                    sc = ShotCounts.from_probabilities(probs, n, config.k_s, rng_shot)
-                else:
-                    sc = stab_run_counts(seq, device, config.k_s, rng_shot)
+                sc = _run_counts(seq, device, backend, config.k_s, rng_shot)
                 surv[d, ci, k] = sc.survival(int(char_masks[ci]))
 
-    exponents = np.asarray(cycles, dtype=float)
-    fbar = surv.mean(axis=2)
-    ses = surv.std(axis=2, ddof=1) / np.sqrt(group) if group > 1 else None
-    lam, lam_se, flagged = _fit_lambda_arrays(exponents, fbar, ses)
-    identity = char_masks == 0
-    lam[identity] = 1.0
-    flagged[identity] = False
-    ok = ~flagged
-    value = float(np.mean(lam[ok])) if np.any(ok) else float("nan")
-
-    # jackknife over sequences within groups
-    jack = []
-    for k in range(group):
-        fk = (surv.sum(axis=2) - surv[:, :, k]) / (group - 1) if group > 1 else fbar
-        lk, _, flk = _fit_lambda_arrays(exponents, fk, None)
-        lk[identity] = 1.0
-        flk[identity] = False
-        okk = ~flk
-        jack.append(float(np.mean(lk[okk])) if np.any(okk) else np.nan)
-    jack = np.asarray(jack)
-    good = np.isfinite(jack)
-    if good.sum() >= 2:
-        jm = jack[good].mean()
-        se = float(np.sqrt((good.sum() - 1) / good.sum() * np.sum((jack[good] - jm) ** 2)))
-    else:
-        se = float("nan")
-    qps = [
-        QualityParameter(int(m_), float(l_), float(s_) if ses is not None and np.isfinite(s_) else 0.0, bool(f_))
-        for m_, l_, s_, f_ in zip(char_masks, lam, lam_se if lam_se is not None else np.zeros(n_chars), flagged)
-    ]
-    return FidelityEstimate(
-        value=value,
-        se=se,
-        kind="dressed",
-        quality_params=qps,
-        n_flagged=int(flagged.sum()),
-        metadata={
-            "protocol": "cycle-benchmarking variant (uniform characters, compiled Pauli closure)",
-            "cycles": list(cycles),
-            "gate_order": order,
-            "n_characters": n_chars,
-            "backend": backend,
-        },
+    est = _estimate_from_surv(
+        surv.transpose(0, 2, 1),
+        char_masks,
+        np.asarray(cycles, dtype=float),
+        np.ones(n_chars),  # equal weights: the plain mean over characters
+        "dressed",
     )
+    est.metadata = {
+        "protocol": "cycle-benchmarking variant (uniform characters, compiled Pauli closure)",
+        "cycles": list(cycles),
+        "gate_order": order,
+        "n_characters": n_chars,
+        "backend": backend,
+    }
+    return est

@@ -99,8 +99,24 @@ class CouplingMap:
     def items(self):
         return sorted(self._g.items())
 
-    def nonzero_pairs(self):
-        return [k for k, v in self.items() if v != 0.0]
+    def components(self, gate_indices) -> list[tuple[int, ...]]:
+        """Connected components of the coupling graph among the given gates,
+        in order of their smallest member, each listed in ascending order."""
+        remaining = set(gate_indices)
+        comps = []
+        while remaining:
+            seed = min(remaining)
+            comp = {seed}
+            frontier = [seed]
+            while frontier:
+                a = frontier.pop()
+                for b in list(remaining - comp):
+                    if self.get(a, b) != 0.0:
+                        comp.add(b)
+                        frontier.append(b)
+            comps.append(tuple(sorted(comp)))
+            remaining -= comp
+        return comps
 
     def __eq__(self, other):
         return isinstance(other, CouplingMap) and self._g == other._g
@@ -303,24 +319,6 @@ class DeviceModel:
                     raise ValueError(f"gates in one parallel layer overlap on qubit {q}")
                 seen.add(q)
 
-    def coupling_components(self, gate_indices: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Connected components of the coupling graph among the given gates."""
-        remaining = set(gate_indices)
-        comps = []
-        while remaining:
-            seed = min(remaining)
-            comp = {seed}
-            frontier = [seed]
-            while frontier:
-                a = frontier.pop()
-                for b in list(remaining - comp):
-                    if self.couplings.get(a, b) != 0.0:
-                        comp.add(b)
-                        frontier.append(b)
-            comps.append(tuple(sorted(comp)))
-            remaining -= comp
-        return comps
-
     def coherent_layer_components(self, gate_indices: tuple[int, ...]) -> list[DiagonalUnitary]:
         """Coherent diagonal per coupling component of one executed layer.
 
@@ -330,7 +328,7 @@ class DeviceModel:
         diagonal is trivial are dropped.
         """
         out = []
-        for comp in self.coupling_components(gate_indices):
+        for comp in self.couplings.components(gate_indices):
             v = build_coupling_unitary(list(self.gates), self.couplings, comp, self.cluster_limit)
             diag = v.diag.copy()
             k = len(v.qubits)

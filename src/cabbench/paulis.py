@@ -125,13 +125,6 @@ class PauliString:
             m = np.kron(m, _LETTER_MATS[int(xb) + 2 * int(zb)])
         return (1j**self.phase_exp) * m
 
-    def z_mask_int(self) -> int:
-        """Integer mask of qubits where the operator has a Z component."""
-        return int(sum(int(b) << (self.n - 1 - q) for q, b in enumerate(self.z)))
-
-    def x_mask_int(self) -> int:
-        return int(sum(int(b) << (self.n - 1 - q) for q, b in enumerate(self.x)))
-
 
 def pauli_multiply(p: PauliString, q: PauliString) -> PauliString:
     """Product ``p * q`` with exact phase tracking."""

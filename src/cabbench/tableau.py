@@ -186,28 +186,33 @@ class CliffordTableau:
             n, acc_x.astype(np.uint8), acc_z.astype(np.uint8), (phases // 2).astype(np.uint8)
         )
 
+    def _symplectic(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 2n x 2n bit matrix M (row r = generator image r as [x | z]) and J.
+
+        A Pauli with bits v = [x | z] maps to v M (mod 2) under conjugation;
+        the inverse tableau's bit matrix is J M^T J.
+        """
+        n = self.n
+        m = np.concatenate([self.xbits, self.zbits], axis=1).astype(np.int64)
+        j = np.zeros((2 * n, 2 * n), dtype=np.int64)
+        j[:n, n:] = np.eye(n, dtype=np.int64)
+        j[n:, :n] = np.eye(n, dtype=np.int64)
+        return m, j
+
     def symplectic_ok(self) -> bool:
         """Check the generator images' commutation pattern."""
-        n = self.n
-        m = np.concatenate([self.xbits, self.zbits], axis=1).astype(np.uint8)
-        j = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-        j[:n, n:] = np.eye(n, dtype=np.uint8)
-        j[n:, :n] = np.eye(n, dtype=np.uint8)
+        m, j = self._symplectic()
         return np.array_equal((m @ j @ m.T) % 2, j)
 
     def inverse(self) -> "CliffordTableau":
         n = self.n
-        m = np.concatenate([self.xbits, self.zbits], axis=1).astype(np.uint8)
-        j = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-        j[:n, n:] = np.eye(n, dtype=np.uint8)
-        j[n:, :n] = np.eye(n, dtype=np.uint8)
+        m, j = self._symplectic()
         if not np.array_equal((m @ j @ m.T) % 2, j):
             raise NonCliffordError("tableau bits are not symplectic")
         minv = (j @ m.T @ j) % 2
         xb = minv[:, :n].astype(np.uint8)
         zb = minv[:, n:].astype(np.uint8)
         sg = np.zeros(2 * n, dtype=np.uint8)
-        out = CliffordTableau(n, xb, zb, sg)
         # Fix signs so that conjugating each candidate through self returns
         # the corresponding +X_i / +Z_i generator.
         for r in range(2 * n):
@@ -263,16 +268,18 @@ def compile_inverse_pauli(u: CliffordTableau, pauli_layers: list[PauliString], m
     P(1), P(2), ..., P(2m).  The net unitary of
     prod_i (u^-1 P(2i) u P(2i-1)) is itself a Pauli; the returned operator
     is its inverse, so appending it closes the interleaved section to the
-    identity (up to global phase).
+    identity up to global phase.  Only the bits are computed, in GF(2):
+    odd + even (J M^T J), where odd and even are the XORs of the odd- and
+    even-numbered layers' bits and M is u's symplectic matrix.  The phase
+    is global, so it is returned as 0.
     """
     if len(pauli_layers) != 2 * m:
         raise ValueError("need exactly 2*m Pauli layers")
     n = u.n
-    u_inv = u.inverse()
-    acc = PauliString.identity(n)
-    for i in range(m):
-        p_odd = pauli_layers[2 * i]
-        p_even = pauli_layers[2 * i + 1]
-        conj = u_inv.conjugate(p_even)  # u^-1 P(2i) u
-        acc = conj * p_odd * acc
-    return acc.inverse()
+    bits = np.array([np.concatenate([p.x, p.z]) for p in pauli_layers], dtype=np.int64)
+    bits = bits.reshape(2 * m, 2 * n)  # keeps two axes when m = 0
+    odd = np.bitwise_xor.reduce(bits[0::2], axis=0)
+    even = np.bitwise_xor.reduce(bits[1::2], axis=0)
+    mat, j = u._symplectic()
+    net = ((odd + even @ j @ mat.T @ j) % 2).astype(np.uint8)
+    return PauliString(n, net[:n], net[n:], 0)

@@ -13,7 +13,6 @@ from cabbench.backends import (
     pauli_sum_process_fidelity,
     restricted_channel,
     stab_run_counts,
-    stab_run_shot,
     unpack_bits,
 )
 from cabbench.circuits import CircuitSequence, CliffordLayer, GateBlock, GateLayer, PauliLayer
@@ -140,7 +139,7 @@ def test_stab_noiseless_all_zeros():
     rng = np.random.default_rng(1)
     counts = stab_run_counts(seq, dev, 100, rng)
     assert counts.as_dict() == {0: 100}
-    assert np.array_equal(stab_run_shot(seq, dev, rng), np.zeros(2, dtype=np.uint8))
+    assert np.array_equal(stab_run_counts(seq, dev, 1, rng).bits[0], np.zeros(2, dtype=np.uint8))
 
 
 def test_stab_matches_dm_twirled_model():
@@ -222,6 +221,13 @@ def test_survival_hand_example():
     counts = ShotCounts(2, 100, np.array([[0, 0], [1, 1]], dtype=np.uint8), np.array([60, 40]))
     assert counts.survival(0b01) == pytest.approx(0.2)
     assert counts.survival(0b00) == pytest.approx(1.0)
+
+
+def test_shot_counts_reject_empty():
+    with pytest.raises(ValueError, match="k_s"):
+        ShotCounts(2, 0, np.zeros((0, 2), dtype=np.uint8), np.zeros(0, dtype=np.int64))
+    with pytest.raises(ValueError, match="k_s"):
+        ShotCounts.from_probabilities(np.array([1.0, 0.0, 0.0, 0.0]), 2, 0, np.random.default_rng(0))
 
 
 def test_shot_timing_budget():

@@ -16,7 +16,6 @@ from cabbench.cab import (
     run_cab_experiment,
     sample_observables,
     subset_fidelity,
-    survival_probability,
 )
 from cabbench.circuits import CircuitSequence, CliffordLayer, GateBlock, PauliLayer
 from cabbench.device import ControlPhases, CouplingMap, DeviceModel, GateSpec
@@ -97,19 +96,19 @@ def test_observable_mean_weight():
 def test_survival_all_zero_counts():
     c = ShotCounts(3, 50, np.zeros((1, 3), dtype=np.uint8), np.array([50]))
     for w in (0, 1, 0b101, 0b111):
-        assert survival_probability(c, w) == pytest.approx(1.0)
+        assert c.survival(w) == pytest.approx(1.0)
 
 
 def test_survival_uniform_counts_vanishes():
     bits = np.array([[b >> 1 & 1, b & 1] for b in range(4)], dtype=np.uint8)
     c = ShotCounts(2, 400, bits, np.full(4, 100))
-    assert survival_probability(c, 0b01) == pytest.approx(0.0)
-    assert survival_probability(c, 0b11) == pytest.approx(0.0)
+    assert c.survival(0b01) == pytest.approx(0.0)
+    assert c.survival(0b11) == pytest.approx(0.0)
 
 
 def test_survival_hand_value():
     c = ShotCounts(2, 100, np.array([[0, 0], [1, 1]], dtype=np.uint8), np.array([60, 40]))
-    assert survival_probability(c, 0b01) == pytest.approx(0.2)
+    assert c.survival(0b01) == pytest.approx(0.2)
 
 
 # -- fitting ------------------------------------------------------------------
@@ -307,5 +306,7 @@ def test_config_validation():
         CabConfig(depths=(0, -2))
     with pytest.raises(ValueError):
         CabConfig(k_r=0)
+    with pytest.raises(ValueError, match="k_r"):
+        CabConfig(k_r=1)
     with pytest.raises(ValueError):
         CabConfig(mode="sample", k_q=0)

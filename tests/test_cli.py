@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -94,6 +95,50 @@ def test_runs_are_byte_identical(tmp_path):
     rb = json.loads((tmp_path / "b" / "result.json").read_text())
     ra["config"]["out_dir"] = rb["config"]["out_dir"] = ""
     assert ra == rb
+
+
+DETERMINISM_CONFIGS = {
+    "cab": {
+        "kind": "cab",
+        "device": "two_gate_4q",
+        "backend": "dm",
+        "cab": {"depths": [0, 2], "k_r": 4, "k_s": 300, "mode": "traverse"},
+        "subsets": "singles",
+    },
+    "cb": {
+        "kind": "cb",
+        "device": "two_gate_4q",
+        "backend": "dm",
+        "cab": {"k_r": 10, "k_s": 300},
+        "cycles": [2, 4],
+        "n_chars": 5,
+    },
+    "fully_connected": {
+        "kind": "fully_connected",
+        "device": None,
+        "n": 6,
+        "backend": "stab",
+        "cab": {"depths": [0, 2], "k_r": 3, "k_s": 300, "mode": "traverse"},
+        "subsets": "none",
+    },
+}
+
+
+def artifact_digests(out):
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir())
+        if path.name == "result.json" or path.suffix == ".csv"
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(DETERMINISM_CONFIGS))
+def test_artifacts_are_byte_identical_across_runs(kind, tmp_path):
+    doc = {**DETERMINISM_CONFIGS[kind], "seed": 21, "out_dir": str(tmp_path / kind)}
+    first = artifact_digests(run(ExperimentConfig.from_dict(doc)))
+    second = artifact_digests(run(ExperimentConfig.from_dict(doc)))
+    assert "result.json" in first and len(first) >= 2
+    assert first == second
 
 
 def test_landscape_run(tmp_path):

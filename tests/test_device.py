@@ -98,7 +98,7 @@ def test_twirl_weights_factorize_for_disjoint_pairs():
     g1, g2 = 0.15, 0.4
     couplings = CouplingMap({(0, 1): g1, (2, 3): g2})
     dev = DeviceModel(n_qubits=8, gates=gates, couplings=couplings)
-    comps = dev.coupling_components((0, 1, 2, 3))
+    comps = dev.couplings.components((0, 1, 2, 3))
     assert comps == [(0, 1), (2, 3)]
     for comp, gamma in zip(comps, (g1, g2)):
         v = build_coupling_unitary(list(gates), couplings, comp)

@@ -161,15 +161,24 @@ def test_compile_inverse_pauli_identity_layers():
     assert compile_inverse_pauli(u, layers, 2).is_identity(up_to_phase=True)
 
 
+def _block_tableau(case, rng):
+    """A random {H, S, CZ} word on ``case`` qubits, or a 6-qubit fully connected block."""
+    if case == "fully_connected":
+        from cabbench.experiments import fully_connected_gate, ring_device
+
+        block = fully_connected_gate(ring_device(6), (0, 1, 2), (3, 4, 5), rng)
+        return block.tableau, block.n
+    return random_tableau(case, rng, depth=8)[0], case
+
+
 def test_compile_inverse_pauli_closes_sequence():
     rng = np.random.default_rng(9)
-    for _ in range(10):
-        n = 2
-        u, _ = random_tableau(n, rng, depth=8)
+    for case in [1, 3, 6, "fully_connected"] * 10:
+        u, n = _block_tableau(case, rng)
         m = int(rng.integers(1, 4))
         paulis = [sample_random_pauli(n, rng) for _ in range(2 * m)]
         u_inv_gate = compile_inverse_pauli(u, paulis, m)
-        # full composition: [(u^-1 P(2i) u P(2i-1)) for i] then the closer
+        # full sign-tracked composition: [(u^-1 P(2i) u P(2i-1)) for i] then the closer
         net = CliffordTableau.identity(n)
         uinv = u.inverse()
         for i in range(m):
@@ -178,7 +187,7 @@ def test_compile_inverse_pauli_closes_sequence():
             net = CliffordTableau.from_pauli_conjugation(paulis[2 * i + 1]).compose(net)
             net = uinv.compose(net)
         net = CliffordTableau.from_pauli_conjugation(u_inv_gate).compose(net)
-        assert net.is_identity()
+        assert net.is_identity(), case
 
 
 def test_compile_inverse_pauli_wrong_layer_count():
