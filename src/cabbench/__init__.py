@@ -51,7 +51,6 @@ from .device import (
     DeviceModel,
     GateSpec,
     PauliChannel,
-    apply_depolarizing,
     apply_readout_noise,
     build_coupling_unitary,
     parametric_cz_unitary,

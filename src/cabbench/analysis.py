@@ -16,6 +16,8 @@ import numpy as np
 
 from .device import CouplingMap, ResourceLimitError
 
+COMPONENT_LIMIT = 16  # gates per coupling component; the sum runs over its subsets
+
 
 class FidelityDomainError(ValueError):
     """Correlation undefined for non-positive fidelities."""
@@ -100,7 +102,6 @@ def analytic_fidelity(
     p: list[float],
     couplings: CouplingMap,
     dims: list[int] | int = 4,
-    component_limit: int = 16,
 ) -> float:
     """Exact process fidelity of a gate subset under depolarizing + coupling.
 
@@ -124,7 +125,7 @@ def analytic_fidelity(
 
     value = 1.0
     for members in couplings.components(range(g)):
-        if len(members) > component_limit:
+        if len(members) > COMPONENT_LIMIT:
             raise ResourceLimitError(f"coupling component of {len(members)} gates is too large")
         sub = tuple(i for i in subset if i in members)
         diag = _coupled_diag(couplings, members)

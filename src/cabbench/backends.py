@@ -20,6 +20,7 @@ from .paulis import _LETTER_MATS, PauliString, single_qubit_cliffords
 
 DM_QUBIT_LIMIT = 12
 CHOI_QUBIT_LIMIT = 6
+CHOI_CHUNK = 1024  # basis pairs per batched channel call
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +90,7 @@ def apply_pauli_channel(rho: np.ndarray, n: int, channel: PauliChannel) -> np.nd
     return apply_multiplier(rho, n, channel.support, mult)
 
 
-def apply_depolarizing_channel(rho: np.ndarray, n: int, qubits: tuple[int, ...], p: float) -> np.ndarray:
+def apply_depol_channel(rho: np.ndarray, n: int, qubits: tuple[int, ...], p: float) -> np.ndarray:
     if p == 1.0:
         return rho
     t, perm, batch = _split_subsystem(rho, n, qubits)
@@ -147,7 +148,7 @@ def _apply_layer_dm(
         if noisy:
             for g in layer.gates:
                 spec = device.gates[g]
-                rho = apply_depolarizing_channel(rho, n, tuple(spec.pair), spec.effective_depol_p())
+                rho = apply_depol_channel(rho, n, tuple(spec.pair), spec.effective_depol_p())
             if twirl_coupling:
                 for ch in device.layer_twirl_channels(layer.gates):
                     rho = apply_pauli_channel(rho, n, ch)
@@ -165,7 +166,7 @@ def _apply_1q_depol_all(rho: np.ndarray, n: int, device: DeviceModel) -> np.ndar
     for q in range(n):
         p = float(device.single_qubit_depol[q])
         if p < 1.0:
-            rho = apply_depolarizing_channel(rho, n, (q,), p)
+            rho = apply_depol_channel(rho, n, (q,), p)
     return rho
 
 
@@ -174,9 +175,6 @@ def dm_run(
     device: DeviceModel,
     *,
     twirl_coupling: bool = False,
-    with_readout: bool = True,
-    noisy: bool = True,
-    qubit_limit: int = DM_QUBIT_LIMIT,
 ) -> np.ndarray:
     """Exact outcome distribution of a sequence on the device.
 
@@ -186,17 +184,17 @@ def dm_run(
     the stochastic backend samples from.
     """
     n = seq.n
-    if n > qubit_limit:
-        raise ResourceLimitError(f"density-matrix backend limited to {qubit_limit} qubits")
+    if n > DM_QUBIT_LIMIT:
+        raise ResourceLimitError(f"density-matrix backend limited to {DM_QUBIT_LIMIT} qubits")
     rho = _dm_zero_state(n)
     for layer in seq.layers:
-        rho = _apply_layer_dm(rho, n, layer, device, noisy, twirl_coupling)
+        rho = _apply_layer_dm(rho, n, layer, device, noisy=True, twirl_coupling=twirl_coupling)
     probs = np.real(np.diagonal(rho))
     total = probs.sum()
     if abs(total - 1.0) > 1e-10:
         raise RuntimeError(f"probabilities sum to {total}, expected 1")
     probs = np.clip(probs, 0.0, None)
-    if with_readout and (np.any(device.readout_e0 > 0) or np.any(device.readout_e1 > 0)):
+    if np.any(device.readout_e0 > 0) or np.any(device.readout_e1 > 0):
         probs = _readout_confusion(probs, n, device.readout_e0, device.readout_e1)
     return probs
 
@@ -237,9 +235,6 @@ class ShotCounts:
 
     def packed(self) -> np.ndarray:
         return pack_bits(self.bits)
-
-    def as_dict(self) -> dict[int, int]:
-        return {int(k): int(v) for k, v in zip(self.packed(), self.counts)}
 
     def survival(self, w_mask: int) -> float:
         """sum_x count(x)/k_s * (-1)^(w.x) for the Z-observable mask w."""
@@ -363,21 +358,21 @@ def stab_run_counts(
 # ---------------------------------------------------------------------------
 
 
-def choi_process_fidelity(channel, n: int, qubit_limit: int = CHOI_QUBIT_LIMIT, chunk: int = 1024) -> float:
+def choi_process_fidelity(channel, n: int) -> float:
     """Process fidelity F = <Phi+| (L x I)(|Phi+><Phi+|) |Phi+>.
 
     ``channel`` must accept a stacked array (B, 2^n, 2^n) of input matrices
     and return the stacked outputs.  Evaluated as the normalized sum of
     <i| L(|i><j|) |j> over all basis index pairs.
     """
-    if n > qubit_limit:
-        raise ResourceLimitError(f"Choi evaluation limited to {qubit_limit} qubits")
+    if n > CHOI_QUBIT_LIMIT:
+        raise ResourceLimitError(f"Choi evaluation limited to {CHOI_QUBIT_LIMIT} qubits")
     d = 2**n
     total = 0.0 + 0.0j
     all_i, all_j = np.divmod(np.arange(d * d), d)
-    for start in range(0, d * d, chunk):
-        i_arr = all_i[start : start + chunk]
-        j_arr = all_j[start : start + chunk]
+    for start in range(0, d * d, CHOI_CHUNK):
+        i_arr = all_i[start : start + CHOI_CHUNK]
+        j_arr = all_j[start : start + CHOI_CHUNK]
         b = len(i_arr)
         inputs = np.zeros((b, d, d), dtype=complex)
         inputs[np.arange(b), i_arr, j_arr] = 1.0

@@ -11,7 +11,6 @@ isolates the pure gate fidelity from the dressed one.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ from .backends import ShotCounts, dm_run, pack_bits, stab_run_counts
 from .circuits import CircuitSequence, CliffordLayer, GateBlock, PauliLayer
 from .device import DeviceModel, ResourceLimitError
 from .paulis import sample_local_clifford, sample_random_pauli
-from .tableau import compile_inverse_pauli, gate_order
+from .tableau import compile_cycle_pauli, compile_inverse_pauli, gate_order
 
 TRAVERSE_LIMIT = 12
 SUBSET_QUBIT_LIMIT = 8
@@ -47,7 +46,6 @@ class CabConfig:
     seed: int = 0
     subsets: tuple[tuple[int, ...], ...] = ()
     backend: str = "auto"  # "dm", "stab", or "auto"
-    threads: int = 1
 
     def __post_init__(self):
         if len(set(self.depths)) < 2 or any(m < 0 for m in self.depths):
@@ -282,22 +280,13 @@ def execute_cab_run(
         rng_obs = np.random.default_rng([config.seed, 5, tag])
         masks = sample_observables(n, config.k_q, rng_obs)
 
-    def one_sequence(d_idx: int, k: int) -> ShotCounts:
-        m = depths[d_idx]
-        rng_seq = np.random.default_rng([config.seed, 17, tag, d_idx, k])
-        seq = build_cab_sequence(block, m, rng_seq)
-        rng_shot = np.random.default_rng([config.seed, 23, tag, d_idx, k])
-        return _run_counts(seq, device, backend, config.k_s, rng_shot)
-
-    tasks = [(d, k) for d in range(len(depths)) for k in range(config.k_r)]
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(lambda t: one_sequence(*t), tasks))
-    else:
-        results = [one_sequence(*t) for t in tasks]
     counts: list[list[ShotCounts]] = [[] for _ in depths]
-    for (d, _k), res in zip(tasks, results):
-        counts[d].append(res)
+    for d, m in enumerate(depths):
+        for k in range(config.k_r):
+            rng_seq = np.random.default_rng([config.seed, 17, tag, d, k])
+            seq = build_cab_sequence(block, m, rng_seq)
+            rng_shot = np.random.default_rng([config.seed, 23, tag, d, k])
+            counts[d].append(_run_counts(seq, device, backend, config.k_s, rng_shot))
 
     surv = np.empty((len(depths), config.k_r, len(masks)))
     for d in range(len(depths)):
@@ -475,6 +464,8 @@ class CabReport:
     pure: FidelityEstimate
     subsets: dict[tuple[int, ...], SubsetResult]
     metadata: dict
+    dressed_data: CabRunData
+    twirl_data: CabRunData | None  # None when the twirl run is skipped
 
     def lambda_table(self) -> list[tuple[str, int, float, float, bool]]:
         """(kind, w_mask, lambda, se, flagged) rows for violin-plot export."""
@@ -491,9 +482,13 @@ def run_cab_experiment(
     config: CabConfig,
     *,
     measure_twirl: bool = True,
-    keep_run_data: bool = False,
 ) -> CabReport:
     """Full pipeline: dressed run, twirl run, interleaving, subset fidelities."""
+    outside = sorted({g for s in config.subsets for g in s} - set(block.gate_indices))
+    if outside:
+        raise ValueError(
+            f"subsets name gates {outside} that are not in the target block {list(block.gate_indices)}"
+        )
     dressed_data = execute_cab_run(device, block, config, "dressed", tag=0)
     dressed = estimate_fidelity(dressed_data)
     if measure_twirl:
@@ -517,7 +512,7 @@ def run_cab_experiment(
         "backend": dressed.metadata.get("backend"),
         "seed": config.seed,
     }
-    report = CabReport(
+    return CabReport(
         block_name=block.name,
         n=block.n,
         config=config,
@@ -526,11 +521,9 @@ def run_cab_experiment(
         pure=pure,
         subsets=subsets,
         metadata=meta,
+        dressed_data=dressed_data,
+        twirl_data=twirl_data,
     )
-    if keep_run_data:
-        report.metadata["dressed_data"] = dressed_data
-        report.metadata["twirl_data"] = twirl_data
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -565,24 +558,12 @@ def build_cb_sequence(
     if cycles % order != 0:
         raise ValueError("cycle count must be a multiple of the gate order")
     prep = _prep_layer_for_character(n, character.x, character.z)
-    inv_powers = [None] * order  # tableaus of U^-k
-    from .tableau import CliffordTableau
-
-    acc = CliffordTableau.identity(n)
-    uinv = block.tableau.inverse()
-    for k in range(order):
-        inv_powers[k] = acc
-        acc = uinv.compose(acc)
+    paulis = [sample_random_pauli(n, rng) for _ in range(cycles)]
     layers: list = [CliffordLayer(prep)]
-    from .paulis import PauliString
-
-    net = PauliString.identity(n)
-    for j in range(cycles):
-        p = sample_random_pauli(n, rng)
+    for p in paulis:
         layers.append(PauliLayer(p))
         layers.extend(block.layers)
-        net = inv_powers[j % order].conjugate(p) * net
-    layers.append(PauliLayer(net.inverse(), closing=True))
+    layers.append(PauliLayer(compile_cycle_pauli(block.tableau, paulis), closing=True))
     layers.append(CliffordLayer(prep.inverse()))
     return CircuitSequence(n, tuple(layers))
 

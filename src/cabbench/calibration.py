@@ -23,6 +23,8 @@ from .circuits import CircuitSequence, CliffordLayer, GateLayer, Unitary1qLayer
 from .device import DeviceModel
 from .paulis import LocalCliffordLayer, single_qubit_cliffords
 
+COSINE_RESIDUAL_TOL = 0.05  # RMS residual above which a Ramsey scan is rejected
+
 
 class PoorFitError(RuntimeError):
     """A calibration scan did not match its fit model."""
@@ -65,14 +67,14 @@ def _marginal_p1(probs: np.ndarray, n: int, qubit: int) -> float:
     return float(np.moveaxis(t, qubit, 0)[1].sum())
 
 
-def _fit_cosine_phase(betas: np.ndarray, values: np.ndarray, residual_tol: float = 0.05):
+def _fit_cosine_phase(betas: np.ndarray, values: np.ndarray):
     """Fit values ~ c0 + a*cos(beta - psi); returns (psi, amplitude)."""
     design = np.column_stack([np.ones_like(betas), np.cos(betas), np.sin(betas)])
     coef, *_ = np.linalg.lstsq(design, values, rcond=None)
     fit = design @ coef
     resid = float(np.sqrt(np.mean((values - fit) ** 2)))
-    if resid > residual_tol:
-        raise PoorFitError(f"cosine fit residual {resid:.3g} above {residual_tol}")
+    if resid > COSINE_RESIDUAL_TOL:
+        raise PoorFitError(f"cosine fit residual {resid:.3g} above {COSINE_RESIDUAL_TOL}")
     psi = math.atan2(coef[2], coef[1])
     amp = math.hypot(coef[1], coef[2])
     return psi, amp
@@ -342,16 +344,19 @@ def back_probability(
 # ---------------------------------------------------------------------------
 
 
+# the standard Nelder-Mead coefficients
+NM_REFLECT = 1.0
+NM_EXPAND = 2.0
+NM_CONTRACT = 0.5
+NM_SHRINK = 0.5
+NM_REEVAL_BEST_EVERY = 10  # refresh the stored best value (noisy objectives)
+
+
 @dataclass
 class NelderMeadOptions:
     initial_step: float = 0.1
     x_tol: float = 1e-6
     max_evals: int = 500
-    reeval_best_every: int = 10  # refresh the stored best value (noisy objectives)
-    alpha: float = 1.0  # reflection
-    gamma: float = 2.0  # expansion
-    rho: float = 0.5  # contraction
-    sigma: float = 0.5  # shrink
 
 
 class NelderMead:
@@ -439,11 +444,7 @@ class NelderMead:
         elif kind == "reeval":
             self.values[self._best_index()] = fx
             self._state = ("reflect",)
-        if (
-            self._state[0] == "reflect"
-            and self.opt.reeval_best_every
-            and self.evals % self.opt.reeval_best_every == 0
-        ):
+        if self._state[0] == "reflect" and self.evals % NM_REEVAL_BEST_EVERY == 0:
             self._state = ("reeval",)
 
     @property
@@ -477,18 +478,18 @@ class NelderMead:
 
     def _reflection_point(self) -> np.ndarray:
         c = self._centroid()
-        return c + self.opt.alpha * (c - self.simplex[self._worst_index()])
+        return c + NM_REFLECT * (c - self.simplex[self._worst_index()])
 
     def _expansion_point(self) -> np.ndarray:
         c = self._centroid()
-        return c + self.opt.gamma * (self._reflection_point() - c)
+        return c + NM_EXPAND * (self._reflection_point() - c)
 
     def _contraction_point(self) -> np.ndarray:
         c = self._centroid()
         w = self.simplex[self._worst_index()]
         if self._fr < self.values[self._worst_index()]:
-            return c + self.opt.rho * (self._reflection_point() - c)
-        return c + self.opt.rho * (w - c)
+            return c + NM_CONTRACT * (self._reflection_point() - c)
+        return c + NM_CONTRACT * (w - c)
 
     def _replace_worst(self, x: np.ndarray, fx: float):
         w = self._worst_index()
@@ -501,7 +502,7 @@ class NelderMead:
         xb = self.simplex[b]
         for i in range(self.dim + 1):
             if i != b:
-                self.simplex[i] = xb + self.opt.sigma * (self.simplex[i] - xb)
+                self.simplex[i] = xb + NM_SHRINK * (self.simplex[i] - xb)
         first = 0 if b != 0 else 1
         self._state = ("shrink", first)
 
@@ -665,10 +666,15 @@ def optimize_parallel_cz(
     simplex per gate on its own subset fidelity, stepped in lockstep, so
     every iteration still measures one joint experiment pair.  Both modes
     benchmark the frozen reference parameters alongside the iterate and
-    maximize their difference.
+    maximize their difference.  ``window`` = (start, end) picks the
+    iterations that ``window_stats`` averages; it is checked against
+    ``iterations`` before anything runs.
     """
     if target not in ("global", "local"):
         raise ValueError("target must be 'global' or 'local'")
+    lo, hi = window
+    if not 0 <= lo < hi <= iterations:
+        raise ValueError(f"window {list(window)} must satisfy 0 <= start < end <= iterations = {iterations}")
     gates = tuple(gates)
     n_params, to_offsets, label, qubits = _parameter_layout(device, gates)
     options = nm_options or NelderMeadOptions(initial_step=0.15, x_tol=1e-4, max_evals=iterations)
@@ -680,7 +686,7 @@ def optimize_parallel_cz(
         metadata={
             "n_params": n_params,
             "qubits": qubits,
-            "best_vertex_reeval_every": options.reeval_best_every,
+            "best_vertex_reeval_every": NM_REEVAL_BEST_EVERY,
         },
     )
 
@@ -694,12 +700,7 @@ def optimize_parallel_cz(
         for gi, g in enumerate(gates):
             qa, qb = device.gates[g].pair
             idxs = [qubits.index(qa), qubits.index(qb), nq + gi, nq + len(gates) + gi]
-            opts.append(NelderMead(np.zeros(4), NelderMeadOptions(
-                initial_step=options.initial_step,
-                x_tol=options.x_tol,
-                max_evals=options.max_evals,
-                reeval_best_every=options.reeval_best_every,
-            )))
+            opts.append(NelderMead(np.zeros(4), options))
             slices.append(np.array(idxs))
 
     for it in range(iterations):

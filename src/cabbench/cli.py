@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -35,7 +34,7 @@ from .calibration import (
 )
 from .circuits import GateBlock
 from .device import DeviceModel
-from .experiments import fully_connected_gate, gate_order_samples, ring_cz_patterns, ring_device
+from .experiments import fully_connected_gate, gate_order_samples, ring_device
 
 SCHEMA_VERSION = 1
 EXPERIMENT_KINDS = (
@@ -50,7 +49,6 @@ EXPERIMENT_KINDS = (
     "order_stats",
 )
 EXAMPLE_DEVICES = ("two_gate_4q", "three_gate_6q", "ring_44q")
-THREADS_ENV_VAR = "CABBENCH_THREADS"
 
 
 class ConfigError(ValueError):
@@ -83,7 +81,6 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "results"
     backend: str = "auto"
-    threads: int = 1
     cab: dict = field(default_factory=dict)
     gates: list[int] | None = None
     subsets: str | list = "singles"
@@ -103,7 +100,6 @@ class ExperimentConfig:
             "seed": int(doc.pop("seed", 0)),
             "out_dir": str(doc.pop("out_dir", "results")),
             "backend": str(doc.pop("backend", "auto")),
-            "threads": int(doc.pop("threads", default_threads())),
             "cab": doc.pop("cab", {}),
             "gates": doc.pop("gates", None),
             "subsets": doc.pop("subsets", "singles"),
@@ -127,7 +123,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "out_dir": self.out_dir,
             "backend": self.backend,
-            "threads": self.threads,
             "cab": self.cab,
             "gates": self.gates,
             "subsets": self.subsets,
@@ -146,15 +141,7 @@ class ExperimentConfig:
             seed=self.seed,
             subsets=subsets,
             backend=self.backend,
-            threads=self.threads,
         )
-
-
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
-    except ValueError:
-        return 1
 
 
 def resolve_subsets(spec, gates: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -225,7 +212,7 @@ def _report_doc(rep: CabReport) -> dict:
             }
             for key, res in rep.subsets.items()
         },
-        "metadata": {k: v for k, v in rep.metadata.items() if not k.endswith("_data")},
+        "metadata": rep.metadata,
     }
 
 
@@ -244,15 +231,14 @@ def _write_cab_artifacts(out: Path, rep: CabReport):
 
 def _survival_rows(rep: CabReport):
     rows = []
-    for kind in ("dressed", "twirl"):
-        data = rep.metadata.get(f"{kind}_data")
+    for data in (rep.dressed_data, rep.twirl_data):
         if data is None:
             continue
         means = data.depth_means()
         ses = data.depth_ses()
         for d, m in enumerate(data.depths):
             for qi, mask in enumerate(data.masks):
-                rows.append((kind, m, int(mask), means[d, qi], ses[d, qi]))
+                rows.append((data.kind, m, int(mask), means[d, qi], ses[d, qi]))
     return rows
 
 
@@ -266,7 +252,7 @@ def _run_cab(cfg: ExperimentConfig, out: Path) -> dict:
     gates = tuple(cfg.gates if cfg.gates is not None else range(len(device.gates)))
     cab_cfg = cfg.cab_config(device, gates)
     block = GateBlock.parallel_cz(device, gates)
-    rep = run_cab_experiment(device, block, cab_cfg, keep_run_data=True)
+    rep = run_cab_experiment(device, block, cab_cfg)
     _write_cab_artifacts(out, rep)
     return {"report": _report_doc(rep)}
 
@@ -304,7 +290,7 @@ def _run_fully_connected(cfg: ExperimentConfig, out: Path) -> dict:
     rng = np.random.default_rng([cfg.seed, 3])
     block = fully_connected_gate(device, tuple(range(n_half)), tuple(range(n_half, n)), rng)
     cab_cfg = cfg.cab_config(device, tuple(range(n)))
-    rep = run_cab_experiment(device, block, cab_cfg, measure_twirl=bool(cfg.extra.get("measure_twirl", False)), keep_run_data=True)
+    rep = run_cab_experiment(device, block, cab_cfg, measure_twirl=bool(cfg.extra.get("measure_twirl", False)))
     _write_cab_artifacts(out, rep)
     return {"report": _report_doc(rep)}
 
@@ -563,7 +549,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="experiment configuration JSON")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--threads", type=int, default=None, help=f"worker threads (default ${THREADS_ENV_VAR} or 1)")
         p.add_argument("--backend", choices=("auto", "dm", "stab"), default=None)
     args = parser.parse_args(argv)
     try:
@@ -574,8 +559,6 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out_dir = args.out
-        if args.threads is not None:
-            cfg.threads = args.threads
         if args.backend is not None:
             cfg.backend = args.backend
         out = run(cfg)

@@ -242,24 +242,6 @@ def parametric_cz_unitary(spec: GateSpec) -> DiagonalUnitary:
     return DiagonalUnitary(tuple(spec.pair), diag)
 
 
-def apply_depolarizing(p: float, support: tuple[int, ...], n: int, rng: np.random.Generator) -> PauliString:
-    """Sample one fault Pauli of the depolarizing channel on ``support``.
-
-    With probability p the identity; otherwise a uniform Pauli over the
-    support (identity included), which is the replace-with-maximally-mixed
-    channel in Pauli form.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    x = np.zeros(n, dtype=np.uint8)
-    z = np.zeros(n, dtype=np.uint8)
-    if rng.random() >= p:
-        sup = list(support)
-        x[sup] = rng.integers(0, 2, size=len(sup), dtype=np.uint8)
-        z[sup] = rng.integers(0, 2, size=len(sup), dtype=np.uint8)
-    return PauliString(n, x, z, 0)
-
-
 def apply_readout_noise(bits: np.ndarray, e0: np.ndarray, e1: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Flip measured bits independently: 0->1 with e0, 1->0 with e1.
 

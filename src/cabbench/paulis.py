@@ -252,10 +252,6 @@ class SingleQubitCliffords:
     def matrix(self, e: int) -> np.ndarray:
         return self.matrices[e]
 
-    def z_image(self, e: int) -> tuple[int, int, int]:
-        """(x, z, sign_bit) of the image of Z under element e."""
-        return tuple(int(v) for v in self.action[e, 2])
-
     def find_z_preparation(self, x: int, z: int) -> int:
         """Smallest element index mapping Z to the +letter given by (x, z)."""
         for e in range(24):

@@ -283,3 +283,22 @@ def compile_inverse_pauli(u: CliffordTableau, pauli_layers: list[PauliString], m
     mat, j = u._symplectic()
     net = ((odd + even @ j @ mat.T @ j) % 2).astype(np.uint8)
     return PauliString(n, net[:n], net[n:], 0)
+
+
+def compile_cycle_pauli(u: CliffordTableau, paulis: list[PauliString]) -> PauliString:
+    """Closing Pauli for a cycle-benchmarking sequence P(0), u, P(1), u, ...
+
+    ``paulis`` holds one Pauli per cycle in circuit order.  When u^c is the
+    identity (c = len(paulis)), the net unitary of the c cycles is the
+    Pauli prod_j u^-j P(j) u^j, whose bits are sum_j v_j (J M^T J)^j mod 2
+    with v_j the bits of P(j) and M u's symplectic matrix; they are
+    evaluated in Horner form.  The phase is global, so it is returned as 0.
+    """
+    n = u.n
+    mat, j = u._symplectic()
+    uinv = (j @ mat.T @ j) % 2
+    net = np.zeros(2 * n, dtype=np.int64)
+    for p in reversed(paulis):
+        net = (net @ uinv + np.concatenate([p.x, p.z])) % 2
+    net = net.astype(np.uint8)
+    return PauliString(n, net[:n], net[n:], 0)

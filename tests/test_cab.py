@@ -226,6 +226,25 @@ def test_subset_single_gate_perfect():
     assert rep.subsets[(0,)].pure.value == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "n, gates, subset",
+    [(4, (0, 1), (7,)), (6, (0,), (2,))],
+    ids=["unknown_gate", "gate_outside_block"],
+)
+def test_subsets_outside_block_rejected_before_running(n, gates, subset, monkeypatch):
+    import cabbench.cab as cab
+
+    def no_run(*args, **kw):
+        raise AssertionError("a sequence ran before the subsets were checked")
+
+    monkeypatch.setattr(cab, "execute_cab_run", no_run)
+    dev = plain_device(n=n, p=0.99)
+    block = GateBlock.parallel_cz(dev, gates)
+    cfg = CabConfig(depths=(0, 2), k_r=4, k_s=100, mode="traverse", subsets=(subset,))
+    with pytest.raises(ValueError, match="subsets"):
+        run_cab_experiment(dev, block, cfg)
+
+
 def test_subset_product_law_uncorrelated():
     dev = plain_device(p=0.96, gamma=0.0)
     block = GateBlock.parallel_cz(dev, (0, 1))
@@ -287,16 +306,6 @@ def test_reports_are_deterministic():
     assert a.dressed.value == b.dressed.value
     assert a.twirl.se == b.twirl.se
     assert a.pure.value == b.pure.value
-
-
-def test_threaded_run_matches_serial():
-    dev = plain_device(p=0.98, gamma=0.1)
-    block = GateBlock.parallel_cz(dev, (0, 1))
-    cfg1 = CabConfig(depths=(0, 2), k_r=8, k_s=500, mode="traverse", seed=13, threads=1)
-    cfg4 = CabConfig(depths=(0, 2), k_r=8, k_s=500, mode="traverse", seed=13, threads=4)
-    a = estimate_fidelity(execute_cab_run(dev, block, cfg1, "dressed", tag=0))
-    b = estimate_fidelity(execute_cab_run(dev, block, cfg4, "dressed", tag=0))
-    assert a.value == b.value and a.se == b.se
 
 
 def test_config_validation():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cabbench.analysis import closed_form_r3
+from cabbench.cab import CabConfig
 from cabbench.calibration import (
     NelderMeadOptions,
     NoSignalError,
@@ -11,6 +12,7 @@ from cabbench.calibration import (
     calibrate_dynamic_phase,
     measure_conditional_phase,
     nelder_mead,
+    optimize_parallel_cz,
     parallel_back_probability,
     two_qubit_clifford_words,
 )
@@ -203,6 +205,22 @@ def test_nelder_mead_aborts_on_nonfinite():
     res = nelder_mead(bad, np.zeros(2))
     assert res.aborted
     assert len(res.history) == 4
+
+
+@pytest.mark.parametrize(
+    "window", [(100, 180), (0, 3), (1, 1), (-1, 2)], ids=["default", "past_end", "empty", "negative"]
+)
+def test_optimize_rejects_window_outside_iterations(window, monkeypatch):
+    import cabbench.calibration as calibration
+
+    def no_run(*args, **kw):
+        raise AssertionError("an iteration ran before the window was checked")
+
+    monkeypatch.setattr(calibration, "run_cab_experiment", no_run)
+    dev = cz_device(n=4)
+    cfg = CabConfig(depths=(0, 2), k_r=4, k_s=100, mode="traverse", backend="dm")
+    with pytest.raises(ValueError, match="window"):
+        optimize_parallel_cz(dev, (0, 1), "global", cfg, 2, window=window)
 
 
 # -- antagonism witness -------------------------------------------------------

@@ -7,12 +7,16 @@ from cabbench.cab import (
     CabConfig,
     UnsupportedGateError,
     _estimate_from_surv,
+    build_cb_sequence,
     estimate_fidelity,
     execute_cab_run,
     run_cb_experiment,
 )
 from cabbench.circuits import GateBlock
 from cabbench.device import ControlPhases, DeviceModel, GateSpec
+from cabbench.experiments import fully_connected_gate, ring_device
+from cabbench.paulis import sample_random_pauli
+from cabbench.tableau import gate_order
 
 
 def cz_device(p=1.0, control=None, **kw):
@@ -62,6 +66,24 @@ def test_cb_rejects_large_order():
     cfg = CabConfig(depths=(5, 10), k_r=10, k_s=100, seed=0)
     with pytest.raises(UnsupportedGateError):
         run_cb_experiment(dev, block, cfg, cycles=(4, 8), n_chars=5, order_cap=2)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_cb_sequence_closes_to_identity(n):
+    rng = np.random.default_rng(n)
+    if n == 2:
+        dev = cz_device()
+        a_gates, b_gates = (0,), (0,)
+    else:
+        dev = ring_device(n)
+        a_gates, b_gates = tuple(range(n // 2)), tuple(range(n // 2, n))
+    blocks = (GateBlock.parallel_cz(dev, a_gates), fully_connected_gate(dev, a_gates, b_gates, rng))
+    for block in blocks:
+        order = gate_order(block.tableau)
+        for cycles in (order, 2 * order):
+            for _ in range(3):
+                seq = build_cb_sequence(block, sample_random_pauli(n, rng), cycles, order, rng)
+                assert seq.closes_to_identity(dev)
 
 
 def test_cb_rejects_single_sequence_per_character():

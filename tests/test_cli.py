@@ -121,6 +121,21 @@ DETERMINISM_CONFIGS = {
         "cab": {"depths": [0, 2], "k_r": 3, "k_s": 300, "mode": "traverse"},
         "subsets": "none",
     },
+    # 12 iterations: the best vertex is re-evaluated at the 10th evaluation
+    "optimize_global": {
+        "kind": "optimize",
+        "device": "two_gate_4q",
+        "backend": "dm",
+        "cab": {"k_r": 4, "k_s": 200},
+        "optimize": {"target": "global", "iterations": 12, "window": [0, 12]},
+    },
+    "optimize_local": {
+        "kind": "optimize",
+        "device": "two_gate_4q",
+        "backend": "dm",
+        "cab": {"k_r": 4, "k_s": 200},
+        "optimize": {"target": "local", "iterations": 12, "window": [0, 12]},
+    },
 }
 
 
@@ -172,6 +187,20 @@ def test_calibrate_run(tmp_path):
     res = json.loads((tmp_path / "cal" / "result.json").read_text())
     # the example device has a 0.02 conditional-phase offset on gate 0
     assert res["corrections"]["0"]["conditional_phase"] == pytest.approx(math.pi + 0.02, abs=1e-3)
+
+
+def test_optimize_window_checked_before_running(tmp_path, capsys):
+    path = small_cab_config(tmp_path, kind="optimize", optimize={"iterations": 2})
+    assert main(["optimize", "--config", str(path)]) == 1
+    assert "window" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
+def test_cli_rejects_threads_flag(tmp_path):
+    path = small_cab_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["cab", "--config", str(path), "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_cli_kind_mismatch(tmp_path):

@@ -9,7 +9,6 @@ from cabbench.device import (
     DiagonalUnitary,
     GateSpec,
     ResourceLimitError,
-    apply_depolarizing,
     apply_readout_noise,
     build_coupling_unitary,
     parametric_cz_unitary,
@@ -105,24 +104,6 @@ def test_twirl_weights_factorize_for_disjoint_pairs():
         ch = pauli_twirl_diagonal(v)
         nontrivial = np.sort(ch.weights)[::-1][:2]
         assert nontrivial == pytest.approx([np.cos(gamma) ** 2, np.sin(gamma) ** 2], abs=1e-12)
-
-
-def test_depolarizing_p1_is_identity():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        p = apply_depolarizing(1.0, (0, 1), 3, rng)
-        assert p.is_identity()
-
-
-def test_depolarizing_p0_uniform_over_16():
-    rng = np.random.default_rng(1)
-    counts = np.zeros(16)
-    draws = 32_000
-    for _ in range(draws):
-        p = apply_depolarizing(0.0, (0, 1), 2, rng)
-        idx = int(p.x[0]) * 8 + int(p.z[0]) * 4 + int(p.x[1]) * 2 + int(p.z[1])
-        counts[idx] += 1
-    assert np.all(np.abs(counts / draws - 1 / 16) < 0.01)
 
 
 def test_parametric_cz_ideal():
