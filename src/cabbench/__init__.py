@@ -37,12 +37,10 @@ from .calibration import (
     NelderMead,
     NelderMeadOptions,
     OptTrajectory,
-    back_probability,
     calibrate_dynamic_phase,
     measure_conditional_phase,
     nelder_mead,
     optimize_parallel_cz,
-    parallel_back_probability,
 )
 from .circuits import CircuitSequence, CliffordLayer, GateBlock, GateLayer, PauliLayer
 from .device import (

@@ -236,11 +236,11 @@ class ShotCounts:
     def packed(self) -> np.ndarray:
         return pack_bits(self.bits)
 
-    def survival(self, w_mask: int) -> float:
-        """sum_x count(x)/k_s * (-1)^(w.x) for the Z-observable mask w."""
-        par = np.bitwise_count(np.bitwise_and(self.packed(), np.int64(w_mask))) & 1
-        signs = 1.0 - 2.0 * par
-        return float(np.dot(signs, self.counts) / self.k_s)
+    def survivals(self, w_masks: np.ndarray) -> np.ndarray:
+        """sum_x count(x)/k_s * (-1)^(w.x) for each Z-observable mask w."""
+        par = (np.bitwise_count(self.packed()[:, None] & w_masks[None, :]) & 1).astype(float)
+        # k_s minus twice the odd-parity count; integer-valued, so exact
+        return (self.k_s - 2.0 * (self.counts @ par)) / self.k_s
 
     def count_vector(self) -> np.ndarray:
         """Dense count vector over all 2^n outcomes (small n only)."""

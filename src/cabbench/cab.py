@@ -26,6 +26,10 @@ SUBSET_QUBIT_LIMIT = 8
 DM_AUTO_LIMIT = 6
 
 
+class ConfigError(ValueError):
+    """The experiment configuration is invalid."""
+
+
 class DegenerateFitError(RuntimeError):
     """A decay fit has a zero denominator."""
 
@@ -49,15 +53,15 @@ class CabConfig:
 
     def __post_init__(self):
         if len(set(self.depths)) < 2 or any(m < 0 for m in self.depths):
-            raise ValueError("need at least two distinct non-negative depths")
+            raise ConfigError("need at least two distinct non-negative depths")
         if self.k_r < 2:
-            raise ValueError(f"k_r must be >= 2 for a jackknife standard error, got {self.k_r}")
+            raise ConfigError(f"k_r must be >= 2 for a jackknife standard error, got {self.k_r}")
         if self.k_s < 1:
-            raise ValueError("k_s must be >= 1")
+            raise ConfigError("k_s must be >= 1")
         if self.mode not in ("sample", "traverse"):
-            raise ValueError("mode must be 'sample' or 'traverse'")
+            raise ConfigError("mode must be 'sample' or 'traverse'")
         if self.mode == "sample" and self.k_q < 1:
-            raise ValueError("k_q must be >= 1 in sample mode")
+            raise ConfigError("k_q must be >= 1 in sample mode")
 
     def replace(self, **kw) -> "CabConfig":
         from dataclasses import replace as _replace
@@ -292,12 +296,7 @@ def execute_cab_run(
     for d in range(len(depths)):
         for k in range(config.k_r):
             sc = counts[d][k]
-            if config.mode == "traverse":
-                surv[d, k] = sc.all_survivals()
-            else:
-                packed = sc.packed()
-                par = (np.bitwise_count(packed[:, None] & masks[None, :]) & 1).astype(float)
-                surv[d, k] = ((1.0 - 2.0 * par) * sc.counts[:, None]).sum(axis=0) / sc.k_s
+            surv[d, k] = sc.all_survivals() if config.mode == "traverse" else sc.survivals(masks)
     return CabRunData(
         block_name=block.name,
         n=n,
@@ -486,7 +485,7 @@ def run_cab_experiment(
     """Full pipeline: dressed run, twirl run, interleaving, subset fidelities."""
     outside = sorted({g for s in config.subsets for g in s} - set(block.gate_indices))
     if outside:
-        raise ValueError(
+        raise ConfigError(
             f"subsets name gates {outside} that are not in the target block {list(block.gate_indices)}"
         )
     dressed_data = execute_cab_run(device, block, config, "dressed", tag=0)
@@ -592,10 +591,10 @@ def run_cb_experiment(
         if c % order != 0:
             raise UnsupportedGateError("cycle counts must be multiples of the gate order")
     if config.k_r % n_chars != 0:
-        raise ValueError("k_r must be divisible by the number of characters")
+        raise ConfigError("k_r must be divisible by the number of characters")
     group = config.k_r // n_chars
     if group < 2:
-        raise ValueError(f"k_r // n_chars must give >= 2 sequences per character, got {group}")
+        raise ConfigError(f"k_r // n_chars must give >= 2 sequences per character, got {group}")
     backend = _resolve_backend(config.backend, n)
 
     rng_char = np.random.default_rng([config.seed, 7, 2])
@@ -610,7 +609,7 @@ def run_cb_experiment(
                 seq = build_cb_sequence(block, char, c, order, rng_seq)
                 rng_shot = np.random.default_rng([config.seed, 31, 2, d, ci, k])
                 sc = _run_counts(seq, device, backend, config.k_s, rng_shot)
-                surv[d, ci, k] = sc.survival(int(char_masks[ci]))
+                surv[d, ci, k] = sc.survivals(char_masks[ci : ci + 1])[0]
 
     est = _estimate_from_surv(
         surv.transpose(0, 2, 1),

@@ -1,27 +1,24 @@
 """Simulated CZ calibration circuits and derivative-free gate optimization.
 
 Calibration uses the exact density-matrix backend: a Ramsey-style scan
-extracts the conditional phase, a phase-compensation scan zeroes each
-qubit's dynamic phase, and random two-qubit Clifford sequences provide the
-back-to-initial-state probability used for parameter search.  Parallel CZ
-parameters are optimized with a Nelder-Mead simplex over control-phase
-corrections, benchmarking both the frozen reference parameters and the
-iterate each step and taking the difference as the target.
+extracts the conditional phase, and a phase-compensation scan zeroes each
+qubit's dynamic phase.  Parallel CZ parameters are optimized with a
+Nelder-Mead simplex over control-phase corrections, benchmarking both the
+frozen reference parameters and the iterate each step and taking the
+difference as the target.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .backends import ShotCounts, dm_run
-from .cab import CabConfig, FidelityEstimate, run_cab_experiment
-from .circuits import CircuitSequence, CliffordLayer, GateLayer, Unitary1qLayer
+from .backends import dm_run
+from .cab import CabConfig, ConfigError, FidelityEstimate, run_cab_experiment
+from .circuits import CircuitSequence, GateLayer, Unitary1qLayer
 from .device import DeviceModel
-from .paulis import LocalCliffordLayer, single_qubit_cliffords
 
 COSINE_RESIDUAL_TOL = 0.05  # RMS residual above which a Ramsey scan is rejected
 
@@ -154,192 +151,6 @@ def calibrate_dynamic_phase(
 
 
 # ---------------------------------------------------------------------------
-# two-qubit Clifford enumeration (for back-probability sequences)
-# ---------------------------------------------------------------------------
-
-_H_ELEM_IMAGES = ((0, 1, 0), (1, 0, 0))  # X -> Z, Z -> X
-_S_ELEM_IMAGES = ((1, 1, 0), (0, 1, 0))  # X -> Y, Z -> Z
-
-
-def _apply_word_op(xb, zb, sg, op):
-    """Left-multiply a raw 2-qubit tableau by one generator, in place."""
-    kind = op[0]
-    if kind == "h":
-        q = op[1]
-        sg ^= xb[:, q] & zb[:, q]
-        xb[:, q], zb[:, q] = zb[:, q].copy(), xb[:, q].copy()
-    elif kind == "s":
-        q = op[1]
-        sg ^= xb[:, q] & zb[:, q]
-        zb[:, q] ^= xb[:, q]
-    elif kind == "cz":
-        sg ^= xb[:, 0] & xb[:, 1] & (zb[:, 0] ^ zb[:, 1])
-        zb[:, 0] ^= xb[:, 1]
-        zb[:, 1] ^= xb[:, 0]
-    else:
-        raise ValueError(op)
-
-
-def _tableau_key(xb, zb, sg) -> bytes:
-    return xb.tobytes() + zb.tobytes() + sg.tobytes()
-
-
-@lru_cache(maxsize=1)
-def two_qubit_clifford_words() -> tuple[list[tuple], dict[bytes, int]]:
-    """Shortest {H, S, CZ} word for each of the 11520 two-qubit Cliffords."""
-    gens = [("h", 0), ("h", 1), ("s", 0), ("s", 1), ("cz",)]
-    xb0 = np.array([[1, 0], [0, 1], [0, 0], [0, 0]], dtype=np.uint8)
-    zb0 = np.array([[0, 0], [0, 0], [1, 0], [0, 1]], dtype=np.uint8)
-    sg0 = np.zeros(4, dtype=np.uint8)
-    words: list[tuple] = []
-    index: dict[bytes, int] = {}
-    frontier = [(xb0, zb0, sg0, ())]
-    index[_tableau_key(xb0, zb0, sg0)] = 0
-    words.append(())
-    while frontier:
-        nxt = []
-        for xb, zb, sg, word in frontier:
-            for op in gens:
-                nxb, nzb, nsg = xb.copy(), zb.copy(), sg.copy()
-                _apply_word_op(nxb, nzb, nsg, op)
-                key = _tableau_key(nxb, nzb, nsg)
-                if key not in index:
-                    index[key] = len(words)
-                    words.append(word + (op,))
-                    nxt.append((nxb, nzb, nsg, word + (op,)))
-        frontier = nxt
-    assert len(words) == 11520
-    return words, index
-
-
-def _word_tableau(word) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xb = np.array([[1, 0], [0, 1], [0, 0], [0, 0]], dtype=np.uint8)
-    zb = np.array([[0, 0], [0, 0], [1, 0], [0, 1]], dtype=np.uint8)
-    sg = np.zeros(4, dtype=np.uint8)
-    for op in word:
-        _apply_word_op(xb, zb, sg, op)
-    return xb, zb, sg
-
-
-def _inverse_word(word) -> tuple:
-    """Word of the group inverse, via the enumeration index."""
-    words, index = two_qubit_clifford_words()
-    from .tableau import CliffordTableau
-
-    xb, zb, sg = _word_tableau(word)
-    t = CliffordTableau(2, xb.copy(), zb.copy(), sg.copy())
-    ti = t.inverse()
-    key = _tableau_key(
-        np.ascontiguousarray(ti.xbits), np.ascontiguousarray(ti.zbits), ti.signs
-    )
-    return words[index[key]]
-
-
-_H_IDX = None
-_S_IDX = None
-
-
-def _elem_indices():
-    global _H_IDX, _S_IDX
-    if _H_IDX is None:
-        table = single_qubit_cliffords()
-        _H_IDX = table.element_from_images(*_H_ELEM_IMAGES)
-        _S_IDX = table.element_from_images(*_S_ELEM_IMAGES)
-    return _H_IDX, _S_IDX
-
-
-def _words_to_layers(device: DeviceModel, assignments: dict[int, tuple]) -> list:
-    """Merge per-gate Clifford words into shared device layers.
-
-    ``assignments`` maps gate index to a word; words run in parallel, CZ
-    steps of different gates that line up share one gate layer.
-    """
-    h_idx, s_idx = _elem_indices()
-    table = single_qubit_cliffords()
-    n = device.n_qubits
-    ident = table.identity_index
-    positions = {g: 0 for g in assignments}
-    layers: list = []
-    while any(positions[g] < len(assignments[g]) for g in assignments):
-        # collect a maximal run of single-qubit ops across all gates
-        elems = np.full(n, ident, dtype=np.uint8)
-        progressed = True
-        any_local = False
-        while progressed:
-            progressed = False
-            for g, word in assignments.items():
-                i = positions[g]
-                if i < len(word) and word[i][0] in ("h", "s"):
-                    kind, q_local = word[i]
-                    q = device.gates[g].pair[q_local]
-                    e = h_idx if kind == "h" else s_idx
-                    elems[q] = table.compose(e, int(elems[q]))
-                    positions[g] += 1
-                    progressed = True
-                    any_local = True
-        if any_local:
-            layers.append(CliffordLayer(LocalCliffordLayer(n, elems)))
-        cz_gates = tuple(
-            g for g, word in assignments.items() if positions[g] < len(word) and word[positions[g]][0] == "cz"
-        )
-        if cz_gates:
-            for g in cz_gates:
-                positions[g] += 1
-            layers.append(GateLayer(cz_gates))
-    return layers
-
-
-def parallel_back_probability(
-    device: DeviceModel,
-    gates: tuple[int, ...],
-    length: int,
-    k_s: int,
-    rng: np.random.Generator,
-    shot_rng: np.random.Generator | None = None,
-) -> dict[int, float]:
-    """Return probability per gate after a random two-qubit Clifford sequence.
-
-    Each gate runs its own uniformly random length-element sequence plus
-    the closing inverse, decomposed into CZ and single-qubit gates; gates
-    execute in parallel.  The returned value estimates P(0,0) on each
-    gate's pair from ``k_s`` sampled shots.  Passing a separate ``shot_rng``
-    keeps the circuits fixed while redrawing shots, which is how reference
-    and iterative parameter sets are compared on the same circuits.
-    """
-    if length < 1:
-        raise ValueError("sequence length must be >= 1")
-    device.check_layer_disjoint(gates)
-    words, _index = two_qubit_clifford_words()
-    assignments: dict[int, tuple] = {}
-    for g in gates:
-        seq_words = [words[int(rng.integers(len(words)))] for _ in range(length)]
-        flat = tuple(op for w in seq_words for op in w)
-        assignments[g] = flat + _inverse_word(flat)
-    layers = _words_to_layers(device, assignments)
-    seq = CircuitSequence(device.n_qubits, tuple(layers))
-    probs = dm_run(seq, device)
-    counts = ShotCounts.from_probabilities(probs, device.n_qubits, k_s, shot_rng or rng)
-    out = {}
-    for g in gates:
-        qubits = tuple(device.gates[g].pair)
-        marg = counts.marginal_count_vector(tuple(sorted(qubits)))
-        out[g] = float(marg[0] / k_s)
-    return out
-
-
-def back_probability(
-    device: DeviceModel,
-    gate: int,
-    length: int,
-    k_s: int,
-    rng: np.random.Generator,
-    shot_rng: np.random.Generator | None = None,
-) -> float:
-    """P(00) on one gate's pair after a random Clifford sequence."""
-    return parallel_back_probability(device, (gate,), length, k_s, rng, shot_rng)[gate]
-
-
-# ---------------------------------------------------------------------------
 # Nelder-Mead simplex (ask/tell form, supporting noisy objectives)
 # ---------------------------------------------------------------------------
 
@@ -374,7 +185,6 @@ class NelderMead:
         self.values = [np.nan] * (self.dim + 1)
         self._state = ("init", 0)
         self.evals = 0
-        self.aborted = False
 
     # -- public interface ---------------------------------------------------
 
@@ -396,7 +206,6 @@ class NelderMead:
 
     def tell(self, fx: float):
         if not np.isfinite(fx):
-            self.aborted = True
             raise NonFiniteObjective(f"objective returned {fx}")
         self.evals += 1
         kind = self._state[0]
@@ -656,8 +465,8 @@ def optimize_parallel_cz(
     target: str,
     config: CabConfig,
     iterations: int,
+    options: NelderMeadOptions,
     window: tuple[int, int] = (100, 180),
-    nm_options: NelderMeadOptions | None = None,
 ) -> OptTrajectory:
     """Optimize control-phase corrections of a parallel CZ gate.
 
@@ -666,18 +475,18 @@ def optimize_parallel_cz(
     simplex per gate on its own subset fidelity, stepped in lockstep, so
     every iteration still measures one joint experiment pair.  Both modes
     benchmark the frozen reference parameters alongside the iterate and
-    maximize their difference.  ``window`` = (start, end) picks the
-    iterations that ``window_stats`` averages; it is checked against
-    ``iterations`` before anything runs.
+    maximize their difference.  ``options`` give every simplex its initial
+    step and tolerance; the loop runs exactly ``iterations`` steps.
+    ``window`` = (start, end) picks the iterations that ``window_stats``
+    averages; it is checked against ``iterations`` before anything runs.
     """
     if target not in ("global", "local"):
         raise ValueError("target must be 'global' or 'local'")
     lo, hi = window
     if not 0 <= lo < hi <= iterations:
-        raise ValueError(f"window {list(window)} must satisfy 0 <= start < end <= iterations = {iterations}")
+        raise ConfigError(f"window {list(window)} must satisfy 0 <= start < end <= iterations = {iterations}")
     gates = tuple(gates)
     n_params, to_offsets, label, qubits = _parameter_layout(device, gates)
-    options = nm_options or NelderMeadOptions(initial_step=0.15, x_tol=1e-4, max_evals=iterations)
     traj = OptTrajectory(
         mode=target,
         gates=gates,

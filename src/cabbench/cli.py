@@ -25,7 +25,7 @@ from .analysis import (
     correlation_landscape,
     correlation_matrix,
 )
-from .cab import CabConfig, CabReport, run_cab_experiment, run_cb_experiment
+from .cab import CabConfig, CabReport, ConfigError, run_cab_experiment, run_cb_experiment
 from .calibration import (
     NelderMeadOptions,
     calibrate_dynamic_phase,
@@ -49,10 +49,6 @@ EXPERIMENT_KINDS = (
     "order_stats",
 )
 EXAMPLE_DEVICES = ("two_gate_4q", "three_gate_6q", "ring_44q")
-
-
-class ConfigError(ValueError):
-    """The experiment configuration is invalid."""
 
 
 def load_device(ref) -> DeviceModel:
@@ -420,12 +416,11 @@ def _run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
         target,
         cab_cfg,
         iterations,
-        window=window,
-        nm_options=NelderMeadOptions(
+        NelderMeadOptions(
             initial_step=float(spec.get("initial_step", 0.3)),
             x_tol=float(spec.get("x_tol", 1e-6)),
-            max_evals=10**9,
         ),
+        window=window,
     )
     rows = []
     for i, it in enumerate(traj.iterations):

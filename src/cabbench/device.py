@@ -18,6 +18,8 @@ import numpy as np
 
 from .paulis import PauliString
 
+CLUSTER_LIMIT = 8  # gates per coupling cluster whose diagonal is built densely
+
 
 class ResourceLimitError(RuntimeError):
     """A cluster or subsystem exceeds the configured exact-computation size."""
@@ -188,12 +190,11 @@ def build_coupling_unitary(
     gates: list[GateSpec],
     couplings: CouplingMap,
     cluster: tuple[int, ...],
-    cluster_limit: int = 8,
 ) -> DiagonalUnitary:
     """Diagonal of exp(-i sum gamma_kl Z_{i_k} Z_{i_l}) over a gate cluster."""
-    if len(cluster) > cluster_limit:
+    if len(cluster) > CLUSTER_LIMIT:
         raise ResourceLimitError(
-            f"coupling cluster of {len(cluster)} gates exceeds the limit of {cluster_limit}"
+            f"coupling cluster of {len(cluster)} gates exceeds the limit of {CLUSTER_LIMIT}"
         )
     qubits = tuple(sorted({q for g in cluster for q in gates[g].pair}))
     k = len(qubits)
@@ -267,7 +268,6 @@ class DeviceModel:
     readout_e1: np.ndarray | None = None
     single_qubit_depol: np.ndarray | None = None
     layout_edges: tuple[tuple[int, int], ...] = ()
-    cluster_limit: int = 8
     pauli_layer_noise: bool = True
 
     def __post_init__(self):
@@ -311,7 +311,7 @@ class DeviceModel:
         """
         out = []
         for comp in self.couplings.components(gate_indices):
-            v = build_coupling_unitary(list(self.gates), self.couplings, comp, self.cluster_limit)
+            v = build_coupling_unitary(list(self.gates), self.couplings, comp)
             diag = v.diag.copy()
             k = len(v.qubits)
             pos = {q: k - 1 - i for i, q in enumerate(v.qubits)}
@@ -361,7 +361,6 @@ class DeviceModel:
             readout_e1=self.readout_e1,
             single_qubit_depol=self.single_qubit_depol,
             layout_edges=self.layout_edges,
-            cluster_limit=self.cluster_limit,
             pauli_layer_noise=self.pauli_layer_noise,
         )
 
@@ -392,7 +391,6 @@ class DeviceModel:
                 {"gates": list(pair), "gamma": gamma} for pair, gamma in self.couplings.items()
             ],
             "layout_edges": [list(e) for e in self.layout_edges],
-            "cluster_limit": self.cluster_limit,
             "pauli_layer_noise": self.pauli_layer_noise,
         }
 
@@ -429,7 +427,6 @@ class DeviceModel:
             readout_e1=np.asarray(readout.get("e1", 0.0), dtype=float),
             single_qubit_depol=np.asarray(doc.get("single_qubit_depol", 1.0), dtype=float),
             layout_edges=tuple(tuple(int(q) for q in e) for e in doc.get("layout_edges", [])),
-            cluster_limit=int(doc.get("cluster_limit", 8)),
             pauli_layer_noise=bool(doc.get("pauli_layer_noise", True)),
         )
 

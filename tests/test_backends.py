@@ -205,9 +205,11 @@ def test_backend_agreement_survivals():
         )
         probs = dm_run(seq, dev, twirl_coupling=True)
         counts = stab_run_counts(seq, dev, shots, np.random.default_rng(trial))
-        for w in (0b1000, 0b1010, 0b0101, 0b1111):
+        # the parity route and the FWHT route agree exactly: integer sums
+        assert np.array_equal(counts.survivals(np.arange(16)), counts.all_survivals())
+        masks = np.array([0b1000, 0b1010, 0b0101, 0b1111])
+        for w, est in zip(masks, counts.survivals(masks)):
             exact = exact_survival(probs, w)
-            est = counts.survival(w)
             se = np.sqrt(max(1 - exact**2, 1e-12) / shots)
             assert abs(est - exact) < 4 * se + 1e-9
 
@@ -220,8 +222,7 @@ def test_pack_unpack_roundtrip():
 
 def test_survival_hand_example():
     counts = ShotCounts(2, 100, np.array([[0, 0], [1, 1]], dtype=np.uint8), np.array([60, 40]))
-    assert counts.survival(0b01) == pytest.approx(0.2)
-    assert counts.survival(0b00) == pytest.approx(1.0)
+    assert counts.survivals(np.array([0b01, 0b00])) == pytest.approx([0.2, 1.0])
 
 
 def test_shot_counts_reject_empty():

@@ -8,13 +8,10 @@ from cabbench.cab import CabConfig
 from cabbench.calibration import (
     NelderMeadOptions,
     NoSignalError,
-    back_probability,
     calibrate_dynamic_phase,
     measure_conditional_phase,
     nelder_mead,
     optimize_parallel_cz,
-    parallel_back_probability,
-    two_qubit_clifford_words,
 )
 from cabbench.device import ControlPhases, CouplingMap, DeviceModel, GateSpec
 
@@ -112,56 +109,6 @@ def test_calibration_idempotent():
     assert circ_dist(calibrate_dynamic_phase(dev2, 0, 1, PHASES), 0.0) <= step + 1e-12
 
 
-# -- back probability ---------------------------------------------------------
-
-
-def test_two_qubit_clifford_enumeration_size():
-    words, index = two_qubit_clifford_words()
-    assert len(words) == 11520
-    assert len(index) == 11520
-
-
-def test_back_probability_perfect_device():
-    dev = cz_device()
-    rng = np.random.default_rng(0)
-    p = back_probability(dev, 0, 4, 2000, rng)
-    assert p == pytest.approx(1.0, abs=1e-9)
-
-
-def test_back_probability_decays_with_length():
-    dev = cz_device(depol_p=0.9, single_qubit_depol=0.99)
-    rng = np.random.default_rng(1)
-    values = []
-    for length in (2, 4, 8):
-        reps = [back_probability(dev, 0, length, 4000, np.random.default_rng(100 + r)) for r in range(6)]
-        values.append(np.mean(reps))
-    assert values[0] > values[1] > values[2]
-
-
-def test_back_probability_differencing_on_identical_parameters():
-    # same circuits, independent shots, same device: difference is pure
-    # shot noise around zero
-    dev = cz_device(depol_p=0.95)
-    k_s = 4000
-    diffs = []
-    for r in range(10):
-        a = back_probability(dev, 0, 3, k_s, np.random.default_rng(r), np.random.default_rng(1000 + r))
-        b = back_probability(dev, 0, 3, k_s, np.random.default_rng(r), np.random.default_rng(2000 + r))
-        diffs.append(a - b)
-    se = math.sqrt(2 * 0.25 / k_s)
-    assert abs(np.mean(diffs)) < 3 * se / math.sqrt(len(diffs))
-    assert np.all(np.abs(diffs) < 5 * se)
-
-
-def test_parallel_back_probability_disjoint_gates():
-    dev = cz_device(n=4, depol_p=0.97)
-    rng = np.random.default_rng(5)
-    out = parallel_back_probability(dev, (0, 1), 3, 3000, rng)
-    assert set(out) == {0, 1}
-    for v in out.values():
-        assert 0.5 < v <= 1.0
-
-
 # -- Nelder-Mead --------------------------------------------------------------
 
 
@@ -220,7 +167,7 @@ def test_optimize_rejects_window_outside_iterations(window, monkeypatch):
     dev = cz_device(n=4)
     cfg = CabConfig(depths=(0, 2), k_r=4, k_s=100, mode="traverse", backend="dm")
     with pytest.raises(ValueError, match="window"):
-        optimize_parallel_cz(dev, (0, 1), "global", cfg, 2, window=window)
+        optimize_parallel_cz(dev, (0, 1), "global", cfg, 2, NelderMeadOptions(), window=window)
 
 
 # -- antagonism witness -------------------------------------------------------

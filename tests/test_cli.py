@@ -191,9 +191,25 @@ def test_calibrate_run(tmp_path):
 
 def test_optimize_window_checked_before_running(tmp_path, capsys):
     path = small_cab_config(tmp_path, kind="optimize", optimize={"iterations": 2})
-    assert main(["optimize", "--config", str(path)]) == 1
+    assert main(["optimize", "--config", str(path)]) == 2
     assert "window" in capsys.readouterr().err
     assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, over",
+    [
+        ("cab", {"cab": {"depths": [0, 2], "k_r": 1, "k_s": 100, "mode": "traverse"}}),
+        ("cab", {"subsets": [[7]]}),
+        ("cb", {"cab": {"k_r": 5, "k_s": 100}, "cycles": [2, 4], "n_chars": 5}),
+    ],
+    ids=["k_r", "subsets", "cb_group"],
+)
+def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys):
+    path = small_cab_config(tmp_path, kind=kind, **over)
+    assert main([kind, "--config", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
 
 
 def test_cli_rejects_threads_flag(tmp_path):

@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -151,6 +154,12 @@ def test_device_roundtrip(tmp_path):
     dev.save(path)
     loaded = DeviceModel.load(path)
     assert loaded.to_dict() == dev.to_dict()
+    # the bundled devices hold no key that the model would drop on a save
+    for name in ("two_gate_4q", "three_gate_6q", "ring_44q"):
+        doc = json.loads(resources.files("cabbench.devices").joinpath(f"{name}.json").read_text())
+        written = DeviceModel.from_dict(doc).to_dict()
+        assert set(doc) <= set(written), name
+        assert {k for g in doc["gates"] for k in g} <= set(written["gates"][0]), name
 
 
 def test_layer_disjointness_check():
