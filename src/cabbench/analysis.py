@@ -340,27 +340,18 @@ def correlation_matrix(report, device) -> CorrelationReport:
     )
 
 
-def correlation_fluctuation(
-    device,
-    block,
-    config,
-    pairs: list[tuple[int, int]],
-    repeat: int,
-) -> CorrelationReport:
+def correlation_fluctuation(reports, pairs: list[tuple[int, int]]) -> CorrelationReport:
     """Mean, SD and 3-sigma lower bounds of pair correlations over reruns.
 
-    Runs the full benchmarking experiment ``repeat`` times with distinct
-    seeds; the lower bound per pair is max(|mean| - 3*SD, 0).
+    ``reports`` are full benchmarking experiments of one block with distinct
+    seeds, each holding the singleton and pair subsets of ``pairs``; the
+    lower bound per pair is max(|mean| - 3*SD, 0).
     """
+    repeat = len(reports)
     if repeat < 2:
         raise ValueError("repeat must be >= 2")
-    from .cab import run_cab_experiment
-
-    needed = sorted({(g,) for pair in pairs for g in pair} | {tuple(sorted(p)) for p in pairs})
     per_pair: dict[tuple[int, int], list[float]] = {tuple(sorted(p)): [] for p in pairs}
-    for r in range(repeat):
-        cfg = config.replace(seed=config.seed + r, subsets=tuple(needed))
-        rep = run_cab_experiment(device, block, cfg)
+    for rep in reports:
         for pair in per_pair:
             a, b = pair
             c = correlation(

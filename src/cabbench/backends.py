@@ -16,7 +16,7 @@ import numpy as np
 
 from .circuits import CircuitSequence, CliffordLayer, GateLayer, PauliLayer, Unitary1qLayer
 from .device import DeviceModel, PauliChannel, ResourceLimitError, fwht
-from .paulis import _LETTER_MATS, PauliString, single_qubit_cliffords
+from .paulis import _LETTER_MATS, single_qubit_cliffords
 
 DM_QUBIT_LIMIT = 12
 CHOI_QUBIT_LIMIT = 6
@@ -379,27 +379,6 @@ def choi_process_fidelity(channel, n: int) -> float:
         outputs = channel(inputs)
         total += outputs[np.arange(b), i_arr, j_arr].sum()
     return float(np.real(total) / d**2)
-
-
-def pauli_sum_process_fidelity(channel, n: int) -> float:
-    """Same fidelity via the Pauli-overlap average (small n cross-check)."""
-    d = 2**n
-    total = 0.0
-    labels = _all_pauli_labels(n)
-    for start in range(0, len(labels), 64):
-        batch = labels[start : start + 64]
-        mats = np.stack([PauliString.from_label(lab).to_matrix() for lab in batch])
-        outs = channel(mats.astype(complex))
-        for b in range(len(batch)):
-            total += np.real(np.trace(mats[b] @ outs[b]))
-    return float(total / 2 ** (3 * n))
-
-
-def _all_pauli_labels(n: int) -> list[str]:
-    labels = [""]
-    for _ in range(n):
-        labels = [lab + c for lab in labels for c in "IXYZ"]
-    return labels
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ class DegenerateFitError(RuntimeError):
     """A decay fit has a zero denominator."""
 
 
-class UnsupportedGateError(ValueError):
+class UnsupportedGateError(ConfigError):
     """The target gate cannot be benchmarked by this protocol."""
 
 
@@ -62,6 +62,8 @@ class CabConfig:
             raise ConfigError("mode must be 'sample' or 'traverse'")
         if self.mode == "sample" and self.k_q < 1:
             raise ConfigError("k_q must be >= 1 in sample mode")
+        if self.backend not in ("dm", "stab", "auto"):
+            raise ConfigError(f"backend must be 'dm', 'stab' or 'auto', got {self.backend!r}")
 
     def replace(self, **kw) -> "CabConfig":
         from dataclasses import replace as _replace
@@ -251,8 +253,6 @@ class CabRunData:
 def _resolve_backend(name: str, n: int) -> str:
     if name == "auto":
         return "dm" if n <= DM_AUTO_LIMIT else "stab"
-    if name not in ("dm", "stab"):
-        raise ValueError("backend must be 'dm', 'stab' or 'auto'")
     return name
 
 

@@ -171,7 +171,11 @@ class NelderMeadOptions:
 
 
 class NelderMead:
-    """Minimizer driven through ask() / tell() so evaluations can be shared."""
+    """Minimizer driven through ask() / tell() so evaluations can be shared.
+
+    The method itself is the generator ``_search``: it yields each point to
+    evaluate and receives that point's value; ``tell`` sends the value in.
+    """
 
     def __init__(self, x0, options: NelderMeadOptions | None = None):
         self.opt = options or NelderMeadOptions()
@@ -183,78 +187,51 @@ class NelderMead:
             v[i] += self.opt.initial_step
             self.simplex.append(v)
         self.values = [np.nan] * (self.dim + 1)
-        self._state = ("init", 0)
         self.evals = 0
-
-    # -- public interface ---------------------------------------------------
+        self._steps = self._search()
+        self._pending = next(self._steps)
 
     def ask(self) -> np.ndarray:
-        kind = self._state[0]
-        if kind == "init":
-            return self.simplex[self._state[1]].copy()
-        if kind == "reflect":
-            return self._reflection_point()
-        if kind == "expand":
-            return self._expansion_point()
-        if kind == "contract":
-            return self._contraction_point()
-        if kind == "shrink":
-            return self.simplex[self._state[1]].copy()
-        if kind == "reeval":
-            return self.simplex[self._best_index()].copy()
-        raise RuntimeError(f"bad state {self._state}")
+        return self._pending.copy()
 
     def tell(self, fx: float):
         if not np.isfinite(fx):
             raise NonFiniteObjective(f"objective returned {fx}")
         self.evals += 1
-        kind = self._state[0]
-        if kind == "init":
-            i = self._state[1]
-            self.values[i] = fx
-            self._state = ("init", i + 1) if i + 1 <= self.dim else ("reflect",)
-        elif kind == "reflect":
-            self._fr = fx
-            order = np.argsort(self.values)
-            best, second_worst = self.values[order[0]], self.values[order[-2]]
-            if fx < best:
-                self._state = ("expand",)
-            elif fx < second_worst:
-                self._replace_worst(self._reflection_point(), fx)
-                self._state = ("reflect",)
+        self._pending = self._steps.send(fx)
+
+    def _search(self):
+        s, f = self.simplex, self.values
+        for i in range(self.dim + 1):
+            f[i] = yield s[i]
+        while True:
+            if self.evals % NM_REEVAL_BEST_EVERY == 0:
+                b = self._best_index()
+                f[b] = yield s[b]
+            w = int(np.argmax(f))
+            c = np.mean([v for i, v in enumerate(s) if i != w], axis=0)
+            xr = c + NM_REFLECT * (c - s[w])
+            fr = yield xr
+            order = np.argsort(f)
+            if fr < f[order[0]]:
+                xe = c + NM_EXPAND * (xr - c)
+                fe = yield xe
+                s[w], f[w] = (xe, fe) if fe < fr else (xr, fr)
+            elif fr < f[order[-2]]:
+                s[w], f[w] = xr, fr
             else:
-                self._state = ("contract",)
-        elif kind == "expand":
-            xr, fr = self._reflection_point(), self._fr
-            xe = self._expansion_point()
-            if fx < fr:
-                self._replace_worst(xe, fx)
-            else:
-                self._replace_worst(xr, fr)
-            self._state = ("reflect",)
-        elif kind == "contract":
-            worst = self.values[self._worst_index()]
-            bound = min(self._fr, worst)
-            if fx <= bound:
-                self._replace_worst(self._contraction_point(), fx)
-                self._state = ("reflect",)
-            else:
-                self._begin_shrink()
-        elif kind == "shrink":
-            i = self._state[1]
-            self.values[i] = fx
-            nxt = i + 1
-            while nxt <= self.dim and nxt == self._shrink_keep:
-                nxt += 1
-            if nxt <= self.dim:
-                self._state = ("shrink", nxt)
-            else:
-                self._state = ("reflect",)
-        elif kind == "reeval":
-            self.values[self._best_index()] = fx
-            self._state = ("reflect",)
-        if self._state[0] == "reflect" and self.evals % NM_REEVAL_BEST_EVERY == 0:
-            self._state = ("reeval",)
+                # outside contraction when the reflection beats the worst vertex
+                xc = c + NM_CONTRACT * ((xr if fr < f[w] else s[w]) - c)
+                fc = yield xc
+                if fc <= min(fr, f[w]):
+                    s[w], f[w] = xc, fc
+                else:
+                    b = self._best_index()
+                    others = [i for i in range(self.dim + 1) if i != b]
+                    for i in others:
+                        s[i] = s[b] + NM_SHRINK * (s[i] - s[b])
+                    for i in others:
+                        f[i] = yield s[i]
 
     @property
     def best(self) -> tuple[np.ndarray, float]:
@@ -270,50 +247,9 @@ class NelderMead:
             return False
         return self.diameter() < self.opt.x_tol
 
-    # -- geometry -----------------------------------------------------------
-
     def _best_index(self) -> int:
         vals = [v if np.isfinite(v) else np.inf for v in self.values]
         return int(np.argmin(vals))
-
-    def _worst_index(self) -> int:
-        vals = [v if np.isfinite(v) else -np.inf for v in self.values]
-        return int(np.argmax(vals))
-
-    def _centroid(self) -> np.ndarray:
-        w = self._worst_index()
-        pts = [v for i, v in enumerate(self.simplex) if i != w]
-        return np.mean(pts, axis=0)
-
-    def _reflection_point(self) -> np.ndarray:
-        c = self._centroid()
-        return c + NM_REFLECT * (c - self.simplex[self._worst_index()])
-
-    def _expansion_point(self) -> np.ndarray:
-        c = self._centroid()
-        return c + NM_EXPAND * (self._reflection_point() - c)
-
-    def _contraction_point(self) -> np.ndarray:
-        c = self._centroid()
-        w = self.simplex[self._worst_index()]
-        if self._fr < self.values[self._worst_index()]:
-            return c + NM_CONTRACT * (self._reflection_point() - c)
-        return c + NM_CONTRACT * (w - c)
-
-    def _replace_worst(self, x: np.ndarray, fx: float):
-        w = self._worst_index()
-        self.simplex[w] = x.copy()
-        self.values[w] = fx
-
-    def _begin_shrink(self):
-        b = self._best_index()
-        self._shrink_keep = b
-        xb = self.simplex[b]
-        for i in range(self.dim + 1):
-            if i != b:
-                self.simplex[i] = xb + NM_SHRINK * (self.simplex[i] - xb)
-        first = 0 if b != 0 else 1
-        self._state = ("shrink", first)
 
 
 @dataclass
@@ -481,7 +417,7 @@ def optimize_parallel_cz(
     averages; it is checked against ``iterations`` before anything runs.
     """
     if target not in ("global", "local"):
-        raise ValueError("target must be 'global' or 'local'")
+        raise ConfigError(f"optimize target must be 'global' or 'local', got {target!r}")
     lo, hi = window
     if not 0 <= lo < hi <= iterations:
         raise ConfigError(f"window {list(window)} must satisfy 0 <= start < end <= iterations = {iterations}")
@@ -514,11 +450,8 @@ def optimize_parallel_cz(
 
     for it in range(iterations):
         vec = np.zeros(n_params)
-        proposals = []
         for opt, sl in zip(opts, slices):
-            x = opt.ask()
-            proposals.append(x)
-            vec[sl] = x
+            vec[sl] = opt.ask()
         dev_iter = device.with_control_offsets(to_offsets(vec))
         ref_est, ref_subs = _benchmark_once(device, gates, config, seed=config.seed + 1_000_003 * it)
         iter_est, iter_subs = _benchmark_once(
@@ -538,9 +471,8 @@ def optimize_parallel_cz(
             if target == "global":
                 opts[0].tell(-(iter_est.value - ref_est.value))
             else:
-                for gi, (opt, g) in enumerate(zip(opts, gates)):
-                    diff = iter_subs[(g,)] - ref_subs[(g,)]
-                    opt.tell(-diff)
+                for opt, g in zip(opts, gates):
+                    opt.tell(-(iter_subs[(g,)] - ref_subs[(g,)]))
         except NonFiniteObjective:
             traj.aborted = True
             break

@@ -64,10 +64,6 @@ def load_device(ref) -> DeviceModel:
     return DeviceModel.load(path)
 
 
-def example_device_path(name: str) -> str:
-    return str(resources.files("cabbench.devices").joinpath(f"{name}.json"))
-
-
 @dataclass
 class ExperimentConfig:
     """Parsed experiment configuration."""
@@ -356,8 +352,11 @@ def _run_correlate(cfg: ExperimentConfig, out: Path) -> dict:
     doc = {"report": _report_doc(rep), "pairs": [list(s) for s in matrix.subsets], "correlations": matrix.values}
     repeat = int(cfg.extra.get("repeat", 0))
     if repeat >= 2:
-        pairs = [tuple(s) for s in matrix.subsets]
-        fluct = correlation_fluctuation(device, block, cab_cfg, pairs, repeat)
+        reruns = [
+            run_cab_experiment(device, block, cab_cfg.replace(seed=cab_cfg.seed + r))
+            for r in range(1, repeat)
+        ]
+        fluct = correlation_fluctuation([rep, *reruns], matrix.subsets)
         _write_csv(
             out / "fluctuation.csv",
             ["gate_a", "gate_b", "mean", "sd", "lower_bound"],

@@ -219,12 +219,16 @@ class SingleQubitCliffords:
             assert yphase in (0, 2)
             self.action[e, 3] = (py.x[0], py.z[0], yphase // 2)
 
-        self.compose_table = np.zeros((24, 24), dtype=np.uint8)
+        # a after b: b maps X and Z to signed letters, a maps those letters
+        # on, and the two signs multiply (XOR of the sign bits)
+        img = self.action[:, 1:3]  # (b, X|Z, (x, z, sign))
+        comp = self.action[:, img[..., 0] + 2 * img[..., 1]]  # (a, b, X|Z, ...)
+        comp[..., 2] ^= img[..., 2]
+        keys = comp.reshape(24 * 24, 6).tolist()
+        self.compose_table = np.array(
+            [self._key_to_index[tuple(k)] for k in keys], dtype=np.uint8
+        ).reshape(24, 24)
         self.inverse_table = np.zeros(24, dtype=np.uint8)
-        for a in range(24):
-            for b in range(24):
-                key = self._action_key(self.matrices[a] @ self.matrices[b])
-                self.compose_table[a, b] = self._key_to_index[key]
         for a in range(24):
             inv = np.flatnonzero(self.compose_table[a] == self.identity_index)
             assert inv.size == 1

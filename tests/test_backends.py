@@ -10,7 +10,6 @@ from cabbench.backends import (
     dressed_cycle_channel,
     pack_bits,
     pauli_layer_noise_channel,
-    pauli_sum_process_fidelity,
     restricted_channel,
     stab_run_counts,
     unpack_bits,
@@ -20,7 +19,7 @@ from cabbench.device import CouplingMap, ControlPhases, DeviceModel, GateSpec, R
 from cabbench.paulis import LocalCliffordLayer, PauliString, sample_local_clifford
 from cabbench.tableau import compile_inverse_pauli
 
-from helpers import depolarizing_channel, exact_survival, unitary_channel
+from helpers import depolarizing_channel, exact_survival, process_fidelity_pauli_sum, unitary_channel
 
 
 def simple_device(n=2, depol_p=1.0, gamma=0.0, control=None, **kw):
@@ -111,7 +110,7 @@ def test_choi_matches_pauli_sum_on_random_channels():
             return p * out + (1 - p) * tr * np.eye(4) / 4
 
         f1 = choi_process_fidelity(chan, 2)
-        f2 = pauli_sum_process_fidelity(chan, 2)
+        f2 = process_fidelity_pauli_sum(chan, 2)
         assert f1 == pytest.approx(f2, abs=1e-12)
 
 

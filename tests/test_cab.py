@@ -6,6 +6,7 @@ import pytest
 from cabbench.backends import ShotCounts
 from cabbench.cab import (
     CabConfig,
+    ConfigError,
     FidelityEstimate,
     build_cab_sequence,
     estimate_fidelity,
@@ -317,3 +318,5 @@ def test_config_validation():
         CabConfig(k_r=1)
     with pytest.raises(ValueError):
         CabConfig(mode="sample", k_q=0)
+    with pytest.raises(ConfigError, match="backend"):
+        CabConfig(backend="gpu")

@@ -115,6 +115,7 @@ def test_calibration_idempotent():
 def test_nelder_mead_quadratic():
     res = nelder_mead(lambda x: float((x[0] - 1.0) ** 2), np.array([0.0]))
     assert res.converged
+    assert len(res.history) == 47  # pins the simplex's step sequence
     assert abs(res.x[0] - 1.0) < 1e-4
 
 
@@ -126,6 +127,7 @@ def test_nelder_mead_rosenbrock():
         rosen, np.array([-1.2, 1.0]), NelderMeadOptions(initial_step=0.5, x_tol=1e-8, max_evals=500)
     )
     assert res.fx < 1e-3
+    assert len(res.history) == 221
 
 
 def test_nelder_mead_noisy_quadratic():
@@ -140,6 +142,7 @@ def test_nelder_mead_noisy_quadratic():
     )
     # converges into the noise-induced basin around the optimum
     assert np.all(np.abs(res.x - 0.5) < 3 * math.sqrt(sigma))
+    assert len(res.history) == 93  # 22 of these evaluations are shrink steps
 
 
 def test_nelder_mead_aborts_on_nonfinite():

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from cabbench import cab, cli
+from cabbench.cab import run_cab_experiment
 from cabbench.cli import (
     ConfigError,
     ExperimentConfig,
-    example_device_path,
     load_device,
     main,
     resolve_subsets,
@@ -129,6 +130,13 @@ DETERMINISM_CONFIGS = {
         "cab": {"k_r": 4, "k_s": 200},
         "optimize": {"target": "global", "iterations": 12, "window": [0, 12]},
     },
+    "correlate": {
+        "kind": "correlate",
+        "device": "two_gate_4q",
+        "backend": "dm",
+        "cab": {"depths": [0, 2], "k_r": 3, "k_s": 300, "mode": "traverse"},
+        "repeat": 2,
+    },
     "optimize_local": {
         "kind": "optimize",
         "device": "two_gate_4q",
@@ -202,14 +210,34 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("cab", {"cab": {"depths": [0, 2], "k_r": 1, "k_s": 100, "mode": "traverse"}}),
         ("cab", {"subsets": [[7]]}),
         ("cb", {"cab": {"k_r": 5, "k_s": 100}, "cycles": [2, 4], "n_chars": 5}),
+        ("cab", {"backend": "gpu"}),
+        ("cb", {"cab": {"k_r": 10, "k_s": 100}, "cycles": [3, 5], "n_chars": 5}),
+        ("optimize", {"optimize": {"target": "best", "iterations": 2, "window": [0, 2]}}),
     ],
-    ids=["k_r", "subsets", "cb_group"],
+    ids=["k_r", "subsets", "cb_group", "backend", "cb_cycles", "optimize_target"],
 )
 def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys):
     path = small_cab_config(tmp_path, kind=kind, **over)
     assert main([kind, "--config", str(path)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_correlate_runs_one_experiment_per_repeat(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args[2].seed)
+        return run_cab_experiment(*args, **kw)
+
+    # every import route to the experiment is counted
+    monkeypatch.setattr(cab, "run_cab_experiment", counted)
+    monkeypatch.setattr(cli, "run_cab_experiment", counted)
+    path = small_cab_config(tmp_path, kind="correlate", repeat=3)
+    assert main(["correlate", "--config", str(path)]) == 0
+    assert calls == [5, 6, 7]
+    doc = json.loads((tmp_path / "out" / "result.json").read_text())
+    assert doc["fluctuation"]["repeat"] == 3
 
 
 def test_cli_rejects_threads_flag(tmp_path):

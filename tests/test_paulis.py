@@ -129,6 +129,16 @@ def test_single_qubit_clifford_action_matches_matrices():
             assert np.allclose(expected, got, atol=1e-12)
 
 
+def test_single_qubit_clifford_compose_matches_matrix_products():
+    table = single_qubit_cliffords()
+    for a in range(24):
+        for b in range(24):
+            prod = table.matrix(a) @ table.matrix(b)
+            ref = table.matrix(table.compose(a, b))
+            phase = np.vdot(ref, prod) / 2  # equal up to a global phase
+            assert np.allclose(prod, phase * ref, atol=1e-12)
+
+
 def test_sample_local_clifford_uniform():
     rng = np.random.default_rng(9)
     draws = 24_000
