@@ -2,10 +2,27 @@
 
 ``dm_run`` is the exact oracle: full density-matrix evolution with the
 coherent coupling unitary, depolarizing channels applied as channels, and
-readout confusion.  ``stab_run_counts`` is the scalable backend: sequences
-that ideally close to the identity are executed by propagating sampled
-Pauli faults through the Clifford layers, with every coherent diagonal
-error replaced by its exact Pauli twirl.
+readout confusion.  Each layer is a few whole-register array operations on
+rho of shape (..., d, d), with the noise precomputed once per device
+(``DeviceModel.cached``):
+
+- a single-qubit layer is one U rho U^dagger, U the Kronecker product of
+  the layer's 2x2 matrices, applied as its two halves on each side;
+- every depolarizing step, the twirled coupling and a Pauli layer are
+  Pauli-diagonal channels.  Each is one multiply in the Walsh frame
+  M[a, x] = rho[a, a^x]: gather, Walsh transform along a as two
+  Kronecker-factor matmuls, multiply by a cached eigenvalue table
+  lambda[z, x], transform back, scatter;
+- a gate layer's coherent components and ideal CZs are one cached (d, d)
+  phase multiplier.
+
+``block_noise_channel``, ``dressed_cycle_channel`` and so
+``choi_process_fidelity`` run the same kernel on stacks of matrices.
+
+``stab_run_counts`` is the scalable backend: sequences that ideally close
+to the identity are executed by propagating sampled Pauli faults through
+the Clifford layers, with every coherent diagonal error replaced by its
+exact Pauli twirl.
 """
 
 from __future__ import annotations
@@ -15,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import CircuitSequence, CliffordLayer, GateLayer, PauliLayer, Unitary1qLayer
-from .device import DeviceModel, PauliChannel, ResourceLimitError, fwht
-from .paulis import _LETTER_MATS, single_qubit_cliffords
+from .device import DeviceModel, ResourceLimitError, fwht
+from .paulis import single_qubit_cliffords
 
 DM_QUBIT_LIMIT = 12
 CHOI_QUBIT_LIMIT = 6
@@ -24,7 +41,7 @@ CHOI_CHUNK = 1024  # basis pairs per batched channel call
 
 
 # ---------------------------------------------------------------------------
-# density-matrix primitives (batch-aware: rho has shape (..., d, d))
+# density-matrix kernel (batch-aware: rho has shape (..., d, d))
 # ---------------------------------------------------------------------------
 
 
@@ -35,84 +52,164 @@ def _dm_zero_state(n: int) -> np.ndarray:
     return rho
 
 
-def _split_subsystem(rho: np.ndarray, n: int, qubits: tuple[int, ...]):
-    """View rho as (..., dS, R, dS, R) with the given qubits grouped first."""
-    batch = rho.shape[:-2]
-    nb = len(batch)
-    t = rho.reshape(*batch, *([2] * n), *([2] * n))
-    qs = set(qubits)
-    ket = [nb + q for q in qubits]
-    bra = [nb + n + q for q in qubits]
-    rest_ket = [nb + q for q in range(n) if q not in qs]
-    rest_bra = [nb + n + q for q in range(n) if q not in qs]
-    perm = list(range(nb)) + ket + rest_ket + bra + rest_bra
-    t = t.transpose(perm)
-    ds = 2 ** len(qubits)
-    r = 2 ** (n - len(qubits))
-    return t.reshape(*batch, ds, r, ds, r), perm, batch
+def _bits(a: np.ndarray, n: int, qubits) -> np.ndarray:
+    """Sub-index of register indices ``a`` on ``qubits`` (qubits[0] = MSB)."""
+    sub = np.zeros_like(a)
+    for q in qubits:
+        sub = (sub << 1) | ((a >> (n - 1 - q)) & 1)
+    return sub
 
 
-def _unsplit_subsystem(t: np.ndarray, n: int, perm, batch) -> np.ndarray:
-    d = 2**n
-    t = t.reshape(*batch, *([2] * (2 * n)))
-    t = t.transpose(np.argsort(perm))
+def _parity(a: np.ndarray) -> np.ndarray:
+    """(-1)^popcount(a) as floats."""
+    return 1.0 - 2.0 * (np.bitwise_count(a) & 1)
+
+
+def _kron_2x2(mats) -> np.ndarray:
+    """Kronecker product of 2x2 factors, the first the most significant."""
+    u = np.ones((1, 1), dtype=mats.dtype)
+    for m in mats:
+        k = 2 * u.shape[0]
+        u = (u[:, None, :, None] * m[None, :, None, :]).reshape(k, k)
+    return u
+
+
+def _kron_rows(t: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """(f1 x f2) @ t for t (..., d1*d2, m): one matmul per Kronecker factor."""
+    *batch, d, m = t.shape
+    d1, d2 = len(f1), len(f2)
+    t = np.matmul(f1, t.reshape(*batch, d1, d2 * m))
+    return np.matmul(f2, t.reshape(*batch, d1, d2, m)).reshape(*batch, d, m)
+
+
+def _apply_local_unitary(rho: np.ndarray, mats) -> np.ndarray:
+    """U rho U^dagger, U the Kronecker product of one 2x2 factor per qubit.
+
+    U is applied as U1 x U2 (the first floor(n/2) qubits and the rest) on
+    each side, which costs O(d^2.5) instead of the O(d^3) of a dense U.
+    """
+    h = len(mats) // 2
+    u1, u2 = _kron_2x2(mats[:h]), _kron_2x2(mats[h:])
+    *batch, d, _ = rho.shape
+    t = _kron_rows(rho, u1, u2)
+    t = t.reshape(*batch, d * len(u1), len(u2)) @ u2.conj().T
+    t = np.matmul(u1.conj(), t.reshape(*batch, d, len(u1), len(u2)))
     return t.reshape(*batch, d, d)
 
 
-def apply_1q_unitary(rho: np.ndarray, n: int, q: int, u: np.ndarray) -> np.ndarray:
-    t, perm, batch = _split_subsystem(rho, n, (q,))
-    t = np.einsum("ab,...brcs->...arcs", u, t)
-    t = np.einsum("cd,...ardt->...arct", u.conj(), t)
-    return _unsplit_subsystem(t, n, perm, batch)
+def _walsh(k: int) -> np.ndarray:
+    a = np.arange(2**k)
+    return _parity(a[:, None] & a[None, :])
 
 
-def apply_multiplier(rho: np.ndarray, n: int, qubits: tuple[int, ...], mult: np.ndarray) -> np.ndarray:
-    """Elementwise multiply by ``mult[ket_sub, bra_sub]`` on a subsystem."""
-    t, perm, batch = _split_subsystem(rho, n, qubits)
-    t = t * mult[:, None, :, None]
-    return _unsplit_subsystem(t, n, perm, batch)
+def _frame(device: DeviceModel, n: int):
+    """Gather index (a, x) -> a*d + (a^x), and the 2^floor(n/2) and
+    2^ceil(n/2) Kronecker factors of the 2^n Walsh matrix."""
+
+    def build():
+        a = np.arange(2**n)
+        return a[:, None] * 2**n + (a[:, None] ^ a[None, :]), _walsh(n // 2), _walsh(n - n // 2)
+
+    return device.cached(("frame", n), build)
 
 
-def apply_diagonal_unitary(rho: np.ndarray, n: int, qubits: tuple[int, ...], diag: np.ndarray) -> np.ndarray:
-    return apply_multiplier(rho, n, qubits, np.outer(diag, diag.conj()))
+def _eigenvalue_table(lam: np.ndarray) -> np.ndarray:
+    """Eigenvalues lam[z, x] of X^x Z^z laid out for ``_apply_pauli_diagonal``:
+    divided by d (the two transforms multiply by d) and repeated over the
+    real and imaginary parts of the float view."""
+    return np.repeat(lam / len(lam), 2, axis=1)
 
 
-def apply_pauli_channel(rho: np.ndarray, n: int, channel: PauliChannel) -> np.ndarray:
-    """Z-type Pauli channel: rho entry (a,b) scales by sum_w p_w s_w(a)s_w(b)."""
-    k = len(channel.support)
-    dim = 2**k
-    signs = np.empty((dim, dim))
-    idx = np.arange(dim)
-    for w in range(dim):
-        par = np.bitwise_count(np.bitwise_and(idx, w)) & 1
-        signs[w] = 1.0 - 2.0 * par
-    mult = np.einsum("w,wa,wb->ab", channel.weights, signs, signs)
-    return apply_multiplier(rho, n, channel.support, mult)
+def _apply_pauli_diagonal(rho: np.ndarray, table: np.ndarray, frame) -> np.ndarray:
+    """Multiply the coefficient of every Pauli X^x Z^z in rho by its eigenvalue.
+
+    With M[a, x] = rho[a, a^x], that coefficient is the Walsh transform of
+    M[:, x] at z (up to a phase fixed by x and z).  So the channel is: gather
+    M, transform along a, multiply by the table, transform back, scatter.
+    The index map is an involution, so the scatter is the same gather.
+    """
+    idx, h1, h2 = frame
+    *batch, d, _ = rho.shape
+    m = np.take(rho.reshape(*batch, d * d), idx, axis=-1)
+    t = _kron_rows(m.view(float), h1, h2)
+    t *= table
+    t = _kron_rows(t, h1, h2)
+    return np.take(t.view(complex).reshape(*batch, d * d), idx, axis=-1)
 
 
-def apply_depol_channel(rho: np.ndarray, n: int, qubits: tuple[int, ...], p: float) -> np.ndarray:
-    if p == 1.0:
-        return rho
-    t, perm, batch = _split_subsystem(rho, n, qubits)
-    ds = t.shape[-4]
-    traced = np.einsum("...iaib->...ab", t)
-    mixed = np.einsum("ij,...ab->...iajb", np.eye(ds) / ds, traced)
-    t = p * t + (1 - p) * mixed
-    return _unsplit_subsystem(t, n, perm, batch)
+def _nontrivial_on(n: int, qubits) -> np.ndarray:
+    """Mask over the Paulis X^x Z^z, indexed [z, x], that act on any of ``qubits``."""
+    a = np.arange(2**n)
+    support = sum(1 << (n - 1 - q) for q in qubits)
+    return ((a[:, None] | a[None, :]) & support) != 0
 
 
-def _readout_confusion(probs: np.ndarray, n: int, e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
-    t = probs.reshape([2] * n)
-    for q in range(n):
-        if e0[q] == 0.0 and e1[q] == 0.0:
-            continue
-        m = np.array([[1 - e0[q], e1[q]], [e0[q], 1 - e1[q]]])
-        t = np.moveaxis(np.tensordot(m, np.moveaxis(t, q, 0), axes=(1, 0)), 0, q)
-    return t.reshape(-1)
+def _single_qubit_noise(device: DeviceModel, n: int):
+    """Eigenvalue table of the per-qubit depolarizing layer, or None."""
+
+    def build():
+        noisy = [(q, float(p)) for q, p in enumerate(device.single_qubit_depol[:n]) if p < 1.0]
+        if not noisy:
+            return None
+        lam = np.ones((2**n, 2**n))
+        for q, p in noisy:
+            lam[_nontrivial_on(n, (q,))] *= p
+        return _eigenvalue_table(lam)
+
+    return device.cached(("dm_1q", n), build)
 
 
-def _ideal_cz_diag() -> np.ndarray:
-    return np.array([1.0, 1.0, 1.0, -1.0], dtype=complex)
+def _gate_layer_tables(device: DeviceModel, n: int, gates: tuple[int, ...], noisy: bool, twirl_coupling: bool):
+    """(eigenvalue table or None, phase multiplier) of one gate layer.
+
+    The noise is the gates' depolarizing channels and, with
+    ``twirl_coupling``, the twirled coupling; both are Pauli-diagonal, so
+    they share one table.  Without the twirl the coherent components join
+    the ideal CZs in one diagonal unitary D, applied as rho * D D^dagger.
+    """
+
+    def build():
+        device.check_layer_disjoint(gates)
+        d = 2**n
+        a = np.arange(d)
+        diag = np.ones(d, dtype=complex)
+        for g in gates:
+            diag[_bits(a, n, device.gates[g].pair) == 3] *= -1.0
+        table = None
+        if noisy:
+            lam = np.ones((d, d))
+            for g in gates:
+                spec = device.gates[g]
+                p = spec.effective_depol_p()
+                if p < 1.0:
+                    lam[_nontrivial_on(n, spec.pair)] *= p
+            if twirl_coupling:
+                for ch in device.layer_twirl_channels(gates):
+                    # Z_w X^x Z^z Z_w = (-1)^(w.x) X^x Z^z
+                    eig = np.real(fwht(ch.weights))
+                    lam *= eig[_bits(a, n, ch.support)][None, :]
+            else:
+                for v in device.coherent_layer_components(gates):
+                    diag *= v.diag[_bits(a, n, v.qubits)]
+            if np.any(lam != 1.0):
+                table = _eigenvalue_table(lam)
+        return table, diag[:, None] * diag.conj()[None, :]
+
+    return device.cached(("dm_gate", n, gates, noisy, twirl_coupling), build)
+
+
+def _readout_factors(device: DeviceModel, n: int):
+    """Kronecker factors (first floor(n/2) qubits, rest) of the readout
+    confusion matrix, or None without readout error."""
+
+    def build():
+        e0, e1 = device.readout_e0[:n], device.readout_e1[:n]
+        if not (np.any(e0 > 0) or np.any(e1 > 0)):
+            return None
+        mats = np.array([[1 - e0, e1], [e0, 1 - e1]]).transpose(2, 0, 1)
+        return _kron_2x2(mats[: n // 2]), _kron_2x2(mats[n // 2 :])
+
+    return device.cached(("readout", n), build)
 
 
 def _apply_layer_dm(
@@ -123,51 +220,44 @@ def _apply_layer_dm(
     noisy: bool,
     twirl_coupling: bool,
 ) -> np.ndarray:
-    table = single_qubit_cliffords()
-    if isinstance(layer, CliffordLayer):
-        for q, e in enumerate(layer.layer.elements):
-            if e != table.identity_index:
-                rho = apply_1q_unitary(rho, n, q, table.matrix(int(e)))
-        if noisy:
-            rho = _apply_1q_depol_all(rho, n, device)
-    elif isinstance(layer, PauliLayer):
-        p = layer.pauli
-        for q in range(n):
-            code = int(p.x[q]) + 2 * int(p.z[q])
-            if code:
-                rho = apply_1q_unitary(rho, n, q, _LETTER_MATS[code])
-        if noisy and device.pauli_layer_noise:
-            rho = _apply_1q_depol_all(rho, n, device)
+    """One layer on rho (..., 2^n, 2^n) as a few whole-register operations.
+
+    A gate layer is one Pauli-diagonal multiply for its noise and one phase
+    multiply.  A Clifford or unitary layer is one U rho U^dagger, then the
+    per-qubit depolarizing layer as one Pauli-diagonal multiply.  A Pauli
+    layer is Pauli-diagonal itself (eigenvalues +-1), so it shares that
+    multiply with its noise.
+    """
+    frame = _frame(device, n)
+    if isinstance(layer, GateLayer):
+        table, phase = _gate_layer_tables(device, n, tuple(layer.gates), noisy, twirl_coupling)
+        if table is not None:
+            rho = _apply_pauli_diagonal(rho, table, frame)
+        return rho * phase
+    noise = _single_qubit_noise(device, n) if noisy else None
+    if isinstance(layer, PauliLayer):
+        if not device.pauli_layer_noise:
+            noise = None
+        x, z = int(pack_bits(layer.pauli.x)), int(pack_bits(layer.pauli.z))
+        if x or z:
+            # X^x Z^z rho Z^z X^x scales the coefficient of X^x' Z^z' by (-1)^(x.z' + z.x')
+            a = np.arange(2**n)
+            sign = _parity(a & x)[:, None] * np.repeat(_parity(a & z), 2)[None, :]
+            noise = sign / 2**n if noise is None else sign * noise
+    elif isinstance(layer, CliffordLayer):
+        cliffords = single_qubit_cliffords()
+        elements = layer.layer.elements
+        if np.any(elements != cliffords.identity_index):
+            rho = _apply_local_unitary(rho, cliffords.matrices[elements])
     elif isinstance(layer, Unitary1qLayer):
-        for q, u in layer.ops:
-            rho = apply_1q_unitary(rho, n, q, u)
-        if noisy:
-            rho = _apply_1q_depol_all(rho, n, device)
-    elif isinstance(layer, GateLayer):
-        device.check_layer_disjoint(layer.gates)
-        if noisy:
-            for g in layer.gates:
-                spec = device.gates[g]
-                rho = apply_depol_channel(rho, n, tuple(spec.pair), spec.effective_depol_p())
-            if twirl_coupling:
-                for ch in device.layer_twirl_channels(layer.gates):
-                    rho = apply_pauli_channel(rho, n, ch)
-            else:
-                for v in device.coherent_layer_components(layer.gates):
-                    rho = apply_diagonal_unitary(rho, n, v.qubits, v.diag)
-        for g in layer.gates:
-            rho = apply_diagonal_unitary(rho, n, tuple(device.gates[g].pair), _ideal_cz_diag())
+        if layer.ops:
+            mats = np.array([np.eye(2, dtype=complex)] * n)
+            for q, u in layer.ops:
+                mats[q] = u @ mats[q]
+            rho = _apply_local_unitary(rho, mats)
     else:
         raise TypeError(f"unknown layer type {type(layer)!r}")
-    return rho
-
-
-def _apply_1q_depol_all(rho: np.ndarray, n: int, device: DeviceModel) -> np.ndarray:
-    for q in range(n):
-        p = float(device.single_qubit_depol[q])
-        if p < 1.0:
-            rho = apply_depol_channel(rho, n, (q,), p)
-    return rho
+    return rho if noise is None else _apply_pauli_diagonal(rho, noise, frame)
 
 
 def dm_run(
@@ -194,8 +284,9 @@ def dm_run(
     if abs(total - 1.0) > 1e-10:
         raise RuntimeError(f"probabilities sum to {total}, expected 1")
     probs = np.clip(probs, 0.0, None)
-    if np.any(device.readout_e0 > 0) or np.any(device.readout_e1 > 0):
-        probs = _readout_confusion(probs, n, device.readout_e0, device.readout_e1)
+    confusion = _readout_factors(device, n)
+    if confusion is not None:
+        probs = _kron_rows(probs.reshape(-1, 1), *confusion).reshape(-1)
     return probs
 
 
@@ -402,7 +493,8 @@ def pauli_layer_noise_channel(device: DeviceModel):
     n = device.n_qubits
 
     def apply(rho):
-        return _apply_1q_depol_all(rho, n, device)
+        table = _single_qubit_noise(device, n)
+        return rho if table is None else _apply_pauli_diagonal(rho, table, _frame(device, n))
 
     return apply
 
@@ -430,30 +522,3 @@ def dressed_cycle_channel(device: DeviceModel, block):
     if device.pauli_layer_noise:
         return compose_channels(pauli_layer_noise_channel(device), block_noise_channel(device, block))
     return block_noise_channel(device, block)
-
-
-def restricted_channel(channel, n: int, subset_qubits: tuple[int, ...]):
-    """Restriction of an n-qubit channel to a subset with a mixed environment.
-
-    The returned evaluator acts on len(subset) qubits: the input is embedded
-    with the complement in the maximally mixed state, the full channel is
-    applied, and the complement is traced out.
-    """
-    subset = tuple(subset_qubits)
-    k = len(subset)
-    rest = tuple(q for q in range(n) if q not in set(subset))
-    d_rest = 2 ** len(rest)
-
-    def apply(rho_s):
-        batch = rho_s.shape[:-2]
-        d = 2**n
-        full = np.zeros((*batch, d, d), dtype=complex)
-        t, perm, b = _split_subsystem(full, n, subset)
-        rho_env = np.eye(d_rest, dtype=complex) / d_rest
-        t += np.einsum("...ab,cd->...acbd", rho_s, rho_env).reshape(t.shape)
-        full = _unsplit_subsystem(t, n, perm, b)
-        out = channel(full)
-        t, perm, b = _split_subsystem(out, n, subset)
-        return np.einsum("...arbr->...ab", t)
-
-    return apply

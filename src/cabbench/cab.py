@@ -400,9 +400,8 @@ def subset_fidelity(data: CabRunData, gate_subset: tuple[int, ...], device: Devi
     masks = np.arange(2**n_s, dtype=np.int64)
     surv = np.empty((len(data.depths), data.k_r, 2**n_s))
     for d in range(len(data.depths)):
-        for k in range(data.k_r):
-            vec = data.counts[d][k].marginal_count_vector(qubits)
-            surv[d, k] = np.real(fwht(vec)) / data.k_s
+        vecs = np.array([sc.marginal_count_vector(qubits) for sc in data.counts[d]])
+        surv[d] = np.real(fwht(vecs)) / data.k_s
     exponents = 2.0 * np.asarray(data.depths, dtype=float)
     weights = _weights_for_masks(masks, n_s, "traverse")
     est = _estimate_from_surv(surv, masks, exponents, weights, data.kind)

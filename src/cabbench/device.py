@@ -173,15 +173,23 @@ class PauliChannel:
 
 
 def fwht(v: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform (in a copy)."""
-    v = v.astype(complex).copy()
+    """Unnormalized Walsh-Hadamard transform along the last axis (in a copy).
+
+    Leading axes are a batch.  Stage h pairs entries i and i + h within
+    every block of 2h, as the textbook butterfly does, so each output is
+    the same sequence of additions for any batch shape.
+    """
+    v = np.asarray(v).astype(complex)
+    shape = v.shape
+    d = shape[-1]
+    out = np.empty_like(v)
     h = 1
-    while h < len(v):
-        for i in range(0, len(v), 2 * h):
-            a = v[i : i + h].copy()
-            b = v[i + h : i + 2 * h].copy()
-            v[i : i + h] = a + b
-            v[i + h : i + 2 * h] = a - b
+    while h < d:
+        src = v.reshape(*shape[:-1], d // (2 * h), 2, h)
+        dst = out.reshape(src.shape)
+        np.add(src[..., 0, :], src[..., 1, :], out=dst[..., 0, :])
+        np.subtract(src[..., 0, :], src[..., 1, :], out=dst[..., 1, :])
+        v, out = out, v
         h *= 2
     return v
 
@@ -286,12 +294,24 @@ class DeviceModel:
         for arr in (self.readout_e0, self.readout_e1, self.single_qubit_depol):
             if np.any(arr < 0) or np.any(arr > 1):
                 raise ValueError("probabilities must lie in [0, 1]")
+            # tables in _cache are built from these; a write would leave them stale
+            arr.flags.writeable = False
         for g in self.gates:
             if not (0 <= g.pair[0] < n and 0 <= g.pair[1] < n and g.pair[0] != g.pair[1]):
                 raise ValueError(f"gate pair {g.pair} out of range")
-        self._twirl_cache: dict = {}
+        self._cache: dict = {}
 
     # -- structure ----------------------------------------------------------
+
+    def cached(self, key, build):
+        """Per-device table: ``build()`` runs on the first request of ``key``.
+
+        Every table is a function of the device's fields, which stay fixed
+        after construction (``with_control_offsets`` makes a new device).
+        """
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def check_layer_disjoint(self, gate_indices: tuple[int, ...]):
         seen = set()
@@ -307,8 +327,11 @@ class DeviceModel:
         Each component diagonal is the ZZ-coupling unitary of the component
         multiplied by the control-phase deviation (the parametric CZ with
         the ideal CZ divided out) of every gate in it.  Components whose
-        diagonal is trivial are dropped.
+        diagonal is trivial are dropped.  Cached per layer.
         """
+        return self.cached(("coherent", tuple(gate_indices)), lambda: self._coherent_components(gate_indices))
+
+    def _coherent_components(self, gate_indices: tuple[int, ...]) -> list[DiagonalUnitary]:
         out = []
         for comp in self.couplings.components(gate_indices):
             v = build_coupling_unitary(list(self.gates), self.couplings, comp)
@@ -333,11 +356,9 @@ class DeviceModel:
     def layer_twirl_channels(self, gate_indices: tuple[int, ...]) -> list[PauliChannel]:
         """Pauli twirls of the coherent layer components, cached per layer."""
         key = tuple(gate_indices)
-        if key not in self._twirl_cache:
-            self._twirl_cache[key] = [
-                pauli_twirl_diagonal(v) for v in self.coherent_layer_components(key)
-            ]
-        return self._twirl_cache[key]
+        return self.cached(
+            ("twirl", key), lambda: [pauli_twirl_diagonal(v) for v in self.coherent_layer_components(key)]
+        )
 
     def with_control_offsets(self, offsets: dict[int, tuple]) -> "DeviceModel":
         """Copy of the device with control corrections added per gate index.

@@ -174,9 +174,10 @@ def test_analytic_fidelity_product_law_at_zero_coupling():
 
 
 def test_analytic_fidelity_matches_dm_oracle():
-    from cabbench.backends import block_noise_channel, choi_process_fidelity, restricted_channel
+    from cabbench.backends import block_noise_channel, choi_process_fidelity
     from cabbench.circuits import GateBlock
     from cabbench.device import DeviceModel, GateSpec
+    from helpers import restricted_channel
 
     rng = np.random.default_rng(6)
     for _ in range(5):

@@ -10,16 +10,23 @@ from cabbench.backends import (
     dressed_cycle_channel,
     pack_bits,
     pauli_layer_noise_channel,
-    restricted_channel,
     stab_run_counts,
     unpack_bits,
 )
-from cabbench.circuits import CircuitSequence, CliffordLayer, GateBlock, GateLayer, PauliLayer
+from cabbench.circuits import CircuitSequence, CliffordLayer, GateBlock, GateLayer, PauliLayer, Unitary1qLayer
 from cabbench.device import CouplingMap, ControlPhases, DeviceModel, GateSpec, ResourceLimitError
-from cabbench.paulis import LocalCliffordLayer, PauliString, sample_local_clifford
+from cabbench.experiments import fully_connected_gate
+from cabbench.paulis import LocalCliffordLayer, PauliString, sample_local_clifford, sample_random_pauli
 from cabbench.tableau import compile_inverse_pauli
 
-from helpers import depolarizing_channel, exact_survival, process_fidelity_pauli_sum, unitary_channel
+from helpers import (
+    dense_dm_reference,
+    depolarizing_channel,
+    exact_survival,
+    process_fidelity_pauli_sum,
+    restricted_channel,
+    unitary_channel,
+)
 
 
 def simple_device(n=2, depol_p=1.0, gamma=0.0, control=None, **kw):
@@ -261,3 +268,107 @@ def test_dm_qubit_limit():
     seq = CircuitSequence(13, (GateLayer((0,)), GateLayer((0,))))
     with pytest.raises(ResourceLimitError):
         dm_run(seq, dev)
+
+
+# -- the density-matrix kernel against explicit full-register matrices --------
+
+
+def random_unitary_2x2(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_device(n, rng, pauli_layer_noise=True):
+    """A chain of gates with random depolarizing, control phases and couplings,
+    one noiseless gate and one noiseless qubit, and asymmetric readout."""
+    gates = []
+    for q in range(n - 1):
+        gates.append(
+            GateSpec(
+                pair=(q, q + 1),
+                depol_p=1.0 if q == 1 else float(rng.uniform(0.85, 1.0)),
+                coupled_qubit=q + int(rng.integers(2)),
+                control=ControlPhases(*rng.uniform(-0.3, 0.3, size=3)),
+            )
+        )
+    # gates a and b are disjoint for b >= a + 2, so they can share a layer
+    couplings = CouplingMap(
+        {(a, b): float(rng.uniform(-0.3, 0.3)) for a in range(len(gates)) for b in range(a + 2, len(gates))}
+    )
+    depol = rng.uniform(0.9, 1.0, size=n)
+    depol[0] = 1.0
+    return DeviceModel(
+        n_qubits=n,
+        gates=tuple(gates),
+        couplings=couplings,
+        readout_e0=rng.uniform(0.0, 0.05, size=n),
+        readout_e1=rng.uniform(0.05, 0.1, size=n),
+        single_qubit_depol=depol,
+        pauli_layer_noise=pauli_layer_noise,
+    )
+
+
+def random_layer(kind, dev, rng):
+    n = dev.n_qubits
+    if kind == "clifford":
+        return CliffordLayer(sample_local_clifford(n, rng))
+    if kind == "pauli":
+        return PauliLayer(sample_random_pauli(n, rng))
+    if kind == "unitary":
+        # the first qubit is always acted on twice
+        qubits = [0, *rng.integers(0, n, size=2), 0]
+        return Unitary1qLayer(tuple((int(q), random_unitary_2x2(rng)) for q in qubits))
+    used, gates = set(), []
+    for g in rng.permutation(len(dev.gates)):
+        pair = set(dev.gates[g].pair)
+        if not pair & used:
+            used |= pair
+            gates.append(int(g))
+    return GateLayer(tuple(gates))
+
+
+def random_sequence(dev, rng, n_layers=8):
+    kinds = ["clifford", "pauli", "unitary"] + (["gate", "gate"] if dev.gates else [])
+    layers = [random_layer(kinds[i % len(kinds)], dev, rng) for i in range(len(kinds))]
+    layers += [random_layer(kinds[rng.integers(len(kinds))], dev, rng) for _ in range(n_layers - len(kinds))]
+    return CircuitSequence(dev.n_qubits, tuple(layers[i] for i in rng.permutation(len(layers))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("twirl_coupling", [False, True])
+@pytest.mark.parametrize("pauli_layer_noise", [True, False])
+def test_dm_run_matches_dense_reference(n, twirl_coupling, pauli_layer_noise):
+    rng = np.random.default_rng([n, twirl_coupling, pauli_layer_noise])
+    dev = random_device(n, rng, pauli_layer_noise)
+    for _ in range(3):
+        seq = random_sequence(dev, rng)
+        probs = dm_run(seq, dev, twirl_coupling=twirl_coupling)
+        expected = dense_dm_reference(seq, dev, twirl_coupling)
+        assert np.max(np.abs(probs - expected)) < 1e-12
+
+
+def test_dm_run_on_offset_devices_matches_dense_reference():
+    # tables are cached per device: alternating calls must not mix them up
+    rng = np.random.default_rng(8)
+    base = random_device(4, rng)
+    offset = base.with_control_offsets({0: (0.2, -0.1, 0.05, 0.02), 2: (-0.1, 0.0, 0.1)})
+    seq = random_sequence(base, rng, n_layers=10)
+    expected = {id(dev): dense_dm_reference(seq, dev) for dev in (base, offset)}
+    assert np.max(np.abs(expected[id(base)] - expected[id(offset)])) > 1e-4
+    for dev in (base, offset, base, offset, base):
+        assert np.max(np.abs(dm_run(seq, dev) - expected[id(dev)])) < 1e-12
+
+
+def test_block_noise_channel_batch_equals_matrix_by_matrix():
+    rng = np.random.default_rng(9)
+    dev = random_device(4, rng)
+    blocks = [
+        GateBlock.parallel_cz(dev, (0, 2)),
+        fully_connected_gate(dev, (0, 2), (1,), rng),
+    ]
+    inputs = rng.normal(size=(6, 16, 16)) + 1j * rng.normal(size=(6, 16, 16))
+    for block in blocks:
+        for channel in (block_noise_channel(dev, block), dressed_cycle_channel(dev, block)):
+            batched = channel(inputs)
+            assert batched.shape == inputs.shape
+            assert np.array_equal(batched, np.array([channel(r) for r in inputs]))

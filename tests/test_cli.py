@@ -144,6 +144,14 @@ DETERMINISM_CONFIGS = {
         "cab": {"k_r": 4, "k_s": 200},
         "optimize": {"target": "local", "iterations": 12, "window": [0, 12]},
     },
+    # calibrate writes exact dm probabilities, so a table shared between
+    # runs and written into by the first would change the second's bytes
+    "calibrate": {
+        "kind": "calibrate",
+        "device": "two_gate_4q",
+        "gates": [0, 1],
+        "calibrate": {"beta_points": 8, "phase_points": 16},
+    },
 }
 
 

@@ -14,6 +14,7 @@ from cabbench.device import (
     ResourceLimitError,
     apply_readout_noise,
     build_coupling_unitary,
+    fwht,
     parametric_cz_unitary,
     pauli_twirl_diagonal,
 )
@@ -175,3 +176,51 @@ def test_control_offsets_copy():
     shifted = dev.with_control_offsets({0: (0.1, 0.2, 0.3)})
     assert shifted.gates[0].control == ControlPhases(0.1, 0.2, 0.3)
     assert dev.gates[0].control == ControlPhases()
+
+
+def fwht_loop(v):
+    """The textbook butterfly, one block at a time: the reference for fwht."""
+    v = np.asarray(v).astype(complex)
+    h = 1
+    while h < len(v):
+        for i in range(0, len(v), 2 * h):
+            a = v[i : i + h].copy()
+            b = v[i + h : i + 2 * h].copy()
+            v[i : i + h] = a + b
+            v[i + h : i + 2 * h] = a - b
+        h *= 2
+    return v
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_fwht_batched_rows_match_dense_walsh_product(n):
+    rng = np.random.default_rng(n)
+    ints = rng.integers(-50, 51, size=(5, 2**n))
+    idx = np.arange(2**n)
+    walsh = 1 - 2 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(np.int64)
+    batched = fwht(ints)
+    rows = np.array([fwht(row) for row in ints])
+    assert batched.dtype == complex and batched.shape == ints.shape
+    assert np.array_equal(batched, rows)
+    assert np.array_equal(batched, ints @ walsh.T)
+    # floats: the same additions in the same order as the one-block-at-a-time loop
+    floats = rng.normal(size=(3, 2, 2**n)) + 1j * rng.normal(size=(3, 2, 2**n))
+    expected = np.array([[fwht_loop(row) for row in block] for block in floats])
+    assert np.array_equal(fwht(floats), expected)
+    assert np.array_equal(fwht(floats[1, 0]), expected[1, 0])
+
+
+def test_fwht_leaves_its_input_unchanged():
+    v = np.arange(8.0)
+    fwht(v)
+    assert np.array_equal(v, np.arange(8.0))
+
+
+@pytest.mark.parametrize("field", ["readout_e0", "readout_e1", "single_qubit_depol"])
+def test_device_noise_arrays_are_read_only(field):
+    dev = two_gate_device(readout_e0=0.01, readout_e1=0.02, single_qubit_depol=0.99)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(dev, field)[0] = 0.5
+    offset = dev.with_control_offsets({0: (0.1, 0.0, 0.0)})
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(offset, field)[1] = 0.5
