@@ -19,10 +19,17 @@ rho of shape (..., d, d), with the noise precomputed once per device
 ``block_noise_channel``, ``dressed_cycle_channel`` and so
 ``choi_process_fidelity`` run the same kernel on stacks of matrices.
 
-``stab_run_counts`` is the scalable backend: sequences that ideally close
-to the identity are executed by propagating sampled Pauli faults through
-the Clifford layers, with every coherent diagonal error replaced by its
-exact Pauli twirl.
+``stab_run_counts`` is the scalable backend, a Pauli-frame sampler for
+sequences that ideally close to the identity, with every coherent diagonal
+error replaced by its exact Pauli twirl.  It compiles, then samples:
+
+- compile: one backward walk over the layers gives every noise location
+  with the readout flip (a GF(2) vector of the final X bits) of each of its
+  Paulis;
+- sample: each (location, shot) fires independently with its probability,
+  drawn as geometric gaps over the locations that share a channel, so the
+  work is proportional to the number of faults, not to shots x qubits.  A
+  shot's outcome is the XOR of the flips of its faults.
 """
 
 from __future__ import annotations
@@ -32,10 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import CircuitSequence, CliffordLayer, GateLayer, PauliLayer, Unitary1qLayer
-from .device import DeviceModel, ResourceLimitError, fwht
+from .device import DeviceModel, ResourceLimitError, bernoulli_positions, fwht
 from .paulis import single_qubit_cliffords
 
 DM_QUBIT_LIMIT = 12
+PACK_QUBIT_LIMIT = 62  # outcomes are int64 codes; also the stabilizer backend's size limit
 CHOI_QUBIT_LIMIT = 6
 CHOI_CHUNK = 1024  # basis pairs per batched channel call
 
@@ -355,23 +363,95 @@ class ShotCounts:
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Rows of bits (qubit 0 first = MSB) to int64 codes."""
+    """Rows of 0/1 bits (qubit 0 first = MSB) to int64 codes."""
     n = bits.shape[-1]
-    if n > 62:
-        raise ResourceLimitError("bit packing limited to 62 qubits")
-    weights = (1 << np.arange(n - 1, -1, -1)).astype(np.int64)
-    return bits.astype(np.int64) @ weights
+    if n > PACK_QUBIT_LIMIT:
+        raise ResourceLimitError(f"bit packing limited to {PACK_QUBIT_LIMIT} qubits")
+    padded = np.zeros((*bits.shape[:-1], 64), dtype=np.uint8)
+    padded[..., 64 - n :] = bits
+    # [()] makes one row's code a scalar, as for a 2-d input it is a no-op
+    return np.packbits(padded, axis=-1).view(">i8")[..., 0].astype(np.int64)[()]
 
 
 def unpack_bits(codes: np.ndarray, n: int) -> np.ndarray:
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    return ((codes[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    """int64 codes to rows of n bits (qubit 0 first = MSB)."""
+    # shift the n code bits to the top, so they are the first n unpacked
+    top = np.asarray(codes).astype(np.uint64) << np.uint64(64 - n)
+    return np.unpackbits(top.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1, count=n)
 
 
-def _conj_bits_table() -> np.ndarray:
-    """(24, 4, 2) letter-code action of the single-qubit Cliffords."""
-    table = single_qubit_cliffords()
-    return table.action[:, :, :2].copy()
+def _compile_faults(seq: CircuitSequence, device: DeviceModel) -> list:
+    """Every noise location of a sequence, with the readout flips of its Paulis.
+
+    The layers are walked once, backwards, keeping for each qubit the flip
+    vector of an X and of a Z fault at the current point: the GF(2) vector
+    of final X bits the fault ends up as, packed like ``pack_bits``.  Noise
+    follows its layer's ideal operation, so a layer's locations take the
+    vectors before stepping back through the layer:
+
+    - a Clifford layer maps a fault P to C P C^dagger
+      (``single_qubit_cliffords().action``);
+    - a CZ maps X_a to X_a Z_b, and a Pauli layer leaves faults unchanged.
+
+    The locations come grouped by channel, in order of first appearance:
+    (firing probability, conditional weights, flips).  ``flips`` is (L, b),
+    one row per location.  A firing picks a b-bit index (first bit the most
+    significant) uniformly when the weights are None, or from the weights
+    with the index offset by one (the identity is excluded); the outcome
+    flips by the XOR of the row entries whose bits are set.  Per-qubit
+    depolarizing has rows (X, Z) and per-gate depolarizing (X_a, Z_a, X_b,
+    Z_b), both uniform over all 4 or 16 Paulis, identity included; a twirled
+    coupling has the Z flips of its support, weighted by the twirl.
+    """
+    n = seq.n
+    if n > PACK_QUBIT_LIMIT:
+        raise ResourceLimitError(f"stabilizer backend limited to {PACK_QUBIT_LIMIT} qubits")
+    act = single_qubit_cliffords().action.astype(bool)
+    fx = np.left_shift(1, np.arange(n - 1, -1, -1, dtype=np.int64))
+    fz = np.zeros(n, dtype=np.int64)
+    groups: dict = {}
+
+    def add(key, p: float, weights, rows: np.ndarray):
+        if p > 0.0:
+            groups.setdefault(key, (p, weights, []))[2].append(rows)
+
+    fire_1q = 1.0 - device.single_qubit_depol[:n]
+
+    def depol_1q():
+        rows = np.stack([fx, fz], axis=1)
+        for p in np.unique(fire_1q):
+            add(("1q", p), float(p), None, rows[fire_1q == p])
+
+    for layer in reversed(seq.layers):
+        if isinstance(layer, CliffordLayer):
+            depol_1q()
+            img = act[layer.layer.elements]  # (n, letter, (x, z, sign))
+            fx, fz = (
+                np.where(img[:, 1, 0], fx, 0) ^ np.where(img[:, 1, 1], fz, 0),
+                np.where(img[:, 2, 0], fx, 0) ^ np.where(img[:, 2, 1], fz, 0),
+            )
+        elif isinstance(layer, PauliLayer):
+            if device.pauli_layer_noise:
+                depol_1q()
+        elif isinstance(layer, GateLayer):
+            for g in layer.gates:
+                spec = device.gates[g]
+                a, b = spec.pair
+                p = 1.0 - spec.effective_depol_p()
+                add(("2q", p), p, None, np.array([[fx[a], fz[a], fx[b], fz[b]]]))
+            # the channels are cached per layer: one object per channel
+            for ch in device.layer_twirl_channels(layer.gates):
+                p = float(ch.weights[1:].sum())  # the identity does not fire
+                if p > 0.0:
+                    add(("twirl", id(ch)), p, ch.weights[1:] / p, fz[list(ch.support)][None, :])
+            for g in layer.gates:
+                a, b = device.gates[g].pair
+                fx[a], fx[b] = fx[a] ^ fz[b], fx[b] ^ fz[a]
+        elif isinstance(layer, Unitary1qLayer):
+            raise ValueError("stabilizer backend cannot execute arbitrary 1q unitaries")
+        else:
+            raise TypeError(f"unknown layer type {type(layer)!r}")
+    return [(p, weights, np.concatenate(rows)) for p, weights, rows in groups.values()]
 
 
 def stab_run_counts(
@@ -379,64 +459,32 @@ def stab_run_counts(
 ) -> ShotCounts:
     """Sample k_s measurement outcomes of a sequence that closes to identity.
 
-    Noise is applied as sampled Pauli faults: per-qubit depolarizing after
-    single-qubit layers, per-gate depolarizing, and the exact Pauli twirl
-    of each coherent diagonal component of every gate layer.  Faults are
-    propagated through the remaining ideal Clifford layers, so the noiseless
-    outcome (all zeros) is flipped where the accumulated fault has an X
-    component.
+    Compile, then sample.  ``_compile_faults`` lists every noise location
+    (per-qubit depolarizing after single-qubit layers, per-gate
+    depolarizing, and the exact Pauli twirl of each coherent diagonal
+    component of every gate layer) with the readout flip of each of its
+    Paulis.  Each (location, shot) then fires independently with exactly its
+    probability; the firings of the locations that share a channel are
+    drawn as geometric gaps over their L * k_s trials.  A firing picks its
+    Pauli from the channel's conditional distribution, and a shot's outcome
+    (ideally all zeros) is the XOR of the flips of its faults.  Readout
+    error follows (``apply_readout_noise``).
     """
     n = seq.n
-    act = _conj_bits_table()
-    fx = np.zeros((k_s, n), dtype=np.uint8)
-    fz = np.zeros((k_s, n), dtype=np.uint8)
-    depol = device.single_qubit_depol
-    any_1q_noise = bool(np.any(depol < 1.0))
-
-    def add_1q_depol():
-        if not any_1q_noise:
-            return
-        mask = rng.random((k_s, n)) < (1.0 - depol)[None, :]
-        fx_new = mask & (rng.integers(0, 2, size=(k_s, n), dtype=np.uint8) > 0)
-        fz_new = mask & (rng.integers(0, 2, size=(k_s, n), dtype=np.uint8) > 0)
-        np.bitwise_xor(fx, fx_new.astype(np.uint8), out=fx)
-        np.bitwise_xor(fz, fz_new.astype(np.uint8), out=fz)
-
-    for layer in seq.layers:
-        if isinstance(layer, CliffordLayer):
-            codes = fx + 2 * fz
-            mapped = act[layer.layer.elements[None, :], codes]
-            fx[:] = mapped[:, :, 0]
-            fz[:] = mapped[:, :, 1]
-            add_1q_depol()
-        elif isinstance(layer, PauliLayer):
-            # conjugation by a Pauli leaves the fault bits unchanged
-            if device.pauli_layer_noise:
-                add_1q_depol()
-        elif isinstance(layer, GateLayer):
-            for g in layer.gates:
-                a, b = device.gates[g].pair
-                fz[:, a] ^= fx[:, b]
-                fz[:, b] ^= fx[:, a]
-            for g in layer.gates:
-                spec = device.gates[g]
-                p_eff = spec.effective_depol_p()
-                if p_eff < 1.0:
-                    mask = rng.random(k_s) >= p_eff
-                    for q in spec.pair:
-                        fx[:, q] ^= (mask & (rng.integers(0, 2, size=k_s, dtype=np.uint8) > 0)).astype(np.uint8)
-                        fz[:, q] ^= (mask & (rng.integers(0, 2, size=k_s, dtype=np.uint8) > 0)).astype(np.uint8)
-            for ch in device.layer_twirl_channels(layer.gates):
-                idx = ch.sample_masks(rng, k_s)
-                k = len(ch.support)
-                for i, q in enumerate(ch.support):
-                    fz[:, q] ^= ((idx >> (k - 1 - i)) & 1).astype(np.uint8)
-        elif isinstance(layer, Unitary1qLayer):
-            raise ValueError("stabilizer backend cannot execute arbitrary 1q unitaries")
+    groups = _compile_faults(seq, device)
+    frame = np.zeros(k_s, dtype=np.int64)
+    for p, weights, flips in groups:
+        n_loc, b = flips.shape
+        shot, loc = np.divmod(bernoulli_positions(rng, n_loc * k_s, p), n_loc)
+        if weights is None:
+            idx = rng.integers(0, 2**b, size=len(loc))
         else:
-            raise TypeError(f"unknown layer type {type(layer)!r}")
+            idx = rng.choice(len(weights), size=len(loc), p=weights) + 1
+        bits = (idx[:, None] >> np.arange(b - 1, -1, -1)) & 1
+        flip = np.bitwise_xor.reduce(np.where(bits, flips[loc], 0), axis=1)
+        np.bitwise_xor.at(frame, shot, flip)
 
-    outcomes = fx
+    outcomes = unpack_bits(frame, n)
     if np.any(device.readout_e0 > 0) or np.any(device.readout_e1 > 0):
         from .device import apply_readout_noise
 

@@ -167,10 +167,6 @@ class PauliChannel:
             w |= int(pauli.z[q]) << (k - 1 - pos)
         return float(self.weights[w])
 
-    def sample_masks(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Sample ``size`` Z-mask indices according to the weights."""
-        return rng.choice(len(self.weights), size=size, p=self.weights)
-
 
 def fwht(v: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis (in a copy).
@@ -251,17 +247,50 @@ def parametric_cz_unitary(spec: GateSpec) -> DiagonalUnitary:
     return DiagonalUnitary(tuple(spec.pair), diag)
 
 
+def bernoulli_positions(rng: np.random.Generator, n_trials: int, p: float) -> np.ndarray:
+    """Sorted indices of the successes among ``n_trials`` independent
+    Bernoulli(p) trials.
+
+    The gaps between successes are geometric, so the draw costs O(n_trials p)
+    instead of O(n_trials).  Gaps are drawn in chunks sized to cover the
+    expected count with a margin; a short chunk is followed by another.
+    """
+    if p <= 0.0 or n_trials == 0:
+        return np.zeros(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(n_trials, dtype=np.int64)
+    mean = n_trials * p
+    chunk = int(mean + 5.0 * np.sqrt(mean)) + 16
+    parts, last = [], -1
+    while last < n_trials:
+        pos = last + np.cumsum(rng.geometric(p, size=chunk))
+        parts.append(pos)
+        last = int(pos[-1])
+    pos = np.concatenate(parts)
+    return pos[: np.searchsorted(pos, n_trials)]
+
+
 def apply_readout_noise(bits: np.ndarray, e0: np.ndarray, e1: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Flip measured bits independently: 0->1 with e0, 1->0 with e1.
 
-    ``bits`` may be a single outcome (n,) or a batch (shots, n).
+    ``bits`` may be a single outcome (n,) or a batch (shots, n).  Flips are
+    drawn by thinning: candidates at rate max(e0, e1) per qubit (as geometric
+    gaps over the qubits that share a rate), each kept with probability
+    e0/max or e1/max according to its bit.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     squeeze = bits.ndim == 1
-    batch = np.atleast_2d(bits)
-    u = rng.random(batch.shape)
-    flip = np.where(batch == 0, u < e0, u < e1)
-    out = batch ^ flip.astype(np.uint8)
+    out = np.atleast_2d(bits).copy()
+    shots, n = out.shape
+    e0 = np.broadcast_to(np.asarray(e0, dtype=float), (n,))
+    e1 = np.broadcast_to(np.asarray(e1, dtype=float), (n,))
+    rate = np.maximum(e0, e1)
+    for r in np.unique(rate):
+        qubits = np.flatnonzero(rate == r)
+        shot, j = np.divmod(bernoulli_positions(rng, shots * len(qubits), float(r)), len(qubits))
+        q = qubits[j]
+        keep = rng.random(len(q)) * r < np.where(out[shot, q] == 0, e0[q], e1[q])
+        out[shot[keep], q[keep]] ^= 1
     return out[0] if squeeze else out
 
 

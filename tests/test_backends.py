@@ -263,6 +263,27 @@ def test_shot_timing_budget():
     assert elapsed / shots < 1e-3  # well under 1 ms per shot
 
 
+def register_device(n):
+    dev = DeviceModel(n_qubits=n, gates=(GateSpec(pair=(0, n - 1), depol_p=0.9),), single_qubit_depol=0.99)
+    return dev, CircuitSequence(n, (GateLayer((0,)), GateLayer((0,))))
+
+
+def test_stab_runs_a_62_qubit_register():
+    dev, seq = register_device(62)
+    counts = stab_run_counts(seq, dev, 500, np.random.default_rng(0))
+    assert counts.bits.shape[1] == 62 and counts.bits[:, [0, 61]].any()
+    assert not counts.bits[:, 1:61].any()  # faults only hit the gate's qubits
+
+
+def test_stab_register_above_62_qubits_raises_before_any_draw():
+    dev, seq = register_device(64)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ResourceLimitError, match="62 qubits"):
+        stab_run_counts(seq, dev, 500, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_dm_qubit_limit():
     dev = DeviceModel(n_qubits=13, gates=(GateSpec(pair=(0, 1)),))
     seq = CircuitSequence(13, (GateLayer((0,)), GateLayer((0,))))

@@ -114,6 +114,14 @@ DETERMINISM_CONFIGS = {
         "cycles": [2, 4],
         "n_chars": 5,
     },
+    # the 44-qubit stab sample path: sparse fault draws, readout thinning, parities
+    "cab_ring44_stab": {
+        "kind": "cab",
+        "device": "ring_44q",
+        "backend": "stab",
+        "cab": {"depths": [0, 2], "k_r": 3, "k_s": 1000, "mode": "sample", "k_q": 20},
+        "subsets": "singles",
+    },
     "fully_connected": {
         "kind": "fully_connected",
         "device": None,

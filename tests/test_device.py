@@ -13,6 +13,7 @@ from cabbench.device import (
     GateSpec,
     ResourceLimitError,
     apply_readout_noise,
+    bernoulli_positions,
     build_coupling_unitary,
     fwht,
     parametric_cz_unitary,
@@ -147,6 +148,43 @@ def test_readout_noise_rates_match_table_values():
     r1 = 1 - apply_readout_noise(ones, np.array([e0]), np.array([e1]), rng).mean()
     assert abs(r0 - e0) < 3 * np.sqrt(e0 * (1 - e0) / shots)
     assert abs(r1 - e1) < 3 * np.sqrt(e1 * (1 - e1) / shots)
+
+
+def test_bernoulli_positions_fire_each_trial_with_its_probability():
+    rng = np.random.default_rng(4)
+    n_trials, p, reps = 40, 0.25, 4000
+    hits = np.zeros(n_trials)
+    totals = []
+    for _ in range(reps):
+        pos = bernoulli_positions(rng, n_trials, p)
+        assert np.all(np.diff(pos) > 0) and np.all((pos >= 0) & (pos < n_trials))
+        hits[pos] += 1
+        totals.append(len(pos))
+    # every trial, the first and last included, fires at rate p; counts are binomial
+    assert np.all(np.abs(hits / reps - p) < 5 * np.sqrt(p * (1 - p) / reps))
+    assert np.var(totals) == pytest.approx(n_trials * p * (1 - p), rel=0.1)
+    assert np.array_equal(bernoulli_positions(rng, 7, 1.0), np.arange(7))
+    assert len(bernoulli_positions(rng, 7, 0.0)) == 0 and len(bernoulli_positions(rng, 0, 0.5)) == 0
+
+
+def test_readout_noise_per_qubit_asymmetric_rates():
+    # candidates at max(e0, e1) per qubit, thinned by bit: every qubit keeps
+    # its own 0->1 and 1->0 rate, including the rates 0 and 1
+    e0 = np.array([0.01, 0.2, 0.0, 0.5, 0.03, 1.0])
+    e1 = np.array([0.3, 0.05, 0.1, 0.5, 0.03, 0.0])
+    rng = np.random.default_rng(8)
+    shots = 40_000
+    bits = rng.integers(0, 2, size=(shots, 6), dtype=np.uint8)
+    out = apply_readout_noise(bits, e0, e1, rng)
+    flipped = out != bits
+    for q in range(6):
+        for bit, rate in ((0, e0[q]), (1, e1[q])):
+            sel = bits[:, q] == bit
+            observed = flipped[sel, q].mean()
+            se = np.sqrt(rate * (1 - rate) / sel.sum())
+            assert abs(observed - rate) <= 5 * se, (q, bit, observed, rate)
+    # a single outcome stays a single outcome
+    assert apply_readout_noise(np.array([0, 1, 0, 1, 0, 0], dtype=np.uint8), e0, e1, rng).shape == (6,)
 
 
 def test_device_roundtrip(tmp_path):
