@@ -60,21 +60,6 @@ class CircuitSequence:
     n: int
     layers: tuple[Layer, ...]
 
-    def net_tableau(self, device: DeviceModel) -> CliffordTableau:
-        net = CliffordTableau.identity(self.n)
-        for layer in self.layers:
-            if isinstance(layer, Unitary1qLayer):
-                raise ValueError("net tableau undefined for non-Clifford layers")
-            if isinstance(layer, GateLayer):
-                t = layer.tableau_for(device, self.n)
-            else:
-                t = layer.tableau(self.n)
-            net = t.compose(net)
-        return net
-
-    def closes_to_identity(self, device: DeviceModel) -> bool:
-        return self.net_tableau(device).is_identity()
-
 
 @dataclass(frozen=True)
 class GateBlock:

@@ -487,13 +487,19 @@ def _run_order_stats(cfg: ExperimentConfig, out: Path) -> dict:
     n_list = cfg.extra.get("n_list", [4, 6, 8, 10, 12])
     samples = int(cfg.extra.get("samples", 100))
     cap = int(cfg.extra.get("cap", 100_000))
+    bad_n = [n for n in n_list if int(n) % 2 or int(n) < 4]
+    if bad_n:
+        raise ConfigError(f"order_stats n_list entries must be even and >= 4, got {bad_n}")
+    if samples < 1 or cap < 1:
+        raise ConfigError(f"order_stats needs samples >= 1 and cap >= 1, got {samples} and {cap}")
     rng = np.random.default_rng([cfg.seed, 9])
     rows = []
     medians = {}
     for n in n_list:
         orders = gate_order_samples(int(n), samples, rng, cap=cap)
         finite = [o for o in orders if o is not None]
-        medians[str(n)] = float(np.median(finite)) if finite else float("nan")
+        # null when every draw exceeds the cap: JSON has no NaN
+        medians[str(n)] = float(np.median(finite)) if finite else None
         for i, o in enumerate(orders):
             rows.append((n, i, o if o is not None else -1))
     _write_csv(out / "orders.csv", ["n", "sample", "order"], rows)

@@ -69,8 +69,6 @@ def ring_fully_connected(n: int, rng: np.random.Generator, **device_kw) -> tuple
 
 def gate_order_samples(n: int, samples: int, rng: np.random.Generator, cap: int = 100_000) -> list[int | None]:
     """Orders of the fully connected gate over random local-layer draws."""
-    out = []
-    for _ in range(samples):
-        block, _dev = ring_fully_connected(n, rng)
-        out.append(gate_order(block.tableau, cap=cap))
-    return out
+    dev = ring_device(n)
+    a_gates, b_gates = tuple(range(n // 2)), tuple(range(n // 2, n))
+    return [gate_order(fully_connected_gate(dev, a_gates, b_gates, rng).tableau, cap=cap) for _ in range(samples)]

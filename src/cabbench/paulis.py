@@ -76,11 +76,6 @@ class PauliString:
         z = np.array([b[1] for b in bits], dtype=np.uint8)
         return PauliString(len(label), x, z, phase_exp % 4)
 
-    def to_label(self) -> str:
-        letters = "IXZY"
-        body = "".join(letters[int(xb) + 2 * int(zb)] for xb, zb in zip(self.x, self.z))
-        return ("", "i", "-", "-i")[self.phase_exp] + body
-
     @property
     def weight(self) -> int:
         return int(np.count_nonzero(self.x | self.z))
@@ -92,12 +87,6 @@ class PauliString:
     def is_identity(self, up_to_phase: bool = False) -> bool:
         trivial = not np.any(self.x) and not np.any(self.z)
         return trivial and (up_to_phase or self.phase_exp == 0)
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        if self.n != other.n:
-            raise DimensionError(f"size mismatch: {self.n} != {other.n}")
-        sym = np.sum(self.x & other.z) + np.sum(self.z & other.x)
-        return int(sym) % 2 == 0
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         return pauli_multiply(self, other)
@@ -262,10 +251,6 @@ class SingleQubitCliffords:
             if tuple(self.action[e, 2]) == (x, z, 0):
                 return e
         raise ValueError("no Clifford maps Z to the requested letter")
-
-    def element_from_images(self, x_image: tuple[int, int, int], z_image: tuple[int, int, int]) -> int:
-        """Index of the element with the given signed (x, z, sign) images."""
-        return self._key_to_index[(*x_image[:2], x_image[2], *z_image[:2], z_image[2])]
 
 
 @lru_cache(maxsize=1)

@@ -1,20 +1,25 @@
-"""Clifford tableaus: conjugation of Paulis, composition, inversion, order.
+"""Clifford tableaus: composition, order, and closing Paulis in GF(2).
 
 A tableau stores the images of the 2n generators X_0..X_{n-1}, Z_0..Z_{n-1}
 under conjugation by a Clifford unitary, as sign-tracked Pauli strings.
 Global phase is not representable, so identity and order comparisons are
 modulo global phase by construction (generator signs are still tracked,
 e.g. the phase gate S has order 4, not 2).
+
+Composition and order work on whole bit matrices (Dehaene & De Moor,
+PRA 68, 042318; Aaronson & Gottesman, quant-ph/0406196): the bits of a
+product are a GF(2) matrix product, its signs a quadratic form over the
+same bits, and the order is read off the 2n x 2n symplectic matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .paulis import (
-    _MUL_PHASE,
     DimensionError,
     LocalCliffordLayer,
     PauliString,
@@ -24,6 +29,14 @@ from .paulis import (
 
 class NonCliffordError(ValueError):
     """The supplied generator images do not form a valid Clifford tableau."""
+
+
+@cache
+def _strict_upper(d: int) -> np.ndarray:
+    """2 above the diagonal, 0 on and below it (float64, read-only)."""
+    out = np.triu(np.full((d, d), 2.0), 1)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -49,142 +62,68 @@ class CliffordTableau:
 
     @staticmethod
     def from_local_layer(layer: LocalCliffordLayer) -> "CliffordTableau":
-        table = single_qubit_cliffords()
         n = layer.n
-        t = CliffordTableau.identity(n)
-        xb, zb, sg = t.xbits.copy(), t.zbits.copy(), t.signs.copy()
-        act = table.action[layer.elements]  # (n, 4, 3)
-        for q in range(n):
-            ax = act[q, 1]  # image of X
-            az = act[q, 2]  # image of Z
-            xb[q, q], zb[q, q], sg[q] = ax[0], ax[1], ax[2]
-            xb[n + q, q], zb[n + q, q], sg[n + q] = az[0], az[1], az[2]
-        return CliffordTableau(n, xb, zb, sg)
+        act = single_qubit_cliffords().action[layer.elements]  # (n, 4, 3)
+        q = np.arange(n)
+        xb = np.zeros((2 * n, n), dtype=np.uint8)
+        zb = np.zeros((2 * n, n), dtype=np.uint8)
+        # rows q and n + q hold the images of X_q (act[:, 1]) and Z_q (act[:, 2])
+        xb[q, q], zb[q, q] = act[:, 1, 0], act[:, 1, 1]
+        xb[n + q, q], zb[n + q, q] = act[:, 2, 0], act[:, 2, 1]
+        return CliffordTableau(n, xb, zb, np.concatenate([act[:, 1, 2], act[:, 2, 2]]))
 
     @staticmethod
     def from_cz_layer(n: int, pairs) -> "CliffordTableau":
         """Parallel CZ gates on disjoint qubit pairs."""
         t = CliffordTableau.identity(n)
-        xb, zb, sg = t.xbits, t.zbits.copy(), t.signs
-        seen = set()
-        for a, b in pairs:
-            if a in seen or b in seen or a == b:
-                raise ValueError("CZ pairs within a layer must be disjoint")
-            seen.update((a, b))
-            # CZ: X_a -> X_a Z_b, X_b -> X_b Z_a, Z unchanged.
-            zb[a, b] ^= 1
-            zb[b, a] ^= 1
-        return CliffordTableau(n, xb, zb, sg)
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        if len(np.unique(pairs)) != pairs.size:
+            raise ValueError("CZ pairs within a layer must be disjoint")
+        zb = t.zbits
+        # CZ: X_a -> X_a Z_b, X_b -> X_b Z_a, Z unchanged.
+        zb[pairs[:, 0], pairs[:, 1]] = 1
+        zb[pairs[:, 1], pairs[:, 0]] = 1
+        return t
 
     @staticmethod
     def from_pauli_conjugation(p: PauliString) -> "CliffordTableau":
         """Tableau of conjugation by a Pauli: identity bits, sign flips."""
-        n = p.n
-        t = CliffordTableau.identity(n)
-        sg = t.signs.copy()
+        t = CliffordTableau.identity(p.n)
         # X_i anticommutes with P iff P has a Z component on i, etc.
-        sg[:n] = p.z
-        sg[n:] = p.x
-        return CliffordTableau(n, t.xbits, t.zbits, sg)
-
-    # -- single-gate builders, mainly for tests and enumeration ------------
-
-    @staticmethod
-    def hadamard(n: int, q: int) -> "CliffordTableau":
-        layer = LocalCliffordLayer.identity(n)
-        table = single_qubit_cliffords()
-        e = table.find_z_preparation(1, 0)  # maps Z -> +X; H also maps X -> +Z
-        elements = layer.elements.copy()
-        elements[q] = e
-        return CliffordTableau.from_local_layer(LocalCliffordLayer(n, elements))
-
-    @staticmethod
-    def phase_gate(n: int, q: int) -> "CliffordTableau":
-        table = single_qubit_cliffords()
-        # S maps X -> +Y, Z -> +Z.
-        e = table.element_from_images((1, 1, 0), (0, 1, 0))
-        elements = LocalCliffordLayer.identity(n).elements.copy()
-        elements[q] = e
-        return CliffordTableau.from_local_layer(LocalCliffordLayer(n, elements))
-
-    @staticmethod
-    def cz(n: int, a: int, b: int) -> "CliffordTableau":
-        return CliffordTableau.from_cz_layer(n, [(a, b)])
-
-    # -- core operations ----------------------------------------------------
-
-    def x_image(self, i: int) -> PauliString:
-        return PauliString(self.n, self.xbits[i].copy(), self.zbits[i].copy(), int(self.signs[i]) * 2)
-
-    def z_image(self, i: int) -> PauliString:
-        r = self.n + i
-        return PauliString(self.n, self.xbits[r].copy(), self.zbits[r].copy(), int(self.signs[r]) * 2)
-
-    def conjugate(self, p: PauliString) -> PauliString:
-        """Return T p T^dagger with the sign tracked exactly."""
-        if p.n != self.n:
-            raise DimensionError(f"size mismatch: {p.n} != {self.n}")
-        n = self.n
-        # p = i**(phase + y_count) * prod_q X_q^{x_q} Z_q^{z_q}
-        phase = (p.phase_exp + int(np.sum(p.x & p.z))) % 4
-        sel = np.concatenate([p.x, p.z]).astype(bool)
-        rows = np.flatnonzero(sel)
-        # Reorder so that for each qubit q the X_q row precedes the Z_q row,
-        # matching the decomposition order above.
-        order = np.argsort([r % n * 2 + r // n for r in rows], kind="stable")
-        rows = rows[order]
-        ax = np.zeros(n, dtype=np.uint8)
-        az = np.zeros(n, dtype=np.uint8)
-        for r in rows:
-            rx, rz = self.xbits[r], self.zbits[r]
-            idx = (ax.astype(np.int64) << 3) | (az.astype(np.int64) << 2) | (rx.astype(np.int64) << 1) | rz.astype(np.int64)
-            phase = (phase + 2 * int(self.signs[r]) + int(_MUL_PHASE[idx].sum())) % 4
-            ax ^= rx
-            az ^= rz
-        if (phase - p.phase_exp) % 2 != 0:
-            raise NonCliffordError("conjugation changed the phase parity")
-        return PauliString(n, ax, az, phase)
+        return CliffordTableau(p.n, t.xbits, t.zbits, np.concatenate([p.z, p.x]).astype(np.uint8))
 
     def compose(self, before: "CliffordTableau") -> "CliffordTableau":
         """Tableau of 'apply ``before``, then ``self``'.
 
-        Every generator image of ``before`` is conjugated through ``self``,
-        vectorized across all 2n output rows: the per-qubit X and Z rows of
-        ``self`` are multiplied in, in qubit order, with exact phase
-        bookkeeping.
+        Row i of ``before`` is i^(2 s_i + |x_i & z_i|) prod_r G_r^sel[i, r]
+        over the generators G_r in the order X_0..X_{n-1}, Z_0..Z_{n-1}
+        (exact, since X_q and Z_p commute for p != q), with sel = [x | z].
+        Each G_r maps to self's row r, i^(2 t_r + |a_r & c_r|) X^a_r Z^c_r.
+        Their ordered product is X^(sel a) Z^(sel c) times
+        (-1)^(sum_{r < r'} sel_r sel_r' c_r . a_r'), and turning X^x Z^z
+        back into a signed Pauli costs i^-|x & z|.  The sums are small
+        integers, exact in float64, which lets the products use BLAS.
         """
         if before.n != self.n:
             raise DimensionError(f"size mismatch: {before.n} != {self.n}")
         n = self.n
-        # each output row starts as i^(2 sign + y_count) * prod X^x Z^z
+        sel = np.concatenate([before.xbits, before.zbits], axis=1, dtype=np.float64)
+        m = np.concatenate([self.xbits, self.zbits], axis=1, dtype=np.float64)
+        a, c = m[:, :n], m[:, n:]
+        # sel_i w sel_i = sum_r sel_ir (2 t_r + |a_r & c_r|) + 2 sum_{r < r'} sel_ir sel_ir' c_r . a_r'
+        w = (c @ a.T) * _strict_upper(2 * n)
+        w.flat[:: 2 * n + 1] = 2 * self.signs + np.einsum("ij,ij->i", a, c)
+        bits = (sel @ m).astype(np.int64) & 1
+        ax, az = bits[:, :n], bits[:, n:]
         phases = (
-            2 * before.signs.astype(np.int64)
-            + np.sum(before.xbits & before.zbits, axis=1, dtype=np.int64)
-        )
-        sx = self.xbits.astype(np.int64)
-        sz = self.zbits.astype(np.int64)
-        ssigns = 2 * self.signs.astype(np.int64)
-        acc_x = np.zeros((2 * n, n), dtype=np.int64)
-        acc_z = np.zeros((2 * n, n), dtype=np.int64)
-        for q in range(n):
-            for row_idx, sel in ((q, before.xbits[:, q]), (n + q, before.zbits[:, q])):
-                mask = sel.astype(bool)
-                if not np.any(mask):
-                    continue
-                rx = sx[row_idx]
-                rz = sz[row_idx]
-                ax = acc_x[mask]
-                az = acc_z[mask]
-                idx = (ax << 3) | (az << 2) | (rx << 1) | rz
-                phases[mask] += _MUL_PHASE[idx].sum(axis=1) + ssigns[row_idx]
-                acc_x[mask] = ax ^ rx
-                acc_z[mask] = az ^ rz
+            2 * before.signs
+            + np.einsum("ij,ij->i", sel[:, :n], sel[:, n:])
+            + np.einsum("ij,ij->i", sel @ w, sel)
+        ).astype(np.int64) - np.einsum("ij,ij->i", ax, az)
         phases %= 4
-        if np.any(phases & 1):
+        if (phases & 1).any():
             raise NonCliffordError("composition changed a phase parity")
-        return CliffordTableau(
-            n, acc_x.astype(np.uint8), acc_z.astype(np.uint8), (phases // 2).astype(np.uint8)
-        )
+        return CliffordTableau(n, ax.astype(np.uint8), az.astype(np.uint8), (phases >> 1).astype(np.uint8))
 
     def _symplectic(self) -> tuple[np.ndarray, np.ndarray]:
         """The 2n x 2n bit matrix M (row r = generator image r as [x | z]) and J.
@@ -199,33 +138,13 @@ class CliffordTableau:
         j[n:, :n] = np.eye(n, dtype=np.int64)
         return m, j
 
-    def symplectic_ok(self) -> bool:
-        """Check the generator images' commutation pattern."""
-        m, j = self._symplectic()
-        return np.array_equal((m @ j @ m.T) % 2, j)
-
-    def inverse(self) -> "CliffordTableau":
-        n = self.n
-        m, j = self._symplectic()
-        if not np.array_equal((m @ j @ m.T) % 2, j):
-            raise NonCliffordError("tableau bits are not symplectic")
-        minv = (j @ m.T @ j) % 2
-        xb = minv[:, :n].astype(np.uint8)
-        zb = minv[:, n:].astype(np.uint8)
-        sg = np.zeros(2 * n, dtype=np.uint8)
-        # Fix signs so that conjugating each candidate through self returns
-        # the corresponding +X_i / +Z_i generator.
-        for r in range(2 * n):
-            img = self.conjugate(PauliString(n, xb[r].copy(), zb[r].copy(), 0))
-            sg[r] = img.phase_exp // 2
-        return CliffordTableau(n, xb, zb, sg)
-
     def is_identity(self) -> bool:
-        ident = CliffordTableau.identity(self.n)
+        # n ones in each bit block, all on the diagonal of its generator rows
+        n = self.n
         return (
-            np.array_equal(self.xbits, ident.xbits)
-            and np.array_equal(self.zbits, ident.zbits)
-            and not np.any(self.signs)
+            not self.signs.any()
+            and np.count_nonzero(self.xbits) == n == np.count_nonzero(self.zbits)
+            and self.xbits[:n].trace() == n == self.zbits[n:].trace()
         )
 
     def __eq__(self, other) -> bool:
@@ -242,23 +161,39 @@ class CliffordTableau:
         return hash((self.n, self.xbits.tobytes(), self.zbits.tobytes(), self.signs.tobytes()))
 
 
+def _power(t: CliffordTableau, k: int) -> CliffordTableau:
+    """t^k for k >= 1 by repeated squaring."""
+    acc = None
+    while True:
+        if k & 1:
+            acc = t if acc is None else t.compose(acc)
+        k >>= 1
+        if not k:
+            return acc
+        t = t.compose(t)
+
+
 def gate_order(t: CliffordTableau, cap: int = 10**6) -> int | None:
     """Smallest p <= cap with t^p equal to the identity tableau.
 
     Comparisons are at the tableau level, hence modulo global phase.
-    Returns None when the cap is exceeded.  Plain repeated composition;
-    orders encountered in practice are far below the default cap.
+    Returns None when the cap is exceeded.  The order k of t's symplectic
+    matrix M comes from iterating M in GF(2).  t^k then fixes every Pauli
+    up to sign, so it is a Pauli conjugation and squares to the identity:
+    the order is k when t^k (by repeated squaring) has no sign, else 2k.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    acc = t
-    for p in range(1, cap + 1):
-        if acc.is_identity():
-            return p
-        if p == cap:
-            break
-        acc = t.compose(acc)
-    return None
+    m = t._symplectic()[0]
+    eye = np.eye(2 * t.n, dtype=np.int64)
+    acc, k = m, 1
+    while not np.array_equal(acc, eye):
+        if k >= cap:
+            return None
+        acc = acc @ m & 1
+        k += 1
+    order = k if _power(t, k).is_identity() else 2 * k
+    return order if order <= cap else None
 
 
 def compile_inverse_pauli(u: CliffordTableau, pauli_layers: list[PauliString], m: int) -> PauliString:

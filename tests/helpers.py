@@ -1,10 +1,16 @@
-"""Dense-matrix reference implementations used as test oracles.
+"""Reference implementations and test-only builders used as test oracles.
 
-Everything here is deliberately independent of the package internals:
-plain kron products and explicit channel evaluations.
+The dense-matrix helpers are deliberately independent of the package
+internals: plain kron products and explicit channel evaluations.  The
+tableau helpers (single-gate builders, conjugation, inversion and the
+qubit-by-qubit ``compose_loop``) work on ``CliffordTableau`` bits, one
+generator at a time, with the Pauli multiplication table.
 """
 
 import numpy as np
+
+from cabbench.paulis import _MUL_PHASE, LocalCliffordLayer, PauliString, single_qubit_cliffords
+from cabbench.tableau import CliffordTableau, NonCliffordError
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -222,3 +228,136 @@ def restricted_channel(channel, n: int, subset_qubits: tuple[int, ...]):
         return np.einsum("...arbr->...ab", t)
 
     return apply
+
+
+# -- Clifford tableaus, one generator at a time --------------------------------
+
+
+def _single_qubit_tableau(n: int, q: int, element: int) -> CliffordTableau:
+    elements = LocalCliffordLayer.identity(n).elements.copy()
+    elements[q] = element
+    return CliffordTableau.from_local_layer(LocalCliffordLayer(n, elements))
+
+
+def hadamard(n: int, q: int) -> CliffordTableau:
+    # maps Z -> +X; H also maps X -> +Z
+    return _single_qubit_tableau(n, q, single_qubit_cliffords().find_z_preparation(1, 0))
+
+
+def phase_gate(n: int, q: int) -> CliffordTableau:
+    # S maps X -> +Y, Z -> +Z: (x, z, sign) images (1, 1, 0) and (0, 1, 0)
+    action = single_qubit_cliffords().action
+    s = next(e for e in range(24) if action[e, 1].tolist() == [1, 1, 0] and action[e, 2].tolist() == [0, 1, 0])
+    return _single_qubit_tableau(n, q, s)
+
+
+def cz(n: int, a: int, b: int) -> CliffordTableau:
+    return CliffordTableau.from_cz_layer(n, [(a, b)])
+
+
+def to_label(p: PauliString) -> str:
+    body = "".join("IXZY"[int(xb) + 2 * int(zb)] for xb, zb in zip(p.x, p.z))
+    return ("", "i", "-", "-i")[p.phase_exp] + body
+
+
+def commutes_with(p: PauliString, q: PauliString) -> bool:
+    assert p.n == q.n
+    return int(np.sum(p.x & q.z) + np.sum(p.z & q.x)) % 2 == 0
+
+
+def x_image(t: CliffordTableau, i: int) -> PauliString:
+    return PauliString(t.n, t.xbits[i].copy(), t.zbits[i].copy(), int(t.signs[i]) * 2)
+
+
+def z_image(t: CliffordTableau, i: int) -> PauliString:
+    return x_image(t, t.n + i)
+
+
+def conjugate(t: CliffordTableau, p: PauliString) -> PauliString:
+    """T p T^dagger with the sign tracked exactly, one generator row at a time."""
+    n = t.n
+    assert p.n == n
+    # p = i**(phase + y_count) * prod_q X_q^{x_q} Z_q^{z_q}
+    phase = (p.phase_exp + int(np.sum(p.x & p.z))) % 4
+    rows = np.flatnonzero(np.concatenate([p.x, p.z]))
+    # for each qubit q the X_q row precedes the Z_q row, as in the product above
+    rows = rows[np.argsort([r % n * 2 + r // n for r in rows], kind="stable")]
+    ax = np.zeros(n, dtype=np.uint8)
+    az = np.zeros(n, dtype=np.uint8)
+    for r in rows:
+        rx, rz = t.xbits[r], t.zbits[r]
+        idx = (ax.astype(np.int64) << 3) | (az.astype(np.int64) << 2) | (rx.astype(np.int64) << 1) | rz.astype(np.int64)
+        phase = (phase + 2 * int(t.signs[r]) + int(_MUL_PHASE[idx].sum())) % 4
+        ax ^= rx
+        az ^= rz
+    if (phase - p.phase_exp) % 2 != 0:
+        raise NonCliffordError("conjugation changed the phase parity")
+    return PauliString(n, ax, az, phase)
+
+
+def symplectic_ok(t: CliffordTableau) -> bool:
+    """Check the generator images' commutation pattern."""
+    m, j = t._symplectic()
+    return np.array_equal((m @ j @ m.T) % 2, j)
+
+
+def inverse(t: CliffordTableau) -> CliffordTableau:
+    n = t.n
+    m, j = t._symplectic()
+    if not np.array_equal((m @ j @ m.T) % 2, j):
+        raise NonCliffordError("tableau bits are not symplectic")
+    minv = (j @ m.T @ j) % 2
+    xb = minv[:, :n].astype(np.uint8)
+    zb = minv[:, n:].astype(np.uint8)
+    # signs such that conjugating each candidate through t gives +X_i / +Z_i
+    sg = np.array([conjugate(t, PauliString(n, xb[r].copy(), zb[r].copy(), 0)).phase_exp // 2 for r in range(2 * n)], dtype=np.uint8)
+    return CliffordTableau(n, xb, zb, sg)
+
+
+def compose_loop(after: CliffordTableau, before: CliffordTableau) -> CliffordTableau:
+    """Reference for ``after.compose(before)``: every row of ``before``
+    conjugated through ``after``, multiplying in the X and Z rows of
+    ``after`` qubit by qubit with the Pauli multiplication table."""
+    assert before.n == after.n
+    n = after.n
+    # each output row starts as i^(2 sign + y_count) * prod X^x Z^z
+    phases = 2 * before.signs.astype(np.int64) + np.sum(before.xbits & before.zbits, axis=1, dtype=np.int64)
+    sx = after.xbits.astype(np.int64)
+    sz = after.zbits.astype(np.int64)
+    ssigns = 2 * after.signs.astype(np.int64)
+    acc_x = np.zeros((2 * n, n), dtype=np.int64)
+    acc_z = np.zeros((2 * n, n), dtype=np.int64)
+    for q in range(n):
+        for row_idx, sel in ((q, before.xbits[:, q]), (n + q, before.zbits[:, q])):
+            mask = sel.astype(bool)
+            if not np.any(mask):
+                continue
+            rx = sx[row_idx]
+            rz = sz[row_idx]
+            ax = acc_x[mask]
+            az = acc_z[mask]
+            idx = (ax << 3) | (az << 2) | (rx << 1) | rz
+            phases[mask] += _MUL_PHASE[idx].sum(axis=1) + ssigns[row_idx]
+            acc_x[mask] = ax ^ rx
+            acc_z[mask] = az ^ rz
+    phases %= 4
+    if np.any(phases & 1):
+        raise NonCliffordError("composition changed a phase parity")
+    return CliffordTableau(n, acc_x.astype(np.uint8), acc_z.astype(np.uint8), (phases // 2).astype(np.uint8))
+
+
+def net_tableau(seq, device) -> CliffordTableau:
+    """Tableau of a whole Clifford sequence, composed layer by layer."""
+    from cabbench.circuits import GateLayer, Unitary1qLayer
+
+    net = CliffordTableau.identity(seq.n)
+    for layer in seq.layers:
+        if isinstance(layer, Unitary1qLayer):
+            raise ValueError("net tableau undefined for non-Clifford layers")
+        t = layer.tableau_for(device, seq.n) if isinstance(layer, GateLayer) else layer.tableau(seq.n)
+        net = t.compose(net)
+    return net
+
+
+def closes_to_identity(seq, device) -> bool:
+    return net_tableau(seq, device).is_identity()

@@ -20,6 +20,7 @@ from cabbench.paulis import LocalCliffordLayer, PauliString, sample_local_cliffo
 from cabbench.tableau import compile_inverse_pauli
 
 from helpers import (
+    closes_to_identity,
     dense_dm_reference,
     depolarizing_channel,
     exact_survival,
@@ -67,7 +68,7 @@ def test_dm_noiseless_closure():
             CliffordLayer(c.inverse()),
         ),
     )
-    assert seq.closes_to_identity(dev)
+    assert closes_to_identity(seq, dev)
     probs = dm_run(seq, dev)
     assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -177,7 +178,7 @@ def test_stab_matches_dm_twirled_model():
             CliffordLayer(c.inverse()),
         ),
     )
-    assert seq.closes_to_identity(dev)
+    assert closes_to_identity(seq, dev)
     probs = dm_run(seq, dev, twirl_coupling=True)
     shots = 100_000
     counts = stab_run_counts(seq, dev, shots, np.random.default_rng(99))

@@ -22,6 +22,8 @@ from cabbench.circuits import CircuitSequence, CliffordLayer, GateBlock, PauliLa
 from cabbench.device import ControlPhases, CouplingMap, DeviceModel, GateSpec
 from cabbench.paulis import PauliString
 
+from helpers import closes_to_identity
+
 
 def plain_device(n=4, p=1.0, gamma=0.0, **kw):
     gates = tuple(GateSpec(pair=(2 * i, 2 * i + 1), depol_p=p) for i in range(n // 2))
@@ -41,7 +43,7 @@ def test_sequence_depth_zero_structure():
     assert isinstance(seq.layers[1], PauliLayer) and seq.layers[1].closing
     assert seq.layers[1].pauli.is_identity(up_to_phase=True)
     assert isinstance(seq.layers[2], CliffordLayer)
-    assert seq.closes_to_identity(dev)
+    assert closes_to_identity(seq, dev)
 
 
 def test_sequence_depth_one_layer_order():
@@ -58,7 +60,7 @@ def test_sequence_depth_one_layer_order():
         "PauliLayer",
         "CliffordLayer",
     ]
-    assert seq.closes_to_identity(dev)
+    assert closes_to_identity(seq, dev)
 
 
 def test_sequence_closure_random():
@@ -66,7 +68,7 @@ def test_sequence_closure_random():
     block = GateBlock.parallel_cz(dev, (0, 1))
     for seed in range(8):
         seq = build_cab_sequence(block, 2, np.random.default_rng(seed))
-        assert seq.closes_to_identity(dev)
+        assert closes_to_identity(seq, dev)
 
 
 # -- observable sampling ------------------------------------------------------

@@ -18,6 +18,8 @@ from cabbench.experiments import fully_connected_gate, ring_device
 from cabbench.paulis import sample_random_pauli
 from cabbench.tableau import gate_order
 
+from helpers import closes_to_identity, phase_gate
+
 
 def cz_device(p=1.0, control=None, **kw):
     return DeviceModel(
@@ -54,12 +56,9 @@ def test_cb_rejects_bad_cycle_counts():
 
 
 def test_cb_rejects_large_order():
-    from cabbench.paulis import LocalCliffordLayer
-    from cabbench.tableau import CliffordTableau
-
     dev = cz_device()
     # phase gate has order 4 > the cap we pass
-    t = CliffordTableau.phase_gate(2, 0)
+    t = phase_gate(2, 0)
     block = GateBlock(
         name="s0", n=2, tableau=t, layers=(), inverse_layers=()
     )
@@ -83,7 +82,7 @@ def test_cb_sequence_closes_to_identity(n):
         for cycles in (order, 2 * order):
             for _ in range(3):
                 seq = build_cb_sequence(block, sample_random_pauli(n, rng), cycles, order, rng)
-                assert seq.closes_to_identity(dev)
+                assert closes_to_identity(seq, dev)
 
 
 def test_cb_rejects_single_sequence_per_character():

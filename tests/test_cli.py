@@ -17,6 +17,8 @@ from cabbench.cli import (
 )
 from cabbench.experiments import gate_order_samples, ring_cz_patterns, ring_device, fully_connected_gate
 
+from helpers import closes_to_identity, symplectic_ok
+
 
 def small_cab_config(tmp_path, **over):
     doc = {
@@ -152,6 +154,7 @@ DETERMINISM_CONFIGS = {
         "cab": {"k_r": 4, "k_s": 200},
         "optimize": {"target": "local", "iterations": 12, "window": [0, 12]},
     },
+    "order_stats": {"kind": "order_stats", "n_list": [4, 6], "samples": 10},
     # calibrate writes exact dm probabilities, so a table shared between
     # runs and written into by the first would change the second's bytes
     "calibrate": {
@@ -229,8 +232,23 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("cab", {"backend": "gpu"}),
         ("cb", {"cab": {"k_r": 10, "k_s": 100}, "cycles": [3, 5], "n_chars": 5}),
         ("optimize", {"optimize": {"target": "best", "iterations": 2, "window": [0, 2]}}),
+        ("order_stats", {"n_list": [4, 5], "samples": 3}),
+        ("order_stats", {"n_list": [2], "samples": 3}),
+        ("order_stats", {"n_list": [4], "samples": 0}),
+        ("order_stats", {"n_list": [4], "samples": 3, "cap": 0}),
     ],
-    ids=["k_r", "subsets", "cb_group", "backend", "cb_cycles", "optimize_target"],
+    ids=[
+        "k_r",
+        "subsets",
+        "cb_group",
+        "backend",
+        "cb_cycles",
+        "optimize_target",
+        "order_odd_n",
+        "order_small_n",
+        "order_samples",
+        "order_cap",
+    ],
 )
 def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys):
     path = small_cab_config(tmp_path, kind=kind, **over)
@@ -286,11 +304,11 @@ def test_fully_connected_block_is_clifford_and_invertible():
     rng = np.random.default_rng(2)
     dev = ring_device(6)
     block = fully_connected_gate(dev, (0, 1, 2), (3, 4, 5), rng)
-    assert block.tableau.symplectic_ok()
+    assert symplectic_ok(block.tableau)
     from cabbench.cab import CabConfig, build_cab_sequence
 
     seq = build_cab_sequence(block, 1, rng)
-    assert seq.closes_to_identity(dev)
+    assert closes_to_identity(seq, dev)
 
 
 def test_order_medians_increase_with_n():
@@ -300,3 +318,37 @@ def test_order_medians_increase_with_n():
         orders = gate_order_samples(n, 30, rng, cap=20_000)
         medians.append(np.median([o for o in orders if o is not None]))
     assert medians[1] > medians[0]
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} in result.json")
+
+
+def test_order_stats_all_capped_median_is_null(tmp_path):
+    # no 4-qubit fully connected gate of these draws has order <= 2
+    path = small_cab_config(tmp_path, kind="order_stats", n_list=[4], samples=5, cap=2)
+    assert main(["order_stats", "--config", str(path)]) == 0
+    doc = json.loads((tmp_path / "out" / "result.json").read_text(), parse_constant=_reject_constant)
+    assert doc["medians"] == {"4": None}
+    rows = (tmp_path / "out" / "orders.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[2] for r in rows] == ["-1"] * 5
+
+
+# orders.csv of n_list [4, 6, 8], 20 samples, seed 3, as written by the
+# composition-loop gate_order that the GF(2) order replaced
+PINNED_ORDERS = {
+    4: [30, 36, 17, 20, 12, 24, 15, 12, 17, 18, 24, 14, 36, 12, 17, 10, 6, 18, 30, 12],
+    6: [30, 30, 24, 48, 60, 66, 30, 40, 65, 40, 124, 14, 48, 12, 60, 140, 28, 6, 28, 90],
+    8: [260, 306, 42, 204, 210, 18, 360, 28, 24, 36, 180, 86, 68, 120, 144, 24, 30, 60, 204, 30],
+}
+
+
+def test_order_stats_orders_are_pinned(tmp_path):
+    path = small_cab_config(tmp_path, kind="order_stats", n_list=[4, 6, 8], samples=20, seed=3)
+    assert main(["order_stats", "--config", str(path)]) == 0
+    lines = (tmp_path / "out" / "orders.csv").read_text().splitlines()
+    assert lines[0] == "n,sample,order"
+    expected = [f"{n},{i},{o}" for n, orders in PINNED_ORDERS.items() for i, o in enumerate(orders)]
+    assert lines[1:] == expected
+    doc = json.loads((tmp_path / "out" / "result.json").read_text())
+    assert doc["medians"] == {"4": 17.0, "6": 40.0, "8": 77.0}

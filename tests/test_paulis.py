@@ -11,7 +11,7 @@ from cabbench.paulis import (
     single_qubit_cliffords,
 )
 
-from helpers import pauli_matrix
+from helpers import pauli_matrix, to_label
 
 
 def random_pauli_with_phase(n, rng):
@@ -24,7 +24,7 @@ def test_multiply_x_times_z_gives_minus_i_y():
     q = PauliString.from_label("ZI")
     r = p * q
     assert r.phase_exp == 3
-    assert r.to_label() == "-iYI"
+    assert to_label(r) == "-iYI"
 
 
 def test_multiply_identity_is_neutral():
