@@ -25,9 +25,7 @@ from .cab import (
     build_cab_sequence,
     estimate_fidelity,
     execute_cab_run,
-    fit_quality_parameter,
     interleaved_pure_fidelity,
-    kq_for_accuracy,
     run_cab_experiment,
     run_cb_experiment,
     sample_observables,
@@ -39,7 +37,6 @@ from .calibration import (
     OptTrajectory,
     calibrate_dynamic_phase,
     measure_conditional_phase,
-    nelder_mead,
     optimize_parallel_cz,
 )
 from .circuits import CircuitSequence, CliffordLayer, GateBlock, GateLayer, PauliLayer

@@ -33,11 +33,6 @@ def correlation(f_joint: float, f_parts) -> float:
     return (f_joint - prod) / math.sqrt(f_joint * prod)
 
 
-def small_coupling_correlation(gamma: float) -> float:
-    """Two-gate correlation in the near-unit-depolarizing limit."""
-    return math.sin(gamma) * math.tan(gamma)
-
-
 # ---------------------------------------------------------------------------
 # general fidelity formula
 # ---------------------------------------------------------------------------
@@ -218,20 +213,6 @@ def closed_form_r3(
         correlation(f13, [f1, f3]),
         correlation(f23, [f2, f3]),
     )
-
-
-def pairwise_correlation_strong_depol_limit(gamma12: float, gamma13: float, gamma23: float) -> float:
-    """Three-gate correlation of gates 1 and 2 in the p -> 1 limit."""
-    c12, s12 = math.cos(gamma12) ** 2, math.sin(gamma12) ** 2
-    c13, s13 = math.cos(gamma13) ** 2, math.sin(gamma13) ** 2
-    c23, s23 = math.cos(gamma23) ** 2, math.sin(gamma23) ** 2
-    a1 = c12 * c13 + s12 * s13
-    a2 = c12 * c23 + s12 * s23
-    cos_l = math.cos(gamma12) * math.cos(gamma13) * math.cos(gamma23)
-    sin_l = math.sin(gamma12) * math.sin(gamma13) * math.sin(gamma23)
-    b = cos_l**2 + sin_l**2
-    num = c12 * s12 * (c13 - s13) * (c23 - s23)
-    return num / math.sqrt(b * a1 * a2)
 
 
 def correlation_landscape(

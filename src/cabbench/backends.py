@@ -1,23 +1,27 @@
 """Two circuit backends plus process-fidelity evaluation.
 
-``dm_run`` is the exact oracle: full density-matrix evolution with the
-coherent coupling unitary, depolarizing channels applied as channels, and
-readout confusion.  Each layer is a few whole-register array operations on
-rho of shape (..., d, d), with the noise precomputed once per device
-(``DeviceModel.cached``):
+``dm_run`` is the exact oracle: density-matrix evolution with the coherent
+coupling unitary, depolarizing channels applied as channels, and readout
+confusion.  The state is held as its real Pauli coefficients
+c[z, x] = tr(P rho) for P = i^|x&z| X^x Z^z: a (d, d) array with rows z and
+columns x, qubit 0 the most significant bit (Chow et al., PRL 109, 060501;
+the Pauli transfer representation).  Each layer is a few whole-register
+array operations on c of shape (..., d, d), with the tables built once per
+device (``DeviceModel.cached``):
 
-- a single-qubit layer is one U rho U^dagger, U the Kronecker product of
-  the layer's 2x2 matrices, applied as its two halves on each side;
-- every depolarizing step, the twirled coupling and a Pauli layer are
-  Pauli-diagonal channels.  Each is one multiply in the Walsh frame
-  M[a, x] = rho[a, a^x]: gather, Walsh transform along a as two
-  Kronecker-factor matmuls, multiply by a cached eigenvalue table
-  lambda[z, x], transform back, scatter;
-- a gate layer's coherent components and ideal CZs are one cached (d, d)
-  phase multiplier.
+- per-qubit and per-gate depolarizing, the twirled coupling and a Pauli
+  layer are Pauli-diagonal: one multiply each;
+- a single-qubit layer is a Kronecker product of real 4x4 transfer
+  matrices, applied as two half-register matmuls;
+- a gate layer's CZs and coherent components form one diagonal unitary D.
+  It is one multiply in the frame M[b, x] = rho[b^x, b], which is the
+  Walsh transform of c along z: transform, multiply, transform back;
+- a first single-qubit layer on |0..0> gives a product state, and the last
+  one folds into the Z measurement.
 
 ``block_noise_channel``, ``dressed_cycle_channel`` and so
-``choi_process_fidelity`` run the same kernel on stacks of matrices.
+``choi_process_fidelity`` run the same kernel on stacks of matrices,
+converted to (complex) Pauli coefficients and back at their boundary.
 
 ``stab_run_counts`` is the scalable backend, a Pauli-frame sampler for
 sequences that ideally close to the identity, with every coherent diagonal
@@ -34,13 +38,15 @@ error replaced by its exact Pauli twirl.  It compiles, then samples:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .circuits import CircuitSequence, CliffordLayer, GateLayer, PauliLayer, Unitary1qLayer
 from .device import DeviceModel, ResourceLimitError, bernoulli_positions, fwht
-from .paulis import single_qubit_cliffords
+from .paulis import _LETTER_MATS, single_qubit_cliffords
 
 DM_QUBIT_LIMIT = 12
 PACK_QUBIT_LIMIT = 62  # outcomes are int64 codes; also the stabilizer backend's size limit
@@ -49,15 +55,12 @@ CHOI_CHUNK = 1024  # basis pairs per batched channel call
 
 
 # ---------------------------------------------------------------------------
-# density-matrix kernel (batch-aware: rho has shape (..., d, d))
+# density-matrix kernel in the Pauli basis (batch-aware: c has shape (..., d, d))
 # ---------------------------------------------------------------------------
 
-
-def _dm_zero_state(n: int) -> np.ndarray:
-    d = 2**n
-    rho = np.zeros((d, d), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
+_PAULIS = np.array(_LETTER_MATS)  # index 2z + x: I, X, Z, Y
+_Z_MEASURE = np.array([[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, -1.0, 0.0]]) / 2  # [outcome, Pauli]
+_LOCAL = (CliffordLayer, Unitary1qLayer)
 
 
 def _bits(a: np.ndarray, n: int, qubits) -> np.ndarray:
@@ -68,17 +71,19 @@ def _bits(a: np.ndarray, n: int, qubits) -> np.ndarray:
     return sub
 
 
-def _parity(a: np.ndarray) -> np.ndarray:
-    """(-1)^popcount(a) as floats."""
-    return 1.0 - 2.0 * (np.bitwise_count(a) & 1)
-
-
-def _kron_2x2(mats) -> np.ndarray:
-    """Kronecker product of 2x2 factors, the first the most significant."""
-    u = np.ones((1, 1), dtype=mats.dtype)
-    for m in mats:
-        k = 2 * u.shape[0]
-        u = (u[:, None, :, None] * m[None, :, None, :]).reshape(k, k)
+def _kron(factors: np.ndarray) -> np.ndarray:
+    """Kronecker product of per-qubit factors (k, 2, ..., 2), the first qubit
+    the most significant, taken along every axis: the result has one axis of
+    length 2^k per factor axis.  For (k, 2, 2) it is the Kronecker product
+    of k 2x2 matrices.  The factors are taken last first, so that each
+    broadcast multiply runs over the grown product in its inner loop."""
+    r = factors.ndim - 1
+    if not len(factors):
+        return np.ones((1,) * r, dtype=factors.dtype)
+    u = factors[-1]
+    for f in factors[-2::-1]:
+        s = u.shape[0]
+        u = (f.reshape((2, 1) * r) * u.reshape((1, s) * r)).reshape((2 * s,) * r)
     return u
 
 
@@ -90,59 +95,107 @@ def _kron_rows(t: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     return np.matmul(f2, t.reshape(*batch, d1, d2, m)).reshape(*batch, d, m)
 
 
-def _apply_local_unitary(rho: np.ndarray, mats) -> np.ndarray:
-    """U rho U^dagger, U the Kronecker product of one 2x2 factor per qubit.
-
-    U is applied as U1 x U2 (the first floor(n/2) qubits and the rest) on
-    each side, which costs O(d^2.5) instead of the O(d^3) of a dense U.
-    """
-    h = len(mats) // 2
-    u1, u2 = _kron_2x2(mats[:h]), _kron_2x2(mats[h:])
-    *batch, d, _ = rho.shape
-    t = _kron_rows(rho, u1, u2)
-    t = t.reshape(*batch, d * len(u1), len(u2)) @ u2.conj().T
-    t = np.matmul(u1.conj(), t.reshape(*batch, d, len(u1), len(u2)))
-    return t.reshape(*batch, d, d)
-
-
 def _walsh(k: int) -> np.ndarray:
     a = np.arange(2**k)
-    return _parity(a[:, None] & a[None, :])
+    return 1.0 - 2.0 * (np.bitwise_count(a[:, None] & a[None, :]) & 1)
 
 
-def _frame(device: DeviceModel, n: int):
-    """Gather index (a, x) -> a*d + (a^x), and the 2^floor(n/2) and
-    2^ceil(n/2) Kronecker factors of the 2^n Walsh matrix."""
+def _halves(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-qubit maps (n, r, 4) as the two half-register matrices of
+    ``_apply_halves``: the first floor(n/2) qubits and the rest.  A map's
+    input is a qubit's index pair 2u + v (a Pauli 2z + x); its output is
+    another pair (r = 4) or one bit (r = 2)."""
+    n, r, _ = maps.shape
+    bits = (2,) * (r.bit_length() + 1)
+    h = n // 2
+    return tuple(
+        _kron(m.reshape(len(m), *bits)).reshape(r ** len(m), 4 ** len(m)) for m in (maps[:h], maps[h:])
+    )
+
+
+def _apply_halves(c: np.ndarray, ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
+    """(ma x mb) on c (..., d, d) viewed as (u_A v_A, u_B v_B), the A bits
+    those of the first floor(n/2) qubits of both indices: two matmuls."""
+    *batch, d, _ = c.shape
+    da = math.isqrt(ma.shape[1])
+    db = d // da
+    t = c.reshape(*batch, da, db, da, db).swapaxes(-3, -2).reshape(*batch, da * da, db * db)
+    return ma @ t @ mb.T
+
+
+def _apply_local(c: np.ndarray, ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
+    """A Kronecker product of per-qubit 4x4 maps (halves ``ma``, ``mb``) on c."""
+    *batch, d, _ = c.shape
+    da = math.isqrt(ma.shape[0])
+    t = _apply_halves(c, ma, mb).reshape(*batch, da, da, d // da, d // da)
+    return t.swapaxes(-3, -2).reshape(*batch, d, d)
+
+
+@lru_cache(maxsize=1)
+def _clifford_ptms() -> np.ndarray:
+    """Pauli transfer matrices [element, out, in] of the 24 single-qubit
+    Cliffords over the Paulis 2z + x (I, X, Z, Y): signed permutations read
+    off the conjugation table."""
+    action = single_qubit_cliffords().action.astype(np.int64)
+    ptm = np.zeros((24, 4, 4))
+    e, p = np.meshgrid(np.arange(24), np.arange(4), indexing="ij")
+    ptm[e, action[..., 0] + 2 * action[..., 1], p] = 1.0 - 2.0 * action[..., 2]
+    ptm.flags.writeable = False
+    return ptm
+
+
+def _local_ptms(layer, device: DeviceModel, n: int, noisy: bool) -> np.ndarray:
+    """Per-qubit Pauli transfer matrices (n, 4, 4) of a single-qubit layer,
+    followed by the per-qubit depolarizing when ``noisy``."""
+    if isinstance(layer, CliffordLayer):
+        ptm = _clifford_ptms()[layer.layer.elements]
+    else:
+        mats = np.array([np.eye(2, dtype=complex)] * n)
+        for q, u in layer.ops:
+            mats[q] = u @ mats[q]
+        # tr(P_a U P_b U^dagger) / 2
+        ptm = np.einsum("aij,qjk,bkl,qil->qab", _PAULIS, mats, _PAULIS, mats.conj()).real / 2
+    if noisy:
+        ptm[:, 1:] *= device.single_qubit_depol[:n, None, None]
+    return ptm
+
+
+def _product_state(first, device: DeviceModel, n: int) -> np.ndarray:
+    """Coefficients of |0..0>, or of the product state the local layer
+    ``first`` (noise included) makes from it."""
+    if first is None:
+        blocks = np.broadcast_to(np.array([[1.0, 0.0], [1.0, 0.0]]), (n, 2, 2))
+    else:
+        ptm = _local_ptms(first, device, n, noisy=True)
+        blocks = (ptm[:, :, 0] + ptm[:, :, 2]).reshape(n, 2, 2)  # |0><0| = (I + Z) / 2
+    return _kron(blocks)
+
+
+def _walsh_halves(device: DeviceModel, n: int):
+    """The 2^floor(n/2) and 2^ceil(n/2) Kronecker factors of the 2^n Walsh matrix."""
+    return device.cached(("walsh", n), lambda: (_walsh(n // 2), _walsh(n - n // 2)))
+
+
+def _walsh_z(t: np.ndarray, device: DeviceModel, n: int) -> np.ndarray:
+    """Walsh transform along the rows of complex t (..., d, d): its float
+    view carries the real and imaginary parts through the same real matmuls."""
+    return _kron_rows(t.view(float), *_walsh_halves(device, n)).view(complex)
+
+
+def _walsh_column(w: int, device: DeviceModel, n: int) -> np.ndarray:
+    """(-1)^(a.w) over the register indices a: the halves' Walsh columns."""
+    h1, h2 = _walsh_halves(device, n)
+    return np.multiply.outer(h1[w >> (n - n // 2)], h2[w & (len(h2) - 1)]).ravel()
+
+
+def _pauli_phases(device: DeviceModel, n: int) -> np.ndarray:
+    """i^|x & z| indexed [z, x]: P = i^|x & z| X^x Z^z is Hermitian."""
 
     def build():
         a = np.arange(2**n)
-        return a[:, None] * 2**n + (a[:, None] ^ a[None, :]), _walsh(n // 2), _walsh(n - n // 2)
+        return np.array([1, 1j, -1, -1j])[np.bitwise_count(a[:, None] & a[None, :]) & 3]
 
-    return device.cached(("frame", n), build)
-
-
-def _eigenvalue_table(lam: np.ndarray) -> np.ndarray:
-    """Eigenvalues lam[z, x] of X^x Z^z laid out for ``_apply_pauli_diagonal``:
-    divided by d (the two transforms multiply by d) and repeated over the
-    real and imaginary parts of the float view."""
-    return np.repeat(lam / len(lam), 2, axis=1)
-
-
-def _apply_pauli_diagonal(rho: np.ndarray, table: np.ndarray, frame) -> np.ndarray:
-    """Multiply the coefficient of every Pauli X^x Z^z in rho by its eigenvalue.
-
-    With M[a, x] = rho[a, a^x], that coefficient is the Walsh transform of
-    M[:, x] at z (up to a phase fixed by x and z).  So the channel is: gather
-    M, transform along a, multiply by the table, transform back, scatter.
-    The index map is an involution, so the scatter is the same gather.
-    """
-    idx, h1, h2 = frame
-    *batch, d, _ = rho.shape
-    m = np.take(rho.reshape(*batch, d * d), idx, axis=-1)
-    t = _kron_rows(m.view(float), h1, h2)
-    t *= table
-    t = _kron_rows(t, h1, h2)
-    return np.take(t.view(complex).reshape(*batch, d * d), idx, axis=-1)
+    return device.cached(("phases", n), build)
 
 
 def _nontrivial_on(n: int, qubits) -> np.ndarray:
@@ -153,7 +206,7 @@ def _nontrivial_on(n: int, qubits) -> np.ndarray:
 
 
 def _single_qubit_noise(device: DeviceModel, n: int):
-    """Eigenvalue table of the per-qubit depolarizing layer, or None."""
+    """Eigenvalues [z, x] of the per-qubit depolarizing layer, or None."""
 
     def build():
         noisy = [(q, float(p)) for q, p in enumerate(device.single_qubit_depol[:n]) if p < 1.0]
@@ -162,18 +215,25 @@ def _single_qubit_noise(device: DeviceModel, n: int):
         lam = np.ones((2**n, 2**n))
         for q, p in noisy:
             lam[_nontrivial_on(n, (q,))] *= p
-        return _eigenvalue_table(lam)
+        return lam
 
     return device.cached(("dm_1q", n), build)
 
 
+def _depolarize_1q(c: np.ndarray, device: DeviceModel, n: int) -> np.ndarray:
+    table = _single_qubit_noise(device, n)
+    return c if table is None else c * table
+
+
 def _gate_layer_tables(device: DeviceModel, n: int, gates: tuple[int, ...], noisy: bool, twirl_coupling: bool):
-    """(eigenvalue table or None, phase multiplier) of one gate layer.
+    """(eigenvalues or None, phase table) of one gate layer.
 
     The noise is the gates' depolarizing channels and, with
     ``twirl_coupling``, the twirled coupling; both are Pauli-diagonal, so
-    they share one table.  Without the twirl the coherent components join
-    the ideal CZs in one diagonal unitary D, applied as rho * D D^dagger.
+    they share one eigenvalue table [z, x].  Without the twirl the coherent
+    components join the ideal CZs in one diagonal unitary D.  D rho D^dagger
+    scales rho[b^x, b] by D[b^x] D*[b]: that is the phase table [b, x],
+    divided by d for the two Walsh transforms around it.
     """
 
     def build():
@@ -183,7 +243,7 @@ def _gate_layer_tables(device: DeviceModel, n: int, gates: tuple[int, ...], nois
         diag = np.ones(d, dtype=complex)
         for g in gates:
             diag[_bits(a, n, device.gates[g].pair) == 3] *= -1.0
-        table = None
+        lam = None
         if noisy:
             lam = np.ones((d, d))
             for g in gates:
@@ -199,9 +259,9 @@ def _gate_layer_tables(device: DeviceModel, n: int, gates: tuple[int, ...], nois
             else:
                 for v in device.coherent_layer_components(gates):
                     diag *= v.diag[_bits(a, n, v.qubits)]
-            if np.any(lam != 1.0):
-                table = _eigenvalue_table(lam)
-        return table, diag[:, None] * diag.conj()[None, :]
+            if np.all(lam == 1.0):
+                lam = None
+        return lam, diag[a[:, None] ^ a[None, :]] * diag.conj()[:, None] / d
 
     return device.cached(("dm_gate", n, gates, noisy, twirl_coupling), build)
 
@@ -215,57 +275,53 @@ def _readout_factors(device: DeviceModel, n: int):
         if not (np.any(e0 > 0) or np.any(e1 > 0)):
             return None
         mats = np.array([[1 - e0, e1], [e0, 1 - e1]]).transpose(2, 0, 1)
-        return _kron_2x2(mats[: n // 2]), _kron_2x2(mats[n // 2 :])
+        return _kron(mats[: n // 2]), _kron(mats[n // 2 :])
 
     return device.cached(("readout", n), build)
 
 
-def _apply_layer_dm(
-    rho: np.ndarray,
-    n: int,
-    layer,
-    device: DeviceModel,
-    noisy: bool,
-    twirl_coupling: bool,
+def _apply_gate_layer(
+    c: np.ndarray, n: int, gates: tuple[int, ...], device: DeviceModel, noisy: bool, twirl_coupling: bool
 ) -> np.ndarray:
-    """One layer on rho (..., 2^n, 2^n) as a few whole-register operations.
+    """One gate layer: its noise, then D rho D^dagger.
 
-    A gate layer is one Pauli-diagonal multiply for its noise and one phase
-    multiply.  A Clifford or unitary layer is one U rho U^dagger, then the
-    per-qubit depolarizing layer as one Pauli-diagonal multiply.  A Pauli
-    layer is Pauli-diagonal itself (eigenvalues +-1), so it shares that
-    multiply with its noise.
+    With M[b, x] = rho[b^x, b], column x of M is the Walsh transform along z
+    of i^|x&z| c[:, x] / d.  So: multiply by the phases and the noise,
+    transform along z, multiply by the phase table, transform back, and
+    take the phases off again.
     """
-    frame = _frame(device, n)
+    lam, phase = _gate_layer_tables(device, n, gates, noisy, twirl_coupling)
+    s = _pauli_phases(device, n)
+    t = c * s
+    if lam is not None:
+        t *= lam
+    t = _walsh_z(t, device, n)
+    t *= phase
+    t = _walsh_z(t, device, n)
+    # i^-|x&z| t = conj(conj(t) i^|x&z|), in place
+    np.conjugate(t, out=t)
+    t *= s
+    return t.real if np.isrealobj(c) else np.conjugate(t, out=t)
+
+
+def _apply_layer(c: np.ndarray, n: int, layer, device: DeviceModel, noisy: bool, twirl_coupling: bool) -> np.ndarray:
+    """One layer on the Pauli coefficients c (..., 2^n, 2^n).
+
+    A single-qubit layer is a Kronecker product of 4x4 transfer matrices
+    with its depolarizing folded in.  A Pauli layer X^x Z^z and its
+    depolarizing are Pauli-diagonal: X^x Z^z P Z^z X^x = (-1)^(x.z' + z.x') P
+    for P = X^x' Z^z', so both are one multiply each.
+    """
     if isinstance(layer, GateLayer):
-        table, phase = _gate_layer_tables(device, n, tuple(layer.gates), noisy, twirl_coupling)
-        if table is not None:
-            rho = _apply_pauli_diagonal(rho, table, frame)
-        return rho * phase
-    noise = _single_qubit_noise(device, n) if noisy else None
-    if isinstance(layer, PauliLayer):
-        if not device.pauli_layer_noise:
-            noise = None
-        x, z = int(pack_bits(layer.pauli.x)), int(pack_bits(layer.pauli.z))
-        if x or z:
-            # X^x Z^z rho Z^z X^x scales the coefficient of X^x' Z^z' by (-1)^(x.z' + z.x')
-            a = np.arange(2**n)
-            sign = _parity(a & x)[:, None] * np.repeat(_parity(a & z), 2)[None, :]
-            noise = sign / 2**n if noise is None else sign * noise
-    elif isinstance(layer, CliffordLayer):
-        cliffords = single_qubit_cliffords()
-        elements = layer.layer.elements
-        if np.any(elements != cliffords.identity_index):
-            rho = _apply_local_unitary(rho, cliffords.matrices[elements])
-    elif isinstance(layer, Unitary1qLayer):
-        if layer.ops:
-            mats = np.array([np.eye(2, dtype=complex)] * n)
-            for q, u in layer.ops:
-                mats[q] = u @ mats[q]
-            rho = _apply_local_unitary(rho, mats)
-    else:
+        return _apply_gate_layer(c, n, tuple(layer.gates), device, noisy, twirl_coupling)
+    if isinstance(layer, _LOCAL):
+        return _apply_local(c, *_halves(_local_ptms(layer, device, n, noisy)))
+    if not isinstance(layer, PauliLayer):
         raise TypeError(f"unknown layer type {type(layer)!r}")
-    return rho if noise is None else _apply_pauli_diagonal(rho, noise, frame)
+    x, z = pack_bits(np.stack((layer.pauli.x, layer.pauli.z))).tolist()
+    if x or z:
+        c = c * np.outer(_walsh_column(x, device, n), _walsh_column(z, device, n))
+    return _depolarize_1q(c, device, n) if noisy and device.pauli_layer_noise else c
 
 
 def dm_run(
@@ -284,10 +340,18 @@ def dm_run(
     n = seq.n
     if n > DM_QUBIT_LIMIT:
         raise ResourceLimitError(f"density-matrix backend limited to {DM_QUBIT_LIMIT} qubits")
-    rho = _dm_zero_state(n)
-    for layer in seq.layers:
-        rho = _apply_layer_dm(rho, n, layer, device, noisy=True, twirl_coupling=twirl_coupling)
-    probs = np.real(np.diagonal(rho))
+    layers = list(seq.layers)
+    first = layers.pop(0) if layers and isinstance(layers[0], _LOCAL) else None
+    last = layers.pop() if layers and isinstance(layers[-1], _LOCAL) else None
+    c = _product_state(first, device, n)
+    for layer in layers:
+        c = _apply_layer(c, n, layer, device, noisy=True, twirl_coupling=twirl_coupling)
+    # P(b) = tr(|b><b| rho), per qubit (I + (-1)^b Z) / 2, after the last local layer
+    if last is None:
+        meas = np.broadcast_to(_Z_MEASURE, (n, 2, 4))
+    else:
+        meas = _Z_MEASURE @ _local_ptms(last, device, n, noisy=True)
+    probs = _apply_halves(c, *_halves(meas)).reshape(-1)
     total = probs.sum()
     if abs(total - 1.0) > 1e-10:
         raise RuntimeError(f"probabilities sum to {total}, expected 1")
@@ -525,26 +589,39 @@ def choi_process_fidelity(channel, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def compose_channels(*channels):
-    """Compose evaluators; the first listed acts first."""
+def _to_coefficients(rho: np.ndarray, device: DeviceModel, n: int) -> np.ndarray:
+    """Pauli coefficients of matrices (..., d, d), complex for non-Hermitian
+    ones: c[z, x] = tr(P rho) = i^|x&z| sum_b (-1)^(z.b) rho[b, b^x]."""
+    a = np.arange(2**n)
+    gathered = np.ascontiguousarray(rho[..., a[:, None], a[:, None] ^ a], dtype=complex)
+    return _pauli_phases(device, n) * _walsh_z(gathered, device, n)
 
-    def apply(rho):
-        for ch in channels:
-            rho = ch(rho)
-        return rho
 
-    return apply
+def _to_matrices(c: np.ndarray, device: DeviceModel, n: int) -> np.ndarray:
+    """The inverse: rho[b^x, b] = sum_z (-1)^(z.b) i^|x&z| c[z, x] / d."""
+    a = np.arange(2**n)
+    m = _walsh_z(_pauli_phases(device, n) * c, device, n) / 2**n
+    return m[..., a, a[:, None] ^ a]
+
+
+def _coefficient_channel(device: DeviceModel, n: int, step):
+    """Evaluator on stacked matrices (..., 2^n, 2^n) that runs ``step`` on
+    their Pauli coefficients."""
+    return lambda rho: _to_matrices(step(_to_coefficients(rho, device, n)), device, n)
+
+
+def _block_noise(c: np.ndarray, device: DeviceModel, block) -> np.ndarray:
+    for layer in block.layers:
+        c = _apply_layer(c, block.n, layer, device, noisy=True, twirl_coupling=False)
+    for layer in block.inverse_layers:
+        c = _apply_layer(c, block.n, layer, device, noisy=False, twirl_coupling=False)
+    return c
 
 
 def pauli_layer_noise_channel(device: DeviceModel):
     """The tensor-product depolarizing noise of one single-qubit layer."""
     n = device.n_qubits
-
-    def apply(rho):
-        table = _single_qubit_noise(device, n)
-        return rho if table is None else _apply_pauli_diagonal(rho, table, _frame(device, n))
-
-    return apply
+    return _coefficient_channel(device, n, lambda c: _depolarize_1q(c, device, n))
 
 
 def block_noise_channel(device: DeviceModel, block):
@@ -553,20 +630,12 @@ def block_noise_channel(device: DeviceModel, block):
     Applies the block's noisy layers, then the inverse ideal layers, so
     the ideal gate cancels and only the noise remains.
     """
-    n = block.n
-
-    def apply(rho):
-        for layer in block.layers:
-            rho = _apply_layer_dm(rho, n, layer, device, noisy=True, twirl_coupling=False)
-        for layer in block.inverse_layers:
-            rho = _apply_layer_dm(rho, n, layer, device, noisy=False, twirl_coupling=False)
-        return rho
-
-    return apply
+    return _coefficient_channel(device, block.n, lambda c: _block_noise(c, device, block))
 
 
 def dressed_cycle_channel(device: DeviceModel, block):
     """Noise of one benchmarking half-step: twirling layer then target gate."""
     if device.pauli_layer_noise:
-        return compose_channels(pauli_layer_noise_channel(device), block_noise_channel(device, block))
+        step = lambda c: _block_noise(_depolarize_1q(c, device, block.n), device, block)
+        return _coefficient_channel(device, block.n, step)
     return block_noise_channel(device, block)

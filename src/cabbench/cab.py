@@ -138,13 +138,6 @@ def sample_observables(n: int, k_q: int, rng: np.random.Generator) -> np.ndarray
     return pack_bits(bits)
 
 
-def kq_for_accuracy(epsilon: float, delta: float) -> int:
-    """Observable budget from the Hoeffding bound: ceil(2 eps^-2 ln(2/delta))."""
-    if not 0 < epsilon <= 1 or not 0 < delta < 1:
-        raise ValueError("require 0 < epsilon <= 1 and 0 < delta < 1")
-    return math.ceil(2.0 * epsilon**-2 * math.log(2.0 / delta))
-
-
 # ---------------------------------------------------------------------------
 # decay fitting
 # ---------------------------------------------------------------------------
@@ -195,17 +188,6 @@ def _fit_lambda_arrays(exponents: np.ndarray, fbar: np.ndarray, ses: np.ndarray 
         lam[ok] = np.exp(slope)
         se[ok] = lam[ok] * np.sqrt(1.0 / sxx)
     return lam, se, flagged
-
-
-def fit_quality_parameter(points: list[tuple[float, float, float]], w_mask: int = 0) -> QualityParameter:
-    """Fit one observable's decay; points are (m, fbar, se) per depth."""
-    ms = np.array([p[0] for p in points], dtype=float)
-    fbar = np.array([[p[1]] for p in points])
-    ses = np.array([[p[2]] for p in points])
-    if len(points) < 2 or len(set(ms.tolist())) < 2:
-        raise ValueError("need at least two distinct depths")
-    lam, se, flagged = _fit_lambda_arrays(2.0 * ms, fbar, ses)
-    return QualityParameter(w_mask, float(lam[0]), float(se[0]), bool(flagged[0]))
 
 
 def _weights_for_masks(masks: np.ndarray, n: int, mode: str) -> np.ndarray:
@@ -331,22 +313,22 @@ def _estimate_from_surv(
     of the ``weights``-weighted mean of lambda.  The SE is the delete-one
     jackknife over the sequence axis, recomputing the whole chain.
     """
-    k_r = surv.shape[1]
+    n_depths, k_r = surv.shape[:2]
     identity = masks == 0
 
-    def fit(fbar, ses):
-        lam, lam_se, flagged = _fit_lambda_arrays(exponents, fbar, ses)
-        lam[identity] = 1.0
-        lam_se[identity] = 0.0
-        flagged[identity] = False
+    def fit(fbar, ses=None):
+        """Fits of fbar (depth, ..., mask), each column on its own."""
+        flat = [None if a is None else a.reshape(n_depths, -1) for a in (fbar, ses)]
+        lam, lam_se, flagged = (a.reshape(fbar.shape[1:]) for a in _fit_lambda_arrays(exponents, *flat))
+        lam[..., identity] = 1.0
+        lam_se[..., identity] = 0.0
+        flagged[..., identity] = False
         return lam, lam_se, flagged
 
     lam, lam_se, flagged = fit(surv.mean(axis=1), surv.std(axis=1, ddof=1) / np.sqrt(k_r))
-    total = surv.sum(axis=1)
-    jack = np.empty(k_r)
-    for k in range(k_r):
-        lk, _, flk = fit((total - surv[:, k, :]) / (k_r - 1), None)
-        jack[k] = _aggregate(lk, weights, flk)
+    # every delete-one replicate in one fit, shape (depth, replicate, mask)
+    lk, _, flk = fit((surv.sum(axis=1, keepdims=True) - surv) / (k_r - 1))
+    jack = np.array([_aggregate(lam_k, weights, flagged_k) for lam_k, flagged_k in zip(lk, flk)])
     good = np.isfinite(jack)
     if good.sum() >= 2:
         jm = jack[good].mean()

@@ -252,32 +252,6 @@ class NelderMead:
         return int(np.argmin(vals))
 
 
-@dataclass
-class OptResult:
-    x: np.ndarray
-    fx: float
-    history: list[tuple[np.ndarray, float]]
-    converged: bool
-    aborted: bool
-
-
-def nelder_mead(objective, x0, options: NelderMeadOptions | None = None) -> OptResult:
-    """Minimize a (possibly noisy) objective; returns best point and history."""
-    opt = NelderMead(x0, options)
-    history: list[tuple[np.ndarray, float]] = []
-    try:
-        while opt.evals < opt.opt.max_evals and not opt.finished():
-            x = opt.ask()
-            fx = objective(x)
-            history.append((x.copy(), float(fx)))
-            opt.tell(float(fx))
-    except NonFiniteObjective:
-        xb, fb = opt.best
-        return OptResult(xb, fb, history, converged=False, aborted=True)
-    xb, fb = opt.best
-    return OptResult(xb, fb, history, converged=opt.finished(), aborted=False)
-
-
 # ---------------------------------------------------------------------------
 # parallel CZ optimization with reference differencing
 # ---------------------------------------------------------------------------

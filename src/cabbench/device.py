@@ -16,8 +16,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .paulis import PauliString
-
 CLUSTER_LIMIT = 8  # gates per coupling cluster whose diagonal is built densely
 
 
@@ -152,20 +150,6 @@ class PauliChannel:
             raise ContractViolation("channel weights must sum to 1")
         if np.any(self.weights < -1e-15):
             raise ContractViolation("channel weights must be nonnegative")
-
-    def weight_of(self, pauli: PauliString) -> float:
-        """Probability of a given Z-type Pauli on the full register."""
-        if np.any(pauli.x):
-            return 0.0
-        k = len(self.support)
-        zero_outside = np.ones(pauli.n, dtype=bool)
-        zero_outside[list(self.support)] = False
-        if np.any(pauli.z[zero_outside]):
-            return 0.0
-        w = 0
-        for pos, q in enumerate(self.support):
-            w |= int(pauli.z[q]) << (k - 1 - pos)
-        return float(self.weights[w])
 
 
 def fwht(v: np.ndarray) -> np.ndarray:
@@ -479,11 +463,6 @@ class DeviceModel:
             layout_edges=tuple(tuple(int(q) for q in e) for e in doc.get("layout_edges", [])),
             pauli_layer_noise=bool(doc.get("pauli_layer_noise", True)),
         )
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
 
     @staticmethod
     def load(path) -> "DeviceModel":

@@ -4,11 +4,21 @@ The dense-matrix helpers are deliberately independent of the package
 internals: plain kron products and explicit channel evaluations.  The
 tableau helpers (single-gate builders, conjugation, inversion and the
 qubit-by-qubit ``compose_loop``) work on ``CliffordTableau`` bits, one
-generator at a time, with the Pauli multiplication table.
+generator at a time, with the Pauli multiplication table.  The last
+section holds small functions that only tests call: closed-form limits,
+a one-observable fit, the observable budget, a device writer and a
+Nelder-Mead driver.
 """
+
+import json
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from cabbench.cab import QualityParameter, _fit_lambda_arrays
+from cabbench.calibration import NelderMead, NelderMeadOptions, NonFiniteObjective
+from cabbench.device import DeviceModel, PauliChannel
 from cabbench.paulis import _MUL_PHASE, LocalCliffordLayer, PauliString, single_qubit_cliffords
 from cabbench.tableau import CliffordTableau, NonCliffordError
 
@@ -120,40 +130,40 @@ def _depolarize(rho: np.ndarray, n: int, qubits, p: float) -> np.ndarray:
     return p * rho + (1 - p) * twirled / 4**k
 
 
-def dense_dm_reference(seq, device, twirl_coupling: bool = False) -> np.ndarray:
-    """Outcome distribution of a sequence from explicit full-register matrices.
+def dense_apply_layers(rho, layers, device, twirl_coupling: bool = False, noisy: bool = True) -> np.ndarray:
+    """Layers applied to a (not necessarily Hermitian) matrix with explicit
+    full-register matrices.
 
     Unitaries are Kronecker products, depolarizing channels explicit Pauli
-    Kraus sums, coherent errors and CZs dense diagonal unitaries, readout a
-    dense confusion matrix.  The noise model is the device's: its
-    per-qubit and per-gate depolarizing parameters, its coherent layer
-    components or their Pauli twirls, and its readout error rates.
+    Kraus sums, coherent errors and CZs dense diagonal unitaries.  The noise
+    model is the device's: its per-qubit and per-gate depolarizing
+    parameters and its coherent layer components or their Pauli twirls.
+    Without ``noisy`` only the ideal operations are applied.
     """
     from cabbench.circuits import CliffordLayer, GateLayer, PauliLayer, Unitary1qLayer
     from cabbench.paulis import single_qubit_cliffords
 
-    n = seq.n
-    d = 2**n
-    rho = np.zeros((d, d), dtype=complex)
-    rho[0, 0] = 1.0
+    d = rho.shape[-1]
+    n = d.bit_length() - 1
 
     def depol_1q(rho):
         for q in range(n):
             rho = _depolarize(rho, n, (q,), float(device.single_qubit_depol[q]))
         return rho
 
-    for layer in seq.layers:
+    for layer in layers:
         if isinstance(layer, GateLayer):
-            for g in layer.gates:
-                rho = _depolarize(rho, n, device.gates[g].pair, device.gates[g].effective_depol_p())
-            if twirl_coupling:
+            if noisy:
+                for g in layer.gates:
+                    rho = _depolarize(rho, n, device.gates[g].pair, device.gates[g].effective_depol_p())
+            if noisy and twirl_coupling:
                 for ch in device.layer_twirl_channels(layer.gates):
                     out = np.zeros_like(rho)
                     for w, weight in enumerate(ch.weights):
                         zw = _z_mask_matrix(n, ch.support, w)
                         out += weight * zw @ rho @ zw
                     rho = out
-            else:
+            elif noisy:
                 for v in device.coherent_layer_components(layer.gates):
                     u = _embed_diagonal(n, v.qubits, v.diag)
                     rho = u @ rho @ u.conj().T
@@ -171,9 +181,18 @@ def dense_dm_reference(seq, device, twirl_coupling: bool = False) -> np.ndarray:
             for q, op in layer.ops:
                 u = embed_1q(n, q, op) @ u
         rho = u @ rho @ u.conj().T
-        if not isinstance(layer, PauliLayer) or device.pauli_layer_noise:
+        if noisy and (not isinstance(layer, PauliLayer) or device.pauli_layer_noise):
             rho = depol_1q(rho)
-    probs = np.real(np.diagonal(rho))
+    return rho
+
+
+def dense_dm_reference(seq, device, twirl_coupling: bool = False) -> np.ndarray:
+    """Outcome distribution of a sequence from explicit full-register matrices
+    (``dense_apply_layers`` on |0..0>, then a dense readout confusion matrix)."""
+    d = 2**seq.n
+    rho = np.zeros((d, d), dtype=complex)
+    rho[0, 0] = 1.0
+    probs = np.real(np.diagonal(dense_apply_layers(rho, seq.layers, device, twirl_coupling)))
     conf = kron_all(
         [np.array([[1 - e0, e1], [e0, 1 - e1]]) for e0, e1 in zip(device.readout_e0, device.readout_e1)]
     )
@@ -361,3 +380,90 @@ def net_tableau(seq, device) -> CliffordTableau:
 
 def closes_to_identity(seq, device) -> bool:
     return net_tableau(seq, device).is_identity()
+
+
+# -- small functions that only tests call ---------------------------------------
+
+
+def weight_of(channel: PauliChannel, pauli: PauliString) -> float:
+    """Probability of a given Z-type Pauli on the full register."""
+    if np.any(pauli.x):
+        return 0.0
+    k = len(channel.support)
+    zero_outside = np.ones(pauli.n, dtype=bool)
+    zero_outside[list(channel.support)] = False
+    if np.any(pauli.z[zero_outside]):
+        return 0.0
+    w = 0
+    for pos, q in enumerate(channel.support):
+        w |= int(pauli.z[q]) << (k - 1 - pos)
+    return float(channel.weights[w])
+
+
+def save_device(device: DeviceModel, path):
+    with open(path, "w") as fh:
+        json.dump(device.to_dict(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def kq_for_accuracy(epsilon: float, delta: float) -> int:
+    """Observable budget from the Hoeffding bound: ceil(2 eps^-2 ln(2/delta))."""
+    if not 0 < epsilon <= 1 or not 0 < delta < 1:
+        raise ValueError("require 0 < epsilon <= 1 and 0 < delta < 1")
+    return math.ceil(2.0 * epsilon**-2 * math.log(2.0 / delta))
+
+
+def fit_quality_parameter(points: list[tuple[float, float, float]], w_mask: int = 0) -> QualityParameter:
+    """Fit one observable's decay; points are (m, fbar, se) per depth."""
+    ms = np.array([p[0] for p in points], dtype=float)
+    fbar = np.array([[p[1]] for p in points])
+    ses = np.array([[p[2]] for p in points])
+    if len(points) < 2 or len(set(ms.tolist())) < 2:
+        raise ValueError("need at least two distinct depths")
+    lam, se, flagged = _fit_lambda_arrays(2.0 * ms, fbar, ses)
+    return QualityParameter(w_mask, float(lam[0]), float(se[0]), bool(flagged[0]))
+
+
+@dataclass
+class OptResult:
+    x: np.ndarray
+    fx: float
+    history: list[tuple[np.ndarray, float]]
+    converged: bool
+    aborted: bool
+
+
+def nelder_mead(objective, x0, options: NelderMeadOptions | None = None) -> OptResult:
+    """Minimize a (possibly noisy) objective; returns best point and history."""
+    opt = NelderMead(x0, options)
+    history: list[tuple[np.ndarray, float]] = []
+    try:
+        while opt.evals < opt.opt.max_evals and not opt.finished():
+            x = opt.ask()
+            fx = objective(x)
+            history.append((x.copy(), float(fx)))
+            opt.tell(float(fx))
+    except NonFiniteObjective:
+        xb, fb = opt.best
+        return OptResult(xb, fb, history, converged=False, aborted=True)
+    xb, fb = opt.best
+    return OptResult(xb, fb, history, converged=opt.finished(), aborted=False)
+
+
+def small_coupling_correlation(gamma: float) -> float:
+    """Two-gate correlation in the near-unit-depolarizing limit."""
+    return math.sin(gamma) * math.tan(gamma)
+
+
+def pairwise_correlation_strong_depol_limit(gamma12: float, gamma13: float, gamma23: float) -> float:
+    """Three-gate correlation of gates 1 and 2 in the p -> 1 limit."""
+    c12, s12 = math.cos(gamma12) ** 2, math.sin(gamma12) ** 2
+    c13, s13 = math.cos(gamma13) ** 2, math.sin(gamma13) ** 2
+    c23, s23 = math.cos(gamma23) ** 2, math.sin(gamma23) ** 2
+    a1 = c12 * c13 + s12 * s13
+    a2 = c12 * c23 + s12 * s23
+    cos_l = math.cos(gamma12) * math.cos(gamma13) * math.cos(gamma23)
+    sin_l = math.sin(gamma12) * math.sin(gamma13) * math.sin(gamma23)
+    b = cos_l**2 + sin_l**2
+    num = c12 * s12 * (c13 - s13) * (c23 - s23)
+    return num / math.sqrt(b * a1 * a2)

@@ -12,10 +12,10 @@ from cabbench.analysis import (
     closed_form_r3,
     correlation,
     correlation_landscape,
-    pairwise_correlation_strong_depol_limit,
-    small_coupling_correlation,
 )
 from cabbench.device import CouplingMap
+
+from helpers import pairwise_correlation_strong_depol_limit, small_coupling_correlation
 
 
 def test_correlation_zero_when_product():

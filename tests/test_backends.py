@@ -5,7 +5,6 @@ from cabbench.backends import (
     ShotCounts,
     block_noise_channel,
     choi_process_fidelity,
-    compose_channels,
     dm_run,
     dressed_cycle_channel,
     pack_bits,
@@ -21,6 +20,7 @@ from cabbench.tableau import compile_inverse_pauli
 
 from helpers import (
     closes_to_identity,
+    dense_apply_layers,
     dense_dm_reference,
     depolarizing_channel,
     exact_survival,
@@ -394,3 +394,120 @@ def test_block_noise_channel_batch_equals_matrix_by_matrix():
             batched = channel(inputs)
             assert batched.shape == inputs.shape
             assert np.array_equal(batched, np.array([channel(r) for r in inputs]))
+
+
+# -- the Pauli-basis kernel at the edges of a sequence ---------------------------
+
+
+def assert_matches_dense(seq, dev, twirl_coupling=False):
+    probs = dm_run(seq, dev, twirl_coupling=twirl_coupling)
+    assert np.max(np.abs(probs - dense_dm_reference(seq, dev, twirl_coupling))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_dm_run_empty_sequence_matches_dense_reference(n):
+    dev = random_device(n, np.random.default_rng(n))
+    assert_matches_dense(CircuitSequence(n, ()), dev)
+
+
+@pytest.mark.parametrize("kind", ["clifford", "unitary"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_dm_run_single_local_layer_matches_dense_reference(kind, n):
+    # the one layer is both the first and the last local layer
+    rng = np.random.default_rng([n, len(kind)])
+    dev = random_device(n, rng)
+    for _ in range(3):
+        assert_matches_dense(CircuitSequence(n, (random_layer(kind, dev, rng),)), dev)
+
+
+@pytest.mark.parametrize("edge", ["pauli", "gate"])
+@pytest.mark.parametrize("twirl_coupling", [False, True])
+def test_dm_run_sequences_starting_or_ending_off_a_local_layer(edge, twirl_coupling):
+    rng = np.random.default_rng([len(edge), twirl_coupling])
+    dev = random_device(4, rng)
+    for _ in range(3):
+        a, b = random_layer(edge, dev, rng), random_layer(edge, dev, rng)
+        local = random_layer("clifford", dev, rng)
+        middle = random_sequence(dev, rng, n_layers=6).layers
+        for layers in ((a,), (a, b), (a, local), (local, a), (a, *middle), (*middle, a), (a, *middle, b)):
+            assert_matches_dense(CircuitSequence(4, layers), dev, twirl_coupling)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_dm_run_middle_local_layers_match_dense_reference(n):
+    # local layers between other layers run as two half-register matmuls; a
+    # wrong Kronecker order there shows on wide and uneven registers
+    rng = np.random.default_rng([n, 4])
+    dev = random_device(n, rng)
+    for _ in range(2):
+        gates = [random_layer("gate", dev, rng) for _ in range(3)]
+        layers = (
+            gates[0],
+            random_layer("clifford", dev, rng),
+            random_layer("unitary", dev, rng),
+            gates[1],
+            random_layer("clifford", dev, rng),
+            random_layer("pauli", dev, rng),
+            random_layer("unitary", dev, rng),
+            gates[2],
+        )
+        assert_matches_dense(CircuitSequence(n, layers), dev)
+
+
+@pytest.mark.parametrize("channel", [block_noise_channel, dressed_cycle_channel])
+def test_channels_match_dense_layers_on_non_hermitian_inputs(channel):
+    rng = np.random.default_rng(10)
+    dev = random_device(4, rng)
+    block = fully_connected_gate(dev, (0, 2), (1,), rng)
+    inputs = rng.normal(size=(3, 16, 16)) + 1j * rng.normal(size=(3, 16, 16))
+    noise = pauli_layer_noise_channel(dev) if channel is dressed_cycle_channel else (lambda r: r)
+    for rho, out in zip(inputs, channel(dev, block)(inputs)):
+        expected = dense_apply_layers(noise(rho), block.layers, dev)
+        expected = dense_apply_layers(expected, block.inverse_layers, dev, noisy=False)
+        assert np.max(np.abs(out - expected)) < 1e-12
+
+
+def test_pauli_layer_noise_channel_matches_dense_depolarizing():
+    rng = np.random.default_rng(13)
+    dev = random_device(3, rng)
+    rho = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    identity = PauliLayer(PauliString.identity(3))
+    expected = dense_apply_layers(rho, (identity,), dev)
+    assert np.max(np.abs(pauli_layer_noise_channel(dev)(rho) - expected)) < 1e-12
+
+
+def test_dm_run_is_pinned_on_a_three_gate_6q_cab_sequence():
+    # probabilities of the Hilbert-space kernel this one replaced; the two
+    # agree to about 6e-16
+    from cabbench.cab import build_cab_sequence
+    from cabbench.cli import load_device
+
+    dev = load_device("three_gate_6q")
+    seq = build_cab_sequence(GateBlock.parallel_cz(dev, (0, 1, 2)), 2, np.random.default_rng(2026))
+    pinned = np.array([
+        0.38163389446023077, 0.014965040171594775, 0.027884188857049748, 0.00604088198530457,
+        0.01642991074797038, 0.0006844593671846878, 0.003988230825400478, 0.0003706288080255564,
+        0.03009003111474026, 0.0033789195459763433, 0.1523606769247172, 0.006463563662396206,
+        0.007516020452407825, 0.0003906769435079282, 0.007144507680893718, 0.00038134649794154994,
+        0.059172264533170114, 0.0024309058184817916, 0.012974727236865337, 0.0012454510436192847,
+        0.0027001635795636724, 0.00011719342848569434, 0.0010316654507427144, 7.438251640253408e-05,
+        0.008652230392893593, 0.000674140238430622, 0.024009429790078248, 0.0010684839887490567,
+        0.001419156885779472, 7.264816034085709e-05, 0.0013114658917921507, 6.989526722048757e-05,
+        0.031378983243102516, 0.0015783303698492668, 0.03633475515919599, 0.001721167857663768,
+        0.0021831176794505154, 0.00010650642966599736, 0.002065039313192308, 0.00010412854818725418,
+        0.016632657765097012, 0.0007972776611916076, 0.01369307337278883, 0.0007168845616134878,
+        0.0018092038049614732, 8.670173697728117e-05, 0.0014909275477795513, 7.86635292211309e-05,
+        0.05626989782549839, 0.0023199776355797026, 0.013044752357172989, 0.0012096559867358855,
+        0.0025821083672912873, 0.00011240425548417015, 0.0010157290374656009, 7.217417768420531e-05,
+        0.008540716660660719, 0.0006527476148939974, 0.022860368854478022, 0.0010208644705991823,
+        0.0013718676855031069, 7.012928768233269e-05, 0.001264617832758513, 6.7387102614444e-05,
+    ])
+    assert np.max(np.abs(dm_run(seq, dev) - pinned)) < 1e-14
+
+
+def test_dressed_cycle_choi_fidelity_is_pinned():
+    # the value of the Hilbert-space kernel this one replaced
+    rng = np.random.default_rng(12)
+    dev = random_device(4, rng)
+    block = fully_connected_gate(dev, (0, 2), (1,), rng)
+    assert choi_process_fidelity(dressed_cycle_channel(dev, block), 4) == pytest.approx(0.5884760583627113, abs=1e-12)

@@ -11,9 +11,7 @@ from cabbench.cab import (
     build_cab_sequence,
     estimate_fidelity,
     execute_cab_run,
-    fit_quality_parameter,
     interleaved_pure_fidelity,
-    kq_for_accuracy,
     run_cab_experiment,
     sample_observables,
     subset_fidelity,
@@ -22,7 +20,7 @@ from cabbench.circuits import CircuitSequence, CliffordLayer, GateBlock, PauliLa
 from cabbench.device import ControlPhases, CouplingMap, DeviceModel, GateSpec
 from cabbench.paulis import PauliString
 
-from helpers import closes_to_identity
+from helpers import closes_to_identity, fit_quality_parameter, kq_for_accuracy
 
 
 def plain_device(n=4, p=1.0, gamma=0.0, **kw):

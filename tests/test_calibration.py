@@ -10,10 +10,11 @@ from cabbench.calibration import (
     NoSignalError,
     calibrate_dynamic_phase,
     measure_conditional_phase,
-    nelder_mead,
     optimize_parallel_cz,
 )
 from cabbench.device import ControlPhases, CouplingMap, DeviceModel, GateSpec
+
+from helpers import nelder_mead
 
 
 def cz_device(control=None, depol_p=1.0, n=2, **kw):

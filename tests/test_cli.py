@@ -183,6 +183,28 @@ def test_artifacts_are_byte_identical_across_runs(kind, tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("per_cz", [None, 0.97])
+def test_parallel_cz_scan_theory_column(tmp_path, per_cz):
+    doc = {
+        "kind": "parallel_cz_scan",
+        "device": "two_gate_4q",
+        "backend": "dm",
+        "seed": 3,
+        "out_dir": str(tmp_path / "scan"),
+        "cab": {"depths": [0, 2], "k_r": 3, "k_s": 200, "mode": "traverse"},
+        "scan_counts": [1, 2],
+    }
+    if per_cz is not None:
+        doc["per_cz_fidelity"] = per_cz
+    text = (run(ExperimentConfig.from_dict(doc)) / "scan.csv").read_text()
+    assert "nan" not in text.lower()
+    rows = [line.split(",") for line in text.splitlines()]
+    assert rows[0][-1] == "theory_power_law" and len(rows) == 3
+    for r, row in zip((1, 2), rows[1:]):
+        assert len(row) == len(rows[0])
+        assert row[-1] == ("" if per_cz is None else repr(per_cz**r))
+
+
 def test_landscape_run(tmp_path):
     doc = {
         "kind": "landscape",
