@@ -7,7 +7,7 @@ qubit-by-qubit ``compose_loop``) work on ``CliffordTableau`` bits, one
 generator at a time, with the Pauli multiplication table.  The last
 section holds small functions that only tests call: closed-form limits,
 a one-observable fit, the observable budget, a device writer and a
-Nelder-Mead driver.
+Nelder-Mead loop.
 """
 
 import json
