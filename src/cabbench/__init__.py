@@ -48,7 +48,6 @@ from .device import (
     PauliChannel,
     apply_readout_noise,
     build_coupling_unitary,
-    parametric_cz_unitary,
     pauli_twirl_diagonal,
 )
 from .experiments import fully_connected_gate, gate_order_samples, ring_device

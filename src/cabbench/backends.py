@@ -34,6 +34,11 @@ error replaced by its exact Pauli twirl.  It compiles, then samples:
   drawn as geometric gaps over the locations that share a channel, so the
   work is proportional to the number of faults, not to shots x qubits.  A
   shot's outcome is the XOR of the flips of its faults.
+
+Both backends give outcomes as int64 codes, qubit 0 the most significant
+bit (``pack_bits``): ``dm_run``'s probability index, the stab frame, the
+readout flips XORed into it and the ``ShotCounts`` that parities and
+marginals read all use the one format.
 """
 
 from __future__ import annotations
@@ -64,11 +69,12 @@ _LOCAL = (CliffordLayer, Unitary1qLayer)
 
 
 def _bits(a: np.ndarray, n: int, qubits) -> np.ndarray:
-    """Sub-index of register indices ``a`` on ``qubits`` (qubits[0] = MSB)."""
-    sub = np.zeros_like(a)
-    for q in qubits:
-        sub = (sub << 1) | ((a >> (n - 1 - q)) & 1)
-    return sub
+    """Sub-index of register indices or outcome codes ``a`` (1-d) on
+    ``qubits`` (qubits[0] = MSB): the place values times the (k, len(a))
+    bit rows.  Rows, not columns: a (len(a), k) operand is about 3x slower
+    for thousands of codes and few qubits."""
+    q = np.asarray(qubits, dtype=np.int64)
+    return (1 << np.arange(len(q) - 1, -1, -1)) @ ((a >> (n - 1 - q)[:, None]) & 1)
 
 
 def _kron(factors: np.ndarray) -> np.ndarray:
@@ -369,11 +375,15 @@ def dm_run(
 
 @dataclass
 class ShotCounts:
-    """Measurement outcomes of one sequence: unique bitstrings with counts."""
+    """Measurement outcomes of one sequence: unique outcome codes with counts.
+
+    A code is an int64 whose bit n-1-q is qubit q's outcome (qubit 0 the
+    most significant bit, as ``pack_bits`` writes it).
+    """
 
     n: int
     k_s: int
-    bits: np.ndarray  # (D, n) uint8, unique outcome rows
+    codes: np.ndarray  # (D,) int64, unique outcome codes
     counts: np.ndarray  # (D,) int64
 
     def __post_init__(self):
@@ -383,25 +393,19 @@ class ShotCounts:
             raise ValueError("counts must sum to the number of shots")
 
     @staticmethod
-    def from_outcomes(outcomes: np.ndarray) -> "ShotCounts":
-        outcomes = np.asarray(outcomes, dtype=np.uint8)
-        k_s, n = outcomes.shape
-        packed = pack_bits(outcomes)
-        uniq, counts = np.unique(packed, return_counts=True)
-        return ShotCounts(n, k_s, unpack_bits(uniq, n), counts.astype(np.int64))
+    def from_outcomes(codes: np.ndarray, n: int) -> "ShotCounts":
+        uniq, counts = np.unique(codes, return_counts=True)
+        return ShotCounts(n, len(codes), uniq, counts.astype(np.int64))
 
     @staticmethod
     def from_probabilities(probs: np.ndarray, n: int, k_s: int, rng: np.random.Generator) -> "ShotCounts":
         sampled = rng.multinomial(k_s, probs / probs.sum())
         nz = np.flatnonzero(sampled)
-        return ShotCounts(n, k_s, unpack_bits(nz.astype(np.int64), n), sampled[nz].astype(np.int64))
-
-    def packed(self) -> np.ndarray:
-        return pack_bits(self.bits)
+        return ShotCounts(n, k_s, nz.astype(np.int64), sampled[nz].astype(np.int64))
 
     def survivals(self, w_masks: np.ndarray) -> np.ndarray:
         """sum_x count(x)/k_s * (-1)^(w.x) for each Z-observable mask w."""
-        par = (np.bitwise_count(self.packed()[:, None] & w_masks[None, :]) & 1).astype(float)
+        par = (np.bitwise_count(self.codes[:, None] & w_masks[None, :]) & 1).astype(float)
         # k_s minus twice the odd-parity count; integer-valued, so exact
         return (self.k_s - 2.0 * (self.counts @ par)) / self.k_s
 
@@ -410,7 +414,7 @@ class ShotCounts:
         if self.n > 26:
             raise ResourceLimitError("dense count vector too large")
         vec = np.zeros(2**self.n)
-        vec[self.packed()] = self.counts
+        vec[self.codes] = self.counts
         return vec
 
     def all_survivals(self) -> np.ndarray:
@@ -419,11 +423,8 @@ class ShotCounts:
 
     def marginal_count_vector(self, qubits: tuple[int, ...]) -> np.ndarray:
         """Dense count vector of the outcomes restricted to ``qubits``."""
-        k = len(qubits)
-        sub = np.zeros(len(self.counts), dtype=np.int64)
-        for i, q in enumerate(qubits):
-            sub |= self.bits[:, q].astype(np.int64) << (k - 1 - i)
-        return np.bincount(sub, weights=self.counts, minlength=2**k)
+        sub = _bits(self.codes, self.n, qubits)
+        return np.bincount(sub, weights=self.counts, minlength=2 ** len(qubits))
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -435,13 +436,6 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     padded[..., 64 - n :] = bits
     # [()] makes one row's code a scalar, as for a 2-d input it is a no-op
     return np.packbits(padded, axis=-1).view(">i8")[..., 0].astype(np.int64)[()]
-
-
-def unpack_bits(codes: np.ndarray, n: int) -> np.ndarray:
-    """int64 codes to rows of n bits (qubit 0 first = MSB)."""
-    # shift the n code bits to the top, so they are the first n unpacked
-    top = np.asarray(codes).astype(np.uint64) << np.uint64(64 - n)
-    return np.unpackbits(top.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1, count=n)
 
 
 def _compile_faults(seq: CircuitSequence, device: DeviceModel) -> list:
@@ -531,8 +525,9 @@ def stab_run_counts(
     probability; the firings of the locations that share a channel are
     drawn as geometric gaps over their L * k_s trials.  A firing picks its
     Pauli from the channel's conditional distribution, and a shot's outcome
-    (ideally all zeros) is the XOR of the flips of its faults.  Readout
-    error follows (``apply_readout_noise``).
+    code (ideally 0) is the XOR of the flips of its faults.  Readout error
+    is XORed into the codes (``apply_readout_noise``), which go to
+    ``ShotCounts`` as they are.
     """
     n = seq.n
     groups = _compile_faults(seq, device)
@@ -548,12 +543,11 @@ def stab_run_counts(
         flip = np.bitwise_xor.reduce(np.where(bits, flips[loc], 0), axis=1)
         np.bitwise_xor.at(frame, shot, flip)
 
-    outcomes = unpack_bits(frame, n)
     if np.any(device.readout_e0 > 0) or np.any(device.readout_e1 > 0):
         from .device import apply_readout_noise
 
-        outcomes = apply_readout_noise(outcomes, device.readout_e0, device.readout_e1, rng)
-    return ShotCounts.from_outcomes(outcomes)
+        frame = apply_readout_noise(frame, n, device.readout_e0, device.readout_e1, rng)
+    return ShotCounts.from_outcomes(frame, n)
 
 
 # ---------------------------------------------------------------------------

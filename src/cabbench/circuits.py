@@ -17,9 +17,6 @@ class CliffordLayer:
 
     layer: LocalCliffordLayer
 
-    def tableau(self, n: int) -> CliffordTableau:
-        return CliffordTableau.from_local_layer(self.layer)
-
 
 @dataclass(frozen=True)
 class PauliLayer:
@@ -28,19 +25,12 @@ class PauliLayer:
     pauli: PauliString
     closing: bool = False
 
-    def tableau(self, n: int) -> CliffordTableau:
-        return CliffordTableau.from_pauli_conjugation(self.pauli)
-
 
 @dataclass(frozen=True)
 class GateLayer:
     """Parallel execution of a set of the device's two-qubit gates."""
 
     gates: tuple[int, ...]
-
-    def tableau_for(self, device: DeviceModel, n: int) -> CliffordTableau:
-        pairs = [device.gates[g].pair for g in self.gates]
-        return CliffordTableau.from_cz_layer(n, pairs)
 
 
 @dataclass(frozen=True)

@@ -184,23 +184,19 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _estimate_doc(est) -> dict:
-    return est.to_dict()
-
-
 def _report_doc(rep: CabReport) -> dict:
     return {
         "block": rep.block_name,
         "n": rep.n,
-        "dressed": _estimate_doc(rep.dressed),
-        "twirl": _estimate_doc(rep.twirl),
-        "pure": _estimate_doc(rep.pure),
+        "dressed": rep.dressed.to_dict(),
+        "twirl": rep.twirl.to_dict(),
+        "pure": rep.pure.to_dict(),
         "subsets": {
             "+".join(str(g) for g in key): {
                 "qubits": list(res.qubits),
-                "dressed": _estimate_doc(res.dressed),
-                "twirl": _estimate_doc(res.twirl),
-                "pure": _estimate_doc(res.pure),
+                "dressed": res.dressed.to_dict(),
+                "twirl": res.twirl.to_dict(),
+                "pure": res.pure.to_dict(),
             }
             for key, res in rep.subsets.items()
         },
@@ -262,7 +258,7 @@ def _run_cb(cfg: ExperimentConfig, out: Path) -> dict:
         ["w_mask", "lambda", "se", "flagged"],
         [(qp.w_mask, qp.lam, qp.se, int(qp.flagged)) for qp in est.quality_params],
     )
-    return {"cb": _estimate_doc(est)}
+    return {"cb": est.to_dict()}
 
 
 def _run_fully_connected(cfg: ExperimentConfig, out: Path) -> dict:
@@ -271,6 +267,8 @@ def _run_fully_connected(cfg: ExperimentConfig, out: Path) -> dict:
         device = load_device(cfg.device)
         n = device.n_qubits
     else:
+        if n % 2 or n < 4:
+            raise ConfigError(f"fully_connected n must be even and >= 4, got {n}")
         device = ring_device(
             n,
             gate_depol=float(cfg.extra.get("gate_depol", 0.9780266666666667)),

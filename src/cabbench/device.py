@@ -219,18 +219,6 @@ def pauli_twirl_diagonal(v: DiagonalUnitary) -> PauliChannel:
     return PauliChannel(v.qubits, weights)
 
 
-def parametric_cz_unitary(spec: GateSpec) -> DiagonalUnitary:
-    """diag(1, e^{i dyn_j}, e^{i dyn_i}, e^{i(dyn_i+dyn_j+pi+cond)}) on the pair."""
-    c = spec.control
-    diag = np.exp(
-        1j
-        * np.array(
-            [0.0, c.dyn_j, c.dyn_i, c.dyn_i + c.dyn_j + np.pi + c.cond_phase]
-        )
-    )
-    return DiagonalUnitary(tuple(spec.pair), diag)
-
-
 def bernoulli_positions(rng: np.random.Generator, n_trials: int, p: float) -> np.ndarray:
     """Sorted indices of the successes among ``n_trials`` independent
     Bernoulli(p) trials.
@@ -254,28 +242,30 @@ def bernoulli_positions(rng: np.random.Generator, n_trials: int, p: float) -> np
     return pos[: np.searchsorted(pos, n_trials)]
 
 
-def apply_readout_noise(bits: np.ndarray, e0: np.ndarray, e1: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Flip measured bits independently: 0->1 with e0, 1->0 with e1.
+def apply_readout_noise(
+    codes: np.ndarray, n: int, e0: np.ndarray, e1: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Flip measured bits of int64 outcome codes independently: 0->1 with
+    e0, 1->0 with e1.  Qubit q is bit n-1-q of a code (qubit 0 the most
+    significant, as ``pack_bits`` writes it); returns new codes.
 
-    ``bits`` may be a single outcome (n,) or a batch (shots, n).  Flips are
-    drawn by thinning: candidates at rate max(e0, e1) per qubit (as geometric
-    gaps over the qubits that share a rate), each kept with probability
-    e0/max or e1/max according to its bit.
+    Flips are drawn by thinning: candidates at rate max(e0, e1) per qubit (as
+    geometric gaps over the (shot, qubit) pairs of the qubits that share a
+    rate), each kept with probability e0/max or e1/max according to its bit.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
-    squeeze = bits.ndim == 1
-    out = np.atleast_2d(bits).copy()
-    shots, n = out.shape
+    out = np.array(codes, dtype=np.int64)
     e0 = np.broadcast_to(np.asarray(e0, dtype=float), (n,))
     e1 = np.broadcast_to(np.asarray(e1, dtype=float), (n,))
     rate = np.maximum(e0, e1)
     for r in np.unique(rate):
         qubits = np.flatnonzero(rate == r)
-        shot, j = np.divmod(bernoulli_positions(rng, shots * len(qubits), float(r)), len(qubits))
+        shot, j = np.divmod(bernoulli_positions(rng, len(out) * len(qubits), float(r)), len(qubits))
         q = qubits[j]
-        keep = rng.random(len(q)) * r < np.where(out[shot, q] == 0, e0[q], e1[q])
-        out[shot[keep], q[keep]] ^= 1
-    return out[0] if squeeze else out
+        flip = np.left_shift(1, n - 1 - q)
+        keep = rng.random(len(q)) * r < np.where(out[shot] & flip, e1[q], e0[q])
+        # one shot can keep flips on several qubits: an unbuffered XOR
+        np.bitwise_xor.at(out, shot[keep], flip[keep])
+    return out
 
 
 @dataclass

@@ -2,12 +2,12 @@
 
 The dense-matrix helpers are deliberately independent of the package
 internals: plain kron products and explicit channel evaluations.  The
-tableau helpers (single-gate builders, conjugation, inversion and the
-qubit-by-qubit ``compose_loop``) work on ``CliffordTableau`` bits, one
+tableau helpers (single-gate and layer builders, conjugation, inversion and
+the qubit-by-qubit ``compose_loop``) work on ``CliffordTableau`` bits, one
 generator at a time, with the Pauli multiplication table.  The last
-section holds small functions that only tests call: closed-form limits,
-a one-observable fit, the observable budget, a device writer and a
-Nelder-Mead loop.
+section holds small functions that only tests call: outcome-code
+unpacking, the parametric CZ unitary, closed-form limits, a one-observable
+fit, the observable budget, a device writer and a Nelder-Mead loop.
 """
 
 import json
@@ -18,7 +18,7 @@ import numpy as np
 
 from cabbench.cab import QualityParameter, _fit_lambda_arrays
 from cabbench.calibration import NelderMead, NelderMeadOptions, NonFiniteObjective
-from cabbench.device import DeviceModel, PauliChannel
+from cabbench.device import DeviceModel, DiagonalUnitary, GateSpec, PauliChannel
 from cabbench.paulis import _MUL_PHASE, LocalCliffordLayer, PauliString, single_qubit_cliffords
 from cabbench.tableau import CliffordTableau, NonCliffordError
 
@@ -367,15 +367,25 @@ def compose_loop(after: CliffordTableau, before: CliffordTableau) -> CliffordTab
 
 def net_tableau(seq, device) -> CliffordTableau:
     """Tableau of a whole Clifford sequence, composed layer by layer."""
-    from cabbench.circuits import GateLayer, Unitary1qLayer
+    from cabbench.circuits import Unitary1qLayer
 
     net = CliffordTableau.identity(seq.n)
     for layer in seq.layers:
         if isinstance(layer, Unitary1qLayer):
             raise ValueError("net tableau undefined for non-Clifford layers")
-        t = layer.tableau_for(device, seq.n) if isinstance(layer, GateLayer) else layer.tableau(seq.n)
-        net = t.compose(net)
+        net = layer_tableau(layer, device, seq.n).compose(net)
     return net
+
+
+def layer_tableau(layer, device, n: int) -> CliffordTableau:
+    """Tableau of one Clifford, Pauli or gate layer."""
+    from cabbench.circuits import CliffordLayer, GateLayer
+
+    if isinstance(layer, GateLayer):
+        return CliffordTableau.from_cz_layer(n, [device.gates[g].pair for g in layer.gates])
+    if isinstance(layer, CliffordLayer):
+        return CliffordTableau.from_local_layer(layer.layer)
+    return CliffordTableau.from_pauli_conjugation(layer.pauli)
 
 
 def closes_to_identity(seq, device) -> bool:
@@ -383,6 +393,21 @@ def closes_to_identity(seq, device) -> bool:
 
 
 # -- small functions that only tests call ---------------------------------------
+
+
+def unpack_bits(codes: np.ndarray, n: int) -> np.ndarray:
+    """int64 outcome codes to rows of n bits (qubit 0 first = MSB), the
+    inverse of ``cabbench.backends.pack_bits``."""
+    # shift the n code bits to the top, so they are the first n unpacked
+    top = np.asarray(codes).astype(np.uint64) << np.uint64(64 - n)
+    return np.unpackbits(top.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1, count=n)
+
+
+def parametric_cz_unitary(spec: GateSpec) -> DiagonalUnitary:
+    """diag(1, e^{i dyn_j}, e^{i dyn_i}, e^{i(dyn_i+dyn_j+pi+cond)}) on the pair."""
+    c = spec.control
+    diag = np.exp(1j * np.array([0.0, c.dyn_j, c.dyn_i, c.dyn_i + c.dyn_j + np.pi + c.cond_phase]))
+    return DiagonalUnitary(tuple(spec.pair), diag)
 
 
 def weight_of(channel: PauliChannel, pauli: PauliString) -> float:

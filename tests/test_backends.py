@@ -3,6 +3,7 @@ import pytest
 
 from cabbench.backends import (
     ShotCounts,
+    _bits,
     block_noise_channel,
     choi_process_fidelity,
     dm_run,
@@ -10,7 +11,6 @@ from cabbench.backends import (
     pack_bits,
     pauli_layer_noise_channel,
     stab_run_counts,
-    unpack_bits,
 )
 from cabbench.circuits import CircuitSequence, CliffordLayer, GateBlock, GateLayer, PauliLayer, Unitary1qLayer
 from cabbench.device import CouplingMap, ControlPhases, DeviceModel, GateSpec, ResourceLimitError
@@ -27,6 +27,7 @@ from helpers import (
     process_fidelity_pauli_sum,
     restricted_channel,
     unitary_channel,
+    unpack_bits,
 )
 
 
@@ -146,8 +147,8 @@ def test_stab_noiseless_all_zeros():
     rng = np.random.default_rng(1)
     counts = stab_run_counts(seq, dev, 100, rng)
     assert counts.counts.tolist() == [100]
-    assert not counts.bits.any()
-    assert np.array_equal(stab_run_counts(seq, dev, 1, rng).bits[0], np.zeros(2, dtype=np.uint8))
+    assert counts.codes.tolist() == [0]
+    assert stab_run_counts(seq, dev, 1, rng).codes.tolist() == [0]
 
 
 def test_stab_matches_dm_twirled_model():
@@ -227,14 +228,42 @@ def test_pack_unpack_roundtrip():
     assert np.array_equal(unpack_bits(pack_bits(bits), 9), bits)
 
 
+def _sub_index_reference(bits: np.ndarray, qubits) -> np.ndarray:
+    """Sub-index of bit rows on ``qubits`` (qubits[0] = MSB), one bit at a time."""
+    sub = np.zeros(len(bits), dtype=np.int64)
+    for q in qubits:
+        sub = 2 * sub + bits[:, q]
+    return sub
+
+
+@pytest.mark.parametrize("n", [6, 44, 62])
+def test_marginal_count_vector_matches_bitwise_reference(n):
+    rng = np.random.default_rng(n)
+    codes = np.unique(pack_bits(rng.integers(0, 2, size=(300, n), dtype=np.uint8)))
+    weights = rng.integers(1, 20, size=len(codes))
+    counts = ShotCounts(n, int(weights.sum()), codes, weights)
+    bits = unpack_bits(codes, n)
+    register = unpack_bits(np.arange(2**n), n) if n <= 12 else None
+    # unsorted tuples and the end qubits included, lengths 1 to 8
+    tuples = [(0,), (n - 1,), (n - 1, 0), (3, 1, 5), (0, 2, 4, n - 1)]
+    tuples += [tuple(rng.choice(n, size=k, replace=False).tolist()) for k in range(1, min(n, 8) + 1)]
+    for qubits in tuples:
+        expected = np.zeros(2 ** len(qubits))
+        np.add.at(expected, _sub_index_reference(bits, qubits), weights)
+        assert np.array_equal(counts.marginal_count_vector(qubits), expected), qubits
+        if register is not None:
+            # the dm gate tables index register states the same way
+            assert np.array_equal(_bits(np.arange(2**n), n, qubits), _sub_index_reference(register, qubits)), qubits
+
+
 def test_survival_hand_example():
-    counts = ShotCounts(2, 100, np.array([[0, 0], [1, 1]], dtype=np.uint8), np.array([60, 40]))
+    counts = ShotCounts(2, 100, pack_bits(np.array([[0, 0], [1, 1]], dtype=np.uint8)), np.array([60, 40]))
     assert counts.survivals(np.array([0b01, 0b00])) == pytest.approx([0.2, 1.0])
 
 
 def test_shot_counts_reject_empty():
     with pytest.raises(ValueError, match="k_s"):
-        ShotCounts(2, 0, np.zeros((0, 2), dtype=np.uint8), np.zeros(0, dtype=np.int64))
+        ShotCounts(2, 0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError, match="k_s"):
         ShotCounts.from_probabilities(np.array([1.0, 0.0, 0.0, 0.0]), 2, 0, np.random.default_rng(0))
 
@@ -272,8 +301,9 @@ def register_device(n):
 def test_stab_runs_a_62_qubit_register():
     dev, seq = register_device(62)
     counts = stab_run_counts(seq, dev, 500, np.random.default_rng(0))
-    assert counts.bits.shape[1] == 62 and counts.bits[:, [0, 61]].any()
-    assert not counts.bits[:, 1:61].any()  # faults only hit the gate's qubits
+    bits = unpack_bits(counts.codes, 62)
+    assert bits.shape[1] == 62 and bits[:, [0, 61]].any()
+    assert not bits[:, 1:61].any()  # faults only hit the gate's qubits
 
 
 def test_stab_register_above_62_qubits_raises_before_any_draw():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cabbench.backends import ShotCounts
+from cabbench.backends import ShotCounts, pack_bits
 from cabbench.cab import (
     CabConfig,
     ConfigError,
@@ -95,18 +95,18 @@ def test_observable_mean_weight():
 
 
 def test_survival_all_zero_counts():
-    c = ShotCounts(3, 50, np.zeros((1, 3), dtype=np.uint8), np.array([50]))
+    c = ShotCounts(3, 50, pack_bits(np.zeros((1, 3), dtype=np.uint8)), np.array([50]))
     assert c.survivals(np.array([0, 1, 0b101, 0b111])) == pytest.approx(1.0)
 
 
 def test_survival_uniform_counts_vanishes():
     bits = np.array([[b >> 1 & 1, b & 1] for b in range(4)], dtype=np.uint8)
-    c = ShotCounts(2, 400, bits, np.full(4, 100))
+    c = ShotCounts(2, 400, pack_bits(bits), np.full(4, 100))
     assert c.survivals(np.array([0b01, 0b11])) == pytest.approx(0.0)
 
 
 def test_survival_hand_value():
-    c = ShotCounts(2, 100, np.array([[0, 0], [1, 1]], dtype=np.uint8), np.array([60, 40]))
+    c = ShotCounts(2, 100, pack_bits(np.array([[0, 0], [1, 1]], dtype=np.uint8)), np.array([60, 40]))
     assert c.survivals(np.array([0b01]))[0] == pytest.approx(0.2)
 
 

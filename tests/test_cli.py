@@ -183,6 +183,23 @@ def test_artifacts_are_byte_identical_across_runs(kind, tmp_path):
     assert first == second
 
 
+# sha256 of survivals.csv at seed 21, so that no change to how outcomes are
+# stored or marginalized can move the bytes: the stab sample path (fault
+# frame, readout thinning, parities, ``singles`` marginals) and the dm
+# traverse path with subsets
+PINNED_SURVIVALS = {
+    "cab_ring44_stab": "2a4ef7a4712f338dcc9241d33a396f08cb66ee5b253ceb88b18388d15f9c28d1",
+    "cab": "e297ab465ed71bb9ed4dfdfd122f42e4ffaaaf7a0b851709e84bca5f850f044c",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_SURVIVALS))
+def test_survivals_bytes_are_pinned(kind, tmp_path):
+    doc = {**DETERMINISM_CONFIGS[kind], "seed": 21, "out_dir": str(tmp_path / kind)}
+    digests = artifact_digests(run(ExperimentConfig.from_dict(doc)))
+    assert digests["survivals.csv"] == PINNED_SURVIVALS[kind]
+
+
 @pytest.mark.parametrize("per_cz", [None, 0.97])
 def test_parallel_cz_scan_theory_column(tmp_path, per_cz):
     doc = {
@@ -258,6 +275,8 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("order_stats", {"n_list": [2], "samples": 3}),
         ("order_stats", {"n_list": [4], "samples": 0}),
         ("order_stats", {"n_list": [4], "samples": 3, "cap": 0}),
+        ("fully_connected", {"device": None, "n": 7}),
+        ("fully_connected", {"device": None, "n": 2}),
     ],
     ids=[
         "k_r",
@@ -270,6 +289,8 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "order_small_n",
         "order_samples",
         "order_cap",
+        "fc_odd_n",
+        "fc_small_n",
     ],
 )
 def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys):
