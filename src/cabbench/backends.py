@@ -25,15 +25,16 @@ converted to (complex) Pauli coefficients and back at their boundary.
 
 ``stab_run_counts`` is the scalable backend, a Pauli-frame sampler for
 sequences that ideally close to the identity, with every coherent diagonal
-error replaced by its exact Pauli twirl.  It compiles, then samples:
+error replaced by its exact Pauli twirl.  Like Stim (Gidney, Quantum 5,
+497 (2021)) it compiles, then samples:
 
-- compile: one backward walk over the layers gives every noise location
-  with the readout flip (a GF(2) vector of the final X bits) of each of its
-  Paulis;
+- compile: one backward walk over the layers tabulates, per noise
+  location, the readout flip (a GF(2) vector of the final X bits) of each
+  of its Paulis;
 - sample: each (location, shot) fires independently with its probability,
   drawn as geometric gaps over the locations that share a channel, so the
   work is proportional to the number of faults, not to shots x qubits.  A
-  shot's outcome is the XOR of the flips of its faults.
+  shot's outcome is the XOR of its faults' flips, each one table lookup.
 
 Both backends give outcomes as int64 codes, qubit 0 the most significant
 bit (``pack_bits``): ``dm_run``'s probability index, the stab frame, the
@@ -405,9 +406,9 @@ class ShotCounts:
 
     def survivals(self, w_masks: np.ndarray) -> np.ndarray:
         """sum_x count(x)/k_s * (-1)^(w.x) for each Z-observable mask w."""
-        par = (np.bitwise_count(self.codes[:, None] & w_masks[None, :]) & 1).astype(float)
+        par = (np.bitwise_count(w_masks[:, None] & self.codes[None, :]) & 1).astype(float)
         # k_s minus twice the odd-parity count; integer-valued, so exact
-        return (self.k_s - 2.0 * (self.counts @ par)) / self.k_s
+        return (self.k_s - 2.0 * (par @ self.counts.astype(float))) / self.k_s
 
     def count_vector(self) -> np.ndarray:
         """Dense count vector over all 2^n outcomes (small n only)."""
@@ -452,14 +453,15 @@ def _compile_faults(seq: CircuitSequence, device: DeviceModel) -> list:
     - a CZ maps X_a to X_a Z_b, and a Pauli layer leaves faults unchanged.
 
     The locations come grouped by channel, in order of first appearance:
-    (firing probability, conditional weights, flips).  ``flips`` is (L, b),
-    one row per location.  A firing picks a b-bit index (first bit the most
-    significant) uniformly when the weights are None, or from the weights
-    with the index offset by one (the identity is excluded); the outcome
-    flips by the XOR of the row entries whose bits are set.  Per-qubit
-    depolarizing has rows (X, Z) and per-gate depolarizing (X_a, Z_a, X_b,
-    Z_b), both uniform over all 4 or 16 Paulis, identity included; a twirled
-    coupling has the Z flips of its support, weighted by the twirl.
+    (firing probability, conditional weights, table).  A location has b flip
+    vectors, one per Pauli factor: (X, Z) for per-qubit and (X_a, Z_a, X_b,
+    Z_b) for per-gate depolarizing, uniform over all 4 or 16 Paulis,
+    identity included, and the Z flips of its support for a twirled
+    coupling, weighted by the twirl.  ``table`` (L, 2^b) has a row per
+    location: entry i is the XOR of the flip vectors whose bits are set in
+    i, the first the most significant.  A firing picks i uniformly when the
+    weights are None, or from the weights offset by one (the identity is
+    excluded), and flips the outcome by ``table[loc, i]``.
     """
     n = seq.n
     if n > PACK_QUBIT_LIMIT:
@@ -509,7 +511,14 @@ def _compile_faults(seq: CircuitSequence, device: DeviceModel) -> list:
             raise ValueError("stabilizer backend cannot execute arbitrary 1q unitaries")
         else:
             raise TypeError(f"unknown layer type {type(layer)!r}")
-    return [(p, weights, np.concatenate(rows)) for p, weights, rows in groups.values()]
+    tables = []
+    for p, weights, rows in groups.values():
+        flips = np.concatenate(rows)
+        table = np.zeros((len(flips), 1), dtype=np.int64)
+        for f in flips.T:  # each later factor appends a less significant index bit
+            table = np.stack((table, table ^ f[:, None]), axis=2).reshape(len(flips), -1)
+        tables.append((p, weights, table))
+    return tables
 
 
 def stab_run_counts(
@@ -525,23 +534,21 @@ def stab_run_counts(
     probability; the firings of the locations that share a channel are
     drawn as geometric gaps over their L * k_s trials.  A firing picks its
     Pauli from the channel's conditional distribution, and a shot's outcome
-    code (ideally 0) is the XOR of the flips of its faults.  Readout error
-    is XORed into the codes (``apply_readout_noise``), which go to
+    code (ideally 0) is the XOR of the table flips of its faults.  Readout
+    error is XORed into the codes (``apply_readout_noise``), which go to
     ``ShotCounts`` as they are.
     """
     n = seq.n
     groups = _compile_faults(seq, device)
     frame = np.zeros(k_s, dtype=np.int64)
-    for p, weights, flips in groups:
-        n_loc, b = flips.shape
+    for p, weights, table in groups:
+        n_loc, size = table.shape
         shot, loc = np.divmod(bernoulli_positions(rng, n_loc * k_s, p), n_loc)
         if weights is None:
-            idx = rng.integers(0, 2**b, size=len(loc))
+            idx = rng.integers(0, size, size=len(loc))
         else:
             idx = rng.choice(len(weights), size=len(loc), p=weights) + 1
-        bits = (idx[:, None] >> np.arange(b - 1, -1, -1)) & 1
-        flip = np.bitwise_xor.reduce(np.where(bits, flips[loc], 0), axis=1)
-        np.bitwise_xor.at(frame, shot, flip)
+        np.bitwise_xor.at(frame, shot, table[loc, idx])
 
     if np.any(device.readout_e0 > 0) or np.any(device.readout_e1 > 0):
         from .device import apply_readout_noise

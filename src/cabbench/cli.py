@@ -172,16 +172,12 @@ def _json_default(obj):
 
 
 def _write_csv(path: Path, header: list[str], rows):
+    """Rows of ints, strings and Python or float64 floats, one format string
+    per file: format(v, "") of a float is its shortest round-trip repr."""
+    line = ",".join(["{}"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(v) for v in row) + "\n")
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+        fh.writelines(line.format(*row) for row in rows)
 
 
 def _report_doc(rep: CabReport) -> dict:
@@ -210,24 +206,13 @@ def _write_cab_artifacts(out: Path, rep: CabReport):
         ["kind", "w_mask", "lambda", "se", "flagged"],
         [(k, w, l, s, int(f)) for k, w, l, s, f in rep.lambda_table()],
     )
-    _write_csv(
-        out / "survivals.csv",
-        ["kind", "depth", "w_mask", "mean", "se"],
-        _survival_rows(rep),
-    )
-
-
-def _survival_rows(rep: CabReport):
     rows = []
     for data in (rep.dressed_data, rep.twirl_data):
-        if data is None:
-            continue
-        means = data.depth_means()
-        ses = data.depth_ses()
-        for d, m in enumerate(data.depths):
-            for qi, mask in enumerate(data.masks):
-                rows.append((data.kind, m, int(mask), means[d, qi], ses[d, qi]))
-    return rows
+        if data is not None:
+            masks = data.masks.tolist()
+            for m, means, ses in zip(data.depths, data.depth_means().tolist(), data.depth_ses().tolist()):
+                rows += [(data.kind, m, w, a, s) for w, a, s in zip(masks, means, ses)]
+    _write_csv(out / "survivals.csv", ["kind", "depth", "w_mask", "mean", "se"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +262,13 @@ def _run_fully_connected(cfg: ExperimentConfig, out: Path) -> dict:
             readout_e1=float(cfg.extra.get("readout_e1", 0.0382)),
         )
     n_half = n // 2
+    if len(device.gates) < n:
+        raise ConfigError(f"fully_connected needs {n} gates, the device has {len(device.gates)}")
+    for half in (range(n_half), range(n_half, n)):
+        try:
+            device.check_layer_disjoint(tuple(half))
+        except ValueError as err:
+            raise ConfigError(f"fully_connected gates {list(half)}: {err}") from err
     rng = np.random.default_rng([cfg.seed, 3])
     block = fully_connected_gate(device, tuple(range(n_half)), tuple(range(n_half, n)), rng)
     cab_cfg = cfg.cab_config(device, tuple(range(n)))

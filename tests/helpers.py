@@ -4,7 +4,9 @@ The dense-matrix helpers are deliberately independent of the package
 internals: plain kron products and explicit channel evaluations.  The
 tableau helpers (single-gate and layer builders, conjugation, inversion and
 the qubit-by-qubit ``compose_loop``) work on ``CliffordTableau`` bits, one
-generator at a time, with the Pauli multiplication table.  The last
+generator at a time, with the Pauli multiplication table.
+``stab_run_counts_bitwise`` is the stabilizer sampler that expands every
+fault's Pauli index into bits and XORs the flips of the set ones.  The last
 section holds small functions that only tests call: outcome-code
 unpacking, the parametric CZ unitary, closed-form limits, a one-observable
 fit, the observable budget, a device writer and a Nelder-Mead loop.
@@ -390,6 +392,85 @@ def layer_tableau(layer, device, n: int) -> CliffordTableau:
 
 def closes_to_identity(seq, device) -> bool:
     return net_tableau(seq, device).is_identity()
+
+
+# -- the stabilizer sampler, one fault's Pauli bits at a time --------------------
+
+
+def _fault_flips(seq, device) -> list:
+    """(firing probability, conditional weights, flips (L, b)) per channel:
+    the backward walk of ``cabbench.backends._compile_faults`` with the b
+    flip vectors of each location kept as they are."""
+    from cabbench.circuits import CliffordLayer, GateLayer, PauliLayer
+
+    n = seq.n
+    act = single_qubit_cliffords().action.astype(bool)
+    fx = np.left_shift(1, np.arange(n - 1, -1, -1, dtype=np.int64))
+    fz = np.zeros(n, dtype=np.int64)
+    groups: dict = {}
+
+    def add(key, p, weights, rows):
+        if p > 0.0:
+            groups.setdefault(key, (p, weights, []))[2].append(rows)
+
+    fire_1q = 1.0 - device.single_qubit_depol[:n]
+
+    def depol_1q():
+        rows = np.stack([fx, fz], axis=1)
+        for p in np.unique(fire_1q):
+            add(("1q", p), float(p), None, rows[fire_1q == p])
+
+    for layer in reversed(seq.layers):
+        if isinstance(layer, CliffordLayer):
+            depol_1q()
+            img = act[layer.layer.elements]
+            fx, fz = (
+                np.where(img[:, 1, 0], fx, 0) ^ np.where(img[:, 1, 1], fz, 0),
+                np.where(img[:, 2, 0], fx, 0) ^ np.where(img[:, 2, 1], fz, 0),
+            )
+        elif isinstance(layer, PauliLayer):
+            if device.pauli_layer_noise:
+                depol_1q()
+        elif isinstance(layer, GateLayer):
+            for g in layer.gates:
+                spec = device.gates[g]
+                a, b = spec.pair
+                p = 1.0 - spec.effective_depol_p()
+                add(("2q", p), p, None, np.array([[fx[a], fz[a], fx[b], fz[b]]]))
+            for ch in device.layer_twirl_channels(layer.gates):
+                p = float(ch.weights[1:].sum())
+                if p > 0.0:
+                    add(("twirl", id(ch)), p, ch.weights[1:] / p, fz[list(ch.support)][None, :])
+            for g in layer.gates:
+                a, b = device.gates[g].pair
+                fx[a], fx[b] = fx[a] ^ fz[b], fx[b] ^ fz[a]
+        else:
+            raise TypeError(f"no reference for layer type {type(layer)!r}")
+    return [(p, weights, np.concatenate(rows)) for p, weights, rows in groups.values()]
+
+
+def stab_run_counts_bitwise(seq, device, k_s: int, rng: np.random.Generator):
+    """Reference for ``cabbench.backends.stab_run_counts`` with the same
+    draws in the same order: a fault's flip is the XOR of the flip vectors
+    at the set bits of its Pauli index (first bit the most significant),
+    expanded fault by fault instead of looked up in a table."""
+    from cabbench.backends import ShotCounts
+    from cabbench.device import apply_readout_noise, bernoulli_positions
+
+    frame = np.zeros(k_s, dtype=np.int64)
+    for p, weights, flips in _fault_flips(seq, device):
+        n_loc, b = flips.shape
+        shot, loc = np.divmod(bernoulli_positions(rng, n_loc * k_s, p), n_loc)
+        if weights is None:
+            idx = rng.integers(0, 2**b, size=len(loc))
+        else:
+            idx = rng.choice(len(weights), size=len(loc), p=weights) + 1
+        bits = (idx[:, None] >> np.arange(b - 1, -1, -1)) & 1
+        flip = np.bitwise_xor.reduce(np.where(bits, flips[loc], 0), axis=1)
+        np.bitwise_xor.at(frame, shot, flip)
+    if np.any(device.readout_e0 > 0) or np.any(device.readout_e1 > 0):
+        frame = apply_readout_noise(frame, seq.n, device.readout_e0, device.readout_e1, rng)
+    return ShotCounts.from_outcomes(frame, seq.n)
 
 
 # -- small functions that only tests call ---------------------------------------

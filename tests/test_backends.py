@@ -4,6 +4,7 @@ import pytest
 from cabbench.backends import (
     ShotCounts,
     _bits,
+    _compile_faults,
     block_noise_channel,
     choi_process_fidelity,
     dm_run,
@@ -26,6 +27,7 @@ from helpers import (
     exact_survival,
     process_fidelity_pauli_sum,
     restricted_channel,
+    stab_run_counts_bitwise,
     unitary_channel,
     unpack_bits,
 )
@@ -186,6 +188,37 @@ def test_stab_matches_dm_twirled_model():
     emp = counts.count_vector() / shots
     tv = 0.5 * np.abs(emp - probs).sum()
     assert tv < 0.01
+
+
+def _sampler_case(name):
+    from cabbench.cab import build_cab_sequence
+    from cabbench.cli import load_device
+    from cabbench.experiments import ring_device
+
+    rng = np.random.default_rng([17, len(name)])
+    if name == "fully_connected_6q":
+        dev = ring_device(6, gate_depol=0.97, single_qubit_depol=0.995, readout_e0=0.01, readout_e1=0.04)
+        block = fully_connected_gate(dev, (0, 1, 2), (3, 4, 5), rng)
+    else:
+        dev = load_device(name)
+        block = GateBlock.parallel_cz(dev, tuple(range(len(dev.gates))))
+    return dev, build_cab_sequence(block, 2, rng)
+
+
+@pytest.mark.parametrize("name", ["ring_44q", "three_gate_6q", "fully_connected_6q"])
+def test_stab_flip_tables_match_the_bitwise_sampler(name):
+    # uniform 1q and 2q groups everywhere, weighted twirl groups on the
+    # coupled 6q device, Clifford layers inside the fully connected block
+    dev, seq = _sampler_case(name)
+    weighted = any(w is not None for _, w, _ in _compile_faults(seq, dev))
+    assert weighted == (name == "three_gate_6q")
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    counts = stab_run_counts(seq, dev, 3000, rng)
+    expected = stab_run_counts_bitwise(seq, dev, 3000, ref_rng)
+    assert len(expected.codes) > 10
+    assert np.array_equal(counts.codes, expected.codes)
+    assert np.array_equal(counts.counts, expected.counts)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_backend_agreement_survivals():

@@ -154,6 +154,14 @@ DETERMINISM_CONFIGS = {
         "cab": {"k_r": 4, "k_s": 200},
         "optimize": {"target": "local", "iterations": 12, "window": [0, 12]},
     },
+    # the stab backend's weighted twirl groups: a coupled device, pairs marginalized
+    "cab_6q_stab_pairs": {
+        "kind": "cab",
+        "device": "three_gate_6q",
+        "backend": "stab",
+        "cab": {"depths": [0, 2], "k_r": 3, "k_s": 300, "mode": "traverse"},
+        "subsets": "singles+pairs",
+    },
     "order_stats": {"kind": "order_stats", "n_list": [4, 6], "samples": 10},
     # calibrate writes exact dm probabilities, so a table shared between
     # runs and written into by the first would change the second's bytes
@@ -183,21 +191,36 @@ def test_artifacts_are_byte_identical_across_runs(kind, tmp_path):
     assert first == second
 
 
-# sha256 of survivals.csv at seed 21, so that no change to how outcomes are
-# stored or marginalized can move the bytes: the stab sample path (fault
-# frame, readout thinning, parities, ``singles`` marginals) and the dm
-# traverse path with subsets
-PINNED_SURVIVALS = {
-    "cab_ring44_stab": "2a4ef7a4712f338dcc9241d33a396f08cb66ee5b253ceb88b18388d15f9c28d1",
-    "cab": "e297ab465ed71bb9ed4dfdfd122f42e4ffaaaf7a0b851709e84bca5f850f044c",
+# sha256 of the CSVs at seed 21, so that no change to how outcomes are
+# sampled, stored, marginalized or written can move the bytes: the stab
+# sample path (fault frame, readout thinning, parities, ``singles``
+# marginals), the stab traverse path with uniform and weighted fault groups,
+# and the dm traverse path with subsets
+PINNED_ARTIFACTS = {
+    "cab_ring44_stab": {
+        "lambdas.csv": "e39a6753db16fdb296287c83d476be4f972115882eabf03cac8f2117859a92ed",
+        "survivals.csv": "2a4ef7a4712f338dcc9241d33a396f08cb66ee5b253ceb88b18388d15f9c28d1",
+    },
+    "cab": {
+        "lambdas.csv": "14a92ec3a1b9369a3b4cd5c8ee2a23009bcfcd0d5b57ff700107f69bbcc826d1",
+        "survivals.csv": "e297ab465ed71bb9ed4dfdfd122f42e4ffaaaf7a0b851709e84bca5f850f044c",
+    },
+    "fully_connected": {
+        "lambdas.csv": "42038aecc52eebe8cf2e056d131481b695e7cb10ee981f3e38b53b7b00dc018d",
+        "survivals.csv": "664c9887819839399fd5b9cc192e7b99fd59e472a7401211aec5848b0c30e99d",
+    },
+    "cab_6q_stab_pairs": {
+        "lambdas.csv": "bc60dfb6d3bb241d5cd2cc878f6d5228c6e6dc5e14451f582b082d48d88ea85f",
+        "survivals.csv": "a3bac1915c71d772aed0efa4f4eae00a002aa15c06d6084cb868da433759bc1b",
+    },
 }
 
 
-@pytest.mark.parametrize("kind", sorted(PINNED_SURVIVALS))
+@pytest.mark.parametrize("kind", sorted(PINNED_ARTIFACTS))
 def test_survivals_bytes_are_pinned(kind, tmp_path):
     doc = {**DETERMINISM_CONFIGS[kind], "seed": 21, "out_dir": str(tmp_path / kind)}
     digests = artifact_digests(run(ExperimentConfig.from_dict(doc)))
-    assert digests["survivals.csv"] == PINNED_SURVIVALS[kind]
+    assert {name: digests[name] for name in PINNED_ARTIFACTS[kind]} == PINNED_ARTIFACTS[kind]
 
 
 @pytest.mark.parametrize("per_cz", [None, 0.97])
@@ -277,6 +300,12 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("order_stats", {"n_list": [4], "samples": 3, "cap": 0}),
         ("fully_connected", {"device": None, "n": 7}),
         ("fully_connected", {"device": None, "n": 2}),
+        # 3 gates on 6 qubits: too few for the ring's two brickwork layers
+        ("fully_connected", {"device": "three_gate_6q", "backend": "stab"}),
+        (
+            "fully_connected",
+            {"device": {"n_qubits": 4, "gates": [{"pair": p} for p in ([0, 1], [1, 2], [2, 3], [3, 0])]}},
+        ),
     ],
     ids=[
         "k_r",
@@ -291,6 +320,8 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "order_cap",
         "fc_odd_n",
         "fc_small_n",
+        "fc_device_gates",
+        "fc_device_overlap",
     ],
 )
 def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys):
