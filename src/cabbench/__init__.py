@@ -4,7 +4,6 @@ parallel Clifford gates on a configurable noisy virtual device."""
 from .analysis import (
     CorrelationReport,
     analytic_fidelity,
-    closed_form_r2,
     closed_form_r3,
     correlation,
     correlation_fluctuation,

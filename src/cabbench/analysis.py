@@ -3,8 +3,8 @@
 The general formula evaluates the exact process fidelity of any gate
 subset under per-gate depolarizing noise followed by the diagonal
 ZZ-coupling unitary, by summing partial-trace norms of the coupling
-diagonal over subsets.  Specialized two-gate and three-gate closed forms
-and the pairwise-correlation landscape are provided on top of it.
+diagonal over subsets.  The printed three-gate closed form and the
+pairwise-correlation landscape are provided on top of it.
 """
 
 from __future__ import annotations
@@ -131,33 +131,6 @@ def analytic_fidelity(
 # ---------------------------------------------------------------------------
 # printed closed forms
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TwoGateForms:
-    f1: float
-    f2: float
-    f_both: float
-    correlation: float
-
-
-def closed_form_r2(p1: float, p2: float, gamma12: float, variant: int = 4) -> TwoGateForms:
-    """Two-gate closed forms; ``variant`` is the per-gate dimension (2 or 4).
-
-    The variant-2 constants divide the depolarized remainder by 4, the
-    variant-4 ones by 16; both share the same correlation numerator
-    p1 p2 cos^2 sin^2.
-    """
-    if variant not in (2, 4):
-        raise ValueError("variant must be the per-gate dimension 2 or 4")
-    c2 = math.cos(gamma12) ** 2
-    q1, q2 = 1.0 - p1, 1.0 - p2
-    dd = variant**2
-    f1 = p1 * c2 + q1 / dd
-    f2 = p2 * c2 + q2 / dd
-    f_both = (p1 * p2 + (p1 * q2 + q1 * p2) / dd) * c2 + q1 * q2 / dd**2
-    corr = correlation(f_both, [f1, f2])
-    return TwoGateForms(f1, f2, f_both, corr)
 
 
 @dataclass(frozen=True)

@@ -473,11 +473,20 @@ def _run_calibrate(cfg: ExperimentConfig, out: Path) -> dict:
     return {"corrections": corrections}
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass, but true is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _run_order_stats(cfg: ExperimentConfig, out: Path) -> dict:
     n_list = cfg.extra.get("n_list", [4, 6, 8, 10, 12])
-    samples = int(cfg.extra.get("samples", 100))
-    cap = int(cfg.extra.get("cap", 100_000))
-    bad_n = [n for n in n_list if int(n) % 2 or int(n) < 4]
+    samples = cfg.extra.get("samples", 100)
+    cap = cfg.extra.get("cap", 100_000)
+    if not isinstance(n_list, list) or not all(map(_is_int, n_list)) or len(set(n_list)) != len(n_list):
+        raise ConfigError(f"order_stats n_list must be a list of distinct integers, got {n_list!r}")
+    if not (_is_int(samples) and _is_int(cap)):
+        raise ConfigError(f"order_stats samples and cap must be integers, got {samples!r} and {cap!r}")
+    bad_n = [n for n in n_list if n % 2 or n < 4]
     if bad_n:
         raise ConfigError(f"order_stats n_list entries must be even and >= 4, got {bad_n}")
     if samples < 1 or cap < 1:
@@ -486,7 +495,7 @@ def _run_order_stats(cfg: ExperimentConfig, out: Path) -> dict:
     rows = []
     medians = {}
     for n in n_list:
-        orders = gate_order_samples(int(n), samples, rng, cap=cap)
+        orders = gate_order_samples(n, samples, rng, cap=cap)
         finite = [o for o in orders if o is not None]
         # null when every draw exceeds the cap: JSON has no NaN
         medians[str(n)] = float(np.median(finite)) if finite else None

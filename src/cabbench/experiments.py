@@ -6,7 +6,7 @@ import numpy as np
 
 from .circuits import CliffordLayer, GateBlock, GateLayer
 from .device import CouplingMap, DeviceModel, GateSpec
-from .paulis import sample_local_clifford
+from .paulis import LocalCliffordLayer, sample_local_clifford
 from .tableau import CliffordTableau, gate_order
 
 
@@ -27,15 +27,25 @@ def ring_device(n: int, gate_depol: float = 1.0, **kw) -> DeviceModel:
     return DeviceModel(n_qubits=n, gates=gates, couplings=CouplingMap(), layout_edges=edges, **kw)
 
 
+def fully_connected_tableau(
+    cz_a: CliffordTableau, cz_b: CliffordTableau, v1: LocalCliffordLayer, v2: LocalCliffordLayer
+) -> CliffordTableau:
+    """Tableau of CZ layer ``cz_a``, local layer v1, CZ layer ``cz_b``, local layer v2."""
+    return cz_b.compose(cz_a.then_local_layer(v1)).then_local_layer(v2)
+
+
 def fully_connected_gate(device: DeviceModel, a_gates: tuple[int, ...], b_gates: tuple[int, ...], rng: np.random.Generator) -> GateBlock:
-    """Brickwork unit: CZ layer, random local layer, CZ layer, local layer."""
+    """Brickwork unit: CZ layer, random local layer, CZ layer, local layer.
+
+    The tableau comes from ``fully_connected_tableau``, which
+    ``gate_order_samples`` shares.
+    """
     n = device.n_qubits
     v1 = sample_local_clifford(n, rng)
     v2 = sample_local_clifford(n, rng)
-    t = CliffordTableau.from_cz_layer(n, [device.gates[g].pair for g in a_gates])
-    t = CliffordTableau.from_local_layer(v1).compose(t)
-    t = CliffordTableau.from_cz_layer(n, [device.gates[g].pair for g in b_gates]).compose(t)
-    t = CliffordTableau.from_local_layer(v2).compose(t)
+    cz_a = CliffordTableau.from_cz_layer(n, [device.gates[g].pair for g in a_gates])
+    cz_b = CliffordTableau.from_cz_layer(n, [device.gates[g].pair for g in b_gates])
+    t = fully_connected_tableau(cz_a, cz_b, v1, v2)
     layers = (
         GateLayer(tuple(a_gates)),
         CliffordLayer(v1),
@@ -68,7 +78,17 @@ def ring_fully_connected(n: int, rng: np.random.Generator, **device_kw) -> tuple
 
 
 def gate_order_samples(n: int, samples: int, rng: np.random.Generator, cap: int = 100_000) -> list[int | None]:
-    """Orders of the fully connected gate over random local-layer draws."""
-    dev = ring_device(n)
-    a_gates, b_gates = tuple(range(n // 2)), tuple(range(n // 2, n))
-    return [gate_order(fully_connected_gate(dev, a_gates, b_gates, rng).tableau, cap=cap) for _ in range(samples)]
+    """Orders of the fully connected gate over random local-layer draws.
+
+    Each sample draws v1, then v2, as ``ring_fully_connected`` does, and
+    builds only the tableau, with ``fully_connected_tableau`` as
+    ``fully_connected_gate`` does: the same stream gives the same gates.
+    """
+    a, b = ring_cz_patterns(n)
+    cz_a, cz_b = CliffordTableau.from_cz_layer(n, a), CliffordTableau.from_cz_layer(n, b)
+    orders = []
+    for _ in range(samples):
+        v1 = sample_local_clifford(n, rng)
+        v2 = sample_local_clifford(n, rng)
+        orders.append(gate_order(fully_connected_tableau(cz_a, cz_b, v1, v2), cap=cap))
+    return orders

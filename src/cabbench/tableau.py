@@ -8,8 +8,12 @@ e.g. the phase gate S has order 4, not 2).
 
 Composition and order work on whole bit matrices (Dehaene & De Moor,
 PRA 68, 042318; Aaronson & Gottesman, quant-ph/0406196): the bits of a
-product are a GF(2) matrix product, its signs a quadratic form over the
-same bits, and the order is read off the 2n x 2n symplectic matrix.
+product are a GF(2) matrix product, and its signs a quadratic form over
+the same bits (``_images``, shared by ``compose`` and ``gate_order``).
+The order is the order k of the 2n x 2n symplectic matrix M, or 2k when
+the signs that t adds along each generator's orbit under M^0..M^(k-1)
+do not cancel.  A local Clifford layer is applied by lookup in the
+single-qubit action table.
 """
 
 from __future__ import annotations
@@ -62,15 +66,7 @@ class CliffordTableau:
 
     @staticmethod
     def from_local_layer(layer: LocalCliffordLayer) -> "CliffordTableau":
-        n = layer.n
-        act = single_qubit_cliffords().action[layer.elements]  # (n, 4, 3)
-        q = np.arange(n)
-        xb = np.zeros((2 * n, n), dtype=np.uint8)
-        zb = np.zeros((2 * n, n), dtype=np.uint8)
-        # rows q and n + q hold the images of X_q (act[:, 1]) and Z_q (act[:, 2])
-        xb[q, q], zb[q, q] = act[:, 1, 0], act[:, 1, 1]
-        xb[n + q, q], zb[n + q, q] = act[:, 2, 0], act[:, 2, 1]
-        return CliffordTableau(n, xb, zb, np.concatenate([act[:, 1, 2], act[:, 2, 2]]))
+        return CliffordTableau.identity(layer.n).then_local_layer(layer)
 
     @staticmethod
     def from_cz_layer(n: int, pairs) -> "CliffordTableau":
@@ -93,37 +89,54 @@ class CliffordTableau:
         return CliffordTableau(p.n, t.xbits, t.zbits, np.concatenate([p.z, p.x]).astype(np.uint8))
 
     def compose(self, before: "CliffordTableau") -> "CliffordTableau":
-        """Tableau of 'apply ``before``, then ``self``'.
-
-        Row i of ``before`` is i^(2 s_i + |x_i & z_i|) prod_r G_r^sel[i, r]
-        over the generators G_r in the order X_0..X_{n-1}, Z_0..Z_{n-1}
-        (exact, since X_q and Z_p commute for p != q), with sel = [x | z].
-        Each G_r maps to self's row r, i^(2 t_r + |a_r & c_r|) X^a_r Z^c_r.
-        Their ordered product is X^(sel a) Z^(sel c) times
-        (-1)^(sum_{r < r'} sel_r sel_r' c_r . a_r'), and turning X^x Z^z
-        back into a signed Pauli costs i^-|x & z|.  The sums are small
-        integers, exact in float64, which lets the products use BLAS.
-        """
+        """Tableau of 'apply ``before``, then ``self``': ``before``'s rows through ``_images``."""
         if before.n != self.n:
             raise DimensionError(f"size mismatch: {before.n} != {self.n}")
         n = self.n
-        sel = np.concatenate([before.xbits, before.zbits], axis=1, dtype=np.float64)
+        bits, signs = self._images(np.concatenate([before.xbits, before.zbits], axis=1), before.signs)
+        return CliffordTableau(n, bits[:, :n].astype(np.uint8), bits[:, n:].astype(np.uint8), signs.astype(np.uint8))
+
+    def then_local_layer(self, layer: LocalCliffordLayer) -> "CliffordTableau":
+        """``from_local_layer(layer).compose(self)`` by table lookup.
+
+        Each row's letter on qubit q (Y for x = z = 1, as i X Z) goes to its
+        signed image under element q; the letter signs XOR into the row sign.
+        """
+        act = single_qubit_cliffords().action[layer.elements, self.xbits + 2 * self.zbits]  # (2n, n, 3)
+        signs = self.signs ^ np.bitwise_xor.reduce(act[..., 2], axis=1)
+        return CliffordTableau(self.n, act[..., 0].copy(), act[..., 1].copy(), signs)
+
+    def _images(self, v: np.ndarray, signs: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
+        """Images under ``self`` of the Paulis with bit rows v (R, 2n) and sign bits ``signs``.
+
+        Row i is i^(2 s_i + |x_i & z_i|) prod_r G_r^sel[i, r] over the
+        generators G_r in the order X_0..X_{n-1}, Z_0..Z_{n-1} (exact, since
+        X_q and Z_p commute for p != q), with sel = v = [x | z].  Each G_r
+        maps to self's row r, i^(2 t_r + |a_r & c_r|) X^a_r Z^c_r.  Their
+        ordered product is X^(sel a) Z^(sel c) times
+        (-1)^(sum_{r < r'} sel_r sel_r' c_r . a_r'), and turning X^x Z^z
+        back into a signed Pauli costs i^-|x & z|.  The sums are small
+        integers, exact in float64, which lets the products use BLAS.
+        Returns the image bits (R, 2n) and sign bits (R,), both int64; the
+        image sign is s_i XOR a bit that depends on v_i alone.
+        """
+        n = self.n
+        sel = np.asarray(v, dtype=np.float64)
         m = np.concatenate([self.xbits, self.zbits], axis=1, dtype=np.float64)
         a, c = m[:, :n], m[:, n:]
         # sel_i w sel_i = sum_r sel_ir (2 t_r + |a_r & c_r|) + 2 sum_{r < r'} sel_ir sel_ir' c_r . a_r'
         w = (c @ a.T) * _strict_upper(2 * n)
         w.flat[:: 2 * n + 1] = 2 * self.signs + np.einsum("ij,ij->i", a, c)
         bits = (sel @ m).astype(np.int64) & 1
-        ax, az = bits[:, :n], bits[:, n:]
         phases = (
-            2 * before.signs
+            2 * signs
             + np.einsum("ij,ij->i", sel[:, :n], sel[:, n:])
             + np.einsum("ij,ij->i", sel @ w, sel)
-        ).astype(np.int64) - np.einsum("ij,ij->i", ax, az)
+        ).astype(np.int64) - np.einsum("ij,ij->i", bits[:, :n], bits[:, n:])
         phases %= 4
         if (phases & 1).any():
             raise NonCliffordError("composition changed a phase parity")
-        return CliffordTableau(n, ax.astype(np.uint8), az.astype(np.uint8), (phases >> 1).astype(np.uint8))
+        return bits, phases >> 1
 
     def _symplectic(self) -> tuple[np.ndarray, np.ndarray]:
         """The 2n x 2n bit matrix M (row r = generator image r as [x | z]) and J.
@@ -161,16 +174,14 @@ class CliffordTableau:
         return hash((self.n, self.xbits.tobytes(), self.zbits.tobytes(), self.signs.tobytes()))
 
 
-def _power(t: CliffordTableau, k: int) -> CliffordTableau:
-    """t^k for k >= 1 by repeated squaring."""
-    acc = None
-    while True:
-        if k & 1:
-            acc = t if acc is None else t.compose(acc)
-        k >>= 1
-        if not k:
-            return acc
-        t = t.compose(t)
+# gate_order passes at most this many rows of powers of M to one _images call
+_SIGN_CHUNK_ROWS = 4096
+
+
+def _sign_sum(t: CliffordTableau, powers: list[np.ndarray]) -> np.ndarray:
+    """Per generator r, the XOR over the matrices P in ``powers`` of the sign t adds to row r of P."""
+    signs = t._images(np.concatenate(powers), 0)[1]
+    return np.bitwise_xor.reduce(signs.reshape(len(powers), -1), axis=0)
 
 
 def gate_order(t: CliffordTableau, cap: int = 10**6) -> int | None:
@@ -180,19 +191,35 @@ def gate_order(t: CliffordTableau, cap: int = 10**6) -> int | None:
     Returns None when the cap is exceeded.  The order k of t's symplectic
     matrix M comes from iterating M in GF(2).  t^k then fixes every Pauli
     up to sign, so it is a Pauli conjugation and squares to the identity:
-    the order is k when t^k (by repeated squaring) has no sign, else 2k.
+    the order is k when t^k has no sign, else 2k.
+
+    The sign t adds to a Pauli depends on its bits alone, so signs add up
+    (mod 2) along an orbit: the sign of t^k on generator r is the XOR over
+    j < k of the sign t adds to row r of M^j.  The powers M^0..M^(k-1) are
+    evaluated as the iteration produces them, in chunks of at most
+    ``_SIGN_CHUNK_ROWS`` rows, so memory does not grow with k or ``cap``.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    m = t._symplectic()[0]
-    eye = np.eye(2 * t.n, dtype=np.int64)
-    acc, k = m, 1
-    while not np.array_equal(acc, eye):
+    d = 2 * t.n
+    # entries of acc @ m are sums of at most d bits
+    m = np.concatenate([t.xbits, t.zbits], axis=1).astype(np.min_scalar_type(d))
+    eye = np.eye(d, dtype=m.dtype)
+    eye_bytes = eye.tobytes()
+    per_chunk = max(1, _SIGN_CHUNK_ROWS // d)
+    sign = np.zeros(d, dtype=np.int64)
+    powers, acc, k = [eye], m, 1
+    while acc.tobytes() != eye_bytes:
         if k >= cap:
             return None
+        if len(powers) == per_chunk:
+            sign ^= _sign_sum(t, powers)
+            powers = []
+        powers.append(acc)
         acc = acc @ m & 1
         k += 1
-    order = k if _power(t, k).is_identity() else 2 * k
+    sign ^= _sign_sum(t, powers)
+    order = 2 * k if sign.any() else k
     return order if order <= cap else None
 
 

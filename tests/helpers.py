@@ -4,11 +4,13 @@ The dense-matrix helpers are deliberately independent of the package
 internals: plain kron products and explicit channel evaluations.  The
 tableau helpers (single-gate and layer builders, conjugation, inversion and
 the qubit-by-qubit ``compose_loop``) work on ``CliffordTableau`` bits, one
-generator at a time, with the Pauli multiplication table.
+generator at a time, with the Pauli multiplication table;
+``gate_order_by_squaring`` finds an order by repeated squaring.
 ``stab_run_counts_bitwise`` is the stabilizer sampler that expands every
 fault's Pauli index into bits and XORs the flips of the set ones.  The last
 section holds small functions that only tests call: outcome-code
-unpacking, the parametric CZ unitary, closed-form limits, a one-observable
+unpacking, the parametric CZ unitary, the two-gate closed forms and
+closed-form limits, a one-observable
 fit, the observable budget, a device writer and a Nelder-Mead loop.
 """
 
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cabbench.analysis import correlation
 from cabbench.cab import QualityParameter, _fit_lambda_arrays
 from cabbench.calibration import NelderMead, NelderMeadOptions, NonFiniteObjective
 from cabbench.device import DeviceModel, DiagonalUnitary, GateSpec, PauliChannel
@@ -367,6 +370,34 @@ def compose_loop(after: CliffordTableau, before: CliffordTableau) -> CliffordTab
     return CliffordTableau(n, acc_x.astype(np.uint8), acc_z.astype(np.uint8), (phases // 2).astype(np.uint8))
 
 
+def power_by_squaring(t: CliffordTableau, k: int) -> CliffordTableau:
+    """t^k for k >= 1 by repeated squaring."""
+    acc = None
+    while True:
+        if k & 1:
+            acc = t if acc is None else t.compose(acc)
+        k >>= 1
+        if not k:
+            return acc
+        t = t.compose(t)
+
+
+def gate_order_by_squaring(t: CliffordTableau) -> tuple[int, int]:
+    """Reference for ``gate_order`` with no cap: (order, bit order k).
+
+    k is the smallest power with M^k = I, M the symplectic matrix, found by
+    iterating M in int64; the order is k when t^k, by repeated squaring, is
+    the identity tableau, else 2k.
+    """
+    m = t._symplectic()[0]
+    eye = np.eye(2 * t.n, dtype=np.int64)
+    acc, k = m, 1
+    while not np.array_equal(acc, eye):
+        acc = acc @ m & 1
+        k += 1
+    return (k if power_by_squaring(t, k).is_identity() else 2 * k), k
+
+
 def net_tableau(seq, device) -> CliffordTableau:
     """Tableau of a whole Clifford sequence, composed layer by layer."""
     from cabbench.circuits import Unitary1qLayer
@@ -554,6 +585,33 @@ def nelder_mead(objective, x0, options: NelderMeadOptions | None = None) -> OptR
         return OptResult(xb, fb, history, converged=False, aborted=True)
     xb, fb = opt.best
     return OptResult(xb, fb, history, converged=opt.finished(), aborted=False)
+
+
+@dataclass(frozen=True)
+class TwoGateForms:
+    f1: float
+    f2: float
+    f_both: float
+    correlation: float
+
+
+def closed_form_r2(p1: float, p2: float, gamma12: float, variant: int = 4) -> TwoGateForms:
+    """Two-gate closed forms; ``variant`` is the per-gate dimension (2 or 4).
+
+    The variant-2 constants divide the depolarized remainder by 4, the
+    variant-4 ones by 16; both share the same correlation numerator
+    p1 p2 cos^2 sin^2.
+    """
+    if variant not in (2, 4):
+        raise ValueError("variant must be the per-gate dimension 2 or 4")
+    c2 = math.cos(gamma12) ** 2
+    q1, q2 = 1.0 - p1, 1.0 - p2
+    dd = variant**2
+    f1 = p1 * c2 + q1 / dd
+    f2 = p2 * c2 + q2 / dd
+    f_both = (p1 * p2 + (p1 * q2 + q1 * p2) / dd) * c2 + q1 * q2 / dd**2
+    corr = correlation(f_both, [f1, f2])
+    return TwoGateForms(f1, f2, f_both, corr)
 
 
 def small_coupling_correlation(gamma: float) -> float:

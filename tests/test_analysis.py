@@ -8,14 +8,13 @@ from cabbench.analysis import (
     FidelityDomainError,
     LANDSCAPE_GAMMA12_VALUES,
     analytic_fidelity,
-    closed_form_r2,
     closed_form_r3,
     correlation,
     correlation_landscape,
 )
 from cabbench.device import CouplingMap
 
-from helpers import pairwise_correlation_strong_depol_limit, small_coupling_correlation
+from helpers import closed_form_r2, pairwise_correlation_strong_depol_limit, small_coupling_correlation
 
 
 def test_correlation_zero_when_product():

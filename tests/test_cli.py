@@ -298,6 +298,14 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("order_stats", {"n_list": [2], "samples": 3}),
         ("order_stats", {"n_list": [4], "samples": 0}),
         ("order_stats", {"n_list": [4], "samples": 3, "cap": 0}),
+        ("order_stats", {"n_list": [4.5, "6"], "samples": 3}),
+        ("order_stats", {"n_list": [4.0], "samples": 3}),
+        ("order_stats", {"n_list": [4, 6, 4], "samples": 3}),
+        ("order_stats", {"n_list": 4, "samples": 3}),
+        ("order_stats", {"n_list": [4], "samples": 2.5}),
+        ("order_stats", {"n_list": [4], "samples": True}),
+        ("order_stats", {"n_list": [4], "samples": 3, "cap": "100"}),
+        ("order_stats", {"n_list": [True], "samples": 3}),
         ("fully_connected", {"device": None, "n": 7}),
         ("fully_connected", {"device": None, "n": 2}),
         # 3 gates on 6 qubits: too few for the ring's two brickwork layers
@@ -318,6 +326,14 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "order_small_n",
         "order_samples",
         "order_cap",
+        "order_float_n",
+        "order_float_integral_n",
+        "order_duplicate_n",
+        "order_n_list_not_list",
+        "order_float_samples",
+        "order_bool_samples",
+        "order_string_cap",
+        "order_bool_n",
         "fc_odd_n",
         "fc_small_n",
         "fc_device_gates",

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from cabbench import tableau
+from cabbench.experiments import ring_fully_connected
 from cabbench.paulis import PauliString, sample_local_clifford, sample_random_pauli
 from cabbench.tableau import CliffordTableau, compile_inverse_pauli, gate_order
 
@@ -12,6 +14,7 @@ from helpers import (
     cz,
     cz_matrix,
     embed_1q,
+    gate_order_by_squaring,
     hadamard,
     inverse,
     phase_gate,
@@ -153,6 +156,33 @@ def test_gate_order_s_matches_matrix_power():
             break
     assert smallest == 4
     assert gate_order(phase_gate(1, 0)) == smallest
+
+
+# indices of ring_fully_connected draws, seed [n, 1], whose bit orders k run
+# over several of gate_order's sign chunks or end one exactly (k a multiple
+# of the powers per chunk), with orders k and 2k among them
+LARGE_ORDER_DRAWS = {8: (5, 27, 34), 10: (4, 14, 22, 30), 12: (0, 2, 8, 19)}
+
+
+@pytest.mark.parametrize("n", sorted(LARGE_ORDER_DRAWS))
+def test_gate_order_matches_squaring_on_large_orders(n):
+    rng = np.random.default_rng([n, 1])
+    draws = [ring_fully_connected(n, rng)[0].tableau for _ in range(max(LARGE_ORDER_DRAWS[n]) + 1)]
+    per_chunk = tableau._SIGN_CHUNK_ROWS // (2 * n)
+    bit_orders, doubled = [], []
+    for i in LARGE_ORDER_DRAWS[n]:
+        t = draws[i]
+        order, k = gate_order_by_squaring(t)
+        assert gate_order(t) == order
+        for cap in (order - 1, order, k):
+            assert gate_order(t, cap=cap) == (order if order <= cap else None)
+        bit_orders.append(k)
+        doubled.append(order == 2 * k)
+    # the draws still cover what they were picked for
+    assert max(bit_orders) > 2 * per_chunk if n > 8 else max(bit_orders) > per_chunk
+    assert any(doubled) and not all(doubled)
+    if n > 8:
+        assert any(k % per_chunk == 0 and k > per_chunk for k in bit_orders)
 
 
 def test_pauli_conjugation_tableau():

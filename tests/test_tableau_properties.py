@@ -1,10 +1,11 @@
 """Property tests of the GF(2) tableau algebra on random Clifford words.
 
 A word is a short product of local Clifford layers, parallel CZ layers and
-Pauli conjugations on 1 to 12 qubits.  ``compose`` is checked bit for bit
-against the qubit-by-qubit ``compose_loop`` of ``helpers``, ``gate_order``
-against plain repeated composition, and the GF(2) closing Pauli against
-sign-tracked composition of the whole interleaved sequence.
+Pauli conjugations on 1 to 12 qubits.  ``compose`` and ``then_local_layer``
+are checked bit for bit against the qubit-by-qubit ``compose_loop`` of
+``helpers``, ``gate_order`` against plain repeated composition, and the
+GF(2) closing Pauli against sign-tracked composition of the whole
+interleaved sequence.
 """
 
 import numpy as np
@@ -72,6 +73,17 @@ def test_compose_equals_compose_loop(pair):
 def test_compose_is_associative(triple):
     a, b, c = triple
     assert a.compose(b.compose(c)) == a.compose(b).compose(c)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(words(n), st.lists(st.integers(0, 23), min_size=n, max_size=n))))
+def test_then_local_layer_equals_composition(case):
+    t, elements = case
+    layer = LocalCliffordLayer(t.n, np.array(elements, dtype=np.uint8))
+    fast = t.then_local_layer(layer)
+    assert fast == compose_loop(CliffordTableau.from_local_layer(layer), t)
+    for arr in (fast.xbits, fast.zbits, fast.signs):
+        assert arr.dtype == np.uint8
 
 
 def _orders_by_composition(t, limit):
