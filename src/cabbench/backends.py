@@ -19,9 +19,13 @@ device (``DeviceModel.cached``):
 - a first single-qubit layer on |0..0> gives a product state, and the last
   one folds into the Z measurement.
 
-``block_noise_channel``, ``dressed_cycle_channel`` and so
-``choi_process_fidelity`` run the same kernel on stacks of matrices,
-converted to (complex) Pauli coefficients and back at their boundary.
+``block_noise_channel`` and ``dressed_cycle_channel`` are the same kernel
+as steps on stacks of coefficients, and ``choi_process_fidelity`` takes the
+process fidelity F = tr(R) / d^2 from such a step, R its Pauli transfer
+matrix.  The one-hot coefficient input e_(z, x) is the Pauli P / d, so
+entry [z, x] of its output is R's diagonal entry for P.  The d inputs of
+one row z are one real (d, d, d) batch: the batch size is fixed by the
+layout, and no input or output is ever a matrix.
 
 ``stab_run_counts`` is the scalable backend, a Pauli-frame sampler for
 sequences that ideally close to the identity, with every coherent diagonal
@@ -57,7 +61,6 @@ from .paulis import _LETTER_MATS, single_qubit_cliffords
 DM_QUBIT_LIMIT = 12
 PACK_QUBIT_LIMIT = 62  # outcomes are int64 codes; also the stabilizer backend's size limit
 CHOI_QUBIT_LIMIT = 6
-CHOI_CHUNK = 1024  # basis pairs per batched channel call
 
 
 # ---------------------------------------------------------------------------
@@ -562,53 +565,31 @@ def stab_run_counts(
 # ---------------------------------------------------------------------------
 
 
-def choi_process_fidelity(channel, n: int) -> float:
-    """Process fidelity F = <Phi+| (L x I)(|Phi+><Phi+|) |Phi+>.
+def choi_process_fidelity(step, n: int) -> float:
+    """Process fidelity F = <Phi+| (L x I)(|Phi+><Phi+|) |Phi+> = tr(R) / d^2,
+    R the Pauli transfer matrix of L (Chow et al., PRL 109, 060501 (2012)).
 
-    ``channel`` must accept a stacked array (B, 2^n, 2^n) of input matrices
-    and return the stacked outputs.  Evaluated as the normalized sum of
-    <i| L(|i><j|) |j> over all basis index pairs.
+    ``step`` is L on real Pauli coefficients c (..., 2^n, 2^n), as
+    ``block_noise_channel`` returns it.  The one-hot input e_(z, x) is the
+    Pauli P / d, and entry [z, x] of its output is the diagonal entry
+    R[P, P].  Local layers mix rows and columns, so all d^2 inputs are
+    needed; the d inputs of one row z form one (d, d, d) batch.
     """
     if n > CHOI_QUBIT_LIMIT:
         raise ResourceLimitError(f"Choi evaluation limited to {CHOI_QUBIT_LIMIT} qubits")
     d = 2**n
-    total = 0.0 + 0.0j
-    all_i, all_j = np.divmod(np.arange(d * d), d)
-    for start in range(0, d * d, CHOI_CHUNK):
-        i_arr = all_i[start : start + CHOI_CHUNK]
-        j_arr = all_j[start : start + CHOI_CHUNK]
-        b = len(i_arr)
-        inputs = np.zeros((b, d, d), dtype=complex)
-        inputs[np.arange(b), i_arr, j_arr] = 1.0
-        outputs = channel(inputs)
-        total += outputs[np.arange(b), i_arr, j_arr].sum()
-    return float(np.real(total) / d**2)
+    x = np.arange(d)
+    total = 0.0
+    for z in range(d):
+        inputs = np.zeros((d, d, d))
+        inputs[x, z, x] = 1.0
+        total += step(inputs)[x, z, x].sum()
+    return float(total / d**2)
 
 
 # ---------------------------------------------------------------------------
 # channel evaluators for oracle fidelities
 # ---------------------------------------------------------------------------
-
-
-def _to_coefficients(rho: np.ndarray, device: DeviceModel, n: int) -> np.ndarray:
-    """Pauli coefficients of matrices (..., d, d), complex for non-Hermitian
-    ones: c[z, x] = tr(P rho) = i^|x&z| sum_b (-1)^(z.b) rho[b, b^x]."""
-    a = np.arange(2**n)
-    gathered = np.ascontiguousarray(rho[..., a[:, None], a[:, None] ^ a], dtype=complex)
-    return _pauli_phases(device, n) * _walsh_z(gathered, device, n)
-
-
-def _to_matrices(c: np.ndarray, device: DeviceModel, n: int) -> np.ndarray:
-    """The inverse: rho[b^x, b] = sum_z (-1)^(z.b) i^|x&z| c[z, x] / d."""
-    a = np.arange(2**n)
-    m = _walsh_z(_pauli_phases(device, n) * c, device, n) / 2**n
-    return m[..., a, a[:, None] ^ a]
-
-
-def _coefficient_channel(device: DeviceModel, n: int, step):
-    """Evaluator on stacked matrices (..., 2^n, 2^n) that runs ``step`` on
-    their Pauli coefficients."""
-    return lambda rho: _to_matrices(step(_to_coefficients(rho, device, n)), device, n)
 
 
 def _block_noise(c: np.ndarray, device: DeviceModel, block) -> np.ndarray:
@@ -619,24 +600,19 @@ def _block_noise(c: np.ndarray, device: DeviceModel, block) -> np.ndarray:
     return c
 
 
-def pauli_layer_noise_channel(device: DeviceModel):
-    """The tensor-product depolarizing noise of one single-qubit layer."""
-    n = device.n_qubits
-    return _coefficient_channel(device, n, lambda c: _depolarize_1q(c, device, n))
-
-
 def block_noise_channel(device: DeviceModel, block):
-    """Noise channel L with noisy_block = ideal_block o L.
+    """Noise channel L with noisy_block = ideal_block o L, as a step on
+    Pauli coefficients c (..., 2^n, 2^n).
 
     Applies the block's noisy layers, then the inverse ideal layers, so
     the ideal gate cancels and only the noise remains.
     """
-    return _coefficient_channel(device, block.n, lambda c: _block_noise(c, device, block))
+    return lambda c: _block_noise(c, device, block)
 
 
 def dressed_cycle_channel(device: DeviceModel, block):
-    """Noise of one benchmarking half-step: twirling layer then target gate."""
+    """Noise of one benchmarking half-step, twirling layer then target gate,
+    as a step on Pauli coefficients."""
     if device.pauli_layer_noise:
-        step = lambda c: _block_noise(_depolarize_1q(c, device, block.n), device, block)
-        return _coefficient_channel(device, block.n, step)
+        return lambda c: _block_noise(_depolarize_1q(c, device, block.n), device, block)
     return block_noise_channel(device, block)

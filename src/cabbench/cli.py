@@ -89,7 +89,7 @@ class ExperimentConfig:
         doc.pop("schema_version", None)
         known = {
             "device": doc.pop("device", None),
-            "seed": int(doc.pop("seed", 0)),
+            "seed": _int_field(doc.pop("seed", 0), "seed"),
             "out_dir": str(doc.pop("out_dir", "results")),
             "backend": str(doc.pop("backend", "auto")),
             "cab": doc.pop("cab", {}),
@@ -126,10 +126,10 @@ class ExperimentConfig:
         subsets = resolve_subsets(self.subsets, gates)
         return CabConfig(
             depths=tuple(cab.get("depths", (0, 2))),
-            k_r=int(cab.get("k_r", 50)),
-            k_s=int(cab.get("k_s", 20_000)),
+            k_r=_int_field(cab.get("k_r", 50), "cab.k_r"),
+            k_s=_int_field(cab.get("k_s", 20_000), "cab.k_s"),
             mode=str(cab.get("mode", "sample")),
-            k_q=int(cab.get("k_q", 100)),
+            k_q=_int_field(cab.get("k_q", 100), "cab.k_q"),
             seed=self.seed,
             subsets=subsets,
             backend=self.backend,
@@ -236,7 +236,7 @@ def _run_cb(cfg: ExperimentConfig, out: Path) -> dict:
     cab_cfg = cfg.cab_config(device, gates)
     block = GateBlock.parallel_cz(device, gates)
     cycles = tuple(cfg.extra.get("cycles", (10, 20)))
-    n_chars = int(cfg.extra.get("n_chars", 5))
+    n_chars = _int_field(cfg.extra.get("n_chars", 5), "n_chars")
     est = run_cb_experiment(device, block, cab_cfg, cycles=cycles, n_chars=n_chars)
     _write_csv(
         out / "characters.csv",
@@ -247,7 +247,7 @@ def _run_cb(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def _run_fully_connected(cfg: ExperimentConfig, out: Path) -> dict:
-    n = int(cfg.extra.get("n", 16))
+    n = _int_field(cfg.extra.get("n", 16), "n")
     if cfg.device is not None:
         device = load_device(cfg.device)
         n = device.n_qubits
@@ -269,9 +269,9 @@ def _run_fully_connected(cfg: ExperimentConfig, out: Path) -> dict:
             device.check_layer_disjoint(tuple(half))
         except ValueError as err:
             raise ConfigError(f"fully_connected gates {list(half)}: {err}") from err
+    cab_cfg = cfg.cab_config(device, tuple(range(n)))
     rng = np.random.default_rng([cfg.seed, 3])
     block = fully_connected_gate(device, tuple(range(n_half)), tuple(range(n_half, n)), rng)
-    cab_cfg = cfg.cab_config(device, tuple(range(n)))
     rep = run_cab_experiment(device, block, cab_cfg, measure_twirl=bool(cfg.extra.get("measure_twirl", False)))
     _write_cab_artifacts(out, rep)
     return {"report": _report_doc(rep)}
@@ -328,6 +328,7 @@ def _run_correlate(cfg: ExperimentConfig, out: Path) -> dict:
     gates = tuple(cfg.gates if cfg.gates is not None else range(len(device.gates)))
     cfg.subsets = "singles+pairs"
     cab_cfg = cfg.cab_config(device, gates)
+    repeat = _int_field(cfg.extra.get("repeat", 0), "repeat")
     block = GateBlock.parallel_cz(device, gates)
     rep = run_cab_experiment(device, block, cab_cfg)
     matrix = correlation_matrix(rep, device)
@@ -340,7 +341,6 @@ def _run_correlate(cfg: ExperimentConfig, out: Path) -> dict:
         ],
     )
     doc = {"report": _report_doc(rep), "pairs": [list(s) for s in matrix.subsets], "correlations": matrix.values}
-    repeat = int(cfg.extra.get("repeat", 0))
     if repeat >= 2:
         reruns = [
             run_cab_experiment(device, block, cab_cfg.replace(seed=cab_cfg.seed + r))
@@ -368,7 +368,7 @@ def _run_correlate(cfg: ExperimentConfig, out: Path) -> dict:
 def _run_landscape(cfg: ExperimentConfig, out: Path) -> dict:
     spec = cfg.extra.get("landscape", {})
     gamma12_values = spec.get("gamma12", list(LANDSCAPE_GAMMA12_VALUES))
-    points = int(spec.get("points", 33))
+    points = _int_field(spec.get("points", 33), "landscape.points")
     top = float(spec.get("max", 5 * math.pi / 16))
     grid = np.linspace(0.0, top, points)
     files = []
@@ -390,7 +390,7 @@ def _run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
     gates = tuple(cfg.gates if cfg.gates is not None else range(len(device.gates)))
     spec = cfg.extra.get("optimize", {})
     target = spec.get("target", "global")
-    iterations = int(spec.get("iterations", 180))
+    iterations = _int_field(spec.get("iterations", 180), "optimize.iterations")
     window = tuple(spec.get("window", (100, 180)))
     cab = dict(cfg.cab)
     cab.setdefault("depths", (0, 2))
@@ -446,8 +446,10 @@ def _run_calibrate(cfg: ExperimentConfig, out: Path) -> dict:
     device = load_device(cfg.device)
     gates = tuple(cfg.gates if cfg.gates is not None else range(len(device.gates)))
     spec = cfg.extra.get("calibrate", {})
-    betas = np.linspace(0, 2 * np.pi, int(spec.get("beta_points", 24)), endpoint=False)
-    phases = np.linspace(0, 2 * np.pi, int(spec.get("phase_points", 256)), endpoint=False)
+    n_betas = _int_field(spec.get("beta_points", 24), "calibrate.beta_points")
+    n_phases = _int_field(spec.get("phase_points", 256), "calibrate.phase_points")
+    betas = np.linspace(0, 2 * np.pi, n_betas, endpoint=False)
+    phases = np.linspace(0, 2 * np.pi, n_phases, endpoint=False)
     corrections = {}
     for g in gates:
         phi_i, phi_x, phi = measure_conditional_phase(device, g, betas)
@@ -476,6 +478,13 @@ def _run_calibrate(cfg: ExperimentConfig, out: Path) -> dict:
 def _is_int(value) -> bool:
     """A JSON integer: bool is an int subclass, but true is not a count."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(value, name: str) -> int:
+    """A config count or seed, rejected rather than truncated when it is not an integer."""
+    if not _is_int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _run_order_stats(cfg: ExperimentConfig, out: Path) -> dict:

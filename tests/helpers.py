@@ -2,8 +2,12 @@
 
 The dense-matrix helpers are deliberately independent of the package
 internals: plain kron products and explicit channel evaluations.  The
-tableau helpers (single-gate and layer builders, conjugation, inversion and
-the qubit-by-qubit ``compose_loop``) work on ``CliffordTableau`` bits, one
+conversions between matrices and Pauli coefficients wrap the package's
+coefficient-level channels as matrix evaluators and back, and
+``matrix_unit_choi_fidelity`` is the matrix-unit process-fidelity sum that
+the coefficient route is checked against.  The tableau helpers
+(single-gate and layer builders, conjugation, inversion and the
+qubit-by-qubit ``compose_loop``) work on ``CliffordTableau`` bits, one
 generator at a time, with the Pauli multiplication table;
 ``gate_order_by_squaring`` finds an order by repeated squaring.
 ``stab_run_counts_bitwise`` is the stabilizer sampler that expands every
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cabbench.analysis import correlation
+from cabbench.backends import _depolarize_1q
 from cabbench.cab import QualityParameter, _fit_lambda_arrays
 from cabbench.calibration import NelderMead, NelderMeadOptions, NonFiniteObjective
 from cabbench.device import DeviceModel, DiagonalUnitary, GateSpec, PauliChannel
@@ -252,6 +257,62 @@ def restricted_channel(channel, n: int, subset_qubits: tuple[int, ...]):
         return np.einsum("...arbr->...ab", t)
 
     return apply
+
+
+# -- matrices and Pauli coefficients --------------------------------------------
+
+
+def _coefficient_tables(n: int):
+    """Register indices, the Walsh matrix (-1)^(z.b) and the phases i^|x&z|."""
+    a = np.arange(2**n)
+    overlap = np.bitwise_count(a[:, None] & a[None, :])
+    return a, 1.0 - 2.0 * (overlap & 1), np.array([1, 1j, -1, -1j])[overlap & 3]
+
+
+def to_coefficients(rho: np.ndarray, n: int) -> np.ndarray:
+    """Pauli coefficients c[z, x] = tr(P rho), P = i^|x&z| X^x Z^z, of matrices
+    (..., d, d): c[z, x] = i^|x&z| sum_b (-1)^(z.b) rho[b, b^x]."""
+    a, walsh, phases = _coefficient_tables(n)
+    return phases * (walsh @ rho[..., a[:, None], a[:, None] ^ a])
+
+
+def to_matrices(c: np.ndarray, n: int) -> np.ndarray:
+    """The inverse: rho[b^x, b] = sum_z (-1)^(z.b) i^|x&z| c[z, x] / d."""
+    a, walsh, phases = _coefficient_tables(n)
+    m = walsh @ (phases * c) / 2**n
+    return m[..., a, a[:, None] ^ a]
+
+
+def matrix_channel(step, n: int):
+    """Evaluator on matrices (..., 2^n, 2^n) that runs the coefficient
+    ``step`` (``block_noise_channel``) on their Pauli coefficients."""
+    return lambda rho: to_matrices(step(to_coefficients(rho, n)), n)
+
+
+def coefficient_step(channel, n: int):
+    """The coefficient step of a Hermiticity-preserving evaluator on stacked
+    matrices: real coefficients in, real coefficients out."""
+    return lambda c: to_coefficients(channel(to_matrices(c, n)), n).real
+
+
+def pauli_layer_noise_channel(device: DeviceModel):
+    """The tensor-product depolarizing noise of one single-qubit layer, on matrices."""
+    n = device.n_qubits
+    return matrix_channel(lambda c: _depolarize_1q(c, device, n), n)
+
+
+def matrix_unit_choi_fidelity(channel, n: int) -> float:
+    """F = <Phi+| (L x I)(|Phi+><Phi+|) |Phi+> of an evaluator on stacked
+    matrices: the normalized sum of <i| L(|i><j|) |j> over all basis index
+    pairs, one row i per call."""
+    d = 2**n
+    j = np.arange(d)
+    total = 0.0 + 0.0j
+    for i in range(d):
+        inputs = np.zeros((d, d, d), dtype=complex)
+        inputs[j, i, j] = 1.0
+        total += channel(inputs)[j, i, j].sum()
+    return float(np.real(total) / d**2)
 
 
 # -- Clifford tableaus, one generator at a time --------------------------------

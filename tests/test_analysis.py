@@ -176,7 +176,7 @@ def test_analytic_fidelity_matches_dm_oracle():
     from cabbench.backends import block_noise_channel, choi_process_fidelity
     from cabbench.circuits import GateBlock
     from cabbench.device import DeviceModel, GateSpec
-    from helpers import restricted_channel
+    from helpers import coefficient_step, matrix_channel, restricted_channel
 
     rng = np.random.default_rng(6)
     for _ in range(5):
@@ -189,10 +189,11 @@ def test_analytic_fidelity_matches_dm_oracle():
             couplings=couplings,
         )
         block = GateBlock.parallel_cz(dev, (0, 1))
-        noise = block_noise_channel(dev, block)
+        noise = matrix_channel(block_noise_channel(dev, block), 4)
         for subset, qubits in (((0,), (0, 1)), ((1,), (2, 3)), ((0, 1), (0, 1, 2, 3))):
             f_formula = analytic_fidelity(subset, list(p), couplings)
-            f_choi = choi_process_fidelity(restricted_channel(noise, 4, qubits), len(qubits))
+            restricted = coefficient_step(restricted_channel(noise, 4, qubits), len(qubits))
+            f_choi = choi_process_fidelity(restricted, len(qubits))
             assert f_formula == pytest.approx(f_choi, abs=1e-10)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cabbench.backends import (
+    CHOI_QUBIT_LIMIT,
     ShotCounts,
     _bits,
     _compile_faults,
@@ -10,7 +11,6 @@ from cabbench.backends import (
     dm_run,
     dressed_cycle_channel,
     pack_bits,
-    pauli_layer_noise_channel,
     stab_run_counts,
 )
 from cabbench.circuits import CircuitSequence, CliffordLayer, GateBlock, GateLayer, PauliLayer, Unitary1qLayer
@@ -21,10 +21,14 @@ from cabbench.tableau import compile_inverse_pauli
 
 from helpers import (
     closes_to_identity,
+    coefficient_step,
     dense_apply_layers,
     dense_dm_reference,
     depolarizing_channel,
     exact_survival,
+    matrix_channel,
+    matrix_unit_choi_fidelity,
+    pauli_layer_noise_channel,
     process_fidelity_pauli_sum,
     restricted_channel,
     stab_run_counts_bitwise,
@@ -95,7 +99,7 @@ def test_choi_identity_channel():
 
 
 def test_choi_depolarizing_two_qubits():
-    ch = batchify(depolarizing_channel(0.9, 4))
+    ch = coefficient_step(batchify(depolarizing_channel(0.9, 4)), 2)
     assert choi_process_fidelity(ch, 2) == pytest.approx(0.90625, abs=1e-12)
 
 
@@ -103,7 +107,7 @@ def test_choi_zz_unitary():
     gamma = 0.1
     zz = np.diag([1, -1, -1, 1]).astype(complex)
     u = np.diag(np.exp(-1j * gamma * np.diag(zz)))
-    ch = batchify(unitary_channel(u))
+    ch = coefficient_step(batchify(unitary_channel(u)), 2)
     assert choi_process_fidelity(ch, 2) == pytest.approx(np.cos(gamma) ** 2, abs=1e-12)
 
 
@@ -120,7 +124,7 @@ def test_choi_matches_pauli_sum_on_random_channels():
             tr = np.einsum("...aa->...", out)[..., None, None]
             return p * out + (1 - p) * tr * np.eye(4) / 4
 
-        f1 = choi_process_fidelity(chan, 2)
+        f1 = choi_process_fidelity(coefficient_step(chan, 2), 2)
         f2 = process_fidelity_pauli_sum(chan, 2)
         assert f1 == pytest.approx(f2, abs=1e-12)
 
@@ -138,8 +142,8 @@ def test_restricted_channel_single_gate_fidelity():
     gamma = 0.1
     dev = simple_device(n=4, gamma=gamma)
     block = GateBlock.parallel_cz(dev, (0, 1))
-    ch = restricted_channel(block_noise_channel(dev, block), 4, (0, 1))
-    f = choi_process_fidelity(ch, 2)
+    ch = restricted_channel(matrix_channel(block_noise_channel(dev, block), 4), 4, (0, 1))
+    f = choi_process_fidelity(coefficient_step(ch, 2), 2)
     assert f == pytest.approx(np.cos(gamma) ** 2, abs=1e-10)
 
 
@@ -524,7 +528,7 @@ def test_channels_match_dense_layers_on_non_hermitian_inputs(channel):
     block = fully_connected_gate(dev, (0, 2), (1,), rng)
     inputs = rng.normal(size=(3, 16, 16)) + 1j * rng.normal(size=(3, 16, 16))
     noise = pauli_layer_noise_channel(dev) if channel is dressed_cycle_channel else (lambda r: r)
-    for rho, out in zip(inputs, channel(dev, block)(inputs)):
+    for rho, out in zip(inputs, matrix_channel(channel(dev, block), 4)(inputs)):
         expected = dense_apply_layers(noise(rho), block.layers, dev)
         expected = dense_apply_layers(expected, block.inverse_layers, dev, noisy=False)
         assert np.max(np.abs(out - expected)) < 1e-12
@@ -574,3 +578,33 @@ def test_dressed_cycle_choi_fidelity_is_pinned():
     dev = random_device(4, rng)
     block = fully_connected_gate(dev, (0, 2), (1,), rng)
     assert choi_process_fidelity(dressed_cycle_channel(dev, block), 4) == pytest.approx(0.5884760583627113, abs=1e-12)
+
+
+@pytest.mark.parametrize("pauli_layer_noise", [False, True])
+def test_choi_process_fidelity_matches_matrix_unit_sum(pauli_layer_noise):
+    # the row route on coefficients against the sum of <i| L(|i><j|) |j> on matrices
+    rng = np.random.default_rng([14, pauli_layer_noise])
+    for _ in range(3):
+        dev = random_device(4, rng, pauli_layer_noise=pauli_layer_noise)
+        blocks = [GateBlock.parallel_cz(dev, (0, 2)), fully_connected_gate(dev, (0, 2), (1,), rng)]
+        for block in blocks:
+            for channel in (block_noise_channel, dressed_cycle_channel):
+                step = channel(dev, block)
+                expected = matrix_unit_choi_fidelity(matrix_channel(step, 4), 4)
+                assert choi_process_fidelity(step, 4) == pytest.approx(expected, abs=1e-12)
+
+
+def test_dressed_cycle_choi_fidelity_is_pinned_on_three_gate_6q():
+    # the oracle perfbench checks optimize_6q_dm against
+    from cabbench.cli import load_device
+
+    dev = load_device("three_gate_6q")
+    block = GateBlock.parallel_cz(dev, (0, 1, 2))
+    assert choi_process_fidelity(dressed_cycle_channel(dev, block), 6) == pytest.approx(0.7457957636317121, abs=1e-12)
+
+
+def test_choi_process_fidelity_checks_the_qubit_limit_first():
+    calls = []
+    with pytest.raises(ResourceLimitError):
+        choi_process_fidelity(calls.append, CHOI_QUBIT_LIMIT + 1)
+    assert calls == []

@@ -314,6 +314,12 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
             "fully_connected",
             {"device": {"n_qubits": 4, "gates": [{"pair": p} for p in ([0, 1], [1, 2], [2, 3], [3, 0])]}},
         ),
+        # counts and seeds are integers, never truncated
+        ("cab", {"seed": 2.7}),
+        ("cab", {"seed": True}),
+        ("cab", {"cab": {"depths": [0, 2], "k_r": 8.5, "k_s": 500, "mode": "traverse"}}),
+        ("cb", {"cab": {"k_r": 10, "k_s": 100}, "cycles": [2, 4], "n_chars": 5.0}),
+        ("correlate", {"repeat": 2.5}),
     ],
     ids=[
         "k_r",
@@ -338,6 +344,11 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "fc_small_n",
         "fc_device_gates",
         "fc_device_overlap",
+        "float_seed",
+        "bool_seed",
+        "float_k_r",
+        "float_n_chars",
+        "float_repeat",
     ],
 )
 def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys):
