@@ -145,8 +145,8 @@ def resolve_subsets(spec, gates: tuple[int, ...]) -> tuple[tuple[int, ...], ...]
         singles = [(g,) for g in gates]
         pairs = [(a, b) for i, a in enumerate(gates) for b in gates[i + 1 :]]
         return tuple(singles + pairs)
-    if isinstance(spec, (list, tuple)):
-        return tuple(tuple(sorted(int(g) for g in s)) for s in spec)
+    if isinstance(spec, (list, tuple)) and all(isinstance(s, (list, tuple)) for s in spec):
+        return tuple(tuple(sorted(_int_field(g, "subsets entry") for g in s)) for s in spec)
     raise ConfigError(f"bad subsets spec {spec!r}")
 
 
@@ -282,11 +282,16 @@ def _run_parallel_cz_scan(cfg: ExperimentConfig, out: Path) -> dict:
     counts = cfg.extra.get("scan_counts")
     if counts is None:
         counts = list(range(2, len(device.gates) + 1, 2))
+    if not isinstance(counts, list):
+        raise ConfigError(f"scan_counts must be a list of gate counts, got {counts!r}")
+    for r in counts:
+        if not 1 <= _int_field(r, "scan_counts entry") <= len(device.gates):
+            raise ConfigError(f"scan_counts entries must lie in [1, {len(device.gates)}], got {r}")
     per_cz = cfg.extra.get("per_cz_fidelity")
     rows = []
     results = {}
     for r in counts:
-        gates = tuple(range(int(r)))
+        gates = tuple(range(r))
         cab_cfg = cfg.cab_config(device, gates).replace(subsets=())
         block = GateBlock.parallel_cz(device, gates)
         rep = run_cab_experiment(device, block, cab_cfg)

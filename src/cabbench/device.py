@@ -75,7 +75,7 @@ class GateSpec:
 
     def effective_depol_p(self) -> float:
         """Depolarizing parameter including the compensation-drive cost."""
-        return float(np.clip(self.depol_p - self.comp_cost * self.coupling_comp**2, 0.0, 1.0))
+        return float(min(max(self.depol_p - self.comp_cost * self.coupling_comp**2, 0.0), 1.0))
 
 
 class CouplingMap:

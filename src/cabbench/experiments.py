@@ -6,8 +6,8 @@ import numpy as np
 
 from .circuits import CliffordLayer, GateBlock, GateLayer
 from .device import CouplingMap, DeviceModel, GateSpec
-from .paulis import LocalCliffordLayer, sample_local_clifford
-from .tableau import CliffordTableau, gate_order
+from .paulis import local_clifford_elements, sample_local_clifford
+from .tableau import _SIGN_CHUNK_ROWS, CliffordTableau, gate_order, local_layer_lookup
 
 
 def ring_cz_patterns(n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -28,24 +28,35 @@ def ring_device(n: int, gate_depol: float = 1.0, **kw) -> DeviceModel:
 
 
 def fully_connected_tableau(
-    cz_a: CliffordTableau, cz_b: CliffordTableau, v1: LocalCliffordLayer, v2: LocalCliffordLayer
-) -> CliffordTableau:
-    """Tableau of CZ layer ``cz_a``, local layer v1, CZ layer ``cz_b``, local layer v2."""
-    return cz_b.compose(cz_a.then_local_layer(v1)).then_local_layer(v2)
+    cz_a: CliffordTableau, cz_b: CliffordTableau, v1: np.ndarray, v2: np.ndarray
+) -> list[CliffordTableau]:
+    """Tableaus of CZ layer ``cz_a``, local layer v1, CZ layer ``cz_b``, local layer v2, one per draw.
+
+    ``v1`` and ``v2`` hold element indices with a leading draw axis, shape
+    (draws, n).  The whole stack is built at once (Dehaene & De Moor, PRA
+    68, 042318): one ``local_layer_lookup`` per local layer, and ``cz_b``
+    composed by one ``_images`` call over the 2n rows of every draw.
+    """
+    n, draws = cz_a.n, len(v1)
+    xb, zb, signs = local_layer_lookup(v1, cz_a.xbits, cz_a.zbits, cz_a.signs)  # (draws, 2n, n)
+    bits, signs = cz_b._images(np.concatenate([xb, zb], axis=-1).reshape(-1, 2 * n), signs.reshape(-1))
+    bits = bits.reshape(draws, 2 * n, 2 * n)
+    xb, zb, signs = local_layer_lookup(v2, bits[..., :n], bits[..., n:], signs.reshape(draws, 2 * n))
+    return [CliffordTableau(n, x, z, s) for x, z, s in zip(xb, zb, signs)]
 
 
 def fully_connected_gate(device: DeviceModel, a_gates: tuple[int, ...], b_gates: tuple[int, ...], rng: np.random.Generator) -> GateBlock:
     """Brickwork unit: CZ layer, random local layer, CZ layer, local layer.
 
-    The tableau comes from ``fully_connected_tableau``, which
-    ``gate_order_samples`` shares.
+    The tableau comes from ``fully_connected_tableau`` with one draw, the
+    builder that ``gate_order_samples`` calls with many.
     """
     n = device.n_qubits
     v1 = sample_local_clifford(n, rng)
     v2 = sample_local_clifford(n, rng)
     cz_a = CliffordTableau.from_cz_layer(n, [device.gates[g].pair for g in a_gates])
     cz_b = CliffordTableau.from_cz_layer(n, [device.gates[g].pair for g in b_gates])
-    t = fully_connected_tableau(cz_a, cz_b, v1, v2)
+    (t,) = fully_connected_tableau(cz_a, cz_b, v1.elements[None], v2.elements[None])
     layers = (
         GateLayer(tuple(a_gates)),
         CliffordLayer(v1),
@@ -80,15 +91,19 @@ def ring_fully_connected(n: int, rng: np.random.Generator, **device_kw) -> tuple
 def gate_order_samples(n: int, samples: int, rng: np.random.Generator, cap: int = 100_000) -> list[int | None]:
     """Orders of the fully connected gate over random local-layer draws.
 
-    Each sample draws v1, then v2, as ``ring_fully_connected`` does, and
-    builds only the tableau, with ``fully_connected_tableau`` as
-    ``fully_connected_gate`` does: the same stream gives the same gates.
+    Each sample draws v1, then v2, with ``local_clifford_elements`` as
+    ``ring_fully_connected`` does, so the same stream gives the same gates.
+    The tableaus are built by ``fully_connected_tableau``, as in
+    ``fully_connected_gate``, in chunks of at most ``_SIGN_CHUNK_ROWS //
+    (2n)`` draws, so memory does not grow with ``samples``.  Each order is
+    one ``gate_order`` call.
     """
     a, b = ring_cz_patterns(n)
     cz_a, cz_b = CliffordTableau.from_cz_layer(n, a), CliffordTableau.from_cz_layer(n, b)
+    per_chunk = max(1, _SIGN_CHUNK_ROWS // (2 * n))
     orders = []
-    for _ in range(samples):
-        v1 = sample_local_clifford(n, rng)
-        v2 = sample_local_clifford(n, rng)
-        orders.append(gate_order(fully_connected_tableau(cz_a, cz_b, v1, v2), cap=cap))
+    for start in range(0, samples, per_chunk):
+        draws = min(per_chunk, samples - start)
+        v = np.stack([local_clifford_elements(n, rng) for _ in range(2 * draws)]).reshape(draws, 2, n)
+        orders += [gate_order(t, cap=cap) for t in fully_connected_tableau(cz_a, cz_b, v[:, 0], v[:, 1])]
     return orders

@@ -293,8 +293,17 @@ class LocalCliffordLayer:
         return hash((self.n, self.elements.tobytes()))
 
 
-def sample_local_clifford(n: int, rng: np.random.Generator) -> LocalCliffordLayer:
-    """Each qubit's element independent and uniform over the 24 elements."""
+def local_clifford_elements(n: int, rng: np.random.Generator) -> np.ndarray:
+    """One local layer's element indices (n,) uint8, each uniform over the 24 elements.
+
+    The single draw of a random local layer: ``sample_local_clifford`` and
+    the stacked order draws both take it, so they consume the stream alike.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return LocalCliffordLayer(n, rng.integers(0, 24, size=n, dtype=np.uint8))
+    return rng.integers(0, 24, size=n, dtype=np.uint8)
+
+
+def sample_local_clifford(n: int, rng: np.random.Generator) -> LocalCliffordLayer:
+    """Each qubit's element independent and uniform over the 24 elements."""
+    return LocalCliffordLayer(n, local_clifford_elements(n, rng))

@@ -13,7 +13,8 @@ the same bits (``_images``, shared by ``compose`` and ``gate_order``).
 The order is the order k of the 2n x 2n symplectic matrix M, or 2k when
 the signs that t adds along each generator's orbit under M^0..M^(k-1)
 do not cancel.  A local Clifford layer is applied by lookup in the
-single-qubit action table.
+single-qubit action table (``local_layer_lookup``), to one tableau or to a
+stack of them.
 """
 
 from __future__ import annotations
@@ -41,6 +42,23 @@ def _strict_upper(d: int) -> np.ndarray:
     out = np.triu(np.full((d, d), 2.0), 1)
     out.flags.writeable = False
     return out
+
+
+def local_layer_lookup(
+    elements: np.ndarray, xbits: np.ndarray, zbits: np.ndarray, signs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bits and signs of tableaus followed by local layers, by table lookup.
+
+    ``elements`` (..., n) holds one layer per tableau, ``xbits``/``zbits``
+    (..., 2n, n) and ``signs`` (..., 2n) the tableaus; the leading axes
+    broadcast, so one call serves a stack of draws.  Each row's letter on
+    qubit q (Y for x = z = 1, as i X Z) goes to its signed image under
+    element q; the letter signs XOR into the row sign.  Returns uint8
+    arrays of the broadcast shapes.
+    """
+    act = single_qubit_cliffords().action[elements[..., None, :], xbits + 2 * zbits]  # (..., 2n, n, 3)
+    signs = (signs ^ np.bitwise_xor.reduce(act[..., 2], axis=-1)).astype(np.uint8, copy=False)
+    return np.ascontiguousarray(act[..., 0]), np.ascontiguousarray(act[..., 1]), signs
 
 
 @dataclass(frozen=True)
@@ -97,14 +115,8 @@ class CliffordTableau:
         return CliffordTableau(n, bits[:, :n].astype(np.uint8), bits[:, n:].astype(np.uint8), signs.astype(np.uint8))
 
     def then_local_layer(self, layer: LocalCliffordLayer) -> "CliffordTableau":
-        """``from_local_layer(layer).compose(self)`` by table lookup.
-
-        Each row's letter on qubit q (Y for x = z = 1, as i X Z) goes to its
-        signed image under element q; the letter signs XOR into the row sign.
-        """
-        act = single_qubit_cliffords().action[layer.elements, self.xbits + 2 * self.zbits]  # (2n, n, 3)
-        signs = self.signs ^ np.bitwise_xor.reduce(act[..., 2], axis=1)
-        return CliffordTableau(self.n, act[..., 0].copy(), act[..., 1].copy(), signs)
+        """``from_local_layer(layer).compose(self)``, by ``local_layer_lookup``."""
+        return CliffordTableau(self.n, *local_layer_lookup(layer.elements, self.xbits, self.zbits, self.signs))
 
     def _images(self, v: np.ndarray, signs: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
         """Images under ``self`` of the Paulis with bit rows v (R, 2n) and sign bits ``signs``.
@@ -174,7 +186,9 @@ class CliffordTableau:
         return hash((self.n, self.xbits.tobytes(), self.zbits.tobytes(), self.signs.tobytes()))
 
 
-# gate_order passes at most this many rows of powers of M to one _images call
+# most rows passed to one _images call: gate_order's chunks of powers of M,
+# and gate_order_samples' chunks of draws (2n rows each), so memory stays
+# bounded whatever the order, cap or number of draws
 _SIGN_CHUNK_ROWS = 4096
 
 

@@ -9,7 +9,9 @@ the coefficient route is checked against.  The tableau helpers
 (single-gate and layer builders, conjugation, inversion and the
 qubit-by-qubit ``compose_loop``) work on ``CliffordTableau`` bits, one
 generator at a time, with the Pauli multiplication table;
-``gate_order_by_squaring`` finds an order by repeated squaring.
+``gate_order_by_squaring`` finds an order by repeated squaring, and
+``fully_connected_tableaus_loop`` builds the order draws' tableaus one
+draw at a time.
 ``stab_run_counts_bitwise`` is the stabilizer sampler that expands every
 fault's Pauli index into bits and XORs the flips of the set ones.  The last
 section holds small functions that only tests call: outcome-code
@@ -29,7 +31,8 @@ from cabbench.backends import _depolarize_1q
 from cabbench.cab import QualityParameter, _fit_lambda_arrays
 from cabbench.calibration import NelderMead, NelderMeadOptions, NonFiniteObjective
 from cabbench.device import DeviceModel, DiagonalUnitary, GateSpec, PauliChannel
-from cabbench.paulis import _MUL_PHASE, LocalCliffordLayer, PauliString, single_qubit_cliffords
+from cabbench.experiments import ring_cz_patterns
+from cabbench.paulis import _MUL_PHASE, LocalCliffordLayer, PauliString, sample_local_clifford, single_qubit_cliffords
 from cabbench.tableau import CliffordTableau, NonCliffordError
 
 I2 = np.eye(2, dtype=complex)
@@ -457,6 +460,22 @@ def gate_order_by_squaring(t: CliffordTableau) -> tuple[int, int]:
         acc = acc @ m & 1
         k += 1
     return (k if power_by_squaring(t, k).is_identity() else 2 * k), k
+
+
+def fully_connected_tableaus_loop(n: int, samples: int, rng: np.random.Generator) -> list[CliffordTableau]:
+    """Reference for the tableaus ``gate_order_samples`` builds: one draw at a time.
+
+    Each draw takes v1, then v2, with ``sample_local_clifford`` and builds
+    its own tableau: CZ layer a, v1, CZ layer b, v2 of the n-qubit ring.
+    """
+    a, b = ring_cz_patterns(n)
+    cz_a, cz_b = CliffordTableau.from_cz_layer(n, a), CliffordTableau.from_cz_layer(n, b)
+    tableaus = []
+    for _ in range(samples):
+        v1 = sample_local_clifford(n, rng)
+        v2 = sample_local_clifford(n, rng)
+        tableaus.append(cz_b.compose(cz_a.then_local_layer(v1)).then_local_layer(v2))
+    return tableaus
 
 
 def net_tableau(seq, device) -> CliffordTableau:

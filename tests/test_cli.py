@@ -320,6 +320,16 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("cab", {"cab": {"depths": [0, 2], "k_r": 8.5, "k_s": 500, "mode": "traverse"}}),
         ("cb", {"cab": {"k_r": 10, "k_s": 100}, "cycles": [2, 4], "n_chars": 5.0}),
         ("correlate", {"repeat": 2.5}),
+        # subset gate indices and scan gate counts are integers in range
+        ("cab", {"subsets": [[1.9]]}),
+        ("cab", {"subsets": [[True]]}),
+        ("cab", {"subsets": [1]}),
+        ("parallel_cz_scan", {"scan_counts": [1.7, 2]}),
+        ("parallel_cz_scan", {"scan_counts": [True]}),
+        ("parallel_cz_scan", {"scan_counts": [0]}),
+        ("parallel_cz_scan", {"scan_counts": [5]}),
+        ("parallel_cz_scan", {"scan_counts": [1, 3]}),
+        ("parallel_cz_scan", {"scan_counts": 2}),
     ],
     ids=[
         "k_r",
@@ -349,6 +359,15 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "float_k_r",
         "float_n_chars",
         "float_repeat",
+        "float_subset_gate",
+        "bool_subset_gate",
+        "subset_not_list",
+        "float_scan_count",
+        "bool_scan_count",
+        "zero_scan_count",
+        "scan_count_past_gates",
+        "scan_count_after_valid",
+        "scan_counts_not_list",
     ],
 )
 def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys):

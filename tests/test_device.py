@@ -207,6 +207,26 @@ def test_layer_disjointness_check():
         dev.check_layer_disjoint((0, 1))
 
 
+@pytest.mark.parametrize(
+    "depol_p, coupling_comp, comp_cost, expected",
+    [
+        (0.0, 0.0, 0.0, 0.0),
+        (1.0, 0.0, 0.0, 1.0),
+        (0.9, 0.3, 0.5, 0.9 - 0.5 * 0.3**2),
+        (0.1, 0.5, 2.0, 0.0),  # the cost outweighs depol_p: clamped below zero
+        (0.9, 0.5, -2.0, 1.0),  # a negative cost, set past the constructor: clamped above one
+    ],
+)
+def test_effective_depol_p_clamps_to_unit_interval(depol_p, coupling_comp, comp_cost, expected):
+    spec = GateSpec(pair=(0, 1), depol_p=depol_p, coupling_comp=coupling_comp)
+    object.__setattr__(spec, "comp_cost", comp_cost)
+    got = spec.effective_depol_p()
+    assert type(got) is float
+    # bit for bit, the sign of zero included, as np.clip gives it
+    reference = float(np.clip(depol_p - comp_cost * coupling_comp**2, 0.0, 1.0))
+    assert got.hex() == reference.hex() == expected.hex()
+
+
 def test_control_offsets_copy():
     dev = two_gate_device()
     shifted = dev.with_control_offsets({0: (0.1, 0.2, 0.3)})

@@ -3,7 +3,8 @@
 A word is a short product of local Clifford layers, parallel CZ layers and
 Pauli conjugations on 1 to 12 qubits.  ``compose`` and ``then_local_layer``
 are checked bit for bit against the qubit-by-qubit ``compose_loop`` of
-``helpers``, ``gate_order`` against plain repeated composition, and the
+``helpers``, the stacked ``local_layer_lookup`` against ``then_local_layer``
+per tableau, ``gate_order`` against plain repeated composition, and the
 GF(2) closing Pauli against sign-tracked composition of the whole
 interleaved sequence.
 """
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cabbench.paulis import LocalCliffordLayer, PauliString
-from cabbench.tableau import CliffordTableau, compile_inverse_pauli, gate_order
+from cabbench.tableau import CliffordTableau, compile_inverse_pauli, gate_order, local_layer_lookup
 
 from helpers import compose_loop, inverse
 
@@ -84,6 +85,32 @@ def test_then_local_layer_equals_composition(case):
     assert fast == compose_loop(CliffordTableau.from_local_layer(layer), t)
     for arr in (fast.xbits, fast.zbits, fast.signs):
         assert arr.dtype == np.uint8
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.lists(
+            st.tuples(words(n), st.lists(st.integers(0, 23), min_size=n, max_size=n)), min_size=1, max_size=5
+        )
+    ),
+    st.booleans(),
+)
+def test_stacked_local_layer_lookup_equals_then_local_layer(cases, wide_bits):
+    n = cases[0][0].n
+    elements = np.array([e for _, e in cases], dtype=np.uint8)
+    # the stacked builder feeds _images' int64 bits and signs
+    dtype = np.int64 if wide_bits else np.uint8
+    xb, zb, signs = local_layer_lookup(
+        elements,
+        np.stack([t.xbits for t, _ in cases]).astype(dtype),
+        np.stack([t.zbits for t, _ in cases]).astype(dtype),
+        np.stack([t.signs for t, _ in cases]).astype(dtype),
+    )
+    for arr in (xb, zb, signs):
+        assert arr.dtype == np.uint8
+    for i, (t, _) in enumerate(cases):
+        assert CliffordTableau(n, xb[i], zb[i], signs[i]) == t.then_local_layer(LocalCliffordLayer(n, elements[i]))
 
 
 def _orders_by_composition(t, limit):
