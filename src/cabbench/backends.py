@@ -9,8 +9,11 @@ the Pauli transfer representation).  Each layer is a few whole-register
 array operations on c of shape (..., d, d), with the tables built once per
 device (``DeviceModel.cached``):
 
-- per-qubit and per-gate depolarizing, the twirled coupling and a Pauli
-  layer are Pauli-diagonal: one multiply each;
+- per-qubit and per-gate depolarizing and the twirled coupling are
+  Pauli-diagonal: one multiply each by a cached table;
+- a Pauli layer X^x Z^z is Pauli-diagonal too, with sign (-1)^(x.z') on
+  row z' and (-1)^(z.x') on column x': two broadcast multiplies by Walsh
+  sign vectors, with no (d, d) table;
 - a single-qubit layer is a Kronecker product of real 4x4 transfer
   matrices, applied as two half-register matmuls;
 - a gate layer's CZs and coherent components form one diagonal unitary D.
@@ -43,7 +46,11 @@ error replaced by its exact Pauli twirl.  Like Stim (Gidney, Quantum 5,
 Both backends give outcomes as int64 codes, qubit 0 the most significant
 bit (``pack_bits``): ``dm_run``'s probability index, the stab frame, the
 readout flips XORed into it and the ``ShotCounts`` that parities and
-marginals read all use the one format.
+marginals read all use the one format.  A backend returns one sequence's
+``ShotCounts``; a CAB run stacks each depth's sequences into one (codes,
+counts and per-sequence offsets), so that all survivals, one batched
+transform, and each subset's marginals, one ``bincount``, take one call
+per depth and give one row per sequence.
 """
 
 from __future__ import annotations
@@ -320,7 +327,9 @@ def _apply_layer(c: np.ndarray, n: int, layer, device: DeviceModel, noisy: bool,
     A single-qubit layer is a Kronecker product of 4x4 transfer matrices
     with its depolarizing folded in.  A Pauli layer X^x Z^z and its
     depolarizing are Pauli-diagonal: X^x Z^z P Z^z X^x = (-1)^(x.z' + z.x') P
-    for P = X^x' Z^z', so both are one multiply each.
+    for P = X^x' Z^z'.  The sign is the Walsh column of x along the rows z'
+    times that of z along the columns x', so the layer is two broadcast
+    multiplies, exact in any order since every factor is a sign.
     """
     if isinstance(layer, GateLayer):
         return _apply_gate_layer(c, n, tuple(layer.gates), device, noisy, twirl_coupling)
@@ -328,9 +337,10 @@ def _apply_layer(c: np.ndarray, n: int, layer, device: DeviceModel, noisy: bool,
         return _apply_local(c, *_halves(_local_ptms(layer, device, n, noisy)))
     if not isinstance(layer, PauliLayer):
         raise TypeError(f"unknown layer type {type(layer)!r}")
-    x, z = pack_bits(np.stack((layer.pauli.x, layer.pauli.z))).tolist()
+    x, z = np.dot((layer.pauli.x, layer.pauli.z), 1 << np.arange(n - 1, -1, -1)).tolist()
     if x or z:
-        c = c * np.outer(_walsh_column(x, device, n), _walsh_column(z, device, n))
+        c = c * _walsh_column(x, device, n)[:, None]
+        c *= _walsh_column(z, device, n)
     return _depolarize_1q(c, device, n) if noisy and device.pauli_layer_noise else c
 
 
@@ -379,22 +389,34 @@ def dm_run(
 
 @dataclass
 class ShotCounts:
-    """Measurement outcomes of one sequence: unique outcome codes with counts.
+    """Measurement outcomes of one or more sequences, each as its unique
+    outcome codes with their counts.
 
     A code is an int64 whose bit n-1-q is qubit q's outcome (qubit 0 the
-    most significant bit, as ``pack_bits`` writes it).
+    most significant bit, as ``pack_bits`` writes it).  Sequence s holds
+    codes[offsets[s]:offsets[s + 1]], and each sequence has k_s shots.  The
+    backends return one sequence; ``stack`` joins sequences, as a CAB run
+    does per depth.  Every method returns one row per sequence.
     """
 
     n: int
-    k_s: int
-    codes: np.ndarray  # (D,) int64, unique outcome codes
+    k_s: int  # shots per sequence
+    codes: np.ndarray  # (D,) int64, each sequence's unique outcome codes in turn
     counts: np.ndarray  # (D,) int64
+    offsets: np.ndarray | None = None  # (sequences + 1,) int64; None for one sequence
 
     def __post_init__(self):
         if self.k_s < 1:
             raise ValueError("empty counts: k_s must be >= 1")
-        if int(self.counts.sum()) != self.k_s:
-            raise ValueError("counts must sum to the number of shots")
+        if self.offsets is None:  # one sequence, as every backend call makes
+            self.offsets = np.array([0, len(self.codes)], dtype=np.int64)
+            bad = int(self.counts.sum()) != self.k_s
+        else:
+            # with a code in every sequence, reduceat sums each one's counts
+            o = self.offsets
+            bad = np.any(o[1:] <= o[:-1]) or np.any(np.add.reduceat(self.counts, o[:-1]) != self.k_s)
+        if bad:
+            raise ValueError("each sequence's counts must sum to the number of shots")
 
     @staticmethod
     def from_outcomes(codes: np.ndarray, n: int) -> "ShotCounts":
@@ -407,28 +429,63 @@ class ShotCounts:
         nz = np.flatnonzero(sampled)
         return ShotCounts(n, k_s, nz.astype(np.int64), sampled[nz].astype(np.int64))
 
+    @staticmethod
+    def stack(parts: list["ShotCounts"]) -> "ShotCounts":
+        """The sequences of ``parts`` (one n and k_s) in order, as one."""
+        starts = np.cumsum([0] + [len(p.codes) for p in parts])
+        offsets = np.concatenate([p.offsets[:-1] + s for p, s in zip(parts, starts)] + [starts[-1:]])
+        return ShotCounts(
+            parts[0].n,
+            parts[0].k_s,
+            np.concatenate([p.codes for p in parts]),
+            np.concatenate([p.counts for p in parts]),
+            offsets,
+        )
+
+    @property
+    def sequences(self) -> int:
+        return len(self.offsets) - 1
+
+    def _rows(self) -> np.ndarray:
+        """The sequence of each code."""
+        return np.repeat(np.arange(self.sequences), np.diff(self.offsets))
+
     def survivals(self, w_masks: np.ndarray) -> np.ndarray:
-        """sum_x count(x)/k_s * (-1)^(w.x) for each Z-observable mask w."""
-        par = (np.bitwise_count(w_masks[:, None] & self.codes[None, :]) & 1).astype(float)
-        # k_s minus twice the odd-parity count; integer-valued, so exact
-        return (self.k_s - 2.0 * (par @ self.counts.astype(float))) / self.k_s
+        """sum_x count(x)/k_s * (-1)^(w.x) for each Z-observable mask w, one
+        row per sequence.  The (masks, codes) parities are built one
+        sequence at a time: for all of a depth's codes at once they took
+        the ring_44q benchmark's peak RSS from 50 to 207 MB."""
+        out = np.empty((self.sequences, len(w_masks)))
+        for s, (a, b) in enumerate(zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())):
+            # k_s minus twice the odd-parity count; integer-valued, so exact.
+            # par goes before the next sequence's is built: kept alive, it
+            # fragmented the heap (+10 MB peak RSS on ring_44q)
+            par = (np.bitwise_count(w_masks[:, None] & self.codes[None, a:b]) & 1).astype(float)
+            out[s] = (self.k_s - 2.0 * (par @ self.counts[a:b].astype(float))) / self.k_s
+            del par
+        return out
 
     def count_vector(self) -> np.ndarray:
-        """Dense count vector over all 2^n outcomes (small n only)."""
+        """Dense count vectors over all 2^n outcomes, one row per sequence
+        (small n only)."""
         if self.n > 26:
             raise ResourceLimitError("dense count vector too large")
-        vec = np.zeros(2**self.n)
-        vec[self.codes] = self.counts
+        vec = np.zeros((self.sequences, 2**self.n))
+        vec[self._rows(), self.codes] = self.counts
         return vec
 
     def all_survivals(self) -> np.ndarray:
-        """Survivals of every Z-observable at once (small n only)."""
+        """Survivals of every Z-observable at once, one row per sequence: one
+        batched transform (small n only)."""
         return np.real(fwht(self.count_vector())) / self.k_s
 
     def marginal_count_vector(self, qubits: tuple[int, ...]) -> np.ndarray:
-        """Dense count vector of the outcomes restricted to ``qubits``."""
-        sub = _bits(self.codes, self.n, qubits)
-        return np.bincount(sub, weights=self.counts, minlength=2 ** len(qubits))
+        """Dense count vectors of the outcomes restricted to ``qubits``, one
+        row per sequence: one ``bincount`` over every sequence's codes,
+        whose bins add each sequence's counts in code order."""
+        k = len(qubits)
+        sub = _bits(self.codes, self.n, qubits) + (self._rows() << k)
+        return np.bincount(sub, weights=self.counts, minlength=self.sequences << k).reshape(-1, 2**k)
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ class ConfigError(ValueError):
 
 
 class DegenerateFitError(RuntimeError):
-    """A decay fit has a zero denominator."""
+    """A decay fit has a zero denominator, or no decay is left to average."""
 
 
 class UnsupportedGateError(ConfigError):
@@ -197,11 +197,25 @@ def _weights_for_masks(masks: np.ndarray, n: int, mode: str) -> np.ndarray:
     return np.full(len(masks), 1.0 / len(masks))
 
 
-def _aggregate(lam: np.ndarray, weights: np.ndarray, flagged: np.ndarray) -> float:
-    ok = ~flagged
-    if not np.any(ok):
-        return float("nan")
-    return float(np.sum(weights[ok] * lam[ok]) / np.sum(weights[ok]))
+def _aggregate(lam: np.ndarray, weights: np.ndarray, flagged: np.ndarray) -> np.ndarray:
+    """The ``weights``-weighted mean of the unflagged lambda of each row of
+    ``lam`` (rows, masks); nan for a row that keeps none.
+
+    The rows that keep the same number of masks are summed as one (rows,
+    kept) array.  numpy sums along a contiguous last axis pairwise, eight
+    terms at a time, just as it sums a row's kept terms on their own, so
+    every mean is the per-row one to the bit.  Zero-filling the flagged
+    terms instead would regroup the additions.
+    """
+    keep = ~flagged
+    kept = keep.sum(axis=1)
+    out = np.full(len(lam), np.nan)
+    for size in np.unique(kept[kept > 0]).tolist():
+        rows = np.flatnonzero(kept == size)
+        sel = keep[rows]
+        w = np.broadcast_to(weights, sel.shape)[sel].reshape(-1, size)
+        out[rows] = np.sum(w * lam[rows][sel].reshape(-1, size), axis=1) / np.sum(w, axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +225,12 @@ def _aggregate(lam: np.ndarray, weights: np.ndarray, flagged: np.ndarray) -> flo
 
 @dataclass
 class CabRunData:
-    """Raw per-sequence results of one CAB run (one target, one device)."""
+    """Raw per-sequence results of one CAB run (one target, one device).
+
+    ``counts`` holds one ``ShotCounts`` per depth with that depth's k_r
+    sequences stacked in order, so survivals and subset marginals take one
+    batched call per depth.
+    """
 
     block_name: str
     n: int
@@ -222,7 +241,7 @@ class CabRunData:
     mode: str
     masks: np.ndarray  # (Q,) observable masks tracked in `surv`
     surv: np.ndarray  # (M, K_r, Q) per-sequence survivals
-    counts: list[list[ShotCounts]]  # [depth][sequence]
+    counts: list[ShotCounts]  # [depth], k_r sequences each
     backend: str
 
     def depth_means(self) -> np.ndarray:
@@ -266,19 +285,21 @@ def execute_cab_run(
         rng_obs = np.random.default_rng([config.seed, 5, tag])
         masks = sample_observables(n, config.k_q, rng_obs)
 
-    counts: list[list[ShotCounts]] = [[] for _ in depths]
+    counts: list[ShotCounts] = []
     for d, m in enumerate(depths):
+        parts = []
         for k in range(config.k_r):
             rng_seq = np.random.default_rng([config.seed, 17, tag, d, k])
             seq = build_cab_sequence(block, m, rng_seq)
             rng_shot = np.random.default_rng([config.seed, 23, tag, d, k])
-            counts[d].append(_run_counts(seq, device, backend, config.k_s, rng_shot))
+            parts.append(_run_counts(seq, device, backend, config.k_s, rng_shot))
+        counts.append(ShotCounts.stack(parts))
 
+    # C-contiguous (depth, sequence, mask): the depth means sum along the
+    # sequence axis in this layout
     surv = np.empty((len(depths), config.k_r, len(masks)))
-    for d in range(len(depths)):
-        for k in range(config.k_r):
-            sc = counts[d][k]
-            surv[d, k] = sc.all_survivals() if config.mode == "traverse" else sc.survivals(masks)
+    for d, sc in enumerate(counts):
+        surv[d] = sc.all_survivals() if config.mode == "traverse" else sc.survivals(masks)
     return CabRunData(
         block_name=block.name,
         n=n,
@@ -310,8 +331,17 @@ def _estimate_from_surv(
 
     ``surv`` has shape (depth, sequence, mask).  The identity mask is pinned
     to lambda = 1 with zero SE and is never flagged; flagged masks drop out
-    of the ``weights``-weighted mean of lambda.  The SE is the delete-one
-    jackknife over the sequence axis, recomputing the whole chain.
+    of the ``weights``-weighted mean of lambda.  When no mask but the
+    identity is left, there is no estimate: ``DegenerateFitError``.
+
+    The SE is the delete-one jackknife over the sequence axis, recomputing
+    the whole chain.  Every replicate's depth means come from one array
+    operation, (sum - surv) / (k_r - 1), and are fitted in one call.  One
+    ``_aggregate`` call then averages all replicates: the replicates that
+    keep the same number of masks form one (replicates, kept) array, summed
+    along its last axis, so each replicate's terms are added in the same
+    pairwise grouping as a sum over that replicate alone, and the jackknife
+    SE is the per-replicate one to the bit.
     """
     n_depths, k_r = surv.shape[:2]
     identity = masks == 0
@@ -326,9 +356,13 @@ def _estimate_from_surv(
         return lam, lam_se, flagged
 
     lam, lam_se, flagged = fit(surv.mean(axis=1), surv.std(axis=1, ddof=1) / np.sqrt(k_r))
+    if np.all(flagged | identity):
+        raise DegenerateFitError(
+            f"{kind}: every decay but the identity's is flagged ({int(flagged.sum())} of {len(masks)} masks)"
+        )
     # every delete-one replicate in one fit, shape (depth, replicate, mask)
     lk, _, flk = fit((surv.sum(axis=1, keepdims=True) - surv) / (k_r - 1))
-    jack = np.array([_aggregate(lam_k, weights, flagged_k) for lam_k, flagged_k in zip(lk, flk)])
+    jack = _aggregate(lk, weights, flk)
     good = np.isfinite(jack)
     if good.sum() >= 2:
         jm = jack[good].mean()
@@ -336,11 +370,11 @@ def _estimate_from_surv(
     else:
         se = float("nan")
     qps = [
-        QualityParameter(int(m_), float(l_), float(s_) if np.isfinite(s_) else 0.0, bool(f_))
-        for m_, l_, s_, f_ in zip(masks, lam, lam_se, flagged)
+        QualityParameter(m_, l_, s_ if math.isfinite(s_) else 0.0, f_)
+        for m_, l_, s_, f_ in zip(masks.tolist(), lam.tolist(), lam_se.tolist(), flagged.tolist())
     ]
     return FidelityEstimate(
-        value=_aggregate(lam, weights, flagged),
+        value=float(_aggregate(lam[None], weights, flagged[None])[0]),
         se=se,
         kind=kind,
         quality_params=qps,
@@ -368,8 +402,9 @@ def estimate_fidelity(data: CabRunData, kind: str | None = None) -> FidelityEsti
 def subset_fidelity(data: CabRunData, gate_subset: tuple[int, ...], device: DeviceModel) -> FidelityEstimate:
     """Fidelity of a gate subset, traversing the Z-observables on its qubits.
 
-    Reuses the run's shot data: counts are marginalized to the subset's
-    qubits and all 2^(2*len(subset)) restricted observables are traversed.
+    Reuses the run's shot data: each depth's stacked counts are
+    marginalized to the subset's qubits in one call, and all
+    2^(2*len(subset)) restricted observables are traversed.
     """
     qubits = tuple(sorted({q for g in gate_subset for q in device.gates[g].pair}))
     if len(qubits) > SUBSET_QUBIT_LIMIT:
@@ -381,9 +416,8 @@ def subset_fidelity(data: CabRunData, gate_subset: tuple[int, ...], device: Devi
     n_s = len(qubits)
     masks = np.arange(2**n_s, dtype=np.int64)
     surv = np.empty((len(data.depths), data.k_r, 2**n_s))
-    for d in range(len(data.depths)):
-        vecs = np.array([sc.marginal_count_vector(qubits) for sc in data.counts[d]])
-        surv[d] = np.real(fwht(vecs)) / data.k_s
+    for d, sc in enumerate(data.counts):
+        surv[d] = np.real(fwht(sc.marginal_count_vector(qubits))) / data.k_s
     exponents = 2.0 * np.asarray(data.depths, dtype=float)
     weights = _weights_for_masks(masks, n_s, "traverse")
     est = _estimate_from_surv(surv, masks, exponents, weights, data.kind)
@@ -590,7 +624,7 @@ def run_cb_experiment(
                 seq = build_cb_sequence(block, char, c, order, rng_seq)
                 rng_shot = np.random.default_rng([config.seed, 31, 2, d, ci, k])
                 sc = _run_counts(seq, device, backend, config.k_s, rng_shot)
-                surv[d, ci, k] = sc.survivals(char_masks[ci : ci + 1])[0]
+                surv[d, ci, k] = sc.survivals(char_masks[ci : ci + 1])[0, 0]
 
     est = _estimate_from_surv(
         surv.transpose(0, 2, 1),

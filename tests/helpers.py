@@ -13,7 +13,10 @@ generator at a time, with the Pauli multiplication table;
 ``fully_connected_tableaus_loop`` builds the order draws' tableaus one
 draw at a time.
 ``stab_run_counts_bitwise`` is the stabilizer sampler that expands every
-fault's Pauli index into bits and XORs the flips of the set ones.  The last
+fault's Pauli index into bits and XORs the flips of the set ones.  The
+survival, marginal and aggregate references work on one sequence or one
+replicate at a time, as the stacked paths of ``ShotCounts`` and
+``cab._aggregate`` must agree with to the bit.  The last
 section holds small functions that only tests call: outcome-code
 unpacking, the parametric CZ unitary, the two-gate closed forms and
 closed-form limits, a one-observable
@@ -582,6 +585,39 @@ def stab_run_counts_bitwise(seq, device, k_s: int, rng: np.random.Generator):
     if np.any(device.readout_e0 > 0) or np.any(device.readout_e1 > 0):
         frame = apply_readout_noise(frame, seq.n, device.readout_e0, device.readout_e1, rng)
     return ShotCounts.from_outcomes(frame, seq.n)
+
+
+# -- per-sequence references for the stacked ShotCounts paths -------------------
+
+
+def survivals_one(codes: np.ndarray, counts: np.ndarray, k_s: int, w_masks: np.ndarray) -> np.ndarray:
+    """One sequence's survivals: sum_x count(x)/k_s * (-1)^(w.x) per mask w."""
+    par = (np.bitwise_count(w_masks[:, None] & codes[None, :]) & 1).astype(float)
+    return (k_s - 2.0 * (par @ counts.astype(float))) / k_s
+
+
+def all_survivals_one(codes: np.ndarray, counts: np.ndarray, k_s: int, n: int) -> np.ndarray:
+    """One sequence's survivals of every Z-observable: its dense count vector's transform."""
+    from cabbench.device import fwht
+
+    vec = np.zeros(2**n)
+    vec[codes] = counts
+    return np.real(fwht(vec)) / k_s
+
+
+def marginal_count_vector_one(codes: np.ndarray, counts: np.ndarray, n: int, qubits) -> np.ndarray:
+    """One sequence's dense count vector restricted to ``qubits`` (qubits[0] the MSB)."""
+    from cabbench.backends import _bits
+
+    return np.bincount(_bits(codes, n, qubits), weights=counts, minlength=2 ** len(qubits))
+
+
+def aggregate_row(lam: np.ndarray, weights: np.ndarray, flagged: np.ndarray) -> float:
+    """The weighted mean of one row's unflagged lambda, nan when none is left."""
+    ok = ~flagged
+    if not np.any(ok):
+        return float("nan")
+    return float(np.sum(weights[ok] * lam[ok]) / np.sum(weights[ok]))
 
 
 # -- small functions that only tests call ---------------------------------------

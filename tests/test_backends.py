@@ -32,6 +32,9 @@ from helpers import (
     process_fidelity_pauli_sum,
     restricted_channel,
     stab_run_counts_bitwise,
+    all_survivals_one,
+    marginal_count_vector_one,
+    survivals_one,
     unitary_channel,
     unpack_bits,
 )
@@ -189,7 +192,7 @@ def test_stab_matches_dm_twirled_model():
     probs = dm_run(seq, dev, twirl_coupling=True)
     shots = 100_000
     counts = stab_run_counts(seq, dev, shots, np.random.default_rng(99))
-    emp = counts.count_vector() / shots
+    emp = counts.count_vector()[0] / shots
     tv = 0.5 * np.abs(emp - probs).sum()
     assert tv < 0.01
 
@@ -253,7 +256,7 @@ def test_backend_agreement_survivals():
         # the parity route and the FWHT route agree exactly: integer sums
         assert np.array_equal(counts.survivals(np.arange(16)), counts.all_survivals())
         masks = np.array([0b1000, 0b1010, 0b0101, 0b1111])
-        for w, est in zip(masks, counts.survivals(masks)):
+        for w, est in zip(masks, counts.survivals(masks)[0]):
             exact = exact_survival(probs, w)
             se = np.sqrt(max(1 - exact**2, 1e-12) / shots)
             assert abs(est - exact) < 4 * se + 1e-9
@@ -287,15 +290,70 @@ def test_marginal_count_vector_matches_bitwise_reference(n):
     for qubits in tuples:
         expected = np.zeros(2 ** len(qubits))
         np.add.at(expected, _sub_index_reference(bits, qubits), weights)
-        assert np.array_equal(counts.marginal_count_vector(qubits), expected), qubits
+        assert np.array_equal(counts.marginal_count_vector(qubits)[0], expected), qubits
         if register is not None:
             # the dm gate tables index register states the same way
             assert np.array_equal(_bits(np.arange(2**n), n, qubits), _sub_index_reference(register, qubits)), qubits
 
 
+def _sequence_counts(n, k_s, n_codes, rng):
+    """One sequence's ShotCounts: k_s shots over up to ``n_codes`` random codes."""
+    codes = np.unique(pack_bits(rng.integers(0, 2, size=(n_codes, n), dtype=np.uint8)))
+    sampled = rng.multinomial(k_s, np.full(len(codes), 1.0 / len(codes)))
+    return ShotCounts(n, k_s, codes[sampled > 0], sampled[sampled > 0].astype(np.int64))
+
+
+# (n, k_s, codes per sequence): a lone one-code sequence, k_r = 2, a depth
+# whose sequences include a one-code one, and the 44- and 62-qubit codes
+STACK_CASES = {
+    "one_code": (3, 50, [1]),
+    "k_r_2": (4, 200, [40, 40]),
+    "mixed_6q": (6, 500, [300, 1, 80, 300, 2]),
+    "n44": (44, 1000, [300, 300, 300]),
+    "n62": (62, 1000, [300, 1, 300]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_stacked_shot_counts_match_the_per_sequence_references(case):
+    n, k_s, sizes = STACK_CASES[case]
+    rng = np.random.default_rng([len(case), n, k_s])
+    parts = [_sequence_counts(n, k_s, size, rng) for size in sizes]
+    stacked = ShotCounts.stack(parts)
+    assert stacked.sequences == len(parts)
+    assert np.array_equal(ShotCounts.stack([ShotCounts.stack(parts[:1]), *parts[1:]]).offsets, stacked.offsets)
+    # the identity, every single qubit's Z, the all-ones mask and random masks
+    masks = np.array([0, *(1 << np.arange(n)), (1 << n) - 1, *pack_bits(rng.integers(0, 2, size=(30, n), dtype=np.uint8))])
+    tuples = [(0,), (n - 1,), (n - 1, 0), (2, 0, 1), tuple(rng.choice(n, size=min(n, 5), replace=False).tolist())]
+    surv = stacked.survivals(masks)
+    full = stacked.all_survivals() if n <= 12 else None
+    marginals = {qubits: stacked.marginal_count_vector(qubits) for qubits in tuples}
+    for s, part in enumerate(parts):
+        assert np.array_equal(surv[s], survivals_one(part.codes, part.counts, k_s, masks))
+        assert np.array_equal(part.survivals(masks)[0], surv[s])
+        if full is not None:
+            assert np.array_equal(full[s], all_survivals_one(part.codes, part.counts, k_s, n))
+        for qubits, vec in marginals.items():
+            assert np.array_equal(vec[s], marginal_count_vector_one(part.codes, part.counts, n, qubits)), qubits
+    assert surv.shape == (len(parts), len(masks))
+    assert all(vec.shape == (len(parts), 2 ** len(q)) for q, vec in marginals.items())
+
+
+def test_stacked_shot_counts_check_every_sequence():
+    codes, counts = np.array([0, 1, 2], dtype=np.int64), np.array([5, 5, 10])
+    assert ShotCounts(2, 10, codes, counts, np.array([0, 2, 3])).sequences == 2
+    with pytest.raises(ValueError, match="sum"):
+        ShotCounts(2, 10, codes, counts, np.array([0, 1, 3]))
+    with pytest.raises(ValueError, match="sum"):
+        ShotCounts(2, 10, codes, counts)  # one sequence of 20 shots
+    # an empty sequence, though the counts of the others sum right
+    with pytest.raises(ValueError, match="sum"):
+        ShotCounts(2, 10, codes, counts, np.array([0, 2, 2, 3]))
+
+
 def test_survival_hand_example():
     counts = ShotCounts(2, 100, pack_bits(np.array([[0, 0], [1, 1]], dtype=np.uint8)), np.array([60, 40]))
-    assert counts.survivals(np.array([0b01, 0b00])) == pytest.approx([0.2, 1.0])
+    assert counts.survivals(np.array([0b01, 0b00]))[0] == pytest.approx([0.2, 1.0])
 
 
 def test_shot_counts_reject_empty():
@@ -570,6 +628,50 @@ def test_dm_run_is_pinned_on_a_three_gate_6q_cab_sequence():
         0.0013718676855031069, 7.012928768233269e-05, 0.001264617832758513, 6.7387102614444e-05,
     ])
     assert np.max(np.abs(dm_run(seq, dev) - pinned)) < 1e-14
+
+
+# sha256 of dm_run(seq, dev).tobytes(): CSVs are byte-identical only if the
+# probabilities are, so these hold every bit, not a tolerance
+DM_RUN_DIGESTS = {
+    ("two_gate_4q", 0): "19109fefc3255f0a741a484d19f879c4b2485efa74acf7ea2a24d02713459c8e",
+    ("two_gate_4q", 1): "b335b35a4fbeb394f5c98c04d64607435f1151ae926bbe707561558bd9c08da4",
+    ("two_gate_4q", 2): "f6d4d663609759d9c31137c06cfb8df6d10826c7807ead781aa401f63c6dfe8e",
+    ("three_gate_6q", 0): "dfafb2c2b8ec62b95b8c5b8c34ea6b9041ff0905bff0de351f220e66946e9a3f",
+    ("three_gate_6q", 1): "4205cdf5234c05bc501e92a1dfd73d63e5483a229a10e3893f8c7e6548c59a36",
+    ("three_gate_6q", 2): "dd89fff24079675121570fc86d168b0eab7b1702b54581378835c37895a64943",
+}
+
+
+@pytest.mark.parametrize("name, m", sorted(DM_RUN_DIGESTS))
+def test_dm_run_bytes_are_pinned_on_cab_sequences(name, m):
+    import hashlib
+
+    from cabbench.cab import build_cab_sequence
+    from cabbench.cli import load_device
+
+    dev = load_device(name)
+    block = GateBlock.parallel_cz(dev, tuple(range(len(dev.gates))))
+    seq = build_cab_sequence(block, m, np.random.default_rng([2026, m]))
+    assert hashlib.sha256(dm_run(seq, dev).tobytes()).hexdigest() == DM_RUN_DIGESTS[name, m]
+
+
+@pytest.mark.parametrize(
+    "twirl_coupling, digest",
+    [
+        (False, "2821be6a9e5e91803a7b6fee383fd2224d5aef5d13613c1ca57041829fd4979e"),
+        (True, "2b54badc5b8730c3974b4face87e53a1a8c87051146a53036ad75f9b891e5e92"),
+    ],
+)
+def test_dm_run_bytes_are_pinned_with_unitary_layers(twirl_coupling, digest):
+    import hashlib
+
+    rng = np.random.default_rng(2026)
+    dev = random_device(4, rng)
+    seq = random_sequence(dev, rng, n_layers=10)
+    # Pauli layers and single-qubit unitaries between the gate layers
+    assert sum(isinstance(layer, Unitary1qLayer) for layer in seq.layers[1:-1]) == 2
+    assert sum(isinstance(layer, PauliLayer) for layer in seq.layers) == 3
+    assert hashlib.sha256(dm_run(seq, dev, twirl_coupling=twirl_coupling).tobytes()).hexdigest() == digest
 
 
 def test_dressed_cycle_choi_fidelity_is_pinned():

@@ -7,7 +7,10 @@ from cabbench.backends import ShotCounts, pack_bits
 from cabbench.cab import (
     CabConfig,
     ConfigError,
+    DegenerateFitError,
     FidelityEstimate,
+    _aggregate,
+    _estimate_from_surv,
     build_cab_sequence,
     estimate_fidelity,
     execute_cab_run,
@@ -20,7 +23,7 @@ from cabbench.circuits import CircuitSequence, CliffordLayer, GateBlock, PauliLa
 from cabbench.device import ControlPhases, CouplingMap, DeviceModel, GateSpec
 from cabbench.paulis import PauliString
 
-from helpers import closes_to_identity, fit_quality_parameter, kq_for_accuracy
+from helpers import aggregate_row, closes_to_identity, fit_quality_parameter, kq_for_accuracy
 
 
 def plain_device(n=4, p=1.0, gamma=0.0, **kw):
@@ -107,7 +110,7 @@ def test_survival_uniform_counts_vanishes():
 
 def test_survival_hand_value():
     c = ShotCounts(2, 100, pack_bits(np.array([[0, 0], [1, 1]], dtype=np.uint8)), np.array([60, 40]))
-    assert c.survivals(np.array([0b01]))[0] == pytest.approx(0.2)
+    assert c.survivals(np.array([0b01]))[0, 0] == pytest.approx(0.2)
 
 
 # -- fitting ------------------------------------------------------------------
@@ -141,6 +144,33 @@ def test_multidepth_fit_recovers_synthetic():
     ses = np.array([r[1] for r in recovered])
     assert abs(lams.mean() - lam) < 3 * ses.mean() / math.sqrt(len(lams))
     assert np.all(np.abs(lams - lam) < 5 * ses)
+
+
+@pytest.mark.parametrize("q", [1, 7, 8, 9, 16, 17, 130, 300, 4096])
+def test_aggregate_rows_match_the_per_row_reference(q):
+    # numpy sums pairwise in blocks of eight, and recursively past 128 terms:
+    # every row must keep the grouping of its own 1-d sum
+    rng = np.random.default_rng(q)
+    kept = sorted({0, 1, q // 3, q // 2, q - 1, q, *rng.integers(0, q + 1, size=6).tolist()})
+    flagged = np.ones((2 * len(kept), q), dtype=bool)
+    for row, k in enumerate(kept * 2):
+        flagged[row, rng.choice(q, size=k, replace=False)] = False
+    flagged = flagged[rng.permutation(len(flagged))]
+    lam = np.where(flagged, np.nan, rng.uniform(0.3, 1.0, size=flagged.shape))
+    for weights in (np.full(q, 1.0 / q), 3.0 ** rng.integers(0, 7, size=q) / 4.0**6):
+        expected = [aggregate_row(l, weights, f) for l, f in zip(lam, flagged)]
+        assert np.array_equal(_aggregate(lam, weights, flagged), expected, equal_nan=True)
+
+
+def test_estimate_refuses_when_only_the_identity_is_left():
+    masks = np.arange(4, dtype=np.int64)
+    surv = np.ones((2, 3, 4))
+    surv[1, :, 1:] = -0.5  # every non-identity survival changes sign
+    with pytest.raises(DegenerateFitError, match="identity"):
+        _estimate_from_surv(surv, masks, np.array([0.0, 2.0]), np.full(4, 0.25), "dressed")
+    surv[1, :, 3] = 0.5
+    est = _estimate_from_surv(surv, masks, np.array([0.0, 2.0]), np.full(4, 0.25), "dressed")
+    assert est.n_flagged == 2
 
 
 # -- scalar formulas ----------------------------------------------------------

@@ -377,6 +377,24 @@ def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys):
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "backend, cab_over, subsets",
+    [
+        # subset 1's dressed run keeps only the identity unflagged
+        ("dm", {"mode": "traverse"}, "singles"),
+        # every sampled mask is flagged, which used to write NaN into result.json
+        ("stab", {"mode": "sample", "k_q": 2}, "none"),
+    ],
+    ids=["dm_traverse_subset", "stab_sample"],
+)
+def test_degenerate_estimate_exits_1(backend, cab_over, subsets, tmp_path, capsys):
+    cab_doc = {"depths": [0, 20], "k_r": 2, "k_s": 1, **cab_over}
+    path = small_cab_config(tmp_path, backend=backend, seed=1, cab=cab_doc, subsets=subsets)
+    assert main(["cab", "--config", str(path)]) == 1
+    assert "error: DegenerateFitError" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "result.json").exists()
+
+
 def test_correlate_runs_one_experiment_per_repeat(tmp_path, monkeypatch):
     calls = []
 
