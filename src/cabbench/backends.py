@@ -42,32 +42,45 @@ error replaced by its exact Pauli twirl.  Like Stim (Gidney, Quantum 5,
   drawn as geometric gaps over the locations that share a channel, so the
   work is proportional to the number of faults, not to shots x qubits.  A
   shot's outcome is the XOR of its faults' flips, each one table lookup.
+  The faults come in shot order, so their flips, and then the readout
+  flips, are XORed in with one pass per group (``xor_sorted``).
 
 Both backends give outcomes as int64 codes, qubit 0 the most significant
 bit (``pack_bits``): ``dm_run``'s probability index, the stab frame, the
 readout flips XORed into it and the ``ShotCounts`` that parities and
 marginals read all use the one format.  A backend returns one sequence's
 ``ShotCounts``; a CAB run stacks each depth's sequences into one (codes,
-counts and per-sequence offsets), so that all survivals, one batched
-transform, and each subset's marginals, one ``bincount``, take one call
-per depth and give one row per sequence.
+counts and per-sequence offsets), so that each kind of readout takes one
+call per depth and gives one row per sequence:
+
+- traverse mode: all survivals, one batched transform;
+- sample mode: the parities of the sampled masks, carried as packed bits
+  per code and gathered from one table per code byte, then counted per
+  (sequence, mask) by one weighted ``bincount`` per parity byte; no
+  (masks, codes) array is built;
+- subset marginals: one ``bincount`` per subset, its sub-index built by
+  shifts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .circuits import CircuitSequence, CliffordLayer, GateLayer, PauliLayer, Unitary1qLayer
-from .device import DeviceModel, ResourceLimitError, bernoulli_positions, fwht
+from .device import DeviceModel, ResourceLimitError, bernoulli_positions, fwht, xor_sorted
 from .paulis import _LETTER_MATS, single_qubit_cliffords
 
 DM_QUBIT_LIMIT = 12
 PACK_QUBIT_LIMIT = 62  # outcomes are int64 codes; also the stabilizer backend's size limit
 CHOI_QUBIT_LIMIT = 6
+
+_BYTE_VALUES = np.arange(256, dtype=np.uint8)
+# [byte value, i]: bit i of the value in packbits order, the first the most significant
+_BIT_SELECT = np.unpackbits(_BYTE_VALUES[:, None], axis=1).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +93,22 @@ _LOCAL = (CliffordLayer, Unitary1qLayer)
 
 
 def _bits(a: np.ndarray, n: int, qubits) -> np.ndarray:
-    """Sub-index of register indices or outcome codes ``a`` (1-d) on
-    ``qubits`` (qubits[0] = MSB): the place values times the (k, len(a))
-    bit rows.  Rows, not columns: a (len(a), k) operand is about 3x slower
-    for thousands of codes and few qubits."""
+    """Sub-index of register indices or outcome codes ``a`` (1-d int64) on
+    ``qubits`` (qubits[0] = MSB), by shifts: a run of consecutive qubits,
+    such as a gate's pair, is one shift and one mask."""
     q = np.asarray(qubits, dtype=np.int64)
-    return (1 << np.arange(len(q) - 1, -1, -1)) @ ((a >> (n - 1 - q)[:, None]) & 1)
+    sub = np.zeros(len(a), dtype=np.int64)
+    if not len(q):
+        return sub
+    part = np.empty_like(sub)
+    place = len(q)
+    for run in np.split(q, np.flatnonzero(np.diff(q) != 1) + 1):
+        place -= len(run)
+        np.right_shift(a, n - 1 - run[-1], out=part)
+        part &= (1 << len(run)) - 1
+        part <<= place
+        sub |= part
+    return sub
 
 
 def _kron(factors: np.ndarray) -> np.ndarray:
@@ -271,7 +294,7 @@ def _gate_layer_tables(device: DeviceModel, n: int, gates: tuple[int, ...], nois
             if twirl_coupling:
                 for ch in device.layer_twirl_channels(gates):
                     # Z_w X^x Z^z Z_w = (-1)^(w.x) X^x Z^z
-                    eig = np.real(fwht(ch.weights))
+                    eig = fwht(ch.weights)
                     lam *= eig[_bits(a, n, ch.support)][None, :]
             else:
                 for v in device.coherent_layer_components(gates):
@@ -446,24 +469,48 @@ class ShotCounts:
     def sequences(self) -> int:
         return len(self.offsets) - 1
 
+    @cached_property
     def _rows(self) -> np.ndarray:
-        """The sequence of each code."""
+        """The sequence of each code, computed once per stack."""
         return np.repeat(np.arange(self.sequences), np.diff(self.offsets))
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """The counts as floats, the ``bincount`` weights, computed once per stack."""
+        return self.counts.astype(float)
 
     def survivals(self, w_masks: np.ndarray) -> np.ndarray:
         """sum_x count(x)/k_s * (-1)^(w.x) for each Z-observable mask w, one
-        row per sequence.  The (masks, codes) parities are built one
-        sequence at a time: for all of a depth's codes at once they took
-        the ring_44q benchmark's peak RSS from 50 to 207 MB."""
-        out = np.empty((self.sequences, len(w_masks)))
-        for s, (a, b) in enumerate(zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())):
-            # k_s minus twice the odd-parity count; integer-valued, so exact.
-            # par goes before the next sequence's is built: kept alive, it
-            # fragmented the heap (+10 MB peak RSS on ring_44q)
-            par = (np.bitwise_count(w_masks[:, None] & self.codes[None, a:b]) & 1).astype(float)
-            out[s] = (self.k_s - 2.0 * (par @ self.counts[a:b].astype(float))) / self.k_s
-            del par
-        return out
+        row per sequence, in one pass over all codes.
+
+        A code's parities against all M masks are carried as packed bits,
+        (M + 7) // 8 bytes.  For each code byte j, a table holds the packed
+        parities of every byte value against the masks' byte j; a code's
+        parities are the XOR of its bytes' table rows, gathered as uint64
+        words.  Then, per parity byte, one ``bincount`` over (sequence,
+        byte value) weighted by the counts, times the (256, 8) bit-select
+        matrix, gives each (sequence, mask)'s odd-parity count.  That count
+        is an exact integer, so (k_s - 2 odd) / k_s is the float that a
+        dense parity sum gives.
+        """
+        w_masks = np.asarray(w_masks, dtype=np.int64)
+        n_out = (len(w_masks) + 7) // 8  # parity bytes per code
+        words = (n_out + 7) // 8  # the table rows padded to whole uint64 words
+        code_bytes = np.ascontiguousarray(self.codes, dtype="<i8").view(np.uint8).reshape(-1, 8)
+        mask_bytes = np.ascontiguousarray(w_masks, dtype="<i8").view(np.uint8).reshape(-1, 8)
+        table = np.zeros((256, 8 * words), dtype=np.uint8)
+        parity = np.zeros((len(self.codes), words), dtype=np.uint64)
+        for j in range((self.n + 7) // 8):
+            odd_bits = np.bitwise_count(_BYTE_VALUES[:, None] & mask_bytes[:, j]) & 1  # [byte value, mask]
+            table[:, :n_out] = np.packbits(odd_bits, axis=1)
+            parity ^= np.take(table.view(np.uint64), code_bytes[:, j], axis=0)
+        parity = np.ascontiguousarray(parity.view(np.uint8)[:, :n_out].T)  # [parity byte, code]
+        base = self._rows << 8
+        hist = np.empty((n_out, self.sequences, 256))
+        for k, p in enumerate(parity):
+            hist[k].flat = np.bincount(base | p, weights=self._weights, minlength=self.sequences << 8)
+        odd = (hist @ _BIT_SELECT).transpose(1, 0, 2).reshape(self.sequences, 8 * n_out)
+        return (self.k_s - 2.0 * odd[:, : len(w_masks)]) / self.k_s
 
     def count_vector(self) -> np.ndarray:
         """Dense count vectors over all 2^n outcomes, one row per sequence
@@ -471,21 +518,22 @@ class ShotCounts:
         if self.n > 26:
             raise ResourceLimitError("dense count vector too large")
         vec = np.zeros((self.sequences, 2**self.n))
-        vec[self._rows(), self.codes] = self.counts
+        vec[self._rows, self.codes] = self.counts
         return vec
 
     def all_survivals(self) -> np.ndarray:
         """Survivals of every Z-observable at once, one row per sequence: one
         batched transform (small n only)."""
-        return np.real(fwht(self.count_vector())) / self.k_s
+        return fwht(self.count_vector()) / self.k_s
 
     def marginal_count_vector(self, qubits: tuple[int, ...]) -> np.ndarray:
         """Dense count vectors of the outcomes restricted to ``qubits``, one
         row per sequence: one ``bincount`` over every sequence's codes,
         whose bins add each sequence's counts in code order."""
         k = len(qubits)
-        sub = _bits(self.codes, self.n, qubits) + (self._rows() << k)
-        return np.bincount(sub, weights=self.counts, minlength=self.sequences << k).reshape(-1, 2**k)
+        sub = _bits(self.codes, self.n, qubits)
+        sub |= self._rows << k
+        return np.bincount(sub, weights=self._weights, minlength=self.sequences << k).reshape(-1, 2**k)
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -603,12 +651,16 @@ def stab_run_counts(
     frame = np.zeros(k_s, dtype=np.int64)
     for p, weights, table in groups:
         n_loc, size = table.shape
-        shot, loc = np.divmod(bernoulli_positions(rng, n_loc * k_s, p), n_loc)
+        pos = bernoulli_positions(rng, n_loc * k_s, p)
+        shot = pos // n_loc
+        loc = np.subtract(pos, shot * n_loc, out=pos)
         if weights is None:
             idx = rng.integers(0, size, size=len(loc))
         else:
             idx = rng.choice(len(weights), size=len(loc), p=weights) + 1
-        np.bitwise_xor.at(frame, shot, table[loc, idx])
+        loc *= size  # the flat index of table[loc, idx]
+        loc += idx
+        xor_sorted(frame, shot, table.ravel()[loc])
 
     if np.any(device.readout_e0 > 0) or np.any(device.readout_e1 > 0):
         from .device import apply_readout_noise

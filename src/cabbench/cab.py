@@ -417,7 +417,7 @@ def subset_fidelity(data: CabRunData, gate_subset: tuple[int, ...], device: Devi
     masks = np.arange(2**n_s, dtype=np.int64)
     surv = np.empty((len(data.depths), data.k_r, 2**n_s))
     for d, sc in enumerate(data.counts):
-        surv[d] = np.real(fwht(sc.marginal_count_vector(qubits))) / data.k_s
+        surv[d] = fwht(sc.marginal_count_vector(qubits)) / data.k_s
     exponents = 2.0 * np.asarray(data.depths, dtype=float)
     weights = _weights_for_masks(masks, n_s, "traverse")
     est = _estimate_from_surv(surv, masks, exponents, weights, data.kind)

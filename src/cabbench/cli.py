@@ -125,7 +125,7 @@ class ExperimentConfig:
         cab = dict(self.cab)
         subsets = resolve_subsets(self.subsets, gates)
         return CabConfig(
-            depths=tuple(cab.get("depths", (0, 2))),
+            depths=_int_list(cab.get("depths", (0, 2)), "cab.depths"),
             k_r=_int_field(cab.get("k_r", 50), "cab.k_r"),
             k_s=_int_field(cab.get("k_s", 20_000), "cab.k_s"),
             mode=str(cab.get("mode", "sample")),
@@ -235,7 +235,7 @@ def _run_cb(cfg: ExperimentConfig, out: Path) -> dict:
     gates = tuple(cfg.gates if cfg.gates is not None else range(len(device.gates)))
     cab_cfg = cfg.cab_config(device, gates)
     block = GateBlock.parallel_cz(device, gates)
-    cycles = tuple(cfg.extra.get("cycles", (10, 20)))
+    cycles = _int_list(cfg.extra.get("cycles", (10, 20)), "cycles")
     n_chars = _int_field(cfg.extra.get("n_chars", 5), "n_chars")
     est = run_cb_experiment(device, block, cab_cfg, cycles=cycles, n_chars=n_chars)
     _write_csv(
@@ -490,6 +490,13 @@ def _int_field(value, name: str) -> int:
     if not _is_int(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _int_list(value, name: str) -> tuple[int, ...]:
+    """A config list of counts, such as depths or cycles, as a tuple."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of integers, got {value!r}")
+    return tuple(_int_field(v, f"{name} entry") for v in value)
 
 
 def _run_order_stats(cfg: ExperimentConfig, out: Path) -> dict:

@@ -157,9 +157,11 @@ def fwht(v: np.ndarray) -> np.ndarray:
 
     Leading axes are a batch.  Stage h pairs entries i and i + h within
     every block of 2h, as the textbook butterfly does, so each output is
-    the same sequence of additions for any batch shape.
+    the same sequence of additions for any batch shape.  A real input gives
+    a float result, equal to the real part of the complex transform.
     """
-    v = np.asarray(v).astype(complex)
+    v = np.asarray(v)
+    v = v.astype(complex if np.iscomplexobj(v) else float)
     shape = v.shape
     d = shape[-1]
     out = np.empty_like(v)
@@ -235,11 +237,29 @@ def bernoulli_positions(rng: np.random.Generator, n_trials: int, p: float) -> np
     chunk = int(mean + 5.0 * np.sqrt(mean)) + 16
     parts, last = [], -1
     while last < n_trials:
-        pos = last + np.cumsum(rng.geometric(p, size=chunk))
+        pos = rng.geometric(p, size=chunk)
+        np.cumsum(pos, out=pos)  # in place, as apply_readout_noise's steps are
+        pos += last
         parts.append(pos)
         last = int(pos[-1])
-    pos = np.concatenate(parts)
+    pos = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return pos[: np.searchsorted(pos, n_trials)]
+
+
+def xor_sorted(out: np.ndarray, idx: np.ndarray, vals: np.ndarray):
+    """``out[idx] ^= vals`` in place for a sorted ``idx`` with repeats.
+
+    Each run of equal indices is XORed together first, so that every index
+    is written once.  A run's XOR is the prefix XOR at its last value XOR
+    the prefix XOR at the previous run's last value: one ``accumulate``
+    pass.  ``reduceat`` would pay an overhead per run, and most runs of
+    fault or readout flips hold one or two values.
+    """
+    if len(idx):
+        last = np.flatnonzero(np.append(idx[1:] != idx[:-1], True))
+        run = np.bitwise_xor.accumulate(vals)[last]
+        run[1:] ^= run[:-1]  # overlapping operands are read as if copied first
+        out[idx[last]] ^= run
 
 
 def apply_readout_noise(
@@ -249,22 +269,37 @@ def apply_readout_noise(
     e0, 1->0 with e1.  Qubit q is bit n-1-q of a code (qubit 0 the most
     significant, as ``pack_bits`` writes it); returns new codes.
 
-    Flips are drawn by thinning: candidates at rate max(e0, e1) per qubit (as
-    geometric gaps over the (shot, qubit) pairs of the qubits that share a
-    rate), each kept with probability e0/max or e1/max according to its bit.
+    Flips are drawn by thinning, one group per distinct rate
+    r = max(e0, e1) per qubit: candidates at rate r, as geometric gaps over
+    the (shot, qubit) pairs of the group's qubits, then one uniform u per
+    candidate, kept when u r < e_bit.  e_bit is read from the (2, n) table
+    [e0; e1] at the candidate's bit as the codes held it before the group's
+    flips.  The candidates come in shot order, so a group's kept flips are
+    XORed in with ``xor_sorted``.
     """
     out = np.array(codes, dtype=np.int64)
     e0 = np.broadcast_to(np.asarray(e0, dtype=float), (n,))
     e1 = np.broadcast_to(np.asarray(e1, dtype=float), (n,))
+    keep_rate = np.concatenate((e0, e1))  # the (2, n) table [e0; e1], flat: [bit * n + q]
     rate = np.maximum(e0, e1)
     for r in np.unique(rate):
         qubits = np.flatnonzero(rate == r)
-        shot, j = np.divmod(bernoulli_positions(rng, len(out) * len(qubits), float(r)), len(qubits))
-        q = qubits[j]
-        flip = np.left_shift(1, n - 1 - q)
-        keep = rng.random(len(q)) * r < np.where(out[shot] & flip, e1[q], e0[q])
-        # one shot can keep flips on several qubits: an unbuffered XOR
-        np.bitwise_xor.at(out, shot[keep], flip[keep])
+        g = len(qubits)
+        pos = bernoulli_positions(rng, len(out) * g, float(r))
+        # the candidate arrays are updated in place: on ring_44q, a fresh
+        # array per step cost more than the arithmetic
+        shot = pos // g
+        q = qubits[np.subtract(pos, shot * g, out=pos)]
+        shift = np.subtract(n - 1, q, out=pos)
+        u = rng.random(len(q))
+        u *= r
+        entry = out[shot]
+        entry >>= shift
+        entry &= 1
+        entry *= n
+        entry += q
+        kept = np.flatnonzero(u < keep_rate[entry])
+        xor_sorted(out, shot[kept], np.left_shift(1, shift[kept]))
     return out
 
 

@@ -67,15 +67,6 @@ class PauliString:
         z = np.asarray(z, dtype=np.uint8) & 1
         return PauliString(len(x), x, z, phase_exp % 4)
 
-    @staticmethod
-    def from_label(label: str, phase_exp: int = 0) -> "PauliString":
-        """Build from a letter string such as ``"XIZY"`` (qubit 0 first)."""
-        lut = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-        bits = [lut[c] for c in label]
-        x = np.array([b[0] for b in bits], dtype=np.uint8)
-        z = np.array([b[1] for b in bits], dtype=np.uint8)
-        return PauliString(len(label), x, z, phase_exp % 4)
-
     @property
     def weight(self) -> int:
         return int(np.count_nonzero(self.x | self.z))
@@ -87,9 +78,6 @@ class PauliString:
     def is_identity(self, up_to_phase: bool = False) -> bool:
         trivial = not np.any(self.x) and not np.any(self.z)
         return trivial and (up_to_phase or self.phase_exp == 0)
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return pauli_multiply(self, other)
 
     def inverse(self) -> "PauliString":
         return PauliString(self.n, self.x, self.z, (-self.phase_exp) % 4)
@@ -106,13 +94,6 @@ class PauliString:
 
     def __hash__(self):
         return hash((self.n, self.phase_exp, self.x.tobytes(), self.z.tobytes()))
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix; for small-n cross-checks only."""
-        m = np.array([[1.0 + 0j]])
-        for xb, zb in zip(self.x, self.z):
-            m = np.kron(m, _LETTER_MATS[int(xb) + 2 * int(zb)])
-        return (1j**self.phase_exp) * m
 
 
 def pauli_multiply(p: PauliString, q: PauliString) -> PauliString:

@@ -99,13 +99,6 @@ class CliffordTableau:
         zb[pairs[:, 1], pairs[:, 0]] = 1
         return t
 
-    @staticmethod
-    def from_pauli_conjugation(p: PauliString) -> "CliffordTableau":
-        """Tableau of conjugation by a Pauli: identity bits, sign flips."""
-        t = CliffordTableau.identity(p.n)
-        # X_i anticommutes with P iff P has a Z component on i, etc.
-        return CliffordTableau(p.n, t.xbits, t.zbits, np.concatenate([p.z, p.x]).astype(np.uint8))
-
     def compose(self, before: "CliffordTableau") -> "CliffordTableau":
         """Tableau of 'apply ``before``, then ``self``': ``before``'s rows through ``_images``."""
         if before.n != self.n:

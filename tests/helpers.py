@@ -5,7 +5,9 @@ internals: plain kron products and explicit channel evaluations.  The
 conversions between matrices and Pauli coefficients wrap the package's
 coefficient-level channels as matrix evaluators and back, and
 ``matrix_unit_choi_fidelity`` is the matrix-unit process-fidelity sum that
-the coefficient route is checked against.  The tableau helpers
+the coefficient route is checked against.  The Pauli helpers build a
+Pauli from its letters, its dense matrix and the tableau of conjugation by
+it.  The tableau helpers
 (single-gate and layer builders, conjugation, inversion and the
 qubit-by-qubit ``compose_loop``) work on ``CliffordTableau`` bits, one
 generator at a time, with the Pauli multiplication table;
@@ -13,7 +15,9 @@ generator at a time, with the Pauli multiplication table;
 ``fully_connected_tableaus_loop`` builds the order draws' tableaus one
 draw at a time.
 ``stab_run_counts_bitwise`` is the stabilizer sampler that expands every
-fault's Pauli index into bits and XORs the flips of the set ones.  The
+fault's Pauli index into bits and XORs the flips of the set ones, and
+``apply_readout_noise_at`` the readout thinning with a gather, ``np.where``
+and an unbuffered ``np.bitwise_xor.at`` per candidate flip.  The
 survival, marginal and aggregate references work on one sequence or one
 replicate at a time, as the stacked paths of ``ShotCounts`` and
 ``cab._aggregate`` must agree with to the bit.  The last
@@ -346,9 +350,32 @@ def cz(n: int, a: int, b: int) -> CliffordTableau:
     return CliffordTableau.from_cz_layer(n, [(a, b)])
 
 
+def _letters(p: PauliString) -> str:
+    return "".join("IXZY"[int(xb) + 2 * int(zb)] for xb, zb in zip(p.x, p.z))
+
+
 def to_label(p: PauliString) -> str:
-    body = "".join("IXZY"[int(xb) + 2 * int(zb)] for xb, zb in zip(p.x, p.z))
-    return ("", "i", "-", "-i")[p.phase_exp] + body
+    return ("", "i", "-", "-i")[p.phase_exp] + _letters(p)
+
+
+def pauli_from_label(label: str, phase_exp: int = 0) -> PauliString:
+    """A Pauli from a letter string such as ``"XIZY"`` (qubit 0 first)."""
+    x = np.array([c in "XY" for c in label], dtype=np.uint8)
+    z = np.array([c in "ZY" for c in label], dtype=np.uint8)
+    return PauliString(len(label), x, z, phase_exp % 4)
+
+
+def pauli_to_matrix(p: PauliString) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of a Pauli, its phase included."""
+    return 1j**p.phase_exp * pauli_matrix(_letters(p))
+
+
+def pauli_conjugation_tableau(p: PauliString) -> CliffordTableau:
+    """Tableau of conjugation by a Pauli: identity bits, and a sign flip on
+    each generator that anticommutes with it (X_i where P has a Z component
+    on i, Z_i where it has an X component)."""
+    t = CliffordTableau.identity(p.n)
+    return CliffordTableau(p.n, t.xbits, t.zbits, np.concatenate([p.z, p.x]).astype(np.uint8))
 
 
 def commutes_with(p: PauliString, q: PauliString) -> bool:
@@ -501,7 +528,7 @@ def layer_tableau(layer, device, n: int) -> CliffordTableau:
         return CliffordTableau.from_cz_layer(n, [device.gates[g].pair for g in layer.gates])
     if isinstance(layer, CliffordLayer):
         return CliffordTableau.from_local_layer(layer.layer)
-    return CliffordTableau.from_pauli_conjugation(layer.pauli)
+    return pauli_conjugation_tableau(layer.pauli)
 
 
 def closes_to_identity(seq, device) -> bool:
@@ -569,7 +596,7 @@ def stab_run_counts_bitwise(seq, device, k_s: int, rng: np.random.Generator):
     at the set bits of its Pauli index (first bit the most significant),
     expanded fault by fault instead of looked up in a table."""
     from cabbench.backends import ShotCounts
-    from cabbench.device import apply_readout_noise, bernoulli_positions
+    from cabbench.device import bernoulli_positions
 
     frame = np.zeros(k_s, dtype=np.int64)
     for p, weights, flips in _fault_flips(seq, device):
@@ -583,8 +610,29 @@ def stab_run_counts_bitwise(seq, device, k_s: int, rng: np.random.Generator):
         flip = np.bitwise_xor.reduce(np.where(bits, flips[loc], 0), axis=1)
         np.bitwise_xor.at(frame, shot, flip)
     if np.any(device.readout_e0 > 0) or np.any(device.readout_e1 > 0):
-        frame = apply_readout_noise(frame, seq.n, device.readout_e0, device.readout_e1, rng)
+        frame = apply_readout_noise_at(frame, seq.n, device.readout_e0, device.readout_e1, rng)
     return ShotCounts.from_outcomes(frame, seq.n)
+
+
+def apply_readout_noise_at(codes: np.ndarray, n: int, e0, e1, rng: np.random.Generator) -> np.ndarray:
+    """Reference for ``cabbench.device.apply_readout_noise`` with the same
+    draws in the same order: per rate group, candidates split by ``divmod``,
+    each one's keep rate picked by ``np.where`` from its bit, and the kept
+    flips XORed in by an unbuffered ``np.bitwise_xor.at``."""
+    from cabbench.device import bernoulli_positions
+
+    out = np.array(codes, dtype=np.int64)
+    e0 = np.broadcast_to(np.asarray(e0, dtype=float), (n,))
+    e1 = np.broadcast_to(np.asarray(e1, dtype=float), (n,))
+    rate = np.maximum(e0, e1)
+    for r in np.unique(rate):
+        qubits = np.flatnonzero(rate == r)
+        shot, j = np.divmod(bernoulli_positions(rng, len(out) * len(qubits), float(r)), len(qubits))
+        q = qubits[j]
+        flip = np.left_shift(1, n - 1 - q)
+        keep = rng.random(len(q)) * r < np.where(out[shot] & flip, e1[q], e0[q])
+        np.bitwise_xor.at(out, shot[keep], flip[keep])
+    return out
 
 
 # -- per-sequence references for the stacked ShotCounts paths -------------------

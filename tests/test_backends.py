@@ -28,6 +28,7 @@ from helpers import (
     exact_survival,
     matrix_channel,
     matrix_unit_choi_fidelity,
+    pauli_from_label,
     pauli_layer_noise_channel,
     process_fidelity_pauli_sum,
     restricted_channel,
@@ -172,8 +173,8 @@ def test_stab_matches_dm_twirled_model():
         readout_e1=0.03,
     )
     c = sample_local_clifford(4, rng)
-    p1 = PauliString.from_label("XZIY")
-    p2 = PauliString.from_label("YIXZ")
+    p1 = pauli_from_label("XZIY")
+    p2 = pauli_from_label("YIXZ")
     u = GateBlock.parallel_cz(dev, (0, 1)).tableau
     closer = compile_inverse_pauli(u, [p1, p2], 1)
     seq = CircuitSequence(
@@ -337,6 +338,23 @@ def test_stacked_shot_counts_match_the_per_sequence_references(case):
             assert np.array_equal(vec[s], marginal_count_vector_one(part.codes, part.counts, n, qubits)), qubits
     assert surv.shape == (len(parts), len(masks))
     assert all(vec.shape == (len(parts), 2 ** len(q)) for q, vec in marginals.items())
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 44, 62])
+@pytest.mark.parametrize("n_masks", [1, 7, 8, 9, 100])
+def test_survivals_match_the_per_sequence_reference(n, n_masks):
+    # mask counts on both sides of a parity byte, codes on both sides of a
+    # code byte, and one-code sequences first, inside and last
+    rng = np.random.default_rng([n, n_masks])
+    parts = [_sequence_counts(n, 400, size, rng) for size in (1, 60, 1, 200, 1)]
+    stacked = ShotCounts.stack(parts)
+    masks = pack_bits(rng.integers(0, 2, size=(n_masks, n), dtype=np.uint8))
+    masks[0] = (1 << n) - 1  # every qubit, the top code bit included
+    surv = stacked.survivals(masks)
+    assert surv.shape == (len(parts), n_masks)
+    for s, part in enumerate(parts):
+        assert np.array_equal(surv[s], survivals_one(part.codes, part.counts, part.k_s, masks))
+        assert np.array_equal(part.survivals(masks)[0], surv[s])
 
 
 def test_stacked_shot_counts_check_every_sequence():

@@ -124,6 +124,24 @@ DETERMINISM_CONFIGS = {
         "cab": {"depths": [0, 2], "k_r": 3, "k_s": 1000, "mode": "sample", "k_q": 20},
         "subsets": "singles",
     },
+    # readout thinning with one rate group per distinct max(e0, e1): seven
+    # groups, rate 0 among them, with e0 > e1 on some qubits and e1 > e0 on others
+    "cab_8q_stab_readout_groups": {
+        "kind": "cab",
+        "device": {
+            "n_qubits": 8,
+            "gates": [{"pair": [2 * g, 2 * g + 1], "depol_p": 0.985} for g in range(4)],
+            "couplings": [{"gates": [0, 1], "gamma": 0.05}, {"gates": [2, 3], "gamma": -0.03}],
+            "readout": {
+                "e0": [0.01, 0.03, 0.0, 0.05, 0.02, 0.1, 0.01, 0.0],
+                "e1": [0.04, 0.01, 0.0, 0.05, 0.06, 0.02, 0.04, 0.02],
+            },
+            "single_qubit_depol": 0.997,
+        },
+        "backend": "stab",
+        "cab": {"depths": [0, 2], "k_r": 3, "k_s": 2000, "mode": "sample", "k_q": 20},
+        "subsets": "singles+pairs",
+    },
     "fully_connected": {
         "kind": "fully_connected",
         "device": None,
@@ -194,12 +212,17 @@ def test_artifacts_are_byte_identical_across_runs(kind, tmp_path):
 # sha256 of the CSVs at seed 21, so that no change to how outcomes are
 # sampled, stored, marginalized or written can move the bytes: the stab
 # sample path (fault frame, readout thinning, parities, ``singles``
-# marginals), the stab traverse path with uniform and weighted fault groups,
+# marginals), its readout thinning over several rate groups with ``pairs``
+# marginals, the stab traverse path with uniform and weighted fault groups,
 # and the dm traverse path with subsets
 PINNED_ARTIFACTS = {
     "cab_ring44_stab": {
         "lambdas.csv": "e39a6753db16fdb296287c83d476be4f972115882eabf03cac8f2117859a92ed",
         "survivals.csv": "2a4ef7a4712f338dcc9241d33a396f08cb66ee5b253ceb88b18388d15f9c28d1",
+    },
+    "cab_8q_stab_readout_groups": {
+        "lambdas.csv": "a319debb622e874f49948703cde664cea3cdda8e83b5b58dc966485d061b5629",
+        "survivals.csv": "2e4d410d52ad89a53425254d536a72fb52ce25e0f194fb37432552f59f4686a0",
     },
     "cab": {
         "lambdas.csv": "14a92ec3a1b9369a3b4cd5c8ee2a23009bcfcd0d5b57ff700107f69bbcc826d1",
@@ -320,6 +343,8 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("cab", {"cab": {"depths": [0, 2], "k_r": 8.5, "k_s": 500, "mode": "traverse"}}),
         ("cb", {"cab": {"k_r": 10, "k_s": 100}, "cycles": [2, 4], "n_chars": 5.0}),
         ("correlate", {"repeat": 2.5}),
+        ("cab", {"cab": {"depths": [0, 2.5], "k_r": 8, "k_s": 500, "mode": "traverse"}}),
+        ("cb", {"cab": {"k_r": 10, "k_s": 100}, "cycles": [4.0, 8], "n_chars": 5}),
         # subset gate indices and scan gate counts are integers in range
         ("cab", {"subsets": [[1.9]]}),
         ("cab", {"subsets": [[True]]}),
@@ -359,6 +384,8 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "float_k_r",
         "float_n_chars",
         "float_repeat",
+        "float_depth",
+        "float_cycles",
         "float_subset_gate",
         "bool_subset_gate",
         "subset_not_list",

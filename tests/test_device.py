@@ -1,8 +1,11 @@
 import json
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cabbench.backends import pack_bits
 from cabbench.device import (
@@ -18,10 +21,21 @@ from cabbench.device import (
     build_coupling_unitary,
     fwht,
     pauli_twirl_diagonal,
+    xor_sorted,
 )
 from cabbench.paulis import PauliString
 
-from helpers import I2, Z2, kron_all, parametric_cz_unitary, save_device, unpack_bits, weight_of
+from helpers import (
+    I2,
+    Z2,
+    apply_readout_noise_at,
+    kron_all,
+    parametric_cz_unitary,
+    pauli_from_label,
+    save_device,
+    unpack_bits,
+    weight_of,
+)
 
 
 def two_gate_device(gamma=0.1, p1=1.0, p2=1.0, **kw):
@@ -77,7 +91,7 @@ def test_twirl_single_pair_cos2_sin2():
     v = build_coupling_unitary(list(dev.gates), dev.couplings, (0, 1))
     ch = pauli_twirl_diagonal(v)
     ident = PauliString.identity(4)
-    zz = PauliString.from_label("ZIZI")
+    zz = pauli_from_label("ZIZI")
     assert weight_of(ch, ident) == pytest.approx(np.cos(gamma) ** 2, abs=1e-12)
     assert weight_of(ch, zz) == pytest.approx(np.sin(gamma) ** 2, abs=1e-12)
     assert ch.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -88,7 +102,7 @@ def test_twirl_quarter_pi_symmetry_point():
     v = build_coupling_unitary(list(dev.gates), dev.couplings, (0, 1))
     ch = pauli_twirl_diagonal(v)
     assert weight_of(ch, PauliString.identity(4)) == pytest.approx(0.5, abs=1e-12)
-    assert weight_of(ch, PauliString.from_label("ZIZI")) == pytest.approx(0.5, abs=1e-12)
+    assert weight_of(ch, pauli_from_label("ZIZI")) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_twirl_rejects_nonunitary_diagonal():
@@ -167,11 +181,15 @@ def test_bernoulli_positions_fire_each_trial_with_its_probability():
     assert len(bernoulli_positions(rng, 7, 0.0)) == 0 and len(bernoulli_positions(rng, 0, 0.5)) == 0
 
 
+# rates 0 and 1, e0 > e1 and e1 > e0, and e0 = e1
+SIX_QUBIT_E0 = np.array([0.01, 0.2, 0.0, 0.5, 0.03, 1.0])
+SIX_QUBIT_E1 = np.array([0.3, 0.05, 0.1, 0.5, 0.03, 0.0])
+
+
 def test_readout_noise_per_qubit_asymmetric_rates():
     # candidates at max(e0, e1) per qubit, thinned by bit: every qubit keeps
     # its own 0->1 and 1->0 rate, including the rates 0 and 1
-    e0 = np.array([0.01, 0.2, 0.0, 0.5, 0.03, 1.0])
-    e1 = np.array([0.3, 0.05, 0.1, 0.5, 0.03, 0.0])
+    e0, e1 = SIX_QUBIT_E0, SIX_QUBIT_E1
     rng = np.random.default_rng(8)
     shots = 40_000
     bits = rng.integers(0, 2, size=(shots, 6), dtype=np.uint8)
@@ -183,6 +201,68 @@ def test_readout_noise_per_qubit_asymmetric_rates():
             observed = flipped[sel, q].mean()
             se = np.sqrt(rate * (1 - rate) / sel.sum())
             assert abs(observed - rate) <= 5 * se, (q, bit, observed, rate)
+
+
+def _readout_case(case: str):
+    """(n, e0, e1, codes) of one readout reference case."""
+    rng = np.random.default_rng(len(case))
+    if case == "six_qubit_rates":
+        return 6, SIX_QUBIT_E0, SIX_QUBIT_E1, pack_bits(rng.integers(0, 2, size=(4000, 6), dtype=np.uint8))
+    if case == "ring_44q_frame":
+        # one shot per outcome, as stab_run_counts holds them before its readout
+        from cabbench.backends import stab_run_counts
+        from cabbench.cab import build_cab_sequence
+        from cabbench.circuits import GateBlock
+        from cabbench.cli import load_device
+
+        dev = load_device("ring_44q")
+        block = GateBlock.parallel_cz(dev, tuple(range(len(dev.gates))))
+        seq = build_cab_sequence(block, 2, np.random.default_rng(5))
+        counts = stab_run_counts(seq, replace(dev, readout_e0=None, readout_e1=None), 3000, rng)
+        frame = rng.permutation(np.repeat(counts.codes, counts.counts))
+        assert np.count_nonzero(frame) > 1000
+        return 44, dev.readout_e0, dev.readout_e1, frame
+    if case == "n62_top_bit":
+        bits = rng.integers(0, 2, size=(2000, 62), dtype=np.uint8)
+        bits[::2, 0] = 1  # qubit 0 is bit 61, the top bit of a 62-qubit code
+        e0 = rng.choice([0.0, 0.01, 0.05, 0.2], size=62)
+        e1 = rng.choice([0.0, 0.02, 0.05, 1.0], size=62)
+        return 62, e0, e1, pack_bits(bits)
+    assert case == "zero_shots"
+    return 5, np.full(5, 0.1), np.array([0.0, 0.05, 0.1, 0.2, 1.0]), np.zeros(0, dtype=np.int64)
+
+
+@pytest.mark.parametrize("case", ["six_qubit_rates", "ring_44q_frame", "n62_top_bit", "zero_shots"])
+def test_readout_noise_matches_the_xor_at_reference(case):
+    n, e0, e1, codes = _readout_case(case)
+    rng, reference_rng = np.random.default_rng(11), np.random.default_rng(11)
+    got = apply_readout_noise(codes, n, e0, e1, rng)
+    expected = apply_readout_noise_at(codes, n, e0, e1, reference_rng)
+    assert got.dtype == np.int64 and np.array_equal(got, expected)
+    # the same draws in the same order: the streams end in the same state
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert np.array_equal(codes, _readout_case(case)[3])  # the input is left as it was
+    assert (case == "zero_shots") == np.array_equal(got, codes)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda size: st.tuples(
+            st.lists(st.integers(-(2**63), 2**63 - 1), min_size=size, max_size=size),
+            st.lists(st.tuples(st.integers(0, size - 1), st.integers(-(2**63), 2**63 - 1)), max_size=80),
+        )
+    )
+)
+def test_xor_sorted_equals_unbuffered_xor_at(case):
+    start, flips = case
+    flips.sort(key=lambda f: f[0])  # a stable sort: each index keeps its values' order
+    idx = np.array([i for i, _ in flips], dtype=np.int64)
+    vals = np.array([v for _, v in flips], dtype=np.int64)
+    got, expected = np.array(start, dtype=np.int64), np.array(start, dtype=np.int64)
+    xor_sorted(got, idx, vals)
+    np.bitwise_xor.at(expected, idx, vals)
+    assert np.array_equal(got, expected)
 
 
 def test_device_roundtrip(tmp_path):
@@ -256,9 +336,14 @@ def test_fwht_batched_rows_match_dense_walsh_product(n):
     walsh = 1 - 2 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(np.int64)
     batched = fwht(ints)
     rows = np.array([fwht(row) for row in ints])
-    assert batched.dtype == complex and batched.shape == ints.shape
+    assert batched.dtype == float and batched.shape == ints.shape
     assert np.array_equal(batched, rows)
     assert np.array_equal(batched, ints @ walsh.T)
+    # a real input stays real: the real part of the complex transform, bit for bit
+    reals = rng.normal(size=(4, 2**n))
+    for real in (ints, reals):
+        assert np.array_equal(fwht(real), np.real(fwht(real.astype(complex))))
+    assert fwht(reals).dtype == float
     # floats: the same additions in the same order as the one-block-at-a-time loop
     floats = rng.normal(size=(3, 2, 2**n)) + 1j * rng.normal(size=(3, 2, 2**n))
     expected = np.array([[fwht_loop(row) for row in block] for block in floats])

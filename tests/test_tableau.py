@@ -3,7 +3,7 @@ import pytest
 
 from cabbench import tableau
 from cabbench.experiments import ring_fully_connected
-from cabbench.paulis import PauliString, sample_local_clifford, sample_random_pauli
+from cabbench.paulis import PauliString, pauli_multiply, sample_local_clifford, sample_random_pauli
 from cabbench.tableau import CliffordTableau, compile_inverse_pauli, gate_order
 
 from helpers import (
@@ -17,6 +17,9 @@ from helpers import (
     gate_order_by_squaring,
     hadamard,
     inverse,
+    pauli_conjugation_tableau,
+    pauli_from_label,
+    pauli_to_matrix,
     phase_gate,
     symplectic_ok,
     x_image,
@@ -47,13 +50,13 @@ def random_tableau(n, rng, depth=12):
 
 def test_cz_conjugates_x_to_xz():
     t = cz(2, 0, 1)
-    img = conjugate(t, PauliString.from_label("XI"))
-    assert img == PauliString.from_label("XZ")
+    img = conjugate(t, pauli_from_label("XI"))
+    assert img == pauli_from_label("XZ")
 
 
 def test_hadamard_conjugates_x_to_z():
     t = hadamard(1, 0)
-    assert conjugate(t, PauliString.from_label("X")) == PauliString.from_label("Z")
+    assert conjugate(t, pauli_from_label("X")) == pauli_from_label("Z")
 
 
 def test_conjugate_identity_is_identity():
@@ -70,8 +73,8 @@ def test_conjugate_matches_matrix_oracle():
         t, mat = random_tableau(n, rng)
         p = sample_random_pauli(n, rng)
         img = conjugate(t, p)
-        expected = mat @ p.to_matrix() @ mat.conj().T
-        assert np.allclose(img.to_matrix(), expected, atol=1e-10)
+        expected = mat @ pauli_to_matrix(p) @ mat.conj().T
+        assert np.allclose(pauli_to_matrix(img), expected, atol=1e-10)
 
 
 def test_conjugation_is_multiplicative():
@@ -81,8 +84,8 @@ def test_conjugation_is_multiplicative():
         t, _ = random_tableau(n, rng)
         p = sample_random_pauli(n, rng)
         q = sample_random_pauli(n, rng)
-        lhs = conjugate(t, p) * conjugate(t, q)
-        rhs = conjugate(t, p * q)
+        lhs = pauli_multiply(conjugate(t, p), conjugate(t, q))
+        rhs = conjugate(t, pauli_multiply(p, q))
         assert lhs == rhs
 
 
@@ -118,8 +121,8 @@ def test_compose_matches_matrix_oracle():
         combined = a.compose(b)  # b first, then a
         mat = mat_a @ mat_b
         p = sample_random_pauli(n, rng)
-        expected = mat @ p.to_matrix() @ mat.conj().T
-        assert np.allclose(conjugate(combined, p).to_matrix(), expected, atol=1e-10)
+        expected = mat @ pauli_to_matrix(p) @ mat.conj().T
+        assert np.allclose(pauli_to_matrix(conjugate(combined, p)), expected, atol=1e-10)
 
 
 def test_local_layer_tableau_matches_matrices():
@@ -133,8 +136,8 @@ def test_local_layer_tableau_matches_matrices():
     for e in layer.elements:
         mat = np.kron(mat, table.matrix(int(e)))
     p = sample_random_pauli(3, rng)
-    expected = mat @ p.to_matrix() @ mat.conj().T
-    assert np.allclose(conjugate(t, p).to_matrix(), expected, atol=1e-10)
+    expected = mat @ pauli_to_matrix(p) @ mat.conj().T
+    assert np.allclose(pauli_to_matrix(conjugate(t, p)), expected, atol=1e-10)
 
 
 def test_gate_order_examples():
@@ -188,10 +191,10 @@ def test_gate_order_matches_squaring_on_large_orders(n):
 def test_pauli_conjugation_tableau():
     rng = np.random.default_rng(8)
     p = sample_random_pauli(3, rng)
-    t = CliffordTableau.from_pauli_conjugation(p)
+    t = pauli_conjugation_tableau(p)
     q = sample_random_pauli(3, rng)
-    expected = p.to_matrix() @ q.to_matrix() @ p.to_matrix().conj().T
-    assert np.allclose(conjugate(t, q).to_matrix(), expected, atol=1e-12)
+    expected = pauli_to_matrix(p) @ pauli_to_matrix(q) @ pauli_to_matrix(p).conj().T
+    assert np.allclose(pauli_to_matrix(conjugate(t, q)), expected, atol=1e-12)
 
 
 def test_compile_inverse_pauli_empty():
@@ -226,11 +229,11 @@ def test_compile_inverse_pauli_closes_sequence():
         net = CliffordTableau.identity(n)
         uinv = inverse(u)
         for i in range(m):
-            net = CliffordTableau.from_pauli_conjugation(paulis[2 * i]).compose(net)
+            net = pauli_conjugation_tableau(paulis[2 * i]).compose(net)
             net = u.compose(net)
-            net = CliffordTableau.from_pauli_conjugation(paulis[2 * i + 1]).compose(net)
+            net = pauli_conjugation_tableau(paulis[2 * i + 1]).compose(net)
             net = uinv.compose(net)
-        net = CliffordTableau.from_pauli_conjugation(u_inv_gate).compose(net)
+        net = pauli_conjugation_tableau(u_inv_gate).compose(net)
         assert net.is_identity(), case
 
 

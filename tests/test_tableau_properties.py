@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from cabbench.paulis import LocalCliffordLayer, PauliString
 from cabbench.tableau import CliffordTableau, compile_inverse_pauli, gate_order, local_layer_lookup
 
-from helpers import compose_loop, inverse
+from helpers import compose_loop, inverse, pauli_conjugation_tableau
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -38,7 +38,7 @@ def layers(draw, n):
         elements = draw(st.lists(st.integers(0, 23), min_size=n, max_size=n))
         return CliffordTableau.from_local_layer(LocalCliffordLayer(n, np.array(elements, dtype=np.uint8)))
     if kind == "pauli":
-        return CliffordTableau.from_pauli_conjugation(draw(paulis(n)))
+        return pauli_conjugation_tableau(draw(paulis(n)))
     order = draw(st.permutations(range(n)))
     n_pairs = draw(st.integers(1, n // 2))
     return CliffordTableau.from_cz_layer(n, [(order[2 * i], order[2 * i + 1]) for i in range(n_pairs)])
@@ -154,8 +154,8 @@ def test_closing_pauli_closes_the_interleaved_sequence(data):
     closing = compile_inverse_pauli(u, layer_paulis, m)
     net, uinv = CliffordTableau.identity(n), inverse(u)
     for i in range(m):
-        net = CliffordTableau.from_pauli_conjugation(layer_paulis[2 * i]).compose(net)
+        net = pauli_conjugation_tableau(layer_paulis[2 * i]).compose(net)
         net = u.compose(net)
-        net = CliffordTableau.from_pauli_conjugation(layer_paulis[2 * i + 1]).compose(net)
+        net = pauli_conjugation_tableau(layer_paulis[2 * i + 1]).compose(net)
         net = uinv.compose(net)
-    assert CliffordTableau.from_pauli_conjugation(closing).compose(net).is_identity()
+    assert pauli_conjugation_tableau(closing).compose(net).is_identity()
