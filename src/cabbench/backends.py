@@ -6,14 +6,15 @@ confusion.  The state is held as its real Pauli coefficients
 c[z, x] = tr(P rho) for P = i^|x&z| X^x Z^z: a (d, d) array with rows z and
 columns x, qubit 0 the most significant bit (Chow et al., PRL 109, 060501;
 the Pauli transfer representation).  Each layer is a few whole-register
-array operations on c of shape (..., d, d), with the tables built once per
-device (``DeviceModel.cached``):
+array operations on a stack c of shape (K, d, d), with the tables built
+once per device (``DeviceModel.cached``):
 
 - per-qubit and per-gate depolarizing and the twirled coupling are
   Pauli-diagonal: one multiply each by a cached table;
 - a Pauli layer X^x Z^z is Pauli-diagonal too, with sign (-1)^(x.z') on
-  row z' and (-1)^(z.x') on column x': two broadcast multiplies by Walsh
-  sign vectors, with no (d, d) table;
+  row z' and (-1)^(z.x') on column x': two broadcast multiplies by rows
+  of the Walsh matrix, each gathered from the rows of its two halves, with
+  no (d, d) table;
 - a single-qubit layer is a Kronecker product of real 4x4 transfer
   matrices, applied as two half-register matmuls;
 - a gate layer's CZs and coherent components form one diagonal unitary D.
@@ -22,13 +23,29 @@ device (``DeviceModel.cached``):
 - a first single-qubit layer on |0..0> gives a product state, and the last
   one folds into the Z measurement.
 
+``dm_run`` takes a stack of sequences with one layout (the same layer
+kinds and the same gate layers) and runs the states as one c.  The
+sequences' own Pauli and single-qubit layers are stacked (one sign row or
+one set of 4x4 matrices per state); a layer every sequence shares, such as
+a gate table or a target block's local layer, broadcasts over the stack.
+matmul runs a stack as one 2-d product per state, so each row is the
+sequence's run on its own to the bit.  The stack goes in chunks of
+``DM_CHUNK_ELEMENTS // 4^n`` states: 10 at 6 qubits, and one from 8
+qubits on, where one state is already large.  A call allocates its work
+memory once, and every layer of every chunk reuses it through ``out=`` and
+in-place steps (``_Stack``).  A fresh array of a few hundred KB per step
+can cost more in page faults than the arithmetic on it, and larger chunks
+only add memory: one chunk of 40 states at 6 qubits was slower than
+chunks of 10.
+
 ``block_noise_channel`` and ``dressed_cycle_channel`` are the same kernel
-as steps on stacks of coefficients, and ``choi_process_fidelity`` takes the
-process fidelity F = tr(R) / d^2 from such a step, R its Pauli transfer
-matrix.  The one-hot coefficient input e_(z, x) is the Pauli P / d, so
-entry [z, x] of its output is R's diagonal entry for P.  The d inputs of
-one row z are one real (d, d, d) batch: the batch size is fixed by the
-layout, and no input or output is ever a matrix.
+as steps on stacks of real or complex coefficients, and
+``choi_process_fidelity`` takes the process fidelity F = tr(R) / d^2 from
+such a step, R its Pauli transfer matrix.  The one-hot coefficient input
+e_(z, x) is the Pauli P / d, so entry [z, x] of its output is R's diagonal
+entry for P.  The d inputs of one row z are one real (d, d, d) batch: the
+batch size is fixed by the layout, and no input or output is ever a
+matrix.
 
 ``stab_run_counts`` is the scalable backend, a Pauli-frame sampler for
 sequences that ideally close to the identity, with every coherent diagonal
@@ -64,6 +81,7 @@ call per depth and gives one row per sequence:
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -77,6 +95,8 @@ from .paulis import _LETTER_MATS, single_qubit_cliffords
 DM_QUBIT_LIMIT = 12
 PACK_QUBIT_LIMIT = 62  # outcomes are int64 codes; also the stabilizer backend's size limit
 CHOI_QUBIT_LIMIT = 6
+# Pauli coefficients per dm_run chunk: 10 sequences at 6 qubits, one from 8 qubits on
+DM_CHUNK_ELEMENTS = 10 * 4**6
 
 _BYTE_VALUES = np.arange(256, dtype=np.uint8)
 # [byte value, i]: bit i of the value in packbits order, the first the most significant
@@ -84,7 +104,7 @@ _BIT_SELECT = np.unpackbits(_BYTE_VALUES[:, None], axis=1).astype(float)
 
 
 # ---------------------------------------------------------------------------
-# density-matrix kernel in the Pauli basis (batch-aware: c has shape (..., d, d))
+# density-matrix kernel in the Pauli basis, on stacks c of shape (K, d, d)
 # ---------------------------------------------------------------------------
 
 _PAULIS = np.array(_LETTER_MATS)  # index 2z + x: I, X, Z, Y
@@ -112,27 +132,34 @@ def _bits(a: np.ndarray, n: int, qubits) -> np.ndarray:
 
 
 def _kron(factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of per-qubit factors (k, 2, ..., 2), the first qubit
-    the most significant, taken along every axis: the result has one axis of
-    length 2^k per factor axis.  For (k, 2, 2) it is the Kronecker product
-    of k 2x2 matrices.  The factors are taken last first, so that each
-    broadcast multiply runs over the grown product in its inner loop."""
-    r = factors.ndim - 1
-    if not len(factors):
-        return np.ones((1,) * r, dtype=factors.dtype)
-    u = factors[-1]
-    for f in factors[-2::-1]:
-        s = u.shape[0]
-        u = (f.reshape((2, 1) * r) * u.reshape((1, s) * r)).reshape((2 * s,) * r)
+    """Kronecker products of per-qubit factors (B, k, 2, ..., 2), one per
+    leading index, the first qubit the most significant, taken along every
+    factor axis: the result (B, 2^k, ..., 2^k) has one axis of length 2^k
+    per factor axis.  For (B, k, 2, 2) it is the Kronecker product of k 2x2
+    matrices.  The factors are taken last first, so that each broadcast
+    multiply runs over the grown product in its inner loop."""
+    b, k = factors.shape[:2]
+    r = factors.ndim - 2
+    if not k:
+        return np.ones((b,) + (1,) * r, dtype=factors.dtype)
+    u = factors[:, -1]
+    for i in range(k - 2, -1, -1):
+        s = u.shape[1]
+        u = (factors[:, i].reshape((b,) + (2, 1) * r) * u.reshape((b,) + (1, s) * r)).reshape((b,) + (2 * s,) * r)
     return u
 
 
-def _kron_rows(t: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """(f1 x f2) @ t for t (..., d1*d2, m): one matmul per Kronecker factor."""
+def _kron_rows(t: np.ndarray, f1: np.ndarray, f2: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """(f1 x f2) @ t for t (..., d1*d2, m): one matmul per Kronecker factor.
+
+    Given a float ``scratch`` of t's shape, the first product goes there
+    and the second back into t (contiguous), so nothing is allocated."""
     *batch, d, m = t.shape
     d1, d2 = len(f1), len(f2)
-    t = np.matmul(f1, t.reshape(*batch, d1, d2 * m))
-    return np.matmul(f2, t.reshape(*batch, d1, d2, m)).reshape(*batch, d, m)
+    first = None if scratch is None else scratch.reshape(*batch, d1, d2 * m)
+    u = np.matmul(f1, t.reshape(*batch, d1, d2 * m), out=first)
+    second = None if scratch is None else t.reshape(*batch, d1, d2, m)
+    return np.matmul(f2, u.reshape(*batch, d1, d2, m), out=second).reshape(*batch, d, m)
 
 
 def _walsh(k: int) -> np.ndarray:
@@ -141,34 +168,36 @@ def _walsh(k: int) -> np.ndarray:
 
 
 def _halves(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-qubit maps (n, r, 4) as the two half-register matrices of
-    ``_apply_halves``: the first floor(n/2) qubits and the rest.  A map's
-    input is a qubit's index pair 2u + v (a Pauli 2z + x); its output is
-    another pair (r = 4) or one bit (r = 2)."""
-    n, r, _ = maps.shape
+    """Per-qubit maps (B, n, r, 4) as the two half-register matrices of
+    ``_apply_halves``, (B, r^h, 4^h) for the first h = floor(n/2) qubits
+    and (B, r^(n-h), 4^(n-h)) for the rest.  A map's input is a qubit's
+    index pair 2u + v (a Pauli 2z + x); its output is another pair (r = 4)
+    or one bit (r = 2)."""
+    b, n, r, _ = maps.shape
     bits = (2,) * (r.bit_length() + 1)
     h = n // 2
     return tuple(
-        _kron(m.reshape(len(m), *bits)).reshape(r ** len(m), 4 ** len(m)) for m in (maps[:h], maps[h:])
+        _kron(m.reshape(b, k, *bits)).reshape(b, r**k, 4**k)
+        for m, k in ((maps[:, :h], h), (maps[:, h:], n - h))
     )
 
 
-def _apply_halves(c: np.ndarray, ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
-    """(ma x mb) on c (..., d, d) viewed as (u_A v_A, u_B v_B), the A bits
-    those of the first floor(n/2) qubits of both indices: two matmuls."""
-    *batch, d, _ = c.shape
-    da = math.isqrt(ma.shape[1])
+def _apply_halves(c: np.ndarray, ma: np.ndarray, mb: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """(ma x mb) on c (K, d, d) viewed as (u_A v_A, u_B v_B), the A bits
+    those of the first floor(n/2) qubits of both indices: two matmuls.
+
+    ma and mb have a leading axis of K, or of 1 for one map for every state.
+    The permuted copy of c and both products go into ``buf``, a flat array
+    of c's dtype and twice c's size; the result (K, ra, rb) is a view of it.
+    """
+    k, d, _ = c.shape
+    da = math.isqrt(ma.shape[-1])
     db = d // da
-    t = c.reshape(*batch, da, db, da, db).swapaxes(-3, -2).reshape(*batch, da * da, db * db)
-    return ma @ t @ mb.T
-
-
-def _apply_local(c: np.ndarray, ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
-    """A Kronecker product of per-qubit 4x4 maps (halves ``ma``, ``mb``) on c."""
-    *batch, d, _ = c.shape
-    da = math.isqrt(ma.shape[0])
-    t = _apply_halves(c, ma, mb).reshape(*batch, da, da, d // da, d // da)
-    return t.swapaxes(-3, -2).reshape(*batch, d, d)
+    ra, rb = ma.shape[-2], mb.shape[-2]
+    t = buf[: c.size].reshape(k, da * da, db * db)
+    np.copyto(t.reshape(k, da, da, db, db), c.reshape(k, da, db, da, db).swapaxes(-3, -2))
+    u = np.matmul(ma, t, out=buf[c.size : c.size + k * ra * db * db].reshape(k, ra, db * db))
+    return np.matmul(u, mb.swapaxes(-1, -2), out=buf[: k * ra * rb].reshape(k, ra, rb))
 
 
 @lru_cache(maxsize=1)
@@ -184,31 +213,39 @@ def _clifford_ptms() -> np.ndarray:
     return ptm
 
 
-def _local_ptms(layer, device: DeviceModel, n: int, noisy: bool) -> np.ndarray:
-    """Per-qubit Pauli transfer matrices (n, 4, 4) of a single-qubit layer,
-    followed by the per-qubit depolarizing when ``noisy``."""
-    if isinstance(layer, CliffordLayer):
-        ptm = _clifford_ptms()[layer.layer.elements]
+def _local_ptms(layers, device: DeviceModel, n: int, noisy: bool) -> np.ndarray:
+    """Per-qubit Pauli transfer matrices (B, n, 4, 4) of B single-qubit
+    layers of one kind, each followed by the per-qubit depolarizing when
+    ``noisy``."""
+    if isinstance(layers[0], CliffordLayer):
+        ptm = _clifford_ptms()[np.stack([layer.layer.elements for layer in layers])]
     else:
-        mats = np.array([np.eye(2, dtype=complex)] * n)
-        for q, u in layer.ops:
-            mats[q] = u @ mats[q]
-        # tr(P_a U P_b U^dagger) / 2
-        ptm = np.einsum("aij,qjk,bkl,qil->qab", _PAULIS, mats, _PAULIS, mats.conj()).real / 2
+        ptm = np.empty((len(layers), n, 4, 4))
+        for out, layer in zip(ptm, layers):
+            mats = np.array([np.eye(2, dtype=complex)] * n)
+            for q, u in layer.ops:
+                mats[q] = u @ mats[q]
+            # tr(P_a U P_b U^dagger) / 2
+            out[:] = np.einsum("aij,qjk,bkl,qil->qab", _PAULIS, mats, _PAULIS, mats.conj()).real / 2
     if noisy:
-        ptm[:, 1:] *= device.single_qubit_depol[:n, None, None]
+        ptm[..., 1:, :] *= device.single_qubit_depol[:n, None, None]
     return ptm
 
 
-def _product_state(first, device: DeviceModel, n: int) -> np.ndarray:
-    """Coefficients of |0..0>, or of the product state the local layer
-    ``first`` (noise included) makes from it."""
+def _product_state(first, device: DeviceModel, n: int, out: np.ndarray):
+    """Writes to ``out`` (K, d, d) the coefficients of |0..0>, or of the
+    product states the local layers ``first`` (one, or one per state; noise
+    included) make from it."""
     if first is None:
-        blocks = np.broadcast_to(np.array([[1.0, 0.0], [1.0, 0.0]]), (n, 2, 2))
+        blocks = np.broadcast_to(np.array([[1.0, 0.0], [1.0, 0.0]]), (1, n, 2, 2))
     else:
         ptm = _local_ptms(first, device, n, noisy=True)
-        blocks = (ptm[:, :, 0] + ptm[:, :, 2]).reshape(n, 2, 2)  # |0><0| = (I + Z) / 2
-    return _kron(blocks)
+        blocks = (ptm[..., 0] + ptm[..., 2]).reshape(-1, n, 2, 2)  # |0><0| = (I + Z) / 2
+    # the first qubit's factor times the rest, as _kron's last step, into out
+    rest = _kron(blocks[:, 1:])
+    s = rest.shape[1]
+    head = blocks[:, 0].reshape(-1, 2, 1, 2, 1)
+    np.multiply(head, rest.reshape(-1, 1, s, 1, s), out=out.reshape(len(out), 2, s, 2, s))
 
 
 def _walsh_halves(device: DeviceModel, n: int):
@@ -216,16 +253,11 @@ def _walsh_halves(device: DeviceModel, n: int):
     return device.cached(("walsh", n), lambda: (_walsh(n // 2), _walsh(n - n // 2)))
 
 
-def _walsh_z(t: np.ndarray, device: DeviceModel, n: int) -> np.ndarray:
-    """Walsh transform along the rows of complex t (..., d, d): its float
-    view carries the real and imaginary parts through the same real matmuls."""
-    return _kron_rows(t.view(float), *_walsh_halves(device, n)).view(complex)
-
-
-def _walsh_column(w: int, device: DeviceModel, n: int) -> np.ndarray:
-    """(-1)^(a.w) over the register indices a: the halves' Walsh columns."""
+def _walsh_rows(w: np.ndarray, device: DeviceModel, n: int) -> np.ndarray:
+    """(-1)^(a.w) over the register indices a, one row per entry of ``w``:
+    rows w of the 2^n Walsh matrix, gathered from its two halves' rows."""
     h1, h2 = _walsh_halves(device, n)
-    return np.multiply.outer(h1[w >> (n - n // 2)], h2[w & (len(h2) - 1)]).ravel()
+    return (h1[w >> (n - n // 2)][:, :, None] * h2[w & (len(h2) - 1)][:, None, :]).reshape(len(w), -1)
 
 
 def _pauli_phases(device: DeviceModel, n: int) -> np.ndarray:
@@ -258,11 +290,6 @@ def _single_qubit_noise(device: DeviceModel, n: int):
         return lam
 
     return device.cached(("dm_1q", n), build)
-
-
-def _depolarize_1q(c: np.ndarray, device: DeviceModel, n: int) -> np.ndarray:
-    table = _single_qubit_noise(device, n)
-    return c if table is None else c * table
 
 
 def _gate_layer_tables(device: DeviceModel, n: int, gates: tuple[int, ...], noisy: bool, twirl_coupling: bool):
@@ -315,93 +342,192 @@ def _readout_factors(device: DeviceModel, n: int):
         if not (np.any(e0 > 0) or np.any(e1 > 0)):
             return None
         mats = np.array([[1 - e0, e1], [e0, 1 - e1]]).transpose(2, 0, 1)
-        return _kron(mats[: n // 2]), _kron(mats[n // 2 :])
+        return _kron(mats[None, : n // 2])[0], _kron(mats[None, n // 2 :])[0]
 
     return device.cached(("readout", n), build)
 
 
-def _apply_gate_layer(
-    c: np.ndarray, n: int, gates: tuple[int, ...], device: DeviceModel, noisy: bool, twirl_coupling: bool
-) -> np.ndarray:
-    """One gate layer: its noise, then D rho D^dagger.
+class _Stack:
+    """Pauli coefficients c (K, d, d) of K states, which each layer updates
+    in place.
 
-    With M[b, x] = rho[b^x, b], column x of M is the Walsh transform along z
-    of i^|x&z| c[:, x] / d.  So: multiply by the phases and the noise,
-    transform along z, multiply by the phase table, transform back, and
-    take the phases off again.
+    ``buf``, twice c's size, holds the local layers' permuted copy and
+    products (``_apply_halves``).  For a real c its complex view is the gate
+    layers' frame, and c shares its memory with ``scratch``, the Walsh
+    transforms' first products: c is dead while the frame holds the state.
+    A complex c is its own frame, and ``scratch`` is part of ``buf``.  The
+    memory is allocated once per stack and reused by every layer.
     """
-    lam, phase = _gate_layer_tables(device, n, gates, noisy, twirl_coupling)
-    s = _pauli_phases(device, n)
-    t = c * s
-    if lam is not None:
-        t *= lam
-    t = _walsh_z(t, device, n)
-    t *= phase
-    t = _walsh_z(t, device, n)
-    # i^-|x&z| t = conj(conj(t) i^|x&z|), in place
-    np.conjugate(t, out=t)
-    t *= s
-    return t.real if np.isrealobj(c) else np.conjugate(t, out=t)
+
+    def __init__(self, k: int, dtype, device: DeviceModel, n: int):
+        self.device, self.n = device, n
+        d = 2**n
+        size = k * d * d
+        if np.dtype(dtype).kind == "c":
+            self.c = np.empty((k, d, d), dtype=complex)
+            self.buf = np.empty(2 * size, dtype=complex)
+            self.scratch = self.buf.view(float)[: 2 * size].reshape(k, d, 2 * d)
+        else:
+            mem = np.empty(4 * size)
+            self.buf, self.scratch = mem[: 2 * size], mem[2 * size :].reshape(k, d, 2 * d)
+            self.c = mem[2 * size : 3 * size].reshape(k, d, d)
+
+    def head(self, k: int) -> "_Stack":
+        """A stack of the first k states, on the same memory."""
+        head = copy.copy(self)
+        head.c, head.scratch = self.c[:k], self.scratch[:k]
+        return head
+
+    def apply(self, layers, noisy: bool, twirl_coupling: bool):
+        """One layer position: ``layers`` holds each state's layer, or one
+        layer for every state.
+
+        A single-qubit layer is a Kronecker product of 4x4 transfer matrices
+        with its depolarizing folded in.  A Pauli layer X^x Z^z and its
+        depolarizing are Pauli-diagonal: X^x Z^z P Z^z X^x = (-1)^(x.z' + z.x') P
+        for P = X^x' Z^z'.  The sign is the Walsh row of x along the rows z'
+        times that of z along the columns x', so the layer is two broadcast
+        multiplies, exact in any order since every factor is a sign.
+        """
+        layer = layers[0]
+        if isinstance(layer, GateLayer):
+            self.gate(tuple(layer.gates), noisy, twirl_coupling)
+        elif isinstance(layer, _LOCAL):
+            self.local(_local_ptms(layers, self.device, self.n, noisy))
+        elif isinstance(layer, PauliLayer):
+            place = 1 << np.arange(self.n - 1, -1, -1)
+            x = np.stack([lay.pauli.x for lay in layers]) @ place
+            z = np.stack([lay.pauli.z for lay in layers]) @ place
+            if np.any(x) or np.any(z):
+                self.c *= _walsh_rows(x, self.device, self.n)[:, :, None]
+                self.c *= _walsh_rows(z, self.device, self.n)[:, None, :]
+            if noisy and self.device.pauli_layer_noise:
+                self.depolarize_1q()
+        else:
+            raise TypeError(f"unknown layer type {type(layer)!r}")
+
+    def depolarize_1q(self):
+        table = _single_qubit_noise(self.device, self.n)
+        if table is not None:
+            self.c *= table
+
+    def gate(self, gates: tuple[int, ...], noisy: bool, twirl_coupling: bool):
+        """One gate layer: its noise, then D rho D^dagger.
+
+        With M[b, x] = rho[b^x, b], column x of M is the Walsh transform
+        along z of i^|x&z| c[:, x] / d.  So: multiply by the phases and the
+        noise, transform along z, multiply by the phase table, transform
+        back, and take the phases off again.  The transforms run on the
+        frame's float view, which carries the real and imaginary parts
+        through the same real matmuls.
+        """
+        lam, phase = _gate_layer_tables(self.device, self.n, gates, noisy, twirl_coupling)
+        s = _pauli_phases(self.device, self.n)
+        c = self.c
+        real = not np.iscomplexobj(c)
+        t = self.buf.view(complex)[: c.size].reshape(c.shape) if real else c
+        np.multiply(c, s, out=t)
+        if lam is not None:
+            t *= lam
+        halves = _walsh_halves(self.device, self.n)
+        _kron_rows(t.view(float), *halves, self.scratch)
+        t *= phase
+        _kron_rows(t.view(float), *halves, self.scratch)
+        # i^-|x&z| t = conj(conj(t) i^|x&z|), in place
+        np.conjugate(t, out=t)
+        t *= s
+        if real:
+            np.copyto(c, t.real)
+        else:
+            np.conjugate(t, out=t)
+
+    def local(self, ptms: np.ndarray):
+        """A Kronecker product of per-qubit 4x4 maps ``ptms`` (B, n, 4, 4) on c."""
+        k, d, _ = self.c.shape
+        ma, mb = _halves(ptms)
+        da = math.isqrt(ma.shape[-1])
+        db = d // da
+        t = _apply_halves(self.c, ma, mb, self.buf).reshape(k, da, da, db, db)
+        np.copyto(self.c.reshape(k, da, db, da, db), t.swapaxes(-3, -2))
+
+    def measure(self, last) -> np.ndarray:
+        """P(b) = tr(|b><b| rho), (K, d), after the local layers ``last`` or
+        none: per qubit (I + (-1)^b Z) / 2, with ``last`` folded in."""
+        if last is None:
+            meas = np.broadcast_to(_Z_MEASURE, (1, self.n, 2, 4))
+        else:
+            meas = _Z_MEASURE @ _local_ptms(last, self.device, self.n, noisy=True)
+        return _apply_halves(self.c, *_halves(meas), self.buf).reshape(len(self.c), -1)
 
 
-def _apply_layer(c: np.ndarray, n: int, layer, device: DeviceModel, noisy: bool, twirl_coupling: bool) -> np.ndarray:
-    """One layer on the Pauli coefficients c (..., 2^n, 2^n).
+def _layout(seqs: list[CircuitSequence]) -> list[tuple]:
+    """The layer positions of a stack, each as the tuple of its sequences'
+    layers there; ValueError unless the sequences share one layout."""
+    head = seqs[0]
+    if any(s.n != head.n or len(s.layers) != len(head.layers) for s in seqs):
+        raise ValueError("stacked sequences need one register size and one number of layers")
+    columns = list(zip(*(s.layers for s in seqs)))
+    for i, col in enumerate(columns):
+        kind = type(col[0])
+        if any(type(layer) is not kind for layer in col) or (
+            kind is GateLayer and any(tuple(layer.gates) != tuple(col[0].gates) for layer in col)
+        ):
+            raise ValueError(f"stacked sequences differ in layer kind or gates at position {i}")
+    return columns
 
-    A single-qubit layer is a Kronecker product of 4x4 transfer matrices
-    with its depolarizing folded in.  A Pauli layer X^x Z^z and its
-    depolarizing are Pauli-diagonal: X^x Z^z P Z^z X^x = (-1)^(x.z' + z.x') P
-    for P = X^x' Z^z'.  The sign is the Walsh column of x along the rows z'
-    times that of z along the columns x', so the layer is two broadcast
-    multiplies, exact in any order since every factor is a sign.
-    """
-    if isinstance(layer, GateLayer):
-        return _apply_gate_layer(c, n, tuple(layer.gates), device, noisy, twirl_coupling)
-    if isinstance(layer, _LOCAL):
-        return _apply_local(c, *_halves(_local_ptms(layer, device, n, noisy)))
-    if not isinstance(layer, PauliLayer):
-        raise TypeError(f"unknown layer type {type(layer)!r}")
-    x, z = np.dot((layer.pauli.x, layer.pauli.z), 1 << np.arange(n - 1, -1, -1)).tolist()
-    if x or z:
-        c = c * _walsh_column(x, device, n)[:, None]
-        c *= _walsh_column(z, device, n)
-    return _depolarize_1q(c, device, n) if noisy and device.pauli_layer_noise else c
+
+def _run_chunk(columns: list[tuple], stack: _Stack, twirl_coupling: bool, out: np.ndarray):
+    """``dm_run`` on one chunk of len(out) sequences, the rows written to
+    ``out``; ``stack`` holds at least that many states."""
+    device, n = stack.device, stack.n
+    stack = stack.head(len(out))
+    # a layer every sequence shares is applied once to the whole stack
+    columns = [col[:1] if all(layer is col[0] for layer in col) else col for col in columns]
+    first = columns.pop(0) if columns and isinstance(columns[0][0], _LOCAL) else None
+    last = columns.pop() if columns and isinstance(columns[-1][0], _LOCAL) else None
+    _product_state(first, device, n, stack.c)
+    for col in columns:
+        stack.apply(col, noisy=True, twirl_coupling=twirl_coupling)
+    probs = stack.measure(last)
+    error = np.abs(probs.sum(axis=1) - 1.0)
+    if np.any(error > 1e-10):
+        raise RuntimeError(f"probabilities sum to 1 +- {error.max()}, expected 1")
+    np.clip(probs, 0.0, None, out=out)
+    confusion = _readout_factors(device, n)
+    if confusion is not None:
+        out[:] = _kron_rows(out[..., None], *confusion)[..., 0]
 
 
 def dm_run(
-    seq: CircuitSequence,
+    seqs: list[CircuitSequence],
     device: DeviceModel,
     *,
     twirl_coupling: bool = False,
 ) -> np.ndarray:
-    """Exact outcome distribution of a sequence on the device.
+    """Exact outcome distributions of a stack of sequences on the device.
 
-    Returns the probability vector over the 2^n bitstrings (qubit 0 is the
-    most significant bit).  ``twirl_coupling`` replaces each coherent
-    diagonal error component by its exact Pauli twirl, which is the model
-    the stochastic backend samples from.
+    The sequences must share one layout: one register, the same layer kind
+    at every position and the same gates in every gate layer
+    (``ValueError`` otherwise).  Their Pauli and single-qubit layers may
+    differ.  Returns one probability row over the 2^n bitstrings (qubit 0
+    is the most significant bit) per sequence, in chunks of
+    ``DM_CHUNK_ELEMENTS // 4^n`` sequences (at least one).
+    ``twirl_coupling`` replaces each coherent diagonal error component by
+    its exact Pauli twirl, which is the model the stochastic backend
+    samples from.
     """
-    n = seq.n
+    seqs = list(seqs)
+    if not seqs:
+        raise ValueError("dm_run needs at least one sequence")
+    n = seqs[0].n
     if n > DM_QUBIT_LIMIT:
         raise ResourceLimitError(f"density-matrix backend limited to {DM_QUBIT_LIMIT} qubits")
-    layers = list(seq.layers)
-    first = layers.pop(0) if layers and isinstance(layers[0], _LOCAL) else None
-    last = layers.pop() if layers and isinstance(layers[-1], _LOCAL) else None
-    c = _product_state(first, device, n)
-    for layer in layers:
-        c = _apply_layer(c, n, layer, device, noisy=True, twirl_coupling=twirl_coupling)
-    # P(b) = tr(|b><b| rho), per qubit (I + (-1)^b Z) / 2, after the last local layer
-    if last is None:
-        meas = np.broadcast_to(_Z_MEASURE, (n, 2, 4))
-    else:
-        meas = _Z_MEASURE @ _local_ptms(last, device, n, noisy=True)
-    probs = _apply_halves(c, *_halves(meas)).reshape(-1)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise RuntimeError(f"probabilities sum to {total}, expected 1")
-    probs = np.clip(probs, 0.0, None)
-    confusion = _readout_factors(device, n)
-    if confusion is not None:
-        probs = _kron_rows(probs.reshape(-1, 1), *confusion).reshape(-1)
+    columns = _layout(seqs)
+    probs = np.empty((len(seqs), 2**n))
+    size = min(len(seqs), max(1, DM_CHUNK_ELEMENTS // 4**n))
+    stack = _Stack(size, float, device, n)
+    for s in range(0, len(seqs), size):
+        _run_chunk([col[s : s + size] for col in columns], stack, twirl_coupling, probs[s : s + size])
     return probs
 
 
@@ -587,7 +713,7 @@ def _compile_faults(seq: CircuitSequence, device: DeviceModel) -> list:
 
     def depol_1q():
         rows = np.stack([fx, fz], axis=1)
-        for p in np.unique(fire_1q):
+        for p in sorted(set(fire_1q.tolist())):
             add(("1q", p), float(p), None, rows[fire_1q == p])
 
     for layer in reversed(seq.layers):
@@ -701,12 +827,17 @@ def choi_process_fidelity(step, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _block_noise(c: np.ndarray, device: DeviceModel, block) -> np.ndarray:
+def _block_noise(c: np.ndarray, device: DeviceModel, block, depolarize_first: bool = False) -> np.ndarray:
+    d = 2**block.n
+    stack = _Stack(np.size(c) // d**2, np.result_type(c, float), device, block.n)
+    stack.c[:] = np.reshape(c, (-1, d, d))
+    if depolarize_first:
+        stack.depolarize_1q()
     for layer in block.layers:
-        c = _apply_layer(c, block.n, layer, device, noisy=True, twirl_coupling=False)
+        stack.apply((layer,), noisy=True, twirl_coupling=False)
     for layer in block.inverse_layers:
-        c = _apply_layer(c, block.n, layer, device, noisy=False, twirl_coupling=False)
-    return c
+        stack.apply((layer,), noisy=False, twirl_coupling=False)
+    return stack.c.reshape(np.shape(c))
 
 
 def block_noise_channel(device: DeviceModel, block):
@@ -723,5 +854,5 @@ def dressed_cycle_channel(device: DeviceModel, block):
     """Noise of one benchmarking half-step, twirling layer then target gate,
     as a step on Pauli coefficients."""
     if device.pauli_layer_noise:
-        return lambda c: _block_noise(_depolarize_1q(c, device, block.n), device, block)
+        return lambda c: _block_noise(c, device, block, depolarize_first=True)
     return block_noise_channel(device, block)

@@ -210,7 +210,7 @@ def _aggregate(lam: np.ndarray, weights: np.ndarray, flagged: np.ndarray) -> np.
     keep = ~flagged
     kept = keep.sum(axis=1)
     out = np.full(len(lam), np.nan)
-    for size in np.unique(kept[kept > 0]).tolist():
+    for size in sorted(set(kept[kept > 0].tolist())):
         rows = np.flatnonzero(kept == size)
         sel = keep[rows]
         w = np.broadcast_to(weights, sel.shape)[sel].reshape(-1, size)
@@ -258,12 +258,21 @@ def _resolve_backend(name: str, n: int) -> str:
 
 
 def _run_counts(
-    seq: CircuitSequence, device: DeviceModel, backend: str, k_s: int, rng: np.random.Generator
+    seqs: list[CircuitSequence],
+    device: DeviceModel,
+    backend: str,
+    k_s: int,
+    rngs: list[np.random.Generator],
 ) -> ShotCounts:
-    """Execute one sequence on a resolved backend and sample k_s shots."""
+    """Execute sequences of one layout on a resolved backend and sample k_s
+    shots of each from its own stream, stacked in order.  The dm backend
+    runs them as one stack; stab runs one sequence at a time."""
     if backend == "dm":
-        return ShotCounts.from_probabilities(dm_run(seq, device), seq.n, k_s, rng)
-    return stab_run_counts(seq, device, k_s, rng)
+        probs = dm_run(seqs, device)
+        return ShotCounts.stack(
+            [ShotCounts.from_probabilities(p, seqs[0].n, k_s, rng) for p, rng in zip(probs, rngs)]
+        )
+    return ShotCounts.stack([stab_run_counts(seq, device, k_s, rng) for seq, rng in zip(seqs, rngs)])
 
 
 def execute_cab_run(
@@ -287,13 +296,11 @@ def execute_cab_run(
 
     counts: list[ShotCounts] = []
     for d, m in enumerate(depths):
-        parts = []
-        for k in range(config.k_r):
-            rng_seq = np.random.default_rng([config.seed, 17, tag, d, k])
-            seq = build_cab_sequence(block, m, rng_seq)
-            rng_shot = np.random.default_rng([config.seed, 23, tag, d, k])
-            parts.append(_run_counts(seq, device, backend, config.k_s, rng_shot))
-        counts.append(ShotCounts.stack(parts))
+        seqs = [
+            build_cab_sequence(block, m, np.random.default_rng([config.seed, 17, tag, d, k])) for k in range(config.k_r)
+        ]
+        rngs = [np.random.default_rng([config.seed, 23, tag, d, k]) for k in range(config.k_r)]
+        counts.append(_run_counts(seqs, device, backend, config.k_s, rngs))
 
     # C-contiguous (depth, sequence, mask): the depth means sum along the
     # sequence axis in this layout
@@ -496,8 +503,14 @@ def run_cab_experiment(
     config: CabConfig,
     *,
     measure_twirl: bool = True,
+    twirl_data: CabRunData | None = None,
 ) -> CabReport:
-    """Full pipeline: dressed run, twirl run, interleaving, subset fidelities."""
+    """Full pipeline: dressed run, twirl run, interleaving, subset fidelities.
+
+    ``twirl_data`` is a twirl run to reuse instead of running it again: a
+    run's twirl depends on the register size and on ``config`` without its
+    subsets, not on the target gate.
+    """
     outside = sorted({g for s in config.subsets for g in s} - set(block.gate_indices))
     if outside:
         raise ConfigError(
@@ -506,7 +519,8 @@ def run_cab_experiment(
     dressed_data = execute_cab_run(device, block, config, "dressed", tag=0)
     dressed = estimate_fidelity(dressed_data)
     if measure_twirl:
-        twirl_data = execute_cab_run(device, GateBlock.identity(block.n), config, "twirl", tag=1)
+        if twirl_data is None:
+            twirl_data = execute_cab_run(device, GateBlock.identity(block.n), config, "twirl", tag=1)
         twirl = estimate_fidelity(twirl_data)
     else:
         twirl_data = None
@@ -619,12 +633,13 @@ def run_cb_experiment(
     surv = np.empty((len(cycles), n_chars, group))
     for d, c in enumerate(cycles):
         for ci, char in enumerate(characters):
-            for k in range(group):
-                rng_seq = np.random.default_rng([config.seed, 29, 2, d, ci, k])
-                seq = build_cb_sequence(block, char, c, order, rng_seq)
-                rng_shot = np.random.default_rng([config.seed, 31, 2, d, ci, k])
-                sc = _run_counts(seq, device, backend, config.k_s, rng_shot)
-                surv[d, ci, k] = sc.survivals(char_masks[ci : ci + 1])[0, 0]
+            seqs = [
+                build_cb_sequence(block, char, c, order, np.random.default_rng([config.seed, 29, 2, d, ci, k]))
+                for k in range(group)
+            ]
+            rngs = [np.random.default_rng([config.seed, 31, 2, d, ci, k]) for k in range(group)]
+            sc = _run_counts(seqs, device, backend, config.k_s, rngs)
+            surv[d, ci] = sc.survivals(char_masks[ci : ci + 1])[:, 0]
 
     est = _estimate_from_surv(
         surv.transpose(0, 2, 1),

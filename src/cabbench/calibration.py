@@ -96,25 +96,13 @@ def measure_conditional_phase(
     spec = device.gates[gate]
     qa, qb = spec.pair
     n = device.n_qubits
-    phases = []
-    for excite_partner in (False, True):
-        values = np.empty(len(beta_grid))
-        prep_ops = [(qa, half_pi_pulse(0.0))]
-        if excite_partner:
-            prep_ops.append((qb, _X_PI))
-        for i, beta in enumerate(beta_grid):
-            seq = CircuitSequence(
-                n,
-                (
-                    Unitary1qLayer(tuple(prep_ops)),
-                    GateLayer((gate,)),
-                    Unitary1qLayer(((qa, half_pi_pulse(float(beta))),)),
-                ),
-            )
-            probs = dm_run(seq, device)
-            values[i] = _marginal_p1(probs, n, qa)
-        psi, _amp = _fit_cosine_phase(beta_grid, values)
-        phases.append(psi)
+    cz = GateLayer((gate,))
+    # the partner in 0, then excited to 1
+    preps = [Unitary1qLayer(((qa, half_pi_pulse(0.0)),)), Unitary1qLayer(((qa, half_pi_pulse(0.0)), (qb, _X_PI)))]
+    analyses = [Unitary1qLayer(((qa, half_pi_pulse(float(beta))),)) for beta in beta_grid]
+    seqs = [CircuitSequence(n, (prep, cz, analysis)) for prep in preps for analysis in analyses]
+    values = np.array([_marginal_p1(probs, n, qa) for probs in dm_run(seqs, device)]).reshape(2, -1)
+    phases = [_fit_cosine_phase(beta_grid, v)[0] for v in values]
     phi = _wrap_near_pi(phases[1] - phases[0])
     return phases[0], phases[1], phi
 
@@ -132,19 +120,12 @@ def calibrate_dynamic_phase(
     if qubit not in spec.pair:
         raise ValueError("qubit must belong to the gate")
     n = device.n_qubits
-    values = np.empty(len(phase_grid))
-    for i, phi in enumerate(phase_grid):
-        seq = CircuitSequence(
-            n,
-            (
-                Unitary1qLayer(((qubit, half_pi_pulse(0.0)),)),
-                GateLayer((gate,)),
-                Unitary1qLayer(((qubit, _z_phase(float(phi))),)),
-                Unitary1qLayer(((qubit, half_pi_pulse(0.0)),)),
-            ),
-        )
-        probs = dm_run(seq, device)
-        values[i] = _marginal_p1(probs, n, qubit)
+    pulse, cz = Unitary1qLayer(((qubit, half_pi_pulse(0.0)),)), GateLayer((gate,))
+    seqs = [
+        CircuitSequence(n, (pulse, cz, Unitary1qLayer(((qubit, _z_phase(float(phi))),)), pulse))
+        for phi in phase_grid
+    ]
+    values = np.array([_marginal_p1(probs, n, qubit) for probs in dm_run(seqs, device)])
     if values.max() - values.min() < 0.02:
         raise NoSignalError("dynamic-phase scan shows no contrast")
     return float(phase_grid[int(np.argmax(values))])

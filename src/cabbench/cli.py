@@ -290,11 +290,13 @@ def _run_parallel_cz_scan(cfg: ExperimentConfig, out: Path) -> dict:
     per_cz = cfg.extra.get("per_cz_fidelity")
     rows = []
     results = {}
+    twirl_data = None  # every point's twirl run is the same identity run on the whole register
     for r in counts:
         gates = tuple(range(r))
         cab_cfg = cfg.cab_config(device, gates).replace(subsets=())
         block = GateBlock.parallel_cz(device, gates)
-        rep = run_cab_experiment(device, block, cab_cfg)
+        rep = run_cab_experiment(device, block, cab_cfg, twirl_data=twirl_data)
+        twirl_data = rep.twirl_data
         theory = per_cz**r if per_cz else ""  # no theory value: an empty field
         rows.append(
             (

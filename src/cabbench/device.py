@@ -282,7 +282,7 @@ def apply_readout_noise(
     e1 = np.broadcast_to(np.asarray(e1, dtype=float), (n,))
     keep_rate = np.concatenate((e0, e1))  # the (2, n) table [e0; e1], flat: [bit * n + q]
     rate = np.maximum(e0, e1)
-    for r in np.unique(rate):
+    for r in sorted(set(rate.tolist())):
         qubits = np.flatnonzero(rate == r)
         g = len(qubits)
         pos = bernoulli_positions(rng, len(out) * g, float(r))

@@ -91,7 +91,7 @@ class CliffordTableau:
         """Parallel CZ gates on disjoint qubit pairs."""
         t = CliffordTableau.identity(n)
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        if len(np.unique(pairs)) != pairs.size:
+        if len(set(pairs.ravel().tolist())) != pairs.size:
             raise ValueError("CZ pairs within a layer must be disjoint")
         zb = t.zbits
         # CZ: X_a -> X_a Z_b, X_b -> X_b Z_a, Z unchanged.

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from cabbench.analysis import correlation
-from cabbench.backends import _depolarize_1q
+from cabbench import backends
+from cabbench.circuits import CliffordLayer, GateLayer, Unitary1qLayer
 from cabbench.cab import QualityParameter, _fit_lambda_arrays
 from cabbench.calibration import NelderMead, NelderMeadOptions, NonFiniteObjective
 from cabbench.device import DeviceModel, DiagonalUnitary, GateSpec, PauliChannel
@@ -308,7 +309,7 @@ def coefficient_step(channel, n: int):
 def pauli_layer_noise_channel(device: DeviceModel):
     """The tensor-product depolarizing noise of one single-qubit layer, on matrices."""
     n = device.n_qubits
-    return matrix_channel(lambda c: _depolarize_1q(c, device, n), n)
+    return matrix_channel(lambda c: _depolarize_1q_one(c, device, n), n)
 
 
 def matrix_unit_choi_fidelity(channel, n: int) -> float:
@@ -325,7 +326,125 @@ def matrix_unit_choi_fidelity(channel, n: int) -> float:
     return float(np.real(total) / d**2)
 
 
+# -- the per-sequence density-matrix kernel -------------------------------------
+
+
+def _kron_one(factors: np.ndarray) -> np.ndarray:
+    """Kronecker product of per-qubit factors (k, 2, ..., 2) along every axis."""
+    r = factors.ndim - 1
+    if not len(factors):
+        return np.ones((1,) * r, dtype=factors.dtype)
+    u = factors[-1]
+    for f in factors[-2::-1]:
+        s = u.shape[0]
+        u = (f.reshape((2, 1) * r) * u.reshape((1, s) * r)).reshape((2 * s,) * r)
+    return u
+
+
+def _kron_rows_one(t: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    *batch, d, m = t.shape
+    d1, d2 = len(f1), len(f2)
+    t = np.matmul(f1, t.reshape(*batch, d1, d2 * m))
+    return np.matmul(f2, t.reshape(*batch, d1, d2, m)).reshape(*batch, d, m)
+
+
+def _halves_one(maps: np.ndarray):
+    n, r, _ = maps.shape
+    bits = (2,) * (r.bit_length() + 1)
+    h = n // 2
+    return tuple(
+        _kron_one(m.reshape(len(m), *bits)).reshape(r ** len(m), 4 ** len(m)) for m in (maps[:h], maps[h:])
+    )
+
+
+def _apply_halves_one(c: np.ndarray, ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
+    *batch, d, _ = c.shape
+    da = math.isqrt(ma.shape[1])
+    db = d // da
+    t = c.reshape(*batch, da, db, da, db).swapaxes(-3, -2).reshape(*batch, da * da, db * db)
+    return ma @ t @ mb.T
+
+
+def _local_ptms_one(layer, device: DeviceModel, n: int, noisy: bool) -> np.ndarray:
+    if isinstance(layer, CliffordLayer):
+        ptm = backends._clifford_ptms()[layer.layer.elements]
+    else:
+        mats = np.array([np.eye(2, dtype=complex)] * n)
+        for q, u in layer.ops:
+            mats[q] = u @ mats[q]
+        ptm = np.einsum("aij,qjk,bkl,qil->qab", backends._PAULIS, mats, backends._PAULIS, mats.conj()).real / 2
+    if noisy:
+        ptm[:, 1:] *= device.single_qubit_depol[:n, None, None]
+    return ptm
+
+
+def _walsh_column_one(w: int, device: DeviceModel, n: int) -> np.ndarray:
+    h1, h2 = backends._walsh_halves(device, n)
+    return np.multiply.outer(h1[w >> (n - n // 2)], h2[w & (len(h2) - 1)]).ravel()
+
+
+def _depolarize_1q_one(c: np.ndarray, device: DeviceModel, n: int) -> np.ndarray:
+    table = backends._single_qubit_noise(device, n)
+    return c if table is None else c * table
+
+
+def _apply_layer_one(c: np.ndarray, n: int, layer, device: DeviceModel, twirl_coupling: bool) -> np.ndarray:
+    if isinstance(layer, GateLayer):
+        lam, phase = backends._gate_layer_tables(device, n, tuple(layer.gates), True, twirl_coupling)
+        s = backends._pauli_phases(device, n)
+        halves = backends._walsh_halves(device, n)
+        t = c * s
+        if lam is not None:
+            t *= lam
+        t = _kron_rows_one(t.view(float), *halves).view(complex)
+        t *= phase
+        t = _kron_rows_one(t.view(float), *halves).view(complex)
+        np.conjugate(t, out=t)
+        t *= s
+        return t.real
+    if isinstance(layer, (CliffordLayer, Unitary1qLayer)):
+        ma, mb = _halves_one(_local_ptms_one(layer, device, n, noisy=True))
+        d = c.shape[-1]
+        da = math.isqrt(ma.shape[0])
+        t = _apply_halves_one(c, ma, mb).reshape(da, da, d // da, d // da)
+        return t.swapaxes(-3, -2).reshape(d, d)
+    x, z = np.dot((layer.pauli.x, layer.pauli.z), 1 << np.arange(n - 1, -1, -1)).tolist()
+    if x or z:
+        c = c * _walsh_column_one(x, device, n)[:, None]
+        c *= _walsh_column_one(z, device, n)
+    return _depolarize_1q_one(c, device, n) if device.pauli_layer_noise else c
+
+
+def dm_run_one(seq, device: DeviceModel, *, twirl_coupling: bool = False) -> np.ndarray:
+    """``backends.dm_run`` of one sequence, one (d, d) state at a time with
+    fresh arrays per step: the reference the stacked kernel must match to
+    the bit."""
+    n = seq.n
+    local = (CliffordLayer, Unitary1qLayer)
+    layers = list(seq.layers)
+    first = layers.pop(0) if layers and isinstance(layers[0], local) else None
+    last = layers.pop() if layers and isinstance(layers[-1], local) else None
+    if first is None:
+        blocks = np.broadcast_to(np.array([[1.0, 0.0], [1.0, 0.0]]), (n, 2, 2))
+    else:
+        ptm = _local_ptms_one(first, device, n, noisy=True)
+        blocks = (ptm[:, :, 0] + ptm[:, :, 2]).reshape(n, 2, 2)
+    c = _kron_one(blocks)
+    for layer in layers:
+        c = _apply_layer_one(c, n, layer, device, twirl_coupling)
+    if last is None:
+        meas = np.broadcast_to(backends._Z_MEASURE, (n, 2, 4))
+    else:
+        meas = backends._Z_MEASURE @ _local_ptms_one(last, device, n, noisy=True)
+    probs = np.clip(_apply_halves_one(c, *_halves_one(meas)).reshape(-1), 0.0, None)
+    confusion = backends._readout_factors(device, n)
+    if confusion is not None:
+        probs = _kron_rows_one(probs.reshape(-1, 1), *confusion).reshape(-1)
+    return probs
+
+
 # -- Clifford tableaus, one generator at a time --------------------------------
+
 
 
 def _single_qubit_tableau(n: int, q: int, element: int) -> CliffordTableau:

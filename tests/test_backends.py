@@ -3,6 +3,7 @@ import pytest
 
 from cabbench.backends import (
     CHOI_QUBIT_LIMIT,
+    DM_CHUNK_ELEMENTS,
     ShotCounts,
     _bits,
     _compile_faults,
@@ -25,6 +26,7 @@ from helpers import (
     dense_apply_layers,
     dense_dm_reference,
     depolarizing_channel,
+    dm_run_one,
     exact_survival,
     matrix_channel,
     matrix_unit_choi_fidelity,
@@ -80,7 +82,7 @@ def test_dm_noiseless_closure():
         ),
     )
     assert closes_to_identity(seq, dev)
-    probs = dm_run(seq, dev)
+    probs = dm_run([seq], dev)[0]
     assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -89,7 +91,7 @@ def test_dm_depolarizing_survival_decay():
     dev = simple_device(depol_p=p)
     # two CZ gates = identity circuit with two depolarizing applications
     seq = cz_pair_sequence(2, (0,))
-    probs = dm_run(seq, dev)
+    probs = dm_run([seq], dev)[0]
     counts = ShotCounts.from_probabilities(probs, 2, 1, np.random.default_rng(0))
     # survival of any weight-2 Z observable after two depol rounds: p^2 plus
     # nothing else since depol eigenvalue is p for every nontrivial Pauli
@@ -190,7 +192,7 @@ def test_stab_matches_dm_twirled_model():
         ),
     )
     assert closes_to_identity(seq, dev)
-    probs = dm_run(seq, dev, twirl_coupling=True)
+    probs = dm_run([seq], dev, twirl_coupling=True)[0]
     shots = 100_000
     counts = stab_run_counts(seq, dev, shots, np.random.default_rng(99))
     emp = counts.count_vector()[0] / shots
@@ -252,7 +254,7 @@ def test_backend_agreement_survivals():
                 CliffordLayer(c.inverse()),
             ),
         )
-        probs = dm_run(seq, dev, twirl_coupling=True)
+        probs = dm_run([seq], dev, twirl_coupling=True)[0]
         counts = stab_run_counts(seq, dev, shots, np.random.default_rng(trial))
         # the parity route and the FWHT route agree exactly: integer sums
         assert np.array_equal(counts.survivals(np.arange(16)), counts.all_survivals())
@@ -432,7 +434,7 @@ def test_dm_qubit_limit():
     dev = DeviceModel(n_qubits=13, gates=(GateSpec(pair=(0, 1)),))
     seq = CircuitSequence(13, (GateLayer((0,)), GateLayer((0,))))
     with pytest.raises(ResourceLimitError):
-        dm_run(seq, dev)
+        dm_run([seq], dev)[0]
 
 
 # -- the density-matrix kernel against explicit full-register matrices --------
@@ -507,7 +509,7 @@ def test_dm_run_matches_dense_reference(n, twirl_coupling, pauli_layer_noise):
     dev = random_device(n, rng, pauli_layer_noise)
     for _ in range(3):
         seq = random_sequence(dev, rng)
-        probs = dm_run(seq, dev, twirl_coupling=twirl_coupling)
+        probs = dm_run([seq], dev, twirl_coupling=twirl_coupling)[0]
         expected = dense_dm_reference(seq, dev, twirl_coupling)
         assert np.max(np.abs(probs - expected)) < 1e-12
 
@@ -521,7 +523,7 @@ def test_dm_run_on_offset_devices_matches_dense_reference():
     expected = {id(dev): dense_dm_reference(seq, dev) for dev in (base, offset)}
     assert np.max(np.abs(expected[id(base)] - expected[id(offset)])) > 1e-4
     for dev in (base, offset, base, offset, base):
-        assert np.max(np.abs(dm_run(seq, dev) - expected[id(dev)])) < 1e-12
+        assert np.max(np.abs(dm_run([seq], dev)[0] - expected[id(dev)])) < 1e-12
 
 
 def test_block_noise_channel_batch_equals_matrix_by_matrix():
@@ -543,7 +545,7 @@ def test_block_noise_channel_batch_equals_matrix_by_matrix():
 
 
 def assert_matches_dense(seq, dev, twirl_coupling=False):
-    probs = dm_run(seq, dev, twirl_coupling=twirl_coupling)
+    probs = dm_run([seq], dev, twirl_coupling=twirl_coupling)[0]
     assert np.max(np.abs(probs - dense_dm_reference(seq, dev, twirl_coupling))) < 1e-12
 
 
@@ -645,10 +647,10 @@ def test_dm_run_is_pinned_on_a_three_gate_6q_cab_sequence():
         0.008540716660660719, 0.0006527476148939974, 0.022860368854478022, 0.0010208644705991823,
         0.0013718676855031069, 7.012928768233269e-05, 0.001264617832758513, 6.7387102614444e-05,
     ])
-    assert np.max(np.abs(dm_run(seq, dev) - pinned)) < 1e-14
+    assert np.max(np.abs(dm_run([seq], dev)[0] - pinned)) < 1e-14
 
 
-# sha256 of dm_run(seq, dev).tobytes(): CSVs are byte-identical only if the
+# sha256 of dm_run([seq], dev)[0].tobytes(): CSVs are byte-identical only if the
 # probabilities are, so these hold every bit, not a tolerance
 DM_RUN_DIGESTS = {
     ("two_gate_4q", 0): "19109fefc3255f0a741a484d19f879c4b2485efa74acf7ea2a24d02713459c8e",
@@ -670,7 +672,7 @@ def test_dm_run_bytes_are_pinned_on_cab_sequences(name, m):
     dev = load_device(name)
     block = GateBlock.parallel_cz(dev, tuple(range(len(dev.gates))))
     seq = build_cab_sequence(block, m, np.random.default_rng([2026, m]))
-    assert hashlib.sha256(dm_run(seq, dev).tobytes()).hexdigest() == DM_RUN_DIGESTS[name, m]
+    assert hashlib.sha256(dm_run([seq], dev)[0].tobytes()).hexdigest() == DM_RUN_DIGESTS[name, m]
 
 
 @pytest.mark.parametrize(
@@ -689,7 +691,112 @@ def test_dm_run_bytes_are_pinned_with_unitary_layers(twirl_coupling, digest):
     # Pauli layers and single-qubit unitaries between the gate layers
     assert sum(isinstance(layer, Unitary1qLayer) for layer in seq.layers[1:-1]) == 2
     assert sum(isinstance(layer, PauliLayer) for layer in seq.layers) == 3
-    assert hashlib.sha256(dm_run(seq, dev, twirl_coupling=twirl_coupling).tobytes()).hexdigest() == digest
+    assert hashlib.sha256(dm_run([seq], dev, twirl_coupling=twirl_coupling)[0].tobytes()).hexdigest() == digest
+
+
+# -- stacks of sequences against the per-sequence kernel -------------------------
+
+
+def chunk_size(n):
+    return max(1, DM_CHUNK_ELEMENTS // 4**n)
+
+
+def without_readout(dev):
+    return DeviceModel.from_dict({**dev.to_dict(), "readout": {"e0": 0.0, "e1": 0.0}})
+
+
+def assert_stack_matches_one(seqs, dev, twirl_coupling=False):
+    stacked = dm_run(seqs, dev, twirl_coupling=twirl_coupling)
+    assert stacked.shape == (len(seqs), 2 ** seqs[0].n)
+    expected = np.array([dm_run_one(seq, dev, twirl_coupling=twirl_coupling) for seq in seqs])
+    assert np.array_equal(stacked, expected)
+
+
+@pytest.mark.parametrize("name", ["two_gate_4q", "three_gate_6q"])
+@pytest.mark.parametrize("m", [0, 2])
+@pytest.mark.parametrize("twirl_coupling", [False, True])
+@pytest.mark.parametrize("readout", [True, False])
+def test_dm_run_stacks_of_cab_sequences_match_one_at_a_time(name, m, twirl_coupling, readout):
+    from cabbench.cab import build_cab_sequence
+    from cabbench.cli import load_device
+
+    dev = load_device(name)
+    if not readout:
+        dev = without_readout(dev)
+    block = GateBlock.parallel_cz(dev, tuple(range(len(dev.gates))))
+    size = chunk_size(dev.n_qubits)
+    seqs = [build_cab_sequence(block, m, np.random.default_rng([31, m, k])) for k in range(size + 1)]
+    # one sequence, one full chunk, and a full chunk plus a one-sequence chunk
+    for k_r in (1, size, size + 1):
+        assert_stack_matches_one(seqs[:k_r], dev, twirl_coupling)
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_dm_run_stacks_of_fully_connected_sequences_match_one_at_a_time(m):
+    # the block's local layers sit between gate layers and are shared by the stack
+    from cabbench.cab import build_cab_sequence
+
+    rng = np.random.default_rng(41)
+    dev = random_device(6, rng)
+    block = fully_connected_gate(dev, (0, 2, 4), (1, 3), rng)
+    assert any(isinstance(layer, CliffordLayer) for layer in block.layers)
+    seqs = [build_cab_sequence(block, m, np.random.default_rng([41, m, k])) for k in range(chunk_size(6) + 1)]
+    assert_stack_matches_one(seqs, dev)
+    assert_stack_matches_one(seqs, dev, twirl_coupling=True)
+
+
+def test_dm_run_stacks_of_unitary_scans_match_one_at_a_time():
+    # calibration-style scans: shared pulses around a gate layer, and a
+    # unitary layer that differs per sequence in the middle or at the end
+    rng = np.random.default_rng(43)
+    for n in (2, 5):
+        dev = random_device(n, rng)
+        pulse, gate = random_layer("unitary", dev, rng), random_layer("gate", dev, rng)
+        size = chunk_size(n) + 1
+        middle = [CircuitSequence(n, (pulse, gate, random_layer("unitary", dev, rng), pulse)) for _ in range(size)]
+        last = [CircuitSequence(n, (pulse, gate, random_layer("unitary", dev, rng))) for _ in range(size)]
+        for seqs in (middle, last):
+            assert_stack_matches_one(seqs, dev)
+            assert_stack_matches_one(seqs[:3], dev, twirl_coupling=True)
+
+
+def test_dm_run_stacks_of_random_sequences_match_one_at_a_time():
+    # every sequence its own Clifford, Pauli and unitary layers around the same gate layers
+    rng = np.random.default_rng(47)
+    dev = random_device(5, rng)
+    template = random_sequence(dev, rng, n_layers=9)
+    seqs = [
+        CircuitSequence(
+            5,
+            tuple(
+                layer if isinstance(layer, GateLayer) else random_layer(kind_of(layer), dev, rng)
+                for layer in template.layers
+            ),
+        )
+        for _ in range(chunk_size(5) + 1)
+    ]
+    assert_stack_matches_one(seqs, dev)
+    assert_stack_matches_one(seqs, dev, twirl_coupling=True)
+
+
+def kind_of(layer):
+    return {CliffordLayer: "clifford", PauliLayer: "pauli", Unitary1qLayer: "unitary"}[type(layer)]
+
+
+def test_dm_run_refuses_stacks_of_mixed_layouts():
+    rng = np.random.default_rng(53)
+    dev = random_device(4, rng)
+    pauli, local = random_layer("pauli", dev, rng), random_layer("clifford", dev, rng)
+    for other in (
+        CircuitSequence(4, (pauli, GateLayer((0,)))),  # another gate layer
+        CircuitSequence(4, (local, GateLayer((0, 2)))),  # another layer kind
+        CircuitSequence(4, (pauli,)),  # another number of layers
+        CircuitSequence(3, (random_layer("pauli", random_device(3, rng), rng), GateLayer((0,)))),  # another register
+    ):
+        with pytest.raises(ValueError):
+            dm_run([CircuitSequence(4, (pauli, GateLayer((0, 2)))), other], dev)
+    with pytest.raises(ValueError):
+        dm_run([], dev)
 
 
 def test_dressed_cycle_choi_fidelity_is_pinned():

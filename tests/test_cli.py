@@ -268,6 +268,31 @@ def test_parallel_cz_scan_theory_column(tmp_path, per_cz):
         assert row[-1] == ("" if per_cz is None else repr(per_cz**r))
 
 
+def test_cab_runs_never_import_numpy_ma(tmp_path):
+    # np.unique without return_counts calls np.ma.is_masked, and importing
+    # numpy.ma takes about 20 ms of a run; one dm and one stab run in a fresh
+    # interpreter reach every set of distinct values the package takes
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = f"""
+import sys
+from cabbench import cli
+for i, (backend, mode) in enumerate((("dm", "traverse"), ("stab", "sample"))):
+    doc = {{"kind": "cab", "device": "two_gate_4q", "seed": 5, "subsets": "singles", "backend": backend,
+           "out_dir": {str(tmp_path)!r} + "/" + str(i),
+           "cab": {{"depths": [0, 2], "k_r": 4, "k_s": 200, "mode": mode, "k_q": 10}}}}
+    cli.run(cli.ExperimentConfig.from_dict(doc))
+print("numpy.ma" in sys.modules)
+"""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["False"]
+
+
 def test_landscape_run(tmp_path):
     doc = {
         "kind": "landscape",

@@ -55,7 +55,7 @@ def test_oracle_equals_walsh_transform_of_twirled_dm(n, pauli_layer_noise):
     for block in blocks:
         for m in (0, 1, 3):
             seq = build_cab_sequence(block, m, rng)
-            exact = np.real(fwht(dm_run(seq, dev, twirl_coupling=True)))
+            exact = np.real(fwht(dm_run([seq], dev, twirl_coupling=True)[0]))
             assert np.max(np.abs(exact_survivals(seq, dev, masks) - exact)) < 1e-12
 
 
