@@ -9,6 +9,7 @@ from .analysis import (
     correlation_fluctuation,
     correlation_landscape,
     correlation_matrix,
+    subset_correlations,
 )
 from .backends import (
     ShotCounts,
@@ -20,7 +21,6 @@ from .cab import (
     CabConfig,
     CabReport,
     FidelityEstimate,
-    QualityParameter,
     build_cab_sequence,
     estimate_fidelity,
     execute_cab_run,

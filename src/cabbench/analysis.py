@@ -10,7 +10,7 @@ pairwise-correlation landscape are provided on top of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,12 @@ def correlation(f_joint: float, f_parts) -> float:
             raise FidelityDomainError(f"fidelity {f} outside (0, 1]")
     prod = math.prod(parts)
     return (f_joint - prod) / math.sqrt(f_joint * prod)
+
+
+def subset_correlations(fidelities, combos) -> list[float]:
+    """The correlation of each gate subset S in ``combos`` with its gates:
+    ``fidelities`` maps S and each singleton (g,) to a fidelity."""
+    return [correlation(fidelities[s], [fidelities[(g,)] for g in s]) for s in combos]
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +237,6 @@ class CorrelationReport:
     distances: list[int] | None = None
     fluctuation: list[tuple[float, float]] | None = None  # (mean, sd)
     lower_bounds: list[float] | None = None
-    metadata: dict = field(default_factory=dict)
 
 
 class IncompleteReportError(KeyError):
@@ -265,32 +270,25 @@ def _gate_distance(device, a: int, b: int) -> int:
     return -1
 
 
+def _pure_fidelities(report) -> dict[tuple[int, ...], float]:
+    return {key: res.pure.value for key, res in report.subsets.items()}
+
+
 def correlation_matrix(report, device) -> CorrelationReport:
     """Pairwise correlations among gates from a benchmark report.
 
-    Uses the pure (twirl-excluded) subset fidelities; requires every
-    singleton and pair subset to be present in the report.
+    Uses the pure (twirl-excluded) subset fidelities; requires the
+    singleton subsets of every pair in the report.
     """
-    gates = sorted({g for key in report.subsets for g in key if len(key) == 1})
-    pairs = sorted(key for key in report.subsets if len(key) == 2)
-    singles = {}
-    for g in gates:
-        if (g,) not in report.subsets:
-            raise IncompleteReportError(f"missing singleton subset ({g},)")
-        singles[g] = report.subsets[(g,)].pure.value
-    subsets, values, distances = [], [], []
+    fidelities = _pure_fidelities(report)
+    pairs = sorted(key for key in fidelities if len(key) == 2)
     for a, b in pairs:
-        if a not in singles or b not in singles:
+        if (a,) not in fidelities or (b,) not in fidelities:
             raise IncompleteReportError(f"missing singleton for pair ({a},{b})")
-        f_ab = report.subsets[(a, b)].pure.value
-        subsets.append((a, b))
-        values.append(correlation(f_ab, [singles[a], singles[b]]))
-        distances.append(_gate_distance(device, a, b))
     return CorrelationReport(
-        subsets=subsets,
-        values=values,
-        distances=distances,
-        metadata={"fidelity_kind": "pure"},
+        subsets=pairs,
+        values=subset_correlations(fidelities, pairs),
+        distances=[_gate_distance(device, a, b) for a, b in pairs],
     )
 
 
@@ -299,28 +297,20 @@ def correlation_fluctuation(reports, pairs: list[tuple[int, int]]) -> Correlatio
 
     ``reports`` are full benchmarking experiments of one block with distinct
     seeds, each holding the singleton and pair subsets of ``pairs``; the
-    lower bound per pair is max(|mean| - 3*SD, 0).
+    lower bound per pair is max(|mean| - 3*SD, 0).  Each pair's values are
+    one contiguous row, so its mean and SD are those of the values on their
+    own to the bit.
     """
-    repeat = len(reports)
-    if repeat < 2:
+    if len(reports) < 2:
         raise ValueError("repeat must be >= 2")
-    per_pair: dict[tuple[int, int], list[float]] = {tuple(sorted(p)): [] for p in pairs}
-    for rep in reports:
-        for pair in per_pair:
-            a, b = pair
-            c = correlation(
-                rep.subsets[pair].pure.value,
-                [rep.subsets[(a,)].pure.value, rep.subsets[(b,)].pure.value],
-            )
-            per_pair[pair].append(c)
-    subsets = sorted(per_pair)
-    means = [float(np.mean(per_pair[s])) for s in subsets]
-    sds = [float(np.std(per_pair[s], ddof=1)) for s in subsets]
-    lower = [max(abs(m) - 3 * sd, 0.0) for m, sd in zip(means, sds)]
+    subsets = sorted({tuple(sorted(p)) for p in pairs})
+    values = np.array([subset_correlations(_pure_fidelities(rep), subsets) for rep in reports])
+    rows = np.ascontiguousarray(values.T)
+    means = rows.mean(axis=1).tolist()
+    sds = rows.std(axis=1, ddof=1).tolist()
     return CorrelationReport(
-        subsets=[tuple(s) for s in subsets],
+        subsets=subsets,
         values=means,
         fluctuation=list(zip(means, sds)),
-        lower_bounds=lower,
-        metadata={"repeat": repeat, "fidelity_kind": "pure"},
+        lower_bounds=[max(abs(m) - 3 * sd, 0.0) for m, sd in zip(means, sds)],
     )

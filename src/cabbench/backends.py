@@ -39,7 +39,8 @@ only add memory: one chunk of 40 states at 6 qubits was slower than
 chunks of 10.
 
 ``block_noise_channel`` and ``dressed_cycle_channel`` are the same kernel
-as steps on stacks of real or complex coefficients, and
+as steps on stacks of real coefficients (a complex input runs as its real
+and imaginary parts), and
 ``choi_process_fidelity`` takes the process fidelity F = tr(R) / d^2 from
 such a step, R its Pauli transfer matrix.  The one-hot coefficient input
 e_(z, x) is the Pauli P / d, so entry [z, x] of its output is R's diagonal
@@ -352,25 +353,19 @@ class _Stack:
     in place.
 
     ``buf``, twice c's size, holds the local layers' permuted copy and
-    products (``_apply_halves``).  For a real c its complex view is the gate
-    layers' frame, and c shares its memory with ``scratch``, the Walsh
-    transforms' first products: c is dead while the frame holds the state.
-    A complex c is its own frame, and ``scratch`` is part of ``buf``.  The
-    memory is allocated once per stack and reused by every layer.
+    products (``_apply_halves``).  Its complex view is the gate layers'
+    frame, and c shares its memory with ``scratch``, the Walsh transforms'
+    first products: c is dead while the frame holds the state.  The memory
+    is allocated once per stack and reused by every layer.
     """
 
-    def __init__(self, k: int, dtype, device: DeviceModel, n: int):
+    def __init__(self, k: int, device: DeviceModel, n: int):
         self.device, self.n = device, n
         d = 2**n
         size = k * d * d
-        if np.dtype(dtype).kind == "c":
-            self.c = np.empty((k, d, d), dtype=complex)
-            self.buf = np.empty(2 * size, dtype=complex)
-            self.scratch = self.buf.view(float)[: 2 * size].reshape(k, d, 2 * d)
-        else:
-            mem = np.empty(4 * size)
-            self.buf, self.scratch = mem[: 2 * size], mem[2 * size :].reshape(k, d, 2 * d)
-            self.c = mem[2 * size : 3 * size].reshape(k, d, d)
+        mem = np.empty(4 * size)
+        self.buf, self.scratch = mem[: 2 * size], mem[2 * size :].reshape(k, d, 2 * d)
+        self.c = mem[2 * size : 3 * size].reshape(k, d, d)
 
     def head(self, k: int) -> "_Stack":
         """A stack of the first k states, on the same memory."""
@@ -424,8 +419,7 @@ class _Stack:
         lam, phase = _gate_layer_tables(self.device, self.n, gates, noisy, twirl_coupling)
         s = _pauli_phases(self.device, self.n)
         c = self.c
-        real = not np.iscomplexobj(c)
-        t = self.buf.view(complex)[: c.size].reshape(c.shape) if real else c
+        t = self.buf.view(complex)[: c.size].reshape(c.shape)
         np.multiply(c, s, out=t)
         if lam is not None:
             t *= lam
@@ -436,10 +430,7 @@ class _Stack:
         # i^-|x&z| t = conj(conj(t) i^|x&z|), in place
         np.conjugate(t, out=t)
         t *= s
-        if real:
-            np.copyto(c, t.real)
-        else:
-            np.conjugate(t, out=t)
+        np.copyto(c, t.real)
 
     def local(self, ptms: np.ndarray):
         """A Kronecker product of per-qubit 4x4 maps ``ptms`` (B, n, 4, 4) on c."""
@@ -525,7 +516,7 @@ def dm_run(
     columns = _layout(seqs)
     probs = np.empty((len(seqs), 2**n))
     size = min(len(seqs), max(1, DM_CHUNK_ELEMENTS // 4**n))
-    stack = _Stack(size, float, device, n)
+    stack = _Stack(size, device, n)
     for s in range(0, len(seqs), size):
         _run_chunk([col[s : s + size] for col in columns], stack, twirl_coupling, probs[s : s + size])
     return probs
@@ -828,8 +819,13 @@ def choi_process_fidelity(step, n: int) -> float:
 
 
 def _block_noise(c: np.ndarray, device: DeviceModel, block, depolarize_first: bool = False) -> np.ndarray:
+    """The channel on real coefficients c; a complex c runs as its real and
+    imaginary parts, since the channel's Pauli transfer matrix is real."""
+    if np.iscomplexobj(c):
+        parts = _block_noise(np.stack([c.real, c.imag]), device, block, depolarize_first)
+        return parts[0] + 1j * parts[1]
     d = 2**block.n
-    stack = _Stack(np.size(c) // d**2, np.result_type(c, float), device, block.n)
+    stack = _Stack(np.size(c) // d**2, device, block.n)
     stack.c[:] = np.reshape(c, (-1, d, d))
     if depolarize_first:
         stack.depolarize_1q()

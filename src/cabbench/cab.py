@@ -6,6 +6,24 @@ f(m) = A * lambda^(2m) per observable, and averages the quality parameters
 into a process-fidelity estimate.  The twirling-layer fidelity is measured
 the same way with the identity as the target gate; the interleaved formula
 isolates the pure gate fidelity from the dressed one.
+
+Every draw comes from ``np.random.default_rng(key)``, and no two draws of
+one run share a key (tag 0 dressed, 1 twirl; d the depth or cycle index,
+k the sequence, ci the CB character):
+
+- ``[seed, 5, tag]`` sample-mode observables; ``[seed, 17, tag, d, k]`` a
+  CAB sequence and ``[seed, 23, tag, d, k]`` its shots;
+- ``[seed, 7, 2]`` CB characters; ``[seed, 29, 2, d, ci, k]`` a CB
+  sequence and ``[seed, 31, 2, d, ci, k]`` its shots;
+- ``[seed, 3]`` the ``fully_connected`` block, ``[seed, 9]`` the
+  ``order_stats`` draws (``cli``);
+- runs seeded ``seed + 1_000_003 * it`` for ``optimize``'s reference at
+  iteration it and that + 500,009 for its iterate (``calibration``), and
+  ``seed + r`` for ``correlate``'s rerun r (``cli``).
+
+``parallel_cz_scan`` reuses the keys at every point on purpose: sequence k
+is the same draw at every gate count, which makes the differences between
+points less noisy, and the twirl run is shared outright.
 """
 
 from __future__ import annotations
@@ -71,14 +89,9 @@ class CabConfig:
         return _replace(self, **kw)
 
 
-@dataclass
-class QualityParameter:
-    """One fitted decay eigenvalue for a Z-observable label."""
-
-    w_mask: int
-    lam: float
-    se: float
-    flagged: bool = False
+# one fitted decay per Z-observable mask: lambda, its SE (0.0 where the fit
+# gives none) and whether the fit was sign-ambiguous
+QUALITY_DTYPE = np.dtype([("w_mask", np.int64), ("lam", float), ("se", float), ("flagged", bool)])
 
 
 @dataclass
@@ -86,7 +99,7 @@ class FidelityEstimate:
     value: float
     se: float
     kind: str  # "dressed", "twirl" or "pure"
-    quality_params: list[QualityParameter] = field(default_factory=list)
+    quality_params: np.ndarray = field(default_factory=lambda: np.empty(0, QUALITY_DTYPE))
     n_flagged: int = 0
     metadata: dict = field(default_factory=dict)
 
@@ -376,10 +389,9 @@ def _estimate_from_surv(
         se = float(np.sqrt((good.sum() - 1) / good.sum() * np.sum((jack[good] - jm) ** 2)))
     else:
         se = float("nan")
-    qps = [
-        QualityParameter(m_, l_, s_ if math.isfinite(s_) else 0.0, f_)
-        for m_, l_, s_, f_ in zip(masks.tolist(), lam.tolist(), lam_se.tolist(), flagged.tolist())
-    ]
+    qps = np.empty(len(masks), QUALITY_DTYPE)
+    qps["w_mask"], qps["lam"], qps["flagged"] = masks, lam, flagged
+    qps["se"] = np.where(np.isfinite(lam_se), lam_se, 0.0)
     return FidelityEstimate(
         value=float(_aggregate(lam[None], weights, flagged[None])[0]),
         se=se,
@@ -397,7 +409,7 @@ def estimate_fidelity(data: CabRunData, kind: str | None = None) -> FidelityEsti
     est.metadata = {"se_jackknife": est.se, "mode": data.mode}
     if data.mode == "sample":
         # the spread of lambda over the sampled observables adds to the variance
-        lam = np.array([qp.lam for qp in est.quality_params if not qp.flagged])
+        lam = est.quality_params["lam"][~est.quality_params["flagged"]]
         between = float(np.var(lam, ddof=1) / len(lam)) if len(lam) >= 2 else 0.0
         est.se = float(np.sqrt(est.se**2 + between))
         est.metadata["se_observable_sampling"] = float(np.sqrt(between))
@@ -455,7 +467,6 @@ def interleaved_pure_fidelity(dress: FidelityEstimate, twirl: FidelityEstimate, 
         value=float(f),
         se=float(se),
         kind="pure",
-        quality_params=[],
         n_flagged=dress.n_flagged + twirl.n_flagged,
         metadata={"n": n},
     )
@@ -487,14 +498,6 @@ class CabReport:
     metadata: dict
     dressed_data: CabRunData
     twirl_data: CabRunData | None  # None when the twirl run is skipped
-
-    def lambda_table(self) -> list[tuple[str, int, float, float, bool]]:
-        """(kind, w_mask, lambda, se, flagged) rows for violin-plot export."""
-        rows = []
-        for kind, est in (("dressed", self.dressed), ("twirl", self.twirl)):
-            for qp in est.quality_params:
-                rows.append((kind, qp.w_mask, qp.lam, qp.se, qp.flagged))
-        return rows
 
 
 def run_cab_experiment(
@@ -531,7 +534,7 @@ def run_cab_experiment(
         key = tuple(sorted(subset))
         sd = subset_fidelity(dressed_data, key, device)
         st = twirl if twirl_data is None else subset_fidelity(twirl_data, key, device)
-        qubits = tuple(sorted({q for g in key for q in device.gates[g].pair}))
+        qubits = tuple(sd.metadata["qubits"])
         sp = interleaved_pure_fidelity(sd, st, len(qubits))
         subsets[key] = SubsetResult(key, qubits, sd, st, sp)
     meta = {

@@ -261,7 +261,7 @@ class OptTrajectory:
 
     def window_stats(self) -> dict:
         """Means and SDs of fidelities and correlations over the window."""
-        from .analysis import correlation
+        from .analysis import subset_correlations
 
         lo, hi = self.window
         rows = self.iterations[lo:hi]
@@ -284,9 +284,8 @@ class OptTrajectory:
                 vals = []
                 for r in rows:
                     subs = r.ref_subsets if phase == "ref" else r.iter_subsets
-                    parts = [subs[(g,)] for g in combo]
                     try:
-                        vals.append(correlation(subs[combo], parts))
+                        vals.append(subset_correlations(subs, [combo])[0])
                     except ValueError:
                         vals.append(np.nan)
                 arr = np.array(vals)

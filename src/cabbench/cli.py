@@ -121,17 +121,18 @@ class ExperimentConfig:
             **self.extra,
         }
 
-    def cab_config(self, device: DeviceModel, gates: tuple[int, ...]) -> CabConfig:
-        cab = dict(self.cab)
-        subsets = resolve_subsets(self.subsets, gates)
+    def cab_config(self, gates: tuple[int, ...], **defaults) -> CabConfig:
+        """The run settings of the ``cab`` section.  A key the section leaves
+        out takes the caller's ``defaults``, then the global default."""
+        cab = {"depths": (0, 2), "k_r": 50, "k_s": 20_000, "mode": "sample", "k_q": 100, **defaults, **self.cab}
         return CabConfig(
-            depths=_int_list(cab.get("depths", (0, 2)), "cab.depths"),
-            k_r=_int_field(cab.get("k_r", 50), "cab.k_r"),
-            k_s=_int_field(cab.get("k_s", 20_000), "cab.k_s"),
-            mode=str(cab.get("mode", "sample")),
-            k_q=_int_field(cab.get("k_q", 100), "cab.k_q"),
+            depths=_int_list(cab["depths"], "cab.depths"),
+            k_r=_int_field(cab["k_r"], "cab.k_r"),
+            k_s=_int_field(cab["k_s"], "cab.k_s"),
+            mode=str(cab["mode"]),
+            k_q=_int_field(cab["k_q"], "cab.k_q"),
             seed=self.seed,
-            subsets=subsets,
+            subsets=resolve_subsets(self.subsets, gates),
             backend=self.backend,
         )
 
@@ -200,11 +201,18 @@ def _report_doc(rep: CabReport) -> dict:
     }
 
 
+def _fit_rows(est) -> list[tuple]:
+    """An estimate's fits as (w_mask, lambda, se, flagged) rows of Python
+    values, flagged as 0 or 1."""
+    q = est.quality_params
+    return list(zip(q["w_mask"].tolist(), q["lam"].tolist(), q["se"].tolist(), q["flagged"].astype(int).tolist()))
+
+
 def _write_cab_artifacts(out: Path, rep: CabReport):
     _write_csv(
         out / "lambdas.csv",
         ["kind", "w_mask", "lambda", "se", "flagged"],
-        [(k, w, l, s, int(f)) for k, w, l, s, f in rep.lambda_table()],
+        [(kind, *row) for kind, est in (("dressed", rep.dressed), ("twirl", rep.twirl)) for row in _fit_rows(est)],
     )
     rows = []
     for data in (rep.dressed_data, rep.twirl_data):
@@ -220,10 +228,20 @@ def _write_cab_artifacts(out: Path, rep: CabReport):
 # ---------------------------------------------------------------------------
 
 
-def _run_cab(cfg: ExperimentConfig, out: Path) -> dict:
+def _target(cfg: ExperimentConfig) -> tuple[DeviceModel, tuple[int, ...]]:
+    """The config's device and the gates it names, all of them by default."""
     device = load_device(cfg.device)
-    gates = tuple(cfg.gates if cfg.gates is not None else range(len(device.gates)))
-    cab_cfg = cfg.cab_config(device, gates)
+    if cfg.gates is None:
+        return device, tuple(range(len(device.gates)))
+    gates = _int_list(cfg.gates, "gates")
+    if len(set(gates)) != len(gates) or not all(0 <= g < len(device.gates) for g in gates):
+        raise ConfigError(f"gates must be distinct indices in [0, {len(device.gates)}), got {list(gates)}")
+    return device, gates
+
+
+def _run_cab(cfg: ExperimentConfig, out: Path) -> dict:
+    device, gates = _target(cfg)
+    cab_cfg = cfg.cab_config(gates)
     block = GateBlock.parallel_cz(device, gates)
     rep = run_cab_experiment(device, block, cab_cfg)
     _write_cab_artifacts(out, rep)
@@ -231,9 +249,8 @@ def _run_cab(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def _run_cb(cfg: ExperimentConfig, out: Path) -> dict:
-    device = load_device(cfg.device)
-    gates = tuple(cfg.gates if cfg.gates is not None else range(len(device.gates)))
-    cab_cfg = cfg.cab_config(device, gates)
+    device, gates = _target(cfg)
+    cab_cfg = cfg.cab_config(gates)
     block = GateBlock.parallel_cz(device, gates)
     cycles = _int_list(cfg.extra.get("cycles", (10, 20)), "cycles")
     n_chars = _int_field(cfg.extra.get("n_chars", 5), "n_chars")
@@ -241,7 +258,7 @@ def _run_cb(cfg: ExperimentConfig, out: Path) -> dict:
     _write_csv(
         out / "characters.csv",
         ["w_mask", "lambda", "se", "flagged"],
-        [(qp.w_mask, qp.lam, qp.se, int(qp.flagged)) for qp in est.quality_params],
+        _fit_rows(est),
     )
     return {"cb": est.to_dict()}
 
@@ -269,7 +286,7 @@ def _run_fully_connected(cfg: ExperimentConfig, out: Path) -> dict:
             device.check_layer_disjoint(tuple(half))
         except ValueError as err:
             raise ConfigError(f"fully_connected gates {list(half)}: {err}") from err
-    cab_cfg = cfg.cab_config(device, tuple(range(n)))
+    cab_cfg = cfg.cab_config(tuple(range(n)))
     rng = np.random.default_rng([cfg.seed, 3])
     block = fully_connected_gate(device, tuple(range(n_half)), tuple(range(n_half, n)), rng)
     rep = run_cab_experiment(device, block, cab_cfg, measure_twirl=bool(cfg.extra.get("measure_twirl", False)))
@@ -293,7 +310,7 @@ def _run_parallel_cz_scan(cfg: ExperimentConfig, out: Path) -> dict:
     twirl_data = None  # every point's twirl run is the same identity run on the whole register
     for r in counts:
         gates = tuple(range(r))
-        cab_cfg = cfg.cab_config(device, gates).replace(subsets=())
+        cab_cfg = cfg.cab_config(gates).replace(subsets=())
         block = GateBlock.parallel_cz(device, gates)
         rep = run_cab_experiment(device, block, cab_cfg, twirl_data=twirl_data)
         twirl_data = rep.twirl_data
@@ -331,10 +348,9 @@ def _run_parallel_cz_scan(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def _run_correlate(cfg: ExperimentConfig, out: Path) -> dict:
-    device = load_device(cfg.device)
-    gates = tuple(cfg.gates if cfg.gates is not None else range(len(device.gates)))
+    device, gates = _target(cfg)
     cfg.subsets = "singles+pairs"
-    cab_cfg = cfg.cab_config(device, gates)
+    cab_cfg = cfg.cab_config(gates)
     repeat = _int_field(cfg.extra.get("repeat", 0), "repeat")
     block = GateBlock.parallel_cz(device, gates)
     rep = run_cab_experiment(device, block, cab_cfg)
@@ -365,7 +381,7 @@ def _run_correlate(cfg: ExperimentConfig, out: Path) -> dict:
         doc["fluctuation"] = {
             "repeat": repeat,
             "pairs": [list(s) for s in fluct.subsets],
-            "mean": [m for m, _ in fluct.fluctuation],
+            "mean": fluct.values,
             "sd": [sd for _, sd in fluct.fluctuation],
             "lower_bounds": fluct.lower_bounds,
         }
@@ -393,19 +409,12 @@ def _run_landscape(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def _run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
-    device = load_device(cfg.device)
-    gates = tuple(cfg.gates if cfg.gates is not None else range(len(device.gates)))
+    device, gates = _target(cfg)
     spec = cfg.extra.get("optimize", {})
     target = spec.get("target", "global")
     iterations = _int_field(spec.get("iterations", 180), "optimize.iterations")
     window = tuple(spec.get("window", (100, 180)))
-    cab = dict(cfg.cab)
-    cab.setdefault("depths", (0, 2))
-    cab.setdefault("k_r", 40)
-    cab.setdefault("k_s", 2000)
-    cab.setdefault("mode", "traverse")
-    cfg2 = ExperimentConfig(**{**cfg.__dict__, "cab": cab})
-    cab_cfg = cfg2.cab_config(device, gates).replace(subsets=())
+    cab_cfg = cfg.cab_config(gates, k_r=40, k_s=2000, mode="traverse").replace(subsets=())
     traj = optimize_parallel_cz(
         device,
         gates,
@@ -450,8 +459,7 @@ def _run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def _run_calibrate(cfg: ExperimentConfig, out: Path) -> dict:
-    device = load_device(cfg.device)
-    gates = tuple(cfg.gates if cfg.gates is not None else range(len(device.gates)))
+    device, gates = _target(cfg)
     spec = cfg.extra.get("calibrate", {})
     n_betas = _int_field(spec.get("beta_points", 24), "calibrate.beta_points")
     n_phases = _int_field(spec.get("phase_points", 256), "calibrate.phase_points")

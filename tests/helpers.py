@@ -36,7 +36,7 @@ import numpy as np
 from cabbench.analysis import correlation
 from cabbench import backends
 from cabbench.circuits import CliffordLayer, GateLayer, Unitary1qLayer
-from cabbench.cab import QualityParameter, _fit_lambda_arrays
+from cabbench.cab import QUALITY_DTYPE, _fit_lambda_arrays
 from cabbench.calibration import NelderMead, NelderMeadOptions, NonFiniteObjective
 from cabbench.device import DeviceModel, DiagonalUnitary, GateSpec, PauliChannel
 from cabbench.experiments import ring_cz_patterns
@@ -833,15 +833,16 @@ def kq_for_accuracy(epsilon: float, delta: float) -> int:
     return math.ceil(2.0 * epsilon**-2 * math.log(2.0 / delta))
 
 
-def fit_quality_parameter(points: list[tuple[float, float, float]], w_mask: int = 0) -> QualityParameter:
-    """Fit one observable's decay; points are (m, fbar, se) per depth."""
+def fit_quality_parameter(points: list[tuple[float, float, float]], w_mask: int = 0) -> np.void:
+    """Fit one observable's decay; points are (m, fbar, se) per depth.  The
+    fit is one ``QUALITY_DTYPE`` record."""
     ms = np.array([p[0] for p in points], dtype=float)
     fbar = np.array([[p[1]] for p in points])
     ses = np.array([[p[2]] for p in points])
     if len(points) < 2 or len(set(ms.tolist())) < 2:
         raise ValueError("need at least two distinct depths")
     lam, se, flagged = _fit_lambda_arrays(2.0 * ms, fbar, ses)
-    return QualityParameter(w_mask, float(lam[0]), float(se[0]), bool(flagged[0]))
+    return np.array([(w_mask, lam[0], se[0], flagged[0])], QUALITY_DTYPE)[0]
 
 
 @dataclass

@@ -118,18 +118,18 @@ def test_survival_hand_value():
 
 def test_two_point_fit_exact():
     qp = fit_quality_parameter([(0, 0.8, 0.001), (2, 0.52488, 0.001)], w_mask=3)
-    assert qp.lam == pytest.approx(0.9, abs=1e-12)
-    assert not qp.flagged
+    assert qp["lam"] == pytest.approx(0.9, abs=1e-12)
+    assert not qp["flagged"]
 
 
 def test_two_point_fit_flat():
     qp = fit_quality_parameter([(0, 0.7, 0.001), (2, 0.7, 0.001)])
-    assert qp.lam == pytest.approx(1.0, abs=1e-12)
+    assert qp["lam"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_point_fit_flags_negative_ratio():
     qp = fit_quality_parameter([(0, 0.5, 0.01), (2, -0.02, 0.01)])
-    assert qp.flagged
+    assert qp["flagged"]
 
 
 def test_multidepth_fit_recovers_synthetic():
@@ -139,7 +139,7 @@ def test_multidepth_fit_recovers_synthetic():
     for _ in range(30):
         points = [(m, a * lam ** (2 * m) + rng.normal(0, sigma), sigma) for m in (0, 1, 2)]
         qp = fit_quality_parameter(points)
-        recovered.append((qp.lam, qp.se))
+        recovered.append((qp["lam"], qp["se"]))
     lams = np.array([r[0] for r in recovered])
     ses = np.array([r[1] for r in recovered])
     assert abs(lams.mean() - lam) < 3 * ses.mean() / math.sqrt(len(lams))
@@ -233,7 +233,7 @@ def test_pure_depolarizing_traverse_value():
     est = estimate_fidelity(data)
     assert abs(est.value - (1 + 15 * p) / 16) < 3 * est.se
     # the twirl layers are noiseless here, so dressed equals pure
-    nontrivial = [qp.lam for qp in est.quality_params if qp.w_mask != 0]
+    nontrivial = est.quality_params["lam"][est.quality_params["w_mask"] != 0]
     assert np.allclose(nontrivial, p, atol=5 * est.se + 0.01)
 
 

@@ -146,8 +146,8 @@ def test_cb_estimator_matches_written_out_formulas(case):
     assert est.value == pytest.approx(value, abs=1e-12)
     assert est.se == pytest.approx(se, abs=1e-12)
     assert est.n_flagged == int(flagged.sum())
-    assert [qp.w_mask for qp in est.quality_params] == char_masks.tolist()
-    assert [qp.flagged for qp in est.quality_params] == flagged.tolist()
-    got_lam = np.array([qp.lam for qp in est.quality_params])
+    assert est.quality_params["w_mask"].tolist() == char_masks.tolist()
+    assert est.quality_params["flagged"].tolist() == flagged.tolist()
+    got_lam = est.quality_params["lam"]
     assert np.allclose(got_lam[~flagged], lam[~flagged], rtol=0, atol=1e-12)
-    assert np.allclose([qp.se for qp in est.quality_params], lam_se, rtol=0, atol=1e-12)
+    assert np.allclose(est.quality_params["se"], lam_se, rtol=0, atol=1e-12)

@@ -209,41 +209,98 @@ def test_artifacts_are_byte_identical_across_runs(kind, tmp_path):
     assert first == second
 
 
-# sha256 of the CSVs at seed 21, so that no change to how outcomes are
-# sampled, stored, marginalized or written can move the bytes: the stab
-# sample path (fault frame, readout thinning, parities, ``singles``
-# marginals), its readout thinning over several rate groups with ``pairs``
-# marginals, the stab traverse path with uniform and weighted fault groups,
-# and the dm traverse path with subsets
+# sha256 of every CSV and result.json at seed 21, written to a relative
+# out_dir so that result.json's echo of it is fixed, so that no change to how
+# outcomes are sampled, stored, marginalized, fitted, correlated or written
+# can move the bytes.  Every digest was written while each fitted mask was
+# still an object of its own.  ``correlate_repeat10`` takes the means and
+# SDs of three pairs over ten values, more than the eight that numpy adds one
+# by one: summing them in another order moves its fluctuation.csv
+PINNED_CONFIGS = {
+    **DETERMINISM_CONFIGS,
+    "correlate_repeat10": {**DETERMINISM_CONFIGS["correlate"], "device": "three_gate_6q", "repeat": 10},
+}
 PINNED_ARTIFACTS = {
-    "cab_ring44_stab": {
-        "lambdas.csv": "e39a6753db16fdb296287c83d476be4f972115882eabf03cac8f2117859a92ed",
-        "survivals.csv": "2a4ef7a4712f338dcc9241d33a396f08cb66ee5b253ceb88b18388d15f9c28d1",
-    },
-    "cab_8q_stab_readout_groups": {
-        "lambdas.csv": "a319debb622e874f49948703cde664cea3cdda8e83b5b58dc966485d061b5629",
-        "survivals.csv": "2e4d410d52ad89a53425254d536a72fb52ce25e0f194fb37432552f59f4686a0",
-    },
     "cab": {
         "lambdas.csv": "14a92ec3a1b9369a3b4cd5c8ee2a23009bcfcd0d5b57ff700107f69bbcc826d1",
+        "result.json": "176e07b957cada40f34237892df94c84ed4524de184d56040f01e33ce7094b1e",
         "survivals.csv": "e297ab465ed71bb9ed4dfdfd122f42e4ffaaaf7a0b851709e84bca5f850f044c",
-    },
-    "fully_connected": {
-        "lambdas.csv": "42038aecc52eebe8cf2e056d131481b695e7cb10ee981f3e38b53b7b00dc018d",
-        "survivals.csv": "664c9887819839399fd5b9cc192e7b99fd59e472a7401211aec5848b0c30e99d",
     },
     "cab_6q_stab_pairs": {
         "lambdas.csv": "bc60dfb6d3bb241d5cd2cc878f6d5228c6e6dc5e14451f582b082d48d88ea85f",
+        "result.json": "11d775ba3dad7709a231aa915207eb7ee1b222b6af70094cff91566c5830d3a9",
         "survivals.csv": "a3bac1915c71d772aed0efa4f4eae00a002aa15c06d6084cb868da433759bc1b",
+    },
+    "cab_8q_stab_readout_groups": {
+        "lambdas.csv": "a319debb622e874f49948703cde664cea3cdda8e83b5b58dc966485d061b5629",
+        "result.json": "142ff14822d581edfc78e5b65146142ec9c09a2516ce07814df50289cd2da32a",
+        "survivals.csv": "2e4d410d52ad89a53425254d536a72fb52ce25e0f194fb37432552f59f4686a0",
+    },
+    "cab_ring44_stab": {
+        "lambdas.csv": "e39a6753db16fdb296287c83d476be4f972115882eabf03cac8f2117859a92ed",
+        "result.json": "8b5b04a6c1faa3bba0de488e077e773edb48b5ec1acdf528f82b5c7c94ee01f9",
+        "survivals.csv": "2a4ef7a4712f338dcc9241d33a396f08cb66ee5b253ceb88b18388d15f9c28d1",
+    },
+    "calibrate": {
+        "corrections.csv": "0e01962d8b40cf3b382aafafa8461c5f31ae01256b92ac7ea89a5f61ba93657d",
+        "result.json": "c820e61fe7bc7d67ef652e6952659f94a60a958ba3a7bc60ae575e2dada1ba8f",
+    },
+    "cb": {
+        "characters.csv": "ef08f691d27b9759495b8a194a3840174745774273785e1ed4b10ee3fbde080b",
+        "result.json": "6257776835b53e3275cba7121f6e5498f25160671afb825a219c4e7b73c3e0c2",
+    },
+    "correlate": {
+        "correlation.csv": "4dfbb764a2131363f0c00a4bfbd1cf2e6dfac28863d573b9ef940c0b6fe35deb",
+        "fluctuation.csv": "b46575775bac6aa4e0493dfee34b5c48581b5cd15485210c84801a7573107c96",
+        "result.json": "608d8a3ad31b29a7778d6667b81e4c65c225466c67ef7fb8f23f610e0cce4667",
+    },
+    "correlate_repeat10": {
+        "correlation.csv": "80df6d886543c07bdc0c1e872d7d25e15c75e12c2f7c1dccc4bab1dfe36d19da",
+        "fluctuation.csv": "35e14bdf8b53bbacd0479418ba3b1f896983e90d976c7efedc20d1713a971228",
+        "result.json": "aee8dcc8e4b13ccc06a0a6379d8c0a6c32e64bdcef37a054cb15e17c0ffa9002",
+    },
+    "fully_connected": {
+        "lambdas.csv": "42038aecc52eebe8cf2e056d131481b695e7cb10ee981f3e38b53b7b00dc018d",
+        "result.json": "008043daf0afa7b72a660dc1a3d7d4577f3b2983b24df33ec1a328b08a514dcc",
+        "survivals.csv": "664c9887819839399fd5b9cc192e7b99fd59e472a7401211aec5848b0c30e99d",
+    },
+    "optimize_global": {
+        "result.json": "eb0f4786580908eb5200a1c3d3e4363cb5e1f01e1fee8bd3914dbbb0acb2ede8",
+        "trajectory.csv": "d9ec5a8934ae405349c914b5f42341f478f148a96394d2fbfdad5c72e48dd5b8",
+    },
+    "optimize_local": {
+        "result.json": "7d21687c15127c9438938fe91638fc65d744f6125f1c2499be4fbd274f60e688",
+        "trajectory.csv": "a7d05ff1743d530c6b4bcba0c069a622d57b9e5ad080d9835ec6097b85b48d56",
+    },
+    "order_stats": {
+        "orders.csv": "ff1083a5e9e2b3e7c91f614f6116aa5567e4468163ac7998785b478c930ffe20",
+        "result.json": "feac79ed9f2788790d8bb7735dacf0319fe3c64a329e7b05f7e73502e59f0919",
     },
 }
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_ARTIFACTS))
-def test_survivals_bytes_are_pinned(kind, tmp_path):
-    doc = {**DETERMINISM_CONFIGS[kind], "seed": 21, "out_dir": str(tmp_path / kind)}
-    digests = artifact_digests(run(ExperimentConfig.from_dict(doc)))
-    assert {name: digests[name] for name in PINNED_ARTIFACTS[kind]} == PINNED_ARTIFACTS[kind]
+def test_survivals_bytes_are_pinned(kind, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    doc = {**PINNED_CONFIGS[kind], "seed": 21, "out_dir": kind}
+    assert artifact_digests(run(ExperimentConfig.from_dict(doc))) == PINNED_ARTIFACTS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(DETERMINISM_CONFIGS))
+def test_stream_keys_never_repeat(kind, tmp_path, monkeypatch):
+    # every draw of a run comes from default_rng(key) with a key of its own
+    # (the table in the cab module docstring)
+    keys = []
+    default_rng = np.random.default_rng
+
+    def recording(seed=None):
+        keys.append(None if seed is None else tuple(np.atleast_1d(seed).tolist()))
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    run(ExperimentConfig.from_dict({**DETERMINISM_CONFIGS[kind], "seed": 21, "out_dir": str(tmp_path / kind)}))
+    assert None not in keys
+    assert len(set(keys)) == len(keys)
 
 
 @pytest.mark.parametrize("per_cz", [None, 0.97])
@@ -427,6 +484,31 @@ def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys):
     assert main([kind, "--config", str(path)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("kind", ["cab", "cb", "correlate", "optimize", "calibrate"])
+@pytest.mark.parametrize(
+    "gates",
+    [[-1], [2], [0, 0], [True], [1.0], "0", 0],
+    ids=["negative", "past_last", "repeated", "bool", "float", "string", "not_list"],
+)
+def test_bad_gates_exit_2(kind, gates, tmp_path, capsys):
+    # before, -1 ran the last gate, true ran gate 1, and the others failed
+    # with an IndexError or a TypeError (exit 1), or ran gate 0 twice
+    path = small_cab_config(tmp_path, kind=kind, gates=gates, **GATES_RUN_OVER)
+    assert main([kind, "--config", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+# small settings under which each kind runs with valid gates
+GATES_RUN_OVER = {"cycles": [2, 4], "n_chars": 4, "optimize": {"iterations": 2, "window": [0, 2]}}
+
+
+@pytest.mark.parametrize("kind", ["cab", "cb", "correlate", "optimize", "calibrate"])
+def test_named_gate_runs(kind, tmp_path):
+    path = small_cab_config(tmp_path, kind=kind, gates=[1], **GATES_RUN_OVER)
+    assert main([kind, "--config", str(path)]) == 0
 
 
 @pytest.mark.parametrize(
