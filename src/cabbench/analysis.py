@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cab import ConfigError
 from .device import CouplingMap, ResourceLimitError
 
 COMPONENT_LIMIT = 16  # gates per coupling component; the sum runs over its subsets
@@ -204,7 +205,7 @@ def correlation_landscape(
     Rows index gamma13, columns gamma23.
     """
     if len(grid13) < 2 or len(grid23) < 2:
-        raise ValueError("grid resolution must be at least 2")
+        raise ConfigError(f"grid resolution must be at least 2, got {min(len(grid13), len(grid23))}")
     out = np.empty((len(grid13), len(grid23)))
     for i, g13 in enumerate(grid13):
         for j, g23 in enumerate(grid23):
@@ -237,10 +238,6 @@ class CorrelationReport:
     distances: list[int] | None = None
     fluctuation: list[tuple[float, float]] | None = None  # (mean, sd)
     lower_bounds: list[float] | None = None
-
-
-class IncompleteReportError(KeyError):
-    """A required subset fidelity is missing from the benchmark report."""
 
 
 def _gate_distance(device, a: int, b: int) -> int:
@@ -278,13 +275,10 @@ def correlation_matrix(report, device) -> CorrelationReport:
     """Pairwise correlations among gates from a benchmark report.
 
     Uses the pure (twirl-excluded) subset fidelities; requires the
-    singleton subsets of every pair in the report.
+    singleton subsets of every pair in the report (a KeyError otherwise).
     """
     fidelities = _pure_fidelities(report)
     pairs = sorted(key for key in fidelities if len(key) == 2)
-    for a, b in pairs:
-        if (a,) not in fidelities or (b,) not in fidelities:
-            raise IncompleteReportError(f"missing singleton for pair ({a},{b})")
     return CorrelationReport(
         subsets=pairs,
         values=subset_correlations(fidelities, pairs),

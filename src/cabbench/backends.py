@@ -780,6 +780,7 @@ def stab_run_counts(
         xor_sorted(frame, shot, table.ravel()[loc])
 
     if np.any(device.readout_e0 > 0) or np.any(device.readout_e1 > 0):
+        # here: perfbench/tracing.py patches device.apply_readout_noise, which a module-level import bypasses
         from .device import apply_readout_noise
 
         frame = apply_readout_noise(frame, n, device.readout_e0, device.readout_e1, rng)

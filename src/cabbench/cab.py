@@ -83,11 +83,6 @@ class CabConfig:
         if self.backend not in ("dm", "stab", "auto"):
             raise ConfigError(f"backend must be 'dm', 'stab' or 'auto', got {self.backend!r}")
 
-    def replace(self, **kw) -> "CabConfig":
-        from dataclasses import replace as _replace
-
-        return _replace(self, **kw)
-
 
 # one fitted decay per Z-observable mask: lambda, its SE (0.0 where the fit
 # gives none) and whether the fit was sign-ambiguous
@@ -430,6 +425,7 @@ def subset_fidelity(data: CabRunData, gate_subset: tuple[int, ...], device: Devi
         raise ResourceLimitError(
             f"subset spans {len(qubits)} qubits, traverse limit is {SUBSET_QUBIT_LIMIT}"
         )
+    # here: perfbench/tracing.py patches device.fwht, which a module-level import bypasses
     from .device import fwht
 
     n_s = len(qubits)
@@ -603,8 +599,8 @@ def run_cb_experiment(
     device: DeviceModel,
     block: GateBlock,
     config: CabConfig,
-    cycles: tuple[int, ...] = (10, 20),
-    n_chars: int = 5,
+    cycles: tuple[int, ...],
+    n_chars: int,
     order_cap: int = 64,
 ) -> FidelityEstimate:
     """Cycle-benchmarking estimate of the dressed fidelity of the block.
@@ -622,7 +618,7 @@ def run_cb_experiment(
     for c in cycles:
         if c % order != 0:
             raise UnsupportedGateError("cycle counts must be multiples of the gate order")
-    if config.k_r % n_chars != 0:
+    if n_chars < 1 or config.k_r % n_chars != 0:
         raise ConfigError("k_r must be divisible by the number of characters")
     group = config.k_r // n_chars
     if group < 2:

@@ -11,7 +11,7 @@ difference as the target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -92,7 +92,7 @@ def measure_conditional_phase(
     """
     beta_grid = np.asarray(beta_grid, dtype=float)
     if len(beta_grid) < 8:
-        raise ValueError("need at least 8 scan points over the full circle")
+        raise ConfigError(f"need at least 8 scan points over the full circle, got {len(beta_grid)}")
     spec = device.gates[gate]
     qa, qb = spec.pair
     n = device.n_qubits
@@ -116,6 +116,8 @@ def calibrate_dynamic_phase(
     zeroes it within the grid resolution.
     """
     phase_grid = np.asarray(phase_grid, dtype=float)
+    if len(phase_grid) < 2:
+        raise ConfigError(f"a dynamic-phase scan needs at least 2 points to show contrast, got {len(phase_grid)}")
     spec = device.gates[gate]
     if qubit not in spec.pair:
         raise ValueError("qubit must belong to the gate")
@@ -146,9 +148,8 @@ NM_REEVAL_BEST_EVERY = 10  # refresh the stored best value (noisy objectives)
 
 @dataclass
 class NelderMeadOptions:
-    initial_step: float = 0.1
-    x_tol: float = 1e-6
-    max_evals: int = 500
+    initial_step: float
+    x_tol: float
 
 
 class NelderMead:
@@ -158,8 +159,8 @@ class NelderMead:
     evaluate and receives that point's value; ``tell`` sends the value in.
     """
 
-    def __init__(self, x0, options: NelderMeadOptions | None = None):
-        self.opt = options or NelderMeadOptions()
+    def __init__(self, x0, options: NelderMeadOptions):
+        self.opt = options
         x0 = np.asarray(x0, dtype=float)
         self.dim = len(x0)
         self.simplex = [x0.copy()]
@@ -253,10 +254,10 @@ class OptTrajectory:
     mode: str
     gates: tuple[int, ...]
     parameterization: str
+    window: tuple[int, int]
     iterations: list[OptIteration] = field(default_factory=list)
     converged: bool = False
     aborted: bool = False
-    window: tuple[int, int] = (100, 180)
     metadata: dict = field(default_factory=dict)
 
     def window_stats(self) -> dict:
@@ -342,7 +343,7 @@ def _benchmark_once(
 
         for r in range(2, len(gates) + 1):
             subsets.extend(tuple(c) for c in combinations(gates, r))
-    cfg = config.replace(seed=seed, subsets=tuple(subsets))
+    cfg = replace(config, seed=seed, subsets=tuple(subsets))
     block = GateBlock.parallel_cz(device, gates)
     rep = run_cab_experiment(device, block, cfg, measure_twirl=False)
     sub_values = {key: res.dressed.value for key, res in rep.subsets.items()}
@@ -356,7 +357,7 @@ def optimize_parallel_cz(
     config: CabConfig,
     iterations: int,
     options: NelderMeadOptions,
-    window: tuple[int, int] = (100, 180),
+    window: tuple[int, int],
 ) -> OptTrajectory:
     """Optimize control-phase corrections of a parallel CZ gate.
 
@@ -372,9 +373,10 @@ def optimize_parallel_cz(
     """
     if target not in ("global", "local"):
         raise ConfigError(f"optimize target must be 'global' or 'local', got {target!r}")
-    lo, hi = window
-    if not 0 <= lo < hi <= iterations:
-        raise ConfigError(f"window {list(window)} must satisfy 0 <= start < end <= iterations = {iterations}")
+    if len(window) != 2 or not 0 <= window[0] < window[1] <= iterations:
+        raise ConfigError(
+            f"window {list(window)} must be [start, end] with 0 <= start < end <= iterations = {iterations}"
+        )
     gates = tuple(gates)
     n_params, to_offsets, label, qubits = _parameter_layout(device, gates)
     traj = OptTrajectory(

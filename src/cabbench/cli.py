@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -37,17 +37,33 @@ from .device import DeviceModel
 from .experiments import fully_connected_gate, gate_order_samples, ring_device
 
 SCHEMA_VERSION = 1
-EXPERIMENT_KINDS = (
-    "cab",
-    "cb",
-    "fully_connected",
-    "parallel_cz_scan",
-    "correlate",
-    "landscape",
-    "optimize",
-    "calibrate",
-    "order_stats",
-)
+# Every field each kind reads besides the common ones of ExperimentConfig,
+# with its default.  A value must have its default's JSON type (_checked); a
+# nested section refuses keys it does not list.  A None default is derived
+# by the runner, which checks a given value itself.
+FIELDS = {
+    "cab": {},
+    "cb": {"cycles": (10, 20), "n_chars": 5},
+    "fully_connected": {
+        "n": 16,
+        "gate_depol": 0.9780266666666667,
+        "single_qubit_depol": 0.9968,
+        "readout_e0": 0.0103,
+        "readout_e1": 0.0382,
+        "measure_twirl": False,
+    },
+    "parallel_cz_scan": {"scan_counts": None, "per_cz_fidelity": None},
+    "correlate": {"repeat": 0},
+    "landscape": {"landscape": {"gamma12": LANDSCAPE_GAMMA12_VALUES, "points": 33, "max": 5 * math.pi / 16}},
+    "optimize": {
+        "optimize": {"target": "global", "iterations": 180, "window": (100, 180), "initial_step": 0.3, "x_tol": 1e-6}
+    },
+    "calibrate": {"calibrate": {"beta_points": 24, "phase_points": 256}},
+    "order_stats": {"n_list": (4, 6, 8, 10, 12), "samples": 100, "cap": 100_000},
+}
+EXPERIMENT_KINDS = tuple(FIELDS)
+# the cab section's fields; their defaults are CabConfig's
+CAB_FIELDS = {f.name: f.default for f in fields(CabConfig) if f.name in ("depths", "k_r", "k_s", "mode", "k_q")}
 EXAMPLE_DEVICES = ("two_gate_4q", "three_gate_6q", "ring_44q")
 
 
@@ -89,7 +105,7 @@ class ExperimentConfig:
         doc.pop("schema_version", None)
         known = {
             "device": doc.pop("device", None),
-            "seed": _int_field(doc.pop("seed", 0), "seed"),
+            "seed": _checked(doc.pop("seed", 0), 0, "seed"),
             "out_dir": str(doc.pop("out_dir", "results")),
             "backend": str(doc.pop("backend", "auto")),
             "cab": doc.pop("cab", {}),
@@ -121,20 +137,45 @@ class ExperimentConfig:
             **self.extra,
         }
 
+    def settings(self) -> dict:
+        """The kind's fields of FIELDS, checked, with their defaults where the
+        config leaves them out.  Other top-level keys are echoed but not read."""
+        table = FIELDS[self.kind]
+        return {key: _checked(self.extra.get(key, default), default, key) for key, default in table.items()}
+
     def cab_config(self, gates: tuple[int, ...], **defaults) -> CabConfig:
         """The run settings of the ``cab`` section.  A key the section leaves
-        out takes the caller's ``defaults``, then the global default."""
-        cab = {"depths": (0, 2), "k_r": 50, "k_s": 20_000, "mode": "sample", "k_q": 100, **defaults, **self.cab}
-        return CabConfig(
-            depths=_int_list(cab["depths"], "cab.depths"),
-            k_r=_int_field(cab["k_r"], "cab.k_r"),
-            k_s=_int_field(cab["k_s"], "cab.k_s"),
-            mode=str(cab["mode"]),
-            k_q=_int_field(cab["k_q"], "cab.k_q"),
-            seed=self.seed,
-            subsets=resolve_subsets(self.subsets, gates),
-            backend=self.backend,
-        )
+        out takes the caller's ``defaults``, then CabConfig's."""
+        cab = _checked(self.cab, {**CAB_FIELDS, **defaults}, "cab")
+        return CabConfig(**cab, seed=self.seed, subsets=resolve_subsets(self.subsets, gates), backend=self.backend)
+
+
+def _checked(value, default, name: str):
+    """``value`` if it has the JSON type of ``default``, else a ConfigError
+    naming ``name``.  An integer passes for a float default and comes back as
+    a float; a list comes back as a tuple, each entry checked against the
+    default's first; an object is checked key by key, with the default's
+    values filled in, and a key the default lacks is refused.  A None
+    default passes any value on to the runner that derives it."""
+    if default is None:
+        return value
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be an object, got {value!r}")
+        for key in value:
+            if key not in default:
+                raise ConfigError(f"{name} has no field {key!r}; its fields are {', '.join(default)}")
+        return {key: _checked(value.get(key, d), d, f"{name}.{key}") for key, d in default.items()}
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(_checked(v, default[0], f"{name} entry") for v in value)
+    if type(default) is float and type(value) is int:
+        return float(value)
+    if type(value) is not type(default):
+        kind = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}[type(default)]
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return value
 
 
 def resolve_subsets(spec, gates: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -147,7 +188,7 @@ def resolve_subsets(spec, gates: tuple[int, ...]) -> tuple[tuple[int, ...], ...]
         pairs = [(a, b) for i, a in enumerate(gates) for b in gates[i + 1 :]]
         return tuple(singles + pairs)
     if isinstance(spec, (list, tuple)) and all(isinstance(s, (list, tuple)) for s in spec):
-        return tuple(tuple(sorted(_int_field(g, "subsets entry") for g in s)) for s in spec)
+        return tuple(tuple(sorted(_checked(g, 0, "subsets entry") for g in s)) for s in spec)
     raise ConfigError(f"bad subsets spec {spec!r}")
 
 
@@ -158,18 +199,8 @@ def resolve_subsets(spec, gates: tuple[int, ...]) -> tuple[tuple[int, ...], ...]
 
 def _write_json(path: Path, doc: dict):
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True, default=_json_default)
+        json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not serializable: {type(obj)!r}")
 
 
 def _write_csv(path: Path, header: list[str], rows):
@@ -233,13 +264,14 @@ def _target(cfg: ExperimentConfig) -> tuple[DeviceModel, tuple[int, ...]]:
     device = load_device(cfg.device)
     if cfg.gates is None:
         return device, tuple(range(len(device.gates)))
-    gates = _int_list(cfg.gates, "gates")
-    if len(set(gates)) != len(gates) or not all(0 <= g < len(device.gates) for g in gates):
-        raise ConfigError(f"gates must be distinct indices in [0, {len(device.gates)}), got {list(gates)}")
+    gates = _checked(cfg.gates, (0,), "gates")
+    n = len(device.gates)
+    if not gates or len(set(gates)) != len(gates) or not all(0 <= g < n for g in gates):
+        raise ConfigError(f"gates must be a non-empty list of distinct indices in [0, {n}), got {list(gates)}")
     return device, gates
 
 
-def _run_cab(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_cab(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     device, gates = _target(cfg)
     cab_cfg = cfg.cab_config(gates)
     block = GateBlock.parallel_cz(device, gates)
@@ -248,13 +280,11 @@ def _run_cab(cfg: ExperimentConfig, out: Path) -> dict:
     return {"report": _report_doc(rep)}
 
 
-def _run_cb(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_cb(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     device, gates = _target(cfg)
     cab_cfg = cfg.cab_config(gates)
     block = GateBlock.parallel_cz(device, gates)
-    cycles = _int_list(cfg.extra.get("cycles", (10, 20)), "cycles")
-    n_chars = _int_field(cfg.extra.get("n_chars", 5), "n_chars")
-    est = run_cb_experiment(device, block, cab_cfg, cycles=cycles, n_chars=n_chars)
+    est = run_cb_experiment(device, block, cab_cfg, cycles=settings["cycles"], n_chars=settings["n_chars"])
     _write_csv(
         out / "characters.csv",
         ["w_mask", "lambda", "se", "flagged"],
@@ -263,8 +293,8 @@ def _run_cb(cfg: ExperimentConfig, out: Path) -> dict:
     return {"cb": est.to_dict()}
 
 
-def _run_fully_connected(cfg: ExperimentConfig, out: Path) -> dict:
-    n = _int_field(cfg.extra.get("n", 16), "n")
+def _run_fully_connected(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
+    n = settings["n"]
     if cfg.device is not None:
         device = load_device(cfg.device)
         n = device.n_qubits
@@ -273,10 +303,10 @@ def _run_fully_connected(cfg: ExperimentConfig, out: Path) -> dict:
             raise ConfigError(f"fully_connected n must be even and >= 4, got {n}")
         device = ring_device(
             n,
-            gate_depol=float(cfg.extra.get("gate_depol", 0.9780266666666667)),
-            single_qubit_depol=float(cfg.extra.get("single_qubit_depol", 0.9968)),
-            readout_e0=float(cfg.extra.get("readout_e0", 0.0103)),
-            readout_e1=float(cfg.extra.get("readout_e1", 0.0382)),
+            gate_depol=settings["gate_depol"],
+            single_qubit_depol=settings["single_qubit_depol"],
+            readout_e0=settings["readout_e0"],
+            readout_e1=settings["readout_e1"],
         )
     n_half = n // 2
     if len(device.gates) < n:
@@ -289,28 +319,26 @@ def _run_fully_connected(cfg: ExperimentConfig, out: Path) -> dict:
     cab_cfg = cfg.cab_config(tuple(range(n)))
     rng = np.random.default_rng([cfg.seed, 3])
     block = fully_connected_gate(device, tuple(range(n_half)), tuple(range(n_half, n)), rng)
-    rep = run_cab_experiment(device, block, cab_cfg, measure_twirl=bool(cfg.extra.get("measure_twirl", False)))
+    rep = run_cab_experiment(device, block, cab_cfg, measure_twirl=settings["measure_twirl"])
     _write_cab_artifacts(out, rep)
     return {"report": _report_doc(rep)}
 
 
-def _run_parallel_cz_scan(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_parallel_cz_scan(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     device = load_device(cfg.device)
-    counts = cfg.extra.get("scan_counts")
-    if counts is None:
-        counts = list(range(2, len(device.gates) + 1, 2))
-    if not isinstance(counts, list):
-        raise ConfigError(f"scan_counts must be a list of gate counts, got {counts!r}")
+    counts, per_cz = settings["scan_counts"], settings["per_cz_fidelity"]
+    counts = range(2, len(device.gates) + 1, 2) if counts is None else _checked(counts, (1,), "scan_counts")
     for r in counts:
-        if not 1 <= _int_field(r, "scan_counts entry") <= len(device.gates):
+        if not 1 <= r <= len(device.gates):
             raise ConfigError(f"scan_counts entries must lie in [1, {len(device.gates)}], got {r}")
-    per_cz = cfg.extra.get("per_cz_fidelity")
+    if per_cz is not None:
+        _checked(per_cz, 1.0, "per_cz_fidelity")  # but used as given: an integer prints as one
     rows = []
     results = {}
     twirl_data = None  # every point's twirl run is the same identity run on the whole register
     for r in counts:
         gates = tuple(range(r))
-        cab_cfg = cfg.cab_config(gates).replace(subsets=())
+        cab_cfg = replace(cfg.cab_config(gates), subsets=())
         block = GateBlock.parallel_cz(device, gates)
         rep = run_cab_experiment(device, block, cab_cfg, twirl_data=twirl_data)
         twirl_data = rep.twirl_data
@@ -347,11 +375,13 @@ def _run_parallel_cz_scan(cfg: ExperimentConfig, out: Path) -> dict:
     return {"scan": results}
 
 
-def _run_correlate(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_correlate(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     device, gates = _target(cfg)
     cfg.subsets = "singles+pairs"
     cab_cfg = cfg.cab_config(gates)
-    repeat = _int_field(cfg.extra.get("repeat", 0), "repeat")
+    repeat = settings["repeat"]
+    if repeat < 0 or repeat == 1:
+        raise ConfigError(f"repeat must be 0 or at least 2 runs to fluctuate over, got {repeat}")
     block = GateBlock.parallel_cz(device, gates)
     rep = run_cab_experiment(device, block, cab_cfg)
     matrix = correlation_matrix(rep, device)
@@ -364,9 +394,9 @@ def _run_correlate(cfg: ExperimentConfig, out: Path) -> dict:
         ],
     )
     doc = {"report": _report_doc(rep), "pairs": [list(s) for s in matrix.subsets], "correlations": matrix.values}
-    if repeat >= 2:
+    if repeat:
         reruns = [
-            run_cab_experiment(device, block, cab_cfg.replace(seed=cab_cfg.seed + r))
+            run_cab_experiment(device, block, replace(cab_cfg, seed=cab_cfg.seed + r))
             for r in range(1, repeat)
         ]
         fluct = correlation_fluctuation([rep, *reruns], matrix.subsets)
@@ -388,44 +418,36 @@ def _run_correlate(cfg: ExperimentConfig, out: Path) -> dict:
     return doc
 
 
-def _run_landscape(cfg: ExperimentConfig, out: Path) -> dict:
-    spec = cfg.extra.get("landscape", {})
-    gamma12_values = spec.get("gamma12", list(LANDSCAPE_GAMMA12_VALUES))
-    points = _int_field(spec.get("points", 33), "landscape.points")
-    top = float(spec.get("max", 5 * math.pi / 16))
-    grid = np.linspace(0.0, top, points)
+def _run_landscape(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
+    spec = settings["landscape"]
+    points = spec["points"]
+    grid = np.linspace(0.0, spec["max"], points)
     files = []
-    for g12 in gamma12_values:
-        values = correlation_landscape(float(g12), grid, grid)
+    for g12 in spec["gamma12"]:
+        values = correlation_landscape(g12, grid, grid)
         rows = [
             (grid[i], grid[j], values[i, j])
             for i in range(points)
             for j in range(points)
         ]
-        name = f"landscape_g12_{float(g12):.6f}.csv"
+        name = f"landscape_g12_{g12:.6f}.csv"
         _write_csv(out / name, ["gamma13", "gamma23", "correlation"], rows)
         files.append(name)
-    return {"gamma12_values": [float(g) for g in gamma12_values], "files": files}
+    return {"gamma12_values": list(spec["gamma12"]), "files": files}
 
 
-def _run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_optimize(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     device, gates = _target(cfg)
-    spec = cfg.extra.get("optimize", {})
-    target = spec.get("target", "global")
-    iterations = _int_field(spec.get("iterations", 180), "optimize.iterations")
-    window = tuple(spec.get("window", (100, 180)))
-    cab_cfg = cfg.cab_config(gates, k_r=40, k_s=2000, mode="traverse").replace(subsets=())
+    spec = settings["optimize"]
+    cab_cfg = replace(cfg.cab_config(gates, k_r=40, k_s=2000, mode="traverse"), subsets=())
     traj = optimize_parallel_cz(
         device,
         gates,
-        target,
+        spec["target"],
         cab_cfg,
-        iterations,
-        NelderMeadOptions(
-            initial_step=float(spec.get("initial_step", 0.3)),
-            x_tol=float(spec.get("x_tol", 1e-6)),
-        ),
-        window=window,
+        spec["iterations"],
+        NelderMeadOptions(initial_step=spec["initial_step"], x_tol=spec["x_tol"]),
+        window=spec["window"],
     )
     rows = []
     for i, it in enumerate(traj.iterations):
@@ -458,13 +480,11 @@ def _run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
     }
 
 
-def _run_calibrate(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_calibrate(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     device, gates = _target(cfg)
-    spec = cfg.extra.get("calibrate", {})
-    n_betas = _int_field(spec.get("beta_points", 24), "calibrate.beta_points")
-    n_phases = _int_field(spec.get("phase_points", 256), "calibrate.phase_points")
-    betas = np.linspace(0, 2 * np.pi, n_betas, endpoint=False)
-    phases = np.linspace(0, 2 * np.pi, n_phases, endpoint=False)
+    spec = settings["calibrate"]
+    betas = np.linspace(0, 2 * np.pi, spec["beta_points"], endpoint=False)
+    phases = np.linspace(0, 2 * np.pi, spec["phase_points"], endpoint=False)
     corrections = {}
     for g in gates:
         phi_i, phi_x, phi = measure_conditional_phase(device, g, betas)
@@ -490,33 +510,10 @@ def _run_calibrate(cfg: ExperimentConfig, out: Path) -> dict:
     return {"corrections": corrections}
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: bool is an int subclass, but true is not a count."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int_field(value, name: str) -> int:
-    """A config count or seed, rejected rather than truncated when it is not an integer."""
-    if not _is_int(value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _int_list(value, name: str) -> tuple[int, ...]:
-    """A config list of counts, such as depths or cycles, as a tuple."""
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{name} must be a list of integers, got {value!r}")
-    return tuple(_int_field(v, f"{name} entry") for v in value)
-
-
-def _run_order_stats(cfg: ExperimentConfig, out: Path) -> dict:
-    n_list = cfg.extra.get("n_list", [4, 6, 8, 10, 12])
-    samples = cfg.extra.get("samples", 100)
-    cap = cfg.extra.get("cap", 100_000)
-    if not isinstance(n_list, list) or not all(map(_is_int, n_list)) or len(set(n_list)) != len(n_list):
-        raise ConfigError(f"order_stats n_list must be a list of distinct integers, got {n_list!r}")
-    if not (_is_int(samples) and _is_int(cap)):
-        raise ConfigError(f"order_stats samples and cap must be integers, got {samples!r} and {cap!r}")
+def _run_order_stats(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
+    n_list, samples, cap = settings["n_list"], settings["samples"], settings["cap"]
+    if len(set(n_list)) != len(n_list):
+        raise ConfigError(f"order_stats n_list entries must be distinct, got {list(n_list)}")
     bad_n = [n for n in n_list if n % 2 or n < 4]
     if bad_n:
         raise ConfigError(f"order_stats n_list entries must be even and >= 4, got {bad_n}")
@@ -554,9 +551,10 @@ _RUNNERS = {
 
 def run(cfg: ExperimentConfig) -> Path:
     """Execute one experiment; returns the output directory."""
+    settings = cfg.settings()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    body = _RUNNERS[cfg.kind](cfg, out)
+    body = _RUNNERS[cfg.kind](cfg, settings, out)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": cfg.kind,

@@ -88,7 +88,7 @@ def ring_fully_connected(n: int, rng: np.random.Generator, **device_kw) -> tuple
     return fully_connected_gate(dev, a_gates, b_gates, rng), dev
 
 
-def gate_order_samples(n: int, samples: int, rng: np.random.Generator, cap: int = 100_000) -> list[int | None]:
+def gate_order_samples(n: int, samples: int, rng: np.random.Generator, cap: int) -> list[int | None]:
     """Orders of the fully connected gate over random local-layer draws.
 
     Each sample draws v1, then v2, with ``local_clifford_elements`` as

@@ -854,12 +854,12 @@ class OptResult:
     aborted: bool
 
 
-def nelder_mead(objective, x0, options: NelderMeadOptions | None = None) -> OptResult:
+def nelder_mead(objective, x0, options: NelderMeadOptions | None = None, max_evals: int = 500) -> OptResult:
     """Minimize a (possibly noisy) objective; returns best point and history."""
-    opt = NelderMead(x0, options)
+    opt = NelderMead(x0, options or NelderMeadOptions(initial_step=0.1, x_tol=1e-6))
     history: list[tuple[np.ndarray, float]] = []
     try:
-        while opt.evals < opt.opt.max_evals and not opt.finished():
+        while opt.evals < max_evals and not opt.finished():
             x = opt.ask()
             fx = objective(x)
             history.append((x.copy(), float(fx)))

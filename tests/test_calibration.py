@@ -125,7 +125,7 @@ def test_nelder_mead_rosenbrock():
         return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
 
     res = nelder_mead(
-        rosen, np.array([-1.2, 1.0]), NelderMeadOptions(initial_step=0.5, x_tol=1e-8, max_evals=500)
+        rosen, np.array([-1.2, 1.0]), NelderMeadOptions(initial_step=0.5, x_tol=1e-8), max_evals=500
     )
     assert res.fx < 1e-3
     assert len(res.history) == 221
@@ -139,7 +139,7 @@ def test_nelder_mead_noisy_quadratic():
         return float(np.sum((x - 0.5) ** 2) + rng.normal(0, sigma))
 
     res = nelder_mead(
-        noisy, np.zeros(2), NelderMeadOptions(initial_step=0.3, x_tol=1e-6, max_evals=400)
+        noisy, np.zeros(2), NelderMeadOptions(initial_step=0.3, x_tol=1e-6), max_evals=400
     )
     # converges into the noise-induced basin around the optimum
     assert np.all(np.abs(res.x - 0.5) < 3 * math.sqrt(sigma))
@@ -171,7 +171,7 @@ def test_optimize_rejects_window_outside_iterations(window, monkeypatch):
     dev = cz_device(n=4)
     cfg = CabConfig(depths=(0, 2), k_r=4, k_s=100, mode="traverse", backend="dm")
     with pytest.raises(ValueError, match="window"):
-        optimize_parallel_cz(dev, (0, 1), "global", cfg, 2, NelderMeadOptions(), window=window)
+        optimize_parallel_cz(dev, (0, 1), "global", cfg, 2, NelderMeadOptions(initial_step=0.1, x_tol=1e-6), window=window)
 
 
 # -- antagonism witness -------------------------------------------------------

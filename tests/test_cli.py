@@ -215,10 +215,21 @@ def test_artifacts_are_byte_identical_across_runs(kind, tmp_path):
 # can move the bytes.  Every digest was written while each fitted mask was
 # still an object of its own.  ``correlate_repeat10`` takes the means and
 # SDs of three pairs over ten values, more than the eight that numpy adds one
-# by one: summing them in another order moves its fluctuation.csv
+# by one: summing them in another order moves its fluctuation.csv.  The
+# landscape and scan pins are not in DETERMINISM_CONFIGS: the scan reuses
+# stream keys across its points by design
 PINNED_CONFIGS = {
     **DETERMINISM_CONFIGS,
     "correlate_repeat10": {**DETERMINISM_CONFIGS["correlate"], "device": "three_gate_6q", "repeat": 10},
+    "landscape": {"kind": "landscape", "device": None, "landscape": {"points": 5}},
+    "parallel_cz_scan": {
+        "kind": "parallel_cz_scan",
+        "device": "two_gate_4q",
+        "backend": "dm",
+        "cab": {"depths": [0, 2], "k_r": 3, "k_s": 300, "mode": "traverse"},
+        "scan_counts": [1, 2],
+        "per_cz_fidelity": 0.97,
+    },
 }
 PINNED_ARTIFACTS = {
     "cab": {
@@ -264,6 +275,15 @@ PINNED_ARTIFACTS = {
         "result.json": "008043daf0afa7b72a660dc1a3d7d4577f3b2983b24df33ec1a328b08a514dcc",
         "survivals.csv": "664c9887819839399fd5b9cc192e7b99fd59e472a7401211aec5848b0c30e99d",
     },
+    "landscape": {
+        "landscape_g12_0.000000.csv": "e6335a7c840cc11d3f9f12d6d54794f41439a44e07a8646011b0c1275bae3eac",
+        "landscape_g12_0.098175.csv": "e4ac5879ce6a165db5a72935a148adec061e8be1ca11f1e628ab018ea284fa22",
+        "landscape_g12_0.196350.csv": "9a210c3792e9fda73994732d457a7cb59864f8c7462705f21e9140c524ec4637",
+        "landscape_g12_0.294524.csv": "a7c9f49eef69b723819b0d8cb9c02d3f08e17b6416dd0bdf1fa2bd9d2f0b10c3",
+        "landscape_g12_0.392699.csv": "a7383414920feae98f98fa9d0a9f31f11c0ba623746e83d4d563120fe43a1917",
+        "landscape_g12_0.490874.csv": "8f5d0d98b3d6f96de03fc7c448d284647d073d2d3adc05933d551aeb8b747d33",
+        "result.json": "174d76ec89070f1ad5bbc8ad72e77a24249291702c680c37348cf91c8a2cf152",
+    },
     "optimize_global": {
         "result.json": "eb0f4786580908eb5200a1c3d3e4363cb5e1f01e1fee8bd3914dbbb0acb2ede8",
         "trajectory.csv": "d9ec5a8934ae405349c914b5f42341f478f148a96394d2fbfdad5c72e48dd5b8",
@@ -275,6 +295,10 @@ PINNED_ARTIFACTS = {
     "order_stats": {
         "orders.csv": "ff1083a5e9e2b3e7c91f614f6116aa5567e4468163ac7998785b478c930ffe20",
         "result.json": "feac79ed9f2788790d8bb7735dacf0319fe3c64a329e7b05f7e73502e59f0919",
+    },
+    "parallel_cz_scan": {
+        "result.json": "5187147abae3a4d50b794d8e6d42a9fddd81c9fed0b5a1bca42b85d311a0f579",
+        "scan.csv": "f2b675ebd941e94a12d5a9ee36e9ae7408f72f5ade756b489c086bb2cf821a95",
     },
 }
 
@@ -303,7 +327,7 @@ def test_stream_keys_never_repeat(kind, tmp_path, monkeypatch):
     assert len(set(keys)) == len(keys)
 
 
-@pytest.mark.parametrize("per_cz", [None, 0.97])
+@pytest.mark.parametrize("per_cz", [None, 0.97, 1])
 def test_parallel_cz_scan_theory_column(tmp_path, per_cz):
     doc = {
         "kind": "parallel_cz_scan",
@@ -365,6 +389,19 @@ def test_landscape_run(tmp_path):
     lines = files[0].read_text().splitlines()
     assert lines[0] == "gamma13,gamma23,correlation"
     assert len(lines) == 1 + 25
+
+
+def test_integer_for_a_number_field_runs_as_a_float(tmp_path):
+    doc = {
+        "kind": "landscape",
+        "device": None,
+        "out_dir": str(tmp_path / "ls"),
+        "landscape": {"gamma12": [1], "points": 2, "max": 1},
+    }
+    out = run(ExperimentConfig.from_dict(doc))
+    assert json.loads((out / "result.json").read_text())["gamma12_values"] == [1.0]
+    assert '"gamma12_values": [\n  1.0\n ]' in (out / "result.json").read_text()
+    assert (out / "landscape_g12_1.000000.csv").read_text().splitlines()[-1].startswith("1.0,1.0,")
 
 
 def test_calibrate_run(tmp_path):
@@ -437,6 +474,13 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("parallel_cz_scan", {"scan_counts": [5]}),
         ("parallel_cz_scan", {"scan_counts": [1, 3]}),
         ("parallel_cz_scan", {"scan_counts": 2}),
+        # domain errors that used to surface mid-run with exit 1, or not at all
+        ("cb", {"cab": {"k_r": 10, "k_s": 100}, "cycles": [2, 4], "n_chars": 0}),
+        ("optimize", {"optimize": {"iterations": 2, "window": [0, 2, 5]}}),
+        ("landscape", {"landscape": {"points": 1}}),
+        ("calibrate", {"calibrate": {"beta_points": 8, "phase_points": 0}}),
+        ("calibrate", {"calibrate": {"beta_points": 4, "phase_points": 16}}),
+        ("correlate", {"repeat": 1}),
     ],
     ids=[
         "k_r",
@@ -477,6 +521,12 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "scan_count_past_gates",
         "scan_count_after_valid",
         "scan_counts_not_list",
+        "zero_n_chars",
+        "three_entry_window",
+        "one_landscape_point",
+        "zero_phase_points",
+        "four_beta_points",
+        "one_repeat",
     ],
 )
 def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys):
@@ -489,12 +539,13 @@ def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys):
 @pytest.mark.parametrize("kind", ["cab", "cb", "correlate", "optimize", "calibrate"])
 @pytest.mark.parametrize(
     "gates",
-    [[-1], [2], [0, 0], [True], [1.0], "0", 0],
-    ids=["negative", "past_last", "repeated", "bool", "float", "string", "not_list"],
+    [[-1], [2], [0, 0], [True], [1.0], "0", 0, []],
+    ids=["negative", "past_last", "repeated", "bool", "float", "string", "not_list", "empty"],
 )
 def test_bad_gates_exit_2(kind, gates, tmp_path, capsys):
-    # before, -1 ran the last gate, true ran gate 1, and the others failed
-    # with an IndexError or a TypeError (exit 1), or ran gate 0 twice
+    # before, -1 ran the last gate, true ran gate 1, [] ran an empty block
+    # (optimize failed with an IndexError), and the others failed with an
+    # IndexError or a TypeError (exit 1), or ran gate 0 twice
     path = small_cab_config(tmp_path, kind=kind, gates=gates, **GATES_RUN_OVER)
     assert main([kind, "--config", str(path)]) == 2
     assert "config error:" in capsys.readouterr().err
@@ -509,6 +560,71 @@ GATES_RUN_OVER = {"cycles": [2, 4], "n_chars": 4, "optimize": {"iterations": 2, 
 def test_named_gate_runs(kind, tmp_path):
     path = small_cab_config(tmp_path, kind=kind, gates=[1], **GATES_RUN_OVER)
     assert main([kind, "--config", str(path)]) == 0
+
+
+def _table_fields():
+    """(kind, section, field, default) for every field of cli.FIELDS and the cab section."""
+    for kind, table in cli.FIELDS.items():
+        for key, default in table.items():
+            if isinstance(default, dict):
+                yield from ((kind, key, field, d) for field, d in default.items())
+            else:
+                yield kind, None, key, default
+    yield from (("cab", "cab", field, d) for field, d in cli.CAB_FIELDS.items())
+
+
+def _wrong_type(field, default):
+    """A value of another JSON type than the field's."""
+    if default is None:  # derived by the runner
+        return {"scan_counts": 2, "per_cz_fidelity": "0.97"}[field]
+    if isinstance(default, bool):
+        return "false"
+    if isinstance(default, (int, float)):
+        return str(default)
+    if isinstance(default, str):
+        return 1
+    return default[0]  # a bare entry for a list
+
+
+@pytest.mark.parametrize(
+    "kind, section, field, default",
+    list(_table_fields()),
+    ids=[f"{kind}-{section + '.' if section else ''}{field}" for kind, section, field, _ in _table_fields()],
+)
+def test_every_field_is_type_checked(kind, section, field, default, tmp_path, capsys):
+    value = _wrong_type(field, default)
+    over = {section: {field: value}} if section else {field: value}
+    path = small_cab_config(tmp_path, kind=kind, **over)
+    assert main([kind, "--config", str(path)]) == 2
+    name = f"{section}.{field}" if section else field
+    assert f"config error: {name} must be" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "kind, section, key, valid",
+    [
+        ("cab", "cab", "kr", "k_r"),
+        ("optimize", "optimize", "initial_stp", "initial_step"),
+        ("landscape", "landscape", "point", "points"),
+        ("calibrate", "calibrate", "beta_point", "beta_points"),
+    ],
+)
+def test_unknown_section_key_exits_2(kind, section, key, valid, tmp_path, capsys):
+    # before, each ran with the key's default and echoed the misspelled key
+    path = small_cab_config(tmp_path, kind=kind, **{section: {key: 3}})
+    assert main([kind, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {section} has no field {key!r}" in err and valid in err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_unread_top_level_key_is_echoed(tmp_path):
+    # every benchmark config carries "threads": 1, which nothing reads; a
+    # top-level key outside the table is echoed and otherwise ignored
+    path = small_cab_config(tmp_path, threads=1)
+    assert main(["cab", "--config", str(path)]) == 0
+    assert json.loads((tmp_path / "out" / "result.json").read_text())["config"]["threads"] == 1
 
 
 @pytest.mark.parametrize(
