@@ -50,26 +50,30 @@ matrix.
 
 ``stab_run_counts`` is the scalable backend, a Pauli-frame sampler for
 sequences that ideally close to the identity, with every coherent diagonal
-error replaced by its exact Pauli twirl.  Like Stim (Gidney, Quantum 5,
-497 (2021)) it compiles, then samples:
+error replaced by its exact Pauli twirl.  It takes a stack of one layout,
+as ``dm_run`` does, and like Stim (Gidney, Quantum 5, 497 (2021)) it
+compiles, then samples:
 
-- compile: one backward walk over the layers tabulates, per noise
-  location, the readout flip (a GF(2) vector of the final X bits) of each
-  of its Paulis;
-- sample: each (location, shot) fires independently with its probability,
-  drawn as geometric gaps over the locations that share a channel, so the
-  work is proportional to the number of faults, not to shots x qubits.  A
-  shot's outcome is the XOR of its faults' flips, each one table lookup.
-  The faults come in shot order, so their flips, and then the readout
-  flips, are XORed in with one pass per group (``xor_sorted``).
+- compile: one backward walk over the stack's layers tabulates, per noise
+  location and sequence, the readout flip (a GF(2) vector of the final X
+  bits) of each of its Paulis.  The sequences share their locations, so
+  the walk carries (K, n) flip vectors and fills (K, L, 2^b) tables;
+- sample, one sequence at a time from its own stream: each (location,
+  shot) fires independently with its probability, drawn as geometric gaps
+  over the locations that share a channel, so the work is proportional to
+  the number of faults, not to shots x qubits.  A shot's outcome is the
+  XOR of its faults' flips, each one lookup in the sequence's table.  The
+  faults come in shot order, so their flips, and then the readout flips,
+  are XORed in with one pass per group (``xor_sorted``).
 
 Both backends give outcomes as int64 codes, qubit 0 the most significant
 bit (``pack_bits``): ``dm_run``'s probability index, the stab frame, the
 readout flips XORed into it and the ``ShotCounts`` that parities and
-marginals read all use the one format.  A backend returns one sequence's
-``ShotCounts``; a CAB run stacks each depth's sequences into one (codes,
-counts and per-sequence offsets), so that each kind of readout takes one
-call per depth and gives one row per sequence:
+marginals read all use the one format.  A CAB run makes one backend call
+per stack (a depth's sequences, or one CB character group) and holds its
+outcomes as one ``ShotCounts`` (codes, counts and per-sequence offsets),
+so that each kind of readout takes one call per depth and gives one row
+per sequence:
 
 - traverse mode: all survivals, one batched transform;
 - sample mode: the parities of the sampled masks, carried as packed bits
@@ -453,7 +457,10 @@ class _Stack:
 
 def _layout(seqs: list[CircuitSequence]) -> list[tuple]:
     """The layer positions of a stack, each as the tuple of its sequences'
-    layers there; ValueError unless the sequences share one layout."""
+    layers there; ValueError for no sequences, or unless they share one
+    layout."""
+    if not seqs:
+        raise ValueError("a stack needs at least one sequence")
     head = seqs[0]
     if any(s.n != head.n or len(s.layers) != len(head.layers) for s in seqs):
         raise ValueError("stacked sequences need one register size and one number of layers")
@@ -508,12 +515,10 @@ def dm_run(
     samples from.
     """
     seqs = list(seqs)
-    if not seqs:
-        raise ValueError("dm_run needs at least one sequence")
+    columns = _layout(seqs)
     n = seqs[0].n
     if n > DM_QUBIT_LIMIT:
         raise ResourceLimitError(f"density-matrix backend limited to {DM_QUBIT_LIMIT} qubits")
-    columns = _layout(seqs)
     probs = np.empty((len(seqs), 2**n))
     size = min(len(seqs), max(1, DM_CHUNK_ELEMENTS // 4**n))
     stack = _Stack(size, device, n)
@@ -534,9 +539,10 @@ class ShotCounts:
 
     A code is an int64 whose bit n-1-q is qubit q's outcome (qubit 0 the
     most significant bit, as ``pack_bits`` writes it).  Sequence s holds
-    codes[offsets[s]:offsets[s + 1]], and each sequence has k_s shots.  The
-    backends return one sequence; ``stack`` joins sequences, as a CAB run
-    does per depth.  Every method returns one row per sequence.
+    codes[offsets[s]:offsets[s + 1]], and each sequence has k_s shots.
+    ``from_outcomes`` and ``from_probabilities`` make one sequence's counts;
+    ``stack`` joins sequences, as ``stab_run_counts`` and the dm path of a
+    CAB run do per stack.  Every method returns one row per sequence.
     """
 
     n: int
@@ -548,7 +554,7 @@ class ShotCounts:
     def __post_init__(self):
         if self.k_s < 1:
             raise ValueError("empty counts: k_s must be >= 1")
-        if self.offsets is None:  # one sequence, as every backend call makes
+        if self.offsets is None:  # one sequence, as from_outcomes and from_probabilities make
             self.offsets = np.array([0, len(self.codes)], dtype=np.int64)
             bad = int(self.counts.sum()) != self.k_s
         else:
@@ -664,36 +670,41 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return np.packbits(padded, axis=-1).view(">i8")[..., 0].astype(np.int64)[()]
 
 
-def _compile_faults(seq: CircuitSequence, device: DeviceModel) -> list:
-    """Every noise location of a sequence, with the readout flips of its Paulis.
+def _compile_faults(seqs: list[CircuitSequence], device: DeviceModel) -> list:
+    """Every noise location of a stack of K sequences of one layout, with
+    the readout flips of its Paulis in each sequence.
 
-    The layers are walked once, backwards, keeping for each qubit the flip
-    vector of an X and of a Z fault at the current point: the GF(2) vector
-    of final X bits the fault ends up as, packed like ``pack_bits``.  Noise
-    follows its layer's ideal operation, so a layer's locations take the
-    vectors before stepping back through the layer:
+    The layers are walked once, backwards, keeping for each sequence and
+    qubit the flip vector of an X and of a Z fault at the current point
+    ((K, n) arrays): the GF(2) vector of final X bits the fault ends up as,
+    packed like ``pack_bits``.  Noise follows its layer's ideal operation,
+    so a layer's locations take the vectors before stepping back through
+    the layer:
 
     - a Clifford layer maps a fault P to C P C^dagger
-      (``single_qubit_cliffords().action``);
+      (``single_qubit_cliffords().action``), each sequence by its own layer;
     - a CZ maps X_a to X_a Z_b, and a Pauli layer leaves faults unchanged.
 
-    The locations come grouped by channel, in order of first appearance:
-    (firing probability, conditional weights, table).  A location has b flip
-    vectors, one per Pauli factor: (X, Z) for per-qubit and (X_a, Z_a, X_b,
-    Z_b) for per-gate depolarizing, uniform over all 4 or 16 Paulis,
-    identity included, and the Z flips of its support for a twirled
-    coupling, weighted by the twirl.  ``table`` (L, 2^b) has a row per
-    location: entry i is the XOR of the flip vectors whose bits are set in
-    i, the first the most significant.  A firing picks i uniformly when the
-    weights are None, or from the weights offset by one (the identity is
-    excluded), and flips the outcome by ``table[loc, i]``.
+    The sequences share their layer kinds and gate layers, so they share
+    their locations; only the flips differ.  The locations come grouped by
+    channel, in order of first appearance: (firing probability, conditional
+    weights, tables).  A location has b flip vectors, one per Pauli factor:
+    (X, Z) for per-qubit and (X_a, Z_a, X_b, Z_b) for per-gate depolarizing,
+    uniform over all 4 or 16 Paulis, identity included, and the Z flips of
+    its support for a twirled coupling, weighted by the twirl.  ``tables``
+    (K, L, 2^b) has a row per sequence and location: entry i is the XOR of
+    the flip vectors whose bits are set in i, the first the most
+    significant.  A firing picks i uniformly when the weights are None, or
+    from the weights offset by one (the identity is excluded), and flips
+    sequence k's outcome by ``tables[k, loc, i]``.
     """
-    n = seq.n
+    columns = _layout(seqs)
+    k, n = len(seqs), seqs[0].n
     if n > PACK_QUBIT_LIMIT:
         raise ResourceLimitError(f"stabilizer backend limited to {PACK_QUBIT_LIMIT} qubits")
     act = single_qubit_cliffords().action.astype(bool)
-    fx = np.left_shift(1, np.arange(n - 1, -1, -1, dtype=np.int64))
-    fz = np.zeros(n, dtype=np.int64)
+    fx = np.repeat(np.left_shift(1, np.arange(n - 1, -1, -1, dtype=np.int64))[None], k, axis=0)
+    fz = np.zeros((k, n), dtype=np.int64)
     groups: dict = {}
 
     def add(key, p: float, weights, rows: np.ndarray):
@@ -703,17 +714,18 @@ def _compile_faults(seq: CircuitSequence, device: DeviceModel) -> list:
     fire_1q = 1.0 - device.single_qubit_depol[:n]
 
     def depol_1q():
-        rows = np.stack([fx, fz], axis=1)
+        rows = np.stack([fx, fz], axis=2)
         for p in sorted(set(fire_1q.tolist())):
-            add(("1q", p), float(p), None, rows[fire_1q == p])
+            add(("1q", p), float(p), None, rows[:, fire_1q == p])
 
-    for layer in reversed(seq.layers):
+    for col in reversed(columns):
+        layer = col[0]
         if isinstance(layer, CliffordLayer):
             depol_1q()
-            img = act[layer.layer.elements]  # (n, letter, (x, z, sign))
+            img = act[np.stack([lay.layer.elements for lay in col])]  # (K, n, letter, (x, z, sign))
             fx, fz = (
-                np.where(img[:, 1, 0], fx, 0) ^ np.where(img[:, 1, 1], fz, 0),
-                np.where(img[:, 2, 0], fx, 0) ^ np.where(img[:, 2, 1], fz, 0),
+                np.where(img[..., 1, 0], fx, 0) ^ np.where(img[..., 1, 1], fz, 0),
+                np.where(img[..., 2, 0], fx, 0) ^ np.where(img[..., 2, 1], fz, 0),
             )
         elif isinstance(layer, PauliLayer):
             if device.pauli_layer_noise:
@@ -723,68 +735,79 @@ def _compile_faults(seq: CircuitSequence, device: DeviceModel) -> list:
                 spec = device.gates[g]
                 a, b = spec.pair
                 p = 1.0 - spec.effective_depol_p()
-                add(("2q", p), p, None, np.array([[fx[a], fz[a], fx[b], fz[b]]]))
+                add(("2q", p), p, None, np.stack([fx[:, a], fz[:, a], fx[:, b], fz[:, b]], axis=1)[:, None])
             # the channels are cached per layer: one object per channel
             for ch in device.layer_twirl_channels(layer.gates):
                 p = float(ch.weights[1:].sum())  # the identity does not fire
                 if p > 0.0:
-                    add(("twirl", id(ch)), p, ch.weights[1:] / p, fz[list(ch.support)][None, :])
+                    add(("twirl", id(ch)), p, ch.weights[1:] / p, fz[:, list(ch.support)][:, None])
             for g in layer.gates:
                 a, b = device.gates[g].pair
-                fx[a], fx[b] = fx[a] ^ fz[b], fx[b] ^ fz[a]
+                fx[:, a], fx[:, b] = fx[:, a] ^ fz[:, b], fx[:, b] ^ fz[:, a]
         elif isinstance(layer, Unitary1qLayer):
             raise ValueError("stabilizer backend cannot execute arbitrary 1q unitaries")
         else:
             raise TypeError(f"unknown layer type {type(layer)!r}")
-    tables = []
+    compiled = []
     for p, weights, rows in groups.values():
-        flips = np.concatenate(rows)
-        table = np.zeros((len(flips), 1), dtype=np.int64)
-        for f in flips.T:  # each later factor appends a less significant index bit
-            table = np.stack((table, table ^ f[:, None]), axis=2).reshape(len(flips), -1)
-        tables.append((p, weights, table))
-    return tables
+        flips = np.concatenate(rows, axis=1)  # (K, L, b)
+        tables = np.zeros(flips.shape[:2] + (1,), dtype=np.int64)
+        for f in np.moveaxis(flips, 2, 0):  # each later factor appends a less significant index bit
+            tables = np.stack((tables, tables ^ f[..., None]), axis=3).reshape(*flips.shape[:2], -1)
+        compiled.append((p, weights, tables))
+    return compiled
 
 
 def stab_run_counts(
-    seq: CircuitSequence, device: DeviceModel, k_s: int, rng: np.random.Generator
+    seqs: list[CircuitSequence], device: DeviceModel, k_s: int, rngs: list[np.random.Generator]
 ) -> ShotCounts:
-    """Sample k_s measurement outcomes of a sequence that closes to identity.
+    """Sample k_s measurement outcomes of each of a stack of sequences of
+    one layout (as ``dm_run`` takes them) that close to identity, sequence
+    k from its own stream ``rngs[k]``; the counts are stacked in order.
 
-    Compile, then sample.  ``_compile_faults`` lists every noise location
-    (per-qubit depolarizing after single-qubit layers, per-gate
-    depolarizing, and the exact Pauli twirl of each coherent diagonal
-    component of every gate layer) with the readout flip of each of its
-    Paulis.  Each (location, shot) then fires independently with exactly its
-    probability; the firings of the locations that share a channel are
-    drawn as geometric gaps over their L * k_s trials.  A firing picks its
-    Pauli from the channel's conditional distribution, and a shot's outcome
-    code (ideally 0) is the XOR of the table flips of its faults.  Readout
-    error is XORed into the codes (``apply_readout_noise``), which go to
-    ``ShotCounts`` as they are.
+    Compile, then sample.  ``_compile_faults`` lists, in one walk over the
+    stack's layers, every noise location (per-qubit depolarizing after
+    single-qubit layers, per-gate depolarizing, and the exact Pauli twirl of
+    each coherent diagonal component of every gate layer) with each
+    sequence's readout flip of each of its Paulis.  Then, per sequence, each
+    (location, shot) fires independently with exactly its probability; the
+    firings of the locations that share a channel are drawn as geometric
+    gaps over their L * k_s trials.  A firing picks its Pauli from the
+    channel's conditional distribution, and a shot's outcome code (ideally
+    0) is the XOR of the table flips of its faults.  Readout error is XORed
+    into the codes (``apply_readout_noise``), which go to ``ShotCounts`` as
+    they are.  The sampling stays per sequence: a stack's frames, fault
+    XORs and readout in one pass were slower at 44 qubits, their larger
+    arrays costing more in page faults than the loop saves.
     """
-    n = seq.n
-    groups = _compile_faults(seq, device)
-    frame = np.zeros(k_s, dtype=np.int64)
-    for p, weights, table in groups:
-        n_loc, size = table.shape
-        pos = bernoulli_positions(rng, n_loc * k_s, p)
-        shot = pos // n_loc
-        loc = np.subtract(pos, shot * n_loc, out=pos)
-        if weights is None:
-            idx = rng.integers(0, size, size=len(loc))
-        else:
-            idx = rng.choice(len(weights), size=len(loc), p=weights) + 1
-        loc *= size  # the flat index of table[loc, idx]
-        loc += idx
-        xor_sorted(frame, shot, table.ravel()[loc])
-
-    if np.any(device.readout_e0 > 0) or np.any(device.readout_e1 > 0):
+    groups = _compile_faults(seqs, device)
+    if len(rngs) != len(seqs):
+        raise ValueError(f"{len(seqs)} sequences need as many streams, got {len(rngs)}")
+    n = seqs[0].n
+    readout = np.any(device.readout_e0 > 0) or np.any(device.readout_e1 > 0)
+    if readout:
         # here: perfbench/tracing.py patches device.apply_readout_noise, which a module-level import bypasses
         from .device import apply_readout_noise
-
-        frame = apply_readout_noise(frame, n, device.readout_e0, device.readout_e1, rng)
-    return ShotCounts.from_outcomes(frame, n)
+    parts = []
+    for k, rng in enumerate(rngs):
+        frame = np.zeros(k_s, dtype=np.int64)
+        for p, weights, tables in groups:
+            table = tables[k]
+            n_loc, size = table.shape
+            pos = bernoulli_positions(rng, n_loc * k_s, p)
+            shot = pos // n_loc
+            loc = np.subtract(pos, shot * n_loc, out=pos)
+            if weights is None:
+                idx = rng.integers(0, size, size=len(loc))
+            else:
+                idx = rng.choice(len(weights), size=len(loc), p=weights) + 1
+            loc *= size  # the flat index of table[loc, idx]
+            loc += idx
+            xor_sorted(frame, shot, table.ravel()[loc])
+        if readout:
+            frame = apply_readout_noise(frame, n, device.readout_e0, device.readout_e1, rng)
+        parts.append(ShotCounts.from_outcomes(frame, n))
+    return ShotCounts.stack(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -272,15 +272,15 @@ def _run_counts(
     k_s: int,
     rngs: list[np.random.Generator],
 ) -> ShotCounts:
-    """Execute sequences of one layout on a resolved backend and sample k_s
-    shots of each from its own stream, stacked in order.  The dm backend
-    runs them as one stack; stab runs one sequence at a time."""
+    """Execute sequences of one layout (a depth's sequences, or one CB
+    character group) on a resolved backend and sample k_s shots of each
+    from its own stream, stacked in order: one backend call per stack."""
     if backend == "dm":
         probs = dm_run(seqs, device)
         return ShotCounts.stack(
             [ShotCounts.from_probabilities(p, seqs[0].n, k_s, rng) for p, rng in zip(probs, rngs)]
         )
-    return ShotCounts.stack([stab_run_counts(seq, device, k_s, rng) for seq, rng in zip(seqs, rngs)])
+    return stab_run_counts(seqs, device, k_s, rngs)
 
 
 def execute_cab_run(

@@ -154,9 +154,10 @@ def _checked(value, default, name: str):
     """``value`` if it has the JSON type of ``default``, else a ConfigError
     naming ``name``.  An integer passes for a float default and comes back as
     a float; a list comes back as a tuple, each entry checked against the
-    default's first; an object is checked key by key, with the default's
-    values filled in, and a key the default lacks is refused.  A None
-    default passes any value on to the runner that derives it."""
+    default's first, and an empty one is refused, as no list default is
+    empty; an object is checked key by key, with the default's values filled
+    in, and a key the default lacks is refused.  A None default passes any
+    value on to the runner that derives it."""
     if default is None:
         return value
     if isinstance(default, dict):
@@ -169,6 +170,8 @@ def _checked(value, default, name: str):
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{name} must be a list, got {value!r}")
+        if not value:
+            raise ConfigError(f"{name} must not be empty")
         return tuple(_checked(v, default[0], f"{name} entry") for v in value)
     if type(default) is float and type(value) is int:
         return float(value)
@@ -203,13 +206,19 @@ def _write_json(path: Path, doc: dict):
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: list[str], rows):
-    """Rows of ints, strings and Python or float64 floats, one format string
-    per file: format(v, "") of a float is its shortest round-trip repr."""
-    line = ",".join(["{}"] * len(header)) + "\n"
+def _write_csv(path: Path, header: list[str], blocks):
+    """Blocks of rows, each (fixed, columns): the leading fields every row
+    of the block shares, such as kind and depth, then the other fields as
+    columns of ints, strings and Python or float64 floats, one entry per
+    row.  A block is one format string, its fixed fields written in (braces
+    escaped), mapped over the columns.  Every value is written as
+    format(v, ""), which for a float is its shortest round-trip repr."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line.format(*row) for row in rows)
+        for fixed, columns in blocks:
+            head = "".join(format(v, "").replace("{", "{{").replace("}", "}}") + "," for v in fixed)
+            line = head + ",".join(["{}"] * len(columns)) + "\n"
+            fh.writelines(map(line.format, *columns))
 
 
 def _report_doc(rep: CabReport) -> dict:
@@ -232,26 +241,26 @@ def _report_doc(rep: CabReport) -> dict:
     }
 
 
-def _fit_rows(est) -> list[tuple]:
-    """An estimate's fits as (w_mask, lambda, se, flagged) rows of Python
+def _fit_columns(est) -> list[list]:
+    """An estimate's fits as (w_mask, lambda, se, flagged) columns of Python
     values, flagged as 0 or 1."""
     q = est.quality_params
-    return list(zip(q["w_mask"].tolist(), q["lam"].tolist(), q["se"].tolist(), q["flagged"].astype(int).tolist()))
+    return [q["w_mask"].tolist(), q["lam"].tolist(), q["se"].tolist(), q["flagged"].astype(int).tolist()]
 
 
 def _write_cab_artifacts(out: Path, rep: CabReport):
     _write_csv(
         out / "lambdas.csv",
         ["kind", "w_mask", "lambda", "se", "flagged"],
-        [(kind, *row) for kind, est in (("dressed", rep.dressed), ("twirl", rep.twirl)) for row in _fit_rows(est)],
+        [((kind,), _fit_columns(est)) for kind, est in (("dressed", rep.dressed), ("twirl", rep.twirl))],
     )
-    rows = []
+    blocks = []
     for data in (rep.dressed_data, rep.twirl_data):
         if data is not None:
             masks = data.masks.tolist()
             for m, means, ses in zip(data.depths, data.depth_means().tolist(), data.depth_ses().tolist()):
-                rows += [(data.kind, m, w, a, s) for w, a, s in zip(masks, means, ses)]
-    _write_csv(out / "survivals.csv", ["kind", "depth", "w_mask", "mean", "se"], rows)
+                blocks.append(((data.kind, m), [masks, means, ses]))
+    _write_csv(out / "survivals.csv", ["kind", "depth", "w_mask", "mean", "se"], blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +275,7 @@ def _target(cfg: ExperimentConfig) -> tuple[DeviceModel, tuple[int, ...]]:
         return device, tuple(range(len(device.gates)))
     gates = _checked(cfg.gates, (0,), "gates")
     n = len(device.gates)
-    if not gates or len(set(gates)) != len(gates) or not all(0 <= g < n for g in gates):
+    if len(set(gates)) != len(gates) or not all(0 <= g < n for g in gates):
         raise ConfigError(f"gates must be a non-empty list of distinct indices in [0, {n}), got {list(gates)}")
     return device, gates
 
@@ -288,7 +297,7 @@ def _run_cb(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     _write_csv(
         out / "characters.csv",
         ["w_mask", "lambda", "se", "flagged"],
-        _fit_rows(est),
+        [((), _fit_columns(est))],
     )
     return {"cb": est.to_dict()}
 
@@ -333,30 +342,18 @@ def _run_parallel_cz_scan(cfg: ExperimentConfig, settings: dict, out: Path) -> d
             raise ConfigError(f"scan_counts entries must lie in [1, {len(device.gates)}], got {r}")
     if per_cz is not None:
         _checked(per_cz, 1.0, "per_cz_fidelity")  # but used as given: an integer prints as one
-    rows = []
-    results = {}
+    reps = []
     twirl_data = None  # every point's twirl run is the same identity run on the whole register
     for r in counts:
         gates = tuple(range(r))
         cab_cfg = replace(cfg.cab_config(gates), subsets=())
         block = GateBlock.parallel_cz(device, gates)
-        rep = run_cab_experiment(device, block, cab_cfg, twirl_data=twirl_data)
-        twirl_data = rep.twirl_data
-        theory = per_cz**r if per_cz else ""  # no theory value: an empty field
-        rows.append(
-            (
-                r,
-                2 * r,
-                rep.dressed.value,
-                rep.dressed.se,
-                rep.twirl.value,
-                rep.twirl.se,
-                rep.pure.value,
-                rep.pure.se,
-                theory,
-            )
-        )
-        results[str(r)] = _report_doc(rep)
+        reps.append(run_cab_experiment(device, block, cab_cfg, twirl_data=twirl_data))
+        twirl_data = reps[-1].twirl_data
+    columns = [list(counts), [2 * r for r in counts]]
+    for part in ("dressed", "twirl", "pure"):
+        columns += [[getattr(rep, part).value for rep in reps], [getattr(rep, part).se for rep in reps]]
+    columns.append([per_cz**r if per_cz else "" for r in counts])  # no theory value: an empty field
     _write_csv(
         out / "scan.csv",
         [
@@ -370,9 +367,9 @@ def _run_parallel_cz_scan(cfg: ExperimentConfig, settings: dict, out: Path) -> d
             "pure_se",
             "theory_power_law",
         ],
-        rows,
+        [((), columns)],
     )
-    return {"scan": results}
+    return {"scan": {str(r): _report_doc(rep) for r, rep in zip(counts, reps)}}
 
 
 def _run_correlate(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
@@ -388,10 +385,7 @@ def _run_correlate(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     _write_csv(
         out / "correlation.csv",
         ["gate_a", "gate_b", "distance", "correlation"],
-        [
-            (a, b, d, c)
-            for (a, b), d, c in zip(matrix.subsets, matrix.distances, matrix.values)
-        ],
+        [((), [[a for a, _ in matrix.subsets], [b for _, b in matrix.subsets], matrix.distances, matrix.values])],
     )
     doc = {"report": _report_doc(rep), "pairs": [list(s) for s in matrix.subsets], "correlations": matrix.values}
     if repeat:
@@ -400,19 +394,18 @@ def _run_correlate(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
             for r in range(1, repeat)
         ]
         fluct = correlation_fluctuation([rep, *reruns], matrix.subsets)
+        pairs = fluct.subsets
+        means, sds = [m for m, _ in fluct.fluctuation], [sd for _, sd in fluct.fluctuation]
         _write_csv(
             out / "fluctuation.csv",
             ["gate_a", "gate_b", "mean", "sd", "lower_bound"],
-            [
-                (s[0], s[1], m, sd, lb)
-                for s, (m, sd), lb in zip(fluct.subsets, fluct.fluctuation, fluct.lower_bounds)
-            ],
+            [((), [[a for a, _ in pairs], [b for _, b in pairs], means, sds, fluct.lower_bounds])],
         )
         doc["fluctuation"] = {
             "repeat": repeat,
             "pairs": [list(s) for s in fluct.subsets],
             "mean": fluct.values,
-            "sd": [sd for _, sd in fluct.fluctuation],
+            "sd": sds,
             "lower_bounds": fluct.lower_bounds,
         }
     return doc
@@ -425,13 +418,9 @@ def _run_landscape(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     files = []
     for g12 in spec["gamma12"]:
         values = correlation_landscape(g12, grid, grid)
-        rows = [
-            (grid[i], grid[j], values[i, j])
-            for i in range(points)
-            for j in range(points)
-        ]
+        columns = [np.repeat(grid, points).tolist(), np.tile(grid, points).tolist(), values.ravel().tolist()]
         name = f"landscape_g12_{g12:.6f}.csv"
-        _write_csv(out / name, ["gamma13", "gamma23", "correlation"], rows)
+        _write_csv(out / name, ["gamma13", "gamma23", "correlation"], [((), columns)])
         files.append(name)
     return {"gamma12_values": list(spec["gamma12"]), "files": files}
 
@@ -449,26 +438,17 @@ def _run_optimize(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
         NelderMeadOptions(initial_step=spec["initial_step"], x_tol=spec["x_tol"]),
         window=spec["window"],
     )
-    rows = []
-    for i, it in enumerate(traj.iterations):
-        rows.append(
-            (
-                i,
-                *[float(v) for v in it.params],
-                it.reference.value,
-                it.reference.se,
-                it.iterative.value,
-                it.iterative.se,
-                it.target,
-            )
-        )
-    n_params = len(traj.iterations[0].params) if traj.iterations else 0
+    its = traj.iterations
+    n_params = len(its[0].params) if its else 0
+    columns = [range(len(its)), *([float(it.params[j]) for it in its] for j in range(n_params))]
+    columns += [[it.reference.value for it in its], [it.reference.se for it in its]]
+    columns += [[it.iterative.value for it in its], [it.iterative.se for it in its], [it.target for it in its]]
     _write_csv(
         out / "trajectory.csv",
         ["iteration"]
         + [f"param_{i}" for i in range(n_params)]
         + ["ref_fidelity", "ref_se", "iter_fidelity", "iter_se", "target"],
-        rows,
+        [((), columns)],
     )
     return {
         "mode": traj.mode,
@@ -499,13 +479,11 @@ def _run_calibrate(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
             "dyn_correction_i": d_i,
             "dyn_correction_j": d_j,
         }
+    names = ["conditional_phase", "cond_phase_correction", "dyn_correction_i", "dyn_correction_j"]
     _write_csv(
         out / "corrections.csv",
-        ["gate", "conditional_phase", "cond_phase_correction", "dyn_correction_i", "dyn_correction_j"],
-        [
-            (g, c["conditional_phase"], c["cond_phase_correction"], c["dyn_correction_i"], c["dyn_correction_j"])
-            for g, c in corrections.items()
-        ],
+        ["gate", *names],
+        [((), [list(corrections), *([c[key] for c in corrections.values()] for key in names)])],
     )
     return {"corrections": corrections}
 
@@ -520,16 +498,15 @@ def _run_order_stats(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     if samples < 1 or cap < 1:
         raise ConfigError(f"order_stats needs samples >= 1 and cap >= 1, got {samples} and {cap}")
     rng = np.random.default_rng([cfg.seed, 9])
-    rows = []
+    blocks = []
     medians = {}
     for n in n_list:
         orders = gate_order_samples(n, samples, rng, cap=cap)
         finite = [o for o in orders if o is not None]
         # null when every draw exceeds the cap: JSON has no NaN
         medians[str(n)] = float(np.median(finite)) if finite else None
-        for i, o in enumerate(orders):
-            rows.append((n, i, o if o is not None else -1))
-    _write_csv(out / "orders.csv", ["n", "sample", "order"], rows)
+        blocks.append(((n,), [range(len(orders)), [o if o is not None else -1 for o in orders]]))
+    _write_csv(out / "orders.csv", ["n", "sample", "order"], blocks)
     return {
         "medians": medians,
         "order_convention": "tableau identity, i.e. modulo global phase",

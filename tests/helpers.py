@@ -15,12 +15,14 @@ generator at a time, with the Pauli multiplication table;
 ``fully_connected_tableaus_loop`` builds the order draws' tableaus one
 draw at a time.
 ``stab_run_counts_bitwise`` is the stabilizer sampler that expands every
-fault's Pauli index into bits and XORs the flips of the set ones, and
+fault's Pauli index into bits and XORs the flips of the set ones;
+``compile_faults_one`` and ``stab_run_counts_one`` compile and sample one
+sequence at a time, as the stacked sampler must agree with to the bit; and
 ``apply_readout_noise_at`` the readout thinning with a gather, ``np.where``
 and an unbuffered ``np.bitwise_xor.at`` per candidate flip.  The
 survival, marginal and aggregate references work on one sequence or one
 replicate at a time, as the stacked paths of ``ShotCounts`` and
-``cab._aggregate`` must agree with to the bit.  The last
+``cab._aggregate`` must agree with to the bit.  ``write_csv_rows`` writes a CSV one row tuple at a time.  The last
 section holds small functions that only tests call: outcome-code
 unpacking, the parametric CZ unitary, the two-gate closed forms and
 closed-form limits, a one-observable
@@ -733,6 +735,43 @@ def stab_run_counts_bitwise(seq, device, k_s: int, rng: np.random.Generator):
     return ShotCounts.from_outcomes(frame, seq.n)
 
 
+def compile_faults_one(seq, device) -> list:
+    """Reference for ``cabbench.backends._compile_faults`` one sequence at a
+    time: ``_fault_flips`` with each group's flips (L, b) expanded into a
+    table (L, 2^b), entry i the XOR of the flip vectors at the set bits of
+    i, the first the most significant."""
+    tables = []
+    for p, weights, flips in _fault_flips(seq, device):
+        table = np.zeros((len(flips), 1), dtype=np.int64)
+        for f in flips.T:  # each later factor appends a less significant index bit
+            table = np.stack((table, table ^ f[:, None]), axis=2).reshape(len(flips), -1)
+        tables.append((p, weights, table))
+    return tables
+
+
+def stab_run_counts_one(seq, device, k_s: int, rng: np.random.Generator):
+    """Reference for ``cabbench.backends.stab_run_counts`` one sequence at a
+    time, with its own compile (``compile_faults_one``) and the same draws
+    in the same order: each fault's flip is looked up in its table and XORed
+    into the frame by ``xor_sorted``, then the readout flips by
+    ``apply_readout_noise``."""
+    from cabbench.backends import ShotCounts
+    from cabbench.device import apply_readout_noise, bernoulli_positions, xor_sorted
+
+    frame = np.zeros(k_s, dtype=np.int64)
+    for p, weights, table in compile_faults_one(seq, device):
+        n_loc, size = table.shape
+        shot, loc = np.divmod(bernoulli_positions(rng, n_loc * k_s, p), n_loc)
+        if weights is None:
+            idx = rng.integers(0, size, size=len(loc))
+        else:
+            idx = rng.choice(len(weights), size=len(loc), p=weights) + 1
+        xor_sorted(frame, shot, table[loc, idx])
+    if np.any(device.readout_e0 > 0) or np.any(device.readout_e1 > 0):
+        frame = apply_readout_noise(frame, seq.n, device.readout_e0, device.readout_e1, rng)
+    return ShotCounts.from_outcomes(frame, seq.n)
+
+
 def apply_readout_noise_at(codes: np.ndarray, n: int, e0, e1, rng: np.random.Generator) -> np.ndarray:
     """Reference for ``cabbench.device.apply_readout_noise`` with the same
     draws in the same order: per rate group, candidates split by ``divmod``,
@@ -785,6 +824,18 @@ def aggregate_row(lam: np.ndarray, weights: np.ndarray, flagged: np.ndarray) -> 
     if not np.any(ok):
         return float("nan")
     return float(np.sum(weights[ok] * lam[ok]) / np.sum(weights[ok]))
+
+
+# -- the CSV writer, one row at a time ------------------------------------------
+
+
+def write_csv_rows(path, header: list[str], rows):
+    """Reference for ``cabbench.cli._write_csv``: one format string per
+    file, applied to each row tuple, every value written as format(v, "")."""
+    line = ",".join(["{}"] * len(header)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line.format(*row) for row in rows)
 
 
 # -- small functions that only tests call ---------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cabbench.backends import (
     CHOI_QUBIT_LIMIT,
@@ -23,6 +25,7 @@ from cabbench.tableau import compile_inverse_pauli
 from helpers import (
     closes_to_identity,
     coefficient_step,
+    compile_faults_one,
     dense_apply_layers,
     dense_dm_reference,
     depolarizing_channel,
@@ -35,6 +38,7 @@ from helpers import (
     process_fidelity_pauli_sum,
     restricted_channel,
     stab_run_counts_bitwise,
+    stab_run_counts_one,
     all_survivals_one,
     marginal_count_vector_one,
     survivals_one,
@@ -157,10 +161,10 @@ def test_stab_noiseless_all_zeros():
     dev = simple_device()
     seq = cz_pair_sequence(2, (0,))
     rng = np.random.default_rng(1)
-    counts = stab_run_counts(seq, dev, 100, rng)
+    counts = stab_run_counts([seq], dev, 100, [rng])
     assert counts.counts.tolist() == [100]
     assert counts.codes.tolist() == [0]
-    assert stab_run_counts(seq, dev, 1, rng).codes.tolist() == [0]
+    assert stab_run_counts([seq], dev, 1, [rng]).codes.tolist() == [0]
 
 
 def test_stab_matches_dm_twirled_model():
@@ -194,7 +198,7 @@ def test_stab_matches_dm_twirled_model():
     assert closes_to_identity(seq, dev)
     probs = dm_run([seq], dev, twirl_coupling=True)[0]
     shots = 100_000
-    counts = stab_run_counts(seq, dev, shots, np.random.default_rng(99))
+    counts = stab_run_counts([seq], dev, shots, [np.random.default_rng(99)])
     emp = counts.count_vector()[0] / shots
     tv = 0.5 * np.abs(emp - probs).sum()
     assert tv < 0.01
@@ -220,15 +224,123 @@ def test_stab_flip_tables_match_the_bitwise_sampler(name):
     # uniform 1q and 2q groups everywhere, weighted twirl groups on the
     # coupled 6q device, Clifford layers inside the fully connected block
     dev, seq = _sampler_case(name)
-    weighted = any(w is not None for _, w, _ in _compile_faults(seq, dev))
+    weighted = any(w is not None for _, w, _ in _compile_faults([seq], dev))
     assert weighted == (name == "three_gate_6q")
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-    counts = stab_run_counts(seq, dev, 3000, rng)
+    counts = stab_run_counts([seq], dev, 3000, [rng])
     expected = stab_run_counts_bitwise(seq, dev, 3000, ref_rng)
     assert len(expected.codes) > 10
     assert np.array_equal(counts.codes, expected.codes)
     assert np.array_equal(counts.counts, expected.counts)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# -- the stacked stabilizer sampler against one sequence at a time -------------
+
+
+def assert_stab_stack_matches_one(seqs, dev, k_s, seed):
+    """One walk's tables (K, L, 2^b) hold each sequence's own tables, and
+    the stacked counts are each sequence's run on its own to the bit, from
+    the same draws of the same streams."""
+    compiled = _compile_faults(seqs, dev)
+    for k, seq in enumerate(seqs):
+        one = compile_faults_one(seq, dev)
+        assert len(compiled) == len(one)
+        for (p, weights, tables), (p_one, weights_one, table) in zip(compiled, one):
+            assert p == p_one and np.array_equal(tables[k], table)
+            assert (weights is None and weights_one is None) or np.array_equal(weights, weights_one)
+    rngs = [np.random.default_rng([seed, k]) for k in range(len(seqs))]
+    ref_rngs = [np.random.default_rng([seed, k]) for k in range(len(seqs))]
+    got = stab_run_counts(seqs, dev, k_s, rngs)
+    expected = ShotCounts.stack([stab_run_counts_one(seq, dev, k_s, r) for seq, r in zip(seqs, ref_rngs)])
+    assert got.sequences == len(seqs) and got.k_s == k_s
+    for name in ("codes", "counts", "offsets"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+    return got
+
+
+READOUT_GROUPS_8Q = {
+    "n_qubits": 8,
+    "gates": [{"pair": [2 * g, 2 * g + 1], "depol_p": 0.985} for g in range(4)],
+    "couplings": [{"gates": [0, 1], "gamma": 0.05}, {"gates": [2, 3], "gamma": -0.03}],
+    "readout": {
+        "e0": [0.01, 0.03, 0.0, 0.05, 0.02, 0.1, 0.01, 0.0],
+        "e1": [0.04, 0.01, 0.0, 0.05, 0.06, 0.02, 0.04, 0.02],
+    },
+    "single_qubit_depol": 0.997,
+}
+
+
+def _stab_stack(name, m):
+    """A CAB depth's sequences (or one CB character group) and their device."""
+    from cabbench.cab import build_cab_sequence, build_cb_sequence
+    from cabbench.cli import load_device
+    from cabbench.tableau import gate_order
+
+    dev = DeviceModel.from_dict(READOUT_GROUPS_8Q) if name == "readout_groups_8q" else load_device(name.split("-")[0])
+    block = GateBlock.parallel_cz(dev, tuple(range(len(dev.gates))))
+    if name.endswith("-twirl"):
+        block = GateBlock.identity(dev.n_qubits)
+    if name.endswith("-cb"):
+        order = gate_order(block.tableau, cap=64)
+        char = sample_random_pauli(dev.n_qubits, np.random.default_rng(7))
+        return dev, [build_cb_sequence(block, char, m * order, order, np.random.default_rng([29, k])) for k in range(3)]
+    return dev, [build_cab_sequence(block, m, np.random.default_rng([17, m, k])) for k in range(4)]
+
+
+@pytest.mark.parametrize(
+    "name, m",
+    [
+        ("ring_44q", 0),
+        ("ring_44q", 2),
+        ("ring_44q-twirl", 0),
+        ("ring_44q-twirl", 2),
+        ("three_gate_6q", 2),  # weighted coupling-twirl groups
+        ("readout_groups_8q", 2),
+        ("three_gate_6q-cb", 2),
+    ],
+)
+def test_stacked_stab_sampler_matches_one_at_a_time(name, m):
+    dev, seqs = _stab_stack(name, m)
+    weighted = any(w is not None for _, w, _ in _compile_faults(seqs, dev))
+    assert weighted == name.startswith(("three_gate_6q", "readout_groups_8q"))
+    counts = assert_stab_stack_matches_one(seqs, dev, 2000, seed=m)
+    assert np.all(np.diff(counts.offsets) > 1)  # every sequence saw faults
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(2, 6),
+    st.lists(st.sampled_from(["clifford", "pauli", "gate"]), min_size=1, max_size=8),
+    st.integers(1, 4),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_stab_sampler_matches_one_at_a_time_on_random_stacks(n, kinds, k, pauli_layer_noise, seed):
+    # each sequence draws its own local and Pauli layers; the gate layers are shared
+    rng = np.random.default_rng(seed)
+    dev = random_device(n, rng, pauli_layer_noise=pauli_layer_noise)
+    gates = {i: random_layer("gate", dev, rng) for i, kind in enumerate(kinds) if kind == "gate"}
+    seqs = [
+        CircuitSequence(n, tuple(gates[i] if kind == "gate" else random_layer(kind, dev, rng) for i, kind in enumerate(kinds)))
+        for _ in range(k)
+    ]
+    assert_stab_stack_matches_one(seqs, dev, 200, seed)
+
+
+def test_stab_run_counts_refuses_empty_and_mixed_stacks_before_any_draw():
+    dev = simple_device(n=4, depol_p=0.9)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    one, other = cz_pair_sequence(4, (0,)), cz_pair_sequence(4, (1,))
+    with pytest.raises(ValueError, match="at least one sequence"):
+        stab_run_counts([], dev, 10, [])
+    with pytest.raises(ValueError, match="gates at position 0"):
+        stab_run_counts([one, other], dev, 10, [rng, rng])
+    with pytest.raises(ValueError, match="streams"):
+        stab_run_counts([one, one], dev, 10, [rng])
+    assert rng.bit_generator.state == state
 
 
 def test_backend_agreement_survivals():
@@ -255,7 +367,7 @@ def test_backend_agreement_survivals():
             ),
         )
         probs = dm_run([seq], dev, twirl_coupling=True)[0]
-        counts = stab_run_counts(seq, dev, shots, np.random.default_rng(trial))
+        counts = stab_run_counts([seq], dev, shots, [np.random.default_rng(trial)])
         # the parity route and the FWHT route agree exactly: integer sums
         assert np.array_equal(counts.survivals(np.arange(16)), counts.all_survivals())
         masks = np.array([0b1000, 0b1010, 0b0101, 0b1111])
@@ -403,7 +515,7 @@ def test_shot_timing_budget():
     )
     shots = 10_000
     start = time.perf_counter()
-    stab_run_counts(seq, dev, shots, rng)
+    stab_run_counts([seq], dev, shots, [rng])
     elapsed = time.perf_counter() - start
     assert elapsed / shots < 1e-3  # well under 1 ms per shot
 
@@ -415,7 +527,7 @@ def register_device(n):
 
 def test_stab_runs_a_62_qubit_register():
     dev, seq = register_device(62)
-    counts = stab_run_counts(seq, dev, 500, np.random.default_rng(0))
+    counts = stab_run_counts([seq], dev, 500, [np.random.default_rng(0)])
     bits = unpack_bits(counts.codes, 62)
     assert bits.shape[1] == 62 and bits[:, [0, 61]].any()
     assert not bits[:, 1:61].any()  # faults only hit the gate's qubits
@@ -426,7 +538,7 @@ def test_stab_register_above_62_qubits_raises_before_any_draw():
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(ResourceLimitError, match="62 qubits"):
-        stab_run_counts(seq, dev, 500, rng)
+        stab_run_counts([seq], dev, 500, [rng])
     assert rng.bit_generator.state == state
 
 

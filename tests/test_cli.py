@@ -17,7 +17,7 @@ from cabbench.cli import (
 )
 from cabbench.experiments import gate_order_samples, ring_cz_patterns, ring_device, fully_connected_gate
 
-from helpers import closes_to_identity, symplectic_ok
+from helpers import closes_to_identity, symplectic_ok, write_csv_rows
 
 
 def small_cab_config(tmp_path, **over):
@@ -85,6 +85,24 @@ def test_cab_run_writes_artifacts(tmp_path):
     assert len(lam_lines) == 1 + 2 * 16  # dressed + twirl, 2^4 observables each
 
 
+def test_csv_blocks_of_columns_write_the_rows_bytes(tmp_path):
+    # fixed leading fields, braces among them, then columns of ints, strings,
+    # Python and float64 floats and empty fields; an empty block writes nothing
+    floats = np.array([0.1, 1 / 3, 1e-300, -0.0, 2.5e16, np.inf])
+    blocks = [
+        (("dressed", 0), [list(range(6)), floats.tolist(), list(floats)]),
+        (("{w}", "}{"), [["", "x", "{}", "{0}", "a,b", 7], [1, 2, 3, 4, 5, 6], [0.5] * 6]),
+        ((np.float64(0.1), -3), [[], [], []]),
+        ((), [range(2), ["t", "u"], [True, False], [None, 1.0], [1, 2]]),
+    ]
+    rows = [(*fixed, *row) for fixed, columns in blocks for row in zip(*columns)]
+    header = ["a", "b", "c", "d", "e"]
+    cli._write_csv(tmp_path / "blocks.csv", header, blocks)
+    write_csv_rows(tmp_path / "rows.csv", header, rows)
+    assert len(rows) == 14
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def test_runs_are_byte_identical(tmp_path):
     p1 = small_cab_config(tmp_path, out_dir=str(tmp_path / "a"))
     run(ExperimentConfig.load(p1))
@@ -112,6 +130,15 @@ DETERMINISM_CONFIGS = {
         "kind": "cb",
         "device": "two_gate_4q",
         "backend": "dm",
+        "cab": {"k_r": 10, "k_s": 300},
+        "cycles": [2, 4],
+        "n_chars": 5,
+    },
+    # CB on the stab backend: each character group runs as one stack
+    "cb_6q_stab": {
+        "kind": "cb",
+        "device": "three_gate_6q",
+        "backend": "stab",
         "cab": {"k_r": 10, "k_s": 300},
         "cycles": [2, 4],
         "n_chars": 5,
@@ -259,6 +286,10 @@ PINNED_ARTIFACTS = {
     "cb": {
         "characters.csv": "ef08f691d27b9759495b8a194a3840174745774273785e1ed4b10ee3fbde080b",
         "result.json": "6257776835b53e3275cba7121f6e5498f25160671afb825a219c4e7b73c3e0c2",
+    },
+    "cb_6q_stab": {
+        "characters.csv": "324b8e237e8f4e1966ce61db4429b78cbb9b673ad758724db53e974e1f1df35c",
+        "result.json": "8e683230bc925709186ed44a861b500168318de9249bad3d7b2564db6a120de5",
     },
     "correlate": {
         "correlation.csv": "4dfbb764a2131363f0c00a4bfbd1cf2e6dfac28863d573b9ef940c0b6fe35deb",
@@ -481,6 +512,10 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("calibrate", {"calibrate": {"beta_points": 8, "phase_points": 0}}),
         ("calibrate", {"calibrate": {"beta_points": 4, "phase_points": 16}}),
         ("correlate", {"repeat": 1}),
+        # an empty list ran nothing and exited 0 with a header-only CSV, or none
+        ("order_stats", {"n_list": []}),
+        ("parallel_cz_scan", {"scan_counts": []}),
+        ("landscape", {"landscape": {"gamma12": []}}),
     ],
     ids=[
         "k_r",
@@ -527,6 +562,9 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "zero_phase_points",
         "four_beta_points",
         "one_repeat",
+        "empty_n_list",
+        "empty_scan_counts",
+        "empty_gamma12",
     ],
 )
 def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys):

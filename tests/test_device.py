@@ -218,7 +218,7 @@ def _readout_case(case: str):
         dev = load_device("ring_44q")
         block = GateBlock.parallel_cz(dev, tuple(range(len(dev.gates))))
         seq = build_cab_sequence(block, 2, np.random.default_rng(5))
-        counts = stab_run_counts(seq, replace(dev, readout_e0=None, readout_e1=None), 3000, rng)
+        counts = stab_run_counts([seq], replace(dev, readout_e0=None, readout_e1=None), 3000, [rng])
         frame = rng.permutation(np.repeat(counts.codes, counts.counts))
         assert np.count_nonzero(frame) > 1000
         return 44, dev.readout_e0, dev.readout_e1, frame

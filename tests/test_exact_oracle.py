@@ -82,7 +82,7 @@ def test_stab_matches_oracle_on_coupled_devices():
         dev = chain_device(4, rng, pauli_layer_noise=bool(trial % 2))
         block = GateBlock.parallel_cz(dev, (0, 1))
         seq = build_cab_sequence(block, int(rng.integers(0, 4)), rng)
-        counts = stab_run_counts(seq, dev, k_s, np.random.default_rng(trial))
+        counts = stab_run_counts([seq], dev, k_s, [np.random.default_rng(trial)])
         sampled.append(counts.all_survivals()[0, 1:])
         exact.append(exact_survivals(seq, dev, np.arange(1, 16)))
     assert_survivals_match(np.concatenate(sampled), np.concatenate(exact), k_s, z_bound=5.0, std_range=(0.8, 1.2))
@@ -103,7 +103,7 @@ def test_stab_matches_oracle_on_ring44():
         for m in (0, 2):
             for k in range(8):
                 seq = build_cab_sequence(block, m, rng)
-                counts = stab_run_counts(seq, dev, k_s, np.random.default_rng([44, m, k, len(block.layers)]))
+                counts = stab_run_counts([seq], dev, k_s, [np.random.default_rng([44, m, k, len(block.layers)])])
                 sampled.append(counts.survivals(masks)[0])
                 exact.append(exact_survivals(seq, dev, masks))
     sampled, exact = np.concatenate(sampled), np.concatenate(exact)
