@@ -38,7 +38,7 @@ from .calibration import (
     measure_conditional_phase,
     optimize_parallel_cz,
 )
-from .circuits import CircuitSequence, CliffordLayer, GateBlock, GateLayer, PauliLayer
+from .circuits import GateBlock, SequenceStack
 from .device import (
     ControlPhases,
     CouplingMap,

@@ -23,20 +23,19 @@ once per device (``DeviceModel.cached``):
 - a first single-qubit layer on |0..0> gives a product state, and the last
   one folds into the Z measurement.
 
-``dm_run`` takes a stack of sequences with one layout (the same layer
-kinds and the same gate layers) and runs the states as one c.  The
-sequences' own Pauli and single-qubit layers are stacked (one sign row or
-one set of 4x4 matrices per state); a layer every sequence shares, such as
-a gate table or a target block's local layer, broadcasts over the stack.
-matmul runs a stack as one 2-d product per state, so each row is the
-sequence's run on its own to the bit.  The stack goes in chunks of
-``DM_CHUNK_ELEMENTS // 4^n`` states: 10 at 6 qubits, and one from 8
-qubits on, where one state is already large.  A call allocates its work
-memory once, and every layer of every chunk reuses it through ``out=`` and
-in-place steps (``_Stack``).  A fresh array of a few hundred KB per step
-can cost more in page faults than the arithmetic on it, and larger chunks
-only add memory: one chunk of 40 states at 6 qubits was slower than
-chunks of 10.
+``dm_run`` takes a ``SequenceStack`` (``circuits``) and runs its states as
+one c, reading each position's arrays as they are: a Pauli or
+single-qubit entry of K rows gives one sign row or one set of 4x4
+matrices per state, and an entry of one row, such as a target block's
+local layer, broadcasts over the stack.  matmul runs a stack as one 2-d
+product per state, so each row is the sequence's run on its own to the
+bit.  The stack goes in chunks of ``DM_CHUNK_ELEMENTS // 4^n`` states: 10
+at 6 qubits, and one from 8 qubits on, where one state is already large.
+A call allocates its work memory once, and every layer of every chunk
+reuses it through ``out=`` and in-place steps (``_Stack``).  A fresh array
+of a few hundred KB per step can cost more in page faults than the
+arithmetic on it, and larger chunks only add memory: one chunk of 40
+states at 6 qubits was slower than chunks of 10.
 
 ``block_noise_channel`` and ``dressed_cycle_channel`` are the same kernel
 as steps on stacks of real coefficients (a complex input runs as its real
@@ -50,14 +49,15 @@ matrix.
 
 ``stab_run_counts`` is the scalable backend, a Pauli-frame sampler for
 sequences that ideally close to the identity, with every coherent diagonal
-error replaced by its exact Pauli twirl.  It takes a stack of one layout,
-as ``dm_run`` does, and like Stim (Gidney, Quantum 5, 497 (2021)) it
-compiles, then samples:
+error replaced by its exact Pauli twirl.  It takes a stack, as ``dm_run``
+does, and like Stim (Gidney, Quantum 5, 497 (2021)) it compiles, then
+samples:
 
-- compile: one backward walk over the stack's layers tabulates, per noise
-  location and sequence, the readout flip (a GF(2) vector of the final X
-  bits) of each of its Paulis.  The sequences share their locations, so
-  the walk carries (K, n) flip vectors and fills (K, L, 2^b) tables;
+- compile: one backward walk over the stack's positions tabulates, per
+  noise location and sequence, the readout flip (a GF(2) vector of the
+  final X bits) of each of its Paulis.  The sequences share their
+  locations, so the walk carries (K, n) flip vectors and fills (K, L, 2^b)
+  tables;
 - sample, one sequence at a time from its own stream: each (location,
   shot) fires independently with its probability, drawn as geometric gaps
   over the locations that share a channel, so the work is proportional to
@@ -93,7 +93,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .circuits import CircuitSequence, CliffordLayer, GateLayer, PauliLayer, Unitary1qLayer
+from .circuits import SequenceStack
 from .device import DeviceModel, ResourceLimitError, bernoulli_positions, fwht, xor_sorted
 from .paulis import _LETTER_MATS, single_qubit_cliffords
 
@@ -114,7 +114,7 @@ _BIT_SELECT = np.unpackbits(_BYTE_VALUES[:, None], axis=1).astype(float)
 
 _PAULIS = np.array(_LETTER_MATS)  # index 2z + x: I, X, Z, Y
 _Z_MEASURE = np.array([[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, -1.0, 0.0]]) / 2  # [outcome, Pauli]
-_LOCAL = (CliffordLayer, Unitary1qLayer)
+_LOCAL = ("clifford", "unitary")  # the single-qubit layer kinds
 
 
 def _bits(a: np.ndarray, n: int, qubits) -> np.ndarray:
@@ -218,19 +218,18 @@ def _clifford_ptms() -> np.ndarray:
     return ptm
 
 
-def _local_ptms(layers, device: DeviceModel, n: int, noisy: bool) -> np.ndarray:
-    """Per-qubit Pauli transfer matrices (B, n, 4, 4) of B single-qubit
-    layers of one kind, each followed by the per-qubit depolarizing when
+def _local_ptms(layer, device: DeviceModel, n: int, noisy: bool) -> np.ndarray:
+    """Per-qubit Pauli transfer matrices (B, n, 4, 4) of a single-qubit
+    stack entry of B rows, each followed by the per-qubit depolarizing when
     ``noisy``."""
-    if isinstance(layers[0], CliffordLayer):
-        ptm = _clifford_ptms()[np.stack([layer.layer.elements for layer in layers])]
+    kind, data = layer
+    if kind == "clifford":
+        ptm = _clifford_ptms()[data]
     else:
-        ptm = np.empty((len(layers), n, 4, 4))
-        for out, layer in zip(ptm, layers):
-            mats = np.array([np.eye(2, dtype=complex)] * n)
-            for q, u in layer.ops:
-                mats[q] = u @ mats[q]
-            # tr(P_a U P_b U^dagger) / 2
+        # tr(P_a U P_b U^dagger) / 2, one row at a time: a batched einsum may
+        # add in another order
+        ptm = np.empty((len(data), n, 4, 4))
+        for out, mats in zip(ptm, data):
             out[:] = np.einsum("aij,qjk,bkl,qil->qab", _PAULIS, mats, _PAULIS, mats.conj()).real / 2
     if noisy:
         ptm[..., 1:, :] *= device.single_qubit_depol[:n, None, None]
@@ -239,8 +238,8 @@ def _local_ptms(layers, device: DeviceModel, n: int, noisy: bool) -> np.ndarray:
 
 def _product_state(first, device: DeviceModel, n: int, out: np.ndarray):
     """Writes to ``out`` (K, d, d) the coefficients of |0..0>, or of the
-    product states the local layers ``first`` (one, or one per state; noise
-    included) make from it."""
+    product states the local layer entry ``first`` (one row, or one per
+    state; noise included) makes from it."""
     if first is None:
         blocks = np.broadcast_to(np.array([[1.0, 0.0], [1.0, 0.0]]), (1, n, 2, 2))
     else:
@@ -377,9 +376,9 @@ class _Stack:
         head.c, head.scratch = self.c[:k], self.scratch[:k]
         return head
 
-    def apply(self, layers, noisy: bool, twirl_coupling: bool):
-        """One layer position: ``layers`` holds each state's layer, or one
-        layer for every state.
+    def apply(self, layer, noisy: bool, twirl_coupling: bool):
+        """One stack entry (kind, data): one row per state, or one row for
+        every state.
 
         A single-qubit layer is a Kronecker product of 4x4 transfer matrices
         with its depolarizing folded in.  A Pauli layer X^x Z^z and its
@@ -388,22 +387,18 @@ class _Stack:
         times that of z along the columns x', so the layer is two broadcast
         multiplies, exact in any order since every factor is a sign.
         """
-        layer = layers[0]
-        if isinstance(layer, GateLayer):
-            self.gate(tuple(layer.gates), noisy, twirl_coupling)
-        elif isinstance(layer, _LOCAL):
-            self.local(_local_ptms(layers, self.device, self.n, noisy))
-        elif isinstance(layer, PauliLayer):
-            place = 1 << np.arange(self.n - 1, -1, -1)
-            x = np.stack([lay.pauli.x for lay in layers]) @ place
-            z = np.stack([lay.pauli.z for lay in layers]) @ place
+        kind, data = layer
+        if kind == "gates":
+            self.gate(tuple(data), noisy, twirl_coupling)
+        elif kind == "pauli":
+            x, z = (data @ (1 << np.arange(self.n - 1, -1, -1))).T
             if np.any(x) or np.any(z):
                 self.c *= _walsh_rows(x, self.device, self.n)[:, :, None]
                 self.c *= _walsh_rows(z, self.device, self.n)[:, None, :]
             if noisy and self.device.pauli_layer_noise:
                 self.depolarize_1q()
         else:
-            raise TypeError(f"unknown layer type {type(layer)!r}")
+            self.local(_local_ptms(layer, self.device, self.n, noisy))
 
     def depolarize_1q(self):
         table = _single_qubit_noise(self.device, self.n)
@@ -446,8 +441,9 @@ class _Stack:
         np.copyto(self.c.reshape(k, da, db, da, db), t.swapaxes(-3, -2))
 
     def measure(self, last) -> np.ndarray:
-        """P(b) = tr(|b><b| rho), (K, d), after the local layers ``last`` or
-        none: per qubit (I + (-1)^b Z) / 2, with ``last`` folded in."""
+        """P(b) = tr(|b><b| rho), (K, d), after the local layer entry
+        ``last`` or none: per qubit (I + (-1)^b Z) / 2, with ``last`` folded
+        in."""
         if last is None:
             meas = np.broadcast_to(_Z_MEASURE, (1, self.n, 2, 4))
         else:
@@ -455,37 +451,17 @@ class _Stack:
         return _apply_halves(self.c, *_halves(meas), self.buf).reshape(len(self.c), -1)
 
 
-def _layout(seqs: list[CircuitSequence]) -> list[tuple]:
-    """The layer positions of a stack, each as the tuple of its sequences'
-    layers there; ValueError for no sequences, or unless they share one
-    layout."""
-    if not seqs:
-        raise ValueError("a stack needs at least one sequence")
-    head = seqs[0]
-    if any(s.n != head.n or len(s.layers) != len(head.layers) for s in seqs):
-        raise ValueError("stacked sequences need one register size and one number of layers")
-    columns = list(zip(*(s.layers for s in seqs)))
-    for i, col in enumerate(columns):
-        kind = type(col[0])
-        if any(type(layer) is not kind for layer in col) or (
-            kind is GateLayer and any(tuple(layer.gates) != tuple(col[0].gates) for layer in col)
-        ):
-            raise ValueError(f"stacked sequences differ in layer kind or gates at position {i}")
-    return columns
-
-
-def _run_chunk(columns: list[tuple], stack: _Stack, twirl_coupling: bool, out: np.ndarray):
-    """``dm_run`` on one chunk of len(out) sequences, the rows written to
-    ``out``; ``stack`` holds at least that many states."""
+def _run_chunk(layers: list, stack: _Stack, twirl_coupling: bool, out: np.ndarray):
+    """``dm_run`` on one chunk of len(out) sequences, given as its stack
+    entries, the rows written to ``out``; ``stack`` holds at least that many
+    states."""
     device, n = stack.device, stack.n
     stack = stack.head(len(out))
-    # a layer every sequence shares is applied once to the whole stack
-    columns = [col[:1] if all(layer is col[0] for layer in col) else col for col in columns]
-    first = columns.pop(0) if columns and isinstance(columns[0][0], _LOCAL) else None
-    last = columns.pop() if columns and isinstance(columns[-1][0], _LOCAL) else None
+    first = layers.pop(0) if layers and layers[0][0] in _LOCAL else None
+    last = layers.pop() if layers and layers[-1][0] in _LOCAL else None
     _product_state(first, device, n, stack.c)
-    for col in columns:
-        stack.apply(col, noisy=True, twirl_coupling=twirl_coupling)
+    for layer in layers:
+        stack.apply(layer, noisy=True, twirl_coupling=twirl_coupling)
     probs = stack.measure(last)
     error = np.abs(probs.sum(axis=1) - 1.0)
     if np.any(error > 1e-10):
@@ -496,34 +472,24 @@ def _run_chunk(columns: list[tuple], stack: _Stack, twirl_coupling: bool, out: n
         out[:] = _kron_rows(out[..., None], *confusion)[..., 0]
 
 
-def dm_run(
-    seqs: list[CircuitSequence],
-    device: DeviceModel,
-    *,
-    twirl_coupling: bool = False,
-) -> np.ndarray:
+def dm_run(stack: SequenceStack, device: DeviceModel, *, twirl_coupling: bool = False) -> np.ndarray:
     """Exact outcome distributions of a stack of sequences on the device.
 
-    The sequences must share one layout: one register, the same layer kind
-    at every position and the same gates in every gate layer
-    (``ValueError`` otherwise).  Their Pauli and single-qubit layers may
-    differ.  Returns one probability row over the 2^n bitstrings (qubit 0
-    is the most significant bit) per sequence, in chunks of
+    Returns one probability row over the 2^n bitstrings (qubit 0 is the
+    most significant bit) per sequence, in chunks of
     ``DM_CHUNK_ELEMENTS // 4^n`` sequences (at least one).
     ``twirl_coupling`` replaces each coherent diagonal error component by
     its exact Pauli twirl, which is the model the stochastic backend
     samples from.
     """
-    seqs = list(seqs)
-    columns = _layout(seqs)
-    n = seqs[0].n
+    n, k = stack.n, stack.size
     if n > DM_QUBIT_LIMIT:
         raise ResourceLimitError(f"density-matrix backend limited to {DM_QUBIT_LIMIT} qubits")
-    probs = np.empty((len(seqs), 2**n))
-    size = min(len(seqs), max(1, DM_CHUNK_ELEMENTS // 4**n))
-    stack = _Stack(size, device, n)
-    for s in range(0, len(seqs), size):
-        _run_chunk([col[s : s + size] for col in columns], stack, twirl_coupling, probs[s : s + size])
+    probs = np.empty((k, 2**n))
+    size = min(k, max(1, DM_CHUNK_ELEMENTS // 4**n))
+    work = _Stack(size, device, n)
+    for s in range(0, k, size):
+        _run_chunk(list(stack.rows(s, s + size).layers), work, twirl_coupling, probs[s : s + size])
     return probs
 
 
@@ -670,7 +636,7 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return np.packbits(padded, axis=-1).view(">i8")[..., 0].astype(np.int64)[()]
 
 
-def _compile_faults(seqs: list[CircuitSequence], device: DeviceModel) -> list:
+def _compile_faults(stack: SequenceStack, device: DeviceModel) -> list:
     """Every noise location of a stack of K sequences of one layout, with
     the readout flips of its Paulis in each sequence.
 
@@ -682,13 +648,13 @@ def _compile_faults(seqs: list[CircuitSequence], device: DeviceModel) -> list:
     the layer:
 
     - a Clifford layer maps a fault P to C P C^dagger
-      (``single_qubit_cliffords().action``), each sequence by its own layer;
+      (``single_qubit_cliffords().action``), each sequence by its own row,
+      or all by a shared one;
     - a CZ maps X_a to X_a Z_b, and a Pauli layer leaves faults unchanged.
 
-    The sequences share their layer kinds and gate layers, so they share
-    their locations; only the flips differ.  The locations come grouped by
-    channel, in order of first appearance: (firing probability, conditional
-    weights, tables).  A location has b flip vectors, one per Pauli factor:
+    The sequences share their layout, so they share their locations; only
+    the flips differ.  The locations come grouped by channel, in order of
+    first appearance: (firing probability, conditional weights, tables).  A location has b flip vectors, one per Pauli factor:
     (X, Z) for per-qubit and (X_a, Z_a, X_b, Z_b) for per-gate depolarizing,
     uniform over all 4 or 16 Paulis, identity included, and the Z flips of
     its support for a twirled coupling, weighted by the twirl.  ``tables``
@@ -698,8 +664,7 @@ def _compile_faults(seqs: list[CircuitSequence], device: DeviceModel) -> list:
     from the weights offset by one (the identity is excluded), and flips
     sequence k's outcome by ``tables[k, loc, i]``.
     """
-    columns = _layout(seqs)
-    k, n = len(seqs), seqs[0].n
+    k, n = stack.size, stack.n
     if n > PACK_QUBIT_LIMIT:
         raise ResourceLimitError(f"stabilizer backend limited to {PACK_QUBIT_LIMIT} qubits")
     act = single_qubit_cliffords().action.astype(bool)
@@ -718,36 +683,33 @@ def _compile_faults(seqs: list[CircuitSequence], device: DeviceModel) -> list:
         for p in sorted(set(fire_1q.tolist())):
             add(("1q", p), float(p), None, rows[:, fire_1q == p])
 
-    for col in reversed(columns):
-        layer = col[0]
-        if isinstance(layer, CliffordLayer):
+    for kind, data in reversed(stack.layers):
+        if kind == "clifford":
             depol_1q()
-            img = act[np.stack([lay.layer.elements for lay in col])]  # (K, n, letter, (x, z, sign))
+            img = act[data]  # (K or 1, n, letter, (x, z, sign))
             fx, fz = (
                 np.where(img[..., 1, 0], fx, 0) ^ np.where(img[..., 1, 1], fz, 0),
                 np.where(img[..., 2, 0], fx, 0) ^ np.where(img[..., 2, 1], fz, 0),
             )
-        elif isinstance(layer, PauliLayer):
+        elif kind == "pauli":
             if device.pauli_layer_noise:
                 depol_1q()
-        elif isinstance(layer, GateLayer):
-            for g in layer.gates:
+        elif kind == "gates":
+            for g in data:
                 spec = device.gates[g]
                 a, b = spec.pair
                 p = 1.0 - spec.effective_depol_p()
                 add(("2q", p), p, None, np.stack([fx[:, a], fz[:, a], fx[:, b], fz[:, b]], axis=1)[:, None])
             # the channels are cached per layer: one object per channel
-            for ch in device.layer_twirl_channels(layer.gates):
+            for ch in device.layer_twirl_channels(data):
                 p = float(ch.weights[1:].sum())  # the identity does not fire
                 if p > 0.0:
                     add(("twirl", id(ch)), p, ch.weights[1:] / p, fz[:, list(ch.support)][:, None])
-            for g in layer.gates:
+            for g in data:
                 a, b = device.gates[g].pair
                 fx[:, a], fx[:, b] = fx[:, a] ^ fz[:, b], fx[:, b] ^ fz[:, a]
-        elif isinstance(layer, Unitary1qLayer):
-            raise ValueError("stabilizer backend cannot execute arbitrary 1q unitaries")
         else:
-            raise TypeError(f"unknown layer type {type(layer)!r}")
+            raise ValueError("stabilizer backend cannot execute arbitrary 1q unitaries")
     compiled = []
     for p, weights, rows in groups.values():
         flips = np.concatenate(rows, axis=1)  # (K, L, b)
@@ -759,11 +721,11 @@ def _compile_faults(seqs: list[CircuitSequence], device: DeviceModel) -> list:
 
 
 def stab_run_counts(
-    seqs: list[CircuitSequence], device: DeviceModel, k_s: int, rngs: list[np.random.Generator]
+    stack: SequenceStack, device: DeviceModel, k_s: int, rngs: list[np.random.Generator]
 ) -> ShotCounts:
-    """Sample k_s measurement outcomes of each of a stack of sequences of
-    one layout (as ``dm_run`` takes them) that close to identity, sequence
-    k from its own stream ``rngs[k]``; the counts are stacked in order.
+    """Sample k_s measurement outcomes of each sequence of a stack that
+    closes to identity, sequence k from its own stream ``rngs[k]``; the
+    counts are stacked in order.
 
     Compile, then sample.  ``_compile_faults`` lists, in one walk over the
     stack's layers, every noise location (per-qubit depolarizing after
@@ -780,10 +742,10 @@ def stab_run_counts(
     XORs and readout in one pass were slower at 44 qubits, their larger
     arrays costing more in page faults than the loop saves.
     """
-    groups = _compile_faults(seqs, device)
-    if len(rngs) != len(seqs):
-        raise ValueError(f"{len(seqs)} sequences need as many streams, got {len(rngs)}")
-    n = seqs[0].n
+    groups = _compile_faults(stack, device)
+    if len(rngs) != stack.size:
+        raise ValueError(f"{stack.size} sequences need as many streams, got {len(rngs)}")
+    n = stack.n
     readout = np.any(device.readout_e0 > 0) or np.any(device.readout_e1 > 0)
     if readout:
         # here: perfbench/tracing.py patches device.apply_readout_noise, which a module-level import bypasses
@@ -854,9 +816,9 @@ def _block_noise(c: np.ndarray, device: DeviceModel, block, depolarize_first: bo
     if depolarize_first:
         stack.depolarize_1q()
     for layer in block.layers:
-        stack.apply((layer,), noisy=True, twirl_coupling=False)
+        stack.apply(layer, noisy=True, twirl_coupling=False)
     for layer in block.inverse_layers:
-        stack.apply((layer,), noisy=False, twirl_coupling=False)
+        stack.apply(layer, noisy=False, twirl_coupling=False)
     return stack.c.reshape(np.shape(c))
 
 

@@ -3,7 +3,10 @@
 A benchmark run samples random sequences per circuit depth, executes them
 on a backend, extracts Z-observable survival probabilities, fits the decay
 f(m) = A * lambda^(2m) per observable, and averages the quality parameters
-into a process-fidelity estimate.  The twirling-layer fidelity is measured
+into a process-fidelity estimate.  A depth's sequences (or a CB character
+group's) are built as one ``SequenceStack`` and run by one backend call:
+sequence k draws its Clifford and its Paulis, one Pauli at a time, from
+its own stream, and one GF(2) product gives every closing Pauli.  The twirling-layer fidelity is measured
 the same way with the identity as the target gate; the interleaved formula
 isolates the pure gate fidelity from the dressed one.
 
@@ -34,9 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import ShotCounts, dm_run, pack_bits, stab_run_counts
-from .circuits import CircuitSequence, CliffordLayer, GateBlock, PauliLayer
+from .circuits import GateBlock, SequenceStack
 from .device import DeviceModel, ResourceLimitError
-from .paulis import sample_local_clifford, sample_random_pauli
+from .paulis import local_clifford_elements, random_pauli_bits, single_qubit_cliffords
 from .tableau import compile_cycle_pauli, compile_inverse_pauli, gate_order
 
 TRAVERSE_LIMIT = 12
@@ -113,25 +116,28 @@ class FidelityEstimate:
 # ---------------------------------------------------------------------------
 
 
-def build_cab_sequence(block: GateBlock, m: int, rng: np.random.Generator) -> CircuitSequence:
-    """One random benchmarking sequence of depth m for the target block.
+def build_cab_sequence(block: GateBlock, m: int, rngs: list[np.random.Generator]) -> SequenceStack:
+    """Random benchmarking sequences of depth m for the target block, one
+    per stream of ``rngs``, as one stack.
 
     Layout: C, then m repetitions of (P, U, P, U^-1), then the compiled
-    closing Pauli, then C^-1.  The noiseless composition is the identity.
+    closing Pauli, then C^-1; each sequence's noiseless composition is the
+    identity.  Sequence k draws its C, then its 2m Paulis, from ``rngs[k]``;
+    all K closing Paulis come from one ``compile_inverse_pauli`` call.
     """
-    n = block.n
-    c = sample_local_clifford(n, rng)
-    paulis = [sample_random_pauli(n, rng) for _ in range(2 * m)]
-    closer = compile_inverse_pauli(block.tableau, paulis, m)
-    layers: list = [CliffordLayer(c)]
+    n, k = block.n, len(rngs)
+    c = np.empty((k, n), dtype=np.uint8)
+    paulis = np.empty((k, 2 * m, 2, n), dtype=np.uint8)
+    for row, rng in enumerate(rngs):
+        c[row] = local_clifford_elements(n, rng)
+        for i in range(2 * m):
+            paulis[row, i] = random_pauli_bits(n, rng)
+    closer = compile_inverse_pauli(block.tableau, paulis.reshape(k, 2 * m, 2 * n), m)
+    layers: list = [("clifford", c)]
     for i in range(m):
-        layers.append(PauliLayer(paulis[2 * i]))
-        layers.extend(block.layers)
-        layers.append(PauliLayer(paulis[2 * i + 1]))
-        layers.extend(block.inverse_layers)
-    layers.append(PauliLayer(closer, closing=True))
-    layers.append(CliffordLayer(c.inverse()))
-    return CircuitSequence(n, tuple(layers))
+        layers += [("pauli", paulis[:, 2 * i]), *block.layers, ("pauli", paulis[:, 2 * i + 1]), *block.inverse_layers]
+    layers += [("pauli", closer.reshape(k, 2, n)), ("clifford", single_qubit_cliffords().inverse_table[c])]
+    return SequenceStack(n, tuple(layers))
 
 
 def sample_observables(n: int, k_q: int, rng: np.random.Generator) -> np.ndarray:
@@ -266,21 +272,19 @@ def _resolve_backend(name: str, n: int) -> str:
 
 
 def _run_counts(
-    seqs: list[CircuitSequence],
+    stack: SequenceStack,
     device: DeviceModel,
     backend: str,
     k_s: int,
     rngs: list[np.random.Generator],
 ) -> ShotCounts:
-    """Execute sequences of one layout (a depth's sequences, or one CB
-    character group) on a resolved backend and sample k_s shots of each
-    from its own stream, stacked in order: one backend call per stack."""
+    """Execute a stack (a depth's sequences, or one CB character group) on a
+    resolved backend and sample k_s shots of each sequence from its own
+    stream, stacked in order: one backend call per stack."""
     if backend == "dm":
-        probs = dm_run(seqs, device)
-        return ShotCounts.stack(
-            [ShotCounts.from_probabilities(p, seqs[0].n, k_s, rng) for p, rng in zip(probs, rngs)]
-        )
-    return stab_run_counts(seqs, device, k_s, rngs)
+        probs = dm_run(stack, device)
+        return ShotCounts.stack([ShotCounts.from_probabilities(p, stack.n, k_s, rng) for p, rng in zip(probs, rngs)])
+    return stab_run_counts(stack, device, k_s, rngs)
 
 
 def execute_cab_run(
@@ -304,11 +308,9 @@ def execute_cab_run(
 
     counts: list[ShotCounts] = []
     for d, m in enumerate(depths):
-        seqs = [
-            build_cab_sequence(block, m, np.random.default_rng([config.seed, 17, tag, d, k])) for k in range(config.k_r)
-        ]
+        seq_rngs = [np.random.default_rng([config.seed, 17, tag, d, k]) for k in range(config.k_r)]
         rngs = [np.random.default_rng([config.seed, 23, tag, d, k]) for k in range(config.k_r)]
-        counts.append(_run_counts(seqs, device, backend, config.k_s, rngs))
+        counts.append(_run_counts(build_cab_sequence(block, m, seq_rngs), device, backend, config.k_s, rngs))
 
     # C-contiguous (depth, sequence, mask): the depth means sum along the
     # sequence axis in this layout
@@ -558,41 +560,45 @@ def run_cab_experiment(
 # ---------------------------------------------------------------------------
 
 
-def _prep_layer_for_character(n: int, char_x: np.ndarray, char_z: np.ndarray):
-    """Local Cliffords mapping each qubit's Z to the character's letter."""
-    from .paulis import LocalCliffordLayer, single_qubit_cliffords
-
+def _prep_elements(character: np.ndarray) -> np.ndarray:
+    """Local Clifford elements (n,) mapping each qubit's Z to the letter of
+    the character, given as bits (2, n)."""
     table = single_qubit_cliffords()
-    elements = np.empty(n, dtype=np.uint8)
-    for q in range(n):
-        code = int(char_x[q]) + 2 * int(char_z[q])
-        if code == 0:
-            elements[q] = table.identity_index
-        else:
-            elements[q] = table.find_z_preparation(int(char_x[q]), int(char_z[q]))
-    return LocalCliffordLayer(n, elements)
+    elements = np.empty(character.shape[1], dtype=np.uint8)
+    for q, (x, z) in enumerate(character.T.tolist()):
+        elements[q] = table.find_z_preparation(x, z) if x or z else table.identity_index
+    return elements
 
 
 def build_cb_sequence(
     block: GateBlock,
-    character,
+    character: np.ndarray,
     cycles: int,
     order: int,
-    rng: np.random.Generator,
-) -> CircuitSequence:
-    """One cycle-benchmarking sequence: basis prep, cycles of (P, U), closure."""
-    n = block.n
+    rngs: list[np.random.Generator],
+) -> SequenceStack:
+    """Cycle-benchmarking sequences of one character (Pauli bits (2, n)),
+    one per stream of ``rngs``, as one stack: basis prep, cycles of (P, U),
+    closure.
+
+    Sequence k draws its Paulis from ``rngs[k]``; the basis prep and its
+    inverse are shared, and all K closing Paulis come from one
+    ``compile_cycle_pauli`` call.
+    """
+    n, k = block.n, len(rngs)
     if cycles % order != 0:
         raise ValueError("cycle count must be a multiple of the gate order")
-    prep = _prep_layer_for_character(n, character.x, character.z)
-    paulis = [sample_random_pauli(n, rng) for _ in range(cycles)]
-    layers: list = [CliffordLayer(prep)]
-    for p in paulis:
-        layers.append(PauliLayer(p))
-        layers.extend(block.layers)
-    layers.append(PauliLayer(compile_cycle_pauli(block.tableau, paulis), closing=True))
-    layers.append(CliffordLayer(prep.inverse()))
-    return CircuitSequence(n, tuple(layers))
+    prep = _prep_elements(character)
+    paulis = np.empty((k, cycles, 2, n), dtype=np.uint8)
+    for row, rng in enumerate(rngs):
+        for i in range(cycles):
+            paulis[row, i] = random_pauli_bits(n, rng)
+    closer = compile_cycle_pauli(block.tableau, paulis.reshape(k, cycles, 2 * n))
+    layers: list = [("clifford", prep[None])]
+    for i in range(cycles):
+        layers += [("pauli", paulis[:, i]), *block.layers]
+    layers += [("pauli", closer.reshape(k, 2, n)), ("clifford", single_qubit_cliffords().inverse_table[prep][None])]
+    return SequenceStack(n, tuple(layers))
 
 
 def run_cb_experiment(
@@ -626,18 +632,16 @@ def run_cb_experiment(
     backend = _resolve_backend(config.backend, n)
 
     rng_char = np.random.default_rng([config.seed, 7, 2])
-    characters = [sample_random_pauli(n, rng_char) for _ in range(n_chars)]
-    char_masks = pack_bits(np.array([p.x | p.z for p in characters]))
+    characters = np.array([random_pauli_bits(n, rng_char) for _ in range(n_chars)])  # (n_chars, 2, n)
+    char_masks = pack_bits(characters[:, 0] | characters[:, 1])
 
     surv = np.empty((len(cycles), n_chars, group))
     for d, c in enumerate(cycles):
         for ci, char in enumerate(characters):
-            seqs = [
-                build_cb_sequence(block, char, c, order, np.random.default_rng([config.seed, 29, 2, d, ci, k]))
-                for k in range(group)
-            ]
+            seq_rngs = [np.random.default_rng([config.seed, 29, 2, d, ci, k]) for k in range(group)]
+            stack = build_cb_sequence(block, char, c, order, seq_rngs)
             rngs = [np.random.default_rng([config.seed, 31, 2, d, ci, k]) for k in range(group)]
-            sc = _run_counts(seqs, device, backend, config.k_s, rngs)
+            sc = _run_counts(stack, device, backend, config.k_s, rngs)
             surv[d, ci] = sc.survivals(char_masks[ci : ci + 1])[:, 0]
 
     est = _estimate_from_surv(

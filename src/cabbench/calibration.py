@@ -17,7 +17,7 @@ import numpy as np
 
 from .backends import dm_run
 from .cab import CabConfig, ConfigError, FidelityEstimate, run_cab_experiment
-from .circuits import CircuitSequence, GateLayer, Unitary1qLayer
+from .circuits import SequenceStack, unitary_layer
 from .device import DeviceModel
 
 COSINE_RESIDUAL_TOL = 0.05  # RMS residual above which a Ramsey scan is rejected
@@ -96,12 +96,18 @@ def measure_conditional_phase(
     spec = device.gates[gate]
     qa, qb = spec.pair
     n = device.n_qubits
-    cz = GateLayer((gate,))
-    # the partner in 0, then excited to 1
-    preps = [Unitary1qLayer(((qa, half_pi_pulse(0.0)),)), Unitary1qLayer(((qa, half_pi_pulse(0.0)), (qb, _X_PI)))]
-    analyses = [Unitary1qLayer(((qa, half_pi_pulse(float(beta))),)) for beta in beta_grid]
-    seqs = [CircuitSequence(n, (prep, cz, analysis)) for prep in preps for analysis in analyses]
-    values = np.array([_marginal_p1(probs, n, qa) for probs in dm_run(seqs, device)]).reshape(2, -1)
+    # the partner in 0, then excited to 1; every analysis after each
+    preps = [unitary_layer(n, [(qa, half_pi_pulse(0.0))]), unitary_layer(n, [(qa, half_pi_pulse(0.0)), (qb, _X_PI)])]
+    analyses = np.array([unitary_layer(n, [(qa, half_pi_pulse(float(beta)))]) for beta in beta_grid])
+    stack = SequenceStack(
+        n,
+        (
+            ("unitary", np.repeat(preps, len(beta_grid), axis=0)),
+            ("gates", (gate,)),
+            ("unitary", np.concatenate([analyses, analyses])),
+        ),
+    )
+    values = np.array([_marginal_p1(probs, n, qa) for probs in dm_run(stack, device)]).reshape(2, -1)
     phases = [_fit_cosine_phase(beta_grid, v)[0] for v in values]
     phi = _wrap_near_pi(phases[1] - phases[0])
     return phases[0], phases[1], phi
@@ -122,12 +128,10 @@ def calibrate_dynamic_phase(
     if qubit not in spec.pair:
         raise ValueError("qubit must belong to the gate")
     n = device.n_qubits
-    pulse, cz = Unitary1qLayer(((qubit, half_pi_pulse(0.0)),)), GateLayer((gate,))
-    seqs = [
-        CircuitSequence(n, (pulse, cz, Unitary1qLayer(((qubit, _z_phase(float(phi))),)), pulse))
-        for phi in phase_grid
-    ]
-    values = np.array([_marginal_p1(probs, n, qubit) for probs in dm_run(seqs, device)])
+    pulse = ("unitary", unitary_layer(n, [(qubit, half_pi_pulse(0.0))])[None])
+    phases = np.array([unitary_layer(n, [(qubit, _z_phase(float(phi)))]) for phi in phase_grid])
+    stack = SequenceStack(n, (pulse, ("gates", (gate,)), ("unitary", phases), pulse))
+    values = np.array([_marginal_p1(probs, n, qubit) for probs in dm_run(stack, device)])
     if values.max() - values.min() < 0.02:
         raise NoSignalError("dynamic-phase scan shows no contrast")
     return float(phase_grid[int(np.argmax(values))])

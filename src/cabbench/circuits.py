@@ -1,54 +1,70 @@
-"""Circuit sequences built from layers, and benchmark target gate blocks."""
+"""Stacks of sequences of one layout, and benchmark target gate blocks.
+
+Every CAB sequence of one depth, and every CB sequence of one character
+group, has the same layout; only its random Cliffords and Paulis differ.
+A ``SequenceStack`` holds that layout once, with one entry per layer
+position, a (kind, data) pair of one of four kinds:
+
+- ``("gates", indices)``: a tuple of the device's two-qubit gates, run in
+  parallel; every sequence shares it;
+- ``("clifford", elements)``: single-qubit Clifford elements (K, n) uint8,
+  indices into ``single_qubit_cliffords()``;
+- ``("pauli", bits)``: Pauli layers X^x Z^z as bits (K, 2, n) uint8, x then z;
+- ``("unitary", mats)``: single-qubit unitaries (K, n, 2, 2) complex, for
+  the calibration scans; the density-matrix backend only.
+
+Row k of every array is sequence k.  A leading axis of 1 marks a layer that
+every sequence shares, such as a target block's local layer; the backends
+apply it once to the whole stack.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .device import DeviceModel
-from .paulis import LocalCliffordLayer, PauliString
 from .tableau import CliffordTableau
 
 
 @dataclass(frozen=True)
-class CliffordLayer:
-    """A layer of parallel single-qubit Cliffords."""
-
-    layer: LocalCliffordLayer
-
-
-@dataclass(frozen=True)
-class PauliLayer:
-    """A layer of single-qubit Paulis; ``closing`` marks the inverse gate."""
-
-    pauli: PauliString
-    closing: bool = False
-
-
-@dataclass(frozen=True)
-class GateLayer:
-    """Parallel execution of a set of the device's two-qubit gates."""
-
-    gates: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Unitary1qLayer:
-    """Arbitrary single-qubit unitaries; density-matrix backend only."""
-
-    ops: tuple[tuple[int, np.ndarray], ...]
-
-
-Layer = CliffordLayer | PauliLayer | GateLayer | Unitary1qLayer
-
-
-@dataclass(frozen=True)
-class CircuitSequence:
-    """Ordered layers acting on a fixed register."""
+class SequenceStack:
+    """K sequences of one layout on an n-qubit register, one (kind, data)
+    entry per layer position."""
 
     n: int
-    layers: tuple[Layer, ...]
+    layers: tuple[tuple[str, object], ...]
+
+    def __post_init__(self):
+        row = {"clifford": (self.n,), "pauli": (2, self.n), "unitary": (self.n, 2, 2)}
+        k = self.size
+        for i, (kind, data) in enumerate(self.layers):
+            if kind == "gates":
+                continue
+            if kind not in row or np.shape(data)[1:] != row[kind] or len(data) not in {1, k} or not len(data):
+                raise ValueError(f"position {i}: {kind!r} {np.shape(data)}, a stack of {k} on {self.n} qubits")
+
+    @property
+    def size(self) -> int:
+        """The number of sequences K: 1 when every layer is shared."""
+        return max((len(data) for kind, data in self.layers if kind != "gates"), default=1)
+
+    def rows(self, start: int, stop: int) -> "SequenceStack":
+        """Sequences start..stop-1 as a stack; shared layers stay as they are."""
+        return SequenceStack(
+            self.n,
+            tuple((kind, d if kind == "gates" or len(d) == 1 else d[start:stop]) for kind, d in self.layers),
+        )
+
+
+def unitary_layer(n: int, ops) -> np.ndarray:
+    """One sequence's single-qubit unitaries (n, 2, 2): the identity on
+    every qubit, times each (qubit, 2x2 unitary) of ``ops`` in turn."""
+    mats = np.array([np.eye(2, dtype=complex)] * n)
+    for q, u in ops:
+        mats[q] = u @ mats[q]
+    return mats
 
 
 @dataclass(frozen=True)
@@ -56,14 +72,15 @@ class GateBlock:
     """A benchmark target: its tableau plus device-level layer decomposition.
 
     ``layers`` implement the gate, ``inverse_layers`` its inverse, both in
-    circuit order.  For a parallel CZ gate the two coincide.
+    circuit order, as ``SequenceStack`` entries that every sequence shares.
+    For a parallel CZ gate the two coincide.
     """
 
     name: str
     n: int
     tableau: CliffordTableau
-    layers: tuple[Layer, ...]
-    inverse_layers: tuple[Layer, ...]
+    layers: tuple[tuple[str, object], ...]
+    inverse_layers: tuple[tuple[str, object], ...]
     gate_indices: tuple[int, ...] = ()
 
     @staticmethod
@@ -72,7 +89,7 @@ class GateBlock:
         n = device.n_qubits
         pairs = [device.gates[g].pair for g in gate_indices]
         t = CliffordTableau.from_cz_layer(n, pairs)
-        layer = (GateLayer(tuple(gate_indices)),)
+        layer = (("gates", tuple(gate_indices)),)
         return GateBlock(
             name=f"parallel_cz[{','.join(str(g) for g in gate_indices)}]",
             n=n,

@@ -139,7 +139,11 @@ class ExperimentConfig:
 
     def settings(self) -> dict:
         """The kind's fields of FIELDS, checked, with their defaults where the
-        config leaves them out.  Other top-level keys are echoed but not read."""
+        config leaves them out; the seed and the ``cab`` section are checked
+        for every kind.  Other top-level keys are echoed but not read."""
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        _checked(self.cab, CAB_FIELDS, "cab")
         table = FIELDS[self.kind]
         return {key: _checked(self.extra.get(key, default), default, key) for key, default in table.items()}
 
@@ -310,13 +314,11 @@ def _run_fully_connected(cfg: ExperimentConfig, settings: dict, out: Path) -> di
     else:
         if n % 2 or n < 4:
             raise ConfigError(f"fully_connected n must be even and >= 4, got {n}")
-        device = ring_device(
-            n,
-            gate_depol=settings["gate_depol"],
-            single_qubit_depol=settings["single_qubit_depol"],
-            readout_e0=settings["readout_e0"],
-            readout_e1=settings["readout_e1"],
-        )
+        probs = {key: settings[key] for key in ("gate_depol", "single_qubit_depol", "readout_e0", "readout_e1")}
+        bad = {key: p for key, p in probs.items() if not 0.0 <= p <= 1.0}
+        if bad:
+            raise ConfigError(f"fully_connected probabilities must lie in [0, 1], got {bad}")
+        device = ring_device(n, **probs)
     n_half = n // 2
     if len(device.gates) < n:
         raise ConfigError(f"fully_connected needs {n} gates, the device has {len(device.gates)}")
@@ -340,8 +342,9 @@ def _run_parallel_cz_scan(cfg: ExperimentConfig, settings: dict, out: Path) -> d
     for r in counts:
         if not 1 <= r <= len(device.gates):
             raise ConfigError(f"scan_counts entries must lie in [1, {len(device.gates)}], got {r}")
-    if per_cz is not None:
-        _checked(per_cz, 1.0, "per_cz_fidelity")  # but used as given: an integer prints as one
+    # used as given: an integer prints as one
+    if per_cz is not None and not 0.0 < _checked(per_cz, 1.0, "per_cz_fidelity") <= 1.0:
+        raise ConfigError(f"per_cz_fidelity must lie in (0, 1], got {per_cz}")
     reps = []
     twirl_data = None  # every point's twirl run is the same identity run on the whole register
     for r in counts:
@@ -374,6 +377,8 @@ def _run_parallel_cz_scan(cfg: ExperimentConfig, settings: dict, out: Path) -> d
 
 def _run_correlate(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     device, gates = _target(cfg)
+    if len(gates) < 2:
+        raise ConfigError(f"correlate needs at least two gates to correlate, got {list(gates)}")
     cfg.subsets = "singles+pairs"
     cab_cfg = cfg.cab_config(gates)
     repeat = settings["repeat"]
@@ -428,6 +433,9 @@ def _run_landscape(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
 def _run_optimize(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     device, gates = _target(cfg)
     spec = settings["optimize"]
+    step, x_tol = spec["initial_step"], spec["x_tol"]
+    if not (step > 0.0 and x_tol >= 0.0):
+        raise ConfigError(f"optimize needs initial_step > 0 and x_tol >= 0, got {step} and {x_tol}")
     cab_cfg = replace(cfg.cab_config(gates, k_r=40, k_s=2000, mode="traverse"), subsets=())
     traj = optimize_parallel_cz(
         device,

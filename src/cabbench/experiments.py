@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import CliffordLayer, GateBlock, GateLayer
+from .circuits import GateBlock
 from .device import CouplingMap, DeviceModel, GateSpec
-from .paulis import local_clifford_elements, sample_local_clifford
+from .paulis import local_clifford_elements, single_qubit_cliffords
 from .tableau import _SIGN_CHUNK_ROWS, CliffordTableau, gate_order, local_layer_lookup
 
 
@@ -49,26 +49,18 @@ def fully_connected_gate(device: DeviceModel, a_gates: tuple[int, ...], b_gates:
     """Brickwork unit: CZ layer, random local layer, CZ layer, local layer.
 
     The tableau comes from ``fully_connected_tableau`` with one draw, the
-    builder that ``gate_order_samples`` calls with many.
+    builder that ``gate_order_samples`` calls with many.  The local layers
+    are (1, n) stack entries, shared by every sequence.
     """
     n = device.n_qubits
-    v1 = sample_local_clifford(n, rng)
-    v2 = sample_local_clifford(n, rng)
+    v1 = local_clifford_elements(n, rng)[None]
+    v2 = local_clifford_elements(n, rng)[None]
     cz_a = CliffordTableau.from_cz_layer(n, [device.gates[g].pair for g in a_gates])
     cz_b = CliffordTableau.from_cz_layer(n, [device.gates[g].pair for g in b_gates])
-    (t,) = fully_connected_tableau(cz_a, cz_b, v1.elements[None], v2.elements[None])
-    layers = (
-        GateLayer(tuple(a_gates)),
-        CliffordLayer(v1),
-        GateLayer(tuple(b_gates)),
-        CliffordLayer(v2),
-    )
-    inverse_layers = (
-        CliffordLayer(v2.inverse()),
-        GateLayer(tuple(b_gates)),
-        CliffordLayer(v1.inverse()),
-        GateLayer(tuple(a_gates)),
-    )
+    (t,) = fully_connected_tableau(cz_a, cz_b, v1, v2)
+    a, b, inv = ("gates", tuple(a_gates)), ("gates", tuple(b_gates)), single_qubit_cliffords().inverse_table
+    layers = (a, ("clifford", v1), b, ("clifford", v2))
+    inverse_layers = (("clifford", inv[v2]), b, ("clifford", inv[v1]), a)
     return GateBlock(
         name=f"fully_connected[n={n}]",
         n=n,

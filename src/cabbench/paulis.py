@@ -105,11 +105,22 @@ def pauli_multiply(p: PauliString, q: PauliString) -> PauliString:
     return PauliString(p.n, p.x ^ q.x, p.z ^ q.z, phase)
 
 
-def sample_random_pauli(n: int, rng: np.random.Generator) -> PauliString:
-    """Uniform draw from the 4^n phaseless Paulis."""
+def random_pauli_bits(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Bits (2, n) uint8, x then z, of a uniform draw from the 4^n phaseless Paulis.
+
+    The single draw of a random Pauli: ``sample_random_pauli`` and the
+    sequence stacks both take it, one Pauli at a time, so they consume the
+    stream alike.  (One draw of many Paulis consumes it differently unless
+    2n is a multiple of 4.)
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    bits = rng.integers(0, 2, size=(2, n), dtype=np.uint8)
+    return rng.integers(0, 2, size=(2, n), dtype=np.uint8)
+
+
+def sample_random_pauli(n: int, rng: np.random.Generator) -> PauliString:
+    """Uniform draw from the 4^n phaseless Paulis."""
+    bits = random_pauli_bits(n, rng)
     return PauliString(n, bits[0], bits[1], 0)
 
 

@@ -27,7 +27,6 @@ import numpy as np
 from .paulis import (
     DimensionError,
     LocalCliffordLayer,
-    PauliString,
     single_qubit_cliffords,
 )
 
@@ -230,44 +229,41 @@ def gate_order(t: CliffordTableau, cap: int = 10**6) -> int | None:
     return order if order <= cap else None
 
 
-def compile_inverse_pauli(u: CliffordTableau, pauli_layers: list[PauliString], m: int) -> PauliString:
-    """Closing Pauli for an interleaved u / u^-1 sequence of depth m.
+def compile_inverse_pauli(u: CliffordTableau, bits: np.ndarray, m: int) -> np.ndarray:
+    """Closing Paulis for interleaved u / u^-1 sequences of depth m.
 
-    ``pauli_layers`` holds the 2m twirling Paulis in circuit order
-    P(1), P(2), ..., P(2m).  The net unitary of
-    prod_i (u^-1 P(2i) u P(2i-1)) is itself a Pauli; the returned operator
-    is its inverse, so appending it closes the interleaved section to the
-    identity up to global phase.  Only the bits are computed, in GF(2):
-    odd + even (J M^T J), where odd and even are the XORs of the odd- and
-    even-numbered layers' bits and M is u's symplectic matrix.  The phase
-    is global, so it is returned as 0.
+    ``bits`` (..., 2m, 2n) holds each sequence's 2m twirling Paulis in
+    circuit order P(1), P(2), ..., P(2m), each as its bits [x | z].  The net
+    unitary of prod_i (u^-1 P(2i) u P(2i-1)) is itself a Pauli; the returned
+    one, bits (..., 2n) uint8, is its inverse, so appending it closes the
+    interleaved section to the identity up to global phase.  Only the bits
+    are computed, in GF(2), for every sequence at once: odd + even (J M^T J),
+    where odd and even are the XORs of the odd- and even-numbered layers'
+    bits and M is u's symplectic matrix.
     """
-    if len(pauli_layers) != 2 * m:
-        raise ValueError("need exactly 2*m Pauli layers")
-    n = u.n
-    bits = np.array([np.concatenate([p.x, p.z]) for p in pauli_layers], dtype=np.int64)
-    bits = bits.reshape(2 * m, 2 * n)  # keeps two axes when m = 0
-    odd = np.bitwise_xor.reduce(bits[0::2], axis=0)
-    even = np.bitwise_xor.reduce(bits[1::2], axis=0)
+    bits = np.asarray(bits, dtype=np.int64)
+    if bits.shape[-2:] != (2 * m, 2 * u.n):
+        raise ValueError(f"need 2*m Pauli layers of {2 * u.n} bits, got shape {bits.shape}")
+    odd = np.bitwise_xor.reduce(bits[..., 0::2, :], axis=-2)
+    even = np.bitwise_xor.reduce(bits[..., 1::2, :], axis=-2)
     mat, j = u._symplectic()
-    net = ((odd + even @ j @ mat.T @ j) % 2).astype(np.uint8)
-    return PauliString(n, net[:n], net[n:], 0)
+    return ((odd + even @ j @ mat.T @ j) % 2).astype(np.uint8)
 
 
-def compile_cycle_pauli(u: CliffordTableau, paulis: list[PauliString]) -> PauliString:
-    """Closing Pauli for a cycle-benchmarking sequence P(0), u, P(1), u, ...
+def compile_cycle_pauli(u: CliffordTableau, bits: np.ndarray) -> np.ndarray:
+    """Closing Paulis for cycle-benchmarking sequences P(0), u, P(1), u, ...
 
-    ``paulis`` holds one Pauli per cycle in circuit order.  When u^c is the
-    identity (c = len(paulis)), the net unitary of the c cycles is the
-    Pauli prod_j u^-j P(j) u^j, whose bits are sum_j v_j (J M^T J)^j mod 2
-    with v_j the bits of P(j) and M u's symplectic matrix; they are
-    evaluated in Horner form.  The phase is global, so it is returned as 0.
+    ``bits`` (..., c, 2n) holds each sequence's Pauli per cycle in circuit
+    order, as bits [x | z].  When u^c is the identity, the net unitary of
+    the c cycles is the Pauli prod_j u^-j P(j) u^j, whose bits are
+    sum_j v_j (J M^T J)^j mod 2 with v_j the bits of P(j) and M u's
+    symplectic matrix; they are evaluated in Horner form for every sequence
+    at once.  Returns the bits (..., 2n) uint8; the phase is global.
     """
-    n = u.n
+    bits = np.asarray(bits, dtype=np.int64)
     mat, j = u._symplectic()
     uinv = (j @ mat.T @ j) % 2
-    net = np.zeros(2 * n, dtype=np.int64)
-    for p in reversed(paulis):
-        net = (net @ uinv + np.concatenate([p.x, p.z])) % 2
-    net = net.astype(np.uint8)
-    return PauliString(n, net[:n], net[n:], 0)
+    net = np.zeros(bits.shape[:-2] + bits.shape[-1:], dtype=np.int64)
+    for c in range(bits.shape[-2] - 1, -1, -1):
+        net = (net @ uinv + bits[..., c, :]) % 2
+    return net.astype(np.uint8)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from cabbench.circuits import CliffordLayer, GateLayer, PauliLayer
+from helpers import CliffordLayer, GateLayer, PauliLayer
 from cabbench.paulis import single_qubit_cliffords
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -1,5 +1,13 @@
 """Reference implementations and test-only builders used as test oracles.
 
+The first section holds the per-sequence form of a circuit: one
+``CircuitSequence`` of layer objects per sequence, the form the backends
+took before sequence stacks.  ``stack_of`` turns sequences of one layout
+into a ``SequenceStack`` (a layer object that every sequence holds becomes
+a shared row) and ``sequences_of`` turns a stack back into sequences.
+``cab_sequences_one`` and ``cb_sequences_one`` build sequences one at a
+time, with ``compile_inverse_pauli_one`` and ``compile_cycle_pauli_one``
+closing each, as the stack builders must agree with to the bit.
 The dense-matrix helpers are deliberately independent of the package
 internals: plain kron products and explicit channel evaluations.  The
 conversions between matrices and Pauli coefficients wrap the package's
@@ -37,12 +45,19 @@ import numpy as np
 
 from cabbench.analysis import correlation
 from cabbench import backends
-from cabbench.circuits import CliffordLayer, GateLayer, Unitary1qLayer
-from cabbench.cab import QUALITY_DTYPE, _fit_lambda_arrays
+from cabbench.cab import QUALITY_DTYPE, _fit_lambda_arrays, _prep_elements
 from cabbench.calibration import NelderMead, NelderMeadOptions, NonFiniteObjective
+from cabbench.circuits import SequenceStack, unitary_layer
 from cabbench.device import DeviceModel, DiagonalUnitary, GateSpec, PauliChannel
 from cabbench.experiments import ring_cz_patterns
-from cabbench.paulis import _MUL_PHASE, LocalCliffordLayer, PauliString, sample_local_clifford, single_qubit_cliffords
+from cabbench.paulis import (
+    _MUL_PHASE,
+    LocalCliffordLayer,
+    PauliString,
+    sample_local_clifford,
+    sample_random_pauli,
+    single_qubit_cliffords,
+)
 from cabbench.tableau import CliffordTableau, NonCliffordError
 
 I2 = np.eye(2, dtype=complex)
@@ -53,6 +68,184 @@ H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 S2 = np.array([[1, 0], [0, 1j]], dtype=complex)
 
 LETTERS = {"I": I2, "X": X2, "Y": Y2, "Z": Z2}
+
+# an odd register: gates (0, 1) and (2, 3), qubit 4 a spectator; coherent
+# control errors, a coupling and asymmetric readout
+ODD_REGISTER_5Q = {
+    "n_qubits": 5,
+    "gates": [
+        {"pair": [0, 1], "depol_p": 0.985, "control": {"cond_phase": 0.02, "dyn_i": 0.01, "dyn_j": -0.01}},
+        {"pair": [2, 3], "depol_p": 0.985, "control": {"cond_phase": -0.015, "dyn_i": 0.0, "dyn_j": 0.02}},
+    ],
+    "couplings": [{"gates": [0, 1], "gamma": 0.1}],
+    "readout": {"e0": [0.01, 0.02, 0.0, 0.03, 0.01], "e1": [0.04, 0.02, 0.03, 0.01, 0.05]},
+    "single_qubit_depol": 0.997,
+}
+
+
+# -- sequences as tuples of layer objects, one sequence at a time ---------------
+
+
+@dataclass(frozen=True)
+class CliffordLayer:
+    """A layer of parallel single-qubit Cliffords."""
+
+    layer: LocalCliffordLayer
+
+
+@dataclass(frozen=True)
+class PauliLayer:
+    """A layer of single-qubit Paulis."""
+
+    pauli: PauliString
+
+
+@dataclass(frozen=True)
+class GateLayer:
+    """Parallel execution of a set of the device's two-qubit gates."""
+
+    gates: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Unitary1qLayer:
+    """Arbitrary single-qubit unitaries, (qubit, 2x2) applied in turn."""
+
+    ops: tuple[tuple[int, np.ndarray], ...]
+
+
+@dataclass(frozen=True)
+class CircuitSequence:
+    """Ordered layers acting on a fixed register."""
+
+    n: int
+    layers: tuple
+
+
+def stack_of(seqs: list[CircuitSequence]) -> SequenceStack:
+    """The stack of sequences of one layout; ValueError for no sequences,
+    or unless they share one register, their layer kinds and their gate
+    layers.  A position whose sequences all hold the same layer object is
+    one shared row, any other one row per sequence."""
+    if not seqs:
+        raise ValueError("a stack needs at least one sequence")
+    n = seqs[0].n
+    if any(s.n != n or len(s.layers) != len(seqs[0].layers) for s in seqs):
+        raise ValueError("stacked sequences need one register size and one number of layers")
+    entries = []
+    for i, col in enumerate(zip(*(s.layers for s in seqs))):
+        kind = type(col[0])
+        if any(type(layer) is not kind for layer in col) or (
+            kind is GateLayer and any(tuple(layer.gates) != tuple(col[0].gates) for layer in col)
+        ):
+            raise ValueError(f"stacked sequences differ in layer kind or gates at position {i}")
+        if kind is GateLayer:
+            entries.append(("gates", tuple(col[0].gates)))
+            continue
+        col = col[:1] if all(layer is col[0] for layer in col) else col
+        if kind is CliffordLayer:
+            entries.append(("clifford", np.array([layer.layer.elements for layer in col], dtype=np.uint8)))
+        elif kind is PauliLayer:
+            entries.append(("pauli", np.array([(layer.pauli.x, layer.pauli.z) for layer in col], dtype=np.uint8)))
+        else:
+            entries.append(("unitary", np.array([unitary_layer(n, layer.ops) for layer in col])))
+    return SequenceStack(n, tuple(entries))
+
+
+def _layer_object(n: int, kind: str, row):
+    if kind == "gates":
+        return GateLayer(tuple(row))
+    if kind == "clifford":
+        return CliffordLayer(LocalCliffordLayer(n, np.array(row, dtype=np.uint8)))
+    if kind == "pauli":
+        return PauliLayer(PauliString(n, np.array(row[0], dtype=np.uint8), np.array(row[1], dtype=np.uint8), 0))
+    return Unitary1qLayer(tuple((q, row[q]) for q in range(n)))
+
+
+def sequences_of(stack: SequenceStack) -> list[CircuitSequence]:
+    """The stack's sequences as tuples of layer objects, a shared row as one
+    object in every sequence."""
+    shared = [
+        _layer_object(stack.n, kind, data) if kind == "gates" else _layer_object(stack.n, kind, data[0])
+        for kind, data in stack.layers
+    ]
+    return [
+        CircuitSequence(
+            stack.n,
+            tuple(
+                obj if kind == "gates" or len(data) == 1 else _layer_object(stack.n, kind, data[k])
+                for obj, (kind, data) in zip(shared, stack.layers)
+            ),
+        )
+        for k in range(stack.size)
+    ]
+
+
+def compile_inverse_pauli_one(u: CliffordTableau, pauli_layers: list[PauliString], m: int) -> PauliString:
+    """Closing Pauli of one interleaved u / u^-1 sequence of depth m, from
+    its 2m Paulis, as ``cabbench.tableau.compile_inverse_pauli`` computes
+    it for a stack."""
+    if len(pauli_layers) != 2 * m:
+        raise ValueError("need exactly 2*m Pauli layers")
+    n = u.n
+    bits = np.array([np.concatenate([p.x, p.z]) for p in pauli_layers], dtype=np.int64).reshape(2 * m, 2 * n)
+    odd = np.bitwise_xor.reduce(bits[0::2], axis=0)
+    even = np.bitwise_xor.reduce(bits[1::2], axis=0)
+    mat, j = u._symplectic()
+    net = ((odd + even @ j @ mat.T @ j) % 2).astype(np.uint8)
+    return PauliString(n, net[:n], net[n:], 0)
+
+
+def compile_cycle_pauli_one(u: CliffordTableau, paulis: list[PauliString]) -> PauliString:
+    """Closing Pauli of one cycle-benchmarking sequence, from its Paulis."""
+    n = u.n
+    mat, j = u._symplectic()
+    uinv = (j @ mat.T @ j) % 2
+    net = np.zeros(2 * n, dtype=np.int64)
+    for p in reversed(paulis):
+        net = (net @ uinv + np.concatenate([p.x, p.z])) % 2
+    net = net.astype(np.uint8)
+    return PauliString(n, net[:n], net[n:], 0)
+
+
+def block_layer_objects(block) -> tuple[tuple, tuple]:
+    """A target block's layers and inverse layers as layer objects."""
+    return tuple(sequences_of(SequenceStack(block.n, e))[0].layers for e in (block.layers, block.inverse_layers))
+
+
+def cab_sequences_one(block, m: int, rngs: list[np.random.Generator]) -> list[CircuitSequence]:
+    """``cabbench.cab.build_cab_sequence`` one sequence at a time: per
+    stream a sampled C, 2m sampled Paulis and their compiled closing Pauli,
+    with the block's layers as objects that every sequence shares."""
+    n = block.n
+    layers, inverse_layers = block_layer_objects(block)
+    seqs = []
+    for rng in rngs:
+        c = sample_local_clifford(n, rng)
+        paulis = [sample_random_pauli(n, rng) for _ in range(2 * m)]
+        out = [CliffordLayer(c)]
+        for i in range(m):
+            out += [PauliLayer(paulis[2 * i]), *layers, PauliLayer(paulis[2 * i + 1]), *inverse_layers]
+        out += [PauliLayer(compile_inverse_pauli_one(block.tableau, paulis, m)), CliffordLayer(c.inverse())]
+        seqs.append(CircuitSequence(n, tuple(out)))
+    return seqs
+
+
+def cb_sequences_one(block, character: np.ndarray, cycles: int, rngs: list[np.random.Generator]) -> list[CircuitSequence]:
+    """``cabbench.cab.build_cb_sequence`` one sequence at a time, each with
+    a basis prep of its own."""
+    n = block.n
+    layers, _ = block_layer_objects(block)
+    seqs = []
+    for rng in rngs:
+        prep = LocalCliffordLayer(n, _prep_elements(character))
+        paulis = [sample_random_pauli(n, rng) for _ in range(cycles)]
+        out = [CliffordLayer(prep)]
+        for p in paulis:
+            out += [PauliLayer(p), *layers]
+        out += [PauliLayer(compile_cycle_pauli_one(block.tableau, paulis)), CliffordLayer(prep.inverse())]
+        seqs.append(CircuitSequence(n, tuple(out)))
+    return seqs
 
 
 def kron_all(mats):
@@ -163,9 +356,6 @@ def dense_apply_layers(rho, layers, device, twirl_coupling: bool = False, noisy:
     parameters and its coherent layer components or their Pauli twirls.
     Without ``noisy`` only the ideal operations are applied.
     """
-    from cabbench.circuits import CliffordLayer, GateLayer, PauliLayer, Unitary1qLayer
-    from cabbench.paulis import single_qubit_cliffords
-
     d = rho.shape[-1]
     n = d.bit_length() - 1
 
@@ -486,6 +676,17 @@ def pauli_from_label(label: str, phase_exp: int = 0) -> PauliString:
     return PauliString(len(label), x, z, phase_exp % 4)
 
 
+def pauli_bits(paulis: list[PauliString]) -> np.ndarray:
+    """Bits [x | z] (len(paulis), 2n) of Paulis, one row each."""
+    return np.array([np.concatenate([p.x, p.z]) for p in paulis], dtype=np.uint8)
+
+
+def pauli_of_bits(bits: np.ndarray) -> PauliString:
+    """The phaseless Pauli of bits [x | z] (2n,)."""
+    n = len(bits) // 2
+    return PauliString.from_bits(bits[:n], bits[n:])
+
+
 def pauli_to_matrix(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a Pauli, its phase included."""
     return 1j**p.phase_exp * pauli_matrix(_letters(p))
@@ -631,8 +832,6 @@ def fully_connected_tableaus_loop(n: int, samples: int, rng: np.random.Generator
 
 def net_tableau(seq, device) -> CliffordTableau:
     """Tableau of a whole Clifford sequence, composed layer by layer."""
-    from cabbench.circuits import Unitary1qLayer
-
     net = CliffordTableau.identity(seq.n)
     for layer in seq.layers:
         if isinstance(layer, Unitary1qLayer):
@@ -643,8 +842,6 @@ def net_tableau(seq, device) -> CliffordTableau:
 
 def layer_tableau(layer, device, n: int) -> CliffordTableau:
     """Tableau of one Clifford, Pauli or gate layer."""
-    from cabbench.circuits import CliffordLayer, GateLayer
-
     if isinstance(layer, GateLayer):
         return CliffordTableau.from_cz_layer(n, [device.gates[g].pair for g in layer.gates])
     if isinstance(layer, CliffordLayer):
@@ -663,8 +860,6 @@ def _fault_flips(seq, device) -> list:
     """(firing probability, conditional weights, flips (L, b)) per channel:
     the backward walk of ``cabbench.backends._compile_faults`` with the b
     flip vectors of each location kept as they are."""
-    from cabbench.circuits import CliffordLayer, GateLayer, PauliLayer
-
     n = seq.n
     act = single_qubit_cliffords().action.astype(bool)
     fx = np.left_shift(1, np.arange(n - 1, -1, -1, dtype=np.int64))

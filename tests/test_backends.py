@@ -16,16 +16,22 @@ from cabbench.backends import (
     pack_bits,
     stab_run_counts,
 )
-from cabbench.circuits import CircuitSequence, CliffordLayer, GateBlock, GateLayer, PauliLayer, Unitary1qLayer
+from cabbench.circuits import GateBlock, SequenceStack
 from cabbench.device import CouplingMap, ControlPhases, DeviceModel, GateSpec, ResourceLimitError
 from cabbench.experiments import fully_connected_gate
-from cabbench.paulis import LocalCliffordLayer, PauliString, sample_local_clifford, sample_random_pauli
-from cabbench.tableau import compile_inverse_pauli
+from cabbench.paulis import PauliString, random_pauli_bits, sample_local_clifford, sample_random_pauli
 
 from helpers import (
+    CircuitSequence,
+    CliffordLayer,
+    GateLayer,
+    PauliLayer,
+    Unitary1qLayer,
+    block_layer_objects,
     closes_to_identity,
     coefficient_step,
     compile_faults_one,
+    compile_inverse_pauli_one,
     dense_apply_layers,
     dense_dm_reference,
     depolarizing_channel,
@@ -42,6 +48,8 @@ from helpers import (
     all_survivals_one,
     marginal_count_vector_one,
     survivals_one,
+    sequences_of,
+    stack_of,
     unitary_channel,
     unpack_bits,
 )
@@ -86,7 +94,7 @@ def test_dm_noiseless_closure():
         ),
     )
     assert closes_to_identity(seq, dev)
-    probs = dm_run([seq], dev)[0]
+    probs = dm_run(stack_of([seq]), dev)[0]
     assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -95,7 +103,7 @@ def test_dm_depolarizing_survival_decay():
     dev = simple_device(depol_p=p)
     # two CZ gates = identity circuit with two depolarizing applications
     seq = cz_pair_sequence(2, (0,))
-    probs = dm_run([seq], dev)[0]
+    probs = dm_run(stack_of([seq]), dev)[0]
     counts = ShotCounts.from_probabilities(probs, 2, 1, np.random.default_rng(0))
     # survival of any weight-2 Z observable after two depol rounds: p^2 plus
     # nothing else since depol eigenvalue is p for every nontrivial Pauli
@@ -161,10 +169,10 @@ def test_stab_noiseless_all_zeros():
     dev = simple_device()
     seq = cz_pair_sequence(2, (0,))
     rng = np.random.default_rng(1)
-    counts = stab_run_counts([seq], dev, 100, [rng])
+    counts = stab_run_counts(stack_of([seq]), dev, 100, [rng])
     assert counts.counts.tolist() == [100]
     assert counts.codes.tolist() == [0]
-    assert stab_run_counts([seq], dev, 1, [rng]).codes.tolist() == [0]
+    assert stab_run_counts(stack_of([seq]), dev, 1, [rng]).codes.tolist() == [0]
 
 
 def test_stab_matches_dm_twirled_model():
@@ -182,7 +190,7 @@ def test_stab_matches_dm_twirled_model():
     p1 = pauli_from_label("XZIY")
     p2 = pauli_from_label("YIXZ")
     u = GateBlock.parallel_cz(dev, (0, 1)).tableau
-    closer = compile_inverse_pauli(u, [p1, p2], 1)
+    closer = compile_inverse_pauli_one(u, [p1, p2], 1)
     seq = CircuitSequence(
         4,
         (
@@ -191,14 +199,14 @@ def test_stab_matches_dm_twirled_model():
             GateLayer((0, 1)),
             PauliLayer(p2),
             GateLayer((0, 1)),
-            PauliLayer(closer, closing=True),
+            PauliLayer(closer),
             CliffordLayer(c.inverse()),
         ),
     )
     assert closes_to_identity(seq, dev)
-    probs = dm_run([seq], dev, twirl_coupling=True)[0]
+    probs = dm_run(stack_of([seq]), dev, twirl_coupling=True)[0]
     shots = 100_000
-    counts = stab_run_counts([seq], dev, shots, [np.random.default_rng(99)])
+    counts = stab_run_counts(stack_of([seq]), dev, shots, [np.random.default_rng(99)])
     emp = counts.count_vector()[0] / shots
     tv = 0.5 * np.abs(emp - probs).sum()
     assert tv < 0.01
@@ -216,18 +224,19 @@ def _sampler_case(name):
     else:
         dev = load_device(name)
         block = GateBlock.parallel_cz(dev, tuple(range(len(dev.gates))))
-    return dev, build_cab_sequence(block, 2, rng)
+    return dev, build_cab_sequence(block, 2, [rng])
 
 
 @pytest.mark.parametrize("name", ["ring_44q", "three_gate_6q", "fully_connected_6q"])
 def test_stab_flip_tables_match_the_bitwise_sampler(name):
     # uniform 1q and 2q groups everywhere, weighted twirl groups on the
     # coupled 6q device, Clifford layers inside the fully connected block
-    dev, seq = _sampler_case(name)
-    weighted = any(w is not None for _, w, _ in _compile_faults([seq], dev))
+    dev, stack = _sampler_case(name)
+    (seq,) = sequences_of(stack)
+    weighted = any(w is not None for _, w, _ in _compile_faults(stack, dev))
     assert weighted == (name == "three_gate_6q")
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-    counts = stab_run_counts([seq], dev, 3000, [rng])
+    counts = stab_run_counts(stack, dev, 3000, [rng])
     expected = stab_run_counts_bitwise(seq, dev, 3000, ref_rng)
     assert len(expected.codes) > 10
     assert np.array_equal(counts.codes, expected.codes)
@@ -238,11 +247,12 @@ def test_stab_flip_tables_match_the_bitwise_sampler(name):
 # -- the stacked stabilizer sampler against one sequence at a time -------------
 
 
-def assert_stab_stack_matches_one(seqs, dev, k_s, seed):
+def assert_stab_stack_matches_one(stack, dev, k_s, seed):
     """One walk's tables (K, L, 2^b) hold each sequence's own tables, and
     the stacked counts are each sequence's run on its own to the bit, from
     the same draws of the same streams."""
-    compiled = _compile_faults(seqs, dev)
+    seqs = sequences_of(stack)
+    compiled = _compile_faults(stack, dev)
     for k, seq in enumerate(seqs):
         one = compile_faults_one(seq, dev)
         assert len(compiled) == len(one)
@@ -251,7 +261,7 @@ def assert_stab_stack_matches_one(seqs, dev, k_s, seed):
             assert (weights is None and weights_one is None) or np.array_equal(weights, weights_one)
     rngs = [np.random.default_rng([seed, k]) for k in range(len(seqs))]
     ref_rngs = [np.random.default_rng([seed, k]) for k in range(len(seqs))]
-    got = stab_run_counts(seqs, dev, k_s, rngs)
+    got = stab_run_counts(stack, dev, k_s, rngs)
     expected = ShotCounts.stack([stab_run_counts_one(seq, dev, k_s, r) for seq, r in zip(seqs, ref_rngs)])
     assert got.sequences == len(seqs) and got.k_s == k_s
     for name in ("codes", "counts", "offsets"):
@@ -273,7 +283,7 @@ READOUT_GROUPS_8Q = {
 
 
 def _stab_stack(name, m):
-    """A CAB depth's sequences (or one CB character group) and their device."""
+    """A CAB depth's stack (or one CB character group's) and its device."""
     from cabbench.cab import build_cab_sequence, build_cb_sequence
     from cabbench.cli import load_device
     from cabbench.tableau import gate_order
@@ -284,9 +294,9 @@ def _stab_stack(name, m):
         block = GateBlock.identity(dev.n_qubits)
     if name.endswith("-cb"):
         order = gate_order(block.tableau, cap=64)
-        char = sample_random_pauli(dev.n_qubits, np.random.default_rng(7))
-        return dev, [build_cb_sequence(block, char, m * order, order, np.random.default_rng([29, k])) for k in range(3)]
-    return dev, [build_cab_sequence(block, m, np.random.default_rng([17, m, k])) for k in range(4)]
+        char = random_pauli_bits(dev.n_qubits, np.random.default_rng(7))
+        return dev, build_cb_sequence(block, char, m * order, order, [np.random.default_rng([29, k]) for k in range(3)])
+    return dev, build_cab_sequence(block, m, [np.random.default_rng([17, m, k]) for k in range(4)])
 
 
 @pytest.mark.parametrize(
@@ -302,10 +312,10 @@ def _stab_stack(name, m):
     ],
 )
 def test_stacked_stab_sampler_matches_one_at_a_time(name, m):
-    dev, seqs = _stab_stack(name, m)
-    weighted = any(w is not None for _, w, _ in _compile_faults(seqs, dev))
+    dev, stack = _stab_stack(name, m)
+    weighted = any(w is not None for _, w, _ in _compile_faults(stack, dev))
     assert weighted == name.startswith(("three_gate_6q", "readout_groups_8q"))
-    counts = assert_stab_stack_matches_one(seqs, dev, 2000, seed=m)
+    counts = assert_stab_stack_matches_one(stack, dev, 2000, seed=m)
     assert np.all(np.diff(counts.offsets) > 1)  # every sequence saw faults
 
 
@@ -326,20 +336,27 @@ def test_stacked_stab_sampler_matches_one_at_a_time_on_random_stacks(n, kinds, k
         CircuitSequence(n, tuple(gates[i] if kind == "gate" else random_layer(kind, dev, rng) for i, kind in enumerate(kinds)))
         for _ in range(k)
     ]
-    assert_stab_stack_matches_one(seqs, dev, 200, seed)
+    assert_stab_stack_matches_one(stack_of(seqs), dev, 200, seed)
 
 
 def test_stab_run_counts_refuses_empty_and_mixed_stacks_before_any_draw():
+    # a stack of no sequences, or of rows that do not line up, is refused
+    # when it is built; a stack with the wrong number of streams by the sampler
     dev = simple_device(n=4, depol_p=0.9)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    one, other = cz_pair_sequence(4, (0,)), cz_pair_sequence(4, (1,))
-    with pytest.raises(ValueError, match="at least one sequence"):
-        stab_run_counts([], dev, 10, [])
-    with pytest.raises(ValueError, match="gates at position 0"):
-        stab_run_counts([one, other], dev, 10, [rng, rng])
+    for layers in (
+        (("pauli", np.zeros((0, 2, 4), dtype=np.uint8)),),
+        (("clifford", np.zeros((2, 4), dtype=np.uint8)), ("pauli", np.zeros((3, 2, 4), dtype=np.uint8))),
+    ):
+        with pytest.raises(ValueError, match="position"):
+            SequenceStack(4, layers)
+    stack = SequenceStack(4, (("pauli", np.zeros((2, 2, 4), dtype=np.uint8)), ("gates", (0,)), ("gates", (0,))))
     with pytest.raises(ValueError, match="streams"):
-        stab_run_counts([one, one], dev, 10, [rng])
+        stab_run_counts(stack, dev, 10, [rng])
+    unitary = SequenceStack(4, (("unitary", np.array([np.eye(2)] * 4)[None]),))
+    with pytest.raises(ValueError, match="unitaries"):
+        stab_run_counts(unitary, dev, 10, [rng])
     assert rng.bit_generator.state == state
 
 
@@ -366,8 +383,8 @@ def test_backend_agreement_survivals():
                 CliffordLayer(c.inverse()),
             ),
         )
-        probs = dm_run([seq], dev, twirl_coupling=True)[0]
-        counts = stab_run_counts([seq], dev, shots, [np.random.default_rng(trial)])
+        probs = dm_run(stack_of([seq]), dev, twirl_coupling=True)[0]
+        counts = stab_run_counts(stack_of([seq]), dev, shots, [np.random.default_rng(trial)])
         # the parity route and the FWHT route agree exactly: integer sums
         assert np.array_equal(counts.survivals(np.arange(16)), counts.all_survivals())
         masks = np.array([0b1000, 0b1010, 0b0101, 0b1111])
@@ -515,7 +532,7 @@ def test_shot_timing_budget():
     )
     shots = 10_000
     start = time.perf_counter()
-    stab_run_counts([seq], dev, shots, [rng])
+    stab_run_counts(stack_of([seq]), dev, shots, [rng])
     elapsed = time.perf_counter() - start
     assert elapsed / shots < 1e-3  # well under 1 ms per shot
 
@@ -527,7 +544,7 @@ def register_device(n):
 
 def test_stab_runs_a_62_qubit_register():
     dev, seq = register_device(62)
-    counts = stab_run_counts([seq], dev, 500, [np.random.default_rng(0)])
+    counts = stab_run_counts(stack_of([seq]), dev, 500, [np.random.default_rng(0)])
     bits = unpack_bits(counts.codes, 62)
     assert bits.shape[1] == 62 and bits[:, [0, 61]].any()
     assert not bits[:, 1:61].any()  # faults only hit the gate's qubits
@@ -538,7 +555,7 @@ def test_stab_register_above_62_qubits_raises_before_any_draw():
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(ResourceLimitError, match="62 qubits"):
-        stab_run_counts([seq], dev, 500, [rng])
+        stab_run_counts(stack_of([seq]), dev, 500, [rng])
     assert rng.bit_generator.state == state
 
 
@@ -546,7 +563,7 @@ def test_dm_qubit_limit():
     dev = DeviceModel(n_qubits=13, gates=(GateSpec(pair=(0, 1)),))
     seq = CircuitSequence(13, (GateLayer((0,)), GateLayer((0,))))
     with pytest.raises(ResourceLimitError):
-        dm_run([seq], dev)[0]
+        dm_run(stack_of([seq]), dev)[0]
 
 
 # -- the density-matrix kernel against explicit full-register matrices --------
@@ -621,7 +638,7 @@ def test_dm_run_matches_dense_reference(n, twirl_coupling, pauli_layer_noise):
     dev = random_device(n, rng, pauli_layer_noise)
     for _ in range(3):
         seq = random_sequence(dev, rng)
-        probs = dm_run([seq], dev, twirl_coupling=twirl_coupling)[0]
+        probs = dm_run(stack_of([seq]), dev, twirl_coupling=twirl_coupling)[0]
         expected = dense_dm_reference(seq, dev, twirl_coupling)
         assert np.max(np.abs(probs - expected)) < 1e-12
 
@@ -635,7 +652,7 @@ def test_dm_run_on_offset_devices_matches_dense_reference():
     expected = {id(dev): dense_dm_reference(seq, dev) for dev in (base, offset)}
     assert np.max(np.abs(expected[id(base)] - expected[id(offset)])) > 1e-4
     for dev in (base, offset, base, offset, base):
-        assert np.max(np.abs(dm_run([seq], dev)[0] - expected[id(dev)])) < 1e-12
+        assert np.max(np.abs(dm_run(stack_of([seq]), dev)[0] - expected[id(dev)])) < 1e-12
 
 
 def test_block_noise_channel_batch_equals_matrix_by_matrix():
@@ -657,7 +674,7 @@ def test_block_noise_channel_batch_equals_matrix_by_matrix():
 
 
 def assert_matches_dense(seq, dev, twirl_coupling=False):
-    probs = dm_run([seq], dev, twirl_coupling=twirl_coupling)[0]
+    probs = dm_run(stack_of([seq]), dev, twirl_coupling=twirl_coupling)[0]
     assert np.max(np.abs(probs - dense_dm_reference(seq, dev, twirl_coupling))) < 1e-12
 
 
@@ -719,8 +736,9 @@ def test_channels_match_dense_layers_on_non_hermitian_inputs(channel):
     inputs = rng.normal(size=(3, 16, 16)) + 1j * rng.normal(size=(3, 16, 16))
     noise = pauli_layer_noise_channel(dev) if channel is dressed_cycle_channel else (lambda r: r)
     for rho, out in zip(inputs, matrix_channel(channel(dev, block), 4)(inputs)):
-        expected = dense_apply_layers(noise(rho), block.layers, dev)
-        expected = dense_apply_layers(expected, block.inverse_layers, dev, noisy=False)
+        layers, inverse_layers = block_layer_objects(block)
+        expected = dense_apply_layers(noise(rho), layers, dev)
+        expected = dense_apply_layers(expected, inverse_layers, dev, noisy=False)
         assert np.max(np.abs(out - expected)) < 1e-12
 
 
@@ -740,7 +758,7 @@ def test_dm_run_is_pinned_on_a_three_gate_6q_cab_sequence():
     from cabbench.cli import load_device
 
     dev = load_device("three_gate_6q")
-    seq = build_cab_sequence(GateBlock.parallel_cz(dev, (0, 1, 2)), 2, np.random.default_rng(2026))
+    stack = build_cab_sequence(GateBlock.parallel_cz(dev, (0, 1, 2)), 2, [np.random.default_rng(2026)])
     pinned = np.array([
         0.38163389446023077, 0.014965040171594775, 0.027884188857049748, 0.00604088198530457,
         0.01642991074797038, 0.0006844593671846878, 0.003988230825400478, 0.0003706288080255564,
@@ -759,10 +777,10 @@ def test_dm_run_is_pinned_on_a_three_gate_6q_cab_sequence():
         0.008540716660660719, 0.0006527476148939974, 0.022860368854478022, 0.0010208644705991823,
         0.0013718676855031069, 7.012928768233269e-05, 0.001264617832758513, 6.7387102614444e-05,
     ])
-    assert np.max(np.abs(dm_run([seq], dev)[0] - pinned)) < 1e-14
+    assert np.max(np.abs(dm_run(stack, dev)[0] - pinned)) < 1e-14
 
 
-# sha256 of dm_run([seq], dev)[0].tobytes(): CSVs are byte-identical only if the
+# sha256 of dm_run(stack, dev)[0].tobytes() for a stack of one sequence: CSVs are byte-identical only if the
 # probabilities are, so these hold every bit, not a tolerance
 DM_RUN_DIGESTS = {
     ("two_gate_4q", 0): "19109fefc3255f0a741a484d19f879c4b2485efa74acf7ea2a24d02713459c8e",
@@ -783,8 +801,8 @@ def test_dm_run_bytes_are_pinned_on_cab_sequences(name, m):
 
     dev = load_device(name)
     block = GateBlock.parallel_cz(dev, tuple(range(len(dev.gates))))
-    seq = build_cab_sequence(block, m, np.random.default_rng([2026, m]))
-    assert hashlib.sha256(dm_run([seq], dev)[0].tobytes()).hexdigest() == DM_RUN_DIGESTS[name, m]
+    stack = build_cab_sequence(block, m, [np.random.default_rng([2026, m])])
+    assert hashlib.sha256(dm_run(stack, dev)[0].tobytes()).hexdigest() == DM_RUN_DIGESTS[name, m]
 
 
 @pytest.mark.parametrize(
@@ -803,7 +821,7 @@ def test_dm_run_bytes_are_pinned_with_unitary_layers(twirl_coupling, digest):
     # Pauli layers and single-qubit unitaries between the gate layers
     assert sum(isinstance(layer, Unitary1qLayer) for layer in seq.layers[1:-1]) == 2
     assert sum(isinstance(layer, PauliLayer) for layer in seq.layers) == 3
-    assert hashlib.sha256(dm_run([seq], dev, twirl_coupling=twirl_coupling)[0].tobytes()).hexdigest() == digest
+    assert hashlib.sha256(dm_run(stack_of([seq]), dev, twirl_coupling=twirl_coupling)[0].tobytes()).hexdigest() == digest
 
 
 # -- stacks of sequences against the per-sequence kernel -------------------------
@@ -818,7 +836,10 @@ def without_readout(dev):
 
 
 def assert_stack_matches_one(seqs, dev, twirl_coupling=False):
-    stacked = dm_run(seqs, dev, twirl_coupling=twirl_coupling)
+    """A stack, or a list of sequences of one layout, as one stack against
+    one sequence at a time."""
+    stack, seqs = (seqs, sequences_of(seqs)) if isinstance(seqs, SequenceStack) else (stack_of(seqs), seqs)
+    stacked = dm_run(stack, dev, twirl_coupling=twirl_coupling)
     assert stacked.shape == (len(seqs), 2 ** seqs[0].n)
     expected = np.array([dm_run_one(seq, dev, twirl_coupling=twirl_coupling) for seq in seqs])
     assert np.array_equal(stacked, expected)
@@ -837,10 +858,10 @@ def test_dm_run_stacks_of_cab_sequences_match_one_at_a_time(name, m, twirl_coupl
         dev = without_readout(dev)
     block = GateBlock.parallel_cz(dev, tuple(range(len(dev.gates))))
     size = chunk_size(dev.n_qubits)
-    seqs = [build_cab_sequence(block, m, np.random.default_rng([31, m, k])) for k in range(size + 1)]
     # one sequence, one full chunk, and a full chunk plus a one-sequence chunk
     for k_r in (1, size, size + 1):
-        assert_stack_matches_one(seqs[:k_r], dev, twirl_coupling)
+        stack = build_cab_sequence(block, m, [np.random.default_rng([31, m, k]) for k in range(k_r)])
+        assert_stack_matches_one(stack, dev, twirl_coupling)
 
 
 @pytest.mark.parametrize("m", [0, 2])
@@ -851,10 +872,10 @@ def test_dm_run_stacks_of_fully_connected_sequences_match_one_at_a_time(m):
     rng = np.random.default_rng(41)
     dev = random_device(6, rng)
     block = fully_connected_gate(dev, (0, 2, 4), (1, 3), rng)
-    assert any(isinstance(layer, CliffordLayer) for layer in block.layers)
-    seqs = [build_cab_sequence(block, m, np.random.default_rng([41, m, k])) for k in range(chunk_size(6) + 1)]
-    assert_stack_matches_one(seqs, dev)
-    assert_stack_matches_one(seqs, dev, twirl_coupling=True)
+    assert any(kind == "clifford" for kind, _ in block.layers)
+    stack = build_cab_sequence(block, m, [np.random.default_rng([41, m, k]) for k in range(chunk_size(6) + 1)])
+    assert_stack_matches_one(stack, dev)
+    assert_stack_matches_one(stack, dev, twirl_coupling=True)
 
 
 def test_dm_run_stacks_of_unitary_scans_match_one_at_a_time():
@@ -896,19 +917,20 @@ def kind_of(layer):
 
 
 def test_dm_run_refuses_stacks_of_mixed_layouts():
-    rng = np.random.default_rng(53)
-    dev = random_device(4, rng)
-    pauli, local = random_layer("pauli", dev, rng), random_layer("clifford", dev, rng)
-    for other in (
-        CircuitSequence(4, (pauli, GateLayer((0,)))),  # another gate layer
-        CircuitSequence(4, (local, GateLayer((0, 2)))),  # another layer kind
-        CircuitSequence(4, (pauli,)),  # another number of layers
-        CircuitSequence(3, (random_layer("pauli", random_device(3, rng), rng), GateLayer((0,)))),  # another register
+    # a stack holds one layout: each position one kind, with rows of the
+    # register's width, one per sequence or one for all
+    pauli = np.zeros((3, 2, 4), dtype=np.uint8)
+    for bad in (
+        ("pauli", np.zeros((2, 2, 4), dtype=np.uint8)),  # another number of sequences
+        ("pauli", np.zeros((3, 2, 3), dtype=np.uint8)),  # another register
+        ("clifford", np.zeros((3, 2, 4), dtype=np.uint8)),  # Pauli rows as a Clifford layer
+        ("measure", np.zeros((3, 4), dtype=np.uint8)),  # no such kind
+        ("unitary", np.zeros((0, 4, 2, 2), dtype=complex)),  # no sequences
     ):
-        with pytest.raises(ValueError):
-            dm_run([CircuitSequence(4, (pauli, GateLayer((0, 2)))), other], dev)
-    with pytest.raises(ValueError):
-        dm_run([], dev)
+        with pytest.raises(ValueError, match="position 2"):
+            SequenceStack(4, (("pauli", pauli), ("gates", (0, 2)), bad))
+    shared = SequenceStack(4, (("clifford", np.zeros((1, 4), dtype=np.uint8)), ("pauli", pauli)))
+    assert shared.size == 3 and shared.rows(1, 2).layers[1][1].shape == (1, 2, 4)
 
 
 def test_dressed_cycle_choi_fidelity_is_pinned():

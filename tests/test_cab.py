@@ -19,11 +19,26 @@ from cabbench.cab import (
     sample_observables,
     subset_fidelity,
 )
-from cabbench.circuits import CircuitSequence, CliffordLayer, GateBlock, PauliLayer
+from cabbench.backends import dm_run, stab_run_counts
+from cabbench.cab import build_cb_sequence
+from cabbench.circuits import GateBlock
+from cabbench.cli import load_device
 from cabbench.device import ControlPhases, CouplingMap, DeviceModel, GateSpec
-from cabbench.paulis import PauliString
+from cabbench.experiments import fully_connected_gate, ring_device
+from cabbench.paulis import random_pauli_bits
+from cabbench.tableau import gate_order
 
-from helpers import aggregate_row, closes_to_identity, fit_quality_parameter, kq_for_accuracy
+from helpers import (
+    ODD_REGISTER_5Q,
+    aggregate_row,
+    cab_sequences_one,
+    cb_sequences_one,
+    closes_to_identity,
+    fit_quality_parameter,
+    kq_for_accuracy,
+    sequences_of,
+    stack_of,
+)
 
 
 def plain_device(n=4, p=1.0, gamma=0.0, **kw):
@@ -38,38 +53,98 @@ def plain_device(n=4, p=1.0, gamma=0.0, **kw):
 def test_sequence_depth_zero_structure():
     dev = plain_device()
     block = GateBlock.parallel_cz(dev, (0, 1))
-    seq = build_cab_sequence(block, 0, np.random.default_rng(0))
-    assert len(seq.layers) == 3
-    assert isinstance(seq.layers[0], CliffordLayer)
-    assert isinstance(seq.layers[1], PauliLayer) and seq.layers[1].closing
-    assert seq.layers[1].pauli.is_identity(up_to_phase=True)
-    assert isinstance(seq.layers[2], CliffordLayer)
+    stack = build_cab_sequence(block, 0, [np.random.default_rng(0)])
+    assert [kind for kind, _ in stack.layers] == ["clifford", "pauli", "clifford"]
+    assert not stack.layers[1][1].any()  # no twirling Paulis: the closing Pauli is the identity
+    (seq,) = sequences_of(stack)
     assert closes_to_identity(seq, dev)
 
 
 def test_sequence_depth_one_layer_order():
     dev = plain_device()
     block = GateBlock.parallel_cz(dev, (0, 1))
-    seq = build_cab_sequence(block, 1, np.random.default_rng(1))
-    kinds = [type(l).__name__ for l in seq.layers]
-    assert kinds == [
-        "CliffordLayer",
-        "PauliLayer",
-        "GateLayer",
-        "PauliLayer",
-        "GateLayer",
-        "PauliLayer",
-        "CliffordLayer",
-    ]
+    stack = build_cab_sequence(block, 1, [np.random.default_rng(1)])
+    assert [kind for kind, _ in stack.layers] == ["clifford", "pauli", "gates", "pauli", "gates", "pauli", "clifford"]
+    (seq,) = sequences_of(stack)
     assert closes_to_identity(seq, dev)
 
 
 def test_sequence_closure_random():
     dev = plain_device()
     block = GateBlock.parallel_cz(dev, (0, 1))
-    for seed in range(8):
-        seq = build_cab_sequence(block, 2, np.random.default_rng(seed))
+    stack = build_cab_sequence(block, 2, [np.random.default_rng(seed) for seed in range(8)])
+    assert stack.size == 8
+    for seq in sequences_of(stack):
         assert closes_to_identity(seq, dev)
+
+
+# -- stack builders against the per-sequence builders ----------------------------
+
+
+def _builder_device(name):
+    if name == "odd_5q":
+        return DeviceModel.from_dict(ODD_REGISTER_5Q)
+    if name == "fully_connected_6q":
+        return ring_device(6, gate_depol=0.97, single_qubit_depol=0.995, readout_e0=0.01, readout_e1=0.04)
+    return load_device(name)
+
+
+def assert_stack_is_the_reference(stack, seqs, dev, shared_prep=False):
+    """Every array of the stack is the per-sequence builder's, row for row;
+    every shared row is shared there too (a CB prep is shared only in the
+    stack); and both backends give the same bits on both forms."""
+    ref = stack_of(seqs)
+    assert stack.n == ref.n and stack.size == ref.size == len(seqs)
+    assert [kind for kind, _ in stack.layers] == [kind for kind, _ in ref.layers]
+    for i, ((kind, data), (_, ref_data)) in enumerate(zip(stack.layers, ref.layers)):
+        if kind == "gates":
+            assert data == ref_data
+            continue
+        assert data.dtype == ref_data.dtype
+        if shared_prep and kind == "clifford" and i in (0, len(stack.layers) - 1):
+            assert len(data) == 1
+            data = np.broadcast_to(data, ref_data.shape)
+        assert np.array_equal(data, ref_data) and data.shape == ref_data.shape, i
+    if stack.n <= 6:
+        assert np.array_equal(dm_run(stack, dev), dm_run(ref, dev))
+    shots = [[np.random.default_rng([3, k]) for k in range(stack.size)] for _ in range(2)]
+    got, expected = stab_run_counts(stack, dev, 300, shots[0]), stab_run_counts(ref, dev, 300, shots[1])
+    for name in ("codes", "counts", "offsets"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+
+
+@pytest.mark.parametrize("m", [0, 2])
+@pytest.mark.parametrize("name", ["two_gate_4q", "three_gate_6q", "ring_44q", "odd_5q", "fully_connected_6q"])
+def test_cab_stack_builder_matches_the_per_sequence_builder(name, m):
+    dev = _builder_device(name)
+    if name == "fully_connected_6q":
+        block = fully_connected_gate(dev, (0, 1, 2), (3, 4, 5), np.random.default_rng(6))
+        assert any(kind == "clifford" and len(data) == 1 for kind, data in block.layers)
+    else:
+        block = GateBlock.parallel_cz(dev, tuple(range(len(dev.gates))))
+    for twirl in (False, True):
+        b = GateBlock.identity(dev.n_qubits) if twirl else block
+        rngs, ref_rngs = ([np.random.default_rng([17, m, k]) for k in range(3)] for _ in range(2))
+        stack = build_cab_sequence(b, m, rngs)
+        assert_stack_is_the_reference(stack, cab_sequences_one(b, m, ref_rngs), dev)
+        assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+
+
+@pytest.mark.parametrize("name", ["two_gate_4q", "odd_5q", "fully_connected_6q"])
+def test_cb_stack_builder_matches_the_per_sequence_builder(name):
+    dev = _builder_device(name)
+    if name == "fully_connected_6q":
+        block = fully_connected_gate(dev, (0, 1, 2), (3, 4, 5), np.random.default_rng(6))
+    else:
+        block = GateBlock.parallel_cz(dev, tuple(range(len(dev.gates))))
+    order = gate_order(block.tableau, cap=64)
+    characters = [random_pauli_bits(dev.n_qubits, np.random.default_rng([7, ci])) for ci in range(3)]
+    characters[0][:] = 0  # the identity character: identity preps
+    for ci, char in enumerate(characters):
+        rngs, ref_rngs = ([np.random.default_rng([29, ci, k]) for k in range(3)] for _ in range(2))
+        stack = build_cb_sequence(block, char, 2 * order, order, rngs)
+        assert_stack_is_the_reference(stack, cb_sequences_one(block, char, 2 * order, ref_rngs), dev, shared_prep=True)
+        assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
 
 
 # -- observable sampling ------------------------------------------------------

@@ -15,10 +15,10 @@ from cabbench.cab import (
 from cabbench.circuits import GateBlock
 from cabbench.device import ControlPhases, DeviceModel, GateSpec
 from cabbench.experiments import fully_connected_gate, ring_device
-from cabbench.paulis import sample_random_pauli
+from cabbench.paulis import random_pauli_bits
 from cabbench.tableau import gate_order
 
-from helpers import closes_to_identity, phase_gate
+from helpers import closes_to_identity, phase_gate, sequences_of
 
 
 def cz_device(p=1.0, control=None, **kw):
@@ -81,7 +81,7 @@ def test_cb_sequence_closes_to_identity(n):
         order = gate_order(block.tableau)
         for cycles in (order, 2 * order):
             for _ in range(3):
-                seq = build_cb_sequence(block, sample_random_pauli(n, rng), cycles, order, rng)
+                (seq,) = sequences_of(build_cb_sequence(block, random_pauli_bits(n, rng), cycles, order, [rng]))
                 assert closes_to_identity(seq, dev)
 
 

@@ -17,7 +17,7 @@ from cabbench.cli import (
 )
 from cabbench.experiments import gate_order_samples, ring_cz_patterns, ring_device, fully_connected_gate
 
-from helpers import closes_to_identity, symplectic_ok, write_csv_rows
+from helpers import ODD_REGISTER_5Q, closes_to_identity, sequences_of, symplectic_ok, write_csv_rows
 
 
 def small_cab_config(tmp_path, **over):
@@ -208,6 +208,30 @@ DETERMINISM_CONFIGS = {
         "subsets": "singles+pairs",
     },
     "order_stats": {"kind": "order_stats", "n_list": [4, 6], "samples": 10},
+    # an odd register: one (2, n) Pauli draw at a time gives another stream
+    # than one draw of all 2m Paulis when 2n is not a multiple of 4
+    "cab_5q_dm": {
+        "kind": "cab",
+        "device": ODD_REGISTER_5Q,
+        "backend": "dm",
+        "cab": {"depths": [0, 2], "k_r": 4, "k_s": 300, "mode": "traverse"},
+        "subsets": "singles",
+    },
+    "cab_5q_stab": {
+        "kind": "cab",
+        "device": ODD_REGISTER_5Q,
+        "backend": "stab",
+        "cab": {"depths": [0, 2], "k_r": 3, "k_s": 1000, "mode": "sample", "k_q": 20},
+        "subsets": "singles+pairs",
+    },
+    "cb_5q": {
+        "kind": "cb",
+        "device": ODD_REGISTER_5Q,
+        "backend": "dm",
+        "cab": {"k_r": 10, "k_s": 300},
+        "cycles": [2, 4],
+        "n_chars": 5,
+    },
     # calibrate writes exact dm probabilities, so a table shared between
     # runs and written into by the first would change the second's bytes
     "calibrate": {
@@ -264,6 +288,16 @@ PINNED_ARTIFACTS = {
         "result.json": "176e07b957cada40f34237892df94c84ed4524de184d56040f01e33ce7094b1e",
         "survivals.csv": "e297ab465ed71bb9ed4dfdfd122f42e4ffaaaf7a0b851709e84bca5f850f044c",
     },
+    "cab_5q_dm": {
+        "lambdas.csv": "020cc6e564ec53fe223270f5bea12a09db3c4111f1391f4bda738e16a8fa40fa",
+        "result.json": "c6c28681e7e5c6c687131c0313d630c6c98487d9082388e894e71d3e6ac05e1d",
+        "survivals.csv": "0945454616cb0a3f51d6fbc45f89e964633c5b6b129879fe1b4cf989822ecb23",
+    },
+    "cab_5q_stab": {
+        "lambdas.csv": "37759a9d0a3dffa07bc7dc47573474d65ffe224c1428d57b0a8c549a73c3d5e5",
+        "result.json": "b3c20149eba3f0624960e4f943c69f1145f0da36201333b54def3dc00a41753e",
+        "survivals.csv": "be258fc33926fcc9135e656ec9cc63d897138274ae6d5823d106af14587fe054",
+    },
     "cab_6q_stab_pairs": {
         "lambdas.csv": "bc60dfb6d3bb241d5cd2cc878f6d5228c6e6dc5e14451f582b082d48d88ea85f",
         "result.json": "11d775ba3dad7709a231aa915207eb7ee1b222b6af70094cff91566c5830d3a9",
@@ -286,6 +320,10 @@ PINNED_ARTIFACTS = {
     "cb": {
         "characters.csv": "ef08f691d27b9759495b8a194a3840174745774273785e1ed4b10ee3fbde080b",
         "result.json": "6257776835b53e3275cba7121f6e5498f25160671afb825a219c4e7b73c3e0c2",
+    },
+    "cb_5q": {
+        "characters.csv": "b32ec8731a3efecc9d079ee952055da66f0cfd5aee207de0d24e005b1a52b44d",
+        "result.json": "fbb3e4eb52fac5dca19b05912271bd2d6d03f4355610ba436b223eef0521cb69",
     },
     "cb_6q_stab": {
         "characters.csv": "324b8e237e8f4e1966ce61db4429b78cbb9b673ad758724db53e974e1f1df35c",
@@ -516,6 +554,15 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("order_stats", {"n_list": []}),
         ("parallel_cz_scan", {"scan_counts": []}),
         ("landscape", {"landscape": {"gamma12": []}}),
+        # out-of-range values that exited 1 mid-run, or 0
+        ("correlate", {"gates": [0]}),
+        ("cab", {"seed": -1}),
+        ("fully_connected", {"device": None, "gate_depol": 1.5}),
+        ("parallel_cz_scan", {"per_cz_fidelity": 0}),
+        ("optimize", {"optimize": {"iterations": 2, "window": [0, 2], "initial_step": 0}}),
+        ("optimize", {"optimize": {"iterations": 2, "window": [0, 2], "x_tol": -1}}),
+        # the cab section is checked also by kinds that do not read it
+        ("calibrate", {"cab": {"kr": 3}}),
     ],
     ids=[
         "k_r",
@@ -565,6 +612,13 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "empty_n_list",
         "empty_scan_counts",
         "empty_gamma12",
+        "correlate_one_gate",
+        "negative_seed",
+        "fc_gate_depol_above_1",
+        "zero_per_cz_fidelity",
+        "zero_initial_step",
+        "negative_x_tol",
+        "calibrate_cab_unknown_key",
     ],
 )
 def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys):
@@ -594,9 +648,18 @@ def test_bad_gates_exit_2(kind, gates, tmp_path, capsys):
 GATES_RUN_OVER = {"cycles": [2, 4], "n_chars": 4, "optimize": {"iterations": 2, "window": [0, 2]}}
 
 
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    path = small_cab_config(tmp_path)
+    assert main(["cab", "--config", str(path), "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 @pytest.mark.parametrize("kind", ["cab", "cb", "correlate", "optimize", "calibrate"])
 def test_named_gate_runs(kind, tmp_path):
-    path = small_cab_config(tmp_path, kind=kind, gates=[1], **GATES_RUN_OVER)
+    # correlate needs two gates: both, named in reverse order
+    gates = [1, 0] if kind == "correlate" else [1]
+    path = small_cab_config(tmp_path, kind=kind, gates=gates, **GATES_RUN_OVER)
     assert main([kind, "--config", str(path)]) == 0
 
 
@@ -731,9 +794,9 @@ def test_fully_connected_block_is_clifford_and_invertible():
     dev = ring_device(6)
     block = fully_connected_gate(dev, (0, 1, 2), (3, 4, 5), rng)
     assert symplectic_ok(block.tableau)
-    from cabbench.cab import CabConfig, build_cab_sequence
+    from cabbench.cab import build_cab_sequence
 
-    seq = build_cab_sequence(block, 1, rng)
+    (seq,) = sequences_of(build_cab_sequence(block, 1, [rng]))
     assert closes_to_identity(seq, dev)
 
 

@@ -3,13 +3,14 @@ import pytest
 
 from cabbench.backends import dm_run, stab_run_counts
 from cabbench.cab import build_cab_sequence, sample_observables
-from cabbench.circuits import CircuitSequence, CliffordLayer, GateBlock, GateLayer
+from cabbench.circuits import GateBlock
 from cabbench.cli import load_device
 from cabbench.device import ControlPhases, CouplingMap, DeviceModel, GateSpec, fwht
 from cabbench.experiments import fully_connected_gate
 from cabbench.paulis import LocalCliffordLayer, single_qubit_cliffords
 
 from exact_oracle import assert_survivals_match, exact_survivals
+from helpers import CircuitSequence, CliffordLayer, GateLayer, sequences_of
 
 
 def chain_device(n, rng, pauli_layer_noise=True):
@@ -54,8 +55,9 @@ def test_oracle_equals_walsh_transform_of_twirled_dm(n, pauli_layer_noise):
     masks = np.arange(2**n)
     for block in blocks:
         for m in (0, 1, 3):
-            seq = build_cab_sequence(block, m, rng)
-            exact = np.real(fwht(dm_run([seq], dev, twirl_coupling=True)[0]))
+            stack = build_cab_sequence(block, m, [rng])
+            (seq,) = sequences_of(stack)
+            exact = np.real(fwht(dm_run(stack, dev, twirl_coupling=True)[0]))
             assert np.max(np.abs(exact_survivals(seq, dev, masks) - exact)) < 1e-12
 
 
@@ -81,8 +83,9 @@ def test_stab_matches_oracle_on_coupled_devices():
     for trial in range(24):
         dev = chain_device(4, rng, pauli_layer_noise=bool(trial % 2))
         block = GateBlock.parallel_cz(dev, (0, 1))
-        seq = build_cab_sequence(block, int(rng.integers(0, 4)), rng)
-        counts = stab_run_counts([seq], dev, k_s, [np.random.default_rng(trial)])
+        stack = build_cab_sequence(block, int(rng.integers(0, 4)), [rng])
+        (seq,) = sequences_of(stack)
+        counts = stab_run_counts(stack, dev, k_s, [np.random.default_rng(trial)])
         sampled.append(counts.all_survivals()[0, 1:])
         exact.append(exact_survivals(seq, dev, np.arange(1, 16)))
     assert_survivals_match(np.concatenate(sampled), np.concatenate(exact), k_s, z_bound=5.0, std_range=(0.8, 1.2))
@@ -102,8 +105,9 @@ def test_stab_matches_oracle_on_ring44():
     for block in (GateBlock.parallel_cz(dev, tuple(range(len(dev.gates)))), GateBlock.identity(n)):
         for m in (0, 2):
             for k in range(8):
-                seq = build_cab_sequence(block, m, rng)
-                counts = stab_run_counts([seq], dev, k_s, [np.random.default_rng([44, m, k, len(block.layers)])])
+                stack = build_cab_sequence(block, m, [rng])
+                (seq,) = sequences_of(stack)
+                counts = stab_run_counts(stack, dev, k_s, [np.random.default_rng([44, m, k, len(block.layers)])])
                 sampled.append(counts.survivals(masks)[0])
                 exact.append(exact_survivals(seq, dev, masks))
     sampled, exact = np.concatenate(sampled), np.concatenate(exact)

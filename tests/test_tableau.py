@@ -17,8 +17,10 @@ from helpers import (
     gate_order_by_squaring,
     hadamard,
     inverse,
+    pauli_bits,
     pauli_conjugation_tableau,
     pauli_from_label,
+    pauli_of_bits,
     pauli_to_matrix,
     phase_gate,
     symplectic_ok,
@@ -199,13 +201,13 @@ def test_pauli_conjugation_tableau():
 
 def test_compile_inverse_pauli_empty():
     u = cz(2, 0, 1)
-    assert compile_inverse_pauli(u, [], 0) == PauliString.identity(2)
+    assert pauli_of_bits(compile_inverse_pauli(u, np.zeros((0, 4)), 0)) == PauliString.identity(2)
 
 
 def test_compile_inverse_pauli_identity_layers():
     u = cz(2, 0, 1)
-    layers = [PauliString.identity(2)] * 4
-    assert compile_inverse_pauli(u, layers, 2).is_identity(up_to_phase=True)
+    layers = pauli_bits([PauliString.identity(2)] * 4)
+    assert pauli_of_bits(compile_inverse_pauli(u, layers, 2)).is_identity(up_to_phase=True)
 
 
 def _block_tableau(case, rng):
@@ -224,7 +226,7 @@ def test_compile_inverse_pauli_closes_sequence():
         u, n = _block_tableau(case, rng)
         m = int(rng.integers(1, 4))
         paulis = [sample_random_pauli(n, rng) for _ in range(2 * m)]
-        u_inv_gate = compile_inverse_pauli(u, paulis, m)
+        u_inv_gate = pauli_of_bits(compile_inverse_pauli(u, pauli_bits(paulis), m))
         # full sign-tracked composition: [(u^-1 P(2i) u P(2i-1)) for i] then the closer
         net = CliffordTableau.identity(n)
         uinv = inverse(u)
@@ -239,4 +241,4 @@ def test_compile_inverse_pauli_closes_sequence():
 
 def test_compile_inverse_pauli_wrong_layer_count():
     with pytest.raises(ValueError):
-        compile_inverse_pauli(CliffordTableau.identity(2), [PauliString.identity(2)], 1)
+        compile_inverse_pauli(CliffordTableau.identity(2), pauli_bits([PauliString.identity(2)]), 1)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from cabbench.paulis import LocalCliffordLayer, PauliString
 from cabbench.tableau import CliffordTableau, compile_inverse_pauli, gate_order, local_layer_lookup
 
-from helpers import compose_loop, inverse, pauli_conjugation_tableau
+from helpers import compose_loop, inverse, pauli_bits, pauli_conjugation_tableau, pauli_of_bits
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -151,7 +151,7 @@ def test_closing_pauli_closes_the_interleaved_sequence(data):
     u = data.draw(words(n))
     m = data.draw(st.integers(0, 3))
     layer_paulis = [data.draw(paulis(n)) for _ in range(2 * m)]
-    closing = compile_inverse_pauli(u, layer_paulis, m)
+    closing = pauli_of_bits(compile_inverse_pauli(u, pauli_bits(layer_paulis).reshape(2 * m, 2 * n), m))
     net, uinv = CliffordTableau.identity(n), inverse(u)
     for i in range(m):
         net = pauli_conjugation_tableau(layer_paulis[2 * i]).compose(net)
