@@ -50,7 +50,6 @@ from .device import (
     pauli_twirl_diagonal,
 )
 from .experiments import fully_connected_gate, gate_order_samples, ring_device
-from .paulis import LocalCliffordLayer, PauliString, pauli_multiply, sample_local_clifford, sample_random_pauli
 from .tableau import CliffordTableau, compile_inverse_pauli, gate_order
 
 __version__ = "0.1.0"

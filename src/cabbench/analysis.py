@@ -25,11 +25,14 @@ class FidelityDomainError(ValueError):
 
 
 def correlation(f_joint: float, f_parts) -> float:
-    """Normalized deviation of a joint fidelity from the product of parts."""
+    """Normalized deviation of a joint fidelity from the product of parts.
+
+    Every fidelity must be positive, as the square root needs; an estimate
+    above 1, which sampling noise alone can give, is taken as it is."""
     parts = list(f_parts)
     for f in [f_joint, *parts]:
-        if not 0.0 < f <= 1.0:
-            raise FidelityDomainError(f"fidelity {f} outside (0, 1]")
+        if not f > 0.0:
+            raise FidelityDomainError(f"fidelity {f} is not positive")
     prod = math.prod(parts)
     return (f_joint - prod) / math.sqrt(f_joint * prod)
 
@@ -231,12 +234,13 @@ LANDSCAPE_GAMMA12_VALUES = (
 
 @dataclass
 class CorrelationReport:
-    """Correlations per gate subset, optionally with fluctuation statistics."""
+    """Correlations per gate subset, optionally with fluctuation statistics:
+    then ``values`` are the means over reruns, ``sds`` their SDs."""
 
     subsets: list[tuple[int, ...]]
     values: list[float]
     distances: list[int] | None = None
-    fluctuation: list[tuple[float, float]] | None = None  # (mean, sd)
+    sds: list[float] | None = None
     lower_bounds: list[float] | None = None
 
 
@@ -305,6 +309,6 @@ def correlation_fluctuation(reports, pairs: list[tuple[int, int]]) -> Correlatio
     return CorrelationReport(
         subsets=subsets,
         values=means,
-        fluctuation=list(zip(means, sds)),
+        sds=sds,
         lower_bounds=[max(abs(m) - 3 * sd, 0.0) for m, sd in zip(means, sds)],
     )

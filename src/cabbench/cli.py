@@ -139,11 +139,15 @@ class ExperimentConfig:
 
     def settings(self) -> dict:
         """The kind's fields of FIELDS, checked, with their defaults where the
-        config leaves them out; the seed and the ``cab`` section are checked
-        for every kind.  Other top-level keys are echoed but not read."""
+        config leaves them out; the seed, the ``cab`` section, ``gates``
+        (their range is ``_target``'s) and ``subsets`` are checked for every
+        kind.  Other top-level keys are echoed but not read."""
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         _checked(self.cab, CAB_FIELDS, "cab")
+        if self.gates is not None:
+            _checked(self.gates, (0,), "gates")
+        resolve_subsets(self.subsets, ())
         table = FIELDS[self.kind]
         return {key: _checked(self.extra.get(key, default), default, key) for key, default in table.items()}
 
@@ -400,17 +404,16 @@ def _run_correlate(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
         ]
         fluct = correlation_fluctuation([rep, *reruns], matrix.subsets)
         pairs = fluct.subsets
-        means, sds = [m for m, _ in fluct.fluctuation], [sd for _, sd in fluct.fluctuation]
         _write_csv(
             out / "fluctuation.csv",
             ["gate_a", "gate_b", "mean", "sd", "lower_bound"],
-            [((), [[a for a, _ in pairs], [b for _, b in pairs], means, sds, fluct.lower_bounds])],
+            [((), [[a for a, _ in pairs], [b for _, b in pairs], fluct.values, fluct.sds, fluct.lower_bounds])],
         )
         doc["fluctuation"] = {
             "repeat": repeat,
-            "pairs": [list(s) for s in fluct.subsets],
+            "pairs": [list(s) for s in pairs],
             "mean": fluct.values,
-            "sd": sds,
+            "sd": fluct.sds,
             "lower_bounds": fluct.lower_bounds,
         }
     return doc

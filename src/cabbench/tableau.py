@@ -9,12 +9,14 @@ e.g. the phase gate S has order 4, not 2).
 Composition and order work on whole bit matrices (Dehaene & De Moor,
 PRA 68, 042318; Aaronson & Gottesman, quant-ph/0406196): the bits of a
 product are a GF(2) matrix product, and its signs a quadratic form over
-the same bits (``_images``, shared by ``compose`` and ``gate_order``).
-The order is the order k of the 2n x 2n symplectic matrix M, or 2k when
-the signs that t adds along each generator's orbit under M^0..M^(k-1)
-do not cancel.  A local Clifford layer is applied by lookup in the
-single-qubit action table (``local_layer_lookup``), to one tableau or to a
-stack of them.
+the same bits (``_images``, shared by ``compose``, ``gate_order`` and the
+fully connected gate's stacked builder).  The order is the order k of the
+2n x 2n symplectic matrix M, or 2k when the signs that t adds along each
+generator's orbit under M^0..M^(k-1) do not cancel.  A local Clifford
+layer, an array of element indices, is applied by lookup in the
+single-qubit action table (``local_layer_lookup``), to a whole stack of
+tableaus at once.  The closing Paulis of the benchmark sequences need only
+bits, so they are GF(2) products alone.
 """
 
 from __future__ import annotations
@@ -24,11 +26,7 @@ from functools import cache
 
 import numpy as np
 
-from .paulis import (
-    DimensionError,
-    LocalCliffordLayer,
-    single_qubit_cliffords,
-)
+from .paulis import single_qubit_cliffords
 
 
 class NonCliffordError(ValueError):
@@ -82,10 +80,6 @@ class CliffordTableau:
         return CliffordTableau(n, xb, zb, np.zeros(2 * n, dtype=np.uint8))
 
     @staticmethod
-    def from_local_layer(layer: LocalCliffordLayer) -> "CliffordTableau":
-        return CliffordTableau.identity(layer.n).then_local_layer(layer)
-
-    @staticmethod
     def from_cz_layer(n: int, pairs) -> "CliffordTableau":
         """Parallel CZ gates on disjoint qubit pairs."""
         t = CliffordTableau.identity(n)
@@ -101,14 +95,10 @@ class CliffordTableau:
     def compose(self, before: "CliffordTableau") -> "CliffordTableau":
         """Tableau of 'apply ``before``, then ``self``': ``before``'s rows through ``_images``."""
         if before.n != self.n:
-            raise DimensionError(f"size mismatch: {before.n} != {self.n}")
+            raise ValueError(f"size mismatch: {before.n} != {self.n}")
         n = self.n
         bits, signs = self._images(np.concatenate([before.xbits, before.zbits], axis=1), before.signs)
         return CliffordTableau(n, bits[:, :n].astype(np.uint8), bits[:, n:].astype(np.uint8), signs.astype(np.uint8))
-
-    def then_local_layer(self, layer: LocalCliffordLayer) -> "CliffordTableau":
-        """``from_local_layer(layer).compose(self)``, by ``local_layer_lookup``."""
-        return CliffordTableau(self.n, *local_layer_lookup(layer.elements, self.xbits, self.zbits, self.signs))
 
     def _images(self, v: np.ndarray, signs: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
         """Images under ``self`` of the Paulis with bit rows v (R, 2n) and sign bits ``signs``.
@@ -156,13 +146,7 @@ class CliffordTableau:
         return m, j
 
     def is_identity(self) -> bool:
-        # n ones in each bit block, all on the diagonal of its generator rows
-        n = self.n
-        return (
-            not self.signs.any()
-            and np.count_nonzero(self.xbits) == n == np.count_nonzero(self.zbits)
-            and self.xbits[:n].trace() == n == self.zbits[n:].trace()
-        )
+        return self == CliffordTableau.identity(self.n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliffordTableau):

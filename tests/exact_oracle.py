@@ -41,7 +41,7 @@ def _heisenberg_images() -> np.ndarray:
     table = single_qubit_cliffords()
     out = np.zeros((24, 2, 2), dtype=bool)
     for e in range(24):
-        u = table.matrix(e)
+        u = table.matrices[e]
         for i, p in enumerate((_X, _Z)):
             out[e, i] = _letter(u.conj().T @ p @ u)
     return out

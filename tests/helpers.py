@@ -1,8 +1,13 @@
 """Reference implementations and test-only builders used as test oracles.
 
-The first section holds the per-sequence form of a circuit: one
-``CircuitSequence`` of layer objects per sequence, the form the backends
-took before sequence stacks.  ``stack_of`` turns sequences of one layout
+The first section holds the object forms that the package replaced by
+bit and element arrays: a ``PauliString`` with an exact phase (with
+``pauli_multiply``, the product by the package's letter table), a
+``LocalCliffordLayer`` of element indices, and the per-sequence form of a
+circuit: one ``CircuitSequence`` of layer objects per sequence, the form
+the backends took before sequence stacks.  Both types draw through the
+package's ``random_pauli_bits`` and ``local_clifford_elements``, as the
+stack builders do.  ``stack_of`` turns sequences of one layout
 into a ``SequenceStack`` (a layer object that every sequence holds becomes
 a shared row) and ``sequences_of`` turns a stack back into sequences.
 ``cab_sequences_one`` and ``cb_sequences_one`` build sequences one at a
@@ -16,7 +21,8 @@ coefficient-level channels as matrix evaluators and back, and
 the coefficient route is checked against.  The Pauli helpers build a
 Pauli from its letters, its dense matrix and the tableau of conjugation by
 it.  The tableau helpers
-(single-gate and layer builders, conjugation, inversion and the
+(single-gate and layer builders, ``local_layer_tableau`` among them,
+conjugation, inversion and the
 qubit-by-qubit ``compose_loop``) work on ``CliffordTableau`` bits, one
 generator at a time, with the Pauli multiplication table;
 ``gate_order_by_squaring`` finds an order by repeated squaring, and
@@ -50,15 +56,8 @@ from cabbench.calibration import NelderMead, NelderMeadOptions, NonFiniteObjecti
 from cabbench.circuits import SequenceStack, unitary_layer
 from cabbench.device import DeviceModel, DiagonalUnitary, GateSpec, PauliChannel
 from cabbench.experiments import ring_cz_patterns
-from cabbench.paulis import (
-    _MUL_PHASE,
-    LocalCliffordLayer,
-    PauliString,
-    sample_local_clifford,
-    sample_random_pauli,
-    single_qubit_cliffords,
-)
-from cabbench.tableau import CliffordTableau, NonCliffordError
+from cabbench.paulis import _MUL_PHASE, local_clifford_elements, random_pauli_bits, single_qubit_cliffords
+from cabbench.tableau import CliffordTableau, NonCliffordError, local_layer_lookup
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -84,6 +83,58 @@ ODD_REGISTER_5Q = {
 
 
 # -- sequences as tuples of layer objects, one sequence at a time ---------------
+
+
+@dataclass(frozen=True, eq=False)
+class PauliString:
+    """The n-qubit Pauli i**phase_exp L_0 (x) ... (x) L_{n-1}, the letter on
+    qubit q given by its bits (x[q], z[q]) as in ``cabbench.paulis``."""
+
+    n: int
+    x: np.ndarray
+    z: np.ndarray
+    phase_exp: int = 0
+
+    @staticmethod
+    def identity(n: int) -> "PauliString":
+        return PauliString(n, np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8))
+
+    @staticmethod
+    def draw(n: int, rng: np.random.Generator) -> "PauliString":
+        """A phaseless Pauli from ``random_pauli_bits``, as the stack builders draw it."""
+        x, z = random_pauli_bits(n, rng)
+        return PauliString(n, x, z)
+
+    def __eq__(self, other) -> bool:
+        return (
+            (self.n, self.phase_exp) == (other.n, other.phase_exp)
+            and np.array_equal(self.x, other.x)
+            and np.array_equal(self.z, other.z)
+        )
+
+
+def pauli_multiply(p: PauliString, q: PauliString) -> PauliString:
+    """The product p q: the letters XOR, and ``_MUL_PHASE`` gives each qubit's phase."""
+    assert p.n == q.n
+    idx = (p.x.astype(np.int64) << 3) | (p.z.astype(np.int64) << 2) | (q.x.astype(np.int64) << 1) | q.z
+    return PauliString(p.n, p.x ^ q.x, p.z ^ q.z, (p.phase_exp + q.phase_exp + int(_MUL_PHASE[idx].sum())) % 4)
+
+
+@dataclass(frozen=True, eq=False)
+class LocalCliffordLayer:
+    """One single-qubit Clifford per qubit: element indices (n,) into
+    ``single_qubit_cliffords()``."""
+
+    n: int
+    elements: np.ndarray
+
+    @staticmethod
+    def draw(n: int, rng: np.random.Generator) -> "LocalCliffordLayer":
+        """A layer from ``local_clifford_elements``, as the stack builders draw it."""
+        return LocalCliffordLayer(n, local_clifford_elements(n, rng))
+
+    def inverse(self) -> "LocalCliffordLayer":
+        return LocalCliffordLayer(self.n, single_qubit_cliffords().inverse_table[self.elements])
 
 
 @dataclass(frozen=True)
@@ -221,8 +272,8 @@ def cab_sequences_one(block, m: int, rngs: list[np.random.Generator]) -> list[Ci
     layers, inverse_layers = block_layer_objects(block)
     seqs = []
     for rng in rngs:
-        c = sample_local_clifford(n, rng)
-        paulis = [sample_random_pauli(n, rng) for _ in range(2 * m)]
+        c = LocalCliffordLayer.draw(n, rng)
+        paulis = [PauliString.draw(n, rng) for _ in range(2 * m)]
         out = [CliffordLayer(c)]
         for i in range(m):
             out += [PauliLayer(paulis[2 * i]), *layers, PauliLayer(paulis[2 * i + 1]), *inverse_layers]
@@ -239,7 +290,7 @@ def cb_sequences_one(block, character: np.ndarray, cycles: int, rngs: list[np.ra
     seqs = []
     for rng in rngs:
         prep = LocalCliffordLayer(n, _prep_elements(character))
-        paulis = [sample_random_pauli(n, rng) for _ in range(cycles)]
+        paulis = [PauliString.draw(n, rng) for _ in range(cycles)]
         out = [CliffordLayer(prep)]
         for p in paulis:
             out += [PauliLayer(p), *layers]
@@ -386,7 +437,7 @@ def dense_apply_layers(rho, layers, device, twirl_coupling: bool = False, noisy:
             continue
         if isinstance(layer, CliffordLayer):
             table = single_qubit_cliffords()
-            u = kron_all([table.matrix(int(e)) for e in layer.layer.elements])
+            u = kron_all([table.matrices[e] for e in layer.layer.elements])
         elif isinstance(layer, PauliLayer):
             u = pauli_matrix("".join("IXZY"[int(x) + 2 * int(z)] for x, z in zip(layer.pauli.x, layer.pauli.z)))
         elif isinstance(layer, Unitary1qLayer):
@@ -639,10 +690,17 @@ def dm_run_one(seq, device: DeviceModel, *, twirl_coupling: bool = False) -> np.
 
 
 
+def local_layer_tableau(elements: np.ndarray) -> CliffordTableau:
+    """Tableau of a local Clifford layer, element indices (n,): the identity
+    tableau's rows through ``local_layer_lookup``."""
+    t = CliffordTableau.identity(len(elements))
+    return CliffordTableau(t.n, *local_layer_lookup(np.asarray(elements, dtype=np.uint8), t.xbits, t.zbits, t.signs))
+
+
 def _single_qubit_tableau(n: int, q: int, element: int) -> CliffordTableau:
-    elements = LocalCliffordLayer.identity(n).elements.copy()
+    elements = np.full(n, single_qubit_cliffords().identity_index, dtype=np.uint8)
     elements[q] = element
-    return CliffordTableau.from_local_layer(LocalCliffordLayer(n, elements))
+    return local_layer_tableau(elements)
 
 
 def hadamard(n: int, q: int) -> CliffordTableau:
@@ -684,7 +742,7 @@ def pauli_bits(paulis: list[PauliString]) -> np.ndarray:
 def pauli_of_bits(bits: np.ndarray) -> PauliString:
     """The phaseless Pauli of bits [x | z] (2n,)."""
     n = len(bits) // 2
-    return PauliString.from_bits(bits[:n], bits[n:])
+    return PauliString(n, bits[:n], bits[n:])
 
 
 def pauli_to_matrix(p: PauliString) -> np.ndarray:
@@ -817,16 +875,17 @@ def gate_order_by_squaring(t: CliffordTableau) -> tuple[int, int]:
 def fully_connected_tableaus_loop(n: int, samples: int, rng: np.random.Generator) -> list[CliffordTableau]:
     """Reference for the tableaus ``gate_order_samples`` builds: one draw at a time.
 
-    Each draw takes v1, then v2, with ``sample_local_clifford`` and builds
-    its own tableau: CZ layer a, v1, CZ layer b, v2 of the n-qubit ring.
+    Each draw takes v1, then v2, with ``local_clifford_elements`` and
+    composes its own tableau: CZ layer a, v1, CZ layer b, v2 of the n-qubit
+    ring.
     """
     a, b = ring_cz_patterns(n)
     cz_a, cz_b = CliffordTableau.from_cz_layer(n, a), CliffordTableau.from_cz_layer(n, b)
     tableaus = []
     for _ in range(samples):
-        v1 = sample_local_clifford(n, rng)
-        v2 = sample_local_clifford(n, rng)
-        tableaus.append(cz_b.compose(cz_a.then_local_layer(v1)).then_local_layer(v2))
+        v1 = local_layer_tableau(local_clifford_elements(n, rng))
+        v2 = local_layer_tableau(local_clifford_elements(n, rng))
+        tableaus.append(v2.compose(cz_b.compose(v1.compose(cz_a))))
     return tableaus
 
 
@@ -845,7 +904,7 @@ def layer_tableau(layer, device, n: int) -> CliffordTableau:
     if isinstance(layer, GateLayer):
         return CliffordTableau.from_cz_layer(n, [device.gates[g].pair for g in layer.gates])
     if isinstance(layer, CliffordLayer):
-        return CliffordTableau.from_local_layer(layer.layer)
+        return local_layer_tableau(layer.layer.elements)
     return pauli_conjugation_tableau(layer.pauli)
 
 

@@ -27,10 +27,20 @@ def test_correlation_hand_value():
 
 
 def test_correlation_domain_error():
-    with pytest.raises(FidelityDomainError):
-        correlation(0.0, [0.9])
-    with pytest.raises(FidelityDomainError):
-        correlation(0.9, [0.9, -0.1])
+    for f_joint, f_parts in ((0.0, [0.9]), (0.9, [0.9, -0.1]), (0.9, [0.0, 0.9]), (-0.2, [0.9]), (math.nan, [0.9])):
+        with pytest.raises(FidelityDomainError):
+            correlation(f_joint, f_parts)
+
+
+@pytest.mark.parametrize(
+    "f_joint, f_parts",
+    [(1.02, [1.01, 1.005]), (0.95, [1.0006, 0.97])],
+    ids=["joint_above_1", "part_above_1"],
+)
+def test_correlation_takes_fidelities_above_one(f_joint, f_parts):
+    # sampling noise can push an estimate past 1; the formula needs only f > 0
+    prod = math.prod(f_parts)
+    assert correlation(f_joint, f_parts) == (f_joint - prod) / math.sqrt(f_joint * prod)
 
 
 def test_small_coupling_values_match_reported_magnitudes():
@@ -234,7 +244,7 @@ def test_lower_bound_arithmetic():
     rep = CorrelationReport(
         subsets=[(0, 1)],
         values=[0.012],
-        fluctuation=[(0.012, 0.001)],
+        sds=[0.001],
         lower_bounds=[max(abs(0.012) - 3 * 0.001, 0.0)],
     )
     assert rep.lower_bounds[0] == pytest.approx(0.009)

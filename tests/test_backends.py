@@ -19,13 +19,15 @@ from cabbench.backends import (
 from cabbench.circuits import GateBlock, SequenceStack
 from cabbench.device import CouplingMap, ControlPhases, DeviceModel, GateSpec, ResourceLimitError
 from cabbench.experiments import fully_connected_gate
-from cabbench.paulis import PauliString, random_pauli_bits, sample_local_clifford, sample_random_pauli
+from cabbench.paulis import random_pauli_bits
 
 from helpers import (
     CircuitSequence,
     CliffordLayer,
     GateLayer,
+    LocalCliffordLayer,
     PauliLayer,
+    PauliString,
     Unitary1qLayer,
     block_layer_objects,
     closes_to_identity,
@@ -83,7 +85,7 @@ def batchify(fn):
 def test_dm_noiseless_closure():
     dev = simple_device()
     rng = np.random.default_rng(0)
-    c = sample_local_clifford(2, rng)
+    c = LocalCliffordLayer.draw(2, rng)
     seq = CircuitSequence(
         2,
         (
@@ -186,7 +188,7 @@ def test_stab_matches_dm_twirled_model():
         readout_e0=0.01,
         readout_e1=0.03,
     )
-    c = sample_local_clifford(4, rng)
+    c = LocalCliffordLayer.draw(4, rng)
     p1 = pauli_from_label("XZIY")
     p2 = pauli_from_label("YIXZ")
     u = GateBlock.parallel_cz(dev, (0, 1)).tableau
@@ -373,7 +375,7 @@ def test_backend_agreement_survivals():
             control=ControlPhases(*rng.uniform(-0.2, 0.2, size=3)),
             single_qubit_depol=float(rng.uniform(0.99, 1.0)),
         )
-        c = sample_local_clifford(4, rng)
+        c = LocalCliffordLayer.draw(4, rng)
         seq = CircuitSequence(
             4,
             (
@@ -520,7 +522,7 @@ def test_shot_timing_budget():
     gates = tuple(GateSpec(pair=(2 * i, 2 * i + 1), depol_p=0.978) for i in range(22))
     dev = DeviceModel(n_qubits=n, gates=gates, single_qubit_depol=0.9968)
     rng = np.random.default_rng(0)
-    c = sample_local_clifford(n, rng)
+    c = LocalCliffordLayer.draw(n, rng)
     seq = CircuitSequence(
         n,
         (
@@ -607,9 +609,9 @@ def random_device(n, rng, pauli_layer_noise=True):
 def random_layer(kind, dev, rng):
     n = dev.n_qubits
     if kind == "clifford":
-        return CliffordLayer(sample_local_clifford(n, rng))
+        return CliffordLayer(LocalCliffordLayer.draw(n, rng))
     if kind == "pauli":
-        return PauliLayer(sample_random_pauli(n, rng))
+        return PauliLayer(PauliString.draw(n, rng))
     if kind == "unitary":
         # the first qubit is always acted on twice
         qubits = [0, *rng.integers(0, n, size=2), 0]

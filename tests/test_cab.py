@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -145,6 +146,66 @@ def test_cb_stack_builder_matches_the_per_sequence_builder(name):
         stack = build_cb_sequence(block, char, 2 * order, order, rngs)
         assert_stack_is_the_reference(stack, cb_sequences_one(block, char, 2 * order, ref_rngs), dev, shared_prep=True)
         assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+
+
+def stack_digest(stack) -> str:
+    """sha256 over every entry of a stack: its kind, then its gates or its array's dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for kind, data in stack.layers:
+        h.update(kind.encode())
+        if kind == "gates":
+            h.update(repr(data).encode())
+        else:
+            h.update(f"{data.dtype}{data.shape}".encode())
+            h.update(np.ascontiguousarray(data).tobytes())
+    return h.hexdigest()
+
+
+# sha256 (``stack_digest``) of the stacks that the builders draw at seed 2026
+# from three sequence streams each: the stack builders and their per-sequence
+# references draw through the same ``random_pauli_bits`` and
+# ``local_clifford_elements``, and no stab pin sees a sequence's Paulis, so
+# only these and the dm pins see a change inside those two functions
+STACK_DIGESTS = {
+    ("cab", "two_gate_4q", 0, False): "36449964b08649fdaf53ca81037ffd2ecfb9546b177f16ec404d25b6b6c5099c",
+    ("cab", "two_gate_4q", 0, True): "36449964b08649fdaf53ca81037ffd2ecfb9546b177f16ec404d25b6b6c5099c",
+    ("cab", "two_gate_4q", 2, False): "318a5ca0dcaac0fe0b5218313a7d4b6a2662189d36c876c8d2b739bf7ef2d51e",
+    ("cab", "two_gate_4q", 2, True): "395c39038f5260d4e65b3897646e0a7241e1879c23a55f11aa5844db9d1b6ac3",
+    ("cab", "ring_44q", 0, False): "af1f3f908e74d592ead3fc1737c10c605b6eca07e1d27557f5c1ce9de9ab7b95",
+    ("cab", "ring_44q", 0, True): "af1f3f908e74d592ead3fc1737c10c605b6eca07e1d27557f5c1ce9de9ab7b95",
+    ("cab", "ring_44q", 2, False): "b7c941c6672ec69ae3b6816d86ae9dbddbfeb8dc0dd072aa4d469800635e073c",
+    ("cab", "ring_44q", 2, True): "729f10ee838307006ae7c6f4c48863f39caeb2588a726f9f6e2079a390f4529b",
+    ("cab", "odd_5q", 0, False): "af85e6ffdcd25a77d36d66816985e369f127805ca44b420d5562421c59f8a89c",
+    ("cab", "odd_5q", 0, True): "af85e6ffdcd25a77d36d66816985e369f127805ca44b420d5562421c59f8a89c",
+    ("cab", "odd_5q", 2, False): "fe2b280db903280203f02a5193f3aa639308efe6ac56bf0264742669e509c03d",
+    ("cab", "odd_5q", 2, True): "29608a7ba0dec1da260b98d5648b4f6b375c1d5c2e4cfcbe104ac09271bc7225",
+    ("cb", "two_gate_4q", 0, False): "ea1400674d47f05d3ca556722e10caa5bfdbd9ade498013f3e14d286623aadd7",
+    ("cb", "two_gate_4q", 0, True): "ea1400674d47f05d3ca556722e10caa5bfdbd9ade498013f3e14d286623aadd7",
+    ("cb", "two_gate_4q", 2, False): "bc9a488b32940f2f130475b311e99ab55cdca46eb7974c6f7f88b9a979614739",
+    ("cb", "two_gate_4q", 2, True): "cde4ec4fc0f88aebb55f851085d6ba45a640d6fc475f95aeb094b18371ef1583",
+    ("cb", "ring_44q", 0, False): "bf40e3b9c12d5fbf3975b08349a1e912e453df78f0bc40bb499f663d0500c825",
+    ("cb", "ring_44q", 0, True): "bf40e3b9c12d5fbf3975b08349a1e912e453df78f0bc40bb499f663d0500c825",
+    ("cb", "ring_44q", 2, False): "fdb4d875826e6e8a8f72bb89c2f2c21d136e374291b9c63d818eb313770922f4",
+    ("cb", "ring_44q", 2, True): "e160a950af522f4432c5f407ed78d3b344280f8facc276ff82e617436312bbc1",
+    ("cb", "odd_5q", 0, False): "0612e79fd833bb415dfb8f494993671d63b37199ce5b760823ffe87ce6592f5b",
+    ("cb", "odd_5q", 0, True): "0612e79fd833bb415dfb8f494993671d63b37199ce5b760823ffe87ce6592f5b",
+    ("cb", "odd_5q", 2, False): "027ef12dcd622f98df5dd1645c17044f16d06a25d771187e137c4632107e5188",
+    ("cb", "odd_5q", 2, True): "2e79b72089cdf0cd94f9561a2a8f4cb5dcea603144c846d7c1ef3b5a8adf81e9",
+}
+
+
+@pytest.mark.parametrize("protocol, name, m, twirl", sorted(STACK_DIGESTS))
+def test_stack_arrays_are_pinned(protocol, name, m, twirl):
+    dev = _builder_device(name)
+    block = GateBlock.identity(dev.n_qubits) if twirl else GateBlock.parallel_cz(dev, tuple(range(len(dev.gates))))
+    rngs = [np.random.default_rng([2026, m, k]) for k in range(3)]
+    if protocol == "cab":
+        stack = build_cab_sequence(block, m, rngs)
+    else:
+        # m cycles of one drawn character; every block here has order 1 or 2
+        char = random_pauli_bits(dev.n_qubits, np.random.default_rng([2026, 7]))
+        stack = build_cb_sequence(block, char, m, gate_order(block.tableau, cap=2), rngs)
+    assert stack_digest(stack) == STACK_DIGESTS[protocol, name, m, twirl]
 
 
 # -- observable sampling ------------------------------------------------------

@@ -563,6 +563,13 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("optimize", {"optimize": {"iterations": 2, "window": [0, 2], "x_tol": -1}}),
         # the cab section is checked also by kinds that do not read it
         ("calibrate", {"cab": {"kr": 3}}),
+        # and so are gates and subsets
+        ("landscape", {"gates": [7], "subsets": "bogus"}),
+        ("landscape", {"gates": [1.5]}),
+        ("order_stats", {"gates": "x"}),
+        ("parallel_cz_scan", {"gates": [0, True]}),
+        ("correlate", {"subsets": "bogus"}),
+        ("calibrate", {"subsets": [[0], 1]}),
     ],
     ids=[
         "k_r",
@@ -619,6 +626,12 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "zero_initial_step",
         "negative_x_tol",
         "calibrate_cab_unknown_key",
+        "landscape_bad_subsets",
+        "landscape_float_gate",
+        "order_stats_gates_not_list",
+        "scan_bool_gate",
+        "correlate_bad_subsets",
+        "calibrate_subset_not_list",
     ],
 )
 def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys):
@@ -761,6 +774,16 @@ def test_correlate_runs_one_experiment_per_repeat(tmp_path, monkeypatch):
     assert calls == [5, 6, 7]
     doc = json.loads((tmp_path / "out" / "result.json").read_text())
     assert doc["fluctuation"]["repeat"] == 3
+
+
+def test_correlate_repeat_takes_fidelities_above_one(tmp_path):
+    # at this tiny budget a rerun's pure fidelity exceeds 1 by sampling noise;
+    # the correlation needs only positive fidelities, so the run completes
+    path = small_cab_config(
+        tmp_path, kind="correlate", seed=0, repeat=2, cab={"depths": [0, 2], "k_r": 3, "k_s": 50, "mode": "traverse"}
+    )
+    assert main(["correlate", "--config", str(path)]) == 0
+    assert (tmp_path / "out" / "fluctuation.csv").exists()
 
 
 def test_cli_rejects_threads_flag(tmp_path):

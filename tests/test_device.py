@@ -23,11 +23,11 @@ from cabbench.device import (
     pauli_twirl_diagonal,
     xor_sorted,
 )
-from cabbench.paulis import PauliString
 
 from helpers import (
     I2,
     Z2,
+    PauliString,
     apply_readout_noise_at,
     kron_all,
     parametric_cz_unitary,

@@ -7,10 +7,10 @@ from cabbench.circuits import GateBlock
 from cabbench.cli import load_device
 from cabbench.device import ControlPhases, CouplingMap, DeviceModel, GateSpec, fwht
 from cabbench.experiments import fully_connected_gate
-from cabbench.paulis import LocalCliffordLayer, single_qubit_cliffords
+from cabbench.paulis import single_qubit_cliffords
 
 from exact_oracle import assert_survivals_match, exact_survivals
-from helpers import CircuitSequence, CliffordLayer, GateLayer, sequences_of
+from helpers import CircuitSequence, CliffordLayer, GateLayer, LocalCliffordLayer, sequences_of
 
 
 def chain_device(n, rng, pauli_layer_noise=True):

@@ -3,12 +3,13 @@ import pytest
 
 from cabbench import tableau
 from cabbench.experiments import ring_fully_connected
-from cabbench.paulis import PauliString, pauli_multiply, sample_local_clifford, sample_random_pauli
+from cabbench.paulis import local_clifford_elements, single_qubit_cliffords
 from cabbench.tableau import CliffordTableau, compile_inverse_pauli, gate_order
 
 from helpers import (
     H2,
     S2,
+    PauliString,
     commutes_with,
     conjugate,
     cz,
@@ -17,9 +18,11 @@ from helpers import (
     gate_order_by_squaring,
     hadamard,
     inverse,
+    local_layer_tableau,
     pauli_bits,
     pauli_conjugation_tableau,
     pauli_from_label,
+    pauli_multiply,
     pauli_of_bits,
     pauli_to_matrix,
     phase_gate,
@@ -73,7 +76,7 @@ def test_conjugate_matches_matrix_oracle():
     for _ in range(25):
         n = int(rng.integers(1, 5))
         t, mat = random_tableau(n, rng)
-        p = sample_random_pauli(n, rng)
+        p = PauliString.draw(n, rng)
         img = conjugate(t, p)
         expected = mat @ pauli_to_matrix(p) @ mat.conj().T
         assert np.allclose(pauli_to_matrix(img), expected, atol=1e-10)
@@ -84,8 +87,8 @@ def test_conjugation_is_multiplicative():
     for _ in range(40):
         n = int(rng.integers(1, 5))
         t, _ = random_tableau(n, rng)
-        p = sample_random_pauli(n, rng)
-        q = sample_random_pauli(n, rng)
+        p = PauliString.draw(n, rng)
+        q = PauliString.draw(n, rng)
         lhs = pauli_multiply(conjugate(t, p), conjugate(t, q))
         rhs = conjugate(t, pauli_multiply(p, q))
         assert lhs == rhs
@@ -122,22 +125,20 @@ def test_compose_matches_matrix_oracle():
         b, mat_b = random_tableau(n, rng, depth=6)
         combined = a.compose(b)  # b first, then a
         mat = mat_a @ mat_b
-        p = sample_random_pauli(n, rng)
+        p = PauliString.draw(n, rng)
         expected = mat @ pauli_to_matrix(p) @ mat.conj().T
         assert np.allclose(pauli_to_matrix(conjugate(combined, p)), expected, atol=1e-10)
 
 
 def test_local_layer_tableau_matches_matrices():
     rng = np.random.default_rng(6)
-    from cabbench.paulis import single_qubit_cliffords
-
     table = single_qubit_cliffords()
-    layer = sample_local_clifford(3, rng)
-    t = CliffordTableau.from_local_layer(layer)
+    layer = local_clifford_elements(3, rng)
+    t = local_layer_tableau(layer)
     mat = np.array([[1.0 + 0j]])
-    for e in layer.elements:
-        mat = np.kron(mat, table.matrix(int(e)))
-    p = sample_random_pauli(3, rng)
+    for e in layer:
+        mat = np.kron(mat, table.matrices[e])
+    p = PauliString.draw(3, rng)
     expected = mat @ pauli_to_matrix(p) @ mat.conj().T
     assert np.allclose(pauli_to_matrix(conjugate(t, p)), expected, atol=1e-10)
 
@@ -192,9 +193,9 @@ def test_gate_order_matches_squaring_on_large_orders(n):
 
 def test_pauli_conjugation_tableau():
     rng = np.random.default_rng(8)
-    p = sample_random_pauli(3, rng)
+    p = PauliString.draw(3, rng)
     t = pauli_conjugation_tableau(p)
-    q = sample_random_pauli(3, rng)
+    q = PauliString.draw(3, rng)
     expected = pauli_to_matrix(p) @ pauli_to_matrix(q) @ pauli_to_matrix(p).conj().T
     assert np.allclose(pauli_to_matrix(conjugate(t, q)), expected, atol=1e-12)
 
@@ -207,7 +208,7 @@ def test_compile_inverse_pauli_empty():
 def test_compile_inverse_pauli_identity_layers():
     u = cz(2, 0, 1)
     layers = pauli_bits([PauliString.identity(2)] * 4)
-    assert pauli_of_bits(compile_inverse_pauli(u, layers, 2)).is_identity(up_to_phase=True)
+    assert pauli_of_bits(compile_inverse_pauli(u, layers, 2)) == PauliString.identity(2)
 
 
 def _block_tableau(case, rng):
@@ -225,7 +226,7 @@ def test_compile_inverse_pauli_closes_sequence():
     for case in [1, 3, 6, "fully_connected"] * 10:
         u, n = _block_tableau(case, rng)
         m = int(rng.integers(1, 4))
-        paulis = [sample_random_pauli(n, rng) for _ in range(2 * m)]
+        paulis = [PauliString.draw(n, rng) for _ in range(2 * m)]
         u_inv_gate = pauli_of_bits(compile_inverse_pauli(u, pauli_bits(paulis), m))
         # full sign-tracked composition: [(u^-1 P(2i) u P(2i-1)) for i] then the closer
         net = CliffordTableau.identity(n)

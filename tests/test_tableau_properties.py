@@ -1,22 +1,28 @@
 """Property tests of the GF(2) tableau algebra on random Clifford words.
 
 A word is a short product of local Clifford layers, parallel CZ layers and
-Pauli conjugations on 1 to 12 qubits.  ``compose`` and ``then_local_layer``
-are checked bit for bit against the qubit-by-qubit ``compose_loop`` of
-``helpers``, the stacked ``local_layer_lookup`` against ``then_local_layer``
-per tableau, ``gate_order`` against plain repeated composition, and the
-GF(2) closing Pauli against sign-tracked composition of the whole
-interleaved sequence.
+Pauli conjugations on 1 to 12 qubits.  ``compose`` and the stacked
+``local_layer_lookup`` are checked bit for bit against the qubit-by-qubit
+``compose_loop`` of ``helpers``, ``gate_order`` against plain repeated
+composition, and the GF(2) closing Pauli against sign-tracked composition
+of the whole interleaved sequence.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cabbench.paulis import LocalCliffordLayer, PauliString
 from cabbench.tableau import CliffordTableau, compile_inverse_pauli, gate_order, local_layer_lookup
 
-from helpers import compose_loop, inverse, pauli_bits, pauli_conjugation_tableau, pauli_of_bits
+from helpers import (
+    PauliString,
+    compose_loop,
+    inverse,
+    local_layer_tableau,
+    pauli_bits,
+    pauli_conjugation_tableau,
+    pauli_of_bits,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -36,7 +42,7 @@ def layers(draw, n):
     kind = draw(st.sampled_from(kinds))
     if kind == "local":
         elements = draw(st.lists(st.integers(0, 23), min_size=n, max_size=n))
-        return CliffordTableau.from_local_layer(LocalCliffordLayer(n, np.array(elements, dtype=np.uint8)))
+        return local_layer_tableau(np.array(elements, dtype=np.uint8))
     if kind == "pauli":
         return pauli_conjugation_tableau(draw(paulis(n)))
     order = draw(st.permutations(range(n)))
@@ -77,17 +83,6 @@ def test_compose_is_associative(triple):
 
 
 @PROPERTY_SETTINGS
-@given(st.integers(1, 12).flatmap(lambda n: st.tuples(words(n), st.lists(st.integers(0, 23), min_size=n, max_size=n))))
-def test_then_local_layer_equals_composition(case):
-    t, elements = case
-    layer = LocalCliffordLayer(t.n, np.array(elements, dtype=np.uint8))
-    fast = t.then_local_layer(layer)
-    assert fast == compose_loop(CliffordTableau.from_local_layer(layer), t)
-    for arr in (fast.xbits, fast.zbits, fast.signs):
-        assert arr.dtype == np.uint8
-
-
-@PROPERTY_SETTINGS
 @given(
     st.integers(1, 12).flatmap(
         lambda n: st.lists(
@@ -96,7 +91,7 @@ def test_then_local_layer_equals_composition(case):
     ),
     st.booleans(),
 )
-def test_stacked_local_layer_lookup_equals_then_local_layer(cases, wide_bits):
+def test_stacked_local_layer_lookup_equals_composition(cases, wide_bits):
     n = cases[0][0].n
     elements = np.array([e for _, e in cases], dtype=np.uint8)
     # the stacked builder feeds _images' int64 bits and signs
@@ -110,7 +105,7 @@ def test_stacked_local_layer_lookup_equals_then_local_layer(cases, wide_bits):
     for arr in (xb, zb, signs):
         assert arr.dtype == np.uint8
     for i, (t, _) in enumerate(cases):
-        assert CliffordTableau(n, xb[i], zb[i], signs[i]) == t.then_local_layer(LocalCliffordLayer(n, elements[i]))
+        assert CliffordTableau(n, xb[i], zb[i], signs[i]) == compose_loop(local_layer_tableau(elements[i]), t)
 
 
 def _orders_by_composition(t, limit):
