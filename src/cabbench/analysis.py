@@ -290,22 +290,32 @@ def correlation_matrix(report, device) -> CorrelationReport:
     )
 
 
+def correlation_stats(fidelities, combos) -> tuple[list[float], list[float]]:
+    """Mean and SD over runs of the correlation of each subset in ``combos``.
+
+    ``fidelities`` holds one mapping per run, as ``subset_correlations``
+    takes it.  Each subset's values over the runs are one contiguous row, so
+    its mean and SD (ddof 1) are those of the values on their own to the
+    bit; one run gives SD 0.  A non-positive fidelity in any run raises
+    ``FidelityDomainError``.
+    """
+    rows = np.ascontiguousarray(np.array([subset_correlations(f, combos) for f in fidelities]).T)
+    sds = rows.std(axis=1, ddof=1) if len(fidelities) > 1 else np.zeros(len(rows))
+    return rows.mean(axis=1).tolist(), sds.tolist()
+
+
 def correlation_fluctuation(reports, pairs: list[tuple[int, int]]) -> CorrelationReport:
     """Mean, SD and 3-sigma lower bounds of pair correlations over reruns.
 
     ``reports`` are full benchmarking experiments of one block with distinct
     seeds, each holding the singleton and pair subsets of ``pairs``; the
-    lower bound per pair is max(|mean| - 3*SD, 0).  Each pair's values are
-    one contiguous row, so its mean and SD are those of the values on their
-    own to the bit.
+    means and SDs are ``correlation_stats`` of their pure fidelities, and
+    the lower bound per pair is max(|mean| - 3*SD, 0).
     """
     if len(reports) < 2:
         raise ValueError("repeat must be >= 2")
     subsets = sorted({tuple(sorted(p)) for p in pairs})
-    values = np.array([subset_correlations(_pure_fidelities(rep), subsets) for rep in reports])
-    rows = np.ascontiguousarray(values.T)
-    means = rows.mean(axis=1).tolist()
-    sds = rows.std(axis=1, ddof=1).tolist()
+    means, sds = correlation_stats([_pure_fidelities(rep) for rep in reports], subsets)
     return CorrelationReport(
         subsets=subsets,
         values=means,

@@ -398,11 +398,11 @@ def _estimate_from_surv(
     )
 
 
-def estimate_fidelity(data: CabRunData, kind: str | None = None) -> FidelityEstimate:
+def estimate_fidelity(data: CabRunData) -> FidelityEstimate:
     """Fidelity from a run: weighted (traverse) or plain (sample) mean of lambda."""
     exponents = 2.0 * np.asarray(data.depths, dtype=float)
     weights = _weights_for_masks(data.masks, data.n, data.mode)
-    est = _estimate_from_surv(data.surv, data.masks, exponents, weights, kind or data.kind)
+    est = _estimate_from_surv(data.surv, data.masks, exponents, weights, data.kind)
     est.metadata = {"se_jackknife": est.se, "mode": data.mode}
     if data.mode == "sample":
         # the spread of lambda over the sampled observables adds to the variance

@@ -3,21 +3,23 @@
 Calibration uses the exact density-matrix backend: a Ramsey-style scan
 extracts the conditional phase, and a phase-compensation scan zeroes each
 qubit's dynamic phase.  Parallel CZ parameters are optimized with a
-Nelder-Mead simplex over control-phase corrections, benchmarking both the
-frozen reference parameters and the iterate each step and taking the
-difference as the target.
+Nelder-Mead simplex over control-phase corrections laid out by one
+(gates, 4) position array; each step benchmarks the frozen reference and
+the iterate on one gate block and takes the difference as the target.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
+from .analysis import correlation_stats
 from .backends import dm_run
 from .cab import CabConfig, ConfigError, FidelityEstimate, run_cab_experiment
-from .circuits import SequenceStack, unitary_layer
+from .circuits import GateBlock, SequenceStack, unitary_layer
 from .device import DeviceModel
 
 COSINE_RESIDUAL_TOL = 0.05  # RMS residual above which a Ramsey scan is rejected
@@ -265,93 +267,43 @@ class OptTrajectory:
     metadata: dict = field(default_factory=dict)
 
     def window_stats(self) -> dict:
-        """Means and SDs of fidelities and correlations over the window."""
-        from .analysis import subset_correlations
-
+        """Means and SDs (ddof 1; 0 for one iteration) over the window of the
+        reference and iterate fidelities, and, through ``correlation_stats``,
+        of each multi-gate subset's correlation in both.  A non-positive
+        subset fidelity raises ``FidelityDomainError``: its correlation is
+        undefined, and no row of the window is dropped."""
         lo, hi = self.window
         rows = self.iterations[lo:hi]
         if not rows:
             raise ValueError("window outside the recorded trajectory")
         out: dict = {"window": [lo, hi], "count": len(rows)}
-        for label, pick in (
-            ("reference", lambda r: r.reference.value),
-            ("iterative", lambda r: r.iterative.value),
-        ):
-            vals = np.array([pick(r) for r in rows])
+        for label in ("reference", "iterative"):
+            vals = np.array([getattr(r, label).value for r in rows])
             out[f"{label}_mean"] = float(vals.mean())
             out[f"{label}_sd"] = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
-        singles = sorted(k for k in rows[0].iter_subsets if len(k) == 1)
-        combos = sorted(
-            (k for k in rows[0].iter_subsets if len(k) > 1), key=lambda k: (len(k), k)
-        )
+        combos = sorted((k for k in rows[0].iter_subsets if len(k) > 1), key=lambda k: (len(k), k))
+        names = ["_".join(str(g) for g in combo) for combo in combos]
         for phase in ("ref", "iter"):
-            for combo in combos:
-                vals = []
-                for r in rows:
-                    subs = r.ref_subsets if phase == "ref" else r.iter_subsets
-                    try:
-                        vals.append(subset_correlations(subs, [combo])[0])
-                    except ValueError:
-                        vals.append(np.nan)
-                arr = np.array(vals)
-                good = arr[np.isfinite(arr)]
-                key = f"{phase}_corr_{'_'.join(str(g) for g in combo)}"
-                out[f"{key}_mean"] = float(good.mean()) if good.size else float("nan")
-                out[f"{key}_sd"] = float(good.std(ddof=1)) if good.size > 1 else 0.0
-        for combo in combos:
-            key = f"iter_corr_{'_'.join(str(g) for g in combo)}"
-            out.setdefault("correlation_keys", []).append(key)
-        out["singles"] = [k[0] for k in singles]
+            means, sds = correlation_stats([getattr(r, f"{phase}_subsets") for r in rows], combos)
+            for name, mean, sd in zip(names, means, sds):
+                out[f"{phase}_corr_{name}_mean"], out[f"{phase}_corr_{name}_sd"] = mean, sd
+        if combos:
+            out["correlation_keys"] = [f"iter_corr_{name}" for name in names]
+        out["singles"] = sorted(k[0] for k in rows[0].iter_subsets if len(k) == 1)
         return out
 
 
-def _parameter_layout(device: DeviceModel, gates: tuple[int, ...]):
+def _parameter_layout(device: DeviceModel, gates: tuple[int, ...]) -> tuple[list[int], np.ndarray]:
     """Vector layout: one dynamic phase per involved qubit, then one
     conditional phase and one coupler compensation per gate (2n in total
-    for n qubits)."""
-    qubits = sorted({q for g in gates for q in device.gates[g].pair})
-    qpos = {q: i for i, q in enumerate(qubits)}
-    nq = len(qubits)
-    ng = len(gates)
-    n_params = nq + 2 * ng
-    label = "dyn_phase_per_qubit+cond_phase_per_gate+coupler_comp_per_gate"
-
-    def to_offsets(vec: np.ndarray) -> dict[int, tuple[float, float, float, float]]:
-        out = {}
-        for gi, g in enumerate(gates):
-            qa, qb = device.gates[g].pair
-            out[g] = (
-                float(vec[nq + gi]),
-                float(vec[qpos[qa]]),
-                float(vec[qpos[qb]]),
-                float(vec[nq + ng + gi]),
-            )
-        return out
-
-    return n_params, to_offsets, label, qubits
-
-
-def _benchmark_once(
-    device: DeviceModel,
-    gates: tuple[int, ...],
-    config: CabConfig,
-    seed: int,
-):
-    """One dressed CAB measurement returning the global estimate and
-    per-subset dressed fidelities."""
-    from .circuits import GateBlock
-
-    subsets = [tuple([g]) for g in gates]
-    if len(gates) > 1:
-        from itertools import combinations
-
-        for r in range(2, len(gates) + 1):
-            subsets.extend(tuple(c) for c in combinations(gates, r))
-    cfg = replace(config, seed=seed, subsets=tuple(subsets))
-    block = GateBlock.parallel_cz(device, gates)
-    rep = run_cab_experiment(device, block, cfg, measure_twirl=False)
-    sub_values = {key: res.dressed.value for key, res in rep.subsets.items()}
-    return rep.dressed, sub_values
+    for n qubits).  Returns the involved qubits and a (gates, 4) integer
+    array whose row g holds the vector positions of gate g's (dyn_i, dyn_j,
+    cond, comp)."""
+    pairs = [device.gates[g].pair for g in gates]
+    qubits = sorted({q for pair in pairs for q in pair})
+    nq, ng = len(qubits), len(gates)
+    layout = np.array([[qubits.index(a), qubits.index(b), nq + i, nq + ng + i] for i, (a, b) in enumerate(pairs)])
+    return qubits, layout
 
 
 def optimize_parallel_cz(
@@ -382,11 +334,12 @@ def optimize_parallel_cz(
             f"window {list(window)} must be [start, end] with 0 <= start < end <= iterations = {iterations}"
         )
     gates = tuple(gates)
-    n_params, to_offsets, label, qubits = _parameter_layout(device, gates)
+    qubits, layout = _parameter_layout(device, gates)
+    n_params = len(qubits) + 2 * len(gates)
     traj = OptTrajectory(
         mode=target,
         gates=gates,
-        parameterization=label,
+        parameterization="dyn_phase_per_qubit+cond_phase_per_gate+coupler_comp_per_gate",
         window=window,
         metadata={
             "n_params": n_params,
@@ -394,29 +347,28 @@ def optimize_parallel_cz(
             "best_vertex_reeval_every": NM_REEVAL_BEST_EVERY,
         },
     )
-
     if target == "global":
-        opts = [NelderMead(np.zeros(n_params), options)]
-        slices = [slice(0, n_params)]
+        opts, positions = [NelderMead(np.zeros(n_params), options)], [np.arange(n_params)]
     else:
-        opts = []
-        slices = []
-        nq = len(qubits)
-        for gi, g in enumerate(gates):
-            qa, qb = device.gates[g].pair
-            idxs = [qubits.index(qa), qubits.index(qb), nq + gi, nq + len(gates) + gi]
-            opts.append(NelderMead(np.zeros(4), options))
-            slices.append(np.array(idxs))
+        opts, positions = [NelderMead(np.zeros(4), options) for _ in gates], list(layout)
+
+    # one block and one subset list (every gate combination) for the reference and the iterate
+    block = GateBlock.parallel_cz(device, gates)
+    subsets = tuple(s for r in range(1, len(gates) + 1) for s in combinations(gates, r))
+
+    def benchmark(dev: DeviceModel, seed: int):
+        """The dressed estimate and the dressed fidelity of every subset."""
+        rep = run_cab_experiment(dev, block, replace(config, seed=seed, subsets=subsets), measure_twirl=False)
+        return rep.dressed, {key: res.dressed.value for key, res in rep.subsets.items()}
 
     for it in range(iterations):
         vec = np.zeros(n_params)
-        for opt, sl in zip(opts, slices):
-            vec[sl] = opt.ask()
-        dev_iter = device.with_control_offsets(to_offsets(vec))
-        ref_est, ref_subs = _benchmark_once(device, gates, config, seed=config.seed + 1_000_003 * it)
-        iter_est, iter_subs = _benchmark_once(
-            dev_iter, gates, config, seed=config.seed + 1_000_003 * it + 500_009
-        )
+        for opt, pos in zip(opts, positions):
+            vec[pos] = opt.ask()
+        # each gate's (d_cond, d_dyn_i, d_dyn_j, d_comp), as with_control_offsets takes them
+        dev_iter = device.with_control_offsets(dict(zip(gates, vec[layout[:, [2, 0, 1, 3]]].tolist())))
+        ref_est, ref_subs = benchmark(device, config.seed + 1_000_003 * it)
+        iter_est, iter_subs = benchmark(dev_iter, config.seed + 1_000_003 * it + 500_009)
         traj.iterations.append(
             OptIteration(
                 params=vec.copy(),

@@ -68,16 +68,18 @@ EXAMPLE_DEVICES = ("two_gate_4q", "three_gate_6q", "ring_44q")
 
 
 def load_device(ref) -> DeviceModel:
-    """Device from an inline dict, an example name, or a file path."""
-    if isinstance(ref, dict):
-        return DeviceModel.from_dict(ref)
-    if ref in EXAMPLE_DEVICES:
-        text = resources.files("cabbench.devices").joinpath(f"{ref}.json").read_text()
-        return DeviceModel.from_dict(json.loads(text))
-    path = Path(ref)
-    if not path.exists():
-        raise ConfigError(f"device '{ref}' is neither an example name nor a file")
-    return DeviceModel.load(path)
+    """Device from an inline dict, an example name, or a file path.  A device
+    that cannot be read or built is a ConfigError naming it."""
+    try:
+        if isinstance(ref, dict):
+            return DeviceModel.from_dict(ref)
+        if ref in EXAMPLE_DEVICES:
+            text = resources.files("cabbench.devices").joinpath(f"{ref}.json").read_text()
+            return DeviceModel.from_dict(json.loads(text))
+        return DeviceModel.load(ref)
+    except (OSError, KeyError, IndexError, TypeError, ValueError) as err:
+        name = "the inline device" if isinstance(ref, dict) else f"device {ref!r}"
+        raise ConfigError(f"{name} cannot be loaded: {type(err).__name__}: {err}") from err
 
 
 @dataclass
@@ -209,6 +211,7 @@ def resolve_subsets(spec, gates: tuple[int, ...]) -> tuple[tuple[int, ...], ...]
 
 
 def _write_json(path: Path, doc: dict):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -220,7 +223,10 @@ def _write_csv(path: Path, header: list[str], blocks):
     columns of ints, strings and Python or float64 floats, one entry per
     row.  A block is one format string, its fixed fields written in (braces
     escaped), mapped over the columns.  Every value is written as
-    format(v, ""), which for a float is its shortest round-trip repr."""
+    format(v, ""), which for a float is its shortest round-trip repr.  The
+    output directory is made at the first write, so a run refused before it
+    leaves none."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for fixed, columns in blocks:
@@ -277,13 +283,12 @@ def _write_cab_artifacts(out: Path, rep: CabReport):
 
 
 def _target(cfg: ExperimentConfig) -> tuple[DeviceModel, tuple[int, ...]]:
-    """The config's device and the gates it names, all of them by default."""
+    """The config's device and the gates it names, all of them by default;
+    a device without gates is refused."""
     device = load_device(cfg.device)
-    if cfg.gates is None:
-        return device, tuple(range(len(device.gates)))
-    gates = _checked(cfg.gates, (0,), "gates")
     n = len(device.gates)
-    if len(set(gates)) != len(gates) or not all(0 <= g < n for g in gates):
+    gates = tuple(range(n)) if cfg.gates is None else _checked(cfg.gates, (0,), "gates")
+    if not gates or len(set(gates)) != len(gates) or not all(0 <= g < n for g in gates):
         raise ConfigError(f"gates must be a non-empty list of distinct indices in [0, {n}), got {list(gates)}")
     return device, gates
 
@@ -343,6 +348,8 @@ def _run_parallel_cz_scan(cfg: ExperimentConfig, settings: dict, out: Path) -> d
     device = load_device(cfg.device)
     counts, per_cz = settings["scan_counts"], settings["per_cz_fidelity"]
     counts = range(2, len(device.gates) + 1, 2) if counts is None else _checked(counts, (1,), "scan_counts")
+    if not counts:
+        raise ConfigError(f"scan_counts is empty: the default scans even gate counts, and the device has {len(device.gates)}")
     for r in counts:
         if not 1 <= r <= len(device.gates):
             raise ConfigError(f"scan_counts entries must lie in [1, {len(device.gates)}], got {r}")
@@ -541,7 +548,6 @@ def run(cfg: ExperimentConfig) -> Path:
     """Execute one experiment; returns the output directory."""
     settings = cfg.settings()
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     body = _RUNNERS[cfg.kind](cfg, settings, out)
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -412,16 +412,7 @@ class DeviceModel:
             new_gates[g] = replace(
                 spec, control=spec.control.shifted(dc, di, dj), coupling_comp=comp
             )
-        return DeviceModel(
-            n_qubits=self.n_qubits,
-            gates=tuple(new_gates),
-            couplings=self.couplings,
-            readout_e0=self.readout_e0,
-            readout_e1=self.readout_e1,
-            single_qubit_depol=self.single_qubit_depol,
-            layout_edges=self.layout_edges,
-            pauli_layer_noise=self.pauli_layer_noise,
-        )
+        return replace(self, gates=tuple(new_gates))
 
     # -- serialization -------------------------------------------------------
 

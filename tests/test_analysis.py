@@ -11,6 +11,7 @@ from cabbench.analysis import (
     closed_form_r3,
     correlation,
     correlation_landscape,
+    correlation_stats,
 )
 from cabbench.device import CouplingMap
 
@@ -238,6 +239,34 @@ def test_landscape_grid_validation():
 
 
 # -- fluctuation report arithmetic -------------------------------------------
+
+
+COMBOS = [(0, 1), (0, 2), (1, 2), (0, 1, 2)]
+
+
+def random_subset_fidelities(rng):
+    return {s: float(rng.uniform(0.7, 1.0)) for s in [(0,), (1,), (2,), *COMBOS]}
+
+
+@pytest.mark.parametrize("runs", [1, 2, 9, 10])
+def test_correlation_stats_match_each_subsets_own_mean_and_sd(runs):
+    # more than eight runs: numpy sums eight at a time, so a sum in another
+    # order than the 1-d one's would move the last bits
+    rng = np.random.default_rng(runs)
+    fidelities = [random_subset_fidelities(rng) for _ in range(runs)]
+    means, sds = correlation_stats(fidelities, COMBOS)
+    for combo, mean, sd in zip(COMBOS, means, sds):
+        values = np.array([correlation(f[combo], [f[(g,)] for g in combo]) for f in fidelities])
+        assert mean == float(np.mean(values))
+        assert sd == (float(np.std(values, ddof=1)) if runs > 1 else 0.0)
+
+
+def test_correlation_stats_refuse_a_non_positive_fidelity():
+    rng = np.random.default_rng(0)
+    fidelities = [random_subset_fidelities(rng) for _ in range(3)]
+    fidelities[1][(0, 2)] = -0.01
+    with pytest.raises(FidelityDomainError):
+        correlation_stats(fidelities, COMBOS)
 
 
 def test_lower_bound_arithmetic():

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cabbench.analysis import closed_form_r3
-from cabbench.cab import CabConfig
+from cabbench.analysis import FidelityDomainError, closed_form_r3
+from cabbench.cab import CabConfig, FidelityEstimate
 from cabbench.calibration import (
     NelderMeadOptions,
     NoSignalError,
+    OptIteration,
+    OptTrajectory,
     calibrate_dynamic_phase,
     measure_conditional_phase,
     optimize_parallel_cz,
@@ -172,6 +174,23 @@ def test_optimize_rejects_window_outside_iterations(window, monkeypatch):
     cfg = CabConfig(depths=(0, 2), k_r=4, k_s=100, mode="traverse", backend="dm")
     with pytest.raises(ValueError, match="window"):
         optimize_parallel_cz(dev, (0, 1), "global", cfg, 2, NelderMeadOptions(initial_step=0.1, x_tol=1e-6), window=window)
+
+
+@pytest.mark.parametrize("phase", ["ref", "iter"])
+@pytest.mark.parametrize("key, value", [((0, 1), -0.01), ((1,), 0.0)], ids=["pair", "single"])
+def test_window_stats_refuses_a_non_positive_subset_fidelity(phase, key, value):
+    # before, such a row's correlation was left out of the window's mean and
+    # SD, and a window of such rows alone wrote a NaN mean, which is not JSON
+    est = FidelityEstimate(0.9, 0.01, "dressed")
+    good = {(0,): 0.95, (1,): 0.94, (0, 1): 0.9}
+    bad = {**good, key: value}
+    rows = [
+        OptIteration(np.zeros(4), est, est, 0.0, good, good),
+        OptIteration(np.zeros(4), est, est, 0.0, bad if phase == "ref" else good, bad if phase == "iter" else good),
+    ]
+    traj = OptTrajectory("global", (0, 1), "layout", (0, 2), rows)
+    with pytest.raises(FidelityDomainError):
+        traj.window_stats()
 
 
 # -- antagonism witness -------------------------------------------------------

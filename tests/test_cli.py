@@ -281,6 +281,16 @@ PINNED_CONFIGS = {
         "scan_counts": [1, 2],
         "per_cz_fidelity": 0.97,
     },
+    # local mode on three gates, two of them named out of order: one simplex
+    # per gate reads its own rows of the parameter layout
+    "optimize_local_6q": {
+        "kind": "optimize",
+        "device": "three_gate_6q",
+        "backend": "dm",
+        "gates": [2, 0],
+        "cab": {"k_r": 4, "k_s": 200},
+        "optimize": {"target": "local", "iterations": 3, "window": [1, 3]},
+    },
 }
 PINNED_ARTIFACTS = {
     "cab": {
@@ -360,6 +370,10 @@ PINNED_ARTIFACTS = {
     "optimize_local": {
         "result.json": "7d21687c15127c9438938fe91638fc65d744f6125f1c2499be4fbd274f60e688",
         "trajectory.csv": "a7d05ff1743d530c6b4bcba0c069a622d57b9e5ad080d9835ec6097b85b48d56",
+    },
+    "optimize_local_6q": {
+        "result.json": "a0f359b52a2725e8b043d80c8a1268199e8951999eec33b61ceffa71bfd22044",
+        "trajectory.csv": "b28a8ba48b599d009d63a7204d7ddf2f9fff191caddfba86e3f10c310cb51998",
     },
     "order_stats": {
         "orders.csv": "ff1083a5e9e2b3e7c91f614f6116aa5567e4468163ac7998785b478c930ffe20",
@@ -570,6 +584,16 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("parallel_cz_scan", {"gates": [0, True]}),
         ("correlate", {"subsets": "bogus"}),
         ("calibrate", {"subsets": [[0], 1]}),
+        # a device that cannot be built: a TypeError, KeyError, IndexError or ValueError, exit 1
+        ("cab", {"device": None}),
+        ("cab", {"device": {"n_qubits": 4}}),
+        ("cab", {"device": {"n_qubits": 4, "gates": [{"pair": [0]}]}}),
+        ("cab", {"device": {"n_qubits": 4, "gates": [{"pair": [0, 1], "depol_p": 1.5}]}}),
+        # no gates to run: cab benchmarked an empty block (exit 0), optimize
+        # failed on an empty array (exit 1), the scan wrote a header-only CSV
+        ("cab", {"device": {"n_qubits": 4, "gates": []}}),
+        ("optimize", {"device": {"n_qubits": 4, "gates": []}, "optimize": {"iterations": 2, "window": [0, 2]}}),
+        ("parallel_cz_scan", {"device": {"n_qubits": 2, "gates": [{"pair": [0, 1]}]}}),
     ],
     ids=[
         "k_r",
@@ -632,13 +656,20 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "scan_bool_gate",
         "correlate_bad_subsets",
         "calibrate_subset_not_list",
+        "no_device",
+        "device_without_gates_field",
+        "device_one_qubit_pair",
+        "device_depol_above_1",
+        "cab_device_without_gates",
+        "optimize_device_without_gates",
+        "scan_one_gate_default_counts",
     ],
 )
 def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys):
     path = small_cab_config(tmp_path, kind=kind, **over)
     assert main([kind, "--config", str(path)]) == 2
     assert "config error:" in capsys.readouterr().err
-    assert not list((tmp_path / "out").glob("*.csv"))
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind", ["cab", "cb", "correlate", "optimize", "calibrate"])
@@ -654,7 +685,7 @@ def test_bad_gates_exit_2(kind, gates, tmp_path, capsys):
     path = small_cab_config(tmp_path, kind=kind, gates=gates, **GATES_RUN_OVER)
     assert main([kind, "--config", str(path)]) == 2
     assert "config error:" in capsys.readouterr().err
-    assert not list((tmp_path / "out").glob("*.csv"))
+    assert not (tmp_path / "out").exists()
 
 
 # small settings under which each kind runs with valid gates
@@ -665,7 +696,7 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys):
     path = small_cab_config(tmp_path)
     assert main(["cab", "--config", str(path), "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err
-    assert not list((tmp_path / "out").glob("*.csv"))
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind", ["cab", "cb", "correlate", "optimize", "calibrate"])
@@ -712,7 +743,7 @@ def test_every_field_is_type_checked(kind, section, field, default, tmp_path, ca
     assert main([kind, "--config", str(path)]) == 2
     name = f"{section}.{field}" if section else field
     assert f"config error: {name} must be" in capsys.readouterr().err
-    assert not list((tmp_path / "out").glob("*.csv"))
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -730,7 +761,7 @@ def test_unknown_section_key_exits_2(kind, section, key, valid, tmp_path, capsys
     assert main([kind, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"config error: {section} has no field {key!r}" in err and valid in err
-    assert not list((tmp_path / "out").glob("*.csv"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_unread_top_level_key_is_echoed(tmp_path):
