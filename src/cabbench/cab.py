@@ -246,7 +246,6 @@ class CabRunData:
     batched call per depth.
     """
 
-    block_name: str
     n: int
     kind: str
     depths: tuple[int, ...]
@@ -318,7 +317,6 @@ def execute_cab_run(
     for d, sc in enumerate(counts):
         surv[d] = sc.all_survivals() if config.mode == "traverse" else sc.survivals(masks)
     return CabRunData(
-        block_name=block.name,
         n=n,
         kind=kind,
         depths=depths,

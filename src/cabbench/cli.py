@@ -73,10 +73,8 @@ def load_device(ref) -> DeviceModel:
     try:
         if isinstance(ref, dict):
             return DeviceModel.from_dict(ref)
-        if ref in EXAMPLE_DEVICES:
-            text = resources.files("cabbench.devices").joinpath(f"{ref}.json").read_text()
-            return DeviceModel.from_dict(json.loads(text))
-        return DeviceModel.load(ref)
+        path = resources.files("cabbench.devices").joinpath(f"{ref}.json") if ref in EXAMPLE_DEVICES else Path(ref)
+        return DeviceModel.from_dict(json.loads(path.read_text()))
     except (OSError, KeyError, IndexError, TypeError, ValueError) as err:
         name = "the inline device" if isinstance(ref, dict) else f"device {ref!r}"
         raise ConfigError(f"{name} cannot be loaded: {type(err).__name__}: {err}") from err
@@ -87,7 +85,7 @@ class ExperimentConfig:
     """Parsed experiment configuration."""
 
     kind: str
-    device: dict | str | None
+    device: dict | str | None = None
     seed: int = 0
     out_dir: str = "results"
     backend: str = "auto"
@@ -98,23 +96,21 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
+        """The config of a document, built by keyword: each field but
+        ``extra`` takes its key, or else its default above, and ``extra``
+        takes the other keys.  The seed, ``out_dir`` and ``backend`` must
+        have their default's JSON type."""
         doc = dict(doc)
-        if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema_version {doc.get('schema_version')}")
-        kind = doc.pop("kind", None)
-        if kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"field 'kind' must be one of {EXPERIMENT_KINDS}, got {kind!r}")
-        doc.pop("schema_version", None)
-        known = {
-            "device": doc.pop("device", None),
-            "seed": _checked(doc.pop("seed", 0), 0, "seed"),
-            "out_dir": str(doc.pop("out_dir", "results")),
-            "backend": str(doc.pop("backend", "auto")),
-            "cab": doc.pop("cab", {}),
-            "gates": doc.pop("gates", None),
-            "subsets": doc.pop("subsets", "singles"),
-        }
-        return ExperimentConfig(kind=kind, extra=doc, **known)
+        version = doc.pop("schema_version", SCHEMA_VERSION)
+        if version != SCHEMA_VERSION:
+            raise ConfigError(f"unsupported schema_version {version}")
+        if doc.get("kind") not in EXPERIMENT_KINDS:
+            raise ConfigError(f"field 'kind' must be one of {EXPERIMENT_KINDS}, got {doc.get('kind')!r}")
+        common = {f.name: doc.pop(f.name) for f in fields(ExperimentConfig) if f.name in doc and f.name != "extra"}
+        cfg = ExperimentConfig(**common, extra=doc)
+        for name in ("seed", "out_dir", "backend"):
+            _checked(getattr(cfg, name), getattr(ExperimentConfig, name), name)
+        return cfg
 
     @staticmethod
     def load(path) -> "ExperimentConfig":
@@ -126,18 +122,8 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(doc)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": self.kind,
-            "device": self.device,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "backend": self.backend,
-            "cab": self.cab,
-            "gates": self.gates,
-            "subsets": self.subsets,
-            **self.extra,
-        }
+        common = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extra"}
+        return {"schema_version": SCHEMA_VERSION, **common, **self.extra}
 
     def settings(self) -> dict:
         """The kind's fields of FIELDS, checked, with their defaults where the

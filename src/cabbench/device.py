@@ -7,11 +7,24 @@ executed in that layer together with each gate's control-phase errors,
 followed by the ideal CZ gates.  Single-qubit layers carry an optional
 per-qubit depolarizing channel; measurement applies independent per-qubit
 bit-flip confusion.
+
+A device document (``DeviceModel.from_dict``) is a JSON object of
+``n_qubits`` and ``gates``, a list of gate objects, and optionally
+``couplings``, a list of ``{"gates": [k, l], "gamma": phase}`` over gate
+indices; ``readout``, an object of ``e0`` and ``e1``; ``single_qubit_depol``;
+``layout_edges``, a list of qubit pairs; ``pauli_layer_noise``; and
+``schema_version`` 1.  A rate is one number or a list of one per qubit.  A
+gate object holds its ``pair`` of qubits and optionally ``depol_p``,
+``coupled_qubit``, ``coupling_comp``, ``comp_cost`` and ``control``, an
+object of ``cond_phase``, ``dyn_i`` and ``dyn_j``.  The keys are the
+fields of ``DeviceModel``, ``GateSpec`` and ``ControlPhases``, which hold
+every default; a key no constructor takes is refused, and no value is cast.
 """
 
 from __future__ import annotations
 
-import json
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,6 +40,30 @@ class ContractViolation(ValueError):
     """An input breaks a documented precondition."""
 
 
+def _check_real(value, name: str):
+    """A TypeError naming ``name`` unless ``value`` is a finite real number;
+    numpy scalars pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise TypeError(f"{name} must be a finite number, got {value!r}")
+
+
+def _is_int(value) -> bool:
+    """An integer: numpy integers are, bools are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _checked_pair(value, name: str, limit: float = math.inf) -> tuple:
+    """``value`` as a tuple of two distinct integers in [0, limit), else a
+    TypeError or ValueError naming ``name``."""
+    pair = tuple(value)
+    if not all(map(_is_int, pair)):
+        raise TypeError(f"{name} must hold integers, got {value!r}")
+    if len(pair) != 2 or pair[0] == pair[1] or not all(0 <= v < limit for v in pair):
+        bound = "non-negative" if limit == math.inf else f"in [0, {limit})"
+        raise ValueError(f"{name} must be two distinct {bound} indices, got {value!r}")
+    return pair
+
+
 @dataclass(frozen=True)
 class ControlPhases:
     """CZ control errors: conditional-phase offset and two dynamic phases."""
@@ -35,11 +72,9 @@ class ControlPhases:
     dyn_i: float = 0.0
     dyn_j: float = 0.0
 
-    def is_trivial(self) -> bool:
-        return self.cond_phase == 0.0 and self.dyn_i == 0.0 and self.dyn_j == 0.0
-
-    def shifted(self, d_cond: float, d_dyn_i: float, d_dyn_j: float) -> "ControlPhases":
-        return ControlPhases(self.cond_phase + d_cond, self.dyn_i + d_dyn_i, self.dyn_j + d_dyn_j)
+    def __post_init__(self):
+        for name in ("cond_phase", "dyn_i", "dyn_j"):
+            _check_real(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -64,10 +99,13 @@ class GateSpec:
     comp_cost: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "pair", _checked_pair(self.pair, "pair"))
         if self.coupled_qubit is None:
             object.__setattr__(self, "coupled_qubit", self.pair[0])
-        if self.coupled_qubit not in self.pair:
-            raise ValueError("coupled_qubit must be one of the gate's pair")
+        if not _is_int(self.coupled_qubit) or self.coupled_qubit not in self.pair:
+            raise ValueError(f"coupled_qubit must be one of the gate's pair, got {self.coupled_qubit!r}")
+        for name in ("depol_p", "coupling_comp", "comp_cost"):
+            _check_real(getattr(self, name), name)
         if not 0.0 <= self.depol_p <= 1.0:
             raise ValueError("depol_p must be in [0, 1]")
         if self.comp_cost < 0.0:
@@ -89,8 +127,7 @@ class CouplingMap:
     def set(self, a: int, b: int, gamma: float):
         if a == b:
             raise ValueError("no self-coupling entries")
-        if not np.isfinite(gamma):
-            raise ValueError("coupling strength must be finite")
+        _check_real(gamma, "coupling strength")
         self._g[(min(a, b), max(a, b))] = float(gamma)
 
     def get(self, a: int, b: int) -> float:
@@ -310,33 +347,33 @@ class DeviceModel:
     n_qubits: int
     gates: tuple[GateSpec, ...]
     couplings: CouplingMap = field(default_factory=CouplingMap)
-    readout_e0: np.ndarray | None = None
-    readout_e1: np.ndarray | None = None
-    single_qubit_depol: np.ndarray | None = None
+    readout_e0: np.ndarray | float = 0.0
+    readout_e1: np.ndarray | float = 0.0
+    single_qubit_depol: np.ndarray | float = 1.0
     layout_edges: tuple[tuple[int, int], ...] = ()
     pauli_layer_noise: bool = True
 
     def __post_init__(self):
         n = self.n_qubits
-        if self.readout_e0 is None:
-            self.readout_e0 = np.zeros(n)
-        if self.readout_e1 is None:
-            self.readout_e1 = np.zeros(n)
-        if self.single_qubit_depol is None:
-            self.single_qubit_depol = np.ones(n)
-        self.readout_e0 = np.broadcast_to(np.asarray(self.readout_e0, dtype=float), (n,)).copy()
-        self.readout_e1 = np.broadcast_to(np.asarray(self.readout_e1, dtype=float), (n,)).copy()
-        self.single_qubit_depol = np.broadcast_to(
-            np.asarray(self.single_qubit_depol, dtype=float), (n,)
-        ).copy()
-        for arr in (self.readout_e0, self.readout_e1, self.single_qubit_depol):
-            if np.any(arr < 0) or np.any(arr > 1):
-                raise ValueError("probabilities must lie in [0, 1]")
+        if not _is_int(n) or n < 1:
+            raise TypeError(f"n_qubits must be a positive integer, got {n!r}")
+        for name in ("readout_e0", "readout_e1", "single_qubit_depol"):
+            arr = np.asarray(getattr(self, name))
+            if arr.dtype.kind not in "iuf":
+                raise TypeError(f"{name} must hold numbers, got {arr.tolist()!r}")
+            arr = np.broadcast_to(arr.astype(float), (n,)).copy()
+            if not np.all((arr >= 0) & (arr <= 1)):
+                raise ValueError(f"{name} must lie in [0, 1]")
             # tables in _cache are built from these; a write would leave them stale
             arr.flags.writeable = False
+            setattr(self, name, arr)
         for g in self.gates:
-            if not (0 <= g.pair[0] < n and 0 <= g.pair[1] < n and g.pair[0] != g.pair[1]):
-                raise ValueError(f"gate pair {g.pair} out of range")
+            _checked_pair(g.pair, "gate pair", n)
+        for pair, _ in self.couplings.items():
+            _checked_pair(pair, "coupling gates", len(self.gates))
+        self.layout_edges = tuple(_checked_pair(e, "layout edge", n) for e in self.layout_edges)
+        if not isinstance(self.pauli_layer_noise, (bool, np.bool_)):
+            raise TypeError(f"pauli_layer_noise must be true or false, got {self.pauli_layer_noise!r}")
         self._cache: dict = {}
 
     # -- structure ----------------------------------------------------------
@@ -379,9 +416,9 @@ class DeviceModel:
             idx = np.arange(2**k)
             for g in comp:
                 spec = self.gates[g]
-                if spec.control.is_trivial():
-                    continue
                 c = spec.control
+                if c == ControlPhases():
+                    continue
                 bi = (idx >> pos[spec.pair[0]]) & 1
                 bj = (idx >> pos[spec.pair[1]]) & 1
                 # parametric CZ divided by ideal CZ: the pi on |11> drops
@@ -405,82 +442,35 @@ class DeviceModel:
         additionally a coupler-compensation offset.
         """
         new_gates = list(self.gates)
-        for g, delta in offsets.items():
-            dc, di, dj = delta[:3]
+        for g, (dc, di, dj, *d_comp) in offsets.items():
             spec = new_gates[g]
-            comp = spec.coupling_comp + (delta[3] if len(delta) > 3 else 0.0)
-            new_gates[g] = replace(
-                spec, control=spec.control.shifted(dc, di, dj), coupling_comp=comp
-            )
+            c = spec.control
+            control = ControlPhases(c.cond_phase + dc, c.dyn_i + di, c.dyn_j + dj)
+            comp = spec.coupling_comp + (d_comp[0] if d_comp else 0.0)
+            new_gates[g] = replace(spec, control=control, coupling_comp=comp)
         return replace(self, gates=tuple(new_gates))
-
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "n_qubits": self.n_qubits,
-            "single_qubit_depol": self.single_qubit_depol.tolist(),
-            "readout": {"e0": self.readout_e0.tolist(), "e1": self.readout_e1.tolist()},
-            "gates": [
-                {
-                    "pair": list(g.pair),
-                    "depol_p": g.depol_p,
-                    "coupled_qubit": g.coupled_qubit,
-                    "control": {
-                        "cond_phase": g.control.cond_phase,
-                        "dyn_i": g.control.dyn_i,
-                        "dyn_j": g.control.dyn_j,
-                    },
-                    "coupling_comp": g.coupling_comp,
-                    "comp_cost": g.comp_cost,
-                }
-                for g in self.gates
-            ],
-            "couplings": [
-                {"gates": list(pair), "gamma": gamma} for pair, gamma in self.couplings.items()
-            ],
-            "layout_edges": [list(e) for e in self.layout_edges],
-            "pauli_layer_noise": self.pauli_layer_noise,
-        }
 
     @staticmethod
     def from_dict(doc: dict) -> "DeviceModel":
-        n = int(doc["n_qubits"])
+        """The device of a document (see the module docstring), each object
+        built by keyword: a key that no constructor takes is a TypeError, and
+        each constructor checks its own values."""
+        doc = {**doc}
+        if doc.pop("schema_version", 1) != 1:
+            raise ValueError("the device document's schema_version must be 1")
         gates = []
         for g in doc["gates"]:
-            ctrl = g.get("control", {})
-            gates.append(
-                GateSpec(
-                    pair=tuple(int(q) for q in g["pair"]),
-                    depol_p=float(g.get("depol_p", 1.0)),
-                    coupled_qubit=int(g["coupled_qubit"]) if "coupled_qubit" in g else None,
-                    control=ControlPhases(
-                        float(ctrl.get("cond_phase", 0.0)),
-                        float(ctrl.get("dyn_i", 0.0)),
-                        float(ctrl.get("dyn_j", 0.0)),
-                    ),
-                    coupling_comp=float(g.get("coupling_comp", 0.0)),
-                    comp_cost=float(g.get("comp_cost", 0.0)),
-                )
-            )
-        couplings = CouplingMap()
-        for entry in doc.get("couplings", []):
-            a, b = entry["gates"]
-            couplings.set(int(a), int(b), float(entry["gamma"]))
-        readout = doc.get("readout", {})
-        return DeviceModel(
-            n_qubits=n,
-            gates=tuple(gates),
-            couplings=couplings,
-            readout_e0=np.asarray(readout.get("e0", 0.0), dtype=float),
-            readout_e1=np.asarray(readout.get("e1", 0.0), dtype=float),
-            single_qubit_depol=np.asarray(doc.get("single_qubit_depol", 1.0), dtype=float),
-            layout_edges=tuple(tuple(int(q) for q in e) for e in doc.get("layout_edges", [])),
-            pauli_layer_noise=bool(doc.get("pauli_layer_noise", True)),
-        )
+            g = {**g}
+            if "control" in g:
+                g["control"] = ControlPhases(**g["control"])
+            gates.append(GateSpec(**g))
+        doc["gates"] = tuple(gates)
+        if "couplings" in doc:
+            doc["couplings"] = CouplingMap(dict(_coupling_entry(**c) for c in doc["couplings"]))
+        readout = {f"readout_{bit}": rate for bit, rate in {**doc.pop("readout", {})}.items()}
+        return DeviceModel(**doc, **readout)
 
-    @staticmethod
-    def load(path) -> "DeviceModel":
-        with open(path) as fh:
-            return DeviceModel.from_dict(json.load(fh))
+
+def _coupling_entry(gates, gamma) -> tuple:
+    """One ``couplings`` entry of a device document as a CouplingMap item."""
+    return tuple(gates), gamma

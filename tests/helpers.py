@@ -43,7 +43,6 @@ closed-form limits, a one-observable
 fit, the observable budget, a device writer and a Nelder-Mead loop.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -1123,12 +1122,6 @@ def weight_of(channel: PauliChannel, pauli: PauliString) -> float:
     for pos, q in enumerate(channel.support):
         w |= int(pauli.z[q]) << (k - 1 - pos)
     return float(channel.weights[w])
-
-
-def save_device(device: DeviceModel, path):
-    with open(path, "w") as fh:
-        json.dump(device.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def kq_for_accuracy(epsilon: float, delta: float) -> int:

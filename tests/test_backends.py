@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -834,7 +836,7 @@ def chunk_size(n):
 
 
 def without_readout(dev):
-    return DeviceModel.from_dict({**dev.to_dict(), "readout": {"e0": 0.0, "e1": 0.0}})
+    return replace(dev, readout_e0=0.0, readout_e1=0.0)
 
 
 def assert_stack_matches_one(seqs, dev, twirl_coupling=False):

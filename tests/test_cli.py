@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -35,6 +36,17 @@ def small_cab_config(tmp_path, **over):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def two_gate_4q_with(path, value) -> dict:
+    """The two_gate_4q document with the entry at ``path`` (keys and list
+    indices) set to ``value``."""
+    doc = json.loads(resources.files("cabbench.devices").joinpath("two_gate_4q.json").read_text())
+    spot = doc
+    for key in path[:-1]:
+        spot = spot[key]
+    spot[path[-1]] = value
+    return doc
 
 
 def test_example_devices_load():
@@ -594,6 +606,26 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("cab", {"device": {"n_qubits": 4, "gates": []}}),
         ("optimize", {"device": {"n_qubits": 4, "gates": []}, "optimize": {"iterations": 2, "window": [0, 2]}}),
         ("parallel_cz_scan", {"device": {"n_qubits": 2, "gates": [{"pair": [0, 1]}]}}),
+        # device documents that were read with a key ignored or a value cast
+        # (exit 0), or that failed mid-run (exit 1)
+        ("cab", {"device": two_gate_4q_with(("couplngs",), [{"gates": [0, 1], "gamma": 0.3}])}),
+        ("cab", {"device": two_gate_4q_with(("readout", "e2"), 0.01)}),
+        ("cab", {"device": two_gate_4q_with(("gates", 0, "depol"), 0.9)}),
+        ("cab", {"device": two_gate_4q_with(("gates", 0, "control", "cond"), 0.1)}),
+        ("cab", {"device": two_gate_4q_with(("couplings", 0, "strength"), 0.1)}),
+        ("cab", {"device": two_gate_4q_with(("gates", 0, "pair"), [0, 1, 2])}),
+        ("cab", {"device": two_gate_4q_with(("gates", 0, "pair"), [0, 1.9])}),
+        ("cab", {"device": two_gate_4q_with(("n_qubits",), 4.7)}),
+        ("cab", {"device": two_gate_4q_with(("pauli_layer_noise",), "false")}),
+        ("cab", {"device": two_gate_4q_with(("schema_version",), 7)}),
+        ("cab", {"device": two_gate_4q_with(("gates", 0, "control", "cond_phase"), "0.02")}),
+        ("cab", {"device": two_gate_4q_with(("gates", 1, "coupling_comp"), "0.0")}),
+        ("cab", {"device": two_gate_4q_with(("couplings", 0, "gates"), [0, 5])}),
+        ("cab", {"device": two_gate_4q_with(("layout_edges",), [[0, 9]])}),
+        # a device reference that is not a string reached open(): 0 read stdin
+        ("cab", {"device": 0}),
+        ("cab", {"device": True}),
+        ("cab", {"out_dir": None}),
     ],
     ids=[
         "k_r",
@@ -663,13 +695,31 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "cab_device_without_gates",
         "optimize_device_without_gates",
         "scan_one_gate_default_counts",
+        "device_unknown_key",
+        "device_unknown_readout_key",
+        "device_unknown_gate_key",
+        "device_unknown_control_key",
+        "device_unknown_coupling_key",
+        "device_three_qubit_pair",
+        "device_float_pair",
+        "device_float_n_qubits",
+        "device_string_pauli_layer_noise",
+        "device_schema_version_7",
+        "device_string_control",
+        "device_string_coupling_comp",
+        "device_coupling_past_gates",
+        "device_layout_edge_past_qubits",
+        "device_integer_reference",
+        "device_bool_reference",
+        "out_dir_null",
     ],
 )
-def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys):
+def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a relative out_dir, such as "None", would land here
     path = small_cab_config(tmp_path, kind=kind, **over)
     assert main([kind, "--config", str(path)]) == 2
     assert "config error:" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 @pytest.mark.parametrize("kind", ["cab", "cb", "correlate", "optimize", "calibrate"])

@@ -32,7 +32,6 @@ from helpers import (
     kron_all,
     parametric_cz_unitary,
     pauli_from_label,
-    save_device,
     unpack_bits,
     weight_of,
 )
@@ -218,7 +217,7 @@ def _readout_case(case: str):
         dev = load_device("ring_44q")
         block = GateBlock.parallel_cz(dev, tuple(range(len(dev.gates))))
         stack = build_cab_sequence(block, 2, [np.random.default_rng(5)])
-        counts = stab_run_counts(stack, replace(dev, readout_e0=None, readout_e1=None), 3000, [rng])
+        counts = stab_run_counts(stack, replace(dev, readout_e0=0.0, readout_e1=0.0), 3000, [rng])
         frame = rng.permutation(np.repeat(counts.codes, counts.counts))
         assert np.count_nonzero(frame) > 1000
         return 44, dev.readout_e0, dev.readout_e1, frame
@@ -265,18 +264,24 @@ def test_xor_sorted_equals_unbuffered_xor_at(case):
     assert np.array_equal(got, expected)
 
 
-def test_device_roundtrip(tmp_path):
-    dev = two_gate_device(gamma=0.1, p1=0.98, p2=0.99, readout_e0=0.01, readout_e1=0.04)
-    path = tmp_path / "dev.json"
-    save_device(dev, path)
-    loaded = DeviceModel.load(path)
-    assert loaded.to_dict() == dev.to_dict()
-    # the bundled devices hold no key that the model would drop on a save
-    for name in ("two_gate_4q", "three_gate_6q", "ring_44q"):
-        doc = json.loads(resources.files("cabbench.devices").joinpath(f"{name}.json").read_text())
-        written = DeviceModel.from_dict(doc).to_dict()
-        assert set(doc) <= set(written), name
-        assert {k for g in doc["gates"] for k in g} <= set(written["gates"][0]), name
+@pytest.mark.parametrize("name", ["two_gate_4q", "three_gate_6q", "ring_44q"])
+def test_bundled_device_loads_and_refuses_unknown_keys(name):
+    doc = json.loads(resources.files("cabbench.devices").joinpath(f"{name}.json").read_text())
+    dev = DeviceModel.from_dict(doc)
+    assert dev.n_qubits == doc["n_qubits"] and len(dev.gates) == len(doc["gates"])
+    assert [g.pair for g in dev.gates] == [tuple(g["pair"]) for g in doc["gates"]]
+    assert dev.layout_edges == tuple(tuple(e) for e in doc["layout_edges"])
+    assert np.array_equal(dev.readout_e1, np.broadcast_to(doc["readout"]["e1"], dev.n_qubits))
+    assert dev.couplings == CouplingMap({tuple(c["gates"]): c["gamma"] for c in doc["couplings"]})
+    # one unknown key at each level of the document
+    spots = [doc, doc["readout"], doc["gates"][0], doc["gates"][0]["control"]]
+    if doc["couplings"]:
+        spots.append(doc["couplings"][0])
+    for spot in spots:
+        spot["bogus"] = 1
+        with pytest.raises(TypeError, match="bogus"):
+            DeviceModel.from_dict(doc)
+        del spot["bogus"]
 
 
 def test_layer_disjointness_check():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,10 +39,9 @@ def chain_device(n, rng, pauli_layer_noise=True):
 
 def symmetric_ring44():
     """ring_44q with each qubit's readout error set to the mean of e0 and e1."""
-    doc = load_device("ring_44q").to_dict()
-    e = [(a + b) / 2 for a, b in zip(doc["readout"]["e0"], doc["readout"]["e1"])]
-    doc["readout"] = {"e0": e, "e1": e}
-    return DeviceModel.from_dict(doc)
+    dev = load_device("ring_44q")
+    e = (dev.readout_e0 + dev.readout_e1) / 2
+    return replace(dev, readout_e0=e, readout_e1=e)
 
 
 @pytest.mark.parametrize("pauli_layer_noise", [True, False])
