@@ -509,6 +509,11 @@ class ShotCounts:
     ``from_outcomes`` and ``from_probabilities`` make one sequence's counts;
     ``stack`` joins sequences, as ``stab_run_counts`` and the dm path of a
     CAB run do per stack.  Every method returns one row per sequence.
+
+    What the methods derive from the codes is cached on the stack, built at
+    first use and kept as long as the stack: each code's sequence, the
+    counts as floats, and a histogram of each code byte that a subset
+    marginal has read (``marginal_count_vector``).
     """
 
     n: int
@@ -568,6 +573,12 @@ class ShotCounts:
         """The counts as floats, the ``bincount`` weights, computed once per stack."""
         return self.counts.astype(float)
 
+    @cached_property
+    def _byte_hists(self) -> dict[int, np.ndarray]:
+        """[code byte j] (sequences, 256): each sequence's counts per value of
+        byte j, filled in by ``marginal_count_vector`` as subsets read bytes."""
+        return {}
+
     def survivals(self, w_masks: np.ndarray) -> np.ndarray:
         """sum_x count(x)/k_s * (-1)^(w.x) for each Z-observable mask w, one
         row per sequence, in one pass over all codes.
@@ -617,12 +628,47 @@ class ShotCounts:
 
     def marginal_count_vector(self, qubits: tuple[int, ...]) -> np.ndarray:
         """Dense count vectors of the outcomes restricted to ``qubits``, one
-        row per sequence: one ``bincount`` over every sequence's codes,
-        whose bins add each sequence's counts in code order."""
+        row per sequence, entry i the counts of the codes whose sub-index on
+        ``qubits`` is i.
+
+        When every qubit lies in one code byte j, the vectors are byte j's
+        histogram (one ``bincount`` over (sequence, byte value), built at
+        the first subset that reads the byte and cached on the stack) times
+        the 0/1 matrix of ``_byte_fold``.  Otherwise one ``bincount`` over
+        (sequence, sub-index) of every code.  Either way each entry is a sum
+        of integer counts below 2^53, so exact, and the two give the same
+        floats.
+        """
+        fold = _byte_fold(self.n, tuple(qubits))
+        if fold is not None:
+            j, matrix = fold
+            hist = self._byte_hists.get(j)
+            if hist is None:
+                byte = (self.codes >> 8 * j) & 255
+                byte |= self._rows << 8
+                hist = np.bincount(byte, weights=self._weights, minlength=self.sequences << 8).reshape(-1, 256)
+                self._byte_hists[j] = hist
+            return hist @ matrix
         k = len(qubits)
         sub = _bits(self.codes, self.n, qubits)
         sub |= self._rows << k
         return np.bincount(sub, weights=self._weights, minlength=self.sequences << k).reshape(-1, 2**k)
+
+
+@lru_cache(maxsize=256)
+def _byte_fold(n: int, qubits: tuple[int, ...]) -> tuple[int, np.ndarray] | None:
+    """For ``qubits`` that all lie in one byte j of an n-qubit code: j and the
+    read-only (256, 2^k) 0/1 matrix taking each value of byte j to its
+    sub-index on ``qubits``.  None when they straddle a byte boundary.
+    Cached, as a run's depth stacks fold the same subsets."""
+    places = {(n - 1 - q) // 8 for q in qubits}
+    if len(places) != 1:
+        return None
+    (j,) = places
+    sub = _bits(_BYTE_VALUES.astype(np.int64) << 8 * j, n, qubits)
+    matrix = (sub[:, None] == np.arange(2 ** len(qubits))).astype(float)
+    matrix.flags.writeable = False
+    return j, matrix
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:

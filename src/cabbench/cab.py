@@ -243,7 +243,9 @@ class CabRunData:
 
     ``counts`` holds one ``ShotCounts`` per depth with that depth's k_r
     sequences stacked in order, so survivals and subset marginals take one
-    batched call per depth.
+    batched call per depth.  The byte histograms that subset marginals
+    build are cached on those counts, so every subset of the run shares
+    them, and they live as long as the run data.
     """
 
     n: int
@@ -418,7 +420,12 @@ def subset_fidelity(data: CabRunData, gate_subset: tuple[int, ...], device: Devi
 
     Reuses the run's shot data: each depth's stacked counts are
     marginalized to the subset's qubits in one call, and all
-    2^(2*len(subset)) restricted observables are traversed.
+    2^(2*len(subset)) restricted observables are traversed.  A subset
+    whose qubits lie in one code byte folds that byte's histogram, which
+    the run's subsets share; any other takes one pass over the codes
+    (``ShotCounts.marginal_count_vector``).  Subsets past
+    ``SUBSET_QUBIT_LIMIT`` qubits raise ResourceLimitError;
+    ``run_cab_experiment`` refuses them as a ConfigError before its runs.
     """
     qubits = tuple(sorted({q for g in gate_subset for q in device.gates[g].pair}))
     if len(qubits) > SUBSET_QUBIT_LIMIT:
@@ -508,13 +515,19 @@ def run_cab_experiment(
 
     ``twirl_data`` is a twirl run to reuse instead of running it again: a
     run's twirl depends on the register size and on ``config`` without its
-    subsets, not on the target gate.
+    subsets, not on the target gate.  A subset that names a gate outside the
+    block, or spans more than ``SUBSET_QUBIT_LIMIT`` qubits, is a
+    ConfigError before any run.
     """
     outside = sorted({g for s in config.subsets for g in s} - set(block.gate_indices))
     if outside:
         raise ConfigError(
             f"subsets name gates {outside} that are not in the target block {list(block.gate_indices)}"
         )
+    for s in config.subsets:
+        span = len({q for g in s for q in device.gates[g].pair})
+        if span > SUBSET_QUBIT_LIMIT:
+            raise ConfigError(f"subset {list(s)} spans {span} qubits, traverse limit is {SUBSET_QUBIT_LIMIT}")
     dressed_data = execute_cab_run(device, block, config, "dressed", tag=0)
     dressed = estimate_fidelity(dressed_data)
     if measure_twirl:

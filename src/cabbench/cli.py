@@ -187,7 +187,13 @@ def resolve_subsets(spec, gates: tuple[int, ...]) -> tuple[tuple[int, ...], ...]
         pairs = [(a, b) for i, a in enumerate(gates) for b in gates[i + 1 :]]
         return tuple(singles + pairs)
     if isinstance(spec, (list, tuple)) and all(isinstance(s, (list, tuple)) for s in spec):
-        return tuple(tuple(sorted(_checked(g, 0, "subsets entry") for g in s)) for s in spec)
+        subsets = tuple(tuple(sorted(_checked(g, 0, "subsets entry") for g in s)) for s in spec)
+        for s in subsets:
+            if not s or len(set(s)) < len(s):
+                raise ConfigError(f"a subset names one or more gates, each once; got {list(s)}")
+        if len(set(subsets)) < len(subsets):
+            raise ConfigError(f"subsets name one subset twice: {[list(s) for s in subsets]}")
+        return subsets
     raise ConfigError(f"bad subsets spec {spec!r}")
 
 

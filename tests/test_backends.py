@@ -412,7 +412,7 @@ def _sub_index_reference(bits: np.ndarray, qubits) -> np.ndarray:
     return sub
 
 
-@pytest.mark.parametrize("n", [6, 44, 62])
+@pytest.mark.parametrize("n", [6, 8, 9, 16, 44, 62])
 def test_marginal_count_vector_matches_bitwise_reference(n):
     rng = np.random.default_rng(n)
     codes = np.unique(pack_bits(rng.integers(0, 2, size=(300, n), dtype=np.uint8)))
@@ -420,16 +420,24 @@ def test_marginal_count_vector_matches_bitwise_reference(n):
     counts = ShotCounts(n, int(weights.sum()), codes, weights)
     bits = unpack_bits(codes, n)
     register = unpack_bits(np.arange(2**n), n) if n <= 12 else None
-    # unsorted tuples and the end qubits included, lengths 1 to 8
+    # unsorted tuples and the end qubits included, lengths 1 to 8; from 9
+    # qubits on, (n - 8, n - 9) and (n - 9, n - 8) straddle the lowest code
+    # byte boundary, between calls that read the lowest byte's histogram
     tuples = [(0,), (n - 1,), (n - 1, 0), (3, 1, 5), (0, 2, 4, n - 1)]
+    if n > 8:
+        tuples += [(n - 8, n - 9), (n - 2, n - 1), (n - 9, n - 8), (n - 8, n - 1)]
     tuples += [tuple(rng.choice(n, size=k, replace=False).tolist()) for k in range(1, min(n, 8) + 1)]
-    for qubits in tuples:
+    # a second pass in reverse reads every histogram again, after the others
+    for qubits in tuples + tuples[::-1]:
         expected = np.zeros(2 ** len(qubits))
         np.add.at(expected, _sub_index_reference(bits, qubits), weights)
         assert np.array_equal(counts.marginal_count_vector(qubits)[0], expected), qubits
         if register is not None:
             # the dm gate tables index register states the same way
             assert np.array_equal(_bits(np.arange(2**n), n, qubits), _sub_index_reference(register, qubits)), qubits
+    # a histogram for each byte that holds a whole tuple, and no other
+    places = [{(n - 1 - q) // 8 for q in qubits} for qubits in tuples]
+    assert sorted(counts._byte_hists) == sorted({min(p) for p in places if len(p) == 1})
 
 
 def _sequence_counts(n, k_s, n_codes, rng):
@@ -440,11 +448,13 @@ def _sequence_counts(n, k_s, n_codes, rng):
 
 
 # (n, k_s, codes per sequence): a lone one-code sequence, k_r = 2, a depth
-# whose sequences include a one-code one, and the 44- and 62-qubit codes
+# whose sequences include a one-code one, two-byte codes, and the 44- and
+# 62-qubit codes
 STACK_CASES = {
     "one_code": (3, 50, [1]),
     "k_r_2": (4, 200, [40, 40]),
     "mixed_6q": (6, 500, [300, 1, 80, 300, 2]),
+    "n16": (16, 500, [200, 1, 200]),
     "n44": (44, 1000, [300, 300, 300]),
     "n62": (62, 1000, [300, 1, 300]),
 }
@@ -461,6 +471,8 @@ def test_stacked_shot_counts_match_the_per_sequence_references(case):
     # the identity, every single qubit's Z, the all-ones mask and random masks
     masks = np.array([0, *(1 << np.arange(n)), (1 << n) - 1, *pack_bits(rng.integers(0, 2, size=(30, n), dtype=np.uint8))])
     tuples = [(0,), (n - 1,), (n - 1, 0), (2, 0, 1), tuple(rng.choice(n, size=min(n, 5), replace=False).tolist())]
+    if n > 8:
+        tuples.append((n - 9, n - 8))  # across the lowest code byte boundary
     surv = stacked.survivals(masks)
     full = stacked.all_survivals() if n <= 12 else None
     marginals = {qubits: stacked.marginal_count_vector(qubits) for qubits in tuples}

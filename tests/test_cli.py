@@ -163,6 +163,16 @@ DETERMINISM_CONFIGS = {
         "cab": {"depths": [0, 2], "k_r": 3, "k_s": 1000, "mode": "sample", "k_q": 20},
         "subsets": "singles",
     },
+    # explicit subsets on 44 qubits, codes of six bytes: gates [0, 1], [2, 3]
+    # and [20, 21] and the single lie in one code byte, [1, 2], [5, 6] and
+    # [0, 5] straddle a byte boundary
+    "cab_ring44_subsets": {
+        "kind": "cab",
+        "device": "ring_44q",
+        "backend": "stab",
+        "cab": {"depths": [0, 2], "k_r": 3, "k_s": 1000, "mode": "sample", "k_q": 20},
+        "subsets": [[0, 1], [1, 2], [2, 3], [0, 5], [20, 21], [5, 6], [7]],
+    },
     # readout thinning with one rate group per distinct max(e0, e1): seven
     # groups, rate 0 among them, with e0 > e1 on some qubits and e1 > e0 on others
     "cab_8q_stab_readout_groups": {
@@ -333,6 +343,11 @@ PINNED_ARTIFACTS = {
     "cab_ring44_stab": {
         "lambdas.csv": "e39a6753db16fdb296287c83d476be4f972115882eabf03cac8f2117859a92ed",
         "result.json": "8b5b04a6c1faa3bba0de488e077e773edb48b5ec1acdf528f82b5c7c94ee01f9",
+        "survivals.csv": "2a4ef7a4712f338dcc9241d33a396f08cb66ee5b253ceb88b18388d15f9c28d1",
+    },
+    "cab_ring44_subsets": {
+        "lambdas.csv": "e39a6753db16fdb296287c83d476be4f972115882eabf03cac8f2117859a92ed",
+        "result.json": "f80d026aac3b26713e2b4a575d017b7892f4c519d5aaf912149f43cdac1e308c",
         "survivals.csv": "2a4ef7a4712f338dcc9241d33a396f08cb66ee5b253ceb88b18388d15f9c28d1",
     },
     "calibrate": {
@@ -626,6 +641,21 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("cab", {"device": 0}),
         ("cab", {"device": True}),
         ("cab", {"out_dir": None}),
+        # an empty subset failed its fit after both runs (exit 1); a repeated
+        # gate ran as subset 0+0 and a repeated subset ran once (exit 0)
+        ("cab", {"subsets": [[]]}),
+        ("cab", {"subsets": [[0, 0]]}),
+        ("cab", {"subsets": [[0], [0]]}),
+        # 5 gates on 10 qubits: refused by subset_fidelity after both runs (exit 1)
+        (
+            "cab",
+            {
+                "device": "ring_44q",
+                "backend": "stab",
+                "cab": {"depths": [0, 2], "k_r": 2, "k_s": 100, "mode": "sample", "k_q": 10},
+                "subsets": [[0, 1, 2, 3, 4]],
+            },
+        ),
     ],
     ids=[
         "k_r",
@@ -712,6 +742,10 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "device_integer_reference",
         "device_bool_reference",
         "out_dir_null",
+        "empty_subset",
+        "subset_repeated_gate",
+        "repeated_subset",
+        "subset_past_traverse_limit",
     ],
 )
 def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys, monkeypatch):
