@@ -9,8 +9,8 @@ the Pauli transfer representation).  Each layer is a few whole-register
 array operations on a stack c of shape (K, d, d), with the tables built
 once per device (``DeviceModel.cached``):
 
-- per-qubit and per-gate depolarizing and the twirled coupling are
-  Pauli-diagonal: one multiply each by a cached table;
+- per-qubit and per-gate depolarizing are Pauli-diagonal: one multiply
+  each by a cached table;
 - a Pauli layer X^x Z^z is Pauli-diagonal too, with sign (-1)^(x.z') on
   row z' and (-1)^(z.x') on column x': two broadcast multiplies by rows
   of the Walsh matrix, each gathered from the rows of its two halves, with
@@ -296,15 +296,14 @@ def _single_qubit_noise(device: DeviceModel, n: int):
     return device.cached(("dm_1q", n), build)
 
 
-def _gate_layer_tables(device: DeviceModel, n: int, gates: tuple[int, ...], noisy: bool, twirl_coupling: bool):
+def _gate_layer_tables(device: DeviceModel, n: int, gates: tuple[int, ...], noisy: bool):
     """(eigenvalues or None, phase table) of one gate layer.
 
-    The noise is the gates' depolarizing channels and, with
-    ``twirl_coupling``, the twirled coupling; both are Pauli-diagonal, so
-    they share one eigenvalue table [z, x].  Without the twirl the coherent
-    components join the ideal CZs in one diagonal unitary D.  D rho D^dagger
-    scales rho[b^x, b] by D[b^x] D*[b]: that is the phase table [b, x],
-    divided by d for the two Walsh transforms around it.
+    The gates' depolarizing channels are Pauli-diagonal: one eigenvalue
+    table [z, x].  The coherent components join the ideal CZs in one
+    diagonal unitary D.  D rho D^dagger scales rho[b^x, b] by D[b^x] D*[b]:
+    that is the phase table [b, x], divided by d for the two Walsh
+    transforms around it.
     """
 
     def build():
@@ -322,19 +321,13 @@ def _gate_layer_tables(device: DeviceModel, n: int, gates: tuple[int, ...], nois
                 p = spec.effective_depol_p()
                 if p < 1.0:
                     lam[_nontrivial_on(n, spec.pair)] *= p
-            if twirl_coupling:
-                for ch in device.layer_twirl_channels(gates):
-                    # Z_w X^x Z^z Z_w = (-1)^(w.x) X^x Z^z
-                    eig = fwht(ch.weights)
-                    lam *= eig[_bits(a, n, ch.support)][None, :]
-            else:
-                for v in device.coherent_layer_components(gates):
-                    diag *= v.diag[_bits(a, n, v.qubits)]
+            for v in device.coherent_layer_components(gates):
+                diag *= v.diag[_bits(a, n, v.qubits)]
             if np.all(lam == 1.0):
                 lam = None
         return lam, diag[a[:, None] ^ a[None, :]] * diag.conj()[:, None] / d
 
-    return device.cached(("dm_gate", n, gates, noisy, twirl_coupling), build)
+    return device.cached(("dm_gate", n, gates, noisy), build)
 
 
 def _readout_factors(device: DeviceModel, n: int):
@@ -376,7 +369,7 @@ class _Stack:
         head.c, head.scratch = self.c[:k], self.scratch[:k]
         return head
 
-    def apply(self, layer, noisy: bool, twirl_coupling: bool):
+    def apply(self, layer, noisy: bool):
         """One stack entry (kind, data): one row per state, or one row for
         every state.
 
@@ -389,7 +382,7 @@ class _Stack:
         """
         kind, data = layer
         if kind == "gates":
-            self.gate(tuple(data), noisy, twirl_coupling)
+            self.gate(tuple(data), noisy)
         elif kind == "pauli":
             x, z = (data @ (1 << np.arange(self.n - 1, -1, -1))).T
             if np.any(x) or np.any(z):
@@ -405,7 +398,7 @@ class _Stack:
         if table is not None:
             self.c *= table
 
-    def gate(self, gates: tuple[int, ...], noisy: bool, twirl_coupling: bool):
+    def gate(self, gates: tuple[int, ...], noisy: bool):
         """One gate layer: its noise, then D rho D^dagger.
 
         With M[b, x] = rho[b^x, b], column x of M is the Walsh transform
@@ -415,7 +408,7 @@ class _Stack:
         frame's float view, which carries the real and imaginary parts
         through the same real matmuls.
         """
-        lam, phase = _gate_layer_tables(self.device, self.n, gates, noisy, twirl_coupling)
+        lam, phase = _gate_layer_tables(self.device, self.n, gates, noisy)
         s = _pauli_phases(self.device, self.n)
         c = self.c
         t = self.buf.view(complex)[: c.size].reshape(c.shape)
@@ -451,7 +444,7 @@ class _Stack:
         return _apply_halves(self.c, *_halves(meas), self.buf).reshape(len(self.c), -1)
 
 
-def _run_chunk(layers: list, stack: _Stack, twirl_coupling: bool, out: np.ndarray):
+def _run_chunk(layers: list, stack: _Stack, out: np.ndarray):
     """``dm_run`` on one chunk of len(out) sequences, given as its stack
     entries, the rows written to ``out``; ``stack`` holds at least that many
     states."""
@@ -461,7 +454,7 @@ def _run_chunk(layers: list, stack: _Stack, twirl_coupling: bool, out: np.ndarra
     last = layers.pop() if layers and layers[-1][0] in _LOCAL else None
     _product_state(first, device, n, stack.c)
     for layer in layers:
-        stack.apply(layer, noisy=True, twirl_coupling=twirl_coupling)
+        stack.apply(layer, noisy=True)
     probs = stack.measure(last)
     error = np.abs(probs.sum(axis=1) - 1.0)
     if np.any(error > 1e-10):
@@ -472,15 +465,12 @@ def _run_chunk(layers: list, stack: _Stack, twirl_coupling: bool, out: np.ndarra
         out[:] = _kron_rows(out[..., None], *confusion)[..., 0]
 
 
-def dm_run(stack: SequenceStack, device: DeviceModel, *, twirl_coupling: bool = False) -> np.ndarray:
+def dm_run(stack: SequenceStack, device: DeviceModel) -> np.ndarray:
     """Exact outcome distributions of a stack of sequences on the device.
 
     Returns one probability row over the 2^n bitstrings (qubit 0 is the
     most significant bit) per sequence, in chunks of
     ``DM_CHUNK_ELEMENTS // 4^n`` sequences (at least one).
-    ``twirl_coupling`` replaces each coherent diagonal error component by
-    its exact Pauli twirl, which is the model the stochastic backend
-    samples from.
     """
     n, k = stack.n, stack.size
     if n > DM_QUBIT_LIMIT:
@@ -489,7 +479,7 @@ def dm_run(stack: SequenceStack, device: DeviceModel, *, twirl_coupling: bool = 
     size = min(k, max(1, DM_CHUNK_ELEMENTS // 4**n))
     work = _Stack(size, device, n)
     for s in range(0, k, size):
-        _run_chunk(list(stack.rows(s, s + size).layers), work, twirl_coupling, probs[s : s + size])
+        _run_chunk(list(stack.rows(s, s + size).layers), work, probs[s : s + size])
     return probs
 
 
@@ -862,9 +852,9 @@ def _block_noise(c: np.ndarray, device: DeviceModel, block, depolarize_first: bo
     if depolarize_first:
         stack.depolarize_1q()
     for layer in block.layers:
-        stack.apply(layer, noisy=True, twirl_coupling=False)
+        stack.apply(layer, noisy=True)
     for layer in block.inverse_layers:
-        stack.apply(layer, noisy=False, twirl_coupling=False)
+        stack.apply(layer, noisy=False)
     return stack.c.reshape(np.shape(c))
 
 

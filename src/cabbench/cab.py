@@ -11,8 +11,8 @@ the same way with the identity as the target gate; the interleaved formula
 isolates the pure gate fidelity from the dressed one.
 
 Every draw comes from ``np.random.default_rng(key)``, and no two draws of
-one run share a key (tag 0 dressed, 1 twirl; d the depth or cycle index,
-k the sequence, ci the CB character):
+one run share a key (tag 0 dressed, 1 twirl, from the run's kind; d the
+depth or cycle index, k the sequence, ci the CB character):
 
 - ``[seed, 5, tag]`` sample-mode observables; ``[seed, 17, tag, d, k]`` a
   CAB sequence and ``[seed, 23, tag, d, k]`` its shots;
@@ -43,6 +43,7 @@ from .paulis import local_clifford_elements, random_pauli_bits, single_qubit_cli
 from .tableau import compile_cycle_pauli, compile_inverse_pauli, gate_order
 
 TRAVERSE_LIMIT = 12
+CB_ORDER_CAP = 64
 SUBSET_QUBIT_LIMIT = 8
 DM_AUTO_LIMIT = 6
 
@@ -81,8 +82,8 @@ class CabConfig:
             raise ConfigError("k_s must be >= 1")
         if self.mode not in ("sample", "traverse"):
             raise ConfigError("mode must be 'sample' or 'traverse'")
-        if self.mode == "sample" and self.k_q < 1:
-            raise ConfigError("k_q must be >= 1 in sample mode")
+        if self.mode == "sample" and self.k_q < 2:
+            raise ConfigError(f"k_q must be >= 2 in sample mode for an observable-sampling SE, got {self.k_q}")
         if self.backend not in ("dm", "stab", "auto"):
             raise ConfigError(f"backend must be 'dm', 'stab' or 'auto', got {self.backend!r}")
 
@@ -293,9 +294,12 @@ def execute_cab_run(
     block: GateBlock,
     config: CabConfig,
     kind: str,
-    tag: int,
 ) -> CabRunData:
-    """Sample, execute and post-process all sequences of one run."""
+    """Sample, execute and post-process all sequences of one run of ``kind``
+    "dressed" or "twirl", which picks its stream tag (module docstring)."""
+    tag = {"dressed": 0, "twirl": 1}.get(kind)
+    if tag is None:
+        raise ValueError(f"run kind must be 'dressed' or 'twirl', got {kind!r}")
     n = block.n
     backend = _resolve_backend(config.backend, n)
     depths = tuple(config.depths)
@@ -528,11 +532,11 @@ def run_cab_experiment(
         span = len({q for g in s for q in device.gates[g].pair})
         if span > SUBSET_QUBIT_LIMIT:
             raise ConfigError(f"subset {list(s)} spans {span} qubits, traverse limit is {SUBSET_QUBIT_LIMIT}")
-    dressed_data = execute_cab_run(device, block, config, "dressed", tag=0)
+    dressed_data = execute_cab_run(device, block, config, "dressed")
     dressed = estimate_fidelity(dressed_data)
     if measure_twirl:
         if twirl_data is None:
-            twirl_data = execute_cab_run(device, GateBlock.identity(block.n), config, "twirl", tag=1)
+            twirl_data = execute_cab_run(device, GateBlock.identity(block.n), config, "twirl")
         twirl = estimate_fidelity(twirl_data)
     else:
         twirl_data = None
@@ -618,7 +622,6 @@ def run_cb_experiment(
     config: CabConfig,
     cycles: tuple[int, ...],
     n_chars: int,
-    order_cap: int = 64,
 ) -> FidelityEstimate:
     """Cycle-benchmarking estimate of the dressed fidelity of the block.
 
@@ -629,9 +632,9 @@ def run_cb_experiment(
     the full Pauli group and closes every sequence with a compiled Pauli.
     """
     n = block.n
-    order = gate_order(block.tableau, cap=order_cap)
+    order = gate_order(block.tableau, cap=CB_ORDER_CAP)
     if order is None:
-        raise UnsupportedGateError(f"gate order exceeds {order_cap}")
+        raise UnsupportedGateError(f"gate order exceeds {CB_ORDER_CAP}")
     for c in cycles:
         if c % order != 0:
             raise UnsupportedGateError("cycle counts must be multiples of the gate order")

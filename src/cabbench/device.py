@@ -438,15 +438,15 @@ class DeviceModel:
     def with_control_offsets(self, offsets: dict[int, tuple]) -> "DeviceModel":
         """Copy of the device with control corrections added per gate index.
 
-        Each entry is (d_cond, d_dyn_i, d_dyn_j) or, with a fourth element,
-        additionally a coupler-compensation offset.
+        Each entry is (d_cond, d_dyn_i, d_dyn_j, d_comp): the conditional and
+        dynamic phase offsets, then the coupler-compensation offset.
         """
         new_gates = list(self.gates)
-        for g, (dc, di, dj, *d_comp) in offsets.items():
+        for g, (dc, di, dj, d_comp) in offsets.items():
             spec = new_gates[g]
             c = spec.control
             control = ControlPhases(c.cond_phase + dc, c.dyn_i + di, c.dyn_j + dj)
-            comp = spec.coupling_comp + (d_comp[0] if d_comp else 0.0)
+            comp = spec.coupling_comp + d_comp
             new_gates[g] = replace(spec, control=control, coupling_comp=comp)
         return replace(self, gates=tuple(new_gates))
 

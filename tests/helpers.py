@@ -40,7 +40,7 @@ replicate at a time, as the stacked paths of ``ShotCounts`` and
 section holds small functions that only tests call: outcome-code
 unpacking, the parametric CZ unitary, the two-gate closed forms and
 closed-form limits, a one-observable
-fit, the observable budget, a device writer and a Nelder-Mead loop.
+fit, the observable budget and a Nelder-Mead loop.
 """
 
 import math
@@ -451,7 +451,8 @@ def dense_apply_layers(rho, layers, device, twirl_coupling: bool = False, noisy:
 
 def dense_dm_reference(seq, device, twirl_coupling: bool = False) -> np.ndarray:
     """Outcome distribution of a sequence from explicit full-register matrices
-    (``dense_apply_layers`` on |0..0>, then a dense readout confusion matrix)."""
+    (``dense_apply_layers`` on |0..0>, then a dense readout confusion matrix),
+    as real probabilities."""
     d = 2**seq.n
     rho = np.zeros((d, d), dtype=complex)
     rho[0, 0] = 1.0
@@ -459,7 +460,7 @@ def dense_dm_reference(seq, device, twirl_coupling: bool = False) -> np.ndarray:
     conf = kron_all(
         [np.array([[1 - e0, e1], [e0, 1 - e1]]) for e0, e1 in zip(device.readout_e0, device.readout_e1)]
     )
-    return conf @ probs
+    return conf.real @ probs
 
 
 def _split_subsystem(rho: np.ndarray, n: int, qubits: tuple[int, ...]):
@@ -630,9 +631,9 @@ def _depolarize_1q_one(c: np.ndarray, device: DeviceModel, n: int) -> np.ndarray
     return c if table is None else c * table
 
 
-def _apply_layer_one(c: np.ndarray, n: int, layer, device: DeviceModel, twirl_coupling: bool) -> np.ndarray:
+def _apply_layer_one(c: np.ndarray, n: int, layer, device: DeviceModel) -> np.ndarray:
     if isinstance(layer, GateLayer):
-        lam, phase = backends._gate_layer_tables(device, n, tuple(layer.gates), True, twirl_coupling)
+        lam, phase = backends._gate_layer_tables(device, n, tuple(layer.gates), True)
         s = backends._pauli_phases(device, n)
         halves = backends._walsh_halves(device, n)
         t = c * s
@@ -657,7 +658,7 @@ def _apply_layer_one(c: np.ndarray, n: int, layer, device: DeviceModel, twirl_co
     return _depolarize_1q_one(c, device, n) if device.pauli_layer_noise else c
 
 
-def dm_run_one(seq, device: DeviceModel, *, twirl_coupling: bool = False) -> np.ndarray:
+def dm_run_one(seq, device: DeviceModel) -> np.ndarray:
     """``backends.dm_run`` of one sequence, one (d, d) state at a time with
     fresh arrays per step: the reference the stacked kernel must match to
     the bit."""
@@ -673,7 +674,7 @@ def dm_run_one(seq, device: DeviceModel, *, twirl_coupling: bool = False) -> np.
         blocks = (ptm[:, :, 0] + ptm[:, :, 2]).reshape(n, 2, 2)
     c = _kron_one(blocks)
     for layer in layers:
-        c = _apply_layer_one(c, n, layer, device, twirl_coupling)
+        c = _apply_layer_one(c, n, layer, device)
     if last is None:
         meas = np.broadcast_to(backends._Z_MEASURE, (n, 2, 4))
     else:

@@ -208,7 +208,7 @@ def test_stab_matches_dm_twirled_model():
         ),
     )
     assert closes_to_identity(seq, dev)
-    probs = dm_run(stack_of([seq]), dev, twirl_coupling=True)[0]
+    probs = dense_dm_reference(seq, dev, twirl_coupling=True)
     shots = 100_000
     counts = stab_run_counts(stack_of([seq]), dev, shots, [np.random.default_rng(99)])
     emp = counts.count_vector()[0] / shots
@@ -387,7 +387,7 @@ def test_backend_agreement_survivals():
                 CliffordLayer(c.inverse()),
             ),
         )
-        probs = dm_run(stack_of([seq]), dev, twirl_coupling=True)[0]
+        probs = dense_dm_reference(seq, dev, twirl_coupling=True)
         counts = stab_run_counts(stack_of([seq]), dev, shots, [np.random.default_rng(trial)])
         # the parity route and the FWHT route agree exactly: integer sums
         assert np.array_equal(counts.survivals(np.arange(16)), counts.all_survivals())
@@ -647,15 +647,14 @@ def random_sequence(dev, rng, n_layers=8):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("twirl_coupling", [False, True])
 @pytest.mark.parametrize("pauli_layer_noise", [True, False])
-def test_dm_run_matches_dense_reference(n, twirl_coupling, pauli_layer_noise):
-    rng = np.random.default_rng([n, twirl_coupling, pauli_layer_noise])
+def test_dm_run_matches_dense_reference(n, pauli_layer_noise):
+    rng = np.random.default_rng([n, 0, pauli_layer_noise])  # the 0 keeps the draws these cases have always made
     dev = random_device(n, rng, pauli_layer_noise)
     for _ in range(3):
         seq = random_sequence(dev, rng)
-        probs = dm_run(stack_of([seq]), dev, twirl_coupling=twirl_coupling)[0]
-        expected = dense_dm_reference(seq, dev, twirl_coupling)
+        probs = dm_run(stack_of([seq]), dev)[0]
+        expected = dense_dm_reference(seq, dev)
         assert np.max(np.abs(probs - expected)) < 1e-12
 
 
@@ -663,7 +662,7 @@ def test_dm_run_on_offset_devices_matches_dense_reference():
     # tables are cached per device: alternating calls must not mix them up
     rng = np.random.default_rng(8)
     base = random_device(4, rng)
-    offset = base.with_control_offsets({0: (0.2, -0.1, 0.05, 0.02), 2: (-0.1, 0.0, 0.1)})
+    offset = base.with_control_offsets({0: (0.2, -0.1, 0.05, 0.02), 2: (-0.1, 0.0, 0.1, 0.0)})
     seq = random_sequence(base, rng, n_layers=10)
     expected = {id(dev): dense_dm_reference(seq, dev) for dev in (base, offset)}
     assert np.max(np.abs(expected[id(base)] - expected[id(offset)])) > 1e-4
@@ -689,9 +688,9 @@ def test_block_noise_channel_batch_equals_matrix_by_matrix():
 # -- the Pauli-basis kernel at the edges of a sequence ---------------------------
 
 
-def assert_matches_dense(seq, dev, twirl_coupling=False):
-    probs = dm_run(stack_of([seq]), dev, twirl_coupling=twirl_coupling)[0]
-    assert np.max(np.abs(probs - dense_dm_reference(seq, dev, twirl_coupling))) < 1e-12
+def assert_matches_dense(seq, dev):
+    probs = dm_run(stack_of([seq]), dev)[0]
+    assert np.max(np.abs(probs - dense_dm_reference(seq, dev))) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -711,16 +710,15 @@ def test_dm_run_single_local_layer_matches_dense_reference(kind, n):
 
 
 @pytest.mark.parametrize("edge", ["pauli", "gate"])
-@pytest.mark.parametrize("twirl_coupling", [False, True])
-def test_dm_run_sequences_starting_or_ending_off_a_local_layer(edge, twirl_coupling):
-    rng = np.random.default_rng([len(edge), twirl_coupling])
+def test_dm_run_sequences_starting_or_ending_off_a_local_layer(edge):
+    rng = np.random.default_rng([len(edge), 0])  # the 0 keeps the draws these cases have always made
     dev = random_device(4, rng)
     for _ in range(3):
         a, b = random_layer(edge, dev, rng), random_layer(edge, dev, rng)
         local = random_layer("clifford", dev, rng)
         middle = random_sequence(dev, rng, n_layers=6).layers
         for layers in ((a,), (a, b), (a, local), (local, a), (a, *middle), (*middle, a), (a, *middle, b)):
-            assert_matches_dense(CircuitSequence(4, layers), dev, twirl_coupling)
+            assert_matches_dense(CircuitSequence(4, layers), dev)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -821,14 +819,7 @@ def test_dm_run_bytes_are_pinned_on_cab_sequences(name, m):
     assert hashlib.sha256(dm_run(stack, dev)[0].tobytes()).hexdigest() == DM_RUN_DIGESTS[name, m]
 
 
-@pytest.mark.parametrize(
-    "twirl_coupling, digest",
-    [
-        (False, "2821be6a9e5e91803a7b6fee383fd2224d5aef5d13613c1ca57041829fd4979e"),
-        (True, "2b54badc5b8730c3974b4face87e53a1a8c87051146a53036ad75f9b891e5e92"),
-    ],
-)
-def test_dm_run_bytes_are_pinned_with_unitary_layers(twirl_coupling, digest):
+def test_dm_run_bytes_are_pinned_with_unitary_layers():
     import hashlib
 
     rng = np.random.default_rng(2026)
@@ -837,7 +828,8 @@ def test_dm_run_bytes_are_pinned_with_unitary_layers(twirl_coupling, digest):
     # Pauli layers and single-qubit unitaries between the gate layers
     assert sum(isinstance(layer, Unitary1qLayer) for layer in seq.layers[1:-1]) == 2
     assert sum(isinstance(layer, PauliLayer) for layer in seq.layers) == 3
-    assert hashlib.sha256(dm_run(stack_of([seq]), dev, twirl_coupling=twirl_coupling)[0].tobytes()).hexdigest() == digest
+    digest = "2821be6a9e5e91803a7b6fee383fd2224d5aef5d13613c1ca57041829fd4979e"
+    assert hashlib.sha256(dm_run(stack_of([seq]), dev)[0].tobytes()).hexdigest() == digest
 
 
 # -- stacks of sequences against the per-sequence kernel -------------------------
@@ -851,21 +843,20 @@ def without_readout(dev):
     return replace(dev, readout_e0=0.0, readout_e1=0.0)
 
 
-def assert_stack_matches_one(seqs, dev, twirl_coupling=False):
+def assert_stack_matches_one(seqs, dev):
     """A stack, or a list of sequences of one layout, as one stack against
     one sequence at a time."""
     stack, seqs = (seqs, sequences_of(seqs)) if isinstance(seqs, SequenceStack) else (stack_of(seqs), seqs)
-    stacked = dm_run(stack, dev, twirl_coupling=twirl_coupling)
+    stacked = dm_run(stack, dev)
     assert stacked.shape == (len(seqs), 2 ** seqs[0].n)
-    expected = np.array([dm_run_one(seq, dev, twirl_coupling=twirl_coupling) for seq in seqs])
+    expected = np.array([dm_run_one(seq, dev) for seq in seqs])
     assert np.array_equal(stacked, expected)
 
 
 @pytest.mark.parametrize("name", ["two_gate_4q", "three_gate_6q"])
 @pytest.mark.parametrize("m", [0, 2])
-@pytest.mark.parametrize("twirl_coupling", [False, True])
 @pytest.mark.parametrize("readout", [True, False])
-def test_dm_run_stacks_of_cab_sequences_match_one_at_a_time(name, m, twirl_coupling, readout):
+def test_dm_run_stacks_of_cab_sequences_match_one_at_a_time(name, m, readout):
     from cabbench.cab import build_cab_sequence
     from cabbench.cli import load_device
 
@@ -877,7 +868,7 @@ def test_dm_run_stacks_of_cab_sequences_match_one_at_a_time(name, m, twirl_coupl
     # one sequence, one full chunk, and a full chunk plus a one-sequence chunk
     for k_r in (1, size, size + 1):
         stack = build_cab_sequence(block, m, [np.random.default_rng([31, m, k]) for k in range(k_r)])
-        assert_stack_matches_one(stack, dev, twirl_coupling)
+        assert_stack_matches_one(stack, dev)
 
 
 @pytest.mark.parametrize("m", [0, 2])
@@ -891,7 +882,6 @@ def test_dm_run_stacks_of_fully_connected_sequences_match_one_at_a_time(m):
     assert any(kind == "clifford" for kind, _ in block.layers)
     stack = build_cab_sequence(block, m, [np.random.default_rng([41, m, k]) for k in range(chunk_size(6) + 1)])
     assert_stack_matches_one(stack, dev)
-    assert_stack_matches_one(stack, dev, twirl_coupling=True)
 
 
 def test_dm_run_stacks_of_unitary_scans_match_one_at_a_time():
@@ -906,7 +896,6 @@ def test_dm_run_stacks_of_unitary_scans_match_one_at_a_time():
         last = [CircuitSequence(n, (pulse, gate, random_layer("unitary", dev, rng))) for _ in range(size)]
         for seqs in (middle, last):
             assert_stack_matches_one(seqs, dev)
-            assert_stack_matches_one(seqs[:3], dev, twirl_coupling=True)
 
 
 def test_dm_run_stacks_of_random_sequences_match_one_at_a_time():
@@ -925,7 +914,6 @@ def test_dm_run_stacks_of_random_sequences_match_one_at_a_time():
         for _ in range(chunk_size(5) + 1)
     ]
     assert_stack_matches_one(seqs, dev)
-    assert_stack_matches_one(seqs, dev, twirl_coupling=True)
 
 
 def kind_of(layer):

@@ -365,7 +365,7 @@ def test_pure_depolarizing_traverse_value():
     dev = DeviceModel(n_qubits=2, gates=(GateSpec(pair=(0, 1), depol_p=p),))
     block = GateBlock.parallel_cz(dev, (0,))
     cfg = CabConfig(depths=(0, 2), k_r=40, k_s=20_000, mode="traverse", seed=5)
-    data = execute_cab_run(dev, block, cfg, "dressed", tag=0)
+    data = execute_cab_run(dev, block, cfg, "dressed")
     est = estimate_fidelity(data)
     assert abs(est.value - (1 + 15 * p) / 16) < 3 * est.se
     # the twirl layers are noiseless here, so dressed equals pure
@@ -456,10 +456,36 @@ def test_estimator_consistency_in_shots():
     errs = []
     for k_s in (1_000, 10_000, 100_000):
         cfg = CabConfig(depths=(0, 2), k_r=30, k_s=k_s, mode="traverse", seed=6)
-        data = execute_cab_run(dev, block, cfg, "dressed", tag=0)
+        data = execute_cab_run(dev, block, cfg, "dressed")
         errs.append(abs(estimate_fidelity(data).value - truth))
     assert errs[2] < errs[0]
     assert errs[2] < 2e-3
+
+
+def test_stab_understates_the_sequence_spread_of_a_coherent_device():
+    # stab samples every coherent diagonal error's Pauli twirl: exact for the
+    # mean over CAB's random Paulis, but each dm sequence sees the coherent
+    # ZZ and control errors untwirled, so the exact runs spread more.  The
+    # ratio range was fixed before the test first ran.
+    dev = load_device("three_gate_6q")
+    block = GateBlock.parallel_cz(dev, (0, 1, 2))
+    means = {}
+    for backend in ("dm", "stab"):
+        means[backend] = np.array(
+            [
+                run_cab_experiment(
+                    dev,
+                    block,
+                    CabConfig(depths=(0, 2), k_r=40, k_s=2_000, mode="traverse", seed=seed, backend=backend),
+                    measure_twirl=False,
+                ).dressed.value
+                for seed in range(100, 130)
+            ]
+        )
+    sd = {backend: float(np.std(v, ddof=1)) for backend, v in means.items()}
+    se_diff = math.sqrt((sd["dm"] ** 2 + sd["stab"] ** 2) / 30)
+    assert abs(means["dm"].mean() - means["stab"].mean()) < 3 * se_diff
+    assert 1.5 <= sd["dm"] / sd["stab"] <= 4.5
 
 
 def test_reports_are_deterministic():
@@ -484,5 +510,28 @@ def test_config_validation():
         CabConfig(k_r=1)
     with pytest.raises(ValueError):
         CabConfig(mode="sample", k_q=0)
+    # one observable leaves no spread to take an observable-sampling SE from
+    with pytest.raises(ConfigError, match="k_q"):
+        CabConfig(mode="sample", k_q=1)
+    CabConfig(mode="sample", k_q=2)
+    CabConfig(mode="traverse", k_q=1)
     with pytest.raises(ConfigError, match="backend"):
         CabConfig(backend="gpu")
+
+
+def test_execute_cab_run_takes_its_stream_tag_from_the_kind():
+    dev = plain_device(p=0.95, gamma=0.08, single_qubit_depol=0.99)
+    block = GateBlock.parallel_cz(dev, (0, 1))
+    twirl_block = GateBlock.identity(block.n)
+    cfg = CabConfig(depths=(0, 2), k_r=4, k_s=200, mode="sample", k_q=5, seed=3)
+    rep = run_cab_experiment(dev, block, cfg)
+    dressed = execute_cab_run(dev, block, cfg, "dressed")
+    twirl = execute_cab_run(dev, twirl_block, cfg, "twirl")
+    for got, want in ((dressed, rep.dressed_data), (twirl, rep.twirl_data)):
+        assert got.kind == want.kind
+        assert np.array_equal(got.masks, want.masks)
+        assert np.array_equal(got.surv, want.surv)
+    # the twirl stream is not the dressed one on the same block
+    assert not np.array_equal(execute_cab_run(dev, twirl_block, cfg, "dressed").surv, twirl.surv)
+    with pytest.raises(ValueError, match="kind"):
+        execute_cab_run(dev, block, cfg, "pure")

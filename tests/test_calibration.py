@@ -103,7 +103,7 @@ def test_calibration_idempotent():
     d_cond = -(phi - np.pi)
     d_i = calibrate_dynamic_phase(dev, 0, 0, PHASES)
     d_j = calibrate_dynamic_phase(dev, 0, 1, PHASES)
-    dev2 = dev.with_control_offsets({0: (d_cond, d_i, d_j)})
+    dev2 = dev.with_control_offsets({0: (d_cond, d_i, d_j, 0.0)})
     # second round: corrections collapse to the grid scale
     _, _, phi2 = measure_conditional_phase(dev2, 0, BETAS)
     step = 2 * np.pi / len(PHASES)

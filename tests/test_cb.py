@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cabbench import cab
 from cabbench.cab import (
     CabConfig,
     UnsupportedGateError,
@@ -41,7 +42,7 @@ def test_cb_agrees_with_cab_on_noisy_cz():
     dev = cz_device(p=0.97, control=ControlPhases(0.05, 0.02, 0.0), single_qubit_depol=0.998)
     block = GateBlock.parallel_cz(dev, (0,))
     cfg = CabConfig(depths=(5, 10), k_r=25, k_s=20_000, mode="traverse", seed=3, backend="dm")
-    cab = estimate_fidelity(execute_cab_run(dev, block, cfg, "dressed", tag=0))
+    cab = estimate_fidelity(execute_cab_run(dev, block, cfg, "dressed"))
     cb = run_cb_experiment(dev, block, cfg, cycles=(10, 20), n_chars=5)
     combined = math.hypot(cab.se, cb.se)
     assert abs(cab.value - cb.value) < 3 * combined + 3e-3
@@ -55,16 +56,17 @@ def test_cb_rejects_bad_cycle_counts():
         run_cb_experiment(dev, block, cfg, cycles=(3, 6), n_chars=5)
 
 
-def test_cb_rejects_large_order():
+def test_cb_rejects_large_order(monkeypatch):
     dev = cz_device()
-    # phase gate has order 4 > the cap we pass
+    # phase gate has order 4 > the cap set here
+    monkeypatch.setattr(cab, "CB_ORDER_CAP", 2)
     t = phase_gate(2, 0)
     block = GateBlock(
         name="s0", n=2, tableau=t, layers=(), inverse_layers=()
     )
     cfg = CabConfig(depths=(5, 10), k_r=10, k_s=100, seed=0)
-    with pytest.raises(UnsupportedGateError):
-        run_cb_experiment(dev, block, cfg, cycles=(4, 8), n_chars=5, order_cap=2)
+    with pytest.raises(UnsupportedGateError, match="exceeds 2"):
+        run_cb_experiment(dev, block, cfg, cycles=(4, 8), n_chars=5)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

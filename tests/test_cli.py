@@ -656,6 +656,8 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
                 "subsets": [[0, 1, 2, 3, 4]],
             },
         ),
+        # one sampled observable: exit 0 with the observable-sampling SE dropped
+        ("cab", {"cab": {"mode": "sample", "k_r": 4, "k_s": 500, "k_q": 1}}),
     ],
     ids=[
         "k_r",
@@ -746,6 +748,7 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "subset_repeated_gate",
         "repeated_subset",
         "subset_past_traverse_limit",
+        "sample_one_observable",
     ],
 )
 def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys, monkeypatch):

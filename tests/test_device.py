@@ -314,7 +314,7 @@ def test_effective_depol_p_clamps_to_unit_interval(depol_p, coupling_comp, comp_
 
 def test_control_offsets_copy():
     dev = two_gate_device()
-    shifted = dev.with_control_offsets({0: (0.1, 0.2, 0.3)})
+    shifted = dev.with_control_offsets({0: (0.1, 0.2, 0.3, 0.0)})
     assert shifted.gates[0].control == ControlPhases(0.1, 0.2, 0.3)
     assert dev.gates[0].control == ControlPhases()
 
@@ -367,6 +367,6 @@ def test_device_noise_arrays_are_read_only(field):
     dev = two_gate_device(readout_e0=0.01, readout_e1=0.02, single_qubit_depol=0.99)
     with pytest.raises(ValueError, match="read-only"):
         getattr(dev, field)[0] = 0.5
-    offset = dev.with_control_offsets({0: (0.1, 0.0, 0.0)})
+    offset = dev.with_control_offsets({0: (0.1, 0.0, 0.0, 0.0)})
     with pytest.raises(ValueError, match="read-only"):
         getattr(offset, field)[1] = 0.5

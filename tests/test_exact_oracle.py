@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cabbench.backends import dm_run, stab_run_counts
+from cabbench.backends import stab_run_counts
 from cabbench.cab import build_cab_sequence, sample_observables
 from cabbench.circuits import GateBlock
 from cabbench.cli import load_device
@@ -12,7 +12,7 @@ from cabbench.experiments import fully_connected_gate
 from cabbench.paulis import single_qubit_cliffords
 
 from exact_oracle import assert_survivals_match, exact_survivals
-from helpers import CircuitSequence, CliffordLayer, GateLayer, LocalCliffordLayer, sequences_of
+from helpers import CircuitSequence, CliffordLayer, GateLayer, LocalCliffordLayer, dense_dm_reference, sequences_of
 
 
 def chain_device(n, rng, pauli_layer_noise=True):
@@ -58,7 +58,7 @@ def test_oracle_equals_walsh_transform_of_twirled_dm(n, pauli_layer_noise):
         for m in (0, 1, 3):
             stack = build_cab_sequence(block, m, [rng])
             (seq,) = sequences_of(stack)
-            exact = np.real(fwht(dm_run(stack, dev, twirl_coupling=True)[0]))
+            exact = np.real(fwht(dense_dm_reference(seq, dev, twirl_coupling=True)))
             assert np.max(np.abs(exact_survivals(seq, dev, masks) - exact)) < 1e-12
 
 
