@@ -6,10 +6,8 @@ from .analysis import (
     analytic_fidelity,
     closed_form_r3,
     correlation,
-    correlation_fluctuation,
     correlation_landscape,
     correlation_matrix,
-    subset_correlations,
 )
 from .backends import (
     ShotCounts,

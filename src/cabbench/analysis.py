@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cab import ConfigError
+from .cab import ConfigError, jackknife
 from .device import CouplingMap, ResourceLimitError
 
 COMPONENT_LIMIT = 16  # gates per coupling component; the sum runs over its subsets
@@ -33,14 +33,13 @@ def correlation(f_joint: float, f_parts) -> float:
     for f in [f_joint, *parts]:
         if not f > 0.0:
             raise FidelityDomainError(f"fidelity {f} is not positive")
+    return float(_correlation(f_joint, *parts))
+
+
+def _correlation(f_joint, *parts):
+    """``correlation``'s arithmetic, elementwise on arrays, with no check."""
     prod = math.prod(parts)
-    return (f_joint - prod) / math.sqrt(f_joint * prod)
-
-
-def subset_correlations(fidelities, combos) -> list[float]:
-    """The correlation of each gate subset S in ``combos`` with its gates:
-    ``fidelities`` maps S and each singleton (g,) to a fidelity."""
-    return [correlation(fidelities[s], [fidelities[(g,)] for g in s]) for s in combos]
+    return (f_joint - prod) / np.sqrt(f_joint * prod)
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +120,6 @@ def analytic_fidelity(
         dims = [dims] * g
     if len(dims) != g:
         raise ValueError("one dimension entry per gate required")
-    if len(subset) > 16:
-        raise ResourceLimitError("subset larger than 16 gates")
     if any(not 0 <= i < g for i in subset):
         raise ValueError("subset index out of range")
     pmap = {i: float(p[i]) for i in range(g)}
@@ -234,14 +231,14 @@ LANDSCAPE_GAMMA12_VALUES = (
 
 @dataclass
 class CorrelationReport:
-    """Correlations per gate subset, optionally with fluctuation statistics:
-    then ``values`` are the means over reruns, ``sds`` their SDs."""
+    """Correlations per gate subset from one run, each with its jackknife SE
+    and its lower bound max(|value| - 3 SE, 0)."""
 
     subsets: list[tuple[int, ...]]
     values: list[float]
-    distances: list[int] | None = None
-    sds: list[float] | None = None
-    lower_bounds: list[float] | None = None
+    ses: list[float]
+    lower_bounds: list[float]
+    distances: list[int]
 
 
 def _gate_distance(device, a: int, b: int) -> int:
@@ -271,21 +268,26 @@ def _gate_distance(device, a: int, b: int) -> int:
     return -1
 
 
-def _pure_fidelities(report) -> dict[tuple[int, ...], float]:
-    return {key: res.pure.value for key, res in report.subsets.items()}
-
-
 def correlation_matrix(report, device) -> CorrelationReport:
     """Pairwise correlations among gates from a benchmark report.
 
     Uses the pure (twirl-excluded) subset fidelities; requires the
     singleton subsets of every pair in the report (a KeyError otherwise).
+    Each SE is the ``jackknife`` of the subsets' replicates: replicate k of
+    every subset leaves out the same sequence k.
     """
-    fidelities = _pure_fidelities(report)
-    pairs = sorted(key for key in fidelities if len(key) == 2)
+    pures = {key: res.pure for key, res in report.subsets.items()}
+    pairs = sorted(key for key in pures if len(key) == 2)
+    values, ses = [], []
+    for pair in pairs:
+        ests = [pures[pair], *(pures[(g,)] for g in pair)]
+        values.append(correlation(ests[0].value, [e.value for e in ests[1:]]))
+        ses.append(jackknife(_correlation, *ests)[1])
     return CorrelationReport(
         subsets=pairs,
-        values=subset_correlations(fidelities, pairs),
+        values=values,
+        ses=ses,
+        lower_bounds=[max(abs(v) - 3 * se, 0.0) for v, se in zip(values, ses)],
         distances=[_gate_distance(device, a, b) for a, b in pairs],
     )
 
@@ -293,32 +295,13 @@ def correlation_matrix(report, device) -> CorrelationReport:
 def correlation_stats(fidelities, combos) -> tuple[list[float], list[float]]:
     """Mean and SD over runs of the correlation of each subset in ``combos``.
 
-    ``fidelities`` holds one mapping per run, as ``subset_correlations``
-    takes it.  Each subset's values over the runs are one contiguous row, so
-    its mean and SD (ddof 1) are those of the values on their own to the
-    bit; one run gives SD 0.  A non-positive fidelity in any run raises
-    ``FidelityDomainError``.
+    ``fidelities`` holds one mapping per run, of each subset S and each
+    singleton (g,) to a fidelity.  Each subset's values over the runs are one
+    contiguous row, so its mean and SD (ddof 1) are those of the values on
+    their own to the bit; one run gives SD 0.  A non-positive fidelity in any
+    run raises ``FidelityDomainError``.
     """
-    rows = np.ascontiguousarray(np.array([subset_correlations(f, combos) for f in fidelities]).T)
+    values = [[correlation(f[s], [f[(g,)] for g in s]) for s in combos] for f in fidelities]
+    rows = np.ascontiguousarray(np.array(values).T)
     sds = rows.std(axis=1, ddof=1) if len(fidelities) > 1 else np.zeros(len(rows))
     return rows.mean(axis=1).tolist(), sds.tolist()
-
-
-def correlation_fluctuation(reports, pairs: list[tuple[int, int]]) -> CorrelationReport:
-    """Mean, SD and 3-sigma lower bounds of pair correlations over reruns.
-
-    ``reports`` are full benchmarking experiments of one block with distinct
-    seeds, each holding the singleton and pair subsets of ``pairs``; the
-    means and SDs are ``correlation_stats`` of their pure fidelities, and
-    the lower bound per pair is max(|mean| - 3*SD, 0).
-    """
-    if len(reports) < 2:
-        raise ValueError("repeat must be >= 2")
-    subsets = sorted({tuple(sorted(p)) for p in pairs})
-    means, sds = correlation_stats([_pure_fidelities(rep) for rep in reports], subsets)
-    return CorrelationReport(
-        subsets=subsets,
-        values=means,
-        sds=sds,
-        lower_bounds=[max(abs(m) - 3 * sd, 0.0) for m, sd in zip(means, sds)],
-    )

@@ -10,6 +10,11 @@ its own stream, and one GF(2) product gives every closing Pauli.  The twirling-l
 the same way with the identity as the target gate; the interleaved formula
 isolates the pure gate fidelity from the dressed one.
 
+Every SE is one delete-one jackknife (Efron & Stein 1981): an estimate
+keeps its replicates, and a derived number (a pure fidelity, a correlation)
+is its function of the full values and of replicate k of each group
+(``jackknife``).
+
 Every draw comes from ``np.random.default_rng(key)``, and no two draws of
 one run share a key (tag 0 dressed, 1 twirl, from the run's kind; d the
 depth or cycle index, k the sequence, ci the CB character):
@@ -21,8 +26,7 @@ depth or cycle index, k the sequence, ci the CB character):
 - ``[seed, 3]`` the ``fully_connected`` block, ``[seed, 9]`` the
   ``order_stats`` draws (``cli``);
 - runs seeded ``seed + 1_000_003 * it`` for ``optimize``'s reference at
-  iteration it and that + 500,009 for its iterate (``calibration``), and
-  ``seed + r`` for ``correlate``'s rerun r (``cli``).
+  iteration it and that + 500,009 for its iterate (``calibration``).
 
 ``parallel_cz_scan`` reuses the keys at every point on purpose: sequence k
 is the same draw at every gate count, which makes the differences between
@@ -31,7 +35,6 @@ points less noisy, and the twirl run is shared outright.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,12 +98,18 @@ QUALITY_DTYPE = np.dtype([("w_mask", np.int64), ("lam", float), ("se", float), (
 
 @dataclass
 class FidelityEstimate:
+    """A fidelity and its SE, ``jackknife_se`` of its ``replicates``: the
+    estimate redone without each sequence ("sequence") and, in sample mode,
+    without each sampled mask ("observable").  An estimate without
+    replicates, such as the assumed-perfect twirl, is a constant."""
+
     value: float
     se: float
     kind: str  # "dressed", "twirl" or "pure"
     quality_params: np.ndarray = field(default_factory=lambda: np.empty(0, QUALITY_DTYPE))
     n_flagged: int = 0
     metadata: dict = field(default_factory=dict)
+    replicates: dict[str, np.ndarray] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -341,6 +350,37 @@ def execute_cab_run(
 # ---------------------------------------------------------------------------
 
 
+def jackknife_se(replicates: dict[str, np.ndarray]) -> float:
+    """sqrt of the sum over groups of (g - 1) / g * sum((r - mean)^2) over
+    each group's g finite replicates r; nan if a group keeps fewer than 2."""
+    var = 0.0
+    for reps in replicates.values():
+        good = reps[np.isfinite(reps)]
+        if len(good) < 2:
+            return float("nan")
+        var += (len(good) - 1) / len(good) * np.sum((good - good.mean()) ** 2)
+    return float(np.sqrt(var))
+
+
+def jackknife(fn, *inputs: FidelityEstimate) -> tuple[float, float, dict[str, np.ndarray]]:
+    """The value, SE and replicates of ``fn`` of the ``inputs``.
+
+    Replicate k of a group is ``fn``, elementwise on arrays, of replicate k
+    of each input that has the group and of the value of each that has not.
+    Deleting sequence k from independent runs of equal k_r is a valid grouped
+    jackknife; replicates of unequal number fail to broadcast.  Failed
+    arithmetic (a division by zero) gives a non-finite replicate, dropped.
+    """
+    sizes = {name: len(reps) for est in inputs for name, reps in est.replicates.items()}
+    value = float(fn(*(est.value for est in inputs)))
+    with np.errstate(all="ignore"):
+        replicates = {
+            name: np.asarray(fn(*(est.replicates.get(name, np.full(size, est.value)) for est in inputs)), dtype=float)
+            for name, size in sizes.items()
+        }
+    return value, jackknife_se(replicates), replicates
+
+
 def _estimate_from_surv(
     surv: np.ndarray,
     masks: np.ndarray,
@@ -355,14 +395,14 @@ def _estimate_from_surv(
     of the ``weights``-weighted mean of lambda.  When no mask but the
     identity is left, there is no estimate: ``DegenerateFitError``.
 
-    The SE is the delete-one jackknife over the sequence axis, recomputing
-    the whole chain.  Every replicate's depth means come from one array
-    operation, (sum - surv) / (k_r - 1), and are fitted in one call.  One
+    The "sequence" replicates redo the whole chain without each sequence.
+    Every replicate's depth means come from one array operation,
+    (sum - surv) / (k_r - 1), and are fitted in one call.  One
     ``_aggregate`` call then averages all replicates: the replicates that
     keep the same number of masks form one (replicates, kept) array, summed
     along its last axis, so each replicate's terms are added in the same
-    pairwise grouping as a sum over that replicate alone, and the jackknife
-    SE is the per-replicate one to the bit.
+    pairwise grouping as a sum over that replicate alone, and each replicate
+    is the per-replicate one to the bit.
     """
     n_depths, k_r = surv.shape[:2]
     identity = masks == 0
@@ -383,37 +423,35 @@ def _estimate_from_surv(
         )
     # every delete-one replicate in one fit, shape (depth, replicate, mask)
     lk, _, flk = fit((surv.sum(axis=1, keepdims=True) - surv) / (k_r - 1))
-    jack = _aggregate(lk, weights, flk)
-    good = np.isfinite(jack)
-    if good.sum() >= 2:
-        jm = jack[good].mean()
-        se = float(np.sqrt((good.sum() - 1) / good.sum() * np.sum((jack[good] - jm) ** 2)))
-    else:
-        se = float("nan")
+    replicates = {"sequence": _aggregate(lk, weights, flk)}
     qps = np.empty(len(masks), QUALITY_DTYPE)
     qps["w_mask"], qps["lam"], qps["flagged"] = masks, lam, flagged
     qps["se"] = np.where(np.isfinite(lam_se), lam_se, 0.0)
     return FidelityEstimate(
         value=float(_aggregate(lam[None], weights, flagged[None])[0]),
-        se=se,
+        se=jackknife_se(replicates),
         kind=kind,
         quality_params=qps,
         n_flagged=int(flagged.sum()),
+        replicates=replicates,
     )
 
 
 def estimate_fidelity(data: CabRunData) -> FidelityEstimate:
-    """Fidelity from a run: weighted (traverse) or plain (sample) mean of lambda."""
+    """Fidelity from a run: weighted (traverse) or plain (sample) mean of
+    lambda.  Sample mode adds the "observable" replicates, the mean without
+    each mask (a flagged one: the full value), from one (k_q, k_q)
+    ``_aggregate`` call."""
     exponents = 2.0 * np.asarray(data.depths, dtype=float)
     weights = _weights_for_masks(data.masks, data.n, data.mode)
     est = _estimate_from_surv(data.surv, data.masks, exponents, weights, data.kind)
     est.metadata = {"se_jackknife": est.se, "mode": data.mode}
     if data.mode == "sample":
-        # the spread of lambda over the sampled observables adds to the variance
-        lam = est.quality_params["lam"][~est.quality_params["flagged"]]
-        between = float(np.var(lam, ddof=1) / len(lam)) if len(lam) >= 2 else 0.0
-        est.se = float(np.sqrt(est.se**2 + between))
-        est.metadata["se_observable_sampling"] = float(np.sqrt(between))
+        q = est.quality_params
+        drop = q["flagged"][None] | np.eye(len(q), dtype=bool)
+        est.replicates["observable"] = _aggregate(np.broadcast_to(q["lam"], drop.shape), weights, drop)
+        est.se = jackknife_se(est.replicates)
+        est.metadata["se_observable_sampling"] = jackknife_se({"observable": est.replicates["observable"]})
     est.metadata["backend"] = data.backend
     est.metadata["depths"] = list(data.depths)
     return est
@@ -457,25 +495,21 @@ def subset_fidelity(data: CabRunData, gate_subset: tuple[int, ...], device: Devi
 
 
 def interleaved_pure_fidelity(dress: FidelityEstimate, twirl: FidelityEstimate, n: int) -> FidelityEstimate:
-    """Isolate the target-gate fidelity from dressed and twirl estimates."""
+    """Isolate the target-gate fidelity from dressed and twirl estimates; the
+    pure estimate keeps the formula's replicates (``jackknife``)."""
     d4 = 4.0**n
-    denom = d4 * twirl.value - 1.0
-    if denom == 0.0:
+    if d4 * twirl.value - 1.0 == 0.0:
         raise DegenerateFitError("twirl fidelity equals 1/4^n")
-    f = (d4 * dress.value - 1.0) / denom * (1.0 - 1.0 / d4) + 1.0 / d4
-    inv = 1.0 / d4
-    var = 0.0
-    if dress.value != inv:
-        var += dress.se**2 / (dress.value - inv) ** 2
-    if twirl.value != inv:
-        var += twirl.se**2 / (twirl.value - inv) ** 2
-    se = abs(f - inv) * math.sqrt(var)
+    value, se, replicates = jackknife(
+        lambda fd, ft: (d4 * fd - 1.0) / (d4 * ft - 1.0) * (1.0 - 1.0 / d4) + 1.0 / d4, dress, twirl
+    )
     return FidelityEstimate(
-        value=float(f),
-        se=float(se),
+        value=value,
+        se=se,
         kind="pure",
         n_flagged=dress.n_flagged + twirl.n_flagged,
         metadata={"n": n},
+        replicates=replicates,
     )
 
 

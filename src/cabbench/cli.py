@@ -21,7 +21,6 @@ import numpy as np
 
 from .analysis import (
     LANDSCAPE_GAMMA12_VALUES,
-    correlation_fluctuation,
     correlation_landscape,
     correlation_matrix,
 )
@@ -53,7 +52,7 @@ FIELDS = {
         "measure_twirl": False,
     },
     "parallel_cz_scan": {"scan_counts": None, "per_cz_fidelity": None},
-    "correlate": {"repeat": 0},
+    "correlate": {},
     "landscape": {"landscape": {"gamma12": LANDSCAPE_GAMMA12_VALUES, "points": 33, "max": 5 * math.pi / 16}},
     "optimize": {
         "optimize": {"target": "global", "iterations": 180, "window": (100, 180), "initial_step": 0.3, "x_tol": 1e-6}
@@ -379,43 +378,25 @@ def _run_parallel_cz_scan(cfg: ExperimentConfig, settings: dict, out: Path) -> d
 
 
 def _run_correlate(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
+    """One run with every single and pair subset; each pair's correlation
+    carries its jackknife SE from that run (``correlation_matrix``)."""
+    if "repeat" in cfg.extra:
+        raise ConfigError("repeat is retired: correlation.csv now carries a one-run SE of each correlation")
     device, gates = _target(cfg)
     if len(gates) < 2:
         raise ConfigError(f"correlate needs at least two gates to correlate, got {list(gates)}")
     cfg.subsets = "singles+pairs"
-    cab_cfg = cfg.cab_config(gates)
-    repeat = settings["repeat"]
-    if repeat < 0 or repeat == 1:
-        raise ConfigError(f"repeat must be 0 or at least 2 runs to fluctuate over, got {repeat}")
     block = GateBlock.parallel_cz(device, gates)
-    rep = run_cab_experiment(device, block, cab_cfg)
+    rep = run_cab_experiment(device, block, cfg.cab_config(gates))
     matrix = correlation_matrix(rep, device)
+    pairs, values, ses, bounds = matrix.subsets, matrix.values, matrix.ses, matrix.lower_bounds
     _write_csv(
         out / "correlation.csv",
-        ["gate_a", "gate_b", "distance", "correlation"],
-        [((), [[a for a, _ in matrix.subsets], [b for _, b in matrix.subsets], matrix.distances, matrix.values])],
+        ["gate_a", "gate_b", "distance", "correlation", "se", "lower_bound"],
+        [((), [[a for a, _ in pairs], [b for _, b in pairs], matrix.distances, values, ses, bounds])],
     )
-    doc = {"report": _report_doc(rep), "pairs": [list(s) for s in matrix.subsets], "correlations": matrix.values}
-    if repeat:
-        reruns = [
-            run_cab_experiment(device, block, replace(cab_cfg, seed=cab_cfg.seed + r))
-            for r in range(1, repeat)
-        ]
-        fluct = correlation_fluctuation([rep, *reruns], matrix.subsets)
-        pairs = fluct.subsets
-        _write_csv(
-            out / "fluctuation.csv",
-            ["gate_a", "gate_b", "mean", "sd", "lower_bound"],
-            [((), [[a for a, _ in pairs], [b for _, b in pairs], fluct.values, fluct.sds, fluct.lower_bounds])],
-        )
-        doc["fluctuation"] = {
-            "repeat": repeat,
-            "pairs": [list(s) for s in pairs],
-            "mean": fluct.values,
-            "sd": fluct.sds,
-            "lower_bounds": fluct.lower_bounds,
-        }
-    return doc
+    doc = {"pairs": [list(s) for s in pairs], "correlations": values, "correlation_ses": ses, "lower_bounds": bounds}
+    return {"report": _report_doc(rep), **doc}
 
 
 def _run_landscape(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:

@@ -15,6 +15,9 @@ multiplies in that channel's eigenvalue on the propagated Pauli:
 
 Because every sequence closes to the identity, the propagated observable is
 Z_w again at the start, where its expectation on |0...0> is 1.
+
+``assert_seed_ensemble`` referees an estimator and its SE over seeds
+against an exact value.
 """
 
 from functools import lru_cache
@@ -115,4 +118,19 @@ def assert_survivals_match(sampled, exact, k_s: int, z_bound: float = 5.0, std_r
     if std_range is not None:
         std = float(np.std(z))
         assert std_range[0] <= std <= std_range[1], f"std of z = {std:.3f} is outside {std_range}"
+    return z
+
+
+def assert_seed_ensemble(estimates, ses, exact: float, c: float, std_range) -> np.ndarray:
+    """Estimates over N seeds are unbiased and their SEs are calibrated.
+
+    z = (estimate - exact) / SE per seed.  |mean z| <= c / sqrt(N) bounds the
+    bias, and the std of z (ddof 1) must lie in ``std_range``: SEs that are
+    too small or too large move it away from 1.  Returns the z-scores.
+    """
+    z = (np.asarray(estimates, dtype=float) - exact) / np.asarray(ses, dtype=float)
+    assert np.all(np.isfinite(z)), "an estimate or SE is not finite"
+    mean, std, bound = float(np.mean(z)), float(np.std(z, ddof=1)), c / np.sqrt(len(z))
+    assert abs(mean) <= bound, f"mean z = {mean:+.3f} exceeds {bound:.3f} (N = {len(z)})"
+    assert std_range[0] <= std <= std_range[1], f"std of z = {std:.3f} is outside {std_range}"
     return z

@@ -36,7 +36,9 @@ sequence at a time, as the stacked sampler must agree with to the bit; and
 and an unbuffered ``np.bitwise_xor.at`` per candidate flip.  The
 survival, marginal and aggregate references work on one sequence or one
 replicate at a time, as the stacked paths of ``ShotCounts`` and
-``cab._aggregate`` must agree with to the bit.  ``write_csv_rows`` writes a CSV one row tuple at a time.  The last
+``cab._aggregate`` must agree with to the bit;
+``observable_sampling_variance`` is the formula that the observable
+replicates' jackknife must match.  ``write_csv_rows`` writes a CSV one row tuple at a time.  The last
 section holds small functions that only tests call: outcome-code
 unpacking, the parametric CZ unitary, the two-gate closed forms and
 closed-form limits, a one-observable
@@ -1078,6 +1080,14 @@ def aggregate_row(lam: np.ndarray, weights: np.ndarray, flagged: np.ndarray) -> 
     if not np.any(ok):
         return float("nan")
     return float(np.sum(weights[ok] * lam[ok]) / np.sum(weights[ok]))
+
+
+def observable_sampling_variance(lam: np.ndarray, flagged: np.ndarray) -> float:
+    """The observable-sampling term of a sample-mode variance as a formula:
+    var(lambda, ddof=1) / len(lambda) over the unflagged lambda, 0 when
+    fewer than two are left."""
+    kept = lam[~flagged]
+    return float(np.var(kept, ddof=1) / len(kept)) if len(kept) >= 2 else 0.0
 
 
 # -- the CSV writer, one row at a time ------------------------------------------

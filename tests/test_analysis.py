@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +12,12 @@ from cabbench.analysis import (
     closed_form_r3,
     correlation,
     correlation_landscape,
+    correlation_matrix,
     correlation_stats,
 )
+from cabbench.cab import CabConfig, FidelityEstimate, jackknife_se, run_cab_experiment
+from cabbench.circuits import GateBlock
+from cabbench.cli import load_device
 from cabbench.device import CouplingMap
 
 from helpers import closed_form_r2, pairwise_correlation_strong_depol_limit, small_coupling_correlation
@@ -183,6 +188,15 @@ def test_analytic_fidelity_product_law_at_zero_coupling():
         assert analytic_fidelity(subset, p, couplings) == pytest.approx(expected, abs=1e-13)
 
 
+def test_analytic_fidelity_of_the_whole_ring_is_the_per_gate_product():
+    # 22 gates, each its own coupling component: the work is per component
+    dev = load_device("ring_44q")
+    p = [g.effective_depol_p() for g in dev.gates]
+    whole = analytic_fidelity(tuple(range(22)), p, CouplingMap())
+    assert whole == pytest.approx(math.prod(analytic_fidelity((g,), p, CouplingMap()) for g in range(22)), rel=1e-12)
+    assert whole == pytest.approx(0.6325898, abs=1e-7)
+
+
 def test_analytic_fidelity_matches_dm_oracle():
     from cabbench.backends import block_noise_channel, choi_process_fidelity
     from cabbench.circuits import GateBlock
@@ -269,12 +283,68 @@ def test_correlation_stats_refuse_a_non_positive_fidelity():
         correlation_stats(fidelities, COMBOS)
 
 
-def test_lower_bound_arithmetic():
-    rep = CorrelationReport(
-        subsets=[(0, 1)],
-        values=[0.012],
-        sds=[0.001],
-        lower_bounds=[max(abs(0.012) - 3 * 0.001, 0.0)],
+def report_of_pures(pures: dict) -> SimpleNamespace:
+    """A benchmark report as ``correlation_matrix`` reads it: each subset's
+    pure estimate, from its value and its sequence replicates."""
+    return SimpleNamespace(
+        subsets={
+            key: SimpleNamespace(pure=FidelityEstimate(v, 0.0, "pure", replicates={"sequence": np.asarray(r)}))
+            for key, (v, r) in pures.items()
+        }
     )
-    assert rep.lower_bounds[0] == pytest.approx(0.009)
-    assert max(abs(0.0005) - 3 * 0.001, 0.0) == 0.0
+
+
+def test_correlation_matrix_takes_each_se_from_the_subset_replicates():
+    rng = np.random.default_rng(12)
+    pures = {}
+    for key in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
+        v = float(rng.uniform(0.7, 0.95))
+        pures[key] = (v, v + rng.normal(0.0, 0.01, 8))
+    pures[(1,)][1][3] = np.nan  # a replicate without a fit drops out
+    matrix = correlation_matrix(report_of_pures(pures), load_device("three_gate_6q"))
+    assert matrix.subsets == [(0, 1), (0, 2), (1, 2)]
+    for pair, value, se in zip(matrix.subsets, matrix.values, matrix.ses):
+        (vj, rj), parts = pures[pair], [pures[(g,)] for g in pair]
+        assert value == correlation(vj, [v for v, _ in parts])
+        reps = np.array([
+            correlation(rj[k], [r[k] for _, r in parts]) if np.isfinite([rj[k], *(r[k] for _, r in parts)]).all()
+            else np.nan
+            for k in range(8)
+        ])
+        assert se == jackknife_se({"sequence": reps})
+        assert np.isfinite(se) and se > 0
+
+
+def test_lower_bound_arithmetic():
+    # pair (0, 1) is resolved at 3 SE, pair (0, 2) is not
+    pures = {
+        (0,): (0.9, np.array([0.9, 0.9, 0.9])),
+        (1,): (0.9, np.array([0.9, 0.9, 0.9])),
+        (2,): (0.9, np.array([0.9, 0.9, 0.9])),
+        (0, 1): (0.85, np.array([0.849, 0.85, 0.851])),
+        (0, 2): (0.815, np.array([0.80, 0.815, 0.83])),
+    }
+    matrix = correlation_matrix(report_of_pures(pures), load_device("three_gate_6q"))
+    (c01, c02), (se01, se02) = matrix.values, matrix.ses
+    assert abs(c01) > 3 * se01 and abs(c02) < 3 * se02
+    assert matrix.lower_bounds == [abs(c01) - 3 * se01, 0.0]
+
+
+def test_one_run_correlation_se_matches_the_spread_over_seeds():
+    # the ratio range was fixed before the first run: the SD over 40 seeds
+    # has a relative SE of about 0.11, and the jackknife variance errs high
+    dev = load_device("three_gate_6q")
+    gates = (0, 1, 2)
+    block = GateBlock.parallel_cz(dev, gates)
+    combos = [(0, 1), (0, 2), (1, 2)]
+    subsets = ((0,), (1,), (2,), *combos)
+    fidelities, ses = [], []
+    for seed in range(9000, 9040):
+        cfg = CabConfig(depths=(0, 2), k_r=20, k_s=2000, mode="traverse", seed=seed, backend="dm", subsets=subsets)
+        rep = run_cab_experiment(dev, block, cfg)
+        fidelities.append({key: res.pure.value for key, res in rep.subsets.items()})
+        ses.append(correlation_matrix(rep, dev).ses)
+    _, sds = correlation_stats(fidelities, combos)
+    rms_se = np.sqrt(np.mean(np.square(ses), axis=0))
+    ratios = rms_se / np.array(sds)
+    assert np.all((0.65 <= ratios) & (ratios <= 1.45)), ratios

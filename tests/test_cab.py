@@ -10,12 +10,15 @@ from cabbench.cab import (
     ConfigError,
     DegenerateFitError,
     FidelityEstimate,
+    CabRunData,
     _aggregate,
     _estimate_from_surv,
     build_cab_sequence,
     estimate_fidelity,
     execute_cab_run,
     interleaved_pure_fidelity,
+    jackknife,
+    jackknife_se,
     run_cab_experiment,
     sample_observables,
     subset_fidelity,
@@ -37,6 +40,7 @@ from helpers import (
     closes_to_identity,
     fit_quality_parameter,
     kq_for_accuracy,
+    observable_sampling_variance,
     sequences_of,
     stack_of,
 )
@@ -336,15 +340,82 @@ def test_interleaved_perfect_twirl():
     assert pure.value == pytest.approx(0.91, abs=1e-12)
 
 
-def test_interleaved_se_propagation():
-    dress = FidelityEstimate(0.9548, 0.0002, "dressed")
-    twirl = FidelityEstimate(0.9897, 0.0002, "twirl")
-    pure = interleaved_pure_fidelity(dress, twirl, 4)
-    inv = 4.0**-4
-    expected = (pure.value - inv) * math.sqrt(
-        (0.0002 / (0.9548 - inv)) ** 2 + (0.0002 / (0.9897 - inv)) ** 2
-    )
-    assert pure.se == pytest.approx(expected, rel=1e-12)
+def test_jackknife_treats_an_estimate_without_replicates_as_a_constant():
+    reps = np.array([0.90, 0.92, np.nan, 0.91])
+    est = FidelityEstimate(0.91, 0.0, "dressed", replicates={"sequence": reps})
+    const = FidelityEstimate(0.5, 0.0, "twirl")
+    value, se, out = jackknife(lambda a, b: a * b, est, const)
+    assert value == 0.91 * 0.5
+    assert np.array_equal(out["sequence"], reps * 0.5, equal_nan=True)
+    good = reps[np.isfinite(reps)] * 0.5
+    assert se == pytest.approx(math.sqrt(2 / 3 * np.sum((good - good.mean()) ** 2)), rel=1e-15)
+    # two groups add their variances
+    both = FidelityEstimate(0.91, 0.0, "dressed", replicates={"sequence": reps, "observable": reps[::-1]})
+    assert jackknife_se(both.replicates) == pytest.approx(math.sqrt(2) * jackknife_se(est.replicates), rel=1e-15)
+    with pytest.raises(ValueError, match="broadcast"):
+        jackknife(lambda a, b: a * b, est, FidelityEstimate(0.5, 0.0, "twirl", replicates={"sequence": reps[:3]}))
+
+
+def sample_report(**over):
+    dev = plain_device(p=0.97, gamma=0.05, single_qubit_depol=0.998, readout_e0=0.02, readout_e1=0.02)
+    block = GateBlock.parallel_cz(dev, (0, 1))
+    cfg = CabConfig(depths=(0, 2), k_r=12, k_s=2000, mode="sample", k_q=40, seed=3, subsets=((0,), (0, 1)))
+    return run_cab_experiment(dev, block, cfg, **over)
+
+
+def test_pure_replicates_are_the_interleaved_formula_of_the_run_replicates():
+    rep = sample_report()
+    d4 = 4.0**4
+    assert set(rep.pure.replicates) == {"sequence", "observable"}
+    for group, pure in rep.pure.replicates.items():
+        dress, twirl = rep.dressed.replicates[group], rep.twirl.replicates[group]
+        assert len(pure) == len(dress) == len(twirl) == {"sequence": 12, "observable": 40}[group]
+        for k in range(len(pure)):
+            fd, ft = float(dress[k]), float(twirl[k])
+            assert pure[k] == (d4 * fd - 1.0) / (d4 * ft - 1.0) * (1.0 - 1.0 / d4) + 1.0 / d4
+    assert rep.pure.se == jackknife_se(rep.pure.replicates)
+    # a subset's runs are traversed: sequence replicates only
+    res = rep.subsets[(0, 1)]
+    assert set(res.pure.replicates) == {"sequence"}
+    for k, p in enumerate(res.pure.replicates["sequence"]):
+        fd, ft = float(res.dressed.replicates["sequence"][k]), float(res.twirl.replicates["sequence"][k])
+        assert p == (d4 * fd - 1.0) / (d4 * ft - 1.0) * (1.0 - 1.0 / d4) + 1.0 / d4
+
+
+def test_pure_equals_dressed_without_a_twirl_run():
+    rep = sample_report(measure_twirl=False)
+    assert rep.twirl.replicates == {}
+    assert rep.pure.value == pytest.approx(rep.dressed.value, rel=1e-12)
+    assert rep.pure.se == pytest.approx(rep.dressed.se, rel=1e-12)
+    for key, res in rep.subsets.items():
+        assert res.pure.value == pytest.approx(res.dressed.value, rel=1e-12)
+        assert res.pure.se == pytest.approx(res.dressed.se, rel=1e-12)
+
+
+def test_observable_replicates_match_the_variance_of_lambda():
+    rep = sample_report()
+    for est in (rep.dressed, rep.twirl):
+        q = est.quality_params
+        assert est.n_flagged == 0
+        reference = observable_sampling_variance(q["lam"], q["flagged"])
+        assert est.metadata["se_observable_sampling"] ** 2 == pytest.approx(reference, rel=1e-12)
+        sequence = est.metadata["se_jackknife"]
+        assert est.se**2 == pytest.approx(sequence**2 + reference, rel=1e-12)
+
+
+def test_leaving_out_a_flagged_mask_gives_the_full_value():
+    rng = np.random.default_rng(8)
+    masks = np.array([0, 1, 2, 3, 5, 6], dtype=np.int64)
+    surv = rng.uniform(0.5, 0.9, (2, 4, len(masks)))
+    surv[1, :, [2, 4]] = -0.1  # two masks whose survival changes sign
+    data = CabRunData(3, "dressed", (0, 2), 4, 100, "sample", masks, surv, [], "dm")
+    est = estimate_fidelity(data)
+    q = est.quality_params
+    assert q["flagged"].tolist() == [False, False, True, False, True, False]
+    weights = np.full(len(masks), 1 / len(masks))
+    for k, r in enumerate(est.replicates["observable"]):
+        drop = q["flagged"] | (np.arange(len(masks)) == k)
+        assert r == (est.value if q["flagged"][k] else aggregate_row(q["lam"], weights, drop))
 
 
 # -- end-to-end estimation ----------------------------------------------------

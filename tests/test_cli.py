@@ -6,8 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from cabbench import cab, cli
-from cabbench.cab import run_cab_experiment
+from cabbench import cli
 from cabbench.cli import (
     ConfigError,
     ExperimentConfig,
@@ -212,7 +211,6 @@ DETERMINISM_CONFIGS = {
         "device": "two_gate_4q",
         "backend": "dm",
         "cab": {"depths": [0, 2], "k_r": 3, "k_s": 300, "mode": "traverse"},
-        "repeat": 2,
     },
     "optimize_local": {
         "kind": "optimize",
@@ -286,14 +284,13 @@ def test_artifacts_are_byte_identical_across_runs(kind, tmp_path):
 # out_dir so that result.json's echo of it is fixed, so that no change to how
 # outcomes are sampled, stored, marginalized, fitted, correlated or written
 # can move the bytes.  Every digest was written while each fitted mask was
-# still an object of its own.  ``correlate_repeat10`` takes the means and
-# SDs of three pairs over ten values, more than the eight that numpy adds one
-# by one: summing them in another order moves its fluctuation.csv.  The
-# landscape and scan pins are not in DETERMINISM_CONFIGS: the scan reuses
-# stream keys across its points by design
+# still an object of its own; the result.json, scan.csv and correlation.csv
+# digests of runs with a pure SE were written again, with every value the
+# same, when each SE came from one jackknife.  The landscape and scan pins
+# are not in DETERMINISM_CONFIGS: the scan reuses stream keys across its
+# points by design
 PINNED_CONFIGS = {
     **DETERMINISM_CONFIGS,
-    "correlate_repeat10": {**DETERMINISM_CONFIGS["correlate"], "device": "three_gate_6q", "repeat": 10},
     "landscape": {"kind": "landscape", "device": None, "landscape": {"points": 5}},
     "parallel_cz_scan": {
         "kind": "parallel_cz_scan",
@@ -317,37 +314,37 @@ PINNED_CONFIGS = {
 PINNED_ARTIFACTS = {
     "cab": {
         "lambdas.csv": "14a92ec3a1b9369a3b4cd5c8ee2a23009bcfcd0d5b57ff700107f69bbcc826d1",
-        "result.json": "176e07b957cada40f34237892df94c84ed4524de184d56040f01e33ce7094b1e",
+        "result.json": "e7e6da108452ecff7e15715dad093cb1fc62467858eae9e00374f8f854d200b1",
         "survivals.csv": "e297ab465ed71bb9ed4dfdfd122f42e4ffaaaf7a0b851709e84bca5f850f044c",
     },
     "cab_5q_dm": {
         "lambdas.csv": "020cc6e564ec53fe223270f5bea12a09db3c4111f1391f4bda738e16a8fa40fa",
-        "result.json": "c6c28681e7e5c6c687131c0313d630c6c98487d9082388e894e71d3e6ac05e1d",
+        "result.json": "ee6f0016deb4c74a78d932cd7d20cbb8498a5f49d146106302b2d80d7efe697b",
         "survivals.csv": "0945454616cb0a3f51d6fbc45f89e964633c5b6b129879fe1b4cf989822ecb23",
     },
     "cab_5q_stab": {
         "lambdas.csv": "37759a9d0a3dffa07bc7dc47573474d65ffe224c1428d57b0a8c549a73c3d5e5",
-        "result.json": "b3c20149eba3f0624960e4f943c69f1145f0da36201333b54def3dc00a41753e",
+        "result.json": "a8deaf13a46200072e5e3a0786d8a252bddf8e74e0a921953bbb5e563c845faa",
         "survivals.csv": "be258fc33926fcc9135e656ec9cc63d897138274ae6d5823d106af14587fe054",
     },
     "cab_6q_stab_pairs": {
         "lambdas.csv": "bc60dfb6d3bb241d5cd2cc878f6d5228c6e6dc5e14451f582b082d48d88ea85f",
-        "result.json": "11d775ba3dad7709a231aa915207eb7ee1b222b6af70094cff91566c5830d3a9",
+        "result.json": "6d16f08c8470fb8391c5a50f6370408409f6d293ba2ac747bedcf50b0ce3ae04",
         "survivals.csv": "a3bac1915c71d772aed0efa4f4eae00a002aa15c06d6084cb868da433759bc1b",
     },
     "cab_8q_stab_readout_groups": {
         "lambdas.csv": "a319debb622e874f49948703cde664cea3cdda8e83b5b58dc966485d061b5629",
-        "result.json": "142ff14822d581edfc78e5b65146142ec9c09a2516ce07814df50289cd2da32a",
+        "result.json": "81893417dd96de728b1b9a8a705ae4d5022f540fb0f43e2c0414725616f88ede",
         "survivals.csv": "2e4d410d52ad89a53425254d536a72fb52ce25e0f194fb37432552f59f4686a0",
     },
     "cab_ring44_stab": {
         "lambdas.csv": "e39a6753db16fdb296287c83d476be4f972115882eabf03cac8f2117859a92ed",
-        "result.json": "8b5b04a6c1faa3bba0de488e077e773edb48b5ec1acdf528f82b5c7c94ee01f9",
+        "result.json": "8568db6b3cbb85655ccc56aa70855ea1993d2e68d385a6a4c5d6a92cc62c02a2",
         "survivals.csv": "2a4ef7a4712f338dcc9241d33a396f08cb66ee5b253ceb88b18388d15f9c28d1",
     },
     "cab_ring44_subsets": {
         "lambdas.csv": "e39a6753db16fdb296287c83d476be4f972115882eabf03cac8f2117859a92ed",
-        "result.json": "f80d026aac3b26713e2b4a575d017b7892f4c519d5aaf912149f43cdac1e308c",
+        "result.json": "a04ddac8299db6ac3bffbeb89dd27f9d4dbd9a0f58539b9b97a8c1740dfd24c0",
         "survivals.csv": "2a4ef7a4712f338dcc9241d33a396f08cb66ee5b253ceb88b18388d15f9c28d1",
     },
     "calibrate": {
@@ -367,14 +364,8 @@ PINNED_ARTIFACTS = {
         "result.json": "8e683230bc925709186ed44a861b500168318de9249bad3d7b2564db6a120de5",
     },
     "correlate": {
-        "correlation.csv": "4dfbb764a2131363f0c00a4bfbd1cf2e6dfac28863d573b9ef940c0b6fe35deb",
-        "fluctuation.csv": "b46575775bac6aa4e0493dfee34b5c48581b5cd15485210c84801a7573107c96",
-        "result.json": "608d8a3ad31b29a7778d6667b81e4c65c225466c67ef7fb8f23f610e0cce4667",
-    },
-    "correlate_repeat10": {
-        "correlation.csv": "80df6d886543c07bdc0c1e872d7d25e15c75e12c2f7c1dccc4bab1dfe36d19da",
-        "fluctuation.csv": "35e14bdf8b53bbacd0479418ba3b1f896983e90d976c7efedc20d1713a971228",
-        "result.json": "aee8dcc8e4b13ccc06a0a6379d8c0a6c32e64bdcef37a054cb15e17c0ffa9002",
+        "correlation.csv": "71ec5d679079cb0a2787471b49aa63aebe59d305d6f91c5acecd8e73f3434470",
+        "result.json": "3ebff6f0ca327400f9147b50254bdad7075e9a904d8b0c922e16d71d3b00da2e",
     },
     "fully_connected": {
         "lambdas.csv": "42038aecc52eebe8cf2e056d131481b695e7cb10ee981f3e38b53b7b00dc018d",
@@ -407,8 +398,8 @@ PINNED_ARTIFACTS = {
         "result.json": "feac79ed9f2788790d8bb7735dacf0319fe3c64a329e7b05f7e73502e59f0919",
     },
     "parallel_cz_scan": {
-        "result.json": "5187147abae3a4d50b794d8e6d42a9fddd81c9fed0b5a1bca42b85d311a0f579",
-        "scan.csv": "f2b675ebd941e94a12d5a9ee36e9ae7408f72f5ade756b489c086bb2cf821a95",
+        "result.json": "72c31a5c4fb9ededf75bd0878b5858a2c3b6a71b8c372cfb6afc4a097c299665",
+        "scan.csv": "2cc57ac025f776ad8c3f5c0e101afc7d78ac06b1a02b658aa3dce4c383345ef2",
     },
 }
 
@@ -571,7 +562,6 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("cab", {"seed": True}),
         ("cab", {"cab": {"depths": [0, 2], "k_r": 8.5, "k_s": 500, "mode": "traverse"}}),
         ("cb", {"cab": {"k_r": 10, "k_s": 100}, "cycles": [2, 4], "n_chars": 5.0}),
-        ("correlate", {"repeat": 2.5}),
         ("cab", {"cab": {"depths": [0, 2.5], "k_r": 8, "k_s": 500, "mode": "traverse"}}),
         ("cb", {"cab": {"k_r": 10, "k_s": 100}, "cycles": [4.0, 8], "n_chars": 5}),
         # subset gate indices and scan gate counts are integers in range
@@ -590,7 +580,8 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("landscape", {"landscape": {"points": 1}}),
         ("calibrate", {"calibrate": {"beta_points": 8, "phase_points": 0}}),
         ("calibrate", {"calibrate": {"beta_points": 4, "phase_points": 16}}),
-        ("correlate", {"repeat": 1}),
+        # the reruns are retired: correlation.csv carries a one-run SE
+        ("correlate", {"repeat": 10}),
         # an empty list ran nothing and exited 0 with a header-only CSV, or none
         ("order_stats", {"n_list": []}),
         ("parallel_cz_scan", {"scan_counts": []}),
@@ -686,7 +677,6 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "bool_seed",
         "float_k_r",
         "float_n_chars",
-        "float_repeat",
         "float_depth",
         "float_cycles",
         "float_subset_gate",
@@ -703,7 +693,7 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "one_landscape_point",
         "zero_phase_points",
         "four_beta_points",
-        "one_repeat",
+        "leftover_repeat",
         "empty_n_list",
         "empty_scan_counts",
         "empty_gamma12",
@@ -877,31 +867,40 @@ def test_degenerate_estimate_exits_1(backend, cab_over, subsets, tmp_path, capsy
     assert not (tmp_path / "out" / "result.json").exists()
 
 
-def test_correlate_runs_one_experiment_per_repeat(tmp_path, monkeypatch):
-    calls = []
-
-    def counted(*args, **kw):
-        calls.append(args[2].seed)
-        return run_cab_experiment(*args, **kw)
-
-    # every import route to the experiment is counted
-    monkeypatch.setattr(cab, "run_cab_experiment", counted)
-    monkeypatch.setattr(cli, "run_cab_experiment", counted)
+def test_correlate_refuses_a_leftover_repeat(tmp_path, capsys):
     path = small_cab_config(tmp_path, kind="correlate", repeat=3)
-    assert main(["correlate", "--config", str(path)]) == 0
-    assert calls == [5, 6, 7]
-    doc = json.loads((tmp_path / "out" / "result.json").read_text())
-    assert doc["fluctuation"]["repeat"] == 3
+    assert main(["correlate", "--config", str(path)]) == 2
+    assert "correlation.csv now carries a one-run SE" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
-def test_correlate_repeat_takes_fidelities_above_one(tmp_path):
-    # at this tiny budget a rerun's pure fidelity exceeds 1 by sampling noise;
-    # the correlation needs only positive fidelities, so the run completes
+def test_correlate_takes_fidelities_above_one(tmp_path):
+    # at this tiny budget a pure fidelity exceeds 1 by sampling noise; the
+    # correlation needs only positive fidelities, so the run completes
     path = small_cab_config(
-        tmp_path, kind="correlate", seed=0, repeat=2, cab={"depths": [0, 2], "k_r": 3, "k_s": 50, "mode": "traverse"}
+        tmp_path, kind="correlate", seed=1, cab={"depths": [0, 2], "k_r": 3, "k_s": 50, "mode": "traverse"}
     )
     assert main(["correlate", "--config", str(path)]) == 0
-    assert (tmp_path / "out" / "fluctuation.csv").exists()
+    doc = json.loads((tmp_path / "out" / "result.json").read_text())
+    assert max(sub["pure"]["value"] for sub in doc["report"]["subsets"].values()) > 1.0
+
+
+def test_correlation_csv_carries_each_correlations_se_and_lower_bound(tmp_path):
+    path = small_cab_config(tmp_path, kind="correlate", device="three_gate_6q")
+    assert main(["correlate", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    doc = json.loads((out / "result.json").read_text())
+    lines = (out / "correlation.csv").read_text().splitlines()
+    assert lines[0] == "gate_a,gate_b,distance,correlation,se,lower_bound"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [[int(r[0]), int(r[1])] for r in rows] == doc["pairs"] == [[0, 1], [0, 2], [1, 2]]
+    assert [float(r[3]) for r in rows] == doc["correlations"]
+    assert [float(r[4]) for r in rows] == doc["correlation_ses"]
+    assert [float(r[5]) for r in rows] == doc["lower_bounds"]
+    for c, se, bound in zip(doc["correlations"], doc["correlation_ses"], doc["lower_bounds"]):
+        assert math.isfinite(se) and se > 0
+        assert bound == max(abs(c) - 3 * se, 0.0)
+    assert "fluctuation" not in doc and not (out / "fluctuation.csv").exists()
 
 
 def test_cli_rejects_threads_flag(tmp_path):

@@ -1,17 +1,19 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cabbench.backends import stab_run_counts
-from cabbench.cab import build_cab_sequence, sample_observables
+from cabbench.analysis import analytic_fidelity
+from cabbench.cab import CabConfig, build_cab_sequence, run_cab_experiment, sample_observables
 from cabbench.circuits import GateBlock
 from cabbench.cli import load_device
 from cabbench.device import ControlPhases, CouplingMap, DeviceModel, GateSpec, fwht
 from cabbench.experiments import fully_connected_gate
 from cabbench.paulis import single_qubit_cliffords
 
-from exact_oracle import assert_survivals_match, exact_survivals
+from exact_oracle import assert_seed_ensemble, assert_survivals_match, exact_survivals
 from helpers import CircuitSequence, CliffordLayer, GateLayer, LocalCliffordLayer, dense_dm_reference, sequences_of
 
 
@@ -114,3 +116,54 @@ def test_stab_matches_oracle_on_ring44():
     sampled, exact = np.concatenate(sampled), np.concatenate(exact)
     assert len(sampled) >= 500
     assert_survivals_match(sampled, exact, k_s, z_bound=5.0, std_range=(0.8, 1.2))
+
+
+# The two seed ensembles below were sized for speed and their seeds and
+# bounds fixed before their first run.  With k_r sequences the jackknife SE
+# has about k_r - 1 degrees of freedom, so z is roughly Student-t and its
+# std about 1.1-1.2; the std of N such values has an SE of about 0.15 at
+# N = 30 and 0.1 at N = 100.
+
+
+def test_ring44_pure_se_covers_the_exact_fidelity():
+    # sample mode, stab: the exact pure fidelity is the per-gate product
+    dev = symmetric_ring44()
+    gates = tuple(range(len(dev.gates)))
+    exact = math.prod(analytic_fidelity((0,), [g.effective_depol_p()], CouplingMap()) for g in dev.gates)
+    block = GateBlock.parallel_cz(dev, gates)
+    values, ses = [], []
+    for seed in range(7000, 7030):
+        cfg = CabConfig(depths=(0, 2), k_r=8, k_s=10_000, mode="sample", k_q=50, seed=seed, backend="stab")
+        pure = run_cab_experiment(dev, block, cfg).pure
+        values.append(pure.value)
+        ses.append(pure.se)
+    assert_seed_ensemble(values, ses, exact, c=3.5, std_range=(0.7, 1.6))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="under coherent coupling a run's SE falls as its estimate rises (correlation about -0.8 over "
+    "seeds at k_r 10), so z is skewed: at its first run mean z read +0.555 against a bound of 0.350, "
+    "while the mean error was +0.075 mean SE",
+)
+def test_traverse_subset_pure_se_covers_the_exact_fidelity():
+    # a coupled pair of gates with symmetric readout, dm: the exact fidelity
+    # of gate 0 alone is the general formula's, with gate 1 traced out
+    p, gamma = [0.96, 0.95], 0.1
+    couplings = CouplingMap({(0, 1): gamma})
+    dev = DeviceModel(
+        n_qubits=4,
+        gates=(GateSpec(pair=(0, 1), depol_p=p[0]), GateSpec(pair=(2, 3), depol_p=p[1])),
+        couplings=couplings,
+        readout_e0=0.02,
+        readout_e1=0.02,
+    )
+    exact = analytic_fidelity((0,), p, couplings)
+    block = GateBlock.parallel_cz(dev, (0, 1))
+    values, ses = [], []
+    for seed in range(8000, 8100):
+        cfg = CabConfig(depths=(0, 2), k_r=10, k_s=2000, mode="traverse", seed=seed, backend="dm", subsets=((0,),))
+        pure = run_cab_experiment(dev, block, cfg).subsets[(0,)].pure
+        values.append(pure.value)
+        ses.append(pure.se)
+    assert_seed_ensemble(values, ses, exact, c=3.5, std_range=(0.8, 1.5))
