@@ -13,7 +13,7 @@ isolates the pure gate fidelity from the dressed one.
 Every SE is one delete-one jackknife (Efron & Stein 1981): an estimate
 keeps its replicates, and a derived number (a pure fidelity, a correlation)
 is its function of the full values and of replicate k of each group
-(``jackknife``).
+(``jackknife``); each observable's lambda is such an estimate too.
 
 Every draw comes from ``np.random.default_rng(key)``, and no two draws of
 one run share a key (tag 0 dressed, 1 twirl, from the run's kind; d the
@@ -91,17 +91,18 @@ class CabConfig:
             raise ConfigError(f"backend must be 'dm', 'stab' or 'auto', got {self.backend!r}")
 
 
-# one fitted decay per Z-observable mask: lambda, its SE (0.0 where the fit
-# gives none) and whether the fit was sign-ambiguous
+# one fitted decay per Z-observable mask: lambda, its jackknife SE (0.0 where
+# that is undefined) and whether the fit was sign-ambiguous
 QUALITY_DTYPE = np.dtype([("w_mask", np.int64), ("lam", float), ("se", float), ("flagged", bool)])
 
 
 @dataclass
 class FidelityEstimate:
     """A fidelity and its SE, ``jackknife_se`` of its ``replicates``: the
-    estimate redone without each sequence ("sequence") and, in sample mode,
-    without each sampled mask ("observable").  An estimate without
-    replicates, such as the assumed-perfect twirl, is a constant."""
+    estimate redone without each sequence ("sequence", each mask's lambda
+    SE too) and, in sample mode, without each sampled mask ("observable").
+    An estimate without replicates, such as the assumed-perfect twirl, is a
+    constant."""
 
     value: float
     se: float
@@ -170,8 +171,10 @@ def sample_observables(n: int, k_q: int, rng: np.random.Generator) -> np.ndarray
 def _fit_lambda_arrays(exponents: np.ndarray, fbar: np.ndarray, ses: np.ndarray | None):
     """Vectorized decay fits f = A * lambda^x per observable column.
 
-    ``fbar`` has shape (M, Q).  Returns (lam, se, flagged); flagged marks
+    ``fbar`` has shape (M, Q).  Returns (lam, flagged); flagged marks
     sign-ambiguous fits (non-positive survival ratios), whose lam is nan.
+    Past two depths the fit of log f is weighted by (fbar / ses)^2, or 1
+    where that is not finite; two depths read no ``ses``.
     """
     x = np.asarray(exponents, dtype=float)
     m, q = fbar.shape
@@ -183,25 +186,15 @@ def _fit_lambda_arrays(exponents: np.ndarray, fbar: np.ndarray, ses: np.ndarray 
             ratio = fbar[1] / fbar[0]
             flagged = ~(ratio > 0) | ~np.isfinite(ratio)
             lam = np.where(flagged, np.nan, np.abs(ratio)) ** (1.0 / dx)
-            lam = np.where(flagged, np.nan, lam)
-            if ses is not None:
-                rel = np.sqrt((ses[0] / fbar[0]) ** 2 + (ses[1] / fbar[1]) ** 2)
-                se = np.abs(lam) / dx * rel
-            else:
-                se = np.full(q, np.nan)
-        return lam, se, flagged
+        return lam, flagged
     flagged = np.any(fbar <= 0, axis=0) | ~np.all(np.isfinite(fbar), axis=0)
     lam = np.full(q, np.nan)
-    se = np.full(q, np.nan)
     ok = ~flagged
     if np.any(ok):
         y = np.log(fbar[:, ok])
-        if ses is not None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w = (fbar[:, ok] / ses[:, ok]) ** 2
-            w = np.where(np.isfinite(w), w, 1.0)
-        else:
-            w = np.ones_like(y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = (fbar[:, ok] / ses[:, ok]) ** 2
+        w = np.where(np.isfinite(w), w, 1.0)
         wsum = w.sum(axis=0)
         xbar = (w * x[:, None]).sum(axis=0) / wsum
         ybar = (w * y).sum(axis=0) / wsum
@@ -210,8 +203,7 @@ def _fit_lambda_arrays(exponents: np.ndarray, fbar: np.ndarray, ses: np.ndarray 
             raise DegenerateFitError("zero spread of depths after weighting")
         slope = (w * (x[:, None] - xbar) * (y - ybar)).sum(axis=0) / sxx
         lam[ok] = np.exp(slope)
-        se[ok] = lam[ok] * np.sqrt(1.0 / sxx)
-    return lam, se, flagged
+    return lam, flagged
 
 
 def _weights_for_masks(masks: np.ndarray, n: int, mode: str) -> np.ndarray:
@@ -350,16 +342,22 @@ def execute_cab_run(
 # ---------------------------------------------------------------------------
 
 
-def jackknife_se(replicates: dict[str, np.ndarray]) -> float:
+def jackknife_se(replicates: dict[str, np.ndarray]) -> float | np.ndarray:
     """sqrt of the sum over groups of (g - 1) / g * sum((r - mean)^2) over
-    each group's g finite replicates r; nan if a group keeps fewer than 2."""
+    each group's g finite replicates r along the last axis, nan where a group
+    keeps fewer than 2: a float for 1-d replicates.  Rows that keep as many
+    replicates are summed as one array, each to the bit (``_aggregate``)."""
     var = 0.0
     for reps in replicates.values():
-        good = reps[np.isfinite(reps)]
-        if len(good) < 2:
-            return float("nan")
-        var += (len(good) - 1) / len(good) * np.sum((good - good.mean()) ** 2)
-    return float(np.sqrt(var))
+        good = np.isfinite(reps)
+        kept = good.sum(axis=-1)
+        part = np.full(kept.shape, np.nan)
+        for size in set(kept[kept > 1].tolist()):
+            rows = kept == size
+            r = reps[rows] if size == reps.shape[-1] else reps[rows][good[rows]].reshape(-1, size)
+            part[rows] = (size - 1) / size * np.sum((r - r.mean(axis=1, keepdims=True)) ** 2, axis=1)
+        var = var + part
+    return float(np.sqrt(var)) if np.ndim(var) == 0 else np.sqrt(var)
 
 
 def jackknife(fn, *inputs: FidelityEstimate) -> tuple[float, float, dict[str, np.ndarray]]:
@@ -391,48 +389,48 @@ def _estimate_from_surv(
     """Fit every mask's decay, aggregate, and jackknife over the sequences.
 
     ``surv`` has shape (depth, sequence, mask).  The identity mask is pinned
-    to lambda = 1 with zero SE and is never flagged; flagged masks drop out
-    of the ``weights``-weighted mean of lambda.  When no mask but the
-    identity is left, there is no estimate: ``DegenerateFitError``.
+    to lambda = 1 and is never flagged; flagged masks drop out of the
+    ``weights``-weighted mean of lambda.  When no mask but the identity is
+    left, there is no estimate: ``DegenerateFitError``.
 
-    The "sequence" replicates redo the whole chain without each sequence.
-    Every replicate's depth means come from one array operation,
-    (sum - surv) / (k_r - 1), and are fitted in one call.  One
-    ``_aggregate`` call then averages all replicates: the replicates that
-    keep the same number of masks form one (replicates, kept) array, summed
-    along its last axis, so each replicate's terms are added in the same
-    pairwise grouping as a sum over that replicate alone, and each replicate
-    is the per-replicate one to the bit.
+    One fit and one ``_aggregate`` call cover every row: row 0 fits the
+    depth means of all sequences, row 1 + k those without sequence k, each
+    weighted past two depths by its own depth SEs.  The value is row 0, the
+    "sequence" replicates rows 1..., and each mask's lambda SE the jackknife
+    of its lambda over them: 0.0 for the identity, a flagged mask, or fewer
+    than two finite replicates.
     """
     n_depths, k_r = surv.shape[:2]
     identity = masks == 0
-
-    def fit(fbar, ses=None):
-        """Fits of fbar (depth, ..., mask), each column on its own."""
-        flat = [None if a is None else a.reshape(n_depths, -1) for a in (fbar, ses)]
-        lam, lam_se, flagged = (a.reshape(fbar.shape[1:]) for a in _fit_lambda_arrays(exponents, *flat))
-        lam[..., identity] = 1.0
-        lam_se[..., identity] = 0.0
-        flagged[..., identity] = False
-        return lam, lam_se, flagged
-
-    lam, lam_se, flagged = fit(surv.mean(axis=1), surv.std(axis=1, ddof=1) / np.sqrt(k_r))
-    if np.all(flagged | identity):
+    fbar = np.concatenate([surv.mean(axis=1, keepdims=True), (surv.sum(axis=1, keepdims=True) - surv) / (k_r - 1)], 1)
+    ses = None
+    if n_depths > 2:
+        # the squared deviations from the mean sum to SS, and without sequence k
+        # to SS - k_r / (k_r - 1) * dev_k^2; one sequence left (k_r = 2) has no
+        # spread, so its fit takes unit weights
+        dev2 = (surv - surv.mean(axis=1, keepdims=True)) ** 2
+        ss = np.maximum(dev2.sum(axis=1, keepdims=True) - k_r / (k_r - 1) * dev2, 0.0)
+        rows = np.sqrt(ss / ((k_r - 2) * (k_r - 1))) if k_r > 2 else np.full_like(surv, np.nan)
+        ses = np.concatenate([surv.std(axis=1, ddof=1, keepdims=True) / np.sqrt(k_r), rows], 1).reshape(n_depths, -1)
+    lam, flagged = (a.reshape(1 + k_r, -1) for a in _fit_lambda_arrays(exponents, fbar.reshape(n_depths, -1), ses))
+    lam[:, identity] = 1.0
+    flagged[:, identity] = False
+    if np.all(flagged[0] | identity):
         raise DegenerateFitError(
-            f"{kind}: every decay but the identity's is flagged ({int(flagged.sum())} of {len(masks)} masks)"
+            f"{kind}: every decay but the identity's is flagged ({int(flagged[0].sum())} of {len(masks)} masks)"
         )
-    # every delete-one replicate in one fit, shape (depth, replicate, mask)
-    lk, _, flk = fit((surv.sum(axis=1, keepdims=True) - surv) / (k_r - 1))
-    replicates = {"sequence": _aggregate(lk, weights, flk)}
+    means = _aggregate(lam, weights, flagged)
+    replicates = {"sequence": means[1:]}
+    mask_se = jackknife_se({"sequence": np.ascontiguousarray(lam[1:].T)})
     qps = np.empty(len(masks), QUALITY_DTYPE)
-    qps["w_mask"], qps["lam"], qps["flagged"] = masks, lam, flagged
-    qps["se"] = np.where(np.isfinite(lam_se), lam_se, 0.0)
+    qps["w_mask"], qps["lam"], qps["flagged"] = masks, lam[0], flagged[0]
+    qps["se"] = np.where(np.isfinite(mask_se) & ~flagged[0], mask_se, 0.0)
     return FidelityEstimate(
-        value=float(_aggregate(lam[None], weights, flagged[None])[0]),
+        value=float(means[0]),
         se=jackknife_se(replicates),
         kind=kind,
         quality_params=qps,
-        n_flagged=int(flagged.sum()),
+        n_flagged=int(flagged[0].sum()),
         replicates=replicates,
     )
 

@@ -42,7 +42,8 @@ replicates' jackknife must match.  ``write_csv_rows`` writes a CSV one row tuple
 section holds small functions that only tests call: outcome-code
 unpacking, the parametric CZ unitary, the two-gate closed forms and
 closed-form limits, a one-observable
-fit, the observable budget and a Nelder-Mead loop.
+fit, the two-depth delta-method lambda SE, the observable budget and a
+Nelder-Mead loop.
 """
 
 import math
@@ -1143,15 +1144,27 @@ def kq_for_accuracy(epsilon: float, delta: float) -> int:
 
 
 def fit_quality_parameter(points: list[tuple[float, float, float]], w_mask: int = 0) -> np.void:
-    """Fit one observable's decay; points are (m, fbar, se) per depth.  The
-    fit is one ``QUALITY_DTYPE`` record."""
+    """Fit one observable's decay; points are (m, fbar, se) per depth, the
+    SEs weighting the fit past two depths.  The fit is one ``QUALITY_DTYPE``
+    record whose se is nan: one fit gives no SE, the jackknife over
+    sequences does."""
     ms = np.array([p[0] for p in points], dtype=float)
     fbar = np.array([[p[1]] for p in points])
     ses = np.array([[p[2]] for p in points])
     if len(points) < 2 or len(set(ms.tolist())) < 2:
         raise ValueError("need at least two distinct depths")
-    lam, se, flagged = _fit_lambda_arrays(2.0 * ms, fbar, ses)
-    return np.array([(w_mask, lam[0], se[0], flagged[0])], QUALITY_DTYPE)[0]
+    lam, flagged = _fit_lambda_arrays(2.0 * ms, fbar, ses)
+    return np.array([(w_mask, lam[0], np.nan, flagged[0])], QUALITY_DTYPE)[0]
+
+
+def delta_method_lambda_se(exponents, fbar: np.ndarray, ses: np.ndarray) -> np.ndarray:
+    """The two-depth delta-method SE of lambda = (fbar[1] / fbar[0])^(1/dx)
+    per column, from each depth mean's SE: |lambda| / |dx| times the
+    relative SE of the ratio: the reference that each mask's jackknife
+    lambda SE is compared with at two depths."""
+    dx = exponents[1] - exponents[0]
+    lam = np.abs(fbar[1] / fbar[0]) ** (1.0 / dx)
+    return lam / abs(dx) * np.sqrt((ses[0] / fbar[0]) ** 2 + (ses[1] / fbar[1]) ** 2)
 
 
 @dataclass

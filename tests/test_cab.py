@@ -38,6 +38,7 @@ from helpers import (
     cab_sequences_one,
     cb_sequences_one,
     closes_to_identity,
+    delta_method_lambda_se,
     fit_quality_parameter,
     kq_for_accuracy,
     observable_sampling_variance,
@@ -273,17 +274,72 @@ def test_two_point_fit_flags_negative_ratio():
 
 
 def test_multidepth_fit_recovers_synthetic():
+    # one fit gives no SE: the SE's coverage is checked over seeds
+    # (test_multidepth_se_matches_the_spread_over_seeds)
     rng = np.random.default_rng(7)
     a, lam, sigma = 0.95, 0.97, 1e-4
-    recovered = []
-    for _ in range(30):
-        points = [(m, a * lam ** (2 * m) + rng.normal(0, sigma), sigma) for m in (0, 1, 2)]
-        qp = fit_quality_parameter(points)
-        recovered.append((qp["lam"], qp["se"]))
-    lams = np.array([r[0] for r in recovered])
-    ses = np.array([r[1] for r in recovered])
-    assert abs(lams.mean() - lam) < 3 * ses.mean() / math.sqrt(len(lams))
-    assert np.all(np.abs(lams - lam) < 5 * ses)
+    lams = np.array([
+        fit_quality_parameter([(m, a * lam ** (2 * m) + rng.normal(0, sigma), sigma) for m in (0, 1, 2)])["lam"]
+        for _ in range(30)
+    ])
+    spread = lams.std(ddof=1)
+    assert abs(lams.mean() - lam) < 3 * spread / math.sqrt(len(lams))
+    assert np.all(np.abs(lams - lam) < 5 * spread)
+
+
+def test_lambda_se_at_two_depths_tracks_the_delta_method():
+    # each mask's lambda SE is the jackknife of its delete-one fits; at two
+    # depths it estimates what the delta method did.  The range of the
+    # median ratio was fixed before the first run
+    dev = load_device("two_gate_4q")
+    cfg = CabConfig(depths=(0, 2), k_r=20, k_s=1000, mode="traverse", seed=11, backend="dm")
+    data = execute_cab_run(dev, GateBlock.parallel_cz(dev, (0, 1)), cfg, "dressed")
+    q = estimate_fidelity(data).quality_params
+    delta = delta_method_lambda_se(2.0 * np.array(cfg.depths), data.depth_means(), data.depth_ses())
+    keep = (q["w_mask"] != 0) & ~q["flagged"]
+    assert keep.sum() == 15
+    assert 0.8 < np.median(q["se"][keep] / delta[keep]) < 1.25
+
+
+@pytest.mark.parametrize("depths", [(0, 2), (0, 1, 2, 4)])
+def test_sequence_replicate_is_the_estimate_without_that_sequence(depths):
+    # the replicates and the value are one estimator: past two depths the
+    # delete-one fits are weighted by their own depth SEs, as the full fit
+    # is, and each mask's lambda SE is the jackknife of those fits
+    dev = load_device("two_gate_4q")
+    cfg = CabConfig(depths=depths, k_r=6, k_s=500, mode="traverse", seed=4, backend="dm")
+    data = execute_cab_run(dev, GateBlock.parallel_cz(dev, (0, 1)), cfg, "dressed")
+    est = estimate_fidelity(data)
+    exponents = 2.0 * np.array(depths, dtype=float)
+    weights = 3.0 ** np.bitwise_count(data.masks) / 4.0**4
+    without = [
+        _estimate_from_surv(np.delete(data.surv, k, axis=1), data.masks, exponents, weights, "dressed")
+        for k in range(cfg.k_r)
+    ]
+    assert est.replicates["sequence"] == pytest.approx([e.value for e in without], rel=1e-12)
+    q = est.quality_params
+    lam_k = np.array([e.quality_params["lam"] for e in without])
+    assert not q["flagged"].any() and np.isfinite(lam_k).all()
+    g = cfg.k_r
+    expected = np.sqrt((g - 1) / g * np.sum((lam_k - lam_k.mean(axis=0)) ** 2, axis=0))
+    assert q["se"] == pytest.approx(expected, rel=1e-9, abs=1e-15)
+    assert q["se"][0] == 0.0
+
+
+def test_multidepth_se_matches_the_spread_over_seeds():
+    # past two depths each delete-one fit is weighted by its own depth SEs,
+    # as the full fit is; the range was fixed before the first run (the SD
+    # of 40 values has a relative SE of about 0.11)
+    dev = load_device("two_gate_4q")
+    block = GateBlock.parallel_cz(dev, (0, 1))
+    values, ses = [], []
+    for seed in range(7000, 7040):
+        cfg = CabConfig(depths=(0, 1, 2, 4), k_r=20, k_s=1000, mode="traverse", seed=seed, backend="dm")
+        est = estimate_fidelity(execute_cab_run(dev, block, cfg, "dressed"))
+        values.append(est.value)
+        ses.append(est.se)
+    ratio = np.mean(ses) / np.std(values, ddof=1)
+    assert 0.75 < ratio < 1.35, ratio
 
 
 @pytest.mark.parametrize("q", [1, 7, 8, 9, 16, 17, 130, 300, 4096])
@@ -311,6 +367,21 @@ def test_estimate_refuses_when_only_the_identity_is_left():
     surv[1, :, 3] = 0.5
     est = _estimate_from_surv(surv, masks, np.array([0.0, 2.0]), np.full(4, 0.25), "dressed")
     assert est.n_flagged == 2
+
+
+def test_flagged_and_identity_masks_write_a_zero_lambda_se():
+    # mask 2's full fit is flagged, yet two of its delete-one fits are not;
+    # its lambda SE is still 0.0, as the identity's is
+    masks = np.arange(4, dtype=np.int64)
+    surv = np.ones((2, 5, 4))
+    surv[1, :, 1] = [0.8, 0.82, 0.79, 0.81, 0.8]
+    surv[1, :, 2] = [-0.5, -0.45, 0.3, 0.3, 0.3]
+    surv[1, :, 3] = [0.6, 0.62, 0.58, 0.61, 0.6]
+    est = _estimate_from_surv(surv, masks, np.array([0.0, 2.0]), np.full(4, 0.25), "dressed")
+    q = est.quality_params
+    assert q["flagged"].tolist() == [False, False, True, False]
+    assert q["se"][0] == 0.0 and q["se"][2] == 0.0
+    assert np.all(q["se"][[1, 3]] > 0)
 
 
 # -- scalar formulas ----------------------------------------------------------

@@ -99,7 +99,9 @@ def cb_oracle(surv, char_masks, cycles):
     """CB estimate written out: two-point fits, plain mean, jackknife over the group.
 
     ``surv`` has shape (cycles, characters, group).  Returns the value, its
-    SE, and per-character lambda, SE and flags.
+    SE, and per-character lambda, SE and flags; a character's SE is the
+    jackknife of its delete-one lambda over the group's finite ones, 0.0
+    for a flagged character.
     """
     dx = cycles[1] - cycles[0]
     identity = char_masks == 0
@@ -111,18 +113,20 @@ def cb_oracle(surv, char_masks, cycles):
         return lam, flagged
 
     group = surv.shape[2]
-    fbar = surv.mean(axis=2)
-    ses = surv.std(axis=2, ddof=1) / np.sqrt(group)
-    lam, flagged = lambdas(fbar)
-    rel = np.sqrt((ses[0] / fbar[0]) ** 2 + (ses[1] / fbar[1]) ** 2)
-    lam_se = np.where(flagged, 0.0, lam / dx * rel)
-    jack = []
+    lam, flagged = lambdas(surv.mean(axis=2))
+    jack, lk = [], []
     for k in range(group):
-        lk, fk = lambdas(np.delete(surv, k, axis=2).mean(axis=2))
-        jack.append(np.mean(lk[~fk]))
+        lam_k, fk = lambdas(np.delete(surv, k, axis=2).mean(axis=2))
+        jack.append(np.mean(lam_k[~fk]))
+        lk.append(lam_k)
+    lam_se = []
+    for c, reps in enumerate(np.array(lk).T):
+        good = reps[np.isfinite(reps)]
+        g = len(good)
+        lam_se.append(0.0 if flagged[c] or g < 2 else np.sqrt((g - 1) / g * np.sum((good - good.mean()) ** 2)))
     jack = np.array(jack)
     se = np.sqrt((group - 1) / group * np.sum((jack - jack.mean()) ** 2))
-    return np.mean(lam[~flagged]), se, lam, lam_se, flagged
+    return np.mean(lam[~flagged]), se, lam, np.array(lam_se), flagged
 
 
 @pytest.mark.parametrize("case", ["flagged", "identity"])

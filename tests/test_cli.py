@@ -114,6 +114,36 @@ def test_csv_blocks_of_columns_write_the_rows_bytes(tmp_path):
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
+def se_column(path) -> list[float]:
+    header, *rows = path.read_text().splitlines()
+    col = header.split(",").index("se")
+    return [float(row.split(",")[col]) for row in rows]
+
+
+def test_descending_depths_write_no_negative_se(tmp_path):
+    # a two-depth fit divides by the depth step, negative here; a jackknife
+    # SE is never negative
+    path = small_cab_config(tmp_path, seed=3, cab={"depths": [2, 0], "k_r": 8, "k_s": 500, "mode": "traverse"})
+    assert main(["cab", "--config", str(path)]) == 0
+    cb = small_cab_config(
+        tmp_path, kind="cb", seed=3, out_dir=str(tmp_path / "cb"), cab={"k_r": 10, "k_s": 500}, cycles=[20, 10], n_chars=5
+    )
+    assert main(["cb", "--config", str(cb)]) == 0
+    for se in (se_column(tmp_path / "out" / "lambdas.csv"), se_column(tmp_path / "cb" / "characters.csv")):
+        assert np.all(np.isfinite(se)) and min(se) >= 0.0
+    assert len(se_column(tmp_path / "cb" / "characters.csv")) == 5
+
+
+def test_two_sequences_at_three_depths_keep_their_value(tmp_path):
+    # without sequence k one sequence is left, which has no spread: its fit
+    # takes unit weights, with no warning, and the value is as before
+    path = small_cab_config(tmp_path, cab={"depths": [0, 1, 2], "k_r": 2, "k_s": 500, "mode": "traverse"})
+    assert main(["cab", "--config", str(path)]) == 0
+    report = json.loads((tmp_path / "out" / "result.json").read_text())["report"]
+    assert report["dressed"]["value"] == float.fromhex("0x1.e4eb90ed89d5ep-1")
+    assert report["pure"]["value"] == float.fromhex("0x1.e7ff391fd61a4p-1")
+
+
 def test_runs_are_byte_identical(tmp_path):
     p1 = small_cab_config(tmp_path, out_dir=str(tmp_path / "a"))
     run(ExperimentConfig.load(p1))
@@ -286,7 +316,10 @@ def test_artifacts_are_byte_identical_across_runs(kind, tmp_path):
 # can move the bytes.  Every digest was written while each fitted mask was
 # still an object of its own; the result.json, scan.csv and correlation.csv
 # digests of runs with a pure SE were written again, with every value the
-# same, when each SE came from one jackknife.  The landscape and scan pins
+# same, when each SE came from one jackknife; the lambdas.csv and
+# characters.csv digests were written again, with only their se column
+# changed, when each mask's lambda SE became the jackknife of its
+# delete-one fits.  The landscape and scan pins
 # are not in DETERMINISM_CONFIGS: the scan reuses stream keys across its
 # points by design
 PINNED_CONFIGS = {
@@ -313,37 +346,37 @@ PINNED_CONFIGS = {
 }
 PINNED_ARTIFACTS = {
     "cab": {
-        "lambdas.csv": "14a92ec3a1b9369a3b4cd5c8ee2a23009bcfcd0d5b57ff700107f69bbcc826d1",
+        "lambdas.csv": "b71dcf3f761276bc006beafc4f85f4978b509e4486d89cbe0a4297706eb4b611",
         "result.json": "e7e6da108452ecff7e15715dad093cb1fc62467858eae9e00374f8f854d200b1",
         "survivals.csv": "e297ab465ed71bb9ed4dfdfd122f42e4ffaaaf7a0b851709e84bca5f850f044c",
     },
     "cab_5q_dm": {
-        "lambdas.csv": "020cc6e564ec53fe223270f5bea12a09db3c4111f1391f4bda738e16a8fa40fa",
+        "lambdas.csv": "0fe6ce1282a34abf98672b59553e13b1b3d2d85371fe34683fd30f9c91774f4c",
         "result.json": "ee6f0016deb4c74a78d932cd7d20cbb8498a5f49d146106302b2d80d7efe697b",
         "survivals.csv": "0945454616cb0a3f51d6fbc45f89e964633c5b6b129879fe1b4cf989822ecb23",
     },
     "cab_5q_stab": {
-        "lambdas.csv": "37759a9d0a3dffa07bc7dc47573474d65ffe224c1428d57b0a8c549a73c3d5e5",
+        "lambdas.csv": "f7dc2ca0b1eb7519d85229baaa75f3555eb5c8b66637687ab09d257fe42c062b",
         "result.json": "a8deaf13a46200072e5e3a0786d8a252bddf8e74e0a921953bbb5e563c845faa",
         "survivals.csv": "be258fc33926fcc9135e656ec9cc63d897138274ae6d5823d106af14587fe054",
     },
     "cab_6q_stab_pairs": {
-        "lambdas.csv": "bc60dfb6d3bb241d5cd2cc878f6d5228c6e6dc5e14451f582b082d48d88ea85f",
+        "lambdas.csv": "36140bd14b748b85d2a18715b582c1f9ca82b8a06a2b55661675e26bb882ab15",
         "result.json": "6d16f08c8470fb8391c5a50f6370408409f6d293ba2ac747bedcf50b0ce3ae04",
         "survivals.csv": "a3bac1915c71d772aed0efa4f4eae00a002aa15c06d6084cb868da433759bc1b",
     },
     "cab_8q_stab_readout_groups": {
-        "lambdas.csv": "a319debb622e874f49948703cde664cea3cdda8e83b5b58dc966485d061b5629",
+        "lambdas.csv": "cd1bb94eecbbaba51ed0087ff891ca11544a43f6ce2b60be9537ea1d60f949ce",
         "result.json": "81893417dd96de728b1b9a8a705ae4d5022f540fb0f43e2c0414725616f88ede",
         "survivals.csv": "2e4d410d52ad89a53425254d536a72fb52ce25e0f194fb37432552f59f4686a0",
     },
     "cab_ring44_stab": {
-        "lambdas.csv": "e39a6753db16fdb296287c83d476be4f972115882eabf03cac8f2117859a92ed",
+        "lambdas.csv": "c79ce9677023ccdeed4b994472f73e50bda0379fd9b16b1963da873696824539",
         "result.json": "8568db6b3cbb85655ccc56aa70855ea1993d2e68d385a6a4c5d6a92cc62c02a2",
         "survivals.csv": "2a4ef7a4712f338dcc9241d33a396f08cb66ee5b253ceb88b18388d15f9c28d1",
     },
     "cab_ring44_subsets": {
-        "lambdas.csv": "e39a6753db16fdb296287c83d476be4f972115882eabf03cac8f2117859a92ed",
+        "lambdas.csv": "c79ce9677023ccdeed4b994472f73e50bda0379fd9b16b1963da873696824539",
         "result.json": "a04ddac8299db6ac3bffbeb89dd27f9d4dbd9a0f58539b9b97a8c1740dfd24c0",
         "survivals.csv": "2a4ef7a4712f338dcc9241d33a396f08cb66ee5b253ceb88b18388d15f9c28d1",
     },
@@ -352,15 +385,15 @@ PINNED_ARTIFACTS = {
         "result.json": "c820e61fe7bc7d67ef652e6952659f94a60a958ba3a7bc60ae575e2dada1ba8f",
     },
     "cb": {
-        "characters.csv": "ef08f691d27b9759495b8a194a3840174745774273785e1ed4b10ee3fbde080b",
+        "characters.csv": "9b328e161d20cf87c7daf514855e919e5c9026088960cdce06c58bde5f2085c8",
         "result.json": "6257776835b53e3275cba7121f6e5498f25160671afb825a219c4e7b73c3e0c2",
     },
     "cb_5q": {
-        "characters.csv": "b32ec8731a3efecc9d079ee952055da66f0cfd5aee207de0d24e005b1a52b44d",
+        "characters.csv": "63519ee59ce296a06af9299fec9129ec0cf40d3c9acf9fcf63abdc3ace117901",
         "result.json": "fbb3e4eb52fac5dca19b05912271bd2d6d03f4355610ba436b223eef0521cb69",
     },
     "cb_6q_stab": {
-        "characters.csv": "324b8e237e8f4e1966ce61db4429b78cbb9b673ad758724db53e974e1f1df35c",
+        "characters.csv": "dba9ff7cd57a7b47181443d2dec52653f3b87004cbd36d14c22a0b2f8613974e",
         "result.json": "8e683230bc925709186ed44a861b500168318de9249bad3d7b2564db6a120de5",
     },
     "correlate": {
@@ -368,7 +401,7 @@ PINNED_ARTIFACTS = {
         "result.json": "3ebff6f0ca327400f9147b50254bdad7075e9a904d8b0c922e16d71d3b00da2e",
     },
     "fully_connected": {
-        "lambdas.csv": "42038aecc52eebe8cf2e056d131481b695e7cb10ee981f3e38b53b7b00dc018d",
+        "lambdas.csv": "65d96b6f2598c78dcd5c3b9fc72d5d9752ba367afd771a0e0cc81c6acaaa43b1",
         "result.json": "008043daf0afa7b72a660dc1a3d7d4577f3b2983b24df33ec1a328b08a514dcc",
         "survivals.csv": "664c9887819839399fd5b9cc192e7b99fd59e472a7401211aec5848b0c30e99d",
     },
