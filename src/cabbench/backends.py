@@ -16,26 +16,31 @@ once per device (``DeviceModel.cached``):
   of the Walsh matrix, each gathered from the rows of its two halves, with
   no (d, d) table;
 - a single-qubit layer is a Kronecker product of real 4x4 transfer
-  matrices, applied as two half-register matmuls;
+  matrices, applied as two half-register matmuls.  A Clifford's is a
+  signed permutation read off the conjugation table; an arbitrary
+  unitary's is tr(P_a U P_b U^dagger) / 2 over the 2x2 Pauli matrices
+  ``_PAULIS``, the package's only copy of them;
 - a gate layer's CZs and coherent components form one diagonal unitary D.
   It is one multiply in the frame M[b, x] = rho[b^x, b], which is the
   Walsh transform of c along z: transform, multiply, transform back;
 - a first single-qubit layer on |0..0> gives a product state, and the last
   one folds into the Z measurement.
 
-``dm_run`` takes a ``SequenceStack`` (``circuits``) and runs its states as
-one c, reading each position's arrays as they are: a Pauli or
-single-qubit entry of K rows gives one sign row or one set of 4x4
-matrices per state, and an entry of one row, such as a target block's
-local layer, broadcasts over the stack.  matmul runs a stack as one 2-d
-product per state, so each row is the sequence's run on its own to the
-bit.  The stack goes in chunks of ``DM_CHUNK_ELEMENTS // 4^n`` states: 10
-at 6 qubits, and one from 8 qubits on, where one state is already large.
-A call allocates its work memory once, and every layer of every chunk
-reuses it through ``out=`` and in-place steps (``_Stack``).  A fresh array
-of a few hundred KB per step can cost more in page faults than the
-arithmetic on it, and larger chunks only add memory: one chunk of 40
-states at 6 qubits was slower than chunks of 10.
+``dm_run`` takes a ``SequenceStack`` (``circuits``) on the device's whole
+register, as ``stab_run_counts`` does: both refuse a stack of another size
+before any work.  It runs the stack's states as one c, reading each
+position's arrays as they are: a Pauli or single-qubit entry of K rows
+gives one sign row or one set of 4x4 matrices per state, and an entry of
+one row, such as a target block's local layer, broadcasts over the stack.
+matmul runs a stack as one 2-d product per state, so each row is the
+sequence's run on its own to the bit.  The stack goes in chunks of
+``DM_CHUNK_ELEMENTS // 4^n`` states: 10 at 6 qubits, and one from 8 qubits
+on, where one state is already large.  A call allocates its work memory
+once, and every layer of every chunk reuses it through ``out=`` and
+in-place steps (``_Stack``).  A fresh array of a few hundred KB per step
+can cost more in page faults than the arithmetic on it, and larger chunks
+only add memory: one chunk of 40 states at 6 qubits was slower than chunks
+of 10.
 
 ``block_noise_channel`` and ``dressed_cycle_channel`` are the same kernel
 as steps on stacks of real coefficients (a complex input runs as its real
@@ -95,7 +100,7 @@ import numpy as np
 
 from .circuits import SequenceStack
 from .device import DeviceModel, ResourceLimitError, bernoulli_positions, fwht, xor_sorted
-from .paulis import _LETTER_MATS, single_qubit_cliffords
+from .paulis import single_qubit_cliffords
 
 DM_QUBIT_LIMIT = 12
 PACK_QUBIT_LIMIT = 62  # outcomes are int64 codes; also the stabilizer backend's size limit
@@ -112,9 +117,17 @@ _BIT_SELECT = np.unpackbits(_BYTE_VALUES[:, None], axis=1).astype(float)
 # density-matrix kernel in the Pauli basis, on stacks c of shape (K, d, d)
 # ---------------------------------------------------------------------------
 
-_PAULIS = np.array(_LETTER_MATS)  # index 2z + x: I, X, Z, Y
+# the Pauli matrices, index 2z + x: I, X, Z, Y
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, -1j], [1j, 0]]])
 _Z_MEASURE = np.array([[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, -1.0, 0.0]]) / 2  # [outcome, Pauli]
 _LOCAL = ("clifford", "unitary")  # the single-qubit layer kinds
+
+
+def _check_register(n: int, device: DeviceModel):
+    """Refuses a register of n qubits on a device of another size: the
+    device's per-qubit tables are read whole."""
+    if n != device.n_qubits:
+        raise ValueError(f"a stack of {n} qubits cannot run on a device of {device.n_qubits} qubits")
 
 
 def _bits(a: np.ndarray, n: int, qubits) -> np.ndarray:
@@ -232,7 +245,7 @@ def _local_ptms(layer, device: DeviceModel, n: int, noisy: bool) -> np.ndarray:
         for out, mats in zip(ptm, data):
             out[:] = np.einsum("aij,qjk,bkl,qil->qab", _PAULIS, mats, _PAULIS, mats.conj()).real / 2
     if noisy:
-        ptm[..., 1:, :] *= device.single_qubit_depol[:n, None, None]
+        ptm[..., 1:, :] *= device.single_qubit_depol[:, None, None]
     return ptm
 
 
@@ -285,7 +298,7 @@ def _single_qubit_noise(device: DeviceModel, n: int):
     """Eigenvalues [z, x] of the per-qubit depolarizing layer, or None."""
 
     def build():
-        noisy = [(q, float(p)) for q, p in enumerate(device.single_qubit_depol[:n]) if p < 1.0]
+        noisy = [(q, float(p)) for q, p in enumerate(device.single_qubit_depol) if p < 1.0]
         if not noisy:
             return None
         lam = np.ones((2**n, 2**n))
@@ -335,7 +348,7 @@ def _readout_factors(device: DeviceModel, n: int):
     confusion matrix, or None without readout error."""
 
     def build():
-        e0, e1 = device.readout_e0[:n], device.readout_e1[:n]
+        e0, e1 = device.readout_e0, device.readout_e1
         if not (np.any(e0 > 0) or np.any(e1 > 0)):
             return None
         mats = np.array([[1 - e0, e1], [e0, 1 - e1]]).transpose(2, 0, 1)
@@ -356,6 +369,7 @@ class _Stack:
     """
 
     def __init__(self, k: int, device: DeviceModel, n: int):
+        _check_register(n, device)
         self.device, self.n = device, n
         d = 2**n
         size = k * d * d
@@ -701,6 +715,7 @@ def _compile_faults(stack: SequenceStack, device: DeviceModel) -> list:
     sequence k's outcome by ``tables[k, loc, i]``.
     """
     k, n = stack.size, stack.n
+    _check_register(n, device)
     if n > PACK_QUBIT_LIMIT:
         raise ResourceLimitError(f"stabilizer backend limited to {PACK_QUBIT_LIMIT} qubits")
     act = single_qubit_cliffords().action.astype(bool)
@@ -712,7 +727,7 @@ def _compile_faults(stack: SequenceStack, device: DeviceModel) -> list:
         if p > 0.0:
             groups.setdefault(key, (p, weights, []))[2].append(rows)
 
-    fire_1q = 1.0 - device.single_qubit_depol[:n]
+    fire_1q = 1.0 - device.single_qubit_depol
 
     def depol_1q():
         rows = np.stack([fx, fz], axis=2)

@@ -308,13 +308,17 @@ def _run_cb(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
 
 def _run_fully_connected(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     n = settings["n"]
+    ring = ("gate_depol", "single_qubit_depol", "readout_e0", "readout_e1")  # with n, the ring's fields
     if cfg.device is not None:
+        given = [key for key in ("n", *ring) if key in cfg.extra]
+        if given:
+            raise ConfigError(f"fully_connected with a device takes its size and noise from it; drop {given}")
         device = load_device(cfg.device)
         n = device.n_qubits
     else:
         if n % 2 or n < 4:
             raise ConfigError(f"fully_connected n must be even and >= 4, got {n}")
-        probs = {key: settings[key] for key in ("gate_depol", "single_qubit_depol", "readout_e0", "readout_e1")}
+        probs = {key: settings[key] for key in ring}
         bad = {key: p for key, p in probs.items() if not 0.0 <= p <= 1.0}
         if bad:
             raise ConfigError(f"fully_connected probabilities must lie in [0, 1], got {bad}")

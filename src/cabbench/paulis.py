@@ -11,10 +11,12 @@ Conventions used throughout the package:
 * Qubit 0 is the most significant bit of integer-encoded bitstrings, i.e.
   basis state index ``sum(bit[q] << (n-1-q))``.  The same convention is
   used for measurement outcomes and Z-observable labels.
-* The 24-element single-qubit Clifford group is enumerated once in a fixed
-  canonical order so that indices are stable across runs; a local Clifford
-  layer is an array of element indices, composed and inverted by lookup in
-  ``compose_table`` and ``inverse_table``.
+* The 24-element single-qubit Clifford group is listed once, each element
+  as the signed letters it maps X and Z to, in a fixed canonical order so
+  that indices are stable across runs.  A local Clifford layer is an array
+  of element indices, composed and inverted by lookup in ``compose_table``
+  and ``inverse_table``.  This module is bookkeeping on bits and signs
+  only; it holds no unitaries.
 """
 
 from __future__ import annotations
@@ -34,12 +36,6 @@ _MUL_PHASE[0b1011] = 1  # X*Y = iZ
 _MUL_PHASE[0b1101] = 1  # Y*Z = iX
 _MUL_PHASE[0b1110] = 3  # Y*X = -iZ
 
-_I2 = np.eye(2, dtype=complex)
-_X2 = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
-_LETTER_MATS = (_I2, _X2, _Z2, _Y2)  # index = x + 2*z -> I, X, Z, Y
-
 
 def random_pauli_bits(n: int, rng: np.random.Generator) -> np.ndarray:
     """Bits (2, n) uint8, x then z, of a uniform draw from the 4^n phaseless Paulis.
@@ -58,28 +54,18 @@ def random_pauli_bits(n: int, rng: np.random.Generator) -> np.ndarray:
 # Single-qubit Clifford group
 # ---------------------------------------------------------------------------
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_S = np.array([[1, 0], [0, 1j]], dtype=complex)
-
-
-def _conj_letter(mat: np.ndarray, letter: np.ndarray):
-    """Return (x, z, sign_bit) of mat * letter * mat^dagger, a signed letter."""
-    img = mat @ letter @ mat.conj().T
-    for code, ref in enumerate(_LETTER_MATS[1:], 1):
-        for sign_bit in (0, 1):
-            if np.allclose(img, (-1) ** sign_bit * ref, atol=1e-12):
-                return code & 1, code >> 1, sign_bit
-    raise AssertionError("conjugated Pauli letter is not a signed Pauli letter")
-
 
 class SingleQubitCliffords:
     """Fixed canonical table of the 24 single-qubit Clifford elements.
 
-    Each element is identified by the signed letters it maps X and Z to.
-    The enumeration sorts the (x_image, z_image) descriptors, so indices
-    are reproducible across runs and platforms.  Composition and inversion
-    are table lookups; a concrete 2x2 unitary per element (fixed up to
-    global phase) supports dense simulation.
+    A Clifford is fixed, up to a global phase, by the signed letters it
+    maps X and Z to, and each pair of signed letters with two different
+    letters of X, Y, Z is the image of exactly one (Aaronson & Gottesman,
+    PRA 70, 052328 (2004)).  So the 24 sorted (x_image, z_image) keys are
+    the group, with nothing to search, and their order makes the indices
+    reproducible across runs and platforms.  ``action`` holds each
+    element's images of I, X, Z and Y; composition and inversion are table
+    lookups.
     """
 
     def __init__(self):
@@ -87,35 +73,18 @@ class SingleQubitCliffords:
         keys = sorted((*xi, xs, *zi, zs) for xi, zi in letters for xs in (0, 1) for zs in (0, 1))
         assert len(keys) == 24
         self._key_to_index = {k: i for i, k in enumerate(keys)}
+        self.identity_index = self._key_to_index[(1, 0, 0, 0, 1, 0)]
         # action[e, x + 2*z] = (x', z', sign_bit) of conj of the input letter
         self.action = np.zeros((24, 4, 3), dtype=np.uint8)
-        self.matrices = np.zeros((24, 2, 2), dtype=complex)
-        self.identity_index = self._key_to_index[(1, 0, 0, 0, 1, 0)]
-
-        found = {}
-        frontier = [np.eye(2, dtype=complex)]
-        while len(found) < 24:
-            nxt = []
-            for mat in frontier:
-                key = self._action_key(mat)
-                if key in found:
-                    continue
-                found[key] = mat
-                nxt.extend([_H @ mat, _S @ mat])
-            frontier = nxt
-        for key, mat in found.items():
-            e = self._key_to_index[key]
-            self.matrices[e] = mat
-            xx, xz, xsgn = key[0], key[1], key[2]
-            zx, zz, zsgn = key[3], key[4], key[5]
-            self.action[e, 1] = (xx, xz, xsgn)
-            self.action[e, 2] = (zx, zz, zsgn)
-            # Y = iXZ, so the Y image is i times the product of the X and Z
-            # images: their letters XOR, and the phase i^(1 + 2 xs + 2 zs + g)
-            # is a sign, with g from the letter product table
-            yphase = (1 + 2 * xsgn + 2 * zsgn + _MUL_PHASE[xx << 3 | xz << 2 | zx << 1 | zz]) % 4
-            assert yphase in (0, 2)
-            self.action[e, 3] = (xx ^ zx, xz ^ zz, yphase // 2)
+        key = np.array(keys, dtype=np.int64)
+        self.action[:, 1:3] = key.reshape(24, 2, 3)
+        xx, xz, xsgn, zx, zz, zsgn = key.T
+        # Y = iXZ, so the Y image is i times the product of the X and Z
+        # images: their letters XOR, and the phase i^(1 + 2 xs + 2 zs + g)
+        # is a sign, with g from the letter product table
+        yphase = (1 + 2 * xsgn + 2 * zsgn + _MUL_PHASE[xx << 3 | xz << 2 | zx << 1 | zz]) % 4
+        assert np.all(yphase % 2 == 0)
+        self.action[:, 3] = np.stack([xx ^ zx, xz ^ zz, yphase // 2], axis=1)
 
         # a after b: b maps X and Z to signed letters, a maps those letters
         # on, and the two signs multiply (XOR of the sign bits)
@@ -132,9 +101,6 @@ class SingleQubitCliffords:
             assert inv.size == 1
             self.inverse_table[a] = inv[0]
         self._verify_group()
-
-    def _action_key(self, mat: np.ndarray):
-        return (*_conj_letter(mat, _X2), *_conj_letter(mat, _Z2))
 
     def _verify_group(self):
         comp = self.compose_table

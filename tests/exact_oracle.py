@@ -24,8 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from helpers import CliffordLayer, GateLayer, PauliLayer
-from cabbench.paulis import single_qubit_cliffords
+from helpers import CliffordLayer, GateLayer, PauliLayer, clifford_matrices
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -41,10 +40,8 @@ def _letter(p: np.ndarray) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def _heisenberg_images() -> np.ndarray:
     """(24, X|Z, (x, z)) bits of U^dagger X U and U^dagger Z U per Clifford."""
-    table = single_qubit_cliffords()
     out = np.zeros((24, 2, 2), dtype=bool)
-    for e in range(24):
-        u = table.matrices[e]
+    for e, u in enumerate(clifford_matrices()):
         for i, p in enumerate((_X, _Z)):
             out[e, i] = _letter(u.conj().T @ p @ u)
     return out

@@ -14,7 +14,9 @@ a shared row) and ``sequences_of`` turns a stack back into sequences.
 time, with ``compile_inverse_pauli_one`` and ``compile_cycle_pauli_one``
 closing each, as the stack builders must agree with to the bit.
 The dense-matrix helpers are deliberately independent of the package
-internals: plain kron products and explicit channel evaluations.  The
+internals: plain kron products and explicit channel evaluations, with
+each Clifford element's 2x2 unitary from ``clifford_matrices``, built
+from H and S alone.  The
 conversions between matrices and Pauli coefficients wrap the package's
 coefficient-level channels as matrix evaluators and back, and
 ``matrix_unit_choi_fidelity`` is the matrix-unit process-fidelity sum that
@@ -48,6 +50,7 @@ Nelder-Mead loop.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -316,6 +319,45 @@ def embed_1q(n: int, q: int, mat: np.ndarray) -> np.ndarray:
     return kron_all([mat if i == q else I2 for i in range(n)])
 
 
+def _signed_letter(mat: np.ndarray) -> tuple[int, int, int]:
+    """(x, z, sign bit) of a 2x2 matrix that is a signed Pauli letter other than I."""
+    for x, z in ((1, 0), (0, 1), (1, 1)):
+        for sign_bit in (0, 1):
+            if np.allclose(mat, (-1) ** sign_bit * LETTERS["IXZY"[x + 2 * z]], atol=1e-12):
+                return x, z, sign_bit
+    raise AssertionError("the matrix is not a signed Pauli letter")
+
+
+@lru_cache(maxsize=1)
+def clifford_matrices() -> np.ndarray:
+    """2x2 unitaries (24, 2, 2), each up to a global phase, of the elements
+    of ``single_qubit_cliffords()``.
+
+    The products of H and S are searched breadth first from the identity,
+    and each new one is placed at the element whose conjugation action on
+    X and Z it has; the first product found for an element is kept.  So the
+    unitaries come from H and S alone, and a dense reference built on them
+    checks the table rather than restating it.
+    """
+    images = single_qubit_cliffords().action[:, 1:3]
+    mats = np.zeros((24, 2, 2), dtype=complex)
+    placed = set()
+    frontier = [I2]
+    while len(placed) < 24:
+        nxt = []
+        for u in frontier:
+            key = [_signed_letter(u @ p @ u.conj().T) for p in (X2, Z2)]
+            (e,) = np.flatnonzero((images == np.array(key)).all(axis=(1, 2)))
+            if e in placed:
+                continue
+            placed.add(e)
+            mats[e] = u
+            nxt += [H2 @ u, S2 @ u]
+        frontier = nxt
+    mats.flags.writeable = False
+    return mats
+
+
 def cz_matrix(n: int, a: int, b: int) -> np.ndarray:
     d = 2**n
     diag = np.ones(d, dtype=complex)
@@ -438,8 +480,7 @@ def dense_apply_layers(rho, layers, device, twirl_coupling: bool = False, noisy:
                 rho = u @ rho @ u
             continue
         if isinstance(layer, CliffordLayer):
-            table = single_qubit_cliffords()
-            u = kron_all([table.matrices[e] for e in layer.layer.elements])
+            u = kron_all(clifford_matrices()[layer.layer.elements])
         elif isinstance(layer, PauliLayer):
             u = pauli_matrix("".join("IXZY"[int(x) + 2 * int(z)] for x, z in zip(layer.pauli.x, layer.pauli.z)))
         elif isinstance(layer, Unitary1qLayer):

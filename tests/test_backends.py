@@ -582,6 +582,22 @@ def test_dm_qubit_limit():
         dm_run(stack_of([seq]), dev)[0]
 
 
+@pytest.mark.parametrize("backend", ["dm", "stab"])
+@pytest.mark.parametrize("stack_n, device_n", [(6, 4), (4, 6)], ids=["larger_stack", "smaller_stack"])
+def test_backends_refuse_a_stack_of_another_register_size(backend, stack_n, device_n):
+    # before, a larger stack failed mid-run (a broadcast ValueError on dm, an
+    # IndexError on stab), and a smaller one ran on dm on the device's first
+    # qubits while stab failed
+    dev = simple_device(n=device_n, depol_p=0.9, single_qubit_depol=0.99)
+    local = ("clifford", np.zeros((1, stack_n), dtype=np.uint8))
+    stack = SequenceStack(stack_n, (local, ("gates", (0,)), ("gates", (0,)), local))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"a stack of {stack_n} qubits cannot run on a device of {device_n} qubits"):
+        dm_run(stack, dev) if backend == "dm" else stab_run_counts(stack, dev, 10, [rng])
+    assert rng.bit_generator.state == state
+
+
 # -- the density-matrix kernel against explicit full-register matrices --------
 
 

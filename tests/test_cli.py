@@ -590,6 +590,24 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
             "fully_connected",
             {"device": {"n_qubits": 4, "gates": [{"pair": p} for p in ([0, 1], [1, 2], [2, 3], [3, 0])]}},
         ),
+        # a device fixes the register and its noise: the ring's fields are
+        # refused beside it, where before they were echoed and ignored
+        (
+            "fully_connected",
+            {
+                "device": {"n_qubits": 4, "gates": [{"pair": p} for p in ([0, 1], [2, 3], [1, 2], [3, 0])]},
+                "n": 7,
+                "gate_depol": 5.0,
+                "readout_e0": -1,
+            },
+        ),
+        (
+            "fully_connected",
+            {
+                "device": {"n_qubits": 4, "gates": [{"pair": p} for p in ([0, 1], [2, 3], [1, 2], [3, 0])]},
+                "single_qubit_depol": 0.99,
+            },
+        ),
         # counts and seeds are integers, never truncated
         ("cab", {"seed": 2.7}),
         ("cab", {"seed": True}),
@@ -706,6 +724,8 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "fc_small_n",
         "fc_device_gates",
         "fc_device_overlap",
+        "fc_device_ring_fields",
+        "fc_device_single_qubit_depol",
         "float_seed",
         "bool_seed",
         "float_k_r",

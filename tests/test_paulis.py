@@ -1,8 +1,22 @@
+import hashlib
+
 import numpy as np
+import pytest
 
 from cabbench.paulis import local_clifford_elements, random_pauli_bits, single_qubit_cliffords
 
-from helpers import PauliString, pauli_from_label, pauli_matrix, pauli_multiply, pauli_to_matrix, to_label
+from helpers import (
+    LETTERS,
+    X2,
+    Y2,
+    Z2,
+    PauliString,
+    clifford_matrices,
+    pauli_from_label,
+    pauli_multiply,
+    pauli_to_matrix,
+    to_label,
+)
 
 
 def random_pauli_with_phase(n, rng):
@@ -76,41 +90,78 @@ def test_sample_random_pauli_deterministic():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+# the table's canonical order: sha256 over action, compose_table and
+# inverse_table, as the sorted key list builds them
+CLIFFORD_TABLE_DIGEST = "92ae510c27b664db583437df9982b6d0b219c434a29ecd2ffea96b4d31196260"
+
+
+def test_single_qubit_clifford_table_is_pinned():
+    table = single_qubit_cliffords()
+    h = hashlib.sha256()
+    for a in (table.action, table.compose_table, table.inverse_table):
+        h.update(a.tobytes())
+    assert h.hexdigest() == CLIFFORD_TABLE_DIGEST
+    assert table.identity_index == 8
+    assert (table.action.dtype, table.compose_table.dtype, table.inverse_table.dtype) == (np.uint8,) * 3
+
+
+def test_each_anticommuting_signed_letter_pair_is_one_element():
+    # the X and Z images of a Clifford anticommute, as X and Z do, and each
+    # of the 24 such ordered pairs of signed letters (6 firsts, 4 seconds
+    # each) is the image pair of exactly one element
+    signed = [(x, z, s) for x, z in ((1, 0), (0, 1), (1, 1)) for s in (0, 1)]
+    mats = {key: (-1) ** key[2] * LETTERS["IXZY"[key[0] + 2 * key[1]]] for key in signed}
+    pairs = sorted(
+        (p, q) for p in signed for q in signed if np.allclose(mats[p] @ mats[q], -mats[q] @ mats[p], atol=1e-12)
+    )
+    assert len(pairs) == 24
+    action = single_qubit_cliffords().action
+    images = sorted((tuple(action[e, 1].tolist()), tuple(action[e, 2].tolist())) for e in range(24))
+    assert images == pairs
+
+
+def test_single_qubit_clifford_action_matches_matrices():
+    table = single_qubit_cliffords()
+    for e, m in enumerate(clifford_matrices()):
+        for code, letter in ((1, X2), (2, Z2), (3, Y2)):
+            bx, bz, sgn = table.action[e, code]
+            expected = m @ letter @ m.conj().T
+            got = (-1) ** int(sgn) * LETTERS["IXZY"[int(bx) + 2 * int(bz)]]
+            assert np.allclose(expected, got, atol=1e-12)
+        assert table.action[e, 0].tolist() == [0, 0, 0]
+
+
+def test_single_qubit_clifford_compose_matches_matrix_products():
+    table = single_qubit_cliffords()
+    mats = clifford_matrices()
+    for a in range(24):
+        for b in range(24):
+            prod = mats[a] @ mats[b]
+            ref = mats[table.compose_table[a, b]]
+            phase = np.vdot(ref, prod) / 2  # equal up to a global phase
+            assert np.allclose(prod, phase * ref, atol=1e-12)
+
+
 def test_single_qubit_clifford_group_structure():
     table = single_qubit_cliffords()
+    mats = clifford_matrices()
     # closure and inverse checks run at construction; spot-check matrices
+    assert np.allclose(mats[table.identity_index], np.eye(2), atol=1e-12)
     for e in range(24):
-        m = table.matrices[e]
+        m = mats[e]
         assert np.allclose(m @ m.conj().T, np.eye(2), atol=1e-12)
-        prod = m @ table.matrices[table.inverse_table[e]]
+        prod = m @ mats[table.inverse_table[e]]
         # equal to identity up to global phase
         phase = prod[0, 0] if abs(prod[0, 0]) > 0.5 else prod[0, 1]
         assert np.allclose(prod, phase * np.eye(2), atol=1e-12)
 
 
-def test_single_qubit_clifford_action_matches_matrices():
-    table = single_qubit_cliffords()
-    x = pauli_matrix("X")
-    z = pauli_matrix("Z")
-    y = pauli_matrix("Y")
-    mats = {1: x, 2: z, 3: y}
-    for e in range(24):
-        m = table.matrices[e]
-        for code, letter in ((1, x), (2, z), (3, y)):
-            bx, bz, sgn = table.action[e, code]
-            expected = m @ letter @ m.conj().T
-            got = (-1) ** int(sgn) * mats[int(bx) + 2 * int(bz)]
-            assert np.allclose(expected, got, atol=1e-12)
-
-
-def test_single_qubit_clifford_compose_matches_matrix_products():
-    table = single_qubit_cliffords()
-    for a in range(24):
-        for b in range(24):
-            prod = table.matrices[a] @ table.matrices[b]
-            ref = table.matrices[table.compose_table[a, b]]
-            phase = np.vdot(ref, prod) / 2  # equal up to a global phase
-            assert np.allclose(prod, phase * ref, atol=1e-12)
+@pytest.mark.parametrize("letter", ["X", "Y", "Z"])
+def test_find_z_preparation_is_the_first_element_mapping_z_to_the_letter(letter):
+    x, z = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}[letter]
+    mats = clifford_matrices()
+    prepares = [np.allclose(m @ Z2 @ m.conj().T, LETTERS[letter], atol=1e-12) for m in mats]
+    assert single_qubit_cliffords().find_z_preparation(x, z) == prepares.index(True)
 
 
 def test_sample_local_clifford_uniform():

@@ -3,13 +3,14 @@ import pytest
 
 from cabbench import tableau
 from cabbench.experiments import ring_fully_connected
-from cabbench.paulis import local_clifford_elements, single_qubit_cliffords
+from cabbench.paulis import local_clifford_elements
 from cabbench.tableau import CliffordTableau, compile_inverse_pauli, gate_order
 
 from helpers import (
     H2,
     S2,
     PauliString,
+    clifford_matrices,
     commutes_with,
     conjugate,
     cz,
@@ -132,12 +133,11 @@ def test_compose_matches_matrix_oracle():
 
 def test_local_layer_tableau_matches_matrices():
     rng = np.random.default_rng(6)
-    table = single_qubit_cliffords()
     layer = local_clifford_elements(3, rng)
     t = local_layer_tableau(layer)
     mat = np.array([[1.0 + 0j]])
     for e in layer:
-        mat = np.kron(mat, table.matrices[e])
+        mat = np.kron(mat, clifford_matrices()[e])
     p = PauliString.draw(3, rng)
     expected = mat @ pauli_to_matrix(p) @ mat.conj().T
     assert np.allclose(pauli_to_matrix(conjugate(t, p)), expected, atol=1e-10)
