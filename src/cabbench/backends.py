@@ -65,11 +65,13 @@ samples:
   tables;
 - sample, one sequence at a time from its own stream: each (location,
   shot) fires independently with its probability, drawn as geometric gaps
-  over the locations that share a channel, so the work is proportional to
-  the number of faults, not to shots x qubits.  A shot's outcome is the
-  XOR of its faults' flips, each one lookup in the sequence's table.  The
-  faults come in shot order, so their flips, and then the readout flips,
-  are XORed in with one pass per group (``xor_sorted``).
+  over the locations that share a channel (``bernoulli_positions``: one
+  exponential fill per chunk, each gap its inversion), so the work is
+  proportional to the number of faults, not to shots x qubits.  A shot's
+  outcome is the XOR of its faults' flips, each one lookup in the
+  sequence's table.  The faults come in shot order, so their flips, and
+  then the readout flips, are XORed in with one pass per group
+  (``xor_sorted``).
 
 Both backends give outcomes as int64 codes, qubit 0 the most significant
 bit (``pack_bits``): ``dm_run``'s probability index, the stab frame, the
@@ -785,13 +787,14 @@ def stab_run_counts(
     sequence's readout flip of each of its Paulis.  Then, per sequence, each
     (location, shot) fires independently with exactly its probability; the
     firings of the locations that share a channel are drawn as geometric
-    gaps over their L * k_s trials.  A firing picks its Pauli from the
-    channel's conditional distribution, and a shot's outcome code (ideally
-    0) is the XOR of the table flips of its faults.  Readout error is XORed
-    into the codes (``apply_readout_noise``), which go to ``ShotCounts`` as
-    they are.  The sampling stays per sequence: a stack's frames, fault
-    XORs and readout in one pass were slower at 44 qubits, their larger
-    arrays costing more in page faults than the loop saves.
+    gaps over their L * k_s trials (``bernoulli_positions``).  A firing
+    picks its Pauli from the channel's conditional distribution, and a
+    shot's outcome code (ideally 0) is the XOR of the table flips of its
+    faults.  Readout error is XORed into the codes
+    (``apply_readout_noise``), which go to ``ShotCounts`` as they are.  The
+    sampling stays per sequence: a stack's frames, fault XORs and readout in
+    one pass were slower at 44 qubits, their larger arrays costing more in
+    page faults than the loop saves.
     """
     groups = _compile_faults(stack, device)
     if len(rngs) != stack.size:

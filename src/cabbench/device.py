@@ -263,18 +263,33 @@ def bernoulli_positions(rng: np.random.Generator, n_trials: int, p: float) -> np
     Bernoulli(p) trials.
 
     The gaps between successes are geometric, so the draw costs O(n_trials p)
-    instead of O(n_trials).  Gaps are drawn in chunks sized to cover the
-    expected count with a margin; a short chunk is followed by another.
+    instead of O(n_trials).  Each gap is ceil(E / -log1p(-p)) of one
+    standard exponential E, the inversion by which numpy's ``rng.geometric``
+    draws every p < 1/3.  Taken from one ``standard_exponential`` fill, the
+    gaps, and the generator state after them, are bit for bit those of
+    ``rng.geometric``.  ``math.log1p`` is the libm call that numpy's
+    sampler makes (the ``np.log1p`` ufunc may round differently).  At
+    p >= 1/3 numpy searches with uniforms instead; the inversion is exact
+    there too, on another stream.  A gap is capped at n_trials + 1: any gap
+    that long ends the draw, and the cap keeps the cumsum from overflowing
+    at tiny p.  Gaps are drawn in chunks sized to cover the expected count
+    with a margin; a short chunk is followed by another.
     """
     if p <= 0.0 or n_trials == 0:
         return np.zeros(0, dtype=np.int64)
     if p >= 1.0:
         return np.arange(n_trials, dtype=np.int64)
+    scale = -math.log1p(-p)
     mean = n_trials * p
     chunk = int(mean + 5.0 * np.sqrt(mean)) + 16
     parts, last = [], -1
     while last < n_trials:
-        pos = rng.geometric(p, size=chunk)
+        gaps = rng.standard_exponential(chunk)
+        with np.errstate(over="ignore"):  # p near 1e-308 can give inf, which the cap takes
+            gaps /= scale
+        np.ceil(gaps, out=gaps)
+        np.minimum(gaps, n_trials + 1, out=gaps)
+        pos = gaps.astype(np.int64)
         np.cumsum(pos, out=pos)  # in place, as apply_readout_noise's steps are
         pos += last
         parts.append(pos)
@@ -307,12 +322,12 @@ def apply_readout_noise(
     significant, as ``pack_bits`` writes it); returns new codes.
 
     Flips are drawn by thinning, one group per distinct rate
-    r = max(e0, e1) per qubit: candidates at rate r, as geometric gaps over
-    the (shot, qubit) pairs of the group's qubits, then one uniform u per
-    candidate, kept when u r < e_bit.  e_bit is read from the (2, n) table
-    [e0; e1] at the candidate's bit as the codes held it before the group's
-    flips.  The candidates come in shot order, so a group's kept flips are
-    XORed in with ``xor_sorted``.
+    r = max(e0, e1) per qubit: candidates at rate r, as geometric gaps
+    (``bernoulli_positions``) over the (shot, qubit) pairs of the group's
+    qubits, then one uniform u per candidate, kept when u r < e_bit.  e_bit
+    is read from the (2, n) table [e0; e1] at the candidate's bit as the
+    codes held it before the group's flips.  The candidates come in shot
+    order, so a group's kept flips are XORed in with ``xor_sorted``.
     """
     out = np.array(codes, dtype=np.int64)
     e0 = np.broadcast_to(np.asarray(e0, dtype=float), (n,))

@@ -35,7 +35,10 @@ fault's Pauli index into bits and XORs the flips of the set ones;
 ``compile_faults_one`` and ``stab_run_counts_one`` compile and sample one
 sequence at a time, as the stacked sampler must agree with to the bit; and
 ``apply_readout_noise_at`` the readout thinning with a gather, ``np.where``
-and an unbuffered ``np.bitwise_xor.at`` per candidate flip.  The
+and an unbuffered ``np.bitwise_xor.at`` per candidate flip;
+``bernoulli_positions_geometric`` the Bernoulli positions from
+``rng.geometric`` gaps, as the inversion sampler must agree with to the
+bit below p = 1/3.  The
 survival, marginal and aggregate references work on one sequence or one
 replicate at a time, as the stacked paths of ``ShotCounts`` and
 ``cab._aggregate`` must agree with to the bit;
@@ -1089,6 +1092,29 @@ def apply_readout_noise_at(codes: np.ndarray, n: int, e0, e1, rng: np.random.Gen
         keep = rng.random(len(q)) * r < np.where(out[shot] & flip, e1[q], e0[q])
         np.bitwise_xor.at(out, shot[keep], flip[keep])
     return out
+
+
+def bernoulli_positions_geometric(rng: np.random.Generator, n_trials: int, p: float) -> np.ndarray:
+    """Reference for ``cabbench.device.bernoulli_positions``: the gaps drawn
+    by ``rng.geometric``, element by element, in the same chunks.  For
+    p < 1/3 the positions and the generator state after them must be equal
+    to the bit.  Gaps that ``rng.geometric`` clamps to INT64_MAX overflow
+    the cumsum, so it holds only where n_trials p is not tiny."""
+    if p <= 0.0 or n_trials == 0:
+        return np.zeros(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(n_trials, dtype=np.int64)
+    mean = n_trials * p
+    chunk = int(mean + 5.0 * np.sqrt(mean)) + 16
+    parts, last = [], -1
+    while last < n_trials:
+        pos = rng.geometric(p, size=chunk)
+        np.cumsum(pos, out=pos)
+        pos += last
+        parts.append(pos)
+        last = int(pos[-1])
+    pos = np.concatenate(parts)
+    return pos[: np.searchsorted(pos, n_trials)]
 
 
 # -- per-sequence references for the stacked ShotCounts paths -------------------

@@ -2,27 +2,33 @@
 
 Before its timed run the worker imports ``cabbench.cli`` and
 ``cabbench.paulis.single_qubit_cliffords``, loads the config and builds the
-Clifford table.  A rename there would show only as a failed benchmark run,
-so this runs the worker as ``perfbench/run.py`` does: in a fresh
-single-threaded process, on a small ``order_stats`` config written here,
+Clifford table.  A rename there, or a break in the stab sampler that the
+44-qubit workload runs, would show only as a failed benchmark run, so this
+runs the worker as ``perfbench/run.py`` does: in a fresh single-threaded
+process, on small ``order_stats`` and stab ``cab`` configs written here,
 and reads the report on its last line.  Nothing under ``perfbench/`` is
 imported or written.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+from cabbench.analysis import analytic_fidelity
+from cabbench.cli import load_device
+from cabbench.device import CouplingMap
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_worker_runs_a_small_order_stats_config(tmp_path):
-    out = tmp_path / "out"
+def run_worker(tmp_path, doc: dict) -> dict:
+    """Run the worker once on ``doc`` and return its report."""
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"kind": "order_stats", "n_list": [4], "samples": 5, "seed": 2, "out_dir": str(out)}))
+    config.write_text(json.dumps(doc))
     env = {
         **os.environ,
         "PYTHONPATH": str(ROOT / "src"),
@@ -41,4 +47,23 @@ def test_worker_runs_a_small_order_stats_config(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     for key in ("setup_s", "wall_s", "peak_rss_mb"):
         assert report[key] > 0, key
+    return report
+
+
+def test_worker_runs_a_small_order_stats_config(tmp_path):
+    out = tmp_path / "out"
+    run_worker(tmp_path, {"kind": "order_stats", "n_list": [4], "samples": 5, "seed": 2, "out_dir": str(out)})
     assert (out / "orders.csv").read_text().count("\n") == 1 + 5  # header and one row per sample
+
+
+def test_worker_runs_a_small_ring44_stab_sample_config(tmp_path):
+    out = tmp_path / "out"
+    cab = {"mode": "sample", "depths": [0, 2], "k_r": 3, "k_s": 500, "k_q": 20}
+    doc = {"kind": "cab", "device": "ring_44q", "backend": "stab", "cab": cab, "subsets": "singles"}
+    run_worker(tmp_path, {**doc, "seed": 2, "out_dir": str(out)})
+    pure = json.loads((out / "result.json").read_text())["report"]["pure"]
+    # ring_44q has no couplings, so the exact fidelity is the product of its gates' own
+    exact = math.prod(
+        analytic_fidelity((0,), [g.effective_depol_p()], CouplingMap()) for g in load_device("ring_44q").gates
+    )
+    assert 0.0 < pure["se"] and abs(pure["value"] - exact) < 5 * pure["se"]

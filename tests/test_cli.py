@@ -837,6 +837,17 @@ def test_named_gate_runs(kind, tmp_path):
     assert main([kind, "--config", str(path)]) == 0
 
 
+def test_fully_connected_runs_at_a_tiny_readout_rate(tmp_path):
+    # the readout group's rate is max(e0, e1) = 1e-20: the geometric gaps once
+    # overflowed their cumsum and the run exited 1 with an IndexError
+    cab = {"depths": [0, 2], "k_r": 3, "k_s": 1000, "mode": "traverse"}
+    path = small_cab_config(
+        tmp_path, kind="fully_connected", device=None, n=4, readout_e0=1e-20, readout_e1=0.0, backend="stab", cab=cab
+    )
+    assert main(["fully_connected", "--config", str(path)]) == 0
+    assert (tmp_path / "out" / "result.json").exists()
+
+
 def _table_fields():
     """(kind, section, field, default) for every field of cli.FIELDS and the cab section."""
     for kind, table in cli.FIELDS.items():

@@ -29,6 +29,7 @@ from helpers import (
     Z2,
     PauliString,
     apply_readout_noise_at,
+    bernoulli_positions_geometric,
     kron_all,
     parametric_cz_unitary,
     pauli_from_label,
@@ -178,6 +179,41 @@ def test_bernoulli_positions_fire_each_trial_with_its_probability():
     assert np.var(totals) == pytest.approx(n_trials * p * (1 - p), rel=0.1)
     assert np.array_equal(bernoulli_positions(rng, 7, 1.0), np.arange(7))
     assert len(bernoulli_positions(rng, 7, 0.0)) == 0 and len(bernoulli_positions(rng, 0, 0.5)) == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bernoulli_positions_equal_numpy_geometric_below_a_third(seed):
+    # numpy draws geometric gaps below p = 1/3 by the same inversion of one
+    # standard exponential each: same positions, and the same state after
+    for p in np.geomspace(1e-6, 0.3333, 13).tolist():
+        for n_trials in (1, 2, 40, 1000, 20_000, 200_000):
+            rng, ref = np.random.default_rng([seed, n_trials]), np.random.default_rng([seed, n_trials])
+            pos = bernoulli_positions(rng, n_trials, p)
+            assert np.array_equal(pos, bernoulli_positions_geometric(ref, n_trials, p)), (p, n_trials)
+            assert rng.bit_generator.state == ref.bit_generator.state, (p, n_trials)
+
+
+@pytest.mark.parametrize("p", [1e-20, 1e-300, 5e-324])
+def test_bernoulli_positions_at_tiny_rates_stay_sorted_and_in_range(p):
+    # rng.geometric clamps such gaps to INT64_MAX, and their cumsum overflowed
+    rng = np.random.default_rng(0)
+    for n_trials in (1, 10**6, 10**12):
+        pos = bernoulli_positions(rng, n_trials, p)
+        assert np.all(np.diff(pos) > 0) and np.all((pos >= 0) & (pos < n_trials))
+
+
+@pytest.mark.parametrize("p", [0.5, 0.9])
+def test_bernoulli_gaps_at_a_third_and_above_follow_the_geometric_pmf(p):
+    # numpy's geometric searches with uniforms here; the inversion draws
+    # another stream, whose gaps must still be geometric.  Gap k (the first
+    # counted from trial -1) has probability p (1 - p)^(k - 1); the last
+    # bin holds every k >= 6.
+    pos = bernoulli_positions(np.random.default_rng(7), 200_000, p)
+    gaps = np.diff(pos, prepend=-1)
+    counts = np.bincount(np.minimum(gaps, 6), minlength=7)[1:]
+    pmf = p * (1 - p) ** np.arange(5)
+    expected = len(gaps) * np.append(pmf, 1 - pmf.sum())
+    assert np.all(np.abs(counts - expected) < 5 * np.sqrt(expected) + 1)
 
 
 # rates 0 and 1, e0 > e1 and e1 > e0, and e0 = e1
