@@ -22,7 +22,8 @@ once per device (``DeviceModel.cached``):
   ``_PAULIS``, the package's only copy of them;
 - a gate layer's CZs and coherent components form one diagonal unitary D.
   It is one multiply in the frame M[b, x] = rho[b^x, b], which is the
-  Walsh transform of c along z: transform, multiply, transform back;
+  Walsh transform of c along z: transform, multiply, transform back, by
+  the factors ``device.walsh_matrix`` that traverse survivals' ``fwht`` uses;
 - a first single-qubit layer on |0..0> gives a product state, and the last
   one folds into the Z measurement.
 
@@ -101,7 +102,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .circuits import SequenceStack
-from .device import DeviceModel, ResourceLimitError, bernoulli_positions, fwht, xor_sorted
+from .device import DeviceModel, ResourceLimitError, bernoulli_positions, fwht, walsh_matrix, xor_sorted
 from .paulis import single_qubit_cliffords
 
 DM_QUBIT_LIMIT = 12
@@ -180,11 +181,6 @@ def _kron_rows(t: np.ndarray, f1: np.ndarray, f2: np.ndarray, scratch: np.ndarra
     u = np.matmul(f1, t.reshape(*batch, d1, d2 * m), out=first)
     second = None if scratch is None else t.reshape(*batch, d1, d2, m)
     return np.matmul(f2, u.reshape(*batch, d1, d2, m), out=second).reshape(*batch, d, m)
-
-
-def _walsh(k: int) -> np.ndarray:
-    a = np.arange(2**k)
-    return 1.0 - 2.0 * (np.bitwise_count(a[:, None] & a[None, :]) & 1)
 
 
 def _halves(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,15 +263,10 @@ def _product_state(first, device: DeviceModel, n: int, out: np.ndarray):
     np.multiply(head, rest.reshape(-1, 1, s, 1, s), out=out.reshape(len(out), 2, s, 2, s))
 
 
-def _walsh_halves(device: DeviceModel, n: int):
-    """The 2^floor(n/2) and 2^ceil(n/2) Kronecker factors of the 2^n Walsh matrix."""
-    return device.cached(("walsh", n), lambda: (_walsh(n // 2), _walsh(n - n // 2)))
-
-
-def _walsh_rows(w: np.ndarray, device: DeviceModel, n: int) -> np.ndarray:
+def _walsh_rows(w: np.ndarray, n: int) -> np.ndarray:
     """(-1)^(a.w) over the register indices a, one row per entry of ``w``:
-    rows w of the 2^n Walsh matrix, gathered from its two halves' rows."""
-    h1, h2 = _walsh_halves(device, n)
+    rows w of the 2^n Walsh matrix, gathered from its two factors' rows."""
+    h1, h2 = walsh_matrix(n // 2), walsh_matrix(n - n // 2)
     return (h1[w >> (n - n // 2)][:, :, None] * h2[w & (len(h2) - 1)][:, None, :]).reshape(len(w), -1)
 
 
@@ -402,8 +393,8 @@ class _Stack:
         elif kind == "pauli":
             x, z = (data @ (1 << np.arange(self.n - 1, -1, -1))).T
             if np.any(x) or np.any(z):
-                self.c *= _walsh_rows(x, self.device, self.n)[:, :, None]
-                self.c *= _walsh_rows(z, self.device, self.n)[:, None, :]
+                self.c *= _walsh_rows(x, self.n)[:, :, None]
+                self.c *= _walsh_rows(z, self.n)[:, None, :]
             if noisy and self.device.pauli_layer_noise:
                 self.depolarize_1q()
         else:
@@ -422,7 +413,8 @@ class _Stack:
         noise, transform along z, multiply by the phase table, transform
         back, and take the phases off again.  The transforms run on the
         frame's float view, which carries the real and imaginary parts
-        through the same real matmuls.
+        through the matmuls by ``walsh_matrix`` factors that ``fwht`` runs:
+        exact on integers, and on floats possibly off in the last bit.
         """
         lam, phase = _gate_layer_tables(self.device, self.n, gates, noisy)
         s = _pauli_phases(self.device, self.n)
@@ -431,7 +423,7 @@ class _Stack:
         np.multiply(c, s, out=t)
         if lam is not None:
             t *= lam
-        halves = _walsh_halves(self.device, self.n)
+        halves = walsh_matrix(self.n // 2), walsh_matrix(self.n - self.n // 2)
         _kron_rows(t.view(float), *halves, self.scratch)
         t *= phase
         _kron_rows(t.view(float), *halves, self.scratch)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -189,28 +190,32 @@ class PauliChannel:
             raise ContractViolation("channel weights must be nonnegative")
 
 
-def fwht(v: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along the last axis (in a copy).
+@lru_cache(maxsize=None)
+def walsh_matrix(k: int) -> np.ndarray:
+    """The 2^k Walsh matrix (-1)^|a & b| as a read-only float array, built
+    once per k: ``fwht``'s two factors and the dm kernel's gate frame."""
+    a = np.arange(2**k)
+    w = 1.0 - 2.0 * (np.bitwise_count(a[:, None] & a[None, :]) & 1)
+    w.flags.writeable = False
+    return w
 
-    Leading axes are a batch.  Stage h pairs entries i and i + h within
-    every block of 2h, as the textbook butterfly does, so each output is
-    the same sequence of additions for any batch shape.  A real input gives
-    a float result, equal to the real part of the complex transform.
+
+def fwht(v: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the last axis (in a copy);
+    leading axes are a batch.  The 2^k Walsh matrix is the Kronecker product
+    of the 2^h and 2^(k-h) ones, h = k // 2, so each row, as a (2^h, 2^(k-h))
+    matrix, takes one matmul by each.  A real input gives a float result.
+    Integer-valued input, such as counts, transforms exactly; floats may
+    differ from another order of the additions in the last bit.
     """
     v = np.asarray(v)
-    v = v.astype(complex if np.iscomplexobj(v) else float)
-    shape = v.shape
-    d = shape[-1]
-    out = np.empty_like(v)
-    h = 1
-    while h < d:
-        src = v.reshape(*shape[:-1], d // (2 * h), 2, h)
-        dst = out.reshape(src.shape)
-        np.add(src[..., 0, :], src[..., 1, :], out=dst[..., 0, :])
-        np.subtract(src[..., 0, :], src[..., 1, :], out=dst[..., 1, :])
-        v, out = out, v
-        h *= 2
-    return v
+    d = v.shape[-1]
+    if d < 1 or d & (d - 1):
+        raise ValueError(f"fwht needs a last axis of length 2^k, got {d}")
+    k = d.bit_length() - 1
+    h = k // 2
+    t = v.astype(complex if np.iscomplexobj(v) else float).reshape(*v.shape[:-1], 2**h, 2 ** (k - h))
+    return (walsh_matrix(h) @ t @ walsh_matrix(k - h)).reshape(v.shape)
 
 
 def build_coupling_unitary(
@@ -247,7 +252,8 @@ def pauli_twirl_diagonal(v: DiagonalUnitary) -> PauliChannel:
     """Exact Pauli twirl of a diagonal unitary: a Z-type Pauli channel.
 
     The weight of Z_w is |2^-k tr(Z_w V)|^2, evaluated for all w at once
-    with a Walsh-Hadamard transform of the diagonal.
+    with a Walsh-Hadamard transform of the diagonal, which is complex: a
+    weight may differ in the last bit from another order of the additions.
     """
     if np.any(np.abs(np.abs(v.diag) - 1.0) > 1e-10):
         raise ContractViolation("twirl input must have unit-modulus diagonal entries")

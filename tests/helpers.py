@@ -62,7 +62,7 @@ from cabbench import backends
 from cabbench.cab import QUALITY_DTYPE, _fit_lambda_arrays, _prep_elements
 from cabbench.calibration import NelderMead, NelderMeadOptions, NonFiniteObjective
 from cabbench.circuits import SequenceStack, unitary_layer
-from cabbench.device import DeviceModel, DiagonalUnitary, GateSpec, PauliChannel
+from cabbench.device import DeviceModel, DiagonalUnitary, GateSpec, PauliChannel, walsh_matrix
 from cabbench.experiments import ring_cz_patterns
 from cabbench.paulis import _MUL_PHASE, local_clifford_elements, random_pauli_bits, single_qubit_cliffords
 from cabbench.tableau import CliffordTableau, NonCliffordError, local_layer_lookup
@@ -668,8 +668,8 @@ def _local_ptms_one(layer, device: DeviceModel, n: int, noisy: bool) -> np.ndarr
     return ptm
 
 
-def _walsh_column_one(w: int, device: DeviceModel, n: int) -> np.ndarray:
-    h1, h2 = backends._walsh_halves(device, n)
+def _walsh_column_one(w: int, n: int) -> np.ndarray:
+    h1, h2 = walsh_matrix(n // 2), walsh_matrix(n - n // 2)
     return np.multiply.outer(h1[w >> (n - n // 2)], h2[w & (len(h2) - 1)]).ravel()
 
 
@@ -682,7 +682,7 @@ def _apply_layer_one(c: np.ndarray, n: int, layer, device: DeviceModel) -> np.nd
     if isinstance(layer, GateLayer):
         lam, phase = backends._gate_layer_tables(device, n, tuple(layer.gates), True)
         s = backends._pauli_phases(device, n)
-        halves = backends._walsh_halves(device, n)
+        halves = walsh_matrix(n // 2), walsh_matrix(n - n // 2)
         t = c * s
         if lam is not None:
             t *= lam
@@ -700,8 +700,8 @@ def _apply_layer_one(c: np.ndarray, n: int, layer, device: DeviceModel) -> np.nd
         return t.swapaxes(-3, -2).reshape(d, d)
     x, z = np.dot((layer.pauli.x, layer.pauli.z), 1 << np.arange(n - 1, -1, -1)).tolist()
     if x or z:
-        c = c * _walsh_column_one(x, device, n)[:, None]
-        c *= _walsh_column_one(z, device, n)
+        c = c * _walsh_column_one(x, n)[:, None]
+        c *= _walsh_column_one(z, n)
     return _depolarize_1q_one(c, device, n) if device.pauli_layer_noise else c
 
 
@@ -1127,12 +1127,9 @@ def survivals_one(codes: np.ndarray, counts: np.ndarray, k_s: int, w_masks: np.n
 
 
 def all_survivals_one(codes: np.ndarray, counts: np.ndarray, k_s: int, n: int) -> np.ndarray:
-    """One sequence's survivals of every Z-observable: its dense count vector's transform."""
-    from cabbench.device import fwht
-
-    vec = np.zeros(2**n)
-    vec[codes] = counts
-    return np.real(fwht(vec)) / k_s
+    """One sequence's survivals of every Z-observable, mask w at index w:
+    ``survivals_one`` over all 2^n masks, with no Walsh transform."""
+    return survivals_one(codes, counts, k_s, np.arange(2**n))
 
 
 def marginal_count_vector_one(codes: np.ndarray, counts: np.ndarray, n: int, qubits) -> np.ndarray:

@@ -18,6 +18,7 @@ from cabbench.backends import (
     pack_bits,
     stab_run_counts,
 )
+from cabbench.cab import TRAVERSE_LIMIT
 from cabbench.circuits import GateBlock, SequenceStack
 from cabbench.device import CouplingMap, ControlPhases, DeviceModel, GateSpec, ResourceLimitError
 from cabbench.experiments import fully_connected_gate
@@ -448,12 +449,13 @@ def _sequence_counts(n, k_s, n_codes, rng):
 
 
 # (n, k_s, codes per sequence): a lone one-code sequence, k_r = 2, a depth
-# whose sequences include a one-code one, two-byte codes, and the 44- and
-# 62-qubit codes
+# whose sequences include a one-code one, traverse survivals at the traverse
+# limit, two-byte codes, and the 44- and 62-qubit codes
 STACK_CASES = {
     "one_code": (3, 50, [1]),
     "k_r_2": (4, 200, [40, 40]),
     "mixed_6q": (6, 500, [300, 1, 80, 300, 2]),
+    "n12": (12, 2000, [500, 1, 500]),
     "n16": (16, 500, [200, 1, 200]),
     "n44": (44, 1000, [300, 300, 300]),
     "n62": (62, 1000, [300, 1, 300]),
@@ -474,7 +476,7 @@ def test_stacked_shot_counts_match_the_per_sequence_references(case):
     if n > 8:
         tuples.append((n - 9, n - 8))  # across the lowest code byte boundary
     surv = stacked.survivals(masks)
-    full = stacked.all_survivals() if n <= 12 else None
+    full = stacked.all_survivals() if n <= TRAVERSE_LIMIT else None
     marginals = {qubits: stacked.marginal_count_vector(qubits) for qubits in tuples}
     for s, part in enumerate(parts):
         assert np.array_equal(surv[s], survivals_one(part.codes, part.counts, k_s, masks))

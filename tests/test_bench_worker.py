@@ -2,12 +2,12 @@
 
 Before its timed run the worker imports ``cabbench.cli`` and
 ``cabbench.paulis.single_qubit_cliffords``, loads the config and builds the
-Clifford table.  A rename there, or a break in the stab sampler that the
-44-qubit workload runs, would show only as a failed benchmark run, so this
-runs the worker as ``perfbench/run.py`` does: in a fresh single-threaded
-process, on small ``order_stats`` and stab ``cab`` configs written here,
-and reads the report on its last line.  Nothing under ``perfbench/`` is
-imported or written.
+Clifford table.  A rename there, or a break in the stab sampler or the
+traverse transform that the stab workloads run, would show only as a failed
+benchmark run, so this runs the worker as ``perfbench/run.py`` does: in a
+fresh single-threaded process, on small ``order_stats``, stab ``cab`` and
+stab traverse ``fully_connected`` configs written here, and reads the report
+on its last line.  Nothing under ``perfbench/`` is imported or written.
 """
 
 import json
@@ -67,3 +67,15 @@ def test_worker_runs_a_small_ring44_stab_sample_config(tmp_path):
         analytic_fidelity((0,), [g.effective_depol_p()], CouplingMap()) for g in load_device("ring_44q").gates
     )
     assert 0.0 < pure["se"] and abs(pure["value"] - exact) < 5 * pure["se"]
+
+
+def test_worker_runs_a_small_fully_connected_traverse_config(tmp_path):
+    out = tmp_path / "out"
+    cab = {"mode": "traverse", "depths": [0, 2], "k_r": 3, "k_s": 500}
+    doc = {"kind": "fully_connected", "n": 8, "backend": "stab", "measure_twirl": True, "cab": cab, "subsets": "none"}
+    run_worker(tmp_path, {**doc, "seed": 2, "out_dir": str(out)})
+    report = json.loads((out / "result.json").read_text())["report"]
+    for kind in ("dressed", "twirl", "pure"):
+        assert 0.0 < report[kind]["value"] <= 1.0 and 0.0 < report[kind]["se"] < 0.1, kind
+    # the dressed sequences run the gate's noise on top of the twirl's
+    assert report["dressed"]["value"] < report["twirl"]["value"]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cabbench.backends import pack_bits
+from cabbench.cab import TRAVERSE_LIMIT
 from cabbench.device import (
     ContractViolation,
     ControlPhases,
@@ -356,7 +357,8 @@ def test_control_offsets_copy():
 
 
 def fwht_loop(v):
-    """The textbook butterfly, one block at a time: the reference for fwht."""
+    """The textbook butterfly, one block at a time: a reference for fwht in
+    another order of addition."""
     v = np.asarray(v).astype(complex)
     h = 1
     while h < len(v):
@@ -369,27 +371,42 @@ def fwht_loop(v):
     return v
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", range(TRAVERSE_LIMIT + 1))
 def test_fwht_batched_rows_match_dense_walsh_product(n):
     rng = np.random.default_rng(n)
     ints = rng.integers(-50, 51, size=(5, 2**n))
-    idx = np.arange(2**n)
-    walsh = 1 - 2 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(np.int64)
+    idx = np.arange(2**n, dtype=np.uint16)
+    walsh = (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(np.int32)
+    walsh *= -2
+    walsh += 1
     batched = fwht(ints)
     rows = np.array([fwht(row) for row in ints])
     assert batched.dtype == float and batched.shape == ints.shape
     assert np.array_equal(batched, rows)
-    assert np.array_equal(batched, ints @ walsh.T)
+    # int32 holds every sum: |entry| <= 50 * 2^12
+    assert np.array_equal(batched, ints.astype(np.int32) @ walsh.T)
     # a real input stays real: the real part of the complex transform, bit for bit
     reals = rng.normal(size=(4, 2**n))
     for real in (ints, reals):
         assert np.array_equal(fwht(real), np.real(fwht(real.astype(complex))))
     assert fwht(reals).dtype == float
-    # floats: the same additions in the same order as the one-block-at-a-time loop
+    # floats: each row of a batch bit for bit as on its own, and the
+    # butterfly's result within the first-order rounding bound of both
+    # orders: the matmuls sum 2^h and then 2^(n-h) terms, the butterfly runs
+    # n stages, and each step is off by at most eps * sum(|v|)
     floats = rng.normal(size=(3, 2, 2**n)) + 1j * rng.normal(size=(3, 2, 2**n))
+    out = fwht(floats)
+    assert np.array_equal(out, [[fwht(row) for row in block] for block in floats])
     expected = np.array([[fwht_loop(row) for row in block] for block in floats])
-    assert np.array_equal(fwht(floats), expected)
-    assert np.array_equal(fwht(floats[1, 0]), expected[1, 0])
+    h = n // 2
+    bound = (2**h + 2 ** (n - h) + n) * np.finfo(float).eps * np.abs(floats).sum(axis=-1, keepdims=True)
+    assert np.all(np.abs(out - expected) <= bound)
+
+
+@pytest.mark.parametrize("length", [0, 3, 12, 4095])
+def test_fwht_refuses_a_length_that_is_not_a_power_of_two(length):
+    with pytest.raises(ValueError, match=f"got {length}$"):
+        fwht(np.ones((2, length)))
 
 
 def test_fwht_leaves_its_input_unchanged():
