@@ -11,9 +11,9 @@ PRA 68, 042318; Aaronson & Gottesman, quant-ph/0406196): the bits of a
 product are a GF(2) matrix product, and its signs a quadratic form over
 the same bits (``_images``, shared by ``compose``, ``gate_order`` and the
 fully connected gate's stacked builder).  The order is the order k of the
-2n x 2n symplectic matrix M, or 2k when the signs that t adds along each
-generator's orbit under M^0..M^(k-1) do not cancel.  A local Clifford
-layer, an array of element indices, is applied by lookup in the
+2n x 2n symplectic matrix M, or 2k when t^k has a sign: bit 1 of the form
+summed along a generator's orbit, where the x.z terms cancel.  A local
+Clifford layer, an array of element indices, is applied by lookup in the
 single-qubit action table (``local_layer_lookup``), to a whole stack of
 tableaus at once.  The closing Paulis of the benchmark sequences need only
 bits, so they are GF(2) products alone.
@@ -34,10 +34,12 @@ class NonCliffordError(ValueError):
 
 
 @cache
-def _strict_upper(d: int) -> np.ndarray:
-    """2 above the diagonal, 0 on and below it (float64, read-only)."""
-    out = np.triu(np.full((d, d), 2.0), 1)
-    out.flags.writeable = False
+def _unit_forms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only 2n x 2n: the identity, 2 above the diagonal (float64), J = [[0, I], [I, 0]] (int64)."""
+    eye = np.eye(2 * n)
+    out = eye, np.triu(np.full_like(eye, 2.0), 1), np.roll(eye, n, axis=1).astype(np.int64)
+    for arr in out:
+        arr.flags.writeable = False
     return out
 
 
@@ -73,11 +75,8 @@ class CliffordTableau:
 
     @staticmethod
     def identity(n: int) -> "CliffordTableau":
-        xb = np.zeros((2 * n, n), dtype=np.uint8)
-        zb = np.zeros((2 * n, n), dtype=np.uint8)
-        xb[:n] = np.eye(n, dtype=np.uint8)
-        zb[n:] = np.eye(n, dtype=np.uint8)
-        return CliffordTableau(n, xb, zb, np.zeros(2 * n, dtype=np.uint8))
+        eye = np.eye(2 * n, dtype=np.uint8)
+        return CliffordTableau(n, eye[:, :n].copy(), eye[:, n:].copy(), np.zeros(2 * n, dtype=np.uint8))
 
     @staticmethod
     def from_cz_layer(n: int, pairs) -> "CliffordTableau":
@@ -86,10 +85,8 @@ class CliffordTableau:
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if len(set(pairs.ravel().tolist())) != pairs.size:
             raise ValueError("CZ pairs within a layer must be disjoint")
-        zb = t.zbits
         # CZ: X_a -> X_a Z_b, X_b -> X_b Z_a, Z unchanged.
-        zb[pairs[:, 0], pairs[:, 1]] = 1
-        zb[pairs[:, 1], pairs[:, 0]] = 1
+        t.zbits[pairs[:, 0], pairs[:, 1]] = t.zbits[pairs[:, 1], pairs[:, 0]] = 1
         return t
 
     def compose(self, before: "CliffordTableau") -> "CliffordTableau":
@@ -116,11 +113,7 @@ class CliffordTableau:
         """
         n = self.n
         sel = np.asarray(v, dtype=np.float64)
-        m = np.concatenate([self.xbits, self.zbits], axis=1, dtype=np.float64)
-        a, c = m[:, :n], m[:, n:]
-        # sel_i w sel_i = sum_r sel_ir (2 t_r + |a_r & c_r|) + 2 sum_{r < r'} sel_ir sel_ir' c_r . a_r'
-        w = (c @ a.T) * _strict_upper(2 * n)
-        w.flat[:: 2 * n + 1] = 2 * self.signs + np.einsum("ij,ij->i", a, c)
+        m, _, w = self._form()
         bits = (sel @ m).astype(np.int64) & 1
         phases = (
             2 * signs
@@ -132,18 +125,23 @@ class CliffordTableau:
             raise NonCliffordError("composition changed a phase parity")
         return bits, phases >> 1
 
+    def _form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """M = [a | c], C = c a^T and ``_images``' quadratic form W, float64."""
+        m = np.concatenate([self.xbits, self.zbits], axis=1, dtype=np.float64)
+        cat = m[:, self.n :] @ m[:, : self.n].T
+        # sel W sel^T = sum_r sel_r (2 t_r + C_rr) + 2 sum_{r < r'} sel_r sel_r' C_rr'
+        w = cat * _unit_forms(self.n)[1]
+        w.flat[:: 2 * self.n + 1] = 2 * self.signs + cat.diagonal()
+        return m, cat, w
+
     def _symplectic(self) -> tuple[np.ndarray, np.ndarray]:
         """The 2n x 2n bit matrix M (row r = generator image r as [x | z]) and J.
 
         A Pauli with bits v = [x | z] maps to v M (mod 2) under conjugation;
-        the inverse tableau's bit matrix is J M^T J.
+        the inverse tableau's bit matrix is J M^T J (J cached, read-only).
         """
-        n = self.n
         m = np.concatenate([self.xbits, self.zbits], axis=1).astype(np.int64)
-        j = np.zeros((2 * n, 2 * n), dtype=np.int64)
-        j[:n, n:] = np.eye(n, dtype=np.int64)
-        j[n:, :n] = np.eye(n, dtype=np.int64)
-        return m, j
+        return m, _unit_forms(self.n)[2]
 
     def is_identity(self) -> bool:
         return self == CliffordTableau.identity(self.n)
@@ -162,53 +160,55 @@ class CliffordTableau:
         return hash((self.n, self.xbits.tobytes(), self.zbits.tobytes(), self.signs.tobytes()))
 
 
-# most rows passed to one _images call: gate_order's chunks of powers of M,
-# and gate_order_samples' chunks of draws (2n rows each), so memory stays
-# bounded whatever the order, cap or number of draws
+# most rows in one _images call (chunks of draws, 2n rows each) or one orbit
+# sum (chunks of powers of M): memory is bounded whatever the order or draws
 _SIGN_CHUNK_ROWS = 4096
 
 
-def _sign_sum(t: CliffordTableau, powers: list[np.ndarray]) -> np.ndarray:
-    """Per generator r, the XOR over the matrices P in ``powers`` of the sign t adds to row r of P."""
-    signs = t._images(np.concatenate(powers), 0)[1]
-    return np.bitwise_xor.reduce(signs.reshape(len(powers), -1), axis=0)
+def _orbit_sign(t: CliffordTableau, cap: int) -> tuple[int, np.ndarray] | None:
+    """``gate_order``'s k and sign bits of t^k per generator; None when k > cap."""
+    m, cat, w = t._form()
+    eye, _, j = _unit_forms(t.n)
+    if not np.array_equal(np.fmod(cat + cat.T, 2.0), j):
+        raise NonCliffordError("tableau bits are not symplectic")
+    eye_bytes = eye.tobytes()
+    per_chunk = max(1, _SIGN_CHUNK_ROWS // len(m))
+    phase, powers, acc, k = 0.0, [eye], m, 1
+    while True:
+        closed = acc.tobytes() == eye_bytes
+        if closed or len(powers) == per_chunk:
+            p = np.concatenate(powers)
+            phase = phase + np.einsum("ij,ij->i", p @ w, p).reshape(-1, len(m)).sum(axis=0)
+            powers = []
+        if closed:
+            return k, phase.astype(np.int64) >> 1 & 1
+        if k >= cap:
+            return None
+        powers.append(acc)
+        acc = np.fmod(acc @ m, 2.0)
+        k += 1
 
 
 def gate_order(t: CliffordTableau, cap: int = 10**6) -> int | None:
     """Smallest p <= cap with t^p equal to the identity tableau.
 
     Comparisons are at the tableau level, hence modulo global phase.
-    Returns None when the cap is exceeded.  The order k of t's symplectic
-    matrix M comes from iterating M in GF(2).  t^k then fixes every Pauli
-    up to sign, so it is a Pauli conjugation and squares to the identity:
-    the order is k when t^k has no sign, else 2k.
-
-    The sign t adds to a Pauli depends on its bits alone, so signs add up
-    (mod 2) along an orbit: the sign of t^k on generator r is the XOR over
-    j < k of the sign t adds to row r of M^j.  The powers M^0..M^(k-1) are
-    evaluated as the iteration produces them, in chunks of at most
-    ``_SIGN_CHUNK_ROWS`` rows, so memory does not grow with k or ``cap``.
+    Returns None past the cap; raises ``NonCliffordError`` unless t's bits
+    M = [a | c] are symplectic, (c a^T + a c^T) mod 2 = J.  The order k of
+    M comes from iterating M mod 2 in float64 (exact: entries <= 2n).  t^k
+    fixes every Pauli up to sign, so it squares to the identity: the order
+    is k, or 2k when t^k has a sign.  On generator r's orbit v_j = row r of
+    M^j, closed at v_k = v_0, step j of ``_images`` adds the phase
+    |x_j & z_j| + v_j W v_j^T - |x_(j+1) & z_(j+1)|.  The x.z terms cancel,
+    so the sign is bit 1 of sum_(j < k) v_j W v_j^T, summed raw over chunks
+    of at most ``_SIGN_CHUNK_ROWS`` rows of powers (a chunk's can be odd).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    d = 2 * t.n
-    # entries of acc @ m are sums of at most d bits
-    m = np.concatenate([t.xbits, t.zbits], axis=1).astype(np.min_scalar_type(d))
-    eye = np.eye(d, dtype=m.dtype)
-    eye_bytes = eye.tobytes()
-    per_chunk = max(1, _SIGN_CHUNK_ROWS // d)
-    sign = np.zeros(d, dtype=np.int64)
-    powers, acc, k = [eye], m, 1
-    while acc.tobytes() != eye_bytes:
-        if k >= cap:
-            return None
-        if len(powers) == per_chunk:
-            sign ^= _sign_sum(t, powers)
-            powers = []
-        powers.append(acc)
-        acc = acc @ m & 1
-        k += 1
-    sign ^= _sign_sum(t, powers)
+    orbit = _orbit_sign(t, cap)
+    if orbit is None:
+        return None
+    k, sign = orbit
     order = 2 * k if sign.any() else k
     return order if order <= cap else None
 

@@ -27,9 +27,11 @@ it.  The tableau helpers
 conjugation, inversion and the
 qubit-by-qubit ``compose_loop``) work on ``CliffordTableau`` bits, one
 generator at a time, with the Pauli multiplication table;
-``gate_order_by_squaring`` finds an order by repeated squaring, and
-``fully_connected_tableaus_loop`` builds the order draws' tableaus one
-draw at a time.
+``gate_order_by_squaring`` finds an order by repeated squaring,
+``orbit_sign_loop`` the sign of t^k by XORing one ``_images`` sign per
+power, ``gate_order_loop`` an order by the route before the symplectic
+check, and ``fully_connected_tableaus_loop`` builds the order draws'
+tableaus one draw at a time.
 ``stab_run_counts_bitwise`` is the stabilizer sampler that expands every
 fault's Pauli index into bits and XORs the flips of the set ones;
 ``compile_faults_one`` and ``stab_run_counts_one`` compile and sample one
@@ -917,6 +919,42 @@ def gate_order_by_squaring(t: CliffordTableau) -> tuple[int, int]:
         acc = acc @ m & 1
         k += 1
     return (k if power_by_squaring(t, k).is_identity() else 2 * k), k
+
+
+def orbit_sign_loop(t: CliffordTableau, k: int) -> np.ndarray:
+    """Reference for the sign bits of t^k per generator, for M^k = I.
+
+    Generator r's bit is the XOR over j < k of the sign that t adds to row r
+    of M^j, from one ``_images`` call per power, each with its phase-parity
+    check.
+    """
+    m = t._symplectic()[0]
+    acc = np.eye(2 * t.n, dtype=np.int64)
+    sign = np.zeros(2 * t.n, dtype=np.int64)
+    for _ in range(k):
+        sign ^= t._images(acc, 0)[1]
+        acc = acc @ m & 1
+    return sign
+
+
+def gate_order_loop(t: CliffordTableau, cap: int) -> int | None:
+    """``gate_order`` as it was before its symplectic check, for caps below one chunk of powers.
+
+    M is iterated in int64 up to ``cap`` and the sign of t^k comes from
+    ``orbit_sign_loop``.  On bits that are not symplectic this returns
+    None or an order, or raises ``NonCliffordError`` when some power's
+    phase parity changes.
+    """
+    m = t._symplectic()[0]
+    eye_bytes = np.eye(2 * t.n, dtype=np.int64).tobytes()
+    acc, k = m, 1
+    while acc.tobytes() != eye_bytes:
+        if k >= cap:
+            return None
+        acc = acc @ m & 1
+        k += 1
+    order = 2 * k if orbit_sign_loop(t, k).any() else k
+    return order if order <= cap else None
 
 
 def fully_connected_tableaus_loop(n: int, samples: int, rng: np.random.Generator) -> list[CliffordTableau]:

@@ -7,9 +7,13 @@ traverse transform that the stab workloads run, would show only as a failed
 benchmark run, so this runs the worker as ``perfbench/run.py`` does: in a
 fresh single-threaded process, on small ``order_stats``, stab ``cab`` and
 stab traverse ``fully_connected`` configs written here, and reads the report
-on its last line.  Nothing under ``perfbench/`` is imported or written.
+on its last line.  The ``order_stats`` orders are checked against
+``gate_order_by_squaring`` on the blocks drawn again from the seed, so a
+wrong order fails here as well as in a benchmark run's check.  Nothing
+under ``perfbench/`` is imported or written.
 """
 
+import csv
 import json
 import math
 import os
@@ -18,9 +22,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from cabbench.analysis import analytic_fidelity
 from cabbench.cli import load_device
 from cabbench.device import CouplingMap
+from cabbench.experiments import ring_fully_connected
+
+from helpers import gate_order_by_squaring
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,7 +62,14 @@ def run_worker(tmp_path, doc: dict) -> dict:
 def test_worker_runs_a_small_order_stats_config(tmp_path):
     out = tmp_path / "out"
     run_worker(tmp_path, {"kind": "order_stats", "n_list": [4], "samples": 5, "seed": 2, "out_dir": str(out)})
-    assert (out / "orders.csv").read_text().count("\n") == 1 + 5  # header and one row per sample
+    with open(out / "orders.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["n"], r["sample"]) for r in rows] == [("4", str(i)) for i in range(5)]
+    # the blocks drawn again from the seed, as the CLI draws them, against orders by repeated squaring
+    rng = np.random.default_rng([2, 9])
+    expected = [gate_order_by_squaring(ring_fully_connected(4, rng)[0].tableau) for _ in rows]
+    assert [int(r["order"]) for r in rows] == [order for order, _ in expected]
+    assert any(order == 2 * k for order, k in expected)  # one t^k has a sign
 
 
 def test_worker_runs_a_small_ring44_stab_sample_config(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from cabbench import tableau
 from cabbench.experiments import ring_fully_connected
 from cabbench.paulis import local_clifford_elements
-from cabbench.tableau import CliffordTableau, compile_inverse_pauli, gate_order
+from cabbench.tableau import CliffordTableau, NonCliffordError, compile_inverse_pauli, gate_order
 
 from helpers import (
     H2,
@@ -17,9 +17,11 @@ from helpers import (
     cz_matrix,
     embed_1q,
     gate_order_by_squaring,
+    gate_order_loop,
     hadamard,
     inverse,
     local_layer_tableau,
+    orbit_sign_loop,
     pauli_bits,
     pauli_conjugation_tableau,
     pauli_from_label,
@@ -180,6 +182,10 @@ def test_gate_order_matches_squaring_on_large_orders(n):
         t = draws[i]
         order, k = gate_order_by_squaring(t)
         assert gate_order(t) == order
+        # the orbit sum's sign bits against one _images sign per power
+        bits_order, sign = tableau._orbit_sign(t, k)
+        assert bits_order == k and sign.any() == (order == 2 * k)
+        np.testing.assert_array_equal(sign, orbit_sign_loop(t, k))
         for cap in (order - 1, order, k):
             assert gate_order(t, cap=cap) == (order if order <= cap else None)
         bit_orders.append(k)
@@ -189,6 +195,34 @@ def test_gate_order_matches_squaring_on_large_orders(n):
     assert any(doubled) and not all(doubled)
     if n > 8:
         assert any(k % per_chunk == 0 and k > per_chunk for k in bit_orders)
+
+
+def test_gate_order_refuses_bits_that_are_not_symplectic():
+    # random bits, mostly not symplectic: gate_order checks the bits once,
+    # where the route before it (gate_order_loop) returned None or an order
+    # on many such inputs and raised only when some power's parity changed
+    rng = np.random.default_rng(0)
+    seen = set()
+    for n in (1, 2, 3):
+        for _ in range(2000):
+            bits = rng.integers(0, 2, size=(2 * n, 2 * n + 1), dtype=np.uint8)
+            t = CliffordTableau(n, bits[:, :n].copy(), bits[:, n : 2 * n].copy(), bits[:, 2 * n].copy())
+            ok = symplectic_ok(t)
+            for cap in (7, 300):
+                try:
+                    before = gate_order_loop(t, cap)
+                except NonCliffordError:
+                    assert not ok
+                    before = NonCliffordError
+                if ok:
+                    assert gate_order(t, cap) == before
+                else:
+                    with pytest.raises(NonCliffordError, match="not symplectic"):
+                        gate_order(t, cap)
+                seen.add((ok, before if before in (None, NonCliffordError) else "order"))
+    # symplectic bits past and within the cap; other bits that the route
+    # before refused, capped, or gave an order
+    assert seen == {(True, None), (True, "order"), (False, NonCliffordError), (False, None), (False, "order")}
 
 
 def test_pauli_conjugation_tableau():

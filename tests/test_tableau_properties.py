@@ -4,14 +4,16 @@ A word is a short product of local Clifford layers, parallel CZ layers and
 Pauli conjugations on 1 to 12 qubits.  ``compose`` and the stacked
 ``local_layer_lookup`` are checked bit for bit against the qubit-by-qubit
 ``compose_loop`` of ``helpers``, ``gate_order`` against plain repeated
-composition, and the GF(2) closing Pauli against sign-tracked composition
-of the whole interleaved sequence.
+composition (its sign bits against ``orbit_sign_loop``), and the GF(2)
+closing Pauli against sign-tracked composition of the whole interleaved
+sequence.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cabbench import tableau
 from cabbench.tableau import CliffordTableau, compile_inverse_pauli, gate_order, local_layer_lookup
 
 from helpers import (
@@ -19,6 +21,7 @@ from helpers import (
     compose_loop,
     inverse,
     local_layer_tableau,
+    orbit_sign_loop,
     pauli_bits,
     pauli_conjugation_tableau,
     pauli_of_bits,
@@ -126,6 +129,11 @@ def _orders_by_composition(t, limit):
 def test_gate_order_equals_repeated_composition(t):
     order, bits_order = _orders_by_composition(t, ORDER_LIMIT)
     assert gate_order(t, cap=ORDER_LIMIT) == order
+    if bits_order is not None:
+        # the orbit sum's sign bits against one _images sign per power
+        k, sign = tableau._orbit_sign(t, ORDER_LIMIT)
+        assert k == bits_order
+        np.testing.assert_array_equal(sign, orbit_sign_loop(t, k))
     if order is None:
         return
     # the order sits at the cap edge
