@@ -68,21 +68,21 @@ def _component_fidelity(
     members: tuple[int, ...],
     subset: tuple[int, ...],
     p: dict[int, float],
-    dims: dict[int, int],
+    dim: int,
     diag: np.ndarray,
 ) -> float:
     """Fidelity contribution of one coupling component, restricted to subset."""
     k = len(members)
     pos = {g: k - 1 - i for i, g in enumerate(members)}
-    spect = {g: dims[g] // 2 for g in members}  # non-coupled dimension per gate
-    d_total = math.prod(dims[g] for g in members)
-    d_s = math.prod(dims[g] for g in subset)
+    spect = dim // 2  # non-coupled dimension per gate
+    d_total = dim**k
+    d_s = dim ** len(subset)
     total = 0.0
     sub = list(subset)
     for bits in range(2 ** len(sub)):
         kept = [sub[i] for i in range(len(sub)) if not (bits >> i) & 1]
         traced = [sub[i] for i in range(len(sub)) if (bits >> i) & 1]  # the set L
-        d_l = math.prod(dims[g] for g in traced) if traced else 1
+        d_l = dim ** len(traced)
         coeff = math.prod(p[g] for g in traced) * math.prod(1.0 - p[g] for g in kept)
         if coeff == 0.0:
             continue
@@ -94,9 +94,7 @@ def _component_fidelity(
         norm2 = float(np.sum(np.abs(t) ** 2))
         # spectator multiplicities: traced gates enter the trace squared,
         # untouched gates contribute their spectator dimension once
-        spect_l = math.prod(spect[g] for g in traced) if traced else 1
-        spect_rest = math.prod(spect[g] for g in members if g not in traced)
-        norm2 *= spect_l**2 * spect_rest
+        norm2 *= spect ** (k + len(traced))
         total += coeff * (d_l / (d_total * d_s**2)) * norm2
     return total
 
@@ -105,25 +103,20 @@ def analytic_fidelity(
     subset: tuple[int, ...],
     p: list[float],
     couplings: CouplingMap,
-    dims: list[int] | int = 4,
+    dims: int = 4,
 ) -> float:
     """Exact process fidelity of a gate subset under depolarizing + coupling.
 
     ``p`` lists the per-gate depolarizing parameters of all gates in the
     parallel gate; ``subset`` selects by index the part whose restricted
     fidelity is evaluated (environment gates are maximally mixed).
-    ``dims`` gives per-gate dimensions (4 for two-qubit gates, 2 for the
-    coupled-qubit-only variant).
+    ``dims`` is the dimension of every gate (4 for two-qubit gates, 2 for
+    the coupled-qubit-only variant).
     """
     g = len(p)
-    if isinstance(dims, int):
-        dims = [dims] * g
-    if len(dims) != g:
-        raise ValueError("one dimension entry per gate required")
     if any(not 0 <= i < g for i in subset):
         raise ValueError("subset index out of range")
     pmap = {i: float(p[i]) for i in range(g)}
-    dmap = {i: int(dims[i]) for i in range(g)}
 
     value = 1.0
     for members in couplings.components(range(g)):
@@ -131,7 +124,7 @@ def analytic_fidelity(
             raise ResourceLimitError(f"coupling component of {len(members)} gates is too large")
         sub = tuple(i for i in subset if i in members)
         diag = _coupled_diag(couplings, members)
-        value *= _component_fidelity(members, sub, pmap, dmap, diag)
+        value *= _component_fidelity(members, sub, pmap, dims, diag)
     return value
 
 

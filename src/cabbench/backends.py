@@ -395,7 +395,7 @@ class _Stack:
             if np.any(x) or np.any(z):
                 self.c *= _walsh_rows(x, self.n)[:, :, None]
                 self.c *= _walsh_rows(z, self.n)[:, None, :]
-            if noisy and self.device.pauli_layer_noise:
+            if noisy:
                 self.depolarize_1q()
         else:
             self.local(_local_ptms(layer, self.device, self.n, noisy))
@@ -689,7 +689,9 @@ def _compile_faults(stack: SequenceStack, device: DeviceModel) -> list:
     ((K, n) arrays): the GF(2) vector of final X bits the fault ends up as,
     packed like ``pack_bits``.  Noise follows its layer's ideal operation,
     so a layer's locations take the vectors before stepping back through
-    the layer:
+    the layer.  Per-qubit depolarizing follows every single-qubit layer,
+    Pauli layers included; per-gate depolarizing and the coupling twirl
+    follow every gate layer.
 
     - a Clifford layer maps a fault P to C P C^dagger
       (``single_qubit_cliffords().action``), each sequence by its own row,
@@ -737,8 +739,7 @@ def _compile_faults(stack: SequenceStack, device: DeviceModel) -> list:
                 np.where(img[..., 2, 0], fx, 0) ^ np.where(img[..., 2, 1], fz, 0),
             )
         elif kind == "pauli":
-            if device.pauli_layer_noise:
-                depol_1q()
+            depol_1q()
         elif kind == "gates":
             for g in data:
                 spec = device.gates[g]
@@ -774,19 +775,19 @@ def stab_run_counts(
 
     Compile, then sample.  ``_compile_faults`` lists, in one walk over the
     stack's layers, every noise location (per-qubit depolarizing after
-    single-qubit layers, per-gate depolarizing, and the exact Pauli twirl of
-    each coherent diagonal component of every gate layer) with each
-    sequence's readout flip of each of its Paulis.  Then, per sequence, each
-    (location, shot) fires independently with exactly its probability; the
-    firings of the locations that share a channel are drawn as geometric
-    gaps over their L * k_s trials (``bernoulli_positions``).  A firing
-    picks its Pauli from the channel's conditional distribution, and a
-    shot's outcome code (ideally 0) is the XOR of the table flips of its
-    faults.  Readout error is XORed into the codes
-    (``apply_readout_noise``), which go to ``ShotCounts`` as they are.  The
-    sampling stays per sequence: a stack's frames, fault XORs and readout in
-    one pass were slower at 44 qubits, their larger arrays costing more in
-    page faults than the loop saves.
+    every single-qubit layer, Pauli layers included, per-gate depolarizing,
+    and the exact Pauli twirl of each coherent diagonal component of every
+    gate layer) with each sequence's readout flip of each of its Paulis.
+    Then, per sequence, each (location, shot) fires independently with
+    exactly its probability; the firings of the locations that share a
+    channel are drawn as geometric gaps over their L * k_s trials
+    (``bernoulli_positions``).  A firing picks its Pauli from the channel's
+    conditional distribution, and a shot's outcome code (ideally 0) is the
+    XOR of the table flips of its faults.  Readout error is XORed into the
+    codes (``apply_readout_noise``), which go to ``ShotCounts`` as they are.
+    The sampling stays per sequence: a stack's frames, fault XORs and
+    readout in one pass were slower at 44 qubits, their larger arrays
+    costing more in page faults than the loop saves.
     """
     groups = _compile_faults(stack, device)
     if len(rngs) != stack.size:
@@ -879,8 +880,7 @@ def block_noise_channel(device: DeviceModel, block):
 
 
 def dressed_cycle_channel(device: DeviceModel, block):
-    """Noise of one benchmarking half-step, twirling layer then target gate,
-    as a step on Pauli coefficients."""
-    if device.pauli_layer_noise:
-        return lambda c: _block_noise(c, device, block, depolarize_first=True)
-    return block_noise_channel(device, block)
+    """Noise of one benchmarking half-step as a step on Pauli coefficients:
+    the twirling layer with its per-qubit depolarizing, then the target
+    gate."""
+    return lambda c: _block_noise(c, device, block, depolarize_first=True)

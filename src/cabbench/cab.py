@@ -63,6 +63,12 @@ class UnsupportedGateError(ConfigError):
     """The target gate cannot be benchmarked by this protocol."""
 
 
+def _check_depths(depths, name: str = "depths"):
+    """A decay is fitted over at least two distinct non-negative depths."""
+    if len(set(depths)) < 2 or any(m < 0 for m in depths):
+        raise ConfigError(f"need at least two distinct non-negative {name}, got {list(depths)}")
+
+
 @dataclass(frozen=True)
 class CabConfig:
     """Settings of one benchmarking experiment."""
@@ -77,8 +83,7 @@ class CabConfig:
     backend: str = "auto"  # "dm", "stab", or "auto"
 
     def __post_init__(self):
-        if len(set(self.depths)) < 2 or any(m < 0 for m in self.depths):
-            raise ConfigError("need at least two distinct non-negative depths")
+        _check_depths(self.depths)
         if self.k_r < 2:
             raise ConfigError(f"k_r must be >= 2 for a jackknife standard error, got {self.k_r}")
         if self.k_s < 1:
@@ -663,6 +668,7 @@ def run_cb_experiment(
     results are averaged.  This variant samples characters uniformly from
     the full Pauli group and closes every sequence with a compiled Pauli.
     """
+    _check_depths(cycles, "cycles")
     n = block.n
     order = gate_order(block.tableau, cap=CB_ORDER_CAP)
     if order is None:

@@ -345,6 +345,8 @@ def _run_parallel_cz_scan(cfg: ExperimentConfig, settings: dict, out: Path) -> d
     counts = range(2, len(device.gates) + 1, 2) if counts is None else _checked(counts, (1,), "scan_counts")
     if not counts:
         raise ConfigError(f"scan_counts is empty: the default scans even gate counts, and the device has {len(device.gates)}")
+    if len(set(counts)) != len(counts):
+        raise ConfigError(f"scan_counts entries must be distinct, got {list(counts)}")
     for r in counts:
         if not 1 <= r <= len(device.gates):
             raise ConfigError(f"scan_counts entries must lie in [1, {len(device.gates)}], got {r}")

@@ -4,19 +4,19 @@ The composite noise model per parallel two-qubit gate layer is: a
 depolarizing channel on each executed gate pair, followed by a coherent
 diagonal unitary collecting the residual ZZ coupling between gates
 executed in that layer together with each gate's control-phase errors,
-followed by the ideal CZ gates.  Single-qubit layers carry an optional
-per-qubit depolarizing channel; measurement applies independent per-qubit
-bit-flip confusion.
+followed by the ideal CZ gates.  Every single-qubit layer, Pauli twirling
+layers included, is followed by a per-qubit depolarizing channel;
+measurement applies independent per-qubit bit-flip confusion.
 
 A device document (``DeviceModel.from_dict``) is a JSON object of
 ``n_qubits`` and ``gates``, a list of gate objects, and optionally
 ``couplings``, a list of ``{"gates": [k, l], "gamma": phase}`` over gate
 indices; ``readout``, an object of ``e0`` and ``e1``; ``single_qubit_depol``;
-``layout_edges``, a list of qubit pairs; ``pauli_layer_noise``; and
-``schema_version`` 1.  A rate is one number or a list of one per qubit.  A
-gate object holds its ``pair`` of qubits and optionally ``depol_p``,
-``coupled_qubit``, ``coupling_comp``, ``comp_cost`` and ``control``, an
-object of ``cond_phase``, ``dyn_i`` and ``dyn_j``.  The keys are the
+``layout_edges``, a list of qubit pairs; and ``schema_version`` 1.  A rate
+is one number or a list of one per qubit.  A gate object holds its
+``pair`` of qubits and optionally ``depol_p``, ``coupled_qubit``,
+``coupling_comp``, ``comp_cost`` and ``control``, an object of
+``cond_phase``, ``dyn_i`` and ``dyn_j``.  The keys are the
 fields of ``DeviceModel``, ``GateSpec`` and ``ControlPhases``, which hold
 every default; a key no constructor takes is refused, and no value is cast.
 """
@@ -372,7 +372,6 @@ class DeviceModel:
     readout_e1: np.ndarray | float = 0.0
     single_qubit_depol: np.ndarray | float = 1.0
     layout_edges: tuple[tuple[int, int], ...] = ()
-    pauli_layer_noise: bool = True
 
     def __post_init__(self):
         n = self.n_qubits
@@ -393,8 +392,6 @@ class DeviceModel:
         for pair, _ in self.couplings.items():
             _checked_pair(pair, "coupling gates", len(self.gates))
         self.layout_edges = tuple(_checked_pair(e, "layout edge", n) for e in self.layout_edges)
-        if not isinstance(self.pauli_layer_noise, (bool, np.bool_)):
-            raise TypeError(f"pauli_layer_noise must be true or false, got {self.pauli_layer_noise!r}")
         self._cache: dict = {}
 
     # -- structure ----------------------------------------------------------

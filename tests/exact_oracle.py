@@ -77,8 +77,7 @@ def exact_survivals(seq, device, masks) -> np.ndarray:
                 # CZ^dagger X_a CZ = X_a Z_b
                 z[:, a], z[:, b] = z[:, a] ^ x[:, b], z[:, b] ^ x[:, a]
         elif isinstance(layer, (CliffordLayer, PauliLayer)):
-            if isinstance(layer, CliffordLayer) or device.pauli_layer_noise:
-                value = value * np.prod(np.where(x | z, device.single_qubit_depol[:n], 1.0), axis=1)
+            value = value * np.prod(np.where(x | z, device.single_qubit_depol[:n], 1.0), axis=1)
             if isinstance(layer, CliffordLayer):
                 img = _heisenberg_images()[layer.layer.elements]  # (n, X|Z, (x, z))
                 x, z = (x & img[:, 0, 0]) ^ (z & img[:, 1, 0]), (x & img[:, 0, 1]) ^ (z & img[:, 1, 1])

@@ -493,7 +493,7 @@ def dense_apply_layers(rho, layers, device, twirl_coupling: bool = False, noisy:
             for q, op in layer.ops:
                 u = embed_1q(n, q, op) @ u
         rho = u @ rho @ u.conj().T
-        if noisy and (not isinstance(layer, PauliLayer) or device.pauli_layer_noise):
+        if noisy:
             rho = depol_1q(rho)
     return rho
 
@@ -704,7 +704,7 @@ def _apply_layer_one(c: np.ndarray, n: int, layer, device: DeviceModel) -> np.nd
     if x or z:
         c = c * _walsh_column_one(x, n)[:, None]
         c *= _walsh_column_one(z, n)
-    return _depolarize_1q_one(c, device, n) if device.pauli_layer_noise else c
+    return _depolarize_1q_one(c, device, n)
 
 
 def dm_run_one(seq, device: DeviceModel) -> np.ndarray:
@@ -1030,8 +1030,7 @@ def _fault_flips(seq, device) -> list:
                 np.where(img[:, 2, 0], fx, 0) ^ np.where(img[:, 2, 1], fz, 0),
             )
         elif isinstance(layer, PauliLayer):
-            if device.pauli_layer_noise:
-                depol_1q()
+            depol_1q()
         elif isinstance(layer, GateLayer):
             for g in layer.gates:
                 spec = device.gates[g]

@@ -329,13 +329,12 @@ def test_stacked_stab_sampler_matches_one_at_a_time(name, m):
     st.integers(2, 6),
     st.lists(st.sampled_from(["clifford", "pauli", "gate"]), min_size=1, max_size=8),
     st.integers(1, 4),
-    st.booleans(),
     st.integers(0, 2**32 - 1),
 )
-def test_stacked_stab_sampler_matches_one_at_a_time_on_random_stacks(n, kinds, k, pauli_layer_noise, seed):
+def test_stacked_stab_sampler_matches_one_at_a_time_on_random_stacks(n, kinds, k, seed):
     # each sequence draws its own local and Pauli layers; the gate layers are shared
     rng = np.random.default_rng(seed)
-    dev = random_device(n, rng, pauli_layer_noise=pauli_layer_noise)
+    dev = random_device(n, rng)
     gates = {i: random_layer("gate", dev, rng) for i, kind in enumerate(kinds) if kind == "gate"}
     seqs = [
         CircuitSequence(n, tuple(gates[i] if kind == "gate" else random_layer(kind, dev, rng) for i, kind in enumerate(kinds)))
@@ -608,7 +607,7 @@ def random_unitary_2x2(rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_device(n, rng, pauli_layer_noise=True):
+def random_device(n, rng):
     """A chain of gates with random depolarizing, control phases and couplings,
     one noiseless gate and one noiseless qubit, and asymmetric readout."""
     gates = []
@@ -634,7 +633,6 @@ def random_device(n, rng, pauli_layer_noise=True):
         readout_e0=rng.uniform(0.0, 0.05, size=n),
         readout_e1=rng.uniform(0.05, 0.1, size=n),
         single_qubit_depol=depol,
-        pauli_layer_noise=pauli_layer_noise,
     )
 
 
@@ -664,11 +662,11 @@ def random_sequence(dev, rng, n_layers=8):
     return CircuitSequence(dev.n_qubits, tuple(layers[i] for i in rng.permutation(len(layers))))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("pauli_layer_noise", [True, False])
-def test_dm_run_matches_dense_reference(n, pauli_layer_noise):
-    rng = np.random.default_rng([n, 0, pauli_layer_noise])  # the 0 keeps the draws these cases have always made
-    dev = random_device(n, rng, pauli_layer_noise)
+# the ids keep the names these cases have always had
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5], ids=lambda n: f"True-{n}")
+def test_dm_run_matches_dense_reference(n):
+    rng = np.random.default_rng([n, 0, True])  # the 0 and True keep the draws these cases have always made
+    dev = random_device(n, rng)
     for _ in range(3):
         seq = random_sequence(dev, rng)
         probs = dm_run(stack_of([seq]), dev)[0]
@@ -963,12 +961,12 @@ def test_dressed_cycle_choi_fidelity_is_pinned():
     assert choi_process_fidelity(dressed_cycle_channel(dev, block), 4) == pytest.approx(0.5884760583627113, abs=1e-12)
 
 
-@pytest.mark.parametrize("pauli_layer_noise", [False, True])
-def test_choi_process_fidelity_matches_matrix_unit_sum(pauli_layer_noise):
+@pytest.mark.parametrize("key", [[14, True]], ids=["True"])  # the key and id this case has always had
+def test_choi_process_fidelity_matches_matrix_unit_sum(key):
     # the row route on coefficients against the sum of <i| L(|i><j|) |j> on matrices
-    rng = np.random.default_rng([14, pauli_layer_noise])
+    rng = np.random.default_rng(key)
     for _ in range(3):
-        dev = random_device(4, rng, pauli_layer_noise=pauli_layer_noise)
+        dev = random_device(4, rng)
         blocks = [GateBlock.parallel_cz(dev, (0, 2)), fully_connected_gate(dev, (0, 2), (1,), rng)]
         for block in blocks:
             for channel in (block_noise_channel, dressed_cycle_channel):

@@ -674,6 +674,8 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("cab", {"device": two_gate_4q_with(("gates", 0, "pair"), [0, 1.9])}),
         ("cab", {"device": two_gate_4q_with(("n_qubits",), 4.7)}),
         ("cab", {"device": two_gate_4q_with(("pauli_layer_noise",), "false")}),
+        # the retired switch, at its old default: read and obeyed (exit 0)
+        ("cab", {"device": two_gate_4q_with(("pauli_layer_noise",), True)}),
         ("cab", {"device": two_gate_4q_with(("schema_version",), 7)}),
         ("cab", {"device": two_gate_4q_with(("gates", 0, "control", "cond_phase"), "0.02")}),
         ("cab", {"device": two_gate_4q_with(("gates", 1, "coupling_comp"), "0.0")}),
@@ -700,6 +702,12 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ),
         # one sampled observable: exit 0 with the observable-sampling SE dropped
         ("cab", {"cab": {"mode": "sample", "k_r": 4, "k_s": 500, "k_q": 1}}),
+        # CB cycles under CAB's depth rule: one depth ran every sequence, then
+        # failed its fit (exit 1); a negative one failed in numpy (exit 1)
+        ("cb", {"cab": {"k_r": 10, "k_s": 100}, "cycles": [4, 4], "n_chars": 5}),
+        ("cb", {"cab": {"k_r": 10, "k_s": 100}, "cycles": [-2, 4], "n_chars": 5}),
+        # a repeated count ran twice into two scan.csv rows and one result entry (exit 0)
+        ("parallel_cz_scan", {"scan_counts": [2, 2]}),
     ],
     ids=[
         "k_r",
@@ -779,6 +787,7 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "device_float_pair",
         "device_float_n_qubits",
         "device_string_pauli_layer_noise",
+        "device_retired_pauli_layer_noise",
         "device_schema_version_7",
         "device_string_control",
         "device_string_coupling_comp",
@@ -792,6 +801,9 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "repeated_subset",
         "subset_past_traverse_limit",
         "sample_one_observable",
+        "cb_repeated_cycles",
+        "cb_negative_cycles",
+        "scan_repeated_count",
     ],
 )
 def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys, monkeypatch):
