@@ -78,7 +78,7 @@ Both backends give outcomes as int64 codes, qubit 0 the most significant
 bit (``pack_bits``): ``dm_run``'s probability index, the stab frame, the
 readout flips XORed into it and the ``ShotCounts`` that parities and
 marginals read all use the one format.  A CAB run makes one backend call
-per stack (a depth's sequences, or one CB character group) and holds its
+per stack (a depth's sequences, or a CB cycle count's) and holds its
 outcomes as one ``ShotCounts`` (codes, counts and per-sequence offsets),
 so that each kind of readout takes one call per depth and gives one row
 per sequence:

@@ -3,9 +3,9 @@
 A benchmark run samples random sequences per circuit depth, executes them
 on a backend, extracts Z-observable survival probabilities, fits the decay
 f(m) = A * lambda^(2m) per observable, and averages the quality parameters
-into a process-fidelity estimate.  A depth's sequences (or a CB character
-group's) are built as one ``SequenceStack`` and run by one backend call:
-sequence k draws its Clifford and its Paulis, one Pauli at a time, from
+into a process-fidelity estimate.  A depth's sequences (a CB cycle count's,
+every character's) are built as one ``SequenceStack`` and run by one backend
+call: sequence k draws its Clifford and its Paulis, one Pauli at a time, from
 its own stream, and one GF(2) product gives every closing Pauli.  The twirling-layer fidelity is measured
 the same way with the identity as the target gate; the interleaved formula
 isolates the pure gate fidelity from the dressed one.
@@ -286,7 +286,7 @@ def _run_counts(
     k_s: int,
     rngs: list[np.random.Generator],
 ) -> ShotCounts:
-    """Execute a stack (a depth's sequences, or one CB character group) on a
+    """Execute a stack (a depth's sequences, or a CB cycle count's) on a
     resolved backend and sample k_s shots of each sequence from its own
     stream, stacked in order: one backend call per stack."""
     if backend == "dm":
@@ -612,44 +612,36 @@ def run_cab_experiment(
 # ---------------------------------------------------------------------------
 
 
-def _prep_elements(character: np.ndarray) -> np.ndarray:
-    """Local Clifford elements (n,) mapping each qubit's Z to the letter of
-    the character, given as bits (2, n)."""
-    table = single_qubit_cliffords()
-    elements = np.empty(character.shape[1], dtype=np.uint8)
-    for q, (x, z) in enumerate(character.T.tolist()):
-        elements[q] = table.find_z_preparation(x, z) if x or z else table.identity_index
-    return elements
-
-
 def build_cb_sequence(
     block: GateBlock,
-    character: np.ndarray,
+    characters: np.ndarray,
     cycles: int,
     order: int,
     rngs: list[np.random.Generator],
 ) -> SequenceStack:
-    """Cycle-benchmarking sequences of one character (Pauli bits (2, n)),
-    one per stream of ``rngs``, as one stack: basis prep, cycles of (P, U),
-    closure.
+    """Cycle-benchmarking sequences, one per stream of ``rngs``, as one
+    stack: basis prep, cycles of (P, U), closure.
 
-    Sequence k draws its Paulis from ``rngs[k]``; the basis prep and its
-    inverse are shared, and all K closing Paulis come from one
-    ``compile_cycle_pauli`` call.
+    ``characters`` holds the Pauli bits (K, 2, n) of each sequence's
+    character, or (1, 2, n) of one that every sequence shares.  Each qubit's
+    prep maps Z to the +letter of the character (``z_preparation``).
+    Sequence k draws its Paulis from ``rngs[k]``, and all K closing Paulis
+    come from one ``compile_cycle_pauli`` call.
     """
     n, k = block.n, len(rngs)
     if cycles % order != 0:
         raise ValueError("cycle count must be a multiple of the gate order")
-    prep = _prep_elements(character)
+    table = single_qubit_cliffords()
+    prep = table.z_preparation[characters[:, 0] + 2 * characters[:, 1]]
     paulis = np.empty((k, cycles, 2, n), dtype=np.uint8)
     for row, rng in enumerate(rngs):
         for i in range(cycles):
             paulis[row, i] = random_pauli_bits(n, rng)
     closer = compile_cycle_pauli(block.tableau, paulis.reshape(k, cycles, 2 * n))
-    layers: list = [("clifford", prep[None])]
+    layers: list = [("clifford", prep)]
     for i in range(cycles):
         layers += [("pauli", paulis[:, i]), *block.layers]
-    layers += [("pauli", closer.reshape(k, 2, n)), ("clifford", single_qubit_cliffords().inverse_table[prep][None])]
+    layers += [("pauli", closer.reshape(k, 2, n)), ("clifford", table.inverse_table[prep])]
     return SequenceStack(n, tuple(layers))
 
 
@@ -667,6 +659,8 @@ def run_cb_experiment(
     expectation over the number of gate applications is fitted and the
     results are averaged.  This variant samples characters uniformly from
     the full Pauli group and closes every sequence with a compiled Pauli.
+    A cycle count's k_r sequences, character by character, are one stack:
+    one backend call, and one ``survivals`` call of every character's mask.
     """
     _check_depths(cycles, "cycles")
     n = block.n
@@ -687,14 +681,14 @@ def run_cb_experiment(
     characters = np.array([random_pauli_bits(n, rng_char) for _ in range(n_chars)])  # (n_chars, 2, n)
     char_masks = pack_bits(characters[:, 0] | characters[:, 1])
 
+    row_chars = np.repeat(np.arange(n_chars), group)  # stack row ci * group + k is sequence k of character ci
     surv = np.empty((len(cycles), n_chars, group))
     for d, c in enumerate(cycles):
-        for ci, char in enumerate(characters):
-            seq_rngs = [np.random.default_rng([config.seed, 29, 2, d, ci, k]) for k in range(group)]
-            stack = build_cb_sequence(block, char, c, order, seq_rngs)
-            rngs = [np.random.default_rng([config.seed, 31, 2, d, ci, k]) for k in range(group)]
-            sc = _run_counts(stack, device, backend, config.k_s, rngs)
-            surv[d, ci] = sc.survivals(char_masks[ci : ci + 1])[:, 0]
+        seq_rngs = [np.random.default_rng([config.seed, 29, 2, d, *divmod(r, group)]) for r in range(config.k_r)]
+        stack = build_cb_sequence(block, characters[row_chars], c, order, seq_rngs)
+        rngs = [np.random.default_rng([config.seed, 31, 2, d, *divmod(r, group)]) for r in range(config.k_r)]
+        sc = _run_counts(stack, device, backend, config.k_s, rngs)
+        surv[d] = sc.survivals(char_masks)[np.arange(config.k_r), row_chars].reshape(n_chars, group)
 
     est = _estimate_from_surv(
         surv.transpose(0, 2, 1),

@@ -1,7 +1,8 @@
 """Stacks of sequences of one layout, and benchmark target gate blocks.
 
-Every CAB sequence of one depth, and every CB sequence of one character
-group, has the same layout; only its random Cliffords and Paulis differ.
+Every CAB sequence of one depth, and every CB sequence of one cycle count,
+has the same layout; only its random Cliffords and Paulis differ (and a CB
+sequence's basis prep, which follows its character).
 A ``SequenceStack`` holds that layout once, with one entry per layer
 position, a (kind, data) pair of one of four kinds:
 

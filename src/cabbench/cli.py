@@ -118,6 +118,8 @@ class ExperimentConfig:
                 doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise ConfigError(f"{path}: line {err.lineno}, column {err.colno}: {err.msg}") from err
+        except ValueError as err:  # not UTF-8, or an integer literal past Python's digit limit
+            raise ConfigError(f"{path}: {err}") from err
         return ExperimentConfig.from_dict(doc)
 
     def to_dict(self) -> dict:
@@ -151,8 +153,10 @@ def _checked(value, default, name: str):
     a float; a list comes back as a tuple, each entry checked against the
     default's first, and an empty one is refused, as no list default is
     empty; an object is checked key by key, with the default's values filled
-    in, and a key the default lacks is refused.  A None default passes any
-    value on to the runner that derives it."""
+    in, and a key the default lacks is refused.  A float default refuses
+    NaN and the infinities, which JSON's NaN, Infinity and 1e400 parse to,
+    and an integer past the float range.  A None default passes any value
+    on to the runner that derives it."""
     if default is None:
         return value
     if isinstance(default, dict):
@@ -169,10 +173,12 @@ def _checked(value, default, name: str):
             raise ConfigError(f"{name} must not be empty")
         return tuple(_checked(v, default[0], f"{name} entry") for v in value)
     if type(default) is float and type(value) is int:
-        return float(value)
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
     if type(value) is not type(default):
         kind = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}[type(default)]
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    if type(default) is float and not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return value
 
 
@@ -408,7 +414,8 @@ def _run_correlate(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
 def _run_landscape(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     spec = settings["landscape"]
     points = spec["points"]
-    grid = np.linspace(0.0, spec["max"], points)
+    # a negative count gives an empty grid, which correlation_landscape refuses
+    grid = np.linspace(0.0, spec["max"], max(points, 0))
     files = []
     for g12 in spec["gamma12"]:
         values = correlation_landscape(g12, grid, grid)
@@ -460,8 +467,9 @@ def _run_optimize(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
 def _run_calibrate(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     device, gates = _target(cfg)
     spec = settings["calibrate"]
-    betas = np.linspace(0, 2 * np.pi, spec["beta_points"], endpoint=False)
-    phases = np.linspace(0, 2 * np.pi, spec["phase_points"], endpoint=False)
+    # a negative count gives an empty grid, which the scans refuse
+    betas = np.linspace(0, 2 * np.pi, max(spec["beta_points"], 0), endpoint=False)
+    phases = np.linspace(0, 2 * np.pi, max(spec["phase_points"], 0), endpoint=False)
     corrections = {}
     for g in gates:
         phi_i, phi_x, phi = measure_conditional_phase(device, g, betas)

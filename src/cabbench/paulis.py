@@ -15,8 +15,9 @@ Conventions used throughout the package:
   as the signed letters it maps X and Z to, in a fixed canonical order so
   that indices are stable across runs.  A local Clifford layer is an array
   of element indices, composed and inverted by lookup in ``compose_table``
-  and ``inverse_table``.  This module is bookkeeping on bits and signs
-  only; it holds no unitaries.
+  and ``inverse_table``, and a CB basis prep by ``z_preparation``, a
+  table indexed by the letter's x + 2z.  This module is bookkeeping on
+  bits and signs only; it holds no unitaries.
 """
 
 from __future__ import annotations
@@ -101,6 +102,10 @@ class SingleQubitCliffords:
             assert inv.size == 1
             self.inverse_table[a] = inv[0]
         self._verify_group()
+        # z_preparation[x + 2z]: the first element mapping Z to +(x, z); the identity for I
+        z_images = self.action[:, 2].tolist()
+        firsts = [z_images.index([j & 1, j >> 1, 0]) for j in (1, 2, 3)]
+        self.z_preparation = np.array([self.identity_index, *firsts], dtype=np.uint8)
 
     def _verify_group(self):
         comp = self.compose_table
@@ -109,13 +114,6 @@ class SingleQubitCliffords:
             assert sorted(comp[a]) == list(range(24))
             assert sorted(comp[:, a]) == list(range(24))
             assert comp[a, self.inverse_table[a]] == self.identity_index
-
-    def find_z_preparation(self, x: int, z: int) -> int:
-        """Smallest element index mapping Z to the +letter given by (x, z)."""
-        for e in range(24):
-            if tuple(self.action[e, 2]) == (x, z, 0):
-                return e
-        raise ValueError("no Clifford maps Z to the requested letter")
 
 
 @lru_cache(maxsize=1)

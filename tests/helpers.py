@@ -61,7 +61,7 @@ import numpy as np
 
 from cabbench.analysis import correlation
 from cabbench import backends
-from cabbench.cab import QUALITY_DTYPE, _fit_lambda_arrays, _prep_elements
+from cabbench.cab import QUALITY_DTYPE, _fit_lambda_arrays
 from cabbench.calibration import NelderMead, NelderMeadOptions, NonFiniteObjective
 from cabbench.circuits import SequenceStack, unitary_layer
 from cabbench.device import DeviceModel, DiagonalUnitary, GateSpec, PauliChannel, walsh_matrix
@@ -292,14 +292,19 @@ def cab_sequences_one(block, m: int, rngs: list[np.random.Generator]) -> list[Ci
     return seqs
 
 
-def cb_sequences_one(block, character: np.ndarray, cycles: int, rngs: list[np.random.Generator]) -> list[CircuitSequence]:
+def cb_sequences_one(
+    block, characters: np.ndarray, cycles: int, rngs: list[np.random.Generator]
+) -> list[CircuitSequence]:
     """``cabbench.cab.build_cb_sequence`` one sequence at a time, each with
-    a basis prep of its own."""
+    a basis prep of its own: sequence k's character is row k of
+    ``characters`` (K, 2, n), or the one character (2, n) or (1, 2, n) that
+    every sequence shares.  Its prep is looked up qubit by qubit."""
     n = block.n
     layers, _ = block_layer_objects(block)
+    table = single_qubit_cliffords()
     seqs = []
-    for rng in rngs:
-        prep = LocalCliffordLayer(n, _prep_elements(character))
+    for character, rng in zip(np.broadcast_to(characters, (len(rngs), 2, n)), rngs):
+        prep = LocalCliffordLayer(n, np.array([table.z_preparation[x + 2 * z] for x, z in character.T], dtype=np.uint8))
         paulis = [PauliString.draw(n, rng) for _ in range(cycles)]
         out = [CliffordLayer(prep)]
         for p in paulis:
@@ -754,7 +759,7 @@ def _single_qubit_tableau(n: int, q: int, element: int) -> CliffordTableau:
 
 def hadamard(n: int, q: int) -> CliffordTableau:
     # maps Z -> +X; H also maps X -> +Z
-    return _single_qubit_tableau(n, q, single_qubit_cliffords().find_z_preparation(1, 0))
+    return _single_qubit_tableau(n, q, single_qubit_cliffords().z_preparation[1])
 
 
 def phase_gate(n: int, q: int) -> CliffordTableau:

@@ -288,7 +288,7 @@ READOUT_GROUPS_8Q = {
 
 
 def _stab_stack(name, m):
-    """A CAB depth's stack (or one CB character group's) and its device."""
+    """A CAB depth's stack (or a CB stack of one shared character) and its device."""
     from cabbench.cab import build_cab_sequence, build_cb_sequence
     from cabbench.cli import load_device
     from cabbench.tableau import gate_order
@@ -300,7 +300,7 @@ def _stab_stack(name, m):
     if name.endswith("-cb"):
         order = gate_order(block.tableau, cap=64)
         char = random_pauli_bits(dev.n_qubits, np.random.default_rng(7))
-        return dev, build_cb_sequence(block, char, m * order, order, [np.random.default_rng([29, k]) for k in range(3)])
+        return dev, build_cb_sequence(block, char[None], m * order, order, [np.random.default_rng([29, k]) for k in range(3)])
     return dev, build_cab_sequence(block, m, [np.random.default_rng([17, m, k]) for k in range(4)])
 
 

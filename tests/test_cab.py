@@ -148,9 +148,28 @@ def test_cb_stack_builder_matches_the_per_sequence_builder(name):
     characters[0][:] = 0  # the identity character: identity preps
     for ci, char in enumerate(characters):
         rngs, ref_rngs = ([np.random.default_rng([29, ci, k]) for k in range(3)] for _ in range(2))
-        stack = build_cb_sequence(block, char, 2 * order, order, rngs)
+        stack = build_cb_sequence(block, char[None], 2 * order, order, rngs)
         assert_stack_is_the_reference(stack, cb_sequences_one(block, char, 2 * order, ref_rngs), dev, shared_prep=True)
         assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+
+
+@pytest.mark.parametrize("name", ["two_gate_4q", "odd_5q", "fully_connected_6q"])
+def test_cb_stack_of_mixed_characters_matches_the_per_sequence_builder(name):
+    # a cycle count's stack as run_cb_experiment builds it: two sequences of
+    # each character in turn, the identity, X Y Z on qubits 0-2, and a drawn one
+    dev = _builder_device(name)
+    if name == "fully_connected_6q":
+        block = fully_connected_gate(dev, (0, 1, 2), (3, 4, 5), np.random.default_rng(6))
+    else:
+        block = GateBlock.parallel_cz(dev, tuple(range(len(dev.gates))))
+    n, order = dev.n_qubits, gate_order(block.tableau, cap=64)
+    characters = np.zeros((3, 2, n), dtype=np.uint8)
+    characters[1, 0, :3], characters[1, 1, :3] = (1, 1, 0), (0, 1, 1)
+    characters[2] = random_pauli_bits(n, np.random.default_rng([7, 2]))
+    rows = np.repeat(characters, 2, axis=0)
+    rngs, ref_rngs = ([np.random.default_rng([29, k]) for k in range(len(rows))] for _ in range(2))
+    stack = build_cb_sequence(block, rows, 2 * order, order, rngs)
+    assert_stack_is_the_reference(stack, cb_sequences_one(block, rows, 2 * order, ref_rngs), dev)
 
 
 def stack_digest(stack) -> str:
@@ -209,7 +228,7 @@ def test_stack_arrays_are_pinned(protocol, name, m, twirl):
     else:
         # m cycles of one drawn character; every block here has order 1 or 2
         char = random_pauli_bits(dev.n_qubits, np.random.default_rng([2026, 7]))
-        stack = build_cb_sequence(block, char, m, gate_order(block.tableau, cap=2), rngs)
+        stack = build_cb_sequence(block, char[None], m, gate_order(block.tableau, cap=2), rngs)
     assert stack_digest(stack) == STACK_DIGESTS[protocol, name, m, twirl]
 
 

@@ -48,6 +48,23 @@ def test_cb_agrees_with_cab_on_noisy_cz():
     assert abs(cab.value - cb.value) < 3 * combined + 3e-3
 
 
+def test_cb_runs_one_stack_per_cycle_count(monkeypatch):
+    # every character's sequences of a cycle count run as one stack, so one
+    # backend call per cycle count (one stack per character would make 20)
+    sizes = []
+    run_counts = cab._run_counts
+
+    def spy(stack, *args):
+        sizes.append(stack.size)
+        return run_counts(stack, *args)
+
+    monkeypatch.setattr(cab, "_run_counts", spy)
+    dev = cz_device(p=0.97)
+    cfg = CabConfig(k_r=20, k_s=100, seed=0, backend="dm")
+    run_cb_experiment(dev, GateBlock.parallel_cz(dev, (0,)), cfg, cycles=(2, 4), n_chars=10)
+    assert sizes == [20, 20]
+
+
 def test_cb_rejects_bad_cycle_counts():
     dev = cz_device()
     block = GateBlock.parallel_cz(dev, (0,))
@@ -83,7 +100,7 @@ def test_cb_sequence_closes_to_identity(n):
         order = gate_order(block.tableau)
         for cycles in (order, 2 * order):
             for _ in range(3):
-                (seq,) = sequences_of(build_cb_sequence(block, random_pauli_bits(n, rng), cycles, order, [rng]))
+                (seq,) = sequences_of(build_cb_sequence(block, random_pauli_bits(n, rng)[None], cycles, order, [rng]))
                 assert closes_to_identity(seq, dev)
 
 

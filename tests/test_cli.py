@@ -1,10 +1,16 @@
+import contextlib
+import copy
 import hashlib
 import json
 import math
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cabbench import cli
 from cabbench.cli import (
@@ -175,7 +181,8 @@ DETERMINISM_CONFIGS = {
         "cycles": [2, 4],
         "n_chars": 5,
     },
-    # CB on the stab backend: each character group runs as one stack
+    # CB on the stab backend: each cycle count's sequences, of every
+    # character, run as one stack
     "cb_6q_stab": {
         "kind": "cb",
         "device": "three_gate_6q",
@@ -183,6 +190,24 @@ DETERMINISM_CONFIGS = {
         "cab": {"k_r": 10, "k_s": 300},
         "cycles": [2, 4],
         "n_chars": 5,
+    },
+    # ten characters: each cycle count's stack reads its parities across two
+    # parity bytes, on 44 qubits (stab) and on 6 (dm)
+    "cb_ring44_stab_10chars": {
+        "kind": "cb",
+        "device": "ring_44q",
+        "backend": "stab",
+        "cab": {"k_r": 20, "k_s": 300},
+        "cycles": [2, 4],
+        "n_chars": 10,
+    },
+    "cb_6q_dm_10chars": {
+        "kind": "cb",
+        "device": "three_gate_6q",
+        "backend": "dm",
+        "cab": {"k_r": 20, "k_s": 300},
+        "cycles": [2, 4],
+        "n_chars": 10,
     },
     # the 44-qubit stab sample path: sparse fault draws, readout thinning, parities
     "cab_ring44_stab": {
@@ -395,6 +420,14 @@ PINNED_ARTIFACTS = {
     "cb_6q_stab": {
         "characters.csv": "dba9ff7cd57a7b47181443d2dec52653f3b87004cbd36d14c22a0b2f8613974e",
         "result.json": "8e683230bc925709186ed44a861b500168318de9249bad3d7b2564db6a120de5",
+    },
+    "cb_6q_dm_10chars": {
+        "characters.csv": "2b789c07d9f5a5e339d060955c8ace443c39681d822084cc79f965b0078ceec6",
+        "result.json": "635d09fea7a8bf2271c58fae5c27d2c8a60067b30b8ee21afb368061daf505b5",
+    },
+    "cb_ring44_stab_10chars": {
+        "characters.csv": "21545d83e456551286064c0248350a0966ac5bf4e865a54ae1905376820bec8e",
+        "result.json": "7e790075c21d823f8d1604c00a570e215cc5bbf1500cfa0454a58bdf1c54c2bc",
     },
     "correlate": {
         "correlation.csv": "71ec5d679079cb0a2787471b49aa63aebe59d305d6f91c5acecd8e73f3434470",
@@ -708,6 +741,18 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("cb", {"cab": {"k_r": 10, "k_s": 100}, "cycles": [-2, 4], "n_chars": 5}),
         # a repeated count ran twice into two scan.csv rows and one result entry (exit 0)
         ("parallel_cz_scan", {"scan_counts": [2, 2]}),
+        # JSON's NaN and Infinity (and 1e400) parse to floats: each failed
+        # mid-run (exit 1), and an infinite x_tol ran (exit 0)
+        ("landscape", {"landscape": {"gamma12": [math.inf]}}),
+        ("landscape", {"landscape": {"max": math.nan}}),
+        ("optimize", {"optimize": {"iterations": 2, "window": [0, 2], "initial_step": math.inf}}),
+        ("optimize", {"optimize": {"iterations": 2, "window": [0, 2], "x_tol": math.inf}}),
+        # an integer past the float range failed to convert (exit 1)
+        ("optimize", {"optimize": {"iterations": 2, "window": [0, 2], "x_tol": 10**400}}),
+        # a negative grid size failed in numpy's linspace (exit 1)
+        ("landscape", {"landscape": {"points": -1}}),
+        ("calibrate", {"calibrate": {"beta_points": -1, "phase_points": 16}}),
+        ("calibrate", {"calibrate": {"beta_points": 8, "phase_points": -1}}),
     ],
     ids=[
         "k_r",
@@ -804,12 +849,34 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "cb_repeated_cycles",
         "cb_negative_cycles",
         "scan_repeated_count",
+        "infinite_gamma12",
+        "nan_landscape_max",
+        "infinite_initial_step",
+        "infinite_x_tol",
+        "huge_integer_x_tol",
+        "negative_landscape_points",
+        "negative_beta_points",
+        "negative_phase_points",
     ],
 )
 def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a relative out_dir, such as "None", would land here
     path = small_cab_config(tmp_path, kind=kind, **over)
     assert main([kind, "--config", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b'{"kind": "cab", "seed": 1' + b"0" * 5000 + b"}", b'{"kind": "cab", "seed": 1\xff}'],
+    ids=["integer_past_digit_limit", "not_utf8"],
+)
+def test_unreadable_config_text_exits_2(text, tmp_path, capsys):
+    # json.load raised a ValueError that is not a JSONDecodeError (exit 1)
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    assert main(["cab", "--config", str(path)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
@@ -847,6 +914,113 @@ def test_named_gate_runs(kind, tmp_path):
     gates = [1, 0] if kind == "correlate" else [1]
     path = small_cab_config(tmp_path, kind=kind, gates=gates, **GATES_RUN_OVER)
     assert main([kind, "--config", str(path)]) == 0
+
+
+# -- the exit-code contract under one-field mutations ---------------------------
+
+# one small config per kind, each of which runs in well under a second
+TINY_TRAVERSE = {"depths": [0, 2], "k_r": 3, "k_s": 100, "mode": "traverse"}
+SMALL_CONFIGS = {
+    "cab": {"device": "two_gate_4q", "backend": "dm", "cab": TINY_TRAVERSE},
+    "cb": {"device": "two_gate_4q", "backend": "dm", "cab": {"k_r": 4, "k_s": 100}, "cycles": [2, 4], "n_chars": 2},
+    "fully_connected": {
+        "device": None,
+        "n": 4,
+        "backend": "stab",
+        "cab": TINY_TRAVERSE,
+        "subsets": "none",
+    },
+    "parallel_cz_scan": {
+        "device": "two_gate_4q",
+        "backend": "dm",
+        "cab": TINY_TRAVERSE,
+        "scan_counts": [1, 2],
+        "per_cz_fidelity": 0.97,
+    },
+    "correlate": {"device": "two_gate_4q", "backend": "dm", "cab": TINY_TRAVERSE},
+    "landscape": {"device": None, "landscape": {"gamma12": [0.0, 0.1], "points": 3}},
+    "optimize": {
+        "device": "two_gate_4q",
+        "backend": "dm",
+        "cab": {"k_r": 3, "k_s": 100},
+        "optimize": {"iterations": 2, "window": [0, 2]},
+    },
+    "calibrate": {"device": "two_gate_4q", "gates": [0], "calibrate": {"beta_points": 8, "phase_points": 16}},
+    "order_stats": {"n_list": [4], "samples": 3},
+}
+MUTATION_VALUES = (-1, 0, 1, 2, 1.5, -0.5, math.nan, math.inf, -math.inf, True, "x", None, [], {})
+
+
+def _defaults(kind) -> dict:
+    """The default of every field a config of ``kind`` may set: the common
+    ones, the kind's FIELDS and the cab section's."""
+    common = {"seed": 0, "out_dir": "results", "backend": "auto", "device": None, "gates": None, "subsets": "singles"}
+    return {**common, **cli.FIELDS[kind], "cab": cli.CAB_FIELDS}
+
+
+def _lookup(doc, keys, default):
+    for key in keys:
+        if not isinstance(doc, dict) or key not in doc:
+            return default
+        doc = doc[key]
+    return doc
+
+
+def _field_paths(kind):
+    """The path (keys, then a list index) of every field of ``kind``, and of
+    each entry of a list that the small config or the default holds."""
+    for key, default in _defaults(kind).items():
+        section = default.items() if isinstance(default, dict) else [(None, default)]
+        for path, d in (((key,) if name is None else (key, name), d) for name, d in section):
+            yield path
+            value = _lookup(SMALL_CONFIGS[kind], path, d)
+            if isinstance(value, (list, tuple)):
+                yield from (path + (i,) for i in range(len(value)))
+
+
+def config_mutations():
+    """Every (kind, path, value): one field or list entry of a small config
+    replaced by one of MUTATION_VALUES."""
+    return [(kind, path, v) for kind in SMALL_CONFIGS for path in _field_paths(kind) for v in MUTATION_VALUES]
+
+
+def mutated_config(kind, path, value) -> dict:
+    doc = copy.deepcopy({"kind": kind, "seed": 5, "out_dir": "out", **SMALL_CONFIGS[kind]})
+    *keys, last = path
+    if isinstance(last, int):  # a list entry: the list as given, or its default, with that entry replaced
+        entries = list(_lookup(doc, keys, _lookup(_defaults(kind), keys, None)))
+        entries[last] = value
+        *keys, last = keys
+        value = entries
+    spot = doc
+    for key in keys:
+        spot = spot.setdefault(key, {})
+    spot[last] = value
+    return doc
+
+
+def run_mutated(kind, path, value) -> tuple[int, list[str], list[str]]:
+    """Exit code of the mutated config's run in a fresh directory, the
+    names left in it and the CSVs written there with a header line only."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        Path("config.json").write_text(json.dumps(mutated_config(kind, path, value)))
+        code = main([kind, "--config", "config.json"])
+        left = sorted(p.name for p in Path(".").iterdir())
+        header_only = [str(p) for p in Path(".").rglob("*.csv") if len(p.read_text().splitlines()) < 2]
+    return code, left, header_only
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(config_mutations()))
+def test_one_field_mutations_exit_0_or_2(mutation):
+    # a config either runs and writes no empty table, or is refused before
+    # any file is written; it never fails mid-run (exit 1)
+    code, left, header_only = run_mutated(*mutation)
+    assert code in (0, 2)
+    if code == 2:
+        assert left == ["config.json"]
+    else:
+        assert header_only == []
 
 
 def test_fully_connected_runs_at_a_tiny_readout_rate(tmp_path):

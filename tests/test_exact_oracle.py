@@ -71,7 +71,7 @@ def test_oracle_refuses_asymmetric_readout_and_open_sequences():
     dev = DeviceModel(n_qubits=2, gates=(GateSpec(pair=(0, 1)),))
     assert np.array_equal(exact_survivals(closed, dev, np.arange(4)), np.ones(4))
     # a lone Hadamard-like Clifford carries Z_0 back to X_0
-    h = single_qubit_cliffords().find_z_preparation(1, 0)
+    h = single_qubit_cliffords().z_preparation[1]
     layer = CliffordLayer(LocalCliffordLayer(2, np.array([h, single_qubit_cliffords().identity_index], dtype=np.uint8)))
     with pytest.raises(ValueError, match="close"):
         exact_survivals(CircuitSequence(2, (layer,)), dev, np.arange(4))

@@ -161,7 +161,7 @@ def test_find_z_preparation_is_the_first_element_mapping_z_to_the_letter(letter)
     x, z = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}[letter]
     mats = clifford_matrices()
     prepares = [np.allclose(m @ Z2 @ m.conj().T, LETTERS[letter], atol=1e-12) for m in mats]
-    assert single_qubit_cliffords().find_z_preparation(x, z) == prepares.index(True)
+    assert single_qubit_cliffords().z_preparation[x + 2 * z] == prepares.index(True)
 
 
 def test_sample_local_clifford_uniform():
