@@ -81,15 +81,17 @@ marginals read all use the one format.  A CAB run makes one backend call
 per stack (a depth's sequences, or a CB cycle count's) and holds its
 outcomes as one ``ShotCounts`` (codes, counts and per-sequence offsets),
 so that each kind of readout takes one call per depth and gives one row
-per sequence:
+per sequence.  Each is one histogram per sequence of a key of the codes
+(``ShotCounts._histogram``, one weighted ``bincount``), then a transform
+or a fold:
 
-- traverse mode: all survivals, one batched transform;
+- traverse mode: all survivals, one batched transform of the codes' own;
 - sample mode: the parities of the sampled masks, carried as packed bits
-  per code and gathered from one table per code byte, then counted per
-  (sequence, mask) by one weighted ``bincount`` per parity byte; no
-  (masks, codes) array is built;
-- subset marginals: one ``bincount`` per subset, its sub-index built by
-  shifts.
+  per code and gathered from one table per code byte, then one histogram
+  per parity byte gives each (sequence, mask)'s odd count; no (masks,
+  codes) array is built;
+- subset marginals: a code byte's histogram folded onto the subset, or
+  the histogram of its sub-index, built by shifts, if it straddles bytes.
 """
 
 from __future__ import annotations
@@ -506,7 +508,9 @@ class ShotCounts:
     codes[offsets[s]:offsets[s + 1]], and each sequence has k_s shots.
     ``from_outcomes`` and ``from_probabilities`` make one sequence's counts;
     ``stack`` joins sequences, as ``stab_run_counts`` and the dm path of a
-    CAB run do per stack.  Every method returns one row per sequence.
+    CAB run do per stack.  Every method returns one row per sequence, and
+    every readout is one ``_histogram`` of a key of the codes, then a
+    transform or a fold.
 
     What the methods derive from the codes is cached on the stack, built at
     first use and kept as long as the stack: each code's sequence, the
@@ -571,6 +575,16 @@ class ShotCounts:
         """The counts as floats, the ``bincount`` weights, computed once per stack."""
         return self.counts.astype(float)
 
+    def _histogram(self, keys: np.ndarray, bits: int) -> np.ndarray:
+        """(sequences, 2^bits): each sequence's shots per value of ``keys``,
+        one key in [0, 2^bits) per code, by one ``bincount`` over (sequence,
+        key).  Each bin is a sum of integer counts below 2^53, so exact.
+        Past 26 bits it refuses before it allocates."""
+        if bits > 26:
+            raise ResourceLimitError(f"a histogram of {bits}-bit keys is too large")
+        flat = np.bincount(keys | self._rows << bits, weights=self._weights, minlength=self.sequences << bits)
+        return flat.reshape(-1, 2**bits)
+
     @cached_property
     def _byte_hists(self) -> dict[int, np.ndarray]:
         """[code byte j] (sequences, 256): each sequence's counts per value of
@@ -585,11 +599,10 @@ class ShotCounts:
         (M + 7) // 8 bytes.  For each code byte j, a table holds the packed
         parities of every byte value against the masks' byte j; a code's
         parities are the XOR of its bytes' table rows, gathered as uint64
-        words.  Then, per parity byte, one ``bincount`` over (sequence,
-        byte value) weighted by the counts, times the (256, 8) bit-select
-        matrix, gives each (sequence, mask)'s odd-parity count.  That count
-        is an exact integer, so (k_s - 2 odd) / k_s is the float that a
-        dense parity sum gives.
+        words.  Then, per parity byte, its ``_histogram`` times the (256, 8)
+        bit-select matrix gives each (sequence, mask)'s odd-parity count.
+        That count is an exact integer, so (k_s - 2 odd) / k_s is the float
+        that a dense parity sum gives.
         """
         w_masks = np.asarray(w_masks, dtype=np.int64)
         n_out = (len(w_masks) + 7) // 8  # parity bytes per code
@@ -603,26 +616,14 @@ class ShotCounts:
             table[:, :n_out] = np.packbits(odd_bits, axis=1)
             parity ^= np.take(table.view(np.uint64), code_bytes[:, j], axis=0)
         parity = np.ascontiguousarray(parity.view(np.uint8)[:, :n_out].T)  # [parity byte, code]
-        base = self._rows << 8
-        hist = np.empty((n_out, self.sequences, 256))
-        for k, p in enumerate(parity):
-            hist[k].flat = np.bincount(base | p, weights=self._weights, minlength=self.sequences << 8)
+        hist = np.stack([self._histogram(p, 8) for p in parity])
         odd = (hist @ _BIT_SELECT).transpose(1, 0, 2).reshape(self.sequences, 8 * n_out)
         return (self.k_s - 2.0 * odd[:, : len(w_masks)]) / self.k_s
 
-    def count_vector(self) -> np.ndarray:
-        """Dense count vectors over all 2^n outcomes, one row per sequence
-        (small n only)."""
-        if self.n > 26:
-            raise ResourceLimitError("dense count vector too large")
-        vec = np.zeros((self.sequences, 2**self.n))
-        vec[self._rows, self.codes] = self.counts
-        return vec
-
     def all_survivals(self) -> np.ndarray:
         """Survivals of every Z-observable at once, one row per sequence: one
-        batched transform (small n only)."""
-        return fwht(self.count_vector()) / self.k_s
+        batched transform of the codes' histogram (small n only)."""
+        return fwht(self._histogram(self.codes, self.n)) / self.k_s
 
     def marginal_count_vector(self, qubits: tuple[int, ...]) -> np.ndarray:
         """Dense count vectors of the outcomes restricted to ``qubits``, one
@@ -630,27 +631,20 @@ class ShotCounts:
         ``qubits`` is i.
 
         When every qubit lies in one code byte j, the vectors are byte j's
-        histogram (one ``bincount`` over (sequence, byte value), built at
-        the first subset that reads the byte and cached on the stack) times
-        the 0/1 matrix of ``_byte_fold``.  Otherwise one ``bincount`` over
-        (sequence, sub-index) of every code.  Either way each entry is a sum
+        ``_histogram``, built at the first subset that reads the byte and
+        cached on the stack, folded by the 0/1 matrix of ``_byte_fold``.
+        Otherwise they are the ``_histogram`` of every code's sub-index,
+        which refuses more than 26 qubits.  Either way each entry is a sum
         of integer counts below 2^53, so exact, and the two give the same
         floats.
         """
         fold = _byte_fold(self.n, tuple(qubits))
-        if fold is not None:
-            j, matrix = fold
-            hist = self._byte_hists.get(j)
-            if hist is None:
-                byte = (self.codes >> 8 * j) & 255
-                byte |= self._rows << 8
-                hist = np.bincount(byte, weights=self._weights, minlength=self.sequences << 8).reshape(-1, 256)
-                self._byte_hists[j] = hist
-            return hist @ matrix
-        k = len(qubits)
-        sub = _bits(self.codes, self.n, qubits)
-        sub |= self._rows << k
-        return np.bincount(sub, weights=self._weights, minlength=self.sequences << k).reshape(-1, 2**k)
+        if fold is None:
+            return self._histogram(_bits(self.codes, self.n, qubits), len(qubits))
+        j, matrix = fold
+        if j not in self._byte_hists:
+            self._byte_hists[j] = self._histogram((self.codes >> 8 * j) & 255, 8)
+        return self._byte_hists[j] @ matrix
 
 
 @lru_cache(maxsize=256)

@@ -279,6 +279,14 @@ def _write_cab_artifacts(out: Path, rep: CabReport):
 # ---------------------------------------------------------------------------
 
 
+def _check_parallel(device: DeviceModel, gates, kind: str):
+    """Refuses ``gates`` as one parallel layer if two of them share a qubit."""
+    try:
+        device.check_layer_disjoint(tuple(gates))
+    except ValueError as err:
+        raise ConfigError(f"{kind} gates {list(gates)}: {err}") from err
+
+
 def _target(cfg: ExperimentConfig) -> tuple[DeviceModel, tuple[int, ...]]:
     """The config's device and the gates it names, all of them by default;
     a device without gates is refused."""
@@ -292,6 +300,7 @@ def _target(cfg: ExperimentConfig) -> tuple[DeviceModel, tuple[int, ...]]:
 
 def _run_cab(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     device, gates = _target(cfg)
+    _check_parallel(device, gates, cfg.kind)
     cab_cfg = cfg.cab_config(gates)
     block = GateBlock.parallel_cz(device, gates)
     rep = run_cab_experiment(device, block, cab_cfg)
@@ -301,6 +310,7 @@ def _run_cab(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
 
 def _run_cb(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     device, gates = _target(cfg)
+    _check_parallel(device, gates, cfg.kind)
     cab_cfg = cfg.cab_config(gates)
     block = GateBlock.parallel_cz(device, gates)
     est = run_cb_experiment(device, block, cab_cfg, cycles=settings["cycles"], n_chars=settings["n_chars"])
@@ -333,10 +343,7 @@ def _run_fully_connected(cfg: ExperimentConfig, settings: dict, out: Path) -> di
     if len(device.gates) < n:
         raise ConfigError(f"fully_connected needs {n} gates, the device has {len(device.gates)}")
     for half in (range(n_half), range(n_half, n)):
-        try:
-            device.check_layer_disjoint(tuple(half))
-        except ValueError as err:
-            raise ConfigError(f"fully_connected gates {list(half)}: {err}") from err
+        _check_parallel(device, half, cfg.kind)
     cab_cfg = cfg.cab_config(tuple(range(n)))
     rng = np.random.default_rng([cfg.seed, 3])
     block = fully_connected_gate(device, tuple(range(n_half)), tuple(range(n_half, n)), rng)
@@ -356,6 +363,7 @@ def _run_parallel_cz_scan(cfg: ExperimentConfig, settings: dict, out: Path) -> d
     for r in counts:
         if not 1 <= r <= len(device.gates):
             raise ConfigError(f"scan_counts entries must lie in [1, {len(device.gates)}], got {r}")
+    _check_parallel(device, range(max(counts)), cfg.kind)  # each point's gates are a prefix of these
     # used as given: an integer prints as one
     if per_cz is not None and not 0.0 < _checked(per_cz, 1.0, "per_cz_fidelity") <= 1.0:
         raise ConfigError(f"per_cz_fidelity must lie in (0, 1], got {per_cz}")
@@ -395,6 +403,7 @@ def _run_correlate(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     if "repeat" in cfg.extra:
         raise ConfigError("repeat is retired: correlation.csv now carries a one-run SE of each correlation")
     device, gates = _target(cfg)
+    _check_parallel(device, gates, cfg.kind)
     if len(gates) < 2:
         raise ConfigError(f"correlate needs at least two gates to correlate, got {list(gates)}")
     cfg.subsets = "singles+pairs"
@@ -428,6 +437,7 @@ def _run_landscape(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
 
 def _run_optimize(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     device, gates = _target(cfg)
+    _check_parallel(device, gates, cfg.kind)
     spec = settings["optimize"]
     step, x_tol = spec["initial_step"], spec["x_tol"]
     if not (step > 0.0 and x_tol >= 0.0):
@@ -465,7 +475,7 @@ def _run_optimize(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
 
 
 def _run_calibrate(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
-    device, gates = _target(cfg)
+    device, gates = _target(cfg)  # run one at a time, so they may share qubits
     spec = settings["calibrate"]
     # a negative count gives an empty grid, which the scans refuse
     betas = np.linspace(0, 2 * np.pi, max(spec["beta_points"], 0), endpoint=False)

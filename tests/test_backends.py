@@ -1,4 +1,5 @@
 from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,7 +213,7 @@ def test_stab_matches_dm_twirled_model():
     probs = dense_dm_reference(seq, dev, twirl_coupling=True)
     shots = 100_000
     counts = stab_run_counts(stack_of([seq]), dev, shots, [np.random.default_rng(99)])
-    emp = counts.count_vector()[0] / shots
+    emp = counts.marginal_count_vector(tuple(range(counts.n)))[0] / shots
     tv = 0.5 * np.abs(emp - probs).sum()
     assert tv < 0.01
 
@@ -438,6 +439,22 @@ def test_marginal_count_vector_matches_bitwise_reference(n):
     # a histogram for each byte that holds a whole tuple, and no other
     places = [{(n - 1 - q) // 8 for q in qubits} for qubits in tuples]
     assert sorted(counts._byte_hists) == sorted({min(p) for p in places if len(p) == 1})
+
+
+def test_dense_readouts_of_30_qubits_are_refused_before_they_allocate():
+    # a (1, 2^30) float histogram would take 8 GiB; the marginal over every
+    # qubit asked numpy for one, as only the whole-register count had a limit
+    counts = ShotCounts(30, 10, np.array([0, 5, 2**30 - 1], dtype=np.int64), np.array([3, 3, 4]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            counts.marginal_count_vector(tuple(range(30)))
+        with pytest.raises(ResourceLimitError):
+            counts.all_survivals()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _sequence_counts(n, k_s, n_codes, rng):

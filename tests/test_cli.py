@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import hashlib
+import io
 import json
 import math
 import tempfile
@@ -52,6 +53,12 @@ def two_gate_4q_with(path, value) -> dict:
         spot = spot[key]
     spot[path[-1]] = value
     return doc
+
+
+# two gates that share qubit 1, so never one parallel layer
+OVERLAP_3Q = {"n_qubits": 3, "gates": [{"pair": [0, 1]}, {"pair": [1, 2]}]}
+# an 8-qubit ring's two brickwork patterns: gates 0-3 are disjoint, gate 4 meets gate 0
+RING_8Q = {"n_qubits": 8, "gates": [{"pair": [q, (q + 1) % 8]} for q in (0, 2, 4, 6, 1, 3, 5, 7)]}
 
 
 def test_example_devices_load():
@@ -587,6 +594,14 @@ def test_calibrate_run(tmp_path):
     assert res["corrections"]["0"]["conditional_phase"] == pytest.approx(math.pi + 0.02, abs=1e-3)
 
 
+def test_calibrate_takes_gates_that_share_a_qubit(tmp_path):
+    # calibrate runs one gate at a time, so no parallel layer is refused
+    spec = {"beta_points": 8, "phase_points": 16}
+    path = small_cab_config(tmp_path, kind="calibrate", device=OVERLAP_3Q, calibrate=spec)
+    assert main(["calibrate", "--config", str(path)]) == 0
+    assert sorted(json.loads((tmp_path / "out" / "result.json").read_text())["corrections"]) == ["0", "1"]
+
+
 def test_optimize_window_checked_before_running(tmp_path, capsys):
     path = small_cab_config(tmp_path, kind="optimize", optimize={"iterations": 2})
     assert main(["optimize", "--config", str(path)]) == 2
@@ -753,6 +768,14 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("landscape", {"landscape": {"points": -1}}),
         ("calibrate", {"calibrate": {"beta_points": -1, "phase_points": 16}}),
         ("calibrate", {"calibrate": {"beta_points": 8, "phase_points": -1}}),
+        # gates that share a qubit failed to build their layer (exit 1); the
+        # scan ran its first point, on gates 0-1, before it failed on 0-5
+        ("cab", {"device": OVERLAP_3Q}),
+        ("cb", {"device": OVERLAP_3Q, "cab": {"k_r": 10, "k_s": 100}, "cycles": [2, 4], "n_chars": 5}),
+        ("correlate", {"device": OVERLAP_3Q}),
+        ("optimize", {"device": OVERLAP_3Q, "optimize": {"iterations": 2, "window": [0, 2]}}),
+        ("parallel_cz_scan", {"device": OVERLAP_3Q}),
+        ("parallel_cz_scan", {"device": RING_8Q, "backend": "stab", "scan_counts": [2, 6]}),
     ],
     ids=[
         "k_r",
@@ -857,6 +880,12 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "negative_landscape_points",
         "negative_beta_points",
         "negative_phase_points",
+        "cab_overlapping_gates",
+        "cb_overlapping_gates",
+        "correlate_overlapping_gates",
+        "optimize_overlapping_gates",
+        "scan_overlapping_gates",
+        "scan_overlap_past_first_point",
     ],
 )
 def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys, monkeypatch):
@@ -999,15 +1028,19 @@ def mutated_config(kind, path, value) -> dict:
     return doc
 
 
-def run_mutated(kind, path, value) -> tuple[int, list[str], list[str]]:
-    """Exit code of the mutated config's run in a fresh directory, the
-    names left in it and the CSVs written there with a header line only."""
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        Path("config.json").write_text(json.dumps(mutated_config(kind, path, value)))
+def run_mutated(kind, doc) -> tuple[int, list[str], list[str], str]:
+    """Exit code of the config's run in a fresh directory, the names left in
+    it, the CSVs written there with a header line only, and stderr."""
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        contextlib.chdir(tmp),
+        contextlib.redirect_stderr(io.StringIO()) as err,
+    ):
+        Path("config.json").write_text(json.dumps(doc))
         code = main([kind, "--config", "config.json"])
         left = sorted(p.name for p in Path(".").iterdir())
         header_only = [str(p) for p in Path(".").rglob("*.csv") if len(p.read_text().splitlines()) < 2]
-    return code, left, header_only
+    return code, left, header_only, err.getvalue()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -1015,11 +1048,58 @@ def run_mutated(kind, path, value) -> tuple[int, list[str], list[str]]:
 def test_one_field_mutations_exit_0_or_2(mutation):
     # a config either runs and writes no empty table, or is refused before
     # any file is written; it never fails mid-run (exit 1)
-    code, left, header_only = run_mutated(*mutation)
+    kind, path, value = mutation
+    code, left, header_only, _ = run_mutated(kind, mutated_config(kind, path, value))
     assert code in (0, 2)
     if code == 2:
         assert left == ["config.json"]
     else:
+        assert header_only == []
+
+
+# -- the same contract under one-field mutations of a device document ----------
+
+DEVICE_DOC = json.loads(resources.files("cabbench.devices").joinpath("two_gate_4q.json").read_text())
+# the small config of every kind that takes a device, and cab's on the stab
+# backend; fully_connected's small config builds its own ring instead
+DEVICE_CONFIGS = {
+    **{kind: (kind, doc) for kind, doc in SMALL_CONFIGS.items() if doc.get("device") is not None},
+    "cab_stab": ("cab", {**SMALL_CONFIGS["cab"], "backend": "stab"}),
+}
+# a valid device may leave no signal to fit at these budgets: a gate or a
+# qubit depolarized to 0, say, or a readout that flips every shot
+DEVICE_RUN_ERRORS = ("DegenerateFitError", "NoSignalError")
+
+
+def _document_paths(doc, path=()):
+    """The path (keys and list indices) of every field and list entry of
+    ``doc``, at every depth."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _document_paths(value, path + (key,))
+
+
+def device_mutations():
+    """Every (config name, path, value): one field or list entry of the
+    two_gate_4q document replaced by one of MUTATION_VALUES."""
+    paths = list(_document_paths(DEVICE_DOC))
+    return [(name, path, v) for name in DEVICE_CONFIGS for path in paths for v in MUTATION_VALUES]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(device_mutations()))
+def test_one_device_field_mutations_exit_0_or_2(mutation):
+    # as for the config's own fields, but a run may end on a named
+    # run-time error of a device that leaves nothing to fit
+    name, path, value = mutation
+    kind, small = DEVICE_CONFIGS[name]
+    doc = {"kind": kind, "seed": 5, "out_dir": "out", **small, "device": two_gate_4q_with(path, value)}
+    code, left, header_only, err = run_mutated(kind, doc)
+    assert code in (0, 2) or err.startswith(tuple(f"error: {e}:" for e in DEVICE_RUN_ERRORS)), err
+    if code == 2:
+        assert left == ["config.json"]
+    elif code == 0:
         assert header_only == []
 
 
