@@ -37,9 +37,10 @@ from .experiments import fully_connected_gate, gate_order_samples, ring_device
 
 SCHEMA_VERSION = 1
 # Every field each kind reads besides the common ones of ExperimentConfig,
-# with its default.  A value must have its default's JSON type (_checked); a
-# nested section refuses keys it does not list.  A None default is derived
-# by the runner, which checks a given value itself.
+# with its default.  A value must have its default's JSON type, an integer is
+# >= 0, a list repeats no entry, and a field BOUNDS names keeps its bound
+# (_checked); a nested section refuses keys it does not list.  A None default
+# is derived by the runner, which checks a given value with _checked.
 FIELDS = {
     "cab": {},
     "cb": {"cycles": (10, 20), "n_chars": 5},
@@ -61,6 +62,17 @@ FIELDS = {
     "order_stats": {"n_list": (4, 6, 8, 10, 12), "samples": 100, "cap": 100_000},
 }
 EXPERIMENT_KINDS = tuple(FIELDS)
+RING_RATES = ("gate_depol", "single_qubit_depol", "readout_e0", "readout_e1")  # with n, the ring fields of fully_connected
+# each field's bound past the two rules, keyed by the name _checked gives the
+# field: the phrase of its refusal, and its test
+BOUNDS = {
+    **dict.fromkeys(("n", "n_list entry"), ("even and >= 4", lambda v: v % 2 == 0 and v >= 4)),
+    **dict.fromkeys(("samples", "cap", "scan_counts entry"), (">= 1", lambda v: v >= 1)),
+    **dict.fromkeys(RING_RATES, ("in [0, 1]", lambda v: 0 <= v <= 1)),
+    "per_cz_fidelity": ("in (0, 1]", lambda v: 0 < v <= 1),
+    "optimize.initial_step": ("> 0", lambda v: v > 0),
+    "optimize.x_tol": (">= 0", lambda v: v >= 0),
+}
 # the cab section's fields; their defaults are CabConfig's
 CAB_FIELDS = {f.name: f.default for f in fields(CabConfig) if f.name in ("depths", "k_r", "k_s", "mode", "k_q")}
 EXAMPLE_DEVICES = ("two_gate_4q", "three_gate_6q", "ring_44q")
@@ -97,10 +109,10 @@ class ExperimentConfig:
     def from_dict(doc: dict) -> "ExperimentConfig":
         """The config of a document, built by keyword: each field but
         ``extra`` takes its key, or else its default above, and ``extra``
-        takes the other keys.  The seed, ``out_dir`` and ``backend`` must
-        have their default's JSON type."""
+        takes the other keys.  ``schema_version``, the seed, ``out_dir`` and
+        ``backend`` are checked as a field of FIELDS is (``_checked``)."""
         doc = dict(doc)
-        version = doc.pop("schema_version", SCHEMA_VERSION)
+        version = _checked(doc.pop("schema_version", SCHEMA_VERSION), SCHEMA_VERSION, "schema_version")
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {version}")
         if doc.get("kind") not in EXPERIMENT_KINDS:
@@ -128,11 +140,11 @@ class ExperimentConfig:
 
     def settings(self) -> dict:
         """The kind's fields of FIELDS, checked, with their defaults where the
-        config leaves them out; the seed, the ``cab`` section, ``gates``
-        (their range is ``_target``'s) and ``subsets`` are checked for every
-        kind.  Other top-level keys are echoed but not read."""
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        config leaves them out; the seed (a ``--seed`` flag sets it after
+        ``from_dict``), the ``cab`` section, ``gates`` (their bound is the
+        device's, in ``_target``) and ``subsets`` are checked for every kind.
+        Other top-level keys are echoed but not read."""
+        _checked(self.seed, 0, "seed")
         _checked(self.cab, CAB_FIELDS, "cab")
         if self.gates is not None:
             _checked(self.gates, (0,), "gates")
@@ -148,15 +160,16 @@ class ExperimentConfig:
 
 
 def _checked(value, default, name: str):
-    """``value`` if it has the JSON type of ``default``, else a ConfigError
-    naming ``name``.  An integer passes for a float default and comes back as
-    a float; a list comes back as a tuple, each entry checked against the
-    default's first, and an empty one is refused, as no list default is
-    empty; an object is checked key by key, with the default's values filled
-    in, and a key the default lacks is refused.  A float default refuses
-    NaN and the infinities, which JSON's NaN, Infinity and 1e400 parse to,
-    and an integer past the float range.  A None default passes any value
-    on to the runner that derives it."""
+    """``value`` if it has the JSON type of ``default`` and keeps its bounds,
+    else a ConfigError naming ``name``.  An integer passes for a float default
+    and comes back as a float; a float default refuses NaN and the infinities,
+    which JSON's NaN, Infinity and 1e400 parse to, and an integer past the
+    float range.  An integer must be >= 0, and a name in BOUNDS must pass its
+    test.  A list comes back as a tuple, each entry checked against the
+    default's first, and one that is empty or repeats an entry is refused, as
+    no list default is; an object is checked key by key, with the default's
+    values filled in, and a key the default lacks is refused.  A None default
+    passes any value on to the runner that derives it."""
     if default is None:
         return value
     if isinstance(default, dict):
@@ -169,9 +182,10 @@ def _checked(value, default, name: str):
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{name} must be a list, got {value!r}")
-        if not value:
-            raise ConfigError(f"{name} must not be empty")
-        return tuple(_checked(v, default[0], f"{name} entry") for v in value)
+        entries = tuple(_checked(v, default[0], f"{name} entry") for v in value)
+        if not entries or len(set(entries)) < len(entries):
+            raise ConfigError(f"{name} must be a non-empty list that repeats no entry, got {list(value)!r}")
+        return entries
     if type(default) is float and type(value) is int:
         value = float(value) if abs(value) <= sys.float_info.max else math.inf
     if type(value) is not type(default):
@@ -179,6 +193,10 @@ def _checked(value, default, name: str):
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
     if type(default) is float and not math.isfinite(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if type(value) is int and value < 0:
+        raise ConfigError(f"{name} must be >= 0, got {value!r}")
+    if name in BOUNDS and not BOUNDS[name][1](value):
+        raise ConfigError(f"{name} must be {BOUNDS[name][0]}, got {value!r}")
     return value
 
 
@@ -293,8 +311,8 @@ def _target(cfg: ExperimentConfig) -> tuple[DeviceModel, tuple[int, ...]]:
     device = load_device(cfg.device)
     n = len(device.gates)
     gates = tuple(range(n)) if cfg.gates is None else _checked(cfg.gates, (0,), "gates")
-    if not gates or len(set(gates)) != len(gates) or not all(0 <= g < n for g in gates):
-        raise ConfigError(f"gates must be a non-empty list of distinct indices in [0, {n}), got {list(gates)}")
+    if not gates or max(gates) >= n:
+        raise ConfigError(f"gates must be indices below the device's gate count {n}, got {list(gates)}")
     return device, gates
 
 
@@ -324,21 +342,14 @@ def _run_cb(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
 
 def _run_fully_connected(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     n = settings["n"]
-    ring = ("gate_depol", "single_qubit_depol", "readout_e0", "readout_e1")  # with n, the ring's fields
     if cfg.device is not None:
-        given = [key for key in ("n", *ring) if key in cfg.extra]
+        given = [key for key in ("n", *RING_RATES) if key in cfg.extra]
         if given:
             raise ConfigError(f"fully_connected with a device takes its size and noise from it; drop {given}")
         device = load_device(cfg.device)
         n = device.n_qubits
     else:
-        if n % 2 or n < 4:
-            raise ConfigError(f"fully_connected n must be even and >= 4, got {n}")
-        probs = {key: settings[key] for key in ring}
-        bad = {key: p for key, p in probs.items() if not 0.0 <= p <= 1.0}
-        if bad:
-            raise ConfigError(f"fully_connected probabilities must lie in [0, 1], got {bad}")
-        device = ring_device(n, **probs)
+        device = ring_device(n, **{key: settings[key] for key in RING_RATES})
     n_half = n // 2
     if len(device.gates) < n:
         raise ConfigError(f"fully_connected needs {n} gates, the device has {len(device.gates)}")
@@ -358,15 +369,11 @@ def _run_parallel_cz_scan(cfg: ExperimentConfig, settings: dict, out: Path) -> d
     counts = range(2, len(device.gates) + 1, 2) if counts is None else _checked(counts, (1,), "scan_counts")
     if not counts:
         raise ConfigError(f"scan_counts is empty: the default scans even gate counts, and the device has {len(device.gates)}")
-    if len(set(counts)) != len(counts):
-        raise ConfigError(f"scan_counts entries must be distinct, got {list(counts)}")
-    for r in counts:
-        if not 1 <= r <= len(device.gates):
-            raise ConfigError(f"scan_counts entries must lie in [1, {len(device.gates)}], got {r}")
+    if max(counts) > len(device.gates):
+        raise ConfigError(f"scan_counts entries must be <= the device's {len(device.gates)} gates, got {list(counts)}")
     _check_parallel(device, range(max(counts)), cfg.kind)  # each point's gates are a prefix of these
-    # used as given: an integer prints as one
-    if per_cz is not None and not 0.0 < _checked(per_cz, 1.0, "per_cz_fidelity") <= 1.0:
-        raise ConfigError(f"per_cz_fidelity must lie in (0, 1], got {per_cz}")
+    if per_cz is not None:  # used as given: an integer prints as one
+        _checked(per_cz, 1.0, "per_cz_fidelity")
     reps = []
     twirl_data = None  # every point's twirl run is the same identity run on the whole register
     for r in counts:
@@ -423,15 +430,14 @@ def _run_correlate(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
 def _run_landscape(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     spec = settings["landscape"]
     points = spec["points"]
-    # a negative count gives an empty grid, which correlation_landscape refuses
-    grid = np.linspace(0.0, spec["max"], max(points, 0))
-    files = []
-    for g12 in spec["gamma12"]:
+    files = [f"landscape_g12_{g12:.6f}.csv" for g12 in spec["gamma12"]]
+    if len(set(files)) < len(files):
+        raise ConfigError(f"landscape.gamma12 values {list(spec['gamma12'])} share a file name: {files}")
+    grid = np.linspace(0.0, spec["max"], points)
+    for g12, name in zip(spec["gamma12"], files):
         values = correlation_landscape(g12, grid, grid)
         columns = [np.repeat(grid, points).tolist(), np.tile(grid, points).tolist(), values.ravel().tolist()]
-        name = f"landscape_g12_{g12:.6f}.csv"
         _write_csv(out / name, ["gamma13", "gamma23", "correlation"], [((), columns)])
-        files.append(name)
     return {"gamma12_values": list(spec["gamma12"]), "files": files}
 
 
@@ -439,9 +445,6 @@ def _run_optimize(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     device, gates = _target(cfg)
     _check_parallel(device, gates, cfg.kind)
     spec = settings["optimize"]
-    step, x_tol = spec["initial_step"], spec["x_tol"]
-    if not (step > 0.0 and x_tol >= 0.0):
-        raise ConfigError(f"optimize needs initial_step > 0 and x_tol >= 0, got {step} and {x_tol}")
     cab_cfg = replace(cfg.cab_config(gates, k_r=40, k_s=2000, mode="traverse"), subsets=())
     traj = optimize_parallel_cz(
         device,
@@ -477,9 +480,8 @@ def _run_optimize(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
 def _run_calibrate(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     device, gates = _target(cfg)  # run one at a time, so they may share qubits
     spec = settings["calibrate"]
-    # a negative count gives an empty grid, which the scans refuse
-    betas = np.linspace(0, 2 * np.pi, max(spec["beta_points"], 0), endpoint=False)
-    phases = np.linspace(0, 2 * np.pi, max(spec["phase_points"], 0), endpoint=False)
+    betas = np.linspace(0, 2 * np.pi, spec["beta_points"], endpoint=False)
+    phases = np.linspace(0, 2 * np.pi, spec["phase_points"], endpoint=False)
     corrections = {}
     for g in gates:
         phi_i, phi_x, phi = measure_conditional_phase(device, g, betas)
@@ -505,13 +507,6 @@ def _run_calibrate(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
 
 def _run_order_stats(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     n_list, samples, cap = settings["n_list"], settings["samples"], settings["cap"]
-    if len(set(n_list)) != len(n_list):
-        raise ConfigError(f"order_stats n_list entries must be distinct, got {list(n_list)}")
-    bad_n = [n for n in n_list if n % 2 or n < 4]
-    if bad_n:
-        raise ConfigError(f"order_stats n_list entries must be even and >= 4, got {bad_n}")
-    if samples < 1 or cap < 1:
-        raise ConfigError(f"order_stats needs samples >= 1 and cap >= 1, got {samples} and {cap}")
     rng = np.random.default_rng([cfg.seed, 9])
     blocks = []
     medians = {}

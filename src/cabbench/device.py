@@ -378,9 +378,12 @@ class DeviceModel:
         if not _is_int(n) or n < 1:
             raise TypeError(f"n_qubits must be a positive integer, got {n!r}")
         for name in ("readout_e0", "readout_e1", "single_qubit_depol"):
-            arr = np.asarray(getattr(self, name))
-            if arr.dtype.kind not in "iuf":
-                raise TypeError(f"{name} must hold numbers, got {arr.tolist()!r}")
+            value = getattr(self, name)
+            arr = np.asarray(value)
+            # numpy casts a bool among numbers to 0 or 1
+            cast = isinstance(value, (list, tuple)) and any(isinstance(v, bool) for v in value)
+            if arr.dtype.kind not in "iuf" or cast:
+                raise TypeError(f"{name} must hold numbers, got {value!r}")
             arr = np.broadcast_to(arr.astype(float), (n,)).copy()
             if not np.all((arr >= 0) & (arr <= 1)):
                 raise ValueError(f"{name} must lie in [0, 1]")
@@ -474,7 +477,8 @@ class DeviceModel:
         built by keyword: a key that no constructor takes is a TypeError, and
         each constructor checks its own values."""
         doc = {**doc}
-        if doc.pop("schema_version", 1) != 1:
+        version = doc.pop("schema_version", 1)
+        if not _is_int(version) or version != 1:
             raise ValueError("the device document's schema_version must be 1")
         gates = []
         for g in doc["gates"]:

@@ -776,6 +776,22 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("optimize", {"device": OVERLAP_3Q, "optimize": {"iterations": 2, "window": [0, 2]}}),
         ("parallel_cz_scan", {"device": OVERLAP_3Q}),
         ("parallel_cz_scan", {"device": RING_8Q, "backend": "stab", "scan_counts": [2, 6]}),
+        # a bool among a rate list's numbers ran as 0 or 1, and a bool or a
+        # float schema_version passed as 1 (exit 0)
+        ("cab", {"device": two_gate_4q_with(("readout", "e0"), [True, 0.02, 0.02, 0.02])}),
+        ("cab", {"device": two_gate_4q_with(("single_qubit_depol",), [0.9968, False, 0.9968, 0.9968])}),
+        ("cab", {"device": two_gate_4q_with(("schema_version",), True)}),
+        ("cab", {"device": two_gate_4q_with(("schema_version",), 1.0)}),
+        ("cab", {"schema_version": True}),
+        ("cab", {"schema_version": 1.0}),
+        # two values that format to one file name: the second grid overwrote
+        # the first, and result.json listed the name twice (exit 0)
+        ("landscape", {"landscape": {"gamma12": [0.1, 0.1000001]}}),
+        # a list that repeats an entry ran it twice (exit 0): survivals.csv
+        # held two blocks of depth 2
+        ("cab", {"cab": {"depths": [0, 2, 2], "k_r": 8, "k_s": 500, "mode": "traverse"}}),
+        ("cb", {"cab": {"k_r": 10, "k_s": 100}, "cycles": [2, 2, 4], "n_chars": 5}),
+        ("landscape", {"landscape": {"gamma12": [0.1, 0.1]}}),
     ],
     ids=[
         "k_r",
@@ -886,6 +902,16 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "optimize_overlapping_gates",
         "scan_overlapping_gates",
         "scan_overlap_past_first_point",
+        "device_bool_in_readout_list",
+        "device_bool_in_single_qubit_depol_list",
+        "device_bool_schema_version",
+        "device_float_schema_version",
+        "bool_schema_version",
+        "float_schema_version",
+        "landscape_file_name_collision",
+        "repeated_depth",
+        "cb_repeated_cycle_among_three",
+        "repeated_gamma12",
     ],
 )
 def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys, monkeypatch):
@@ -1055,6 +1081,111 @@ def test_one_field_mutations_exit_0_or_2(mutation):
         assert left == ["config.json"]
     else:
         assert header_only == []
+
+
+def test_every_one_field_mutation_is_settled_by_settings():
+    # all of config_mutations(), not the property test's sample, and no run:
+    # settings() returns or refuses with a ConfigError, never another error
+    others = []
+    for mutation in config_mutations():
+        try:
+            ExperimentConfig.from_dict(mutated_config(*mutation)).settings()
+        except ConfigError:
+            pass
+        except Exception as err:
+            others.append((mutation, repr(err)))
+    assert others == []
+
+
+# -- each bound of cli.BOUNDS at its edge ---------------------------------------
+
+BELOW_0, ABOVE_1 = -math.ulp(0.0), math.nextafter(1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "kind, over, refused",
+    [
+        ("fully_connected", {"n": 4}, None),
+        ("fully_connected", {"n": 2}, "n"),
+        ("fully_connected", {"n": 5}, "n"),
+        ("order_stats", {"n_list": [4]}, None),
+        ("order_stats", {"n_list": [2]}, "n_list entry"),
+        ("order_stats", {"n_list": [5]}, "n_list entry"),
+        ("order_stats", {"samples": 1}, None),
+        ("order_stats", {"samples": 0}, "samples"),
+        ("order_stats", {"cap": 1}, None),
+        ("order_stats", {"cap": 0}, "cap"),
+        ("optimize", {"optimize": {"x_tol": 0.0}}, None),
+        ("optimize", {"optimize": {"x_tol": BELOW_0}}, "optimize.x_tol"),
+        ("optimize", {"optimize": {"initial_step": math.ulp(0.0)}}, None),
+        ("optimize", {"optimize": {"initial_step": 0.0}}, "optimize.initial_step"),
+        ("fully_connected", {"gate_depol": 0.0}, None),
+        ("fully_connected", {"gate_depol": 1.0}, None),
+        ("fully_connected", {"gate_depol": BELOW_0}, "gate_depol"),
+        ("fully_connected", {"gate_depol": ABOVE_1}, "gate_depol"),
+        ("fully_connected", {"single_qubit_depol": 0.0}, None),
+        ("fully_connected", {"single_qubit_depol": 1.0}, None),
+        ("fully_connected", {"single_qubit_depol": BELOW_0}, "single_qubit_depol"),
+        ("fully_connected", {"single_qubit_depol": ABOVE_1}, "single_qubit_depol"),
+        ("fully_connected", {"readout_e0": 0.0}, None),
+        ("fully_connected", {"readout_e0": 1.0}, None),
+        ("fully_connected", {"readout_e0": BELOW_0}, "readout_e0"),
+        ("fully_connected", {"readout_e0": ABOVE_1}, "readout_e0"),
+        ("fully_connected", {"readout_e1": 0.0}, None),
+        ("fully_connected", {"readout_e1": 1.0}, None),
+        ("fully_connected", {"readout_e1": BELOW_0}, "readout_e1"),
+        ("fully_connected", {"readout_e1": ABOVE_1}, "readout_e1"),
+        # the rule every integer keeps
+        ("cab", {"seed": 0}, None),
+        ("cab", {"seed": -1}, "seed"),
+        ("calibrate", {"calibrate": {"beta_points": 0}}, None),
+        ("calibrate", {"calibrate": {"beta_points": -1}}, "calibrate.beta_points"),
+    ],
+)
+def test_bound_edge_is_accepted_and_the_next_value_refused(kind, over, refused):
+    doc = {"kind": kind, **over}
+    if refused is None:
+        ExperimentConfig.from_dict(doc).settings()
+    else:
+        with pytest.raises(ConfigError, match=f"^{refused} must be "):
+            ExperimentConfig.from_dict(doc).settings()
+
+
+@pytest.mark.parametrize(
+    "over, code",
+    [
+        ({"scan_counts": [1]}, 0),
+        ({"scan_counts": [0]}, 2),
+        ({"per_cz_fidelity": 1.0}, 0),
+        ({"per_cz_fidelity": ABOVE_1}, 2),
+        ({"per_cz_fidelity": math.ulp(0.0)}, 0),
+        ({"per_cz_fidelity": 0.0}, 2),
+    ],
+)
+def test_scan_bound_edge_is_accepted_and_the_next_value_refused(over, code, tmp_path, capsys):
+    # these defaults are None, derived by the runner, so settings() passes any value
+    doc = {**SMALL_CONFIGS["parallel_cz_scan"], "scan_counts": [1], **over}
+    path = small_cab_config(tmp_path, kind="parallel_cz_scan", **doc)
+    assert main(["parallel_cz_scan", "--config", str(path)]) == code
+    if code == 2:
+        assert next(iter(over)) in capsys.readouterr().err
+
+
+def test_every_bound_names_a_checked_field(tmp_path, monkeypatch):
+    # a misspelt BOUNDS key would name no field and drop its bound silently
+    names = set()
+    checked = cli._checked
+
+    def recording(value, default, name):
+        names.add(name)
+        return checked(value, default, name)
+
+    monkeypatch.setattr(cli, "_checked", recording)
+    for kind in cli.EXPERIMENT_KINDS:
+        ExperimentConfig.from_dict({"kind": kind}).settings()
+    path = small_cab_config(tmp_path, kind="parallel_cz_scan", **SMALL_CONFIGS["parallel_cz_scan"])
+    assert main(["parallel_cz_scan", "--config", str(path)]) == 0
+    assert set(cli.BOUNDS) - names == set()
 
 
 # -- the same contract under one-field mutations of a device document ----------
