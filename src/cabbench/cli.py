@@ -36,11 +36,12 @@ from .device import DeviceModel
 from .experiments import fully_connected_gate, gate_order_samples, ring_device
 
 SCHEMA_VERSION = 1
-# Every field each kind reads besides the common ones of ExperimentConfig,
-# with its default.  A value must have its default's JSON type, an integer is
-# >= 0, a list repeats no entry, and a field BOUNDS names keeps its bound
-# (_checked); a nested section refuses keys it does not list.  A None default
-# is derived by the runner, which checks a given value with _checked.
+# Every field each kind reads besides the common ones of ExperimentConfig and
+# the cab section, with its default.  A value must have its default's JSON
+# type, an integer is >= 0, a list repeats no entry, and a field BOUNDS names
+# keeps its bound (_checked); a nested section refuses keys it does not list.
+# A None default is derived by the runner, which checks a given value with
+# _checked.
 FIELDS = {
     "cab": {},
     "cb": {"cycles": (10, 20), "n_chars": 5},
@@ -73,8 +74,11 @@ BOUNDS = {
     "optimize.initial_step": ("> 0", lambda v: v > 0),
     "optimize.x_tol": (">= 0", lambda v: v >= 0),
 }
-# the cab section's fields; their defaults are CabConfig's
+# the cab section's fields, which every kind checks as CabConfig does before
+# any device loads; their defaults are CabConfig's, but for those CAB_DEFAULTS
+# gives a kind
 CAB_FIELDS = {f.name: f.default for f in fields(CabConfig) if f.name in ("depths", "k_r", "k_s", "mode", "k_q")}
+CAB_DEFAULTS = {"optimize": {"k_r": 40, "k_s": 2000, "mode": "traverse"}}
 EXAMPLE_DEVICES = ("two_gate_4q", "three_gate_6q", "ring_44q")
 
 
@@ -106,12 +110,16 @@ class ExperimentConfig:
     extra: dict = field(default_factory=dict)
 
     @staticmethod
-    def from_dict(doc: dict) -> "ExperimentConfig":
-        """The config of a document, built by keyword: each field but
-        ``extra`` takes its key, or else its default above, and ``extra``
-        takes the other keys.  ``schema_version``, the seed, ``out_dir`` and
-        ``backend`` are checked as a field of FIELDS is (``_checked``)."""
-        doc = dict(doc)
+    def from_dict(doc: dict, **flags) -> "ExperimentConfig":
+        """The config of a document, a JSON object, with ``flags`` (the
+        command line's) in place of the keys they name, built by keyword:
+        each field but ``extra`` takes its key, or else its default above,
+        and ``extra`` takes the other keys.  ``schema_version``, the seed,
+        ``out_dir`` and ``backend`` are checked as a field of FIELDS is
+        (``_checked``)."""
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a config must be a JSON object, got {doc!r}")
+        doc = {**doc, **flags}
         version = _checked(doc.pop("schema_version", SCHEMA_VERSION), SCHEMA_VERSION, "schema_version")
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {version}")
@@ -124,7 +132,7 @@ class ExperimentConfig:
         return cfg
 
     @staticmethod
-    def load(path) -> "ExperimentConfig":
+    def load(path, **flags) -> "ExperimentConfig":
         try:
             with open(path) as fh:
                 doc = json.load(fh)
@@ -132,7 +140,7 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: line {err.lineno}, column {err.colno}: {err.msg}") from err
         except ValueError as err:  # not UTF-8, or an integer literal past Python's digit limit
             raise ConfigError(f"{path}: {err}") from err
-        return ExperimentConfig.from_dict(doc)
+        return ExperimentConfig.from_dict(doc, **flags)
 
     def to_dict(self) -> dict:
         common = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extra"}
@@ -140,23 +148,17 @@ class ExperimentConfig:
 
     def settings(self) -> dict:
         """The kind's fields of FIELDS, checked, with their defaults where the
-        config leaves them out; the seed (a ``--seed`` flag sets it after
-        ``from_dict``), the ``cab`` section, ``gates`` (their bound is the
-        device's, in ``_target``) and ``subsets`` are checked for every kind.
-        Other top-level keys are echoed but not read."""
-        _checked(self.seed, 0, "seed")
-        _checked(self.cab, CAB_FIELDS, "cab")
-        if self.gates is not None:
-            _checked(self.gates, (0,), "gates")
+        config leaves them out, and for every kind ``cab``, the run's
+        CabConfig of the ``cab`` section, the seed and the backend, without
+        subsets, and ``gates``, checked (their bound is the device's, in
+        ``_target``), or None for all.  ``subsets`` is checked too.  Other
+        top-level keys are echoed but not read."""
+        cab = _checked(self.cab, {**CAB_FIELDS, **CAB_DEFAULTS.get(self.kind, {})}, "cab")
+        cab = CabConfig(**cab, seed=self.seed, backend=self.backend)
+        gates = None if self.gates is None else _checked(self.gates, (0,), "gates")
         resolve_subsets(self.subsets, ())
-        table = FIELDS[self.kind]
-        return {key: _checked(self.extra.get(key, default), default, key) for key, default in table.items()}
-
-    def cab_config(self, gates: tuple[int, ...], **defaults) -> CabConfig:
-        """The run settings of the ``cab`` section.  A key the section leaves
-        out takes the caller's ``defaults``, then CabConfig's."""
-        cab = _checked(self.cab, {**CAB_FIELDS, **defaults}, "cab")
-        return CabConfig(**cab, seed=self.seed, subsets=resolve_subsets(self.subsets, gates), backend=self.backend)
+        own = {key: _checked(self.extra.get(key, default), default, key) for key, default in FIELDS[self.kind].items()}
+        return {"cab": cab, "gates": gates, **own}
 
 
 def _checked(value, default, name: str):
@@ -305,21 +307,21 @@ def _check_parallel(device: DeviceModel, gates, kind: str):
         raise ConfigError(f"{kind} gates {list(gates)}: {err}") from err
 
 
-def _target(cfg: ExperimentConfig) -> tuple[DeviceModel, tuple[int, ...]]:
+def _target(cfg: ExperimentConfig, settings: dict) -> tuple[DeviceModel, tuple[int, ...]]:
     """The config's device and the gates it names, all of them by default;
     a device without gates is refused."""
     device = load_device(cfg.device)
     n = len(device.gates)
-    gates = tuple(range(n)) if cfg.gates is None else _checked(cfg.gates, (0,), "gates")
+    gates = tuple(range(n)) if settings["gates"] is None else settings["gates"]
     if not gates or max(gates) >= n:
         raise ConfigError(f"gates must be indices below the device's gate count {n}, got {list(gates)}")
     return device, gates
 
 
 def _run_cab(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
-    device, gates = _target(cfg)
+    device, gates = _target(cfg, settings)
     _check_parallel(device, gates, cfg.kind)
-    cab_cfg = cfg.cab_config(gates)
+    cab_cfg = replace(settings["cab"], subsets=resolve_subsets(cfg.subsets, gates))
     block = GateBlock.parallel_cz(device, gates)
     rep = run_cab_experiment(device, block, cab_cfg)
     _write_cab_artifacts(out, rep)
@@ -327,11 +329,10 @@ def _run_cab(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
 
 
 def _run_cb(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
-    device, gates = _target(cfg)
+    device, gates = _target(cfg, settings)
     _check_parallel(device, gates, cfg.kind)
-    cab_cfg = cfg.cab_config(gates)
     block = GateBlock.parallel_cz(device, gates)
-    est = run_cb_experiment(device, block, cab_cfg, cycles=settings["cycles"], n_chars=settings["n_chars"])
+    est = run_cb_experiment(device, block, settings["cab"], cycles=settings["cycles"], n_chars=settings["n_chars"])
     _write_csv(
         out / "characters.csv",
         ["w_mask", "lambda", "se", "flagged"],
@@ -355,7 +356,7 @@ def _run_fully_connected(cfg: ExperimentConfig, settings: dict, out: Path) -> di
         raise ConfigError(f"fully_connected needs {n} gates, the device has {len(device.gates)}")
     for half in (range(n_half), range(n_half, n)):
         _check_parallel(device, half, cfg.kind)
-    cab_cfg = cfg.cab_config(tuple(range(n)))
+    cab_cfg = replace(settings["cab"], subsets=resolve_subsets(cfg.subsets, tuple(range(n))))
     rng = np.random.default_rng([cfg.seed, 3])
     block = fully_connected_gate(device, tuple(range(n_half)), tuple(range(n_half, n)), rng)
     rep = run_cab_experiment(device, block, cab_cfg, measure_twirl=settings["measure_twirl"])
@@ -378,9 +379,8 @@ def _run_parallel_cz_scan(cfg: ExperimentConfig, settings: dict, out: Path) -> d
     twirl_data = None  # every point's twirl run is the same identity run on the whole register
     for r in counts:
         gates = tuple(range(r))
-        cab_cfg = replace(cfg.cab_config(gates), subsets=())
         block = GateBlock.parallel_cz(device, gates)
-        reps.append(run_cab_experiment(device, block, cab_cfg, twirl_data=twirl_data))
+        reps.append(run_cab_experiment(device, block, settings["cab"], twirl_data=twirl_data))
         twirl_data = reps[-1].twirl_data
     columns = [list(counts), [2 * r for r in counts]]
     for part in ("dressed", "twirl", "pure"):
@@ -409,13 +409,13 @@ def _run_correlate(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
     carries its jackknife SE from that run (``correlation_matrix``)."""
     if "repeat" in cfg.extra:
         raise ConfigError("repeat is retired: correlation.csv now carries a one-run SE of each correlation")
-    device, gates = _target(cfg)
+    device, gates = _target(cfg, settings)
     _check_parallel(device, gates, cfg.kind)
     if len(gates) < 2:
         raise ConfigError(f"correlate needs at least two gates to correlate, got {list(gates)}")
     cfg.subsets = "singles+pairs"
     block = GateBlock.parallel_cz(device, gates)
-    rep = run_cab_experiment(device, block, cfg.cab_config(gates))
+    rep = run_cab_experiment(device, block, replace(settings["cab"], subsets=resolve_subsets(cfg.subsets, gates)))
     matrix = correlation_matrix(rep, device)
     pairs, values, ses, bounds = matrix.subsets, matrix.values, matrix.ses, matrix.lower_bounds
     _write_csv(
@@ -442,15 +442,14 @@ def _run_landscape(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
 
 
 def _run_optimize(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
-    device, gates = _target(cfg)
+    device, gates = _target(cfg, settings)
     _check_parallel(device, gates, cfg.kind)
     spec = settings["optimize"]
-    cab_cfg = replace(cfg.cab_config(gates, k_r=40, k_s=2000, mode="traverse"), subsets=())
     traj = optimize_parallel_cz(
         device,
         gates,
         spec["target"],
-        cab_cfg,
+        settings["cab"],
         spec["iterations"],
         NelderMeadOptions(initial_step=spec["initial_step"], x_tol=spec["x_tol"]),
         window=spec["window"],
@@ -478,7 +477,7 @@ def _run_optimize(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
 
 
 def _run_calibrate(cfg: ExperimentConfig, settings: dict, out: Path) -> dict:
-    device, gates = _target(cfg)  # run one at a time, so they may share qubits
+    device, gates = _target(cfg, settings)  # run one at a time, so they may share qubits
     spec = settings["calibrate"]
     betas = np.linspace(0, 2 * np.pi, spec["beta_points"], endpoint=False)
     phases = np.linspace(0, 2 * np.pi, spec["phase_points"], endpoint=False)
@@ -565,16 +564,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument("--backend", choices=("auto", "dm", "stab"), default=None)
     args = parser.parse_args(argv)
+    flags = {"seed": args.seed, "out_dir": args.out, "backend": args.backend}
     try:
-        cfg = ExperimentConfig.load(args.config)
+        cfg = ExperimentConfig.load(args.config, **{key: v for key, v in flags.items() if v is not None})
         if cfg.kind != args.kind:
             raise ConfigError(f"config kind {cfg.kind!r} does not match subcommand {args.kind!r}")
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out_dir = args.out
-        if args.backend is not None:
-            cfg.backend = args.backend
         out = run(cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

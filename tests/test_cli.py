@@ -792,6 +792,12 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         ("cab", {"cab": {"depths": [0, 2, 2], "k_r": 8, "k_s": 500, "mode": "traverse"}}),
         ("cb", {"cab": {"k_r": 10, "k_s": 100}, "cycles": [2, 2, 4], "n_chars": 5}),
         ("landscape", {"landscape": {"gamma12": [0.1, 0.1]}}),
+        # a kind that builds no benchmark held the cab section and backend to
+        # their JSON types only, ran and echoed the bad value (exit 0)
+        ("landscape", {"backend": "x"}),
+        ("landscape", {"cab": {"k_r": 1}}),
+        ("calibrate", {"cab": {"mode": "x"}}),
+        ("order_stats", {"cab": {"k_s": 0}}),
     ],
     ids=[
         "k_r",
@@ -912,6 +918,10 @@ def test_optimize_window_checked_before_running(tmp_path, capsys):
         "repeated_depth",
         "cb_repeated_cycle_among_three",
         "repeated_gamma12",
+        "landscape_unknown_backend",
+        "landscape_one_sequence",
+        "calibrate_unknown_mode",
+        "order_stats_zero_shots",
     ],
 )
 def test_pre_run_config_errors_exit_2(kind, over, tmp_path, capsys, monkeypatch):
@@ -934,6 +944,48 @@ def test_unreadable_config_text_exits_2(text, tmp_path, capsys):
     assert main(["cab", "--config", str(path)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [None, [1, 2], 3, "x", [["kind", "order_stats"], ["n_list", [4]], ["samples", 3]]],
+    ids=["null", "list", "number", "string", "key_value_pairs"],
+)
+def test_config_that_is_not_an_object_exits_2(doc, tmp_path, capsys, monkeypatch):
+    # null, a list, a number and a string failed with a TypeError or a
+    # ValueError (exit 1); a list of [key, value] pairs was read as an object
+    # and ran, into the default out_dir (exit 0)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    assert main(["order_stats", "--config", "config.json"]) == 2
+    assert "config error: a config must be a JSON object" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("kind", cli.EXPERIMENT_KINDS)
+@pytest.mark.parametrize("over", [{"cab": {"k_r": 1}}, {"backend": "x"}], ids=["one_sequence", "unknown_backend"])
+def test_every_kind_checks_the_cab_section_as_cab_config_does(kind, over):
+    # before, only the kinds that build a benchmark held these values to
+    # CabConfig's checks, and only after their device loaded
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"kind": kind, **over}).settings()
+
+
+def test_flags_write_what_the_same_config_fields_write(tmp_path, monkeypatch):
+    # the flags replace the config's seed, out_dir and backend before it is
+    # checked and run, so the artifacts match a config that holds their values
+    digests = []
+    for name, over, flags in [
+        ("flags", {"seed": 2, "out_dir": "other", "backend": "stab"}, ["--seed", "5", "--out", "D", "--backend", "dm"]),
+        ("fields", {"seed": 5, "out_dir": "D", "backend": "dm"}, []),
+    ]:
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        path = small_cab_config(tmp_path / name, **over)
+        assert main(["cab", "--config", str(path), *flags]) == 0
+        digests.append(artifact_digests(Path("D")))
+    assert digests[0] == digests[1]
+    assert set(digests[0]) == {"result.json", "lambdas.csv", "survivals.csv"}
 
 
 @pytest.mark.parametrize("kind", ["cab", "cb", "correlate", "optimize", "calibrate"])
@@ -1232,6 +1284,24 @@ def test_one_device_field_mutations_exit_0_or_2(mutation):
         assert left == ["config.json"]
     elif code == 0:
         assert header_only == []
+
+
+def test_every_device_document_mutation_loads_or_is_refused():
+    # each of the documents behind device_mutations(), without a run:
+    # load_device builds it or refuses it with a ConfigError, never another error
+    docs = [two_gate_4q_with(path, v) for path in _document_paths(DEVICE_DOC) for v in MUTATION_VALUES]
+    assert len(docs) * len(DEVICE_CONFIGS) == len(device_mutations())
+    loaded, others = 0, []
+    for doc in docs:
+        try:
+            load_device(doc)
+            loaded += 1
+        except ConfigError:
+            pass
+        except Exception as err:
+            others.append((doc, repr(err)))
+    assert others == []
+    assert 0 < loaded < len(docs)
 
 
 def test_fully_connected_runs_at_a_tiny_readout_rate(tmp_path):
